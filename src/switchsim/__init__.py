@@ -1,10 +1,9 @@
 """Block-granular multi-task sparsity and task-switch latency simulator."""
 
-from .block_store import (CacheState, ModelManifest, Store, TierAssignment, evict,
-                          init_store, insert_to_gpu, stage_to_cpu)
+from .block_store import (CacheState, ModelManifest, TierAssignment, evict, load_to_gpu,
+                          stage_to_cpu)
 from .errors import (BudgetExceededError, ConfigError, LogParseError, ManifestError,
-                     OracleError, ReplayError, StagingOrderError, StoreCreationError,
-                     SwitchSimError)
+                     OracleError, ReplayError, SwitchSimError)
 from .prefetch import PlanEntry, PrefetchPlan, execute_prefetch, plan_prefetch
 from .reference import (SyntheticInstance, brute_force_best_feasible,
                         brute_force_greedy_replay, gen_instance, gen_markov_log)
@@ -14,8 +13,7 @@ from .sparsity import (AdditiveOracle, MetricOracle, SelectionResult, SkipSet,
                        TableOracle, TaskSpec, aligned_skip_select, build_all_tasks,
                        greedy_skip_select, jaccard)
 from .switching import (CostModel, DeployMode, SwitchReport,
-                        calibrate_uniform_block_bytes, diff_set, execute_switch,
-                        gpu_utilization)
+                        calibrate_uniform_block_bytes, execute_switch)
 from .transitions import (TransitionModel, assign_tiers, fit_transition_model,
                           ingest_log, load_task_log, top_k_successors,
                           transition_probs)

@@ -1,9 +1,11 @@
-"""Split-storage layout and tier residency for block-granular weights.
+"""Block inventory, host cache, and device residency for block-granular weights.
 
 A model backbone is decomposed into per-block shards on disk; at runtime
 blocks move disk -> host cache -> device under byte budgets. This module
 owns the manifest (block inventory), the cache state for both tiers, and
-the residency-changing operations (stage, insert, evict).
+the residency-changing operations: staging into the host cache, which
+evicts by usefulness and recency, and loading the device with exactly
+one task's active set.
 
 All operations are functional: they take a :class:`CacheState` and return
 a new one, never mutating the input. On a budget error the caller's state
@@ -12,24 +14,20 @@ is therefore unchanged by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Mapping
 
-from .errors import BudgetExceededError, ManifestError, StagingOrderError, StoreCreationError
+from .errors import BudgetExceededError, ManifestError, exact_int
 
 __all__ = [
     "ModelManifest",
     "CacheState",
     "TierAssignment",
-    "Store",
-    "init_store",
     "stage_to_cpu",
-    "insert_to_gpu",
+    "load_to_gpu",
     "evict",
 ]
-
-SHARD_HEADER_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ class ModelManifest:
         """
         try:
             name = doc["model_name"]
-            sizes = tuple(int(s) for s in doc["block_sizes_bytes"])
+            sizes = tuple(exact_int(s) for s in doc["block_sizes_bytes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"bad manifest document: {exc}") from exc
         prefix = doc.get("shard_prefix", "block_")
@@ -112,100 +110,42 @@ class ModelManifest:
 class CacheState:
     """Resident sets for the device and host tiers, under byte budgets.
 
-    ``gpu_lru`` / ``cpu_lru`` list the resident blocks from least to most
-    recently touched; they always contain exactly the resident blocks.
-    Keeping the recency order inside the state makes eviction a pure
-    function of (state, arguments).
+    The device holds exactly the running task's active set and never
+    evicts, so only the host cache keeps a recency order: ``cpu_lru`` lists
+    the host-resident blocks from least to most recently touched. Keeping
+    it inside the state makes eviction a pure function of (state,
+    arguments).
     """
 
     gpu_budget_bytes: int
     cpu_budget_bytes: int
     gpu_resident: frozenset[int] = frozenset()
     cpu_resident: frozenset[int] = frozenset()
-    gpu_lru: tuple[int, ...] = ()
     cpu_lru: tuple[int, ...] = ()
 
     def check(self, manifest: ModelManifest) -> None:
         """Raise if any state invariant is violated."""
-        for tier, resident, lru, budget in (
-            ("gpu", self.gpu_resident, self.gpu_lru, self.gpu_budget_bytes),
-            ("cpu", self.cpu_resident, self.cpu_lru, self.cpu_budget_bytes),
+        for tier, resident, budget in (
+            ("gpu", self.gpu_resident, self.gpu_budget_bytes),
+            ("cpu", self.cpu_resident, self.cpu_budget_bytes),
         ):
             if not resident <= manifest.all_blocks:
                 raise ManifestError(f"{tier} resident set references unknown blocks")
-            if frozenset(lru) != resident or len(lru) != len(resident):
-                raise ManifestError(f"{tier} recency order out of sync with residency")
             used = manifest.bytes_of(resident)
             if used > budget:
                 raise BudgetExceededError(tier, used - budget)
+        if frozenset(self.cpu_lru) != self.cpu_resident \
+                or len(self.cpu_lru) != len(self.cpu_resident):
+            raise ManifestError("cpu recency order out of sync with residency")
 
 
 @dataclass(frozen=True)
 class TierAssignment:
-    """Maps every block id to priority tier 1 (device), 2 (host), or 3 (disk)."""
+    """Priority tiers: ``runtime`` (level 1, device) and ``preload`` (level 2,
+    host staging candidates). Every other block is level 3 (disk)."""
 
-    level_of: Mapping[int, int]
-
-    def level(self, n: int) -> frozenset[int]:
-        return frozenset(b for b, lv in self.level_of.items() if lv == n)
-
-
-@dataclass(frozen=True)
-class Store:
-    """Handle over an initialized shard directory."""
-
-    manifest: ModelManifest
-    root: Path
-    state: CacheState = field(default_factory=lambda: CacheState(0, 0))
-
-    def shard_path(self, block_id: int) -> Path:
-        return self.root / self.manifest.shard_ids[block_id]
-
-    def verify_shard(self, block_id: int) -> bool:
-        """Size and id-header sanity check for one shard file."""
-        path = self.shard_path(block_id)
-        expected = self.manifest.block_sizes[block_id]
-        if not path.is_file() or path.stat().st_size != expected:
-            return False
-        header_len = min(SHARD_HEADER_BYTES, expected)
-        with open(path, "rb") as fh:
-            header = fh.read(header_len)
-        return header == block_id.to_bytes(SHARD_HEADER_BYTES, "little")[:header_len]
-
-    def empty_state(self, gpu_budget_bytes: int, cpu_budget_bytes: int) -> CacheState:
-        return CacheState(gpu_budget_bytes=gpu_budget_bytes, cpu_budget_bytes=cpu_budget_bytes)
-
-
-def _shard_payload(block_id: int, size: int) -> bytes:
-    # 8-byte little-endian id header, then a one-byte pattern keyed by id.
-    header = block_id.to_bytes(SHARD_HEADER_BYTES, "little")[: min(SHARD_HEADER_BYTES, size)]
-    filler = bytes([(block_id * 167 + 13) % 251]) * (size - len(header))
-    return header + filler
-
-
-def init_store(manifest: ModelManifest, disk_root: Path | str,
-               gpu_budget_bytes: int | None = None,
-               cpu_budget_bytes: int | None = None) -> Store:
-    """Materialize one shard file per block under ``disk_root``.
-
-    Shard contents are deterministic filler keyed by block id; identity is
-    checked by shard id plus size, not by weight values. Budgets default to
-    the whole model (both tiers unconstrained).
-    """
-    root = Path(disk_root)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        for block_id, (size, shard_id) in enumerate(
-                zip(manifest.block_sizes, manifest.shard_ids)):
-            (root / shard_id).write_bytes(_shard_payload(block_id, size))
-    except OSError as exc:
-        raise StoreCreationError(f"cannot write shards under {root}: {exc}") from exc
-    total = manifest.total_bytes
-    state = CacheState(
-        gpu_budget_bytes=total if gpu_budget_bytes is None else gpu_budget_bytes,
-        cpu_budget_bytes=total if cpu_budget_bytes is None else cpu_budget_bytes,
-    )
-    return Store(manifest=manifest, root=root, state=state)
+    runtime: frozenset[int]
+    preload: frozenset[int]
 
 
 def _touch(lru: tuple[int, ...], blocks: Iterable[int]) -> tuple[int, ...]:
@@ -215,10 +155,10 @@ def _touch(lru: tuple[int, ...], blocks: Iterable[int]) -> tuple[int, ...]:
     return kept + tuple(touched)
 
 
-def evict(manifest: ModelManifest, state: CacheState, tier: Literal["gpu", "cpu"],
-          bytes_needed: int, protected: frozenset[int] = frozenset(),
+def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
+          protected: frozenset[int] = frozenset(),
           next_task_probs: Mapping[int, float] | None = None) -> CacheState:
-    """Free at least ``bytes_needed`` on ``tier`` by dropping resident blocks.
+    """Free at least ``bytes_needed`` in the host cache by dropping resident blocks.
 
     Victims are taken in ascending order of next-task usefulness (the given
     probability, 0.0 when absent), ties broken least-recently-used first,
@@ -229,11 +169,9 @@ def evict(manifest: ModelManifest, state: CacheState, tier: Literal["gpu", "cpu"
     if bytes_needed <= 0:
         return state
     probs = next_task_probs or {}
-    resident = state.gpu_resident if tier == "gpu" else state.cpu_resident
-    lru = state.gpu_lru if tier == "gpu" else state.cpu_lru
-    recency = {b: i for i, b in enumerate(lru)}
+    recency = {b: i for i, b in enumerate(state.cpu_lru)}
     candidates = sorted(
-        (b for b in resident if b not in protected),
+        (b for b in state.cpu_resident if b not in protected),
         key=lambda b: (probs.get(b, 0.0), recency[b], b),
     )
     victims: list[int] = []
@@ -244,33 +182,10 @@ def evict(manifest: ModelManifest, state: CacheState, tier: Literal["gpu", "cpu"
         victims.append(b)
         freed += manifest.block_sizes[b]
     if freed < bytes_needed:
-        raise BudgetExceededError(tier, bytes_needed - freed)
+        raise BudgetExceededError("cpu", bytes_needed - freed)
     gone = frozenset(victims)
-    new_resident = resident - gone
-    new_lru = tuple(b for b in lru if b not in gone)
-    if tier == "gpu":
-        return replace(state, gpu_resident=new_resident, gpu_lru=new_lru)
-    return replace(state, cpu_resident=new_resident, cpu_lru=new_lru)
-
-
-def _admit(manifest: ModelManifest, state: CacheState, tier: Literal["gpu", "cpu"],
-           blocks: frozenset[int], protected: frozenset[int],
-           next_task_probs: Mapping[int, float] | None) -> tuple[CacheState, int]:
-    resident = state.gpu_resident if tier == "gpu" else state.cpu_resident
-    budget = state.gpu_budget_bytes if tier == "gpu" else state.cpu_budget_bytes
-    new_blocks = blocks - resident
-    bytes_moved = manifest.bytes_of(new_blocks)
-    overflow = manifest.bytes_of(resident) + bytes_moved - budget
-    if overflow > 0:
-        state = evict(manifest, state, tier, overflow,
-                      protected=protected | blocks, next_task_probs=next_task_probs)
-        resident = state.gpu_resident if tier == "gpu" else state.cpu_resident
-    lru = state.gpu_lru if tier == "gpu" else state.cpu_lru
-    new_resident = resident | new_blocks
-    new_lru = _touch(lru, blocks)
-    if tier == "gpu":
-        return replace(state, gpu_resident=new_resident, gpu_lru=new_lru), bytes_moved
-    return replace(state, cpu_resident=new_resident, cpu_lru=new_lru), bytes_moved
+    return replace(state, cpu_resident=state.cpu_resident - gone,
+                   cpu_lru=tuple(b for b in state.cpu_lru if b not in gone))
 
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
@@ -287,25 +202,25 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
     wanted = frozenset(blocks)
     if not wanted <= manifest.all_blocks:
         raise ManifestError(f"unknown block ids: {sorted(wanted - manifest.all_blocks)}")
-    return _admit(manifest, state, "cpu", wanted, protected, next_task_probs)
+    new_blocks = wanted - state.cpu_resident
+    bytes_moved = manifest.bytes_of(new_blocks)
+    overflow = manifest.bytes_of(state.cpu_resident) + bytes_moved - state.cpu_budget_bytes
+    if overflow > 0:
+        state = evict(manifest, state, overflow,
+                      protected=protected | wanted, next_task_probs=next_task_probs)
+    return replace(state, cpu_resident=state.cpu_resident | new_blocks,
+                   cpu_lru=_touch(state.cpu_lru, wanted)), bytes_moved
 
 
-def insert_to_gpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
-                  protected: frozenset[int] = frozenset(),
-                  next_task_probs: Mapping[int, float] | None = None
-                  ) -> tuple[CacheState, int]:
-    """Patch host-resident blocks into the device-resident set.
+def load_to_gpu(manifest: ModelManifest, state: CacheState,
+                target: frozenset[int]) -> CacheState:
+    """Make the device hold exactly ``target``, one task's active set.
 
-    The device fills only from the host: a block that is neither host- nor
-    device-resident raises :class:`StagingOrderError`. Insertion is an
-    incremental graph patch, so no full-model reinitialization cost is ever
-    attributed here.
+    Blocks outside ``target`` are dropped for free. Raises
+    :class:`BudgetExceededError` with the shortfall, leaving the input
+    state untouched, when ``target`` does not fit the device budget.
     """
-    wanted = frozenset(blocks)
-    if not wanted <= manifest.all_blocks:
-        raise ManifestError(f"unknown block ids: {sorted(wanted - manifest.all_blocks)}")
-    unstaged = wanted - state.cpu_resident - state.gpu_resident
-    if unstaged:
-        raise StagingOrderError(
-            f"blocks {sorted(unstaged)} are not host-resident; stage them first")
-    return _admit(manifest, state, "gpu", wanted, protected, next_task_probs)
+    needed = manifest.bytes_of(target)
+    if needed > state.gpu_budget_bytes:
+        raise BudgetExceededError("gpu", needed - state.gpu_budget_bytes)
+    return replace(state, gpu_resident=target)

@@ -1,5 +1,17 @@
-"""Exception hierarchy shared by all switchsim modules."""
+"""Exception hierarchy shared by all switchsim modules, plus the integer
+check their file parsers share."""
 from __future__ import annotations
+
+
+def exact_int(value: object) -> int:
+    """``int(value)``, refusing the floats that ``int`` would truncate or overflow.
+
+    A fractional, infinite or NaN float raises :class:`ValueError`, which
+    every parser already turns into its typed error.
+    """
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 class SwitchSimError(Exception):
@@ -8,10 +20,6 @@ class SwitchSimError(Exception):
 
 class ManifestError(SwitchSimError):
     """The block manifest is malformed (duplicate shard ids, bad sizes, ...)."""
-
-
-class StoreCreationError(SwitchSimError):
-    """Shard files could not be materialized on disk."""
 
 
 class BudgetExceededError(SwitchSimError):
@@ -25,10 +33,6 @@ class BudgetExceededError(SwitchSimError):
         self.tier = tier
         self.shortfall_bytes = shortfall_bytes
         super().__init__(f"{tier} budget exceeded by {shortfall_bytes} bytes")
-
-
-class StagingOrderError(SwitchSimError):
-    """A device insert was attempted for a block that is not host-resident."""
 
 
 class LogParseError(SwitchSimError):

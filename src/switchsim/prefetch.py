@@ -57,22 +57,19 @@ def block_usefulness(current: str, model: TransitionModel,
     return weights
 
 
-def plan_prefetch(current: str, tiers: TierAssignment, model: TransitionModel,
-                  skip_sets: Mapping[str, SkipSet], state: CacheState,
-                  manifest: ModelManifest) -> PrefetchPlan:
+def plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
+                  state: CacheState, manifest: ModelManifest) -> PrefetchPlan:
     """Greedily fill the remaining host budget with pre-load-tier blocks.
 
-    Candidates are Level-2 blocks not already resident on either tier.
+    Candidates are Level-2 blocks not already resident on either tier,
+    ranked by their usefulness ``weights`` (see :func:`block_usefulness`).
     Capacity assumes Level-3 stragglers in the host cache can be evicted;
     Level-1 and Level-2 residents are counted as untouchable. A candidate
     that does not fit is skipped and the scan continues.
     """
-    level1 = tiers.level(1)
-    level2 = tiers.level(2)
-    candidates = level2 - state.cpu_resident - state.gpu_resident
-    weights = block_usefulness(current, model, skip_sets, manifest)
+    candidates = tiers.preload - state.cpu_resident - state.gpu_resident
     ranked = sorted(candidates, key=lambda b: (-weights.get(b, 0.0), b))
-    keep = state.cpu_resident & (level1 | level2)
+    keep = state.cpu_resident & (tiers.runtime | tiers.preload)
     capacity = state.cpu_budget_bytes - manifest.bytes_of(keep)
     entries: list[PlanEntry] = []
     used = 0

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .block_store import CacheState, ModelManifest
-from .errors import BudgetExceededError, ConfigError, ReplayError, SwitchSimError
+from .block_store import CacheState, ModelManifest, load_to_gpu
+from .errors import ConfigError, ReplayError, SwitchSimError, exact_int
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch
 from .reference import gen_instance
 from .sparsity import (MetricOracle, SelectionResult, SkipSet, TableOracle, TaskSpec,
@@ -46,6 +47,11 @@ class ScenarioConfig:
     k: int = 2
     compute_window_ms: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.compute_window_ms) and self.compute_window_ms >= 0):
+            raise ConfigError(
+                f"compute_window_ms must be finite and >= 0, got {self.compute_window_ms}")
+
     @classmethod
     def from_dict(cls, doc: Mapping, base_dir: Path | str = ".") -> "ScenarioConfig":
         base = Path(base_dir)
@@ -65,10 +71,10 @@ class ScenarioConfig:
                 log_path=path_of("log"),
                 trace_path=path_of("trace"),
                 cost_model_path=path_of("cost_model"),
-                gpu_budget_bytes=int(doc["gpu_budget_bytes"]),
-                cpu_budget_bytes=int(doc["cpu_budget_bytes"]),
+                gpu_budget_bytes=exact_int(doc["gpu_budget_bytes"]),
+                cpu_budget_bytes=exact_int(doc["cpu_budget_bytes"]),
                 mode=DeployMode(mode) if mode is not None else None,
-                k=int(doc.get("k", 2)),
+                k=exact_int(doc.get("k", 2)),
                 compute_window_ms=float(doc.get("compute_window_ms", 0.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -119,12 +125,15 @@ def _build_oracles(spec: Mapping, manifest: ModelManifest,
     if kind == "synthetic":
         if "seed" not in spec:
             raise ConfigError("synthetic oracles require a seed")
-        instance = gen_instance(
-            seed=int(spec["seed"]),
-            num_blocks=manifest.num_blocks,
-            num_tasks=len(tasks),
-            correlation=float(spec.get("correlation", 0.7)),
-        )
+        try:
+            instance = gen_instance(
+                seed=exact_int(spec["seed"]),
+                num_blocks=manifest.num_blocks,
+                num_tasks=len(tasks),
+                correlation=float(spec.get("correlation", 0.7)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad synthetic oracle: {exc}") from exc
         return {t.task_id: instance.oracle(i) for i, t in enumerate(tasks)}
     if kind == "table":
         try:
@@ -181,15 +190,6 @@ class ReplayReport:
     config_echo: dict
 
 
-def _boot_state(state: CacheState, target: frozenset[int],
-                manifest: ModelManifest) -> CacheState:
-    # Initial load of the first task; not counted as a switch.
-    needed = manifest.bytes_of(target)
-    if needed > state.gpu_budget_bytes:
-        raise BudgetExceededError("gpu", needed - state.gpu_budget_bytes)
-    return replace(state, gpu_resident=target, gpu_lru=tuple(sorted(target)))
-
-
 def _aggregate(mode: DeployMode, scenario: Scenario,
                selections: Mapping[str, SelectionResult],
                switches: Sequence[SwitchReport]) -> ReplayReport:
@@ -222,12 +222,11 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
     )
 
 
-def _replay(scenario: Scenario, mode: DeployMode) -> ReplayReport:
+def _replay(scenario: Scenario, mode: DeployMode,
+            selections: Mapping[str, SelectionResult]) -> ReplayReport:
     config = scenario.config
     manifest = scenario.manifest
     cost = scenario.cost
-    align = mode is DeployMode.FULL_METHOD
-    selections = build_all_tasks(scenario.tasks, scenario.oracles, align=align)
     skip_sets: dict[str, SkipSet] = {tid: r.skip for tid, r in selections.items()}
     model = fit_transition_model(scenario.log, k=config.k,
                                  known_tasks=scenario.task_ids)
@@ -244,7 +243,8 @@ def _replay(scenario: Scenario, mode: DeployMode) -> ReplayReport:
                 if first not in skip_sets:
                     raise ConfigError(f"trace task {first!r} has no skip set")
                 target = skip_sets[first].active(manifest.num_blocks)
-            state = _boot_state(state, target, manifest)
+            # Initial load of the first task; not counted as a switch.
+            state = load_to_gpu(manifest, state, target)
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
         current = first
@@ -253,12 +253,11 @@ def _replay(scenario: Scenario, mode: DeployMode) -> ReplayReport:
             try:
                 if mode is DeployMode.FULL_METHOD:
                     tiers = assign_tiers(current, skip_sets, model, manifest)
-                    plan = plan_prefetch(current, tiers, model, skip_sets, state,
-                                         manifest)
                     useful = block_usefulness(current, model, skip_sets, manifest)
+                    plan = plan_prefetch(tiers, useful, state, manifest)
                     state, _staged, _moved = execute_prefetch(
                         plan, state, config.compute_window_ms, cost, manifest,
-                        protected=tiers.level(1) | tiers.level(2),
+                        protected=tiers.runtime | tiers.preload,
                         next_task_probs=useful,
                     )
                 if task != current:
@@ -278,13 +277,22 @@ def run_replay(config: ScenarioConfig) -> ReplayReport:
     if config.mode is None:
         raise ConfigError("replay needs a mode (set it in the config or via --mode)")
     scenario = load_scenario(config)
-    return _replay(scenario, config.mode)
+    selections = build_all_tasks(scenario.tasks, scenario.oracles,
+                                 align=config.mode is DeployMode.FULL_METHOD)
+    return _replay(scenario, config.mode, selections)
 
 
 def compare_modes(config: ScenarioConfig) -> dict[DeployMode, ReplayReport]:
-    """Replay the same scenario under all four modes, identical inputs and seeds."""
+    """Replay the same scenario under all four modes, identical inputs and seeds.
+
+    Only the full method aligns skip sets; the three other modes share one
+    independent selection.
+    """
     scenario = load_scenario(config)
-    return {mode: _replay(scenario, mode) for mode in DeployMode}
+    by_align = {align: build_all_tasks(scenario.tasks, scenario.oracles, align=align)
+                for align in (False, True)}
+    return {mode: _replay(scenario, mode, by_align[mode is DeployMode.FULL_METHOD])
+            for mode in DeployMode}
 
 
 def _fmt_ms(value: float) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, OracleError
+from .errors import ConfigError, OracleError, exact_int
 
 __all__ = [
     "TaskSpec",
@@ -253,7 +253,7 @@ def load_task_specs(path: Path | str) -> list[TaskSpec]:
             tasks.append(TaskSpec(
                 task_id=row["task_id"],
                 retention_ratio=float(row["retention_ratio"]),
-                max_remove=int(row["max_remove"]),
+                max_remove=exact_int(row["max_remove"]),
                 priority_weight=float(row.get("priority_weight", 1.0)),
             ))
         except (KeyError, TypeError, ValueError) as exc:

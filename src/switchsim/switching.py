@@ -11,22 +11,21 @@ model. Dropping a device-resident block is free.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .block_store import CacheState, ModelManifest
-from .errors import BudgetExceededError, ConfigError
+from .block_store import CacheState, ModelManifest, load_to_gpu
+from .errors import ConfigError
 from .sparsity import SkipSet
 
 __all__ = [
     "DeployMode",
     "CostModel",
     "SwitchReport",
-    "diff_set",
     "execute_switch",
-    "gpu_utilization",
     "calibrate_uniform_block_bytes",
 ]
 
@@ -58,10 +57,12 @@ class CostModel:
     monolithic_init_ms: float = 0.0
 
     def __post_init__(self):
-        if self.disk_to_cpu_mbps <= 0 or self.cpu_to_gpu_mbps <= 0:
-            raise ConfigError("bandwidths must be positive")
-        if self.per_block_fixed_ms < 0 or self.monolithic_init_ms < 0:
-            raise ConfigError("fixed costs must be non-negative")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.disk_to_cpu_mbps, self.cpu_to_gpu_mbps)):
+            raise ConfigError("bandwidths must be positive and finite")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.per_block_fixed_ms, self.monolithic_init_ms)):
+            raise ConfigError("fixed costs must be non-negative and finite")
 
     def disk_ms(self, nbytes: int) -> float:
         """Transfer time for one block of ``nbytes`` over the disk->host link."""
@@ -132,19 +133,6 @@ class SwitchReport:
         }
 
 
-def diff_set(active_from: frozenset[int], active_to: frozenset[int]) -> frozenset[int]:
-    """Blocks the incoming task needs that the outgoing one did not use."""
-    return active_to - active_from
-
-
-def _retarget_gpu(state: CacheState, target: frozenset[int]) -> CacheState:
-    # Device keeps exactly the target set; retained blocks keep their
-    # recency order, newly inserted ones append in id order.
-    kept = tuple(b for b in state.gpu_lru if b in target)
-    added = tuple(sorted(target - frozenset(kept)))
-    return replace(state, gpu_resident=target, gpu_lru=kept + added)
-
-
 def execute_switch(state: CacheState, from_task: str, to_task: str, mode: DeployMode,
                    skip_sets: Mapping[str, SkipSet], cost: CostModel,
                    manifest: ModelManifest) -> tuple[CacheState, SwitchReport]:
@@ -171,9 +159,7 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
             if task not in skip_sets:
                 raise ConfigError(f"no skip set for task {task!r}")
         target = skip_sets[to_task].active(n)
-    target_bytes = manifest.bytes_of(target)
-    if target_bytes > state.gpu_budget_bytes:
-        raise BudgetExceededError("gpu", target_bytes - state.gpu_budget_bytes)
+    new_state = load_to_gpu(manifest, state, target)
 
     if mode.is_split:
         need = target - state.gpu_resident
@@ -192,7 +178,6 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
     latency = (init
                + cost.link_ms(manifest, disk_leg, "disk")
                + cost.link_ms(manifest, gpu_leg, "gpu"))
-    new_state = _retarget_gpu(state, target)
     report = SwitchReport(
         from_task=from_task,
         to_task=to_task,
@@ -206,11 +191,6 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
         gpu_resident_bytes_after=manifest.bytes_of(new_state.gpu_resident),
     )
     return new_state, report
-
-
-def gpu_utilization(state: CacheState, manifest: ModelManifest) -> int:
-    """Bytes currently occupied by device-resident blocks."""
-    return manifest.bytes_of(state.gpu_resident)
 
 
 def calibrate_uniform_block_bytes(target_monolithic_ms: float, num_blocks: int,

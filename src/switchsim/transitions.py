@@ -134,11 +134,7 @@ def assign_tiers(current: str, skip_sets: Mapping[str, SkipSet],
         if succ not in skip_sets:
             raise ConfigError(f"no skip set for successor task {succ!r}")
         level2 |= skip_sets[succ].active(n)
-    level2 -= level1
-    level_of = {}
-    for b in range(n):
-        level_of[b] = 1 if b in level1 else 2 if b in level2 else 3
-    return TierAssignment(level_of=level_of)
+    return TierAssignment(runtime=level1, preload=level2 - level1)
 
 
 def load_task_log(path: Path | str) -> list[str]:

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import random
 
-from switchsim.block_store import CacheState, ModelManifest, evict, insert_to_gpu, stage_to_cpu
+from switchsim.block_store import CacheState, ModelManifest, evict, load_to_gpu, stage_to_cpu
 from switchsim.errors import BudgetExceededError
 
 
 def run_random_ops(seed: int, ops: int = 12) -> None:
-    """Run one random op sequence; assert budgets, conservation, and that a
-    budget error leaves the caller's state untouched."""
+    """Run one random op sequence; assert budgets, conservation, exact device
+    residency, and that a budget error leaves the caller's state untouched."""
     rng = random.Random(seed)
     n = rng.randrange(1, 8)
     sizes = tuple(rng.randrange(1, 50) for _ in range(n))
@@ -20,23 +20,23 @@ def run_random_ops(seed: int, ops: int = 12) -> None:
     )
     for _ in range(ops):
         blocks = frozenset(rng.sample(range(n), rng.randrange(0, n + 1)))
-        op = rng.choice(["stage", "insert", "evict"])
+        op = rng.choice(["stage", "load", "evict"])
         before = state
         try:
             if op == "stage":
                 state, moved = stage_to_cpu(manifest, state, blocks)
                 assert moved == manifest.bytes_of(
                     state.cpu_resident - before.cpu_resident)
-            elif op == "insert":
-                staged = blocks & (state.cpu_resident | state.gpu_resident)
-                state, moved = insert_to_gpu(manifest, state, staged)
-                assert moved == manifest.bytes_of(
-                    state.gpu_resident - before.gpu_resident)
+            elif op == "load":
+                state = load_to_gpu(manifest, state, blocks)
+                assert state.gpu_resident == blocks
+                assert state.cpu_resident == before.cpu_resident
             else:
-                state = evict(manifest, state, rng.choice(["gpu", "cpu"]),
-                              rng.randrange(0, sum(sizes)),
+                state = evict(manifest, state, rng.randrange(0, sum(sizes)),
                               protected=blocks & state.cpu_resident)
         except BudgetExceededError as err:
             assert err.shortfall_bytes > 0
+            if op == "load":
+                assert manifest.bytes_of(blocks) > before.gpu_budget_bytes
             assert state == before  # failing op must not disturb the state
         state.check(manifest)

@@ -126,7 +126,7 @@ def test_mode_ordering_over_random_scenarios():
                 else skips[tasks[0]].active(n)
             states[mode] = CacheState(
                 gpu_budget_bytes=total, cpu_budget_bytes=total,
-                gpu_resident=boot, gpu_lru=tuple(sorted(boot)),
+                gpu_resident=boot,
             )
         current = tasks[0]
         for _ in range(12):
@@ -139,7 +139,7 @@ def test_mode_ordering_over_random_scenarios():
                     state = CacheState(
                         gpu_budget_bytes=state.gpu_budget_bytes,
                         cpu_budget_bytes=state.cpu_budget_bytes,
-                        gpu_resident=state.gpu_resident, gpu_lru=state.gpu_lru,
+                        gpu_resident=state.gpu_resident,
                         cpu_resident=frozenset(prestage), cpu_lru=prestage,
                     )
                 states[mode], report = execute_switch(
@@ -216,7 +216,7 @@ def test_zero_fetch_switch():
     state = CacheState(
         gpu_budget_bytes=manifest.total_bytes,
         cpu_budget_bytes=manifest.total_bytes,
-        gpu_resident=active_wide, gpu_lru=tuple(sorted(active_wide)),
+        gpu_resident=active_wide,
     )
     cost = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0,
                      per_block_fixed_ms=1.0, monolithic_init_ms=250.0)

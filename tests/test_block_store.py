@@ -1,13 +1,13 @@
-"""Split-storage layout, staging, insertion, and eviction semantics."""
+"""Block manifest, host staging and eviction, and device loading semantics."""
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsim.block_store import (CacheState, ModelManifest, evict, init_store,
-                                   insert_to_gpu, stage_to_cpu)
-from switchsim.errors import BudgetExceededError, ManifestError, StagingOrderError, StoreCreationError
+from switchsim.block_store import (CacheState, ModelManifest, evict, load_to_gpu,
+                                   stage_to_cpu)
+from switchsim.errors import BudgetExceededError, ManifestError
 
 from opharness import run_random_ops
 
@@ -26,7 +26,6 @@ def state_with(manifest: ModelManifest, gpu=(), cpu=(), gpu_budget=None,
         cpu_budget_bytes=total if cpu_budget is None else cpu_budget,
         gpu_resident=frozenset(gpu),
         cpu_resident=frozenset(cpu),
-        gpu_lru=tuple(gpu),
         cpu_lru=tuple(cpu),
     )
 
@@ -50,38 +49,6 @@ class TestManifest:
         })
         assert m.shard_ids == ("s_0.bin", "s_1.bin")
         assert m.total_bytes == 11
-
-
-class TestInitStore:
-    def test_backbone_with_32_blocks(self, tmp_path):
-        # Depth of a 7B-class backbone.
-        manifest = uniform_manifest(32, size=64)
-        store = init_store(manifest, tmp_path / "shards")
-        files = sorted(p.name for p in (tmp_path / "shards").iterdir())
-        assert len(files) == 32
-        assert all(store.verify_shard(b) for b in range(32))
-
-    def test_single_block_manifest(self, tmp_path):
-        store = init_store(uniform_manifest(1, size=32), tmp_path)
-        assert store.shard_path(0).stat().st_size == 32
-        assert store.state.gpu_resident == frozenset()
-        assert store.state.cpu_resident == frozenset()
-
-    def test_28_block_manifest(self, tmp_path):
-        # Depth of a 2B-class backbone.
-        init_store(uniform_manifest(28, size=16), tmp_path)
-        assert len(list(tmp_path.iterdir())) == 28
-
-    def test_shard_header_encodes_block_id(self, tmp_path):
-        store = init_store(uniform_manifest(3, size=16), tmp_path)
-        raw = store.shard_path(2).read_bytes()
-        assert raw[:8] == (2).to_bytes(8, "little")
-
-    def test_io_failure_raises(self, tmp_path):
-        blocker = tmp_path / "not_a_dir"
-        blocker.write_text("file in the way")
-        with pytest.raises(StoreCreationError):
-            init_store(uniform_manifest(2, size=8), blocker)
 
 
 class TestStageToCpu:
@@ -112,31 +79,22 @@ class TestStageToCpu:
             stage_to_cpu(m, state_with(m), {9})
 
 
-class TestInsertToGpu:
-    def test_host_resident_block_moves(self):
+class TestLoadToGpu:
+    def test_device_holds_exactly_the_target(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, gpu=(0, 1), cpu=(2,))
-        state, moved = insert_to_gpu(m, s0, {2})
-        assert state.gpu_resident == {0, 1, 2}
-        assert moved == 10 * MB
+        s0 = state_with(m, gpu=(0, 1, 2), cpu=(5,))
+        state = load_to_gpu(m, s0, frozenset({2, 3}))
+        assert state.gpu_resident == {2, 3}  # 0 and 1 dropped, 3 added
+        assert state.cpu_resident == {5}
 
-    def test_empty_insert_is_identity(self):
+    def test_over_budget_target_raises_and_leaves_state(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, gpu=(0, 1))
-        state, moved = insert_to_gpu(m, s0, set())
-        assert state == s0
-        assert moved == 0
-
-    def test_unstaged_block_is_an_error(self):
-        m = uniform_manifest(8)
-        with pytest.raises(StagingOrderError):
-            insert_to_gpu(m, state_with(m, gpu=(0,)), {5})
-
-    def test_already_gpu_resident_needs_no_host_copy(self):
-        m = uniform_manifest(8)
-        state, moved = insert_to_gpu(m, state_with(m, gpu=(0,)), {0})
-        assert moved == 0
-        assert state.gpu_resident == {0}
+        s0 = state_with(m, gpu=(0,), gpu_budget=25 * MB)
+        with pytest.raises(BudgetExceededError) as err:
+            load_to_gpu(m, s0, frozenset({1, 2, 3}))
+        assert err.value.tier == "gpu"
+        assert err.value.shortfall_bytes == 5 * MB
+        assert s0.gpu_resident == {0}  # untouched
 
 
 class TestEvict:
@@ -144,26 +102,27 @@ class TestEvict:
         m = uniform_manifest(8)
         s0 = CacheState(
             gpu_budget_bytes=m.total_bytes, cpu_budget_bytes=m.total_bytes,
-            gpu_resident=frozenset({0, 1, 2}), gpu_lru=(1, 2, 0),
+            cpu_resident=frozenset({0, 1, 2}), cpu_lru=(1, 2, 0),
         )
-        state = evict(m, s0, "gpu", 10 * MB, protected=frozenset({0}))
-        assert state.gpu_resident == {0, 2}
+        state = evict(m, s0, 10 * MB, protected=frozenset({0}))
+        assert state.cpu_resident == {0, 2}
+        assert state.cpu_lru == (2, 0)
 
     def test_zero_bytes_needed_is_identity(self):
         m = uniform_manifest(4)
-        s0 = state_with(m, gpu=(0, 1))
-        assert evict(m, s0, "gpu", 0) == s0
+        s0 = state_with(m, cpu=(0, 1))
+        assert evict(m, s0, 0) == s0
 
     def test_all_protected_raises(self):
         m = uniform_manifest(4)
-        s0 = state_with(m, gpu=(0, 1))
+        s0 = state_with(m, cpu=(0, 1))
         with pytest.raises(BudgetExceededError):
-            evict(m, s0, "gpu", 1, protected=frozenset({0, 1}))
+            evict(m, s0, 1, protected=frozenset({0, 1}))
 
     def test_lowest_usefulness_goes_first(self):
         m = uniform_manifest(8)
         s0 = state_with(m, cpu=(0, 1, 2))
-        state = evict(m, s0, "cpu", 10 * MB,
+        state = evict(m, s0, 10 * MB,
                       next_task_probs={0: 0.9, 1: 0.5, 2: 0.1})
         assert state.cpu_resident == {0, 1}
 
@@ -173,7 +132,7 @@ class TestEvict:
             gpu_budget_bytes=m.total_bytes, cpu_budget_bytes=m.total_bytes,
             cpu_resident=frozenset({4, 7}), cpu_lru=(7, 4),
         )
-        state = evict(m, s0, "cpu", 10 * MB, next_task_probs={4: 0.2, 7: 0.2})
+        state = evict(m, s0, 10 * MB, next_task_probs={4: 0.2, 7: 0.2})
         # Equal probs: LRU order decides (7 was touched before 4).
         assert state.cpu_resident == {4}
 
@@ -195,17 +154,17 @@ class TestProperties:
         state, first = stage_to_cpu(m, state, target)
         state, again = stage_to_cpu(m, state, target)
         assert again == 0
-        state, inserted = insert_to_gpu(m, state, target)
-        assert state.gpu_resident >= target
-        state, re_inserted = insert_to_gpu(m, state, target)
-        assert re_inserted == 0
+        loaded = load_to_gpu(m, state, frozenset(target))
+        assert loaded.gpu_resident == target
+        assert load_to_gpu(m, loaded, frozenset(target)) == loaded
 
     def test_determinism(self):
         m = uniform_manifest(8)
         s0 = CacheState(
-            gpu_budget_bytes=35 * MB, cpu_budget_bytes=m.total_bytes,
-            gpu_resident=frozenset({0, 1, 2}), gpu_lru=(2, 0, 1),
+            gpu_budget_bytes=35 * MB, cpu_budget_bytes=25 * MB,
+            gpu_resident=frozenset({0, 1, 2}),
+            cpu_resident=frozenset({3, 4}), cpu_lru=(4, 3),
         )
-        runs = [insert_to_gpu(m, stage_to_cpu(m, s0, {5})[0], {5})
+        runs = [load_to_gpu(m, stage_to_cpu(m, s0, {5})[0], frozenset({1, 5}))
                 for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]

@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import json
+import math
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 from switchsim.cli import EXIT_CONFIG, EXIT_OK, main
 
@@ -120,6 +124,66 @@ class TestCompareCommand:
         assert subdirs == ["full_method", "monolithic", "sparse_no_split",
                            "split_only"]
         assert (out / "compare.csv").is_file()
+
+
+def compare_edited(driving_dir, tmp_path, name, path, value, *flags) -> int:
+    """Run compare on a copy of the driving scenario whose ``name`` file has
+    ``value`` at the key path ``path``."""
+    root = tmp_path / "scenario"
+    shutil.copytree(driving_dir, root)
+    doc = json.loads((root / name).read_text())
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    (root / name).write_text(json.dumps(doc))
+    return main(["compare", "--config", str(root / "config.json"),
+                 "--out-dir", str(tmp_path / "out"), *flags])
+
+
+def key_path_id(value):
+    return ".".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+    @pytest.mark.parametrize("name, path", [
+        ("cost_model.json", ("disk_to_cpu_mbps",)),
+        ("cost_model.json", ("cpu_to_gpu_mbps",)),
+        ("cost_model.json", ("per_block_fixed_ms",)),
+        ("cost_model.json", ("monolithic_init_ms",)),
+        ("config.json", ("compute_window_ms",)),
+    ], ids=key_path_id)
+    def test_non_finite_or_negative_is_a_config_error(self, driving_dir, tmp_path,
+                                                      name, path, value):
+        assert compare_edited(driving_dir, tmp_path, name, path, value) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    def test_bad_compute_window_flag_is_a_config_error(self, driving_dir, tmp_path,
+                                                       value):
+        code = main(["compare", "--config", str(driving_dir / "config.json"),
+                     "--compute-window-ms", value, "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name, path, value", [
+        ("config.json", ("gpu_budget_bytes",), math.inf),
+        ("config.json", ("cpu_budget_bytes",), 1e9 + 0.5),
+        ("config.json", ("k",), 2.7),
+        ("config.json", ("oracle", "seed"), math.inf),
+        ("manifest.json", ("block_sizes_bytes", 0), math.inf),
+        ("manifest.json", ("block_sizes_bytes", 0), 62_625_000.5),
+        ("tasks.json", (0, "max_remove"), 2.7),
+        ("tasks.json", (0, "max_remove"), math.inf),
+    ], ids=key_path_id)
+    def test_non_integral_count_is_a_config_error(self, driving_dir, tmp_path,
+                                                  name, path, value):
+        assert compare_edited(driving_dir, tmp_path, name, path, value) == EXIT_CONFIG
+
+    def test_out_of_range_correlation_is_a_config_error(self, driving_dir, tmp_path):
+        code = compare_edited(driving_dir, tmp_path, "config.json",
+                              ("oracle", "correlation"), 1.5)
+        assert code == EXIT_CONFIG
 
 
 class TestConsoleEntry:

@@ -36,7 +36,8 @@ def two_successor_setup(cpu_budget_blocks=8):
         successors={"A": ("B", "C")}, k=2,
     )
     tiers = assign_tiers("A", skips, model, manifest)
-    return manifest, state, skips, model, tiers
+    weights = block_usefulness("A", model, skips, manifest)
+    return manifest, state, tiers, weights
 
 
 COST = CostModel(disk_to_cpu_mbps=1000.0, cpu_to_gpu_mbps=4000.0,
@@ -46,47 +47,46 @@ COST = CostModel(disk_to_cpu_mbps=1000.0, cpu_to_gpu_mbps=4000.0,
 
 class TestPlanPrefetch:
     def test_shared_block_takes_max_successor_probability(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
-        weights = block_usefulness("A", model, skips, manifest)
+        manifest, state, tiers, weights = two_successor_setup()
         assert weights[3] == 0.7  # needed by both successors; max wins
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        plan = plan_prefetch(tiers, weights, state, manifest)
         assert plan.blocks == (2, 3, 4)  # 0.7, 0.7, 0.3; id breaks the tie
         assert [e.weight for e in plan.entries] == [0.7, 0.7, 0.3]
 
     def test_budget_admits_all_candidates(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
-        assert set(plan.blocks) == tiers.level(2)
+        manifest, state, tiers, weights = two_successor_setup()
+        plan = plan_prefetch(tiers, weights, state, manifest)
+        assert set(plan.blocks) == tiers.preload
         assert plan.total_bytes == manifest.bytes_of(plan.blocks)
 
     def test_zero_budget_yields_empty_plan(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
+        manifest, state, tiers, weights = two_successor_setup()
         state = CacheState(gpu_budget_bytes=state.gpu_budget_bytes,
                            cpu_budget_bytes=0)
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        plan = plan_prefetch(tiers, weights, state, manifest)
         assert plan.entries == ()
         assert plan.total_bytes == 0
 
     def test_resident_blocks_are_not_replanned(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
+        manifest, state, tiers, weights = two_successor_setup()
         state = CacheState(
             gpu_budget_bytes=state.gpu_budget_bytes,
             cpu_budget_bytes=state.cpu_budget_bytes,
             cpu_resident=frozenset({3}), cpu_lru=(3,),
         )
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        plan = plan_prefetch(tiers, weights, state, manifest)
         assert 3 not in plan.blocks
 
     def test_oversized_candidate_is_skipped_not_fatal(self):
-        manifest, state, skips, model, tiers = two_successor_setup(
+        manifest, state, tiers, weights = two_successor_setup(
             cpu_budget_blocks=2)
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        plan = plan_prefetch(tiers, weights, state, manifest)
         assert plan.blocks == (2, 3)  # third candidate no longer fits
         assert plan.total_bytes <= state.cpu_budget_bytes
 
     def test_plan_dump_format(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        manifest, state, tiers, weights = two_successor_setup()
+        plan = plan_prefetch(tiers, weights, state, manifest)
         dump = plan.to_json()
         assert dump == [
             {"block": 2, "weight": 0.7, "bytes": 10 * MB},
@@ -97,38 +97,38 @@ class TestPlanPrefetch:
 
 class TestExecutePrefetch:
     def test_window_covers_whole_plan(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        manifest, state, tiers, weights = two_successor_setup()
+        plan = plan_prefetch(tiers, weights, state, manifest)
         state, staged, moved = execute_prefetch(plan, state, 1000.0, COST, manifest)
         assert staged == {2, 3, 4}
         assert moved == 30 * MB
         assert state.cpu_resident == {2, 3, 4}
 
     def test_zero_window_stages_nothing(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        manifest, state, tiers, weights = two_successor_setup()
+        plan = plan_prefetch(tiers, weights, state, manifest)
         state, staged, moved = execute_prefetch(plan, state, 0.0, COST, manifest)
         assert staged == frozenset()
         assert moved == 0
 
     def test_window_fits_exactly_two_blocks(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        manifest, state, tiers, weights = two_successor_setup()
+        plan = plan_prefetch(tiers, weights, state, manifest)
         state, staged, _ = execute_prefetch(plan, state, 20.0, COST, manifest)
         assert staged == {2, 3}  # first two plan entries, atomically staged
 
     @given(window=st.floats(0.0, 60.0))
     @settings(max_examples=60, deadline=None)
     def test_staged_set_is_a_plan_prefix(self, window):
-        manifest, state, skips, model, tiers = two_successor_setup()
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        manifest, state, tiers, weights = two_successor_setup()
+        plan = plan_prefetch(tiers, weights, state, manifest)
         _, staged, _ = execute_prefetch(plan, state, window, COST, manifest)
         k = len(staged)
         assert staged == frozenset(plan.blocks[:k])
 
     def test_larger_window_never_stages_fewer(self):
-        manifest, state, skips, model, tiers = two_successor_setup()
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        manifest, state, tiers, weights = two_successor_setup()
+        plan = plan_prefetch(tiers, weights, state, manifest)
         sizes = []
         for window in (0.0, 5.0, 10.0, 15.0, 25.0, 40.0):
             _, staged, _ = execute_prefetch(plan, state, window, COST, manifest)
@@ -136,27 +136,27 @@ class TestExecutePrefetch:
         assert sizes == sorted(sizes)
 
     def test_execution_respects_host_budget(self):
-        manifest, state, skips, model, tiers = two_successor_setup(
+        manifest, state, tiers, weights = two_successor_setup(
             cpu_budget_blocks=2)
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        plan = plan_prefetch(tiers, weights, state, manifest)
         state, staged, _ = execute_prefetch(
             plan, state, 1000.0, COST, manifest,
-            protected=tiers.level(1) | tiers.level(2))
+            protected=tiers.runtime | tiers.preload)
         assert manifest.bytes_of(state.cpu_resident) <= state.cpu_budget_bytes
 
     def test_plan_respects_planning_capacity(self):
         # Stale host-resident block outside levels 1-2 counts as evictable.
-        manifest, state, skips, model, tiers = two_successor_setup(
+        manifest, state, tiers, weights = two_successor_setup(
             cpu_budget_blocks=3)
         state = CacheState(
             gpu_budget_bytes=state.gpu_budget_bytes,
             cpu_budget_bytes=state.cpu_budget_bytes,
             cpu_resident=frozenset({7}), cpu_lru=(7,),
         )
-        plan = plan_prefetch("A", tiers, model, skips, state, manifest)
+        plan = plan_prefetch(tiers, weights, state, manifest)
         assert set(plan.blocks) == {2, 3, 4}
         state, staged, _ = execute_prefetch(
             plan, state, 1000.0, COST, manifest,
-            protected=tiers.level(1) | tiers.level(2))
+            protected=tiers.runtime | tiers.preload)
         assert staged == {2, 3, 4}
         assert 7 not in state.cpu_resident  # straggler evicted to make room

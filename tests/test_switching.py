@@ -9,7 +9,7 @@ from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import BudgetExceededError, ConfigError
 from switchsim.sparsity import SkipSet
 from switchsim.switching import (CostModel, DeployMode, calibrate_uniform_block_bytes,
-                                 diff_set, execute_switch, gpu_utilization)
+                                 execute_switch)
 
 MB = 1_000_000
 
@@ -26,22 +26,32 @@ def state_for(manifest: ModelManifest, gpu=(), cpu=()) -> CacheState:
     return CacheState(
         gpu_budget_bytes=manifest.total_bytes,
         cpu_budget_bytes=manifest.total_bytes,
-        gpu_resident=frozenset(gpu), gpu_lru=tuple(gpu),
+        gpu_resident=frozenset(gpu),
         cpu_resident=frozenset(cpu), cpu_lru=tuple(cpu),
     )
 
 
 class TestDiffSet:
+    """Split modes move exactly the differential set: the blocks the incoming
+    task needs that the device does not hold."""
+
+    def moved(self, active_from: set[int], active_to: set[int]) -> tuple[int, int]:
+        manifest = ModelManifest.uniform("m", 8, MB)
+        skips = skips_for(8, {"a": active_from, "b": active_to})
+        state = state_for(manifest, gpu=tuple(sorted(active_from)))
+        _, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
+                                   skips, COST, manifest)
+        return report.blocks_fetched, report.bytes_cpu_to_gpu
+
     def test_plain_difference(self):
-        assert diff_set(frozenset(range(6)), frozenset(range(2, 8))) == {6, 7}
+        assert self.moved(set(range(6)), set(range(2, 8))) == (2, 2 * MB)
 
     def test_equal_sets_need_nothing(self):
-        a = frozenset({1, 2, 3})
-        assert diff_set(a, a) == frozenset()
+        assert self.moved({1, 2, 3}, {1, 2, 3}) == (0, 0)
 
     def test_subset_switch_is_zero_fetch(self):
         # The next task only drops blocks: nothing to load.
-        assert diff_set(frozenset({0, 1, 2}), frozenset({1, 2})) == frozenset()
+        assert self.moved({0, 1, 2}, {1, 2}) == (0, 0)
 
 
 class TestExecuteSwitch:
@@ -106,7 +116,7 @@ class TestExecuteSwitch:
         skips = skips_for(4, {"a": {0}, "b": {0, 1, 2, 3}})
         state = CacheState(gpu_budget_bytes=300 * MB,
                            cpu_budget_bytes=manifest.total_bytes,
-                           gpu_resident=frozenset({0}), gpu_lru=(0,))
+                           gpu_resident=frozenset({0}))
         with pytest.raises(BudgetExceededError):
             execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
                            skips, COST, manifest)
@@ -130,25 +140,33 @@ class TestExecuteSwitch:
 
 
 class TestGpuUtilization:
+    """Device bytes after a switch, as reported in ``gpu_resident_bytes_after``."""
+
     def test_empty_residency(self):
+        # A task that skips every block leaves the device empty.
         manifest = ModelManifest.uniform("m", 4, MB)
-        assert gpu_utilization(CacheState(1, 1), manifest) == 0
+        skips = skips_for(4, {"a": {0, 1}, "b": set()})
+        _, report = execute_switch(state_for(manifest, gpu=(0, 1)), "a", "b",
+                                   DeployMode.FULL_METHOD, skips, COST, manifest)
+        assert report.gpu_resident_bytes_after == 0
 
     def test_full_residency_uniform_blocks(self):
         manifest = ModelManifest.uniform("m", 32, 100 * MB)
-        state = state_for(manifest, gpu=tuple(range(32)))
-        assert gpu_utilization(state, manifest) == 3200 * MB
+        skips = skips_for(32, {"a": set(range(20)), "b": set(range(4, 24))})
+        _, report = execute_switch(state_for(manifest, gpu=tuple(range(20))), "a", "b",
+                                   DeployMode.MONOLITHIC, skips, COST, manifest)
+        assert report.gpu_resident_bytes_after == 3200 * MB
 
     def test_sparse_mode_occupies_less_than_monolithic(self):
         manifest = ModelManifest.uniform("m", 32, 100 * MB)
         skips = skips_for(32, {"a": set(range(20)), "b": set(range(4, 24))})
         state = state_for(manifest, gpu=tuple(range(20)))
-        mono_state, _ = execute_switch(state, "a", "b", DeployMode.MONOLITHIC,
-                                       skips, COST, manifest)
-        full_state, _ = execute_switch(state, "a", "b", DeployMode.FULL_METHOD,
-                                       skips, COST, manifest)
-        assert gpu_utilization(full_state, manifest) \
-            < gpu_utilization(mono_state, manifest)
+        _, mono = execute_switch(state, "a", "b", DeployMode.MONOLITHIC,
+                                 skips, COST, manifest)
+        _, full = execute_switch(state, "a", "b", DeployMode.FULL_METHOD,
+                                 skips, COST, manifest)
+        assert full.gpu_resident_bytes_after == 2000 * MB
+        assert full.gpu_resident_bytes_after < mono.gpu_resident_bytes_after
 
 
 class TestAccountingIdentity:
@@ -191,7 +209,7 @@ class TestAccountingIdentity:
             skips = skips_for(n, {"a": active_a, "b": active_b})
             cpu = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
             state = state_for(manifest, gpu=tuple(sorted(active_a)), cpu=cpu)
-            delta = diff_set(frozenset(active_a), frozenset(active_b))
+            delta = frozenset(active_b) - frozenset(active_a)
             for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
                 _, report = execute_switch(state, "a", "b", mode, skips,
                                            COST, manifest)
@@ -234,7 +252,6 @@ class TestModeOrdering:
                             gpu_budget_bytes=st_mode.gpu_budget_bytes,
                             cpu_budget_bytes=st_mode.cpu_budget_bytes,
                             gpu_resident=st_mode.gpu_resident,
-                            gpu_lru=st_mode.gpu_lru,
                             cpu_resident=frozenset(prestage), cpu_lru=prestage,
                         )
                     states[mode], report = execute_switch(

@@ -102,9 +102,8 @@ class TestAssignTiers:
         skips = self.make_skips(4, {"A": {0, 1}})
         model = TransitionModel(counts={}, probs={}, successors={}, k=2)
         tiers = assign_tiers("A", skips, model, manifest)
-        assert tiers.level(1) == {0, 1}
-        assert tiers.level(2) == frozenset()
-        assert tiers.level(3) == {2, 3}
+        assert tiers.runtime == {0, 1}
+        assert tiers.preload == frozenset()
 
     def test_successor_blocks_become_level2(self):
         manifest = ModelManifest.uniform("m", 4, 10)
@@ -112,9 +111,8 @@ class TestAssignTiers:
         model = TransitionModel(counts={}, probs={("cur", "next"): 1.0},
                                 successors={"cur": ("next",)}, k=1)
         tiers = assign_tiers("cur", skips, model, manifest)
-        assert tiers.level(1) == {0, 1}
-        assert tiers.level(2) == {2}
-        assert tiers.level(3) == {3}
+        assert tiers.runtime == {0, 1}
+        assert tiers.preload == {2}
 
     def test_five_task_route_matches_set_algebra(self):
         n = 10
@@ -132,20 +130,19 @@ class TestAssignTiers:
         # Independent set-algebra evaluation of the tier definition.
         level1 = set(actives["Car"])
         level2 = set().union(*(actives[t] for t in model.successors["Car"])) - level1
-        level3 = set(range(n)) - level1 - level2
-        assert tiers.level(1) == level1
-        assert tiers.level(2) == level2
-        assert tiers.level(3) == level3
+        assert tiers.runtime == level1
+        assert tiers.preload == level2
 
     def test_partition_covers_all_blocks(self):
+        # Level 3 is the complement of levels 1 and 2, so the three tiers
+        # partition the model exactly when those two are disjoint.
         manifest = ModelManifest.uniform("m", 6, 10)
-        skips = self.make_skips(6, {"a": {0, 5}, "b": {1, 2}})
+        skips = self.make_skips(6, {"a": {0, 5}, "b": {1, 2, 5}})
         model = fit_transition_model(["a", "b", "a"], k=2)
         tiers = assign_tiers("a", skips, model, manifest)
-        levels = [tiers.level(i) for i in (1, 2, 3)]
-        assert levels[0] | levels[1] | levels[2] == frozenset(range(6))
-        assert not (levels[0] & levels[1] or levels[1] & levels[2]
-                    or levels[0] & levels[2])
+        assert tiers.runtime == {0, 5}
+        assert tiers.preload == {1, 2}  # block 5 stays in the runtime tier
+        assert not tiers.runtime & tiers.preload
 
     def test_unknown_current_task(self):
         manifest = ModelManifest.uniform("m", 4, 10)
