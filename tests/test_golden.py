@@ -3,12 +3,15 @@
 Each case writes a driving scenario, runs ``switchsim compare`` on it and
 hashes every report except ``config.echo.json`` (it holds absolute
 paths). The digests were recorded from the simulator before its block
-store was reduced to one residency model; a change that moves any
-simulated number, report format or tie-break fails here.
+store was reduced to one residency model, the varied-size one before
+switch costs were tabled per replay; a change that moves any simulated
+number, report format, tie-break or float summation order fails here.
 """
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -16,7 +19,9 @@ from switchsim.cli import main
 from switchsim.workloads import write_driving_scenario
 
 # Seeded scenarios that differ in block count, k, prefetch window and host
-# budget. Each one stages and evicts host-cache blocks in full_method.
+# budget. Each one stages and evicts host-cache blocks in full_method. A
+# ``size_seed`` redraws the block sizes after the scenario is written (see
+# ``vary_block_sizes``).
 CASES = {
     "driving-default": ({},
         "7ea5d2e7f06c6ba42d68839d9e131d4b55bd6a3ece35ea2321b041e72580464c"),
@@ -35,7 +40,26 @@ CASES = {
         correlation=0.4, log_seed=43, trace_seed=47, trace_length=200, k=2,
         compute_window_ms=1000.0, cpu_budget_blocks=10),
         "117020b5e2c6926edfb7a991449c8e22040f5d2bf9e49a014cca27b574a36dba"),
+    "32-blocks-varied-sizes": (dict(
+        num_blocks=32, oracle_seed=61, correlation=0.4, trace_seed=53,
+        trace_length=300, k=2, compute_window_ms=300.0, cpu_budget_blocks=3,
+        size_seed=59),
+        "8483e4c5efc8e12ea85f76f0c9cd8f4d63234d36b2429dca4c00db84a253c670"),
 }
+
+
+def vary_block_sizes(scenario_dir, seed: int) -> None:
+    """Redraw each block size in [1/4, 1] of the calibrated size.
+
+    With equal sizes every summation order gives the same float; unequal
+    ones make a latency or byte sum depend on the order it walks blocks.
+    No size grows, so the scenario's budgets still admit every block.
+    """
+    path = scenario_dir / "manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    rng = random.Random(seed)
+    doc["block_sizes_bytes"] = [rng.randint(s // 4, s) for s in doc["block_sizes_bytes"]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 def compare_digest(out_dir) -> str:
@@ -50,7 +74,11 @@ def compare_digest(out_dir) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_compare_reports_match_golden_digest(name, tmp_path):
     params, expected = CASES[name]
+    params = dict(params)
+    size_seed = params.pop("size_seed", None)
     write_driving_scenario(tmp_path / "scenario", **params)
+    if size_seed is not None:
+        vary_block_sizes(tmp_path / "scenario", size_seed)
     out = tmp_path / "reports"
     assert main(["compare", "--config", str(tmp_path / "scenario" / "config.json"),
                  "--out-dir", str(out)]) == 0
