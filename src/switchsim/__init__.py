@@ -12,7 +12,7 @@ from .replay import (ReplayReport, ScenarioConfig, compare_modes, emit_reports,
 from .sparsity import (AdditiveOracle, MetricOracle, SelectionResult, SkipSet,
                        TableOracle, TaskSpec, aligned_skip_select, build_all_tasks,
                        greedy_skip_select, jaccard)
-from .switching import (CostModel, DeployMode, SwitchReport,
+from .switching import (CostModel, DeployMode, SwitchReport, SwitchTable,
                         calibrate_uniform_block_bytes, execute_switch)
 from .transitions import (TransitionModel, assign_tiers, fit_transition_model,
                           ingest_log, load_task_log, top_k_successors,

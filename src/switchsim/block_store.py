@@ -62,7 +62,7 @@ class ModelManifest:
 
     def bytes_of(self, blocks: Iterable[int]) -> int:
         """Total size of the given block ids."""
-        return sum(self.block_sizes[b] for b in blocks)
+        return sum(map(self.block_sizes.__getitem__, blocks))
 
     @classmethod
     def uniform(cls, model_name: str, num_blocks: int, block_bytes: int,

@@ -2,17 +2,23 @@
 
 The brute-force routines re-derive selection semantics without sharing
 code with :mod:`switchsim.sparsity`; they exist to validate the fast path
-on small instances. The instance generator produces seeded multi-task
-importance landscapes whose cross-task overlap is controlled by a single
-correlation knob.
+on small instances. :func:`reference_switch` recomputes a switch's sets
+and per-block link costs from scratch, to check the tabled
+:func:`switchsim.switching.execute_switch`. The instance generator
+produces seeded multi-task importance landscapes whose cross-task
+overlap is controlled by a single correlation knob.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Mapping
 
-from .sparsity import AdditiveOracle, MetricOracle, TaskSpec
+from .block_store import CacheState, ModelManifest, load_to_gpu
+from .errors import ConfigError
+from .sparsity import AdditiveOracle, MetricOracle, SkipSet, TaskSpec
+from .switching import CostModel, DeployMode, SwitchReport
 
 __all__ = [
     "SyntheticInstance",
@@ -21,6 +27,7 @@ __all__ = [
     "brute_force_best_feasible",
     "enumerate_table_entries",
     "gen_markov_log",
+    "reference_switch",
 ]
 
 REPLAY_MAX_BLOCKS = 16
@@ -207,3 +214,56 @@ def gen_markov_log(seed: int, length: int, task_ids: list[str],
         current = rng.choices(others, weights=weights, k=1)[0]
         out.append(current)
     return out
+
+
+def reference_switch(state: CacheState, from_task: str, to_task: str,
+                     mode: DeployMode, skip_sets: Mapping[str, SkipSet],
+                     cost: CostModel, manifest: ModelManifest
+                     ) -> tuple[CacheState, SwitchReport]:
+    """One switch with every set and per-block link cost rebuilt on the spot.
+
+    Same semantics as :func:`switchsim.switching.execute_switch`, and the
+    same set expressions, so each millisecond sum walks its blocks in the
+    same order and the two agree exactly.
+    """
+    mode = DeployMode(mode)
+    n = manifest.num_blocks
+    if mode is DeployMode.MONOLITHIC:
+        target = manifest.all_blocks
+    else:
+        for task in (from_task, to_task):
+            if task not in skip_sets:
+                raise ConfigError(f"no skip set for task {task!r}")
+        target = skip_sets[to_task].active(n)
+    new_state = load_to_gpu(manifest, state, target)
+
+    if mode.is_split:
+        need = target - state.gpu_resident
+        prestaged = need & state.cpu_resident if mode is DeployMode.FULL_METHOD \
+            else frozenset()
+        disk_leg = need - prestaged
+        gpu_leg = need
+        reused = len(target & state.gpu_resident)
+        init = 0.0
+    else:
+        disk_leg = gpu_leg = target
+        prestaged = frozenset()
+        reused = 0
+        init = cost.monolithic_init_ms
+
+    latency = (init
+               + sum(cost.disk_ms(manifest.block_sizes[b]) for b in disk_leg)
+               + sum(cost.gpu_ms(manifest.block_sizes[b]) for b in gpu_leg))
+    report = SwitchReport(
+        from_task=from_task,
+        to_task=to_task,
+        mode=mode.value,
+        latency_ms=latency,
+        bytes_disk_to_cpu=manifest.bytes_of(disk_leg),
+        bytes_cpu_to_gpu=manifest.bytes_of(gpu_leg),
+        blocks_reused=reused,
+        blocks_fetched=len(disk_leg) if mode.is_split else len(gpu_leg),
+        blocks_prestaged=len(prestaged),
+        gpu_resident_bytes_after=manifest.bytes_of(new_state.gpu_resident),
+    )
+    return new_state, report

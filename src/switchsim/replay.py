@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .block_store import CacheState, ModelManifest, load_to_gpu
+from .block_store import CacheState, ModelManifest, TierAssignment, load_to_gpu
 from .errors import ConfigError, ReplayError, SwitchSimError, exact_int
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch
 from .reference import gen_instance
 from .sparsity import (MetricOracle, SelectionResult, SkipSet, TableOracle, TaskSpec,
                        build_all_tasks, jaccard, load_task_specs)
-from .switching import CostModel, DeployMode, SwitchReport, execute_switch
-from .transitions import assign_tiers, fit_transition_model, load_task_log
+from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute_switch
+from .transitions import TransitionModel, assign_tiers, fit_transition_model, load_task_log
 
 __all__ = ["ScenarioConfig", "ReplayReport", "run_replay", "compare_modes",
            "emit_reports", "write_compare_csv"]
@@ -223,13 +223,16 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
 
 
 def _replay(scenario: Scenario, mode: DeployMode,
-            selections: Mapping[str, SelectionResult]) -> ReplayReport:
+            selections: Mapping[str, SelectionResult],
+            model: TransitionModel) -> ReplayReport:
     config = scenario.config
     manifest = scenario.manifest
     cost = scenario.cost
     skip_sets: dict[str, SkipSet] = {tid: r.skip for tid, r in selections.items()}
-    model = fit_transition_model(scenario.log, k=config.k,
-                                 known_tasks=scenario.task_ids)
+    table = SwitchTable(manifest, cost, skip_sets)
+    # full_method's tiers, usefulness weights and protected set depend on
+    # the current task only; each is computed the first time it runs.
+    tiering: dict[str, tuple[TierAssignment, dict[int, float], frozenset[int]]] = {}
     state = CacheState(gpu_budget_bytes=config.gpu_budget_bytes,
                        cpu_budget_bytes=config.cpu_budget_bytes)
     switches: list[SwitchReport] = []
@@ -238,11 +241,11 @@ def _replay(scenario: Scenario, mode: DeployMode,
         first = trace[0]
         try:
             if mode is DeployMode.MONOLITHIC:
-                target = manifest.all_blocks
+                target = table.all_blocks
             else:
-                if first not in skip_sets:
+                if first not in table.active:
                     raise ConfigError(f"trace task {first!r} has no skip set")
-                target = skip_sets[first].active(manifest.num_blocks)
+                target = table.active[first]
             # Initial load of the first task; not counted as a switch.
             state = load_to_gpu(manifest, state, target)
         except SwitchSimError as exc:
@@ -252,17 +255,18 @@ def _replay(scenario: Scenario, mode: DeployMode,
             task = trace[pos]
             try:
                 if mode is DeployMode.FULL_METHOD:
-                    tiers = assign_tiers(current, skip_sets, model, manifest)
-                    useful = block_usefulness(current, model, skip_sets, manifest)
+                    if current not in tiering:
+                        tiers = assign_tiers(current, skip_sets, model, manifest)
+                        useful = block_usefulness(current, model, skip_sets, manifest)
+                        tiering[current] = (tiers, useful, tiers.runtime | tiers.preload)
+                    tiers, useful, protected = tiering[current]
                     plan = plan_prefetch(tiers, useful, state, manifest)
                     state, _staged, _moved = execute_prefetch(
                         plan, state, config.compute_window_ms, cost, manifest,
-                        protected=tiers.runtime | tiers.preload,
-                        next_task_probs=useful,
+                        protected=protected, next_task_probs=useful,
                     )
                 if task != current:
-                    state, report = execute_switch(
-                        state, current, task, mode, skip_sets, cost, manifest)
+                    state, report = execute_switch(state, current, task, mode, table)
                     switches.append(report)
                     current = task
             except ReplayError:
@@ -279,19 +283,24 @@ def run_replay(config: ScenarioConfig) -> ReplayReport:
     scenario = load_scenario(config)
     selections = build_all_tasks(scenario.tasks, scenario.oracles,
                                  align=config.mode is DeployMode.FULL_METHOD)
-    return _replay(scenario, config.mode, selections)
+    model = fit_transition_model(scenario.log, k=config.k,
+                                 known_tasks=scenario.task_ids)
+    return _replay(scenario, config.mode, selections, model)
 
 
 def compare_modes(config: ScenarioConfig) -> dict[DeployMode, ReplayReport]:
     """Replay the same scenario under all four modes, identical inputs and seeds.
 
     Only the full method aligns skip sets; the three other modes share one
-    independent selection.
+    independent selection. The transition model is fitted once.
     """
     scenario = load_scenario(config)
     by_align = {align: build_all_tasks(scenario.tasks, scenario.oracles, align=align)
                 for align in (False, True)}
-    return {mode: _replay(scenario, mode, by_align[mode is DeployMode.FULL_METHOD])
+    model = fit_transition_model(scenario.log, k=config.k,
+                                 known_tasks=scenario.task_ids)
+    return {mode: _replay(scenario, mode, by_align[mode is DeployMode.FULL_METHOD],
+                          model)
             for mode in DeployMode}
 
 

@@ -9,6 +9,7 @@ switches move fewer bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -49,8 +50,8 @@ class TaskSpec:
             raise ConfigError(f"{self.task_id}: retention_ratio must be in (0, 1]")
         if self.max_remove < 0:
             raise ConfigError(f"{self.task_id}: max_remove must be >= 0")
-        if self.priority_weight < 0:
-            raise ConfigError(f"{self.task_id}: priority_weight must be >= 0")
+        if not (math.isfinite(self.priority_weight) and self.priority_weight >= 0):
+            raise ConfigError(f"{self.task_id}: priority_weight must be finite and >= 0")
 
 
 class MetricOracle:
@@ -106,9 +107,24 @@ class TableOracle(MetricOracle):
 
     @classmethod
     def from_json(cls, doc: Sequence[Mapping], num_blocks: int) -> "TableOracle":
+        """Build from rows ``{"active_blocks": [ids], "score": s}``.
+
+        Ids must be integers in ``[0, num_blocks)`` and scores finite and in
+        [0, 1]; anything else is a :class:`ConfigError`.
+        """
         entries = {}
-        for row in doc:
-            entries[frozenset(int(b) for b in row["active_blocks"])] = float(row["score"])
+        try:
+            for row in doc:
+                active = frozenset(exact_int(b) for b in row["active_blocks"])
+                score = float(row["score"])
+                if not all(0 <= b < num_blocks for b in active):
+                    raise ValueError(f"block ids {sorted(active)} outside "
+                                     f"[0, {num_blocks})")
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"score {score} outside [0, 1]")
+                entries[active] = score
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad table oracle row: {exc}") from exc
         return cls(entries, num_blocks)
 
     @classmethod

@@ -7,6 +7,10 @@ modes move only the differential set and patch the device incrementally.
 After a successful switch the device holds exactly the incoming task's
 active set (runtime blocks only); in monolithic mode it holds the whole
 model. Dropping a device-resident block is free.
+
+A :class:`SwitchTable` holds what a replay's switches share: each task's
+active set, per-block link costs, and the legs of every switch seen so
+far. Only the host credit of the full method changes from call to call.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping, NamedTuple
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
 from .errors import ConfigError
@@ -25,6 +29,7 @@ __all__ = [
     "DeployMode",
     "CostModel",
     "SwitchReport",
+    "SwitchTable",
     "execute_switch",
     "calibrate_uniform_block_bytes",
 ]
@@ -71,11 +76,6 @@ class CostModel:
     def gpu_ms(self, nbytes: int) -> float:
         """Transfer time for one block of ``nbytes`` over the host->device link."""
         return nbytes / (self.cpu_to_gpu_mbps * 1000.0) + self.per_block_fixed_ms
-
-    def link_ms(self, manifest: ModelManifest, blocks: Iterable[int],
-                link: str) -> float:
-        per_block = self.disk_ms if link == "disk" else self.gpu_ms
-        return sum(per_block(manifest.block_sizes[b]) for b in blocks)
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CostModel":
@@ -133,9 +133,81 @@ class SwitchReport:
         }
 
 
+class Transfer(NamedTuple):
+    """Blocks crossing one link, with their summed milliseconds and bytes."""
+
+    blocks: frozenset[int]
+    ms: float
+    nbytes: int
+
+
+class SwitchLeg(NamedTuple):
+    """What a switch moves for one (mode, incoming task, device set).
+
+    ``disk`` is the disk leg with no host credit; the full method credits
+    blocks already in the host cache per call.
+    """
+
+    target: frozenset[int]
+    target_bytes: int
+    reused: int
+    init_ms: float
+    gpu: Transfer
+    disk: Transfer
+
+
+class SwitchTable:
+    """Per-replay switch constants and a memo of switch legs.
+
+    Built once from a replay's manifest, cost model and skip sets. A leg
+    depends on the mode, the incoming task and the device set only, so
+    each distinct one is computed once. Every millisecond sum walks the
+    same sets in the same order as a per-switch recomputation would.
+    """
+
+    def __init__(self, manifest: ModelManifest, cost: CostModel,
+                 skip_sets: Mapping[str, SkipSet]):
+        n = manifest.num_blocks
+        self.manifest = manifest
+        self.cost = cost
+        self.all_blocks = manifest.all_blocks
+        self.active = {tid: skip.active(n) for tid, skip in skip_sets.items()}
+        self.disk_ms = tuple(cost.disk_ms(size) for size in manifest.block_sizes)
+        self.gpu_ms = tuple(cost.gpu_ms(size) for size in manifest.block_sizes)
+        self._legs: dict[tuple[DeployMode, str, frozenset[int]], SwitchLeg] = {}
+
+    def _transfer(self, blocks: frozenset[int], per_block_ms: tuple[float, ...]
+                 ) -> Transfer:
+        return Transfer(blocks, sum(map(per_block_ms.__getitem__, blocks)),
+                        self.manifest.bytes_of(blocks))
+
+    def disk_leg(self, need: frozenset[int], prestaged: frozenset[int]) -> Transfer:
+        """The disk leg of ``need`` when ``prestaged`` is already host-resident."""
+        return self._transfer(need - prestaged, self.disk_ms)
+
+    def leg(self, mode: DeployMode, to_task: str, device: frozenset[int]) -> SwitchLeg:
+        """The memoized leg of a switch to ``to_task`` from device set ``device``."""
+        key = (mode, to_task, device)
+        leg = self._legs.get(key)
+        if leg is None:
+            target = self.all_blocks if mode is DeployMode.MONOLITHIC \
+                else self.active[to_task]
+            if mode.is_split:
+                need = target - device
+                leg = SwitchLeg(target, self.manifest.bytes_of(target),
+                                len(target & device), 0.0,
+                                self._transfer(need, self.gpu_ms),
+                                self.disk_leg(need, frozenset()))
+            else:
+                whole = self._transfer(target, self.gpu_ms)
+                leg = SwitchLeg(target, whole.nbytes, 0, self.cost.monolithic_init_ms,
+                                whole, self._transfer(target, self.disk_ms))
+            self._legs[key] = leg
+        return leg
+
+
 def execute_switch(state: CacheState, from_task: str, to_task: str, mode: DeployMode,
-                   skip_sets: Mapping[str, SkipSet], cost: CostModel,
-                   manifest: ModelManifest) -> tuple[CacheState, SwitchReport]:
+                   table: SwitchTable) -> tuple[CacheState, SwitchReport]:
     """Run one task switch and account its cost.
 
     Mode semantics:
@@ -151,44 +223,30 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
       skip the disk leg.
     """
     mode = DeployMode(mode)
-    n = manifest.num_blocks
-    if mode is DeployMode.MONOLITHIC:
-        target = manifest.all_blocks
-    else:
+    if mode is not DeployMode.MONOLITHIC:
         for task in (from_task, to_task):
-            if task not in skip_sets:
+            if task not in table.active:
                 raise ConfigError(f"no skip set for task {task!r}")
-        target = skip_sets[to_task].active(n)
-    new_state = load_to_gpu(manifest, state, target)
+    leg = table.leg(mode, to_task, state.gpu_resident)
+    new_state = load_to_gpu(table.manifest, state, leg.target)
 
-    if mode.is_split:
-        need = target - state.gpu_resident
-        prestaged = need & state.cpu_resident if mode is DeployMode.FULL_METHOD \
-            else frozenset()
-        disk_leg = need - prestaged
-        gpu_leg = need
-        reused = len(target & state.gpu_resident)
-        init = 0.0
-    else:
-        disk_leg = gpu_leg = target
-        prestaged = frozenset()
-        reused = 0
-        init = cost.monolithic_init_ms
-
-    latency = (init
-               + cost.link_ms(manifest, disk_leg, "disk")
-               + cost.link_ms(manifest, gpu_leg, "gpu"))
+    disk = leg.disk
+    prestaged = frozenset()
+    if mode is DeployMode.FULL_METHOD:
+        prestaged = leg.gpu.blocks & state.cpu_resident
+        if prestaged:
+            disk = table.disk_leg(leg.gpu.blocks, prestaged)
     report = SwitchReport(
         from_task=from_task,
         to_task=to_task,
         mode=mode.value,
-        latency_ms=latency,
-        bytes_disk_to_cpu=manifest.bytes_of(disk_leg),
-        bytes_cpu_to_gpu=manifest.bytes_of(gpu_leg),
-        blocks_reused=reused,
-        blocks_fetched=len(disk_leg) if mode.is_split else len(gpu_leg),
+        latency_ms=leg.init_ms + disk.ms + leg.gpu.ms,
+        bytes_disk_to_cpu=disk.nbytes,
+        bytes_cpu_to_gpu=leg.gpu.nbytes,
+        blocks_reused=leg.reused,
+        blocks_fetched=len(disk.blocks),
         blocks_prestaged=len(prestaged),
-        gpu_resident_bytes_after=manifest.bytes_of(new_state.gpu_resident),
+        gpu_resident_bytes_after=leg.target_bytes,
     )
     return new_state, report
 

@@ -16,7 +16,7 @@ from switchsim.cli import main
 from switchsim.reference import brute_force_greedy_replay, gen_instance
 from switchsim.replay import compare_modes
 from switchsim.sparsity import SkipSet, TaskSpec, build_all_tasks, greedy_skip_select, jaccard
-from switchsim.switching import CostModel, DeployMode, execute_switch
+from switchsim.switching import CostModel, DeployMode, SwitchTable, execute_switch
 from switchsim.workloads import write_driving_scenario
 
 from opharness import run_random_ops
@@ -119,6 +119,7 @@ def test_mode_ordering_over_random_scenarios():
                 rng.sample(range(n), rng.randrange(1, n + 1))))
             for t in tasks
         }
+        table = SwitchTable(manifest, cost, skips)
         total = manifest.total_bytes
         states = {}
         for mode in DeployMode:
@@ -143,7 +144,7 @@ def test_mode_ordering_over_random_scenarios():
                         cpu_resident=frozenset(prestage), cpu_lru=prestage,
                     )
                 states[mode], report = execute_switch(
-                    state, current, nxt, mode, skips, cost, manifest)
+                    state, current, nxt, mode, table)
                 lat[mode] = report.latency_ms
             ordered = (lat[DeployMode.MONOLITHIC] >= lat[DeployMode.SPARSE_NO_SPLIT]
                        >= lat[DeployMode.SPLIT_ONLY] >= lat[DeployMode.FULL_METHOD])
@@ -221,9 +222,9 @@ def test_zero_fetch_switch():
     cost = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0,
                      per_block_fixed_ms=1.0, monolithic_init_ms=250.0)
     assert skips["narrow"].active(8) < active_wide  # strictly drops blocks
+    table = SwitchTable(manifest, cost, skips)
     for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
-        _, report = execute_switch(state, "wide", "narrow", mode, skips,
-                                   cost, manifest)
+        _, report = execute_switch(state, "wide", "narrow", mode, table)
         assert report.bytes_disk_to_cpu == 0
         assert report.bytes_cpu_to_gpu == 0
         assert report.latency_ms == 0.0

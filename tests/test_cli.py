@@ -154,6 +154,7 @@ class TestBadNumbers:
         ("cost_model.json", ("per_block_fixed_ms",)),
         ("cost_model.json", ("monolithic_init_ms",)),
         ("config.json", ("compute_window_ms",)),
+        ("tasks.json", (0, "priority_weight")),
     ], ids=key_path_id)
     def test_non_finite_or_negative_is_a_config_error(self, driving_dir, tmp_path,
                                                       name, path, value):
@@ -179,6 +180,26 @@ class TestBadNumbers:
     def test_non_integral_count_is_a_config_error(self, driving_dir, tmp_path,
                                                   name, path, value):
         assert compare_edited(driving_dir, tmp_path, name, path, value) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("row", [
+        {"active_blocks": [math.inf], "score": 0.5},
+        {"active_blocks": [0.5], "score": 0.5},
+        {"active_blocks": [-1], "score": 0.5},
+        {"active_blocks": [2], "score": 0.5},
+        {"active_blocks": [0], "score": math.nan},
+        {"active_blocks": [0], "score": math.inf},
+        {"active_blocks": [0], "score": 1.5},
+        {"active_blocks": [0], "score": -0.1},
+        {"score": 0.5},
+    ], ids=lambda row: json.dumps(row))
+    def test_bad_table_oracle_row_is_a_config_error(self, tmp_path, row):
+        tasks = write_tasks(tmp_path / "tasks.json", ids=("a",))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"a": [{"active_blocks": [0, 1], "score": 1.0},
+                                           row]}))
+        code = main(["select", "--tasks", str(tasks), "--num-blocks", "2",
+                     "--oracle-table", str(table)])
+        assert code == EXIT_CONFIG
 
     def test_out_of_range_correlation_is_a_config_error(self, driving_dir, tmp_path):
         code = compare_edited(driving_dir, tmp_path, "config.json",

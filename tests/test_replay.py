@@ -7,6 +7,7 @@ import statistics
 
 import pytest
 
+from switchsim import replay
 from switchsim.errors import ConfigError, ReplayError
 from switchsim.replay import (ScenarioConfig, compare_modes, emit_reports,
                               run_replay, write_compare_csv)
@@ -133,6 +134,27 @@ class TestCompareModes:
                 DeployMode.MONOLITHIC, DeployMode.SPARSE_NO_SPLIT,
                 DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD)]
             assert means[0] >= means[1] >= means[2] >= means[3]
+
+    def test_one_fit_per_compare_and_one_tiering_per_running_task(self, tmp_path,
+                                                                  monkeypatch):
+        calls = {"fit": 0, "tiers": []}
+
+        def counted_fit(*args, **kwargs):
+            calls["fit"] += 1
+            return fit(*args, **kwargs)
+
+        def counted_tiers(current, *args):
+            calls["tiers"].append(current)
+            return tiers(current, *args)
+
+        fit, tiers = replay.fit_transition_model, replay.assign_tiers
+        monkeypatch.setattr(replay, "fit_transition_model", counted_fit)
+        monkeypatch.setattr(replay, "assign_tiers", counted_tiers)
+        config = small_scenario(tmp_path, window=40.0)
+        compare_modes(config)
+        trace = (tmp_path / "trace.txt").read_text().split()
+        assert calls["fit"] == 1
+        assert sorted(calls["tiers"]) == sorted(set(trace[:-1]))
 
     def test_aligned_selection_only_in_full_method(self, tmp_path):
         reports = compare_modes(small_scenario(tmp_path, window=40.0))

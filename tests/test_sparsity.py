@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
 
 import pytest
@@ -168,6 +169,12 @@ class TestBuildAllTasks:
     def test_missing_oracle_is_a_config_error(self):
         with pytest.raises(ConfigError):
             build_all_tasks([task(1, task_id="x")], {})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_priority_is_a_config_error(self, weight):
+        # A NaN weight would make the processing order depend on list order.
+        with pytest.raises(ConfigError):
+            task(1, priority=weight)
 
 
 class TestJaccard:

@@ -7,9 +7,10 @@ import pytest
 
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import BudgetExceededError, ConfigError
+from switchsim.reference import reference_switch
 from switchsim.sparsity import SkipSet
-from switchsim.switching import (CostModel, DeployMode, calibrate_uniform_block_bytes,
-                                 execute_switch)
+from switchsim.switching import (CostModel, DeployMode, SwitchTable,
+                                 calibrate_uniform_block_bytes, execute_switch)
 
 MB = 1_000_000
 
@@ -40,7 +41,7 @@ class TestDiffSet:
         skips = skips_for(8, {"a": active_from, "b": active_to})
         state = state_for(manifest, gpu=tuple(sorted(active_from)))
         _, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
-                                   skips, COST, manifest)
+                                   SwitchTable(manifest, COST, skips))
         return report.blocks_fetched, report.bytes_cpu_to_gpu
 
     def test_plain_difference(self):
@@ -59,8 +60,8 @@ class TestExecuteSwitch:
         block = calibrate_uniform_block_bytes(1566.5, 32, COST)
         manifest = ModelManifest.uniform("m", 32, block)
         skips = skips_for(32, {"a": set(range(16)), "b": set(range(16, 32))})
-        _, report = execute_switch(state_for(manifest), "a", "b",
-                                   DeployMode.MONOLITHIC, skips, COST, manifest)
+        _, report = execute_switch(state_for(manifest), "a", "b", DeployMode.MONOLITHIC,
+                                   SwitchTable(manifest, COST, skips))
         assert report.latency_ms == pytest.approx(1566.5, abs=1e-3)
         assert report.blocks_reused == 0
 
@@ -69,7 +70,7 @@ class TestExecuteSwitch:
         skips = skips_for(8, {"a": {0, 1, 2}, "b": {1, 2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2))
         _, report = execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
-                                   skips, COST, manifest)
+                                   SwitchTable(manifest, COST, skips))
         # Whole sparse checkpoint: 3 blocks over both links plus reinit.
         expected = 250.0 + 3 * (100 * MB / (2000 * 1000) + 1) \
             + 3 * (100 * MB / (8000 * 1000) + 1)
@@ -82,7 +83,7 @@ class TestExecuteSwitch:
         skips = skips_for(8, {"a": {0, 1, 2}, "b": {1, 2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2), cpu=(3,))
         new_state, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
-                                           skips, COST, manifest)
+                                           SwitchTable(manifest, COST, skips))
         # No prestaging credit in split_only: block 3 pays both links.
         assert report.bytes_disk_to_cpu == 100 * MB
         assert report.bytes_cpu_to_gpu == 100 * MB
@@ -96,7 +97,7 @@ class TestExecuteSwitch:
         skips = skips_for(8, {"a": {0, 1}, "b": {0, 5, 6, 7}})
         state = state_for(manifest, gpu=(0, 1), cpu=(5, 6, 7))
         _, report = execute_switch(state, "a", "b", DeployMode.FULL_METHOD,
-                                   skips, COST, manifest)
+                                   SwitchTable(manifest, COST, skips))
         assert report.blocks_prestaged == 3
         assert report.bytes_disk_to_cpu == 0
         assert report.latency_ms == pytest.approx(3 * (12.5 + 1.0))
@@ -105,8 +106,9 @@ class TestExecuteSwitch:
         manifest = ModelManifest.uniform("m", 8, 100 * MB)
         skips = skips_for(8, {"a": {0, 1, 2}, "b": {1, 2}})
         state = state_for(manifest, gpu=(0, 1, 2))
+        table = SwitchTable(manifest, COST, skips)
         for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
-            _, report = execute_switch(state, "a", "b", mode, skips, COST, manifest)
+            _, report = execute_switch(state, "a", "b", mode, table)
             assert report.latency_ms == 0.0
             assert report.bytes_disk_to_cpu == 0
             assert report.bytes_cpu_to_gpu == 0
@@ -119,24 +121,74 @@ class TestExecuteSwitch:
                            gpu_resident=frozenset({0}))
         with pytest.raises(BudgetExceededError):
             execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
-                           skips, COST, manifest)
+                           SwitchTable(manifest, COST, skips))
 
     def test_missing_skip_set_is_a_config_error(self):
         manifest = ModelManifest.uniform("m", 4, MB)
         with pytest.raises(ConfigError):
             execute_switch(state_for(manifest), "a", "b", DeployMode.SPLIT_ONLY,
-                           {}, COST, manifest)
+                           SwitchTable(manifest, COST, {}))
 
     def test_residency_after_switch_is_the_active_set(self):
         manifest = ModelManifest.uniform("m", 8, MB)
         skips = skips_for(8, {"a": {0, 1, 2}, "b": {2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2), cpu=(3,))
+        table = SwitchTable(manifest, COST, skips)
         for mode in DeployMode:
-            new_state, _ = execute_switch(state, "a", "b", mode, skips,
-                                          COST, manifest)
+            new_state, _ = execute_switch(state, "a", "b", mode, table)
             active = skips["b"].active(8) if mode is not DeployMode.MONOLITHIC \
                 else manifest.all_blocks
             assert new_state.gpu_resident == active
+
+
+class TestTableMatchesReference:
+    """The tabled switch equals the per-block reference exactly: same report
+    floats, same state, same error."""
+
+    def outcome(self, switch, *args):
+        try:
+            return switch(*args)
+        except BudgetExceededError as exc:
+            return exc.tier, exc.shortfall_bytes
+
+    def test_random_switches(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randrange(1, 40)
+            sizes = tuple(rng.randrange(1, 50 * MB) for _ in range(n))
+            manifest = ModelManifest("m", sizes, tuple(f"s{i}" for i in range(n)))
+            cost = CostModel(
+                disk_to_cpu_mbps=rng.uniform(100, 5000),
+                cpu_to_gpu_mbps=rng.uniform(1000, 20000),
+                per_block_fixed_ms=rng.uniform(0, 3),
+                monolithic_init_ms=rng.uniform(0, 500),
+            )
+            tasks = [f"t{i}" for i in range(rng.randrange(2, 5))]
+            skips = skips_for(n, {t: set(rng.sample(range(n), rng.randrange(0, n + 1)))
+                                  for t in tasks})
+            table = SwitchTable(manifest, cost, skips)
+            gpu_budget = rng.choice([manifest.total_bytes,
+                                     rng.randrange(1, manifest.total_bytes + 1)])
+            for _step in range(8):
+                a, b = rng.sample(tasks, 2)
+                # Mostly a device set that is no task's active set.
+                device = skips[a].active(n) if rng.random() < 0.3 \
+                    else frozenset(rng.sample(range(n), rng.randrange(0, n + 1)))
+                mode = rng.choice(list(DeployMode))
+                # Each switch runs twice from equal (not identical) device
+                # sets and different host caches: the second call reads the
+                # memoized leg and recomputes only the host credit.
+                for _repeat in range(2):
+                    cpu = tuple(rng.sample(range(n), rng.randrange(0, n + 1)))
+                    state = CacheState(gpu_budget_bytes=gpu_budget,
+                                       cpu_budget_bytes=manifest.total_bytes,
+                                       gpu_resident=frozenset(sorted(device)),
+                                       cpu_resident=frozenset(cpu), cpu_lru=cpu)
+                    args = (state, a, b, mode)
+                    assert self.outcome(execute_switch, *args, table) \
+                        == self.outcome(reference_switch, *args, skips, cost, manifest)
+                leg = table.leg(mode, b, device)
+                assert table.leg(mode, b, frozenset(device)) is leg
 
 
 class TestGpuUtilization:
@@ -147,24 +199,25 @@ class TestGpuUtilization:
         manifest = ModelManifest.uniform("m", 4, MB)
         skips = skips_for(4, {"a": {0, 1}, "b": set()})
         _, report = execute_switch(state_for(manifest, gpu=(0, 1)), "a", "b",
-                                   DeployMode.FULL_METHOD, skips, COST, manifest)
+                                   DeployMode.FULL_METHOD,
+                                   SwitchTable(manifest, COST, skips))
         assert report.gpu_resident_bytes_after == 0
 
     def test_full_residency_uniform_blocks(self):
         manifest = ModelManifest.uniform("m", 32, 100 * MB)
         skips = skips_for(32, {"a": set(range(20)), "b": set(range(4, 24))})
         _, report = execute_switch(state_for(manifest, gpu=tuple(range(20))), "a", "b",
-                                   DeployMode.MONOLITHIC, skips, COST, manifest)
+                                   DeployMode.MONOLITHIC,
+                                   SwitchTable(manifest, COST, skips))
         assert report.gpu_resident_bytes_after == 3200 * MB
 
     def test_sparse_mode_occupies_less_than_monolithic(self):
         manifest = ModelManifest.uniform("m", 32, 100 * MB)
         skips = skips_for(32, {"a": set(range(20)), "b": set(range(4, 24))})
         state = state_for(manifest, gpu=tuple(range(20)))
-        _, mono = execute_switch(state, "a", "b", DeployMode.MONOLITHIC,
-                                 skips, COST, manifest)
-        _, full = execute_switch(state, "a", "b", DeployMode.FULL_METHOD,
-                                 skips, COST, manifest)
+        table = SwitchTable(manifest, COST, skips)
+        _, mono = execute_switch(state, "a", "b", DeployMode.MONOLITHIC, table)
+        _, full = execute_switch(state, "a", "b", DeployMode.FULL_METHOD, table)
         assert full.gpu_resident_bytes_after == 2000 * MB
         assert full.gpu_resident_bytes_after < mono.gpu_resident_bytes_after
 
@@ -193,9 +246,9 @@ class TestAccountingIdentity:
             skips = skips_for(n, {"a": active_a, "b": active_b})
             cpu = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
             state = state_for(manifest, gpu=tuple(sorted(active_a)), cpu=cpu)
+            table = SwitchTable(manifest, COST, skips)
             for mode in DeployMode:
-                _, report = execute_switch(state, "a", "b", mode, skips,
-                                           COST, manifest)
+                _, report = execute_switch(state, "a", "b", mode, table)
                 assert report.latency_ms == pytest.approx(
                     self._recompute(report, COST))
 
@@ -210,9 +263,9 @@ class TestAccountingIdentity:
             cpu = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
             state = state_for(manifest, gpu=tuple(sorted(active_a)), cpu=cpu)
             delta = frozenset(active_b) - frozenset(active_a)
+            table = SwitchTable(manifest, COST, skips)
             for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
-                _, report = execute_switch(state, "a", "b", mode, skips,
-                                           COST, manifest)
+                _, report = execute_switch(state, "a", "b", mode, table)
                 missing = delta - state.gpu_resident
                 assert report.blocks_fetched + report.blocks_prestaged \
                     == len(missing)
@@ -235,6 +288,7 @@ class TestModeOrdering:
                 t: set(rng.sample(range(n), rng.randrange(1, n + 1)))
                 for t in tasks
             })
+            table = SwitchTable(manifest, cost, skips)
             states = {mode: state_for(
                 manifest, gpu=tuple(sorted(skips[tasks[0]].active(n)))
                 if mode is not DeployMode.MONOLITHIC else tuple(range(n)))
@@ -255,7 +309,7 @@ class TestModeOrdering:
                             cpu_resident=frozenset(prestage), cpu_lru=prestage,
                         )
                     states[mode], report = execute_switch(
-                        st_mode, current, nxt, mode, skips, cost, manifest)
+                        st_mode, current, nxt, mode, table)
                     latencies[mode] = report.latency_ms
                 assert latencies[DeployMode.MONOLITHIC] \
                     >= latencies[DeployMode.SPARSE_NO_SPLIT] \
