@@ -9,8 +9,8 @@ from .reference import (SyntheticInstance, brute_force_best_feasible,
                         brute_force_greedy_replay, gen_instance, gen_markov_log)
 from .replay import (ReplayReport, ScenarioConfig, compare_modes, emit_reports,
                      run_replay, write_compare_csv)
-from .sparsity import (AdditiveOracle, MetricOracle, SelectionResult, SkipSet,
-                       TableOracle, TaskSpec, aligned_skip_select, build_all_tasks,
+from .sparsity import (AdditiveOracle, MetricOracle, SelectionResult, TableOracle,
+                       TaskSpec, aligned_skip_select, build_all_tasks,
                        greedy_skip_select, jaccard)
 from .switching import (CostModel, DeployMode, SwitchReport, SwitchTable,
                         calibrate_uniform_block_bytes, execute_switch)

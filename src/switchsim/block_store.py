@@ -32,21 +32,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelManifest:
-    """Block inventory: per-block byte sizes and one shard id per block."""
+    """Block inventory: per-block byte sizes."""
 
     model_name: str
     block_sizes: tuple[int, ...]
-    shard_ids: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.block_sizes) < 1:
             raise ManifestError("a manifest needs at least one block")
         if any(s <= 0 for s in self.block_sizes):
             raise ManifestError("every block size must be positive")
-        if len(self.shard_ids) != len(self.block_sizes):
-            raise ManifestError("shard_ids and block_sizes must have equal length")
-        if len(set(self.shard_ids)) != len(self.shard_ids):
-            raise ManifestError("shard ids must be pairwise distinct")
 
     @property
     def num_blocks(self) -> int:
@@ -65,45 +60,30 @@ class ModelManifest:
         return sum(map(self.block_sizes.__getitem__, blocks))
 
     @classmethod
-    def uniform(cls, model_name: str, num_blocks: int, block_bytes: int,
-                shard_prefix: str = "block_") -> "ModelManifest":
+    def uniform(cls, model_name: str, num_blocks: int,
+                block_bytes: int) -> "ModelManifest":
         """Manifest with ``num_blocks`` equal-size blocks."""
-        return cls(
-            model_name=model_name,
-            block_sizes=(block_bytes,) * num_blocks,
-            shard_ids=tuple(f"{shard_prefix}{i}.bin" for i in range(num_blocks)),
-        )
+        return cls(model_name=model_name, block_sizes=(block_bytes,) * num_blocks)
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ModelManifest":
         """Build from the manifest file schema.
 
-        Expected keys: ``model_name``, ``block_sizes_bytes`` (array of ints),
-        optional ``shard_prefix``. Shard id i is ``<shard_prefix><i>.bin``.
+        Expected keys: ``model_name`` and ``block_sizes_bytes`` (array of
+        ints). Other keys, such as the older files' ``shard_prefix``, are
+        ignored.
         """
         try:
             name = doc["model_name"]
             sizes = tuple(exact_int(s) for s in doc["block_sizes_bytes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"bad manifest document: {exc}") from exc
-        prefix = doc.get("shard_prefix", "block_")
-        return cls(
-            model_name=name,
-            block_sizes=sizes,
-            shard_ids=tuple(f"{prefix}{i}.bin" for i in range(len(sizes))),
-        )
+        return cls(model_name=name, block_sizes=sizes)
 
     @classmethod
     def load(cls, path: Path | str) -> "ModelManifest":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-    def to_json(self, shard_prefix: str = "block_") -> dict:
-        return {
-            "model_name": self.model_name,
-            "block_sizes_bytes": list(self.block_sizes),
-            "shard_prefix": shard_prefix,
-        }
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .replay import ScenarioConfig, compare_modes, emit_reports, run_replay, wri
 from .reference import gen_instance
 from .sparsity import TableOracle, build_all_tasks, load_task_specs, selection_report
 from .switching import DeployMode
-from .transitions import dump_model, fit_transition_model, load_task_log
+from .transitions import fit_transition_model, load_task_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,11 +60,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     log = load_task_log(args.log)
-    model = fit_transition_model(log, k=args.k)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n")
-    else:
-        dump_model(model, args.out)
+    _write_json(fit_transition_model(log, k=args.k).to_json(), args.out)
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ class SwitchSimError(Exception):
 
 
 class ManifestError(SwitchSimError):
-    """The block manifest is malformed (duplicate shard ids, bad sizes, ...)."""
+    """The block manifest is malformed (no blocks, bad sizes, ...)."""
 
 
 class BudgetExceededError(SwitchSimError):

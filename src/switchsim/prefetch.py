@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .block_store import CacheState, ModelManifest, TierAssignment, stage_to_cpu
-from .sparsity import SkipSet
 from .switching import CostModel
 from .transitions import TransitionModel
 
@@ -43,15 +42,14 @@ class PrefetchPlan:
 
 
 def block_usefulness(current: str, model: TransitionModel,
-                     skip_sets: Mapping[str, SkipSet],
-                     manifest: ModelManifest) -> dict[int, float]:
+                     active: Mapping[str, frozenset[int]]) -> dict[int, float]:
     """Per-block priority: the best switch probability among likely successors
     whose active set contains the block."""
     weights: dict[int, float] = {}
     for succ, prob in model.successor_probs(current).items():
-        if succ not in skip_sets:
+        if succ not in active:
             continue
-        for b in skip_sets[succ].active(manifest.num_blocks):
+        for b in active[succ]:
             if prob > weights.get(b, 0.0):
                 weights[b] = prob
     return weights

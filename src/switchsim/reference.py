@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
 from .errors import ConfigError
-from .sparsity import AdditiveOracle, MetricOracle, SkipSet, TaskSpec
+from .sparsity import AdditiveOracle, MetricOracle, TaskSpec
 from .switching import CostModel, DeployMode, SwitchReport
 
 __all__ = [
@@ -217,14 +217,15 @@ def gen_markov_log(seed: int, length: int, task_ids: list[str],
 
 
 def reference_switch(state: CacheState, from_task: str, to_task: str,
-                     mode: DeployMode, skip_sets: Mapping[str, SkipSet],
+                     mode: DeployMode, skipped: Mapping[str, frozenset[int]],
                      cost: CostModel, manifest: ModelManifest
                      ) -> tuple[CacheState, SwitchReport]:
     """One switch with every set and per-block link cost rebuilt on the spot.
 
-    Same semantics as :func:`switchsim.switching.execute_switch`, and the
-    same set expressions, so each millisecond sum walks its blocks in the
-    same order and the two agree exactly.
+    Takes each task's skip set and derives the active set itself. Same
+    semantics as :func:`switchsim.switching.execute_switch`, and the same
+    set expressions as a replay, so each millisecond sum walks its blocks
+    in the same order and the two agree exactly.
     """
     mode = DeployMode(mode)
     n = manifest.num_blocks
@@ -232,9 +233,9 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
         target = manifest.all_blocks
     else:
         for task in (from_task, to_task):
-            if task not in skip_sets:
+            if task not in skipped:
                 raise ConfigError(f"no skip set for task {task!r}")
-        target = skip_sets[to_task].active(n)
+        target = frozenset(range(n)) - skipped[to_task]
     new_state = load_to_gpu(manifest, state, target)
 
     if mode.is_split:

@@ -22,7 +22,7 @@ from .block_store import CacheState, ModelManifest, TierAssignment, load_to_gpu
 from .errors import ConfigError, ReplayError, SwitchSimError, exact_int
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch
 from .reference import gen_instance
-from .sparsity import (MetricOracle, SelectionResult, SkipSet, TableOracle, TaskSpec,
+from .sparsity import (MetricOracle, SelectionResult, TableOracle, TaskSpec,
                        build_all_tasks, jaccard, load_task_specs)
 from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute_switch
 from .transitions import TransitionModel, assign_tiers, fit_transition_model, load_task_log
@@ -165,6 +165,10 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
             f"budgets must admit the largest block ({largest} bytes)")
     oracles = _build_oracles(config.oracle, manifest, tasks,
                              base_dir=config.manifest_path.parent)
+    known = {t.task_id for t in tasks}
+    for pos, task in enumerate(trace):
+        if task not in known:
+            raise ReplayError(f"trace task {task!r} is not a scenario task", position=pos)
     return Scenario(config=config, manifest=manifest, tasks=tasks, oracles=oracles,
                     log=log, trace=trace, cost=cost)
 
@@ -194,7 +198,7 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
                selections: Mapping[str, SelectionResult],
                switches: Sequence[SwitchReport]) -> ReplayReport:
     ids = scenario.task_ids
-    skips = {tid: selections[tid].skip for tid in ids}
+    skips = {tid: selections[tid].skipped for tid in ids}
     matrix = tuple(
         tuple(jaccard(skips[a], skips[b]) for b in ids) for a in ids
     )
@@ -228,8 +232,11 @@ def _replay(scenario: Scenario, mode: DeployMode,
     config = scenario.config
     manifest = scenario.manifest
     cost = scenario.cost
-    skip_sets: dict[str, SkipSet] = {tid: r.skip for tid, r in selections.items()}
-    table = SwitchTable(manifest, cost, skip_sets)
+    n = manifest.num_blocks
+    # Each switch's millisecond sums walk these sets in their iteration
+    # order, which follows from this expression.
+    active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
+    table = SwitchTable(manifest, cost, active)
     # full_method's tiers, usefulness weights and protected set depend on
     # the current task only; each is computed the first time it runs.
     tiering: dict[str, tuple[TierAssignment, dict[int, float], frozenset[int]]] = {}
@@ -240,14 +247,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
     if trace:
         first = trace[0]
         try:
-            if mode is DeployMode.MONOLITHIC:
-                target = table.all_blocks
-            else:
-                if first not in table.active:
-                    raise ConfigError(f"trace task {first!r} has no skip set")
-                target = table.active[first]
             # Initial load of the first task; not counted as a switch.
-            state = load_to_gpu(manifest, state, target)
+            state = load_to_gpu(manifest, state, table.target(mode, first))
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
         current = first
@@ -256,8 +257,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
             try:
                 if mode is DeployMode.FULL_METHOD:
                     if current not in tiering:
-                        tiers = assign_tiers(current, skip_sets, model, manifest)
-                        useful = block_usefulness(current, model, skip_sets, manifest)
+                        tiers = assign_tiers(current, active, model)
+                        useful = block_usefulness(current, model, active)
                         tiering[current] = (tiers, useful, tiers.runtime | tiers.preload)
                     tiers, useful, protected = tiering[current]
                     plan = plan_prefetch(tiers, useful, state, manifest)
@@ -269,8 +270,6 @@ def _replay(scenario: Scenario, mode: DeployMode,
                     state, report = execute_switch(state, current, task, mode, table)
                     switches.append(report)
                     current = task
-            except ReplayError:
-                raise
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), position=pos) from exc
     return _aggregate(mode, scenario, selections, switches)

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ConfigError, OracleError, exact_int
 
@@ -21,7 +21,6 @@ __all__ = [
     "MetricOracle",
     "AdditiveOracle",
     "TableOracle",
-    "SkipSet",
     "SelectionResult",
     "greedy_skip_select",
     "aligned_skip_select",
@@ -127,35 +126,16 @@ class TableOracle(MetricOracle):
             raise ConfigError(f"bad table oracle row: {exc}") from exc
         return cls(entries, num_blocks)
 
-    @classmethod
-    def load(cls, path: Path | str, num_blocks: int) -> "TableOracle":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), num_blocks)
-
-
-@dataclass(frozen=True)
-class SkipSet:
-    """Blocks a task omits at inference; the complement is its active set."""
-
-    task_id: str
-    skipped: frozenset[int]
-
-    def active(self, num_blocks: int) -> frozenset[int]:
-        return frozenset(range(num_blocks)) - self.skipped
-
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """A selected skip set plus the bookkeeping the selector reports."""
+    """A selected skip set (the blocks a task omits at inference; the rest
+    are its active set) plus the bookkeeping the selector reports."""
 
-    skip: SkipSet
+    skipped: frozenset[int]
     final_score: float
     oracle_calls: int
     removal_order: tuple[int, ...]
-
-    @property
-    def skipped(self) -> frozenset[int]:
-        return self.skip.skipped
 
 
 def _select(task: TaskSpec, oracle: MetricOracle,
@@ -185,7 +165,7 @@ def _select(task: TaskSpec, oracle: MetricOracle,
         order.append(best_j)
         current = best_s
     return SelectionResult(
-        skip=SkipSet(task_id=task.task_id, skipped=frozenset(skipped)),
+        skipped=frozenset(skipped),
         final_score=current,
         oracle_calls=calls,
         removal_order=tuple(order),
@@ -236,13 +216,11 @@ def build_all_tasks(tasks: Sequence[TaskSpec], oracles: Mapping[str, MetricOracl
     return results
 
 
-def jaccard(a: SkipSet | Iterable[int], b: SkipSet | Iterable[int]) -> float:
+def jaccard(a: frozenset[int], b: frozenset[int]) -> float:
     """Set overlap |a & b| / |a | b|; two empty sets count as identical (1.0)."""
-    sa = a.skipped if isinstance(a, SkipSet) else frozenset(a)
-    sb = b.skipped if isinstance(b, SkipSet) else frozenset(b)
-    if not sa and not sb:
+    if not a and not b:
         return 1.0
-    return len(sa & sb) / len(sa | sb)
+    return len(a & b) / len(a | b)
 
 
 def selection_report(results: Mapping[str, SelectionResult]) -> dict:

@@ -23,7 +23,6 @@ from typing import Mapping, NamedTuple
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
 from .errors import ConfigError
-from .sparsity import SkipSet
 
 __all__ = [
     "DeployMode",
@@ -159,19 +158,19 @@ class SwitchLeg(NamedTuple):
 class SwitchTable:
     """Per-replay switch constants and a memo of switch legs.
 
-    Built once from a replay's manifest, cost model and skip sets. A leg
-    depends on the mode, the incoming task and the device set only, so
-    each distinct one is computed once. Every millisecond sum walks the
-    same sets in the same order as a per-switch recomputation would.
+    Built once from a replay's manifest, cost model and per-task active
+    sets. A leg depends on the mode, the incoming task and the device set
+    only, so each distinct one is computed once. Every millisecond sum
+    walks the same sets in the same order as a per-switch recomputation
+    would.
     """
 
     def __init__(self, manifest: ModelManifest, cost: CostModel,
-                 skip_sets: Mapping[str, SkipSet]):
-        n = manifest.num_blocks
+                 active: Mapping[str, frozenset[int]]):
         self.manifest = manifest
         self.cost = cost
         self.all_blocks = manifest.all_blocks
-        self.active = {tid: skip.active(n) for tid, skip in skip_sets.items()}
+        self.active = active
         self.disk_ms = tuple(cost.disk_ms(size) for size in manifest.block_sizes)
         self.gpu_ms = tuple(cost.gpu_ms(size) for size in manifest.block_sizes)
         self._legs: dict[tuple[DeployMode, str, frozenset[int]], SwitchLeg] = {}
@@ -185,13 +184,17 @@ class SwitchTable:
         """The disk leg of ``need`` when ``prestaged`` is already host-resident."""
         return self._transfer(need - prestaged, self.disk_ms)
 
+    def target(self, mode: DeployMode, task: str) -> frozenset[int]:
+        """What the device holds while ``task`` runs: the whole model in
+        monolithic mode, the task's active set in every other mode."""
+        return self.all_blocks if mode is DeployMode.MONOLITHIC else self.active[task]
+
     def leg(self, mode: DeployMode, to_task: str, device: frozenset[int]) -> SwitchLeg:
         """The memoized leg of a switch to ``to_task`` from device set ``device``."""
         key = (mode, to_task, device)
         leg = self._legs.get(key)
         if leg is None:
-            target = self.all_blocks if mode is DeployMode.MONOLITHIC \
-                else self.active[to_task]
+            target = self.target(mode, to_task)
             if mode.is_split:
                 need = target - device
                 leg = SwitchLeg(target, self.manifest.bytes_of(target),
@@ -226,7 +229,7 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
     if mode is not DeployMode.MONOLITHIC:
         for task in (from_task, to_task):
             if task not in table.active:
-                raise ConfigError(f"no skip set for task {task!r}")
+                raise ConfigError(f"no active set for task {task!r}")
     leg = table.leg(mode, to_task, state.gpu_resident)
     new_state = load_to_gpu(table.manifest, state, leg.target)
 

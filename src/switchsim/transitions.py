@@ -7,14 +7,12 @@ host-staging candidates for its likely successors, and disk for the rest.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .block_store import ModelManifest, TierAssignment
+from .block_store import TierAssignment
 from .errors import ConfigError, LogParseError
-from .sparsity import SkipSet
 
 __all__ = [
     "TransitionModel",
@@ -118,22 +116,21 @@ def fit_transition_model(entries: Sequence[str], k: int = 2,
     return TransitionModel(counts=counts, probs=probs, successors=successors, k=k)
 
 
-def assign_tiers(current: str, skip_sets: Mapping[str, SkipSet],
-                 model: TransitionModel, manifest: ModelManifest) -> TierAssignment:
+def assign_tiers(current: str, active: Mapping[str, frozenset[int]],
+                 model: TransitionModel) -> TierAssignment:
     """Partition blocks into runtime / pre-load / disk tiers.
 
     Level 1 is the running task's active set; Level 2 adds the blocks the
     top-K likely successors need beyond that; Level 3 is everything else.
     """
-    if current not in skip_sets:
-        raise ConfigError(f"no skip set for current task {current!r}")
-    n = manifest.num_blocks
-    level1 = skip_sets[current].active(n)
+    if current not in active:
+        raise ConfigError(f"no active set for current task {current!r}")
+    level1 = active[current]
     level2: frozenset[int] = frozenset()
     for succ in model.successors.get(current, ()):
-        if succ not in skip_sets:
-            raise ConfigError(f"no skip set for successor task {succ!r}")
-        level2 |= skip_sets[succ].active(n)
+        if succ not in active:
+            raise ConfigError(f"no active set for successor task {succ!r}")
+        level2 |= active[succ]
     return TierAssignment(runtime=level1, preload=level2 - level1)
 
 
@@ -147,9 +144,3 @@ def load_task_log(path: Path | str) -> list[str]:
                 continue
             entries.append(line.split(",")[-1].strip() if "," in line else line)
     return entries
-
-
-def dump_model(model: TransitionModel, path: Path | str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

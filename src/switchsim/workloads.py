@@ -76,7 +76,6 @@ def write_driving_scenario(
     (root / "manifest.json").write_text(json.dumps({
         "model_name": f"driving-{num_blocks}b",
         "block_sizes_bytes": [block_bytes] * num_blocks,
-        "shard_prefix": "block_",
     }, indent=2) + "\n", encoding="utf-8")
 
     (root / "tasks.json").write_text(json.dumps([

@@ -13,7 +13,7 @@ def run_random_ops(seed: int, ops: int = 12) -> None:
     rng = random.Random(seed)
     n = rng.randrange(1, 8)
     sizes = tuple(rng.randrange(1, 50) for _ in range(n))
-    manifest = ModelManifest("r", sizes, tuple(f"s{i}" for i in range(n)))
+    manifest = ModelManifest("r", sizes)
     state = CacheState(
         gpu_budget_bytes=rng.randrange(max(sizes), sum(sizes) + 10),
         cpu_budget_bytes=rng.randrange(max(sizes), sum(sizes) + 10),

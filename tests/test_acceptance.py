@@ -15,7 +15,7 @@ from switchsim.block_store import CacheState, ModelManifest
 from switchsim.cli import main
 from switchsim.reference import brute_force_greedy_replay, gen_instance
 from switchsim.replay import compare_modes
-from switchsim.sparsity import SkipSet, TaskSpec, build_all_tasks, greedy_skip_select, jaccard
+from switchsim.sparsity import TaskSpec, build_all_tasks, greedy_skip_select, jaccard
 from switchsim.switching import CostModel, DeployMode, SwitchTable, execute_switch
 from switchsim.workloads import write_driving_scenario
 
@@ -106,7 +106,7 @@ def test_mode_ordering_over_random_scenarios():
         rng = random.Random(1000 + seed)
         n = rng.randrange(2, 24)
         sizes = tuple(rng.randrange(1, 64) * 1_000_000 for _ in range(n))
-        manifest = ModelManifest("m", sizes, tuple(f"s{i}" for i in range(n)))
+        manifest = ModelManifest("m", sizes)
         cost = CostModel(
             disk_to_cpu_mbps=rng.uniform(100, 5000),
             cpu_to_gpu_mbps=rng.uniform(1000, 20000),
@@ -114,17 +114,14 @@ def test_mode_ordering_over_random_scenarios():
             monolithic_init_ms=rng.uniform(0, 500),
         )
         tasks = [f"t{i}" for i in range(rng.randrange(2, 6))]
-        skips = {
-            t: SkipSet(t, frozenset(range(n)) - frozenset(
-                rng.sample(range(n), rng.randrange(1, n + 1))))
-            for t in tasks
-        }
-        table = SwitchTable(manifest, cost, skips)
+        actives = {t: frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+                   for t in tasks}
+        table = SwitchTable(manifest, cost, actives)
         total = manifest.total_bytes
         states = {}
         for mode in DeployMode:
             boot = manifest.all_blocks if mode is DeployMode.MONOLITHIC \
-                else skips[tasks[0]].active(n)
+                else actives[tasks[0]]
             states[mode] = CacheState(
                 gpu_budget_bytes=total, cpu_budget_bytes=total,
                 gpu_resident=boot,
@@ -209,11 +206,8 @@ def test_calibrated_speedup(tmp_path):
 @criterion(6, "a drop-only switch moves zero bytes in split modes")
 def test_zero_fetch_switch():
     manifest = ModelManifest.uniform("m", 8, 50_000_000)
-    skips = {
-        "wide": SkipSet("wide", frozenset({6, 7})),
-        "narrow": SkipSet("narrow", frozenset({5, 6, 7})),
-    }
-    active_wide = skips["wide"].active(8)
+    actives = {"wide": frozenset(range(6)), "narrow": frozenset(range(5))}
+    active_wide = actives["wide"]
     state = CacheState(
         gpu_budget_bytes=manifest.total_bytes,
         cpu_budget_bytes=manifest.total_bytes,
@@ -221,8 +215,8 @@ def test_zero_fetch_switch():
     )
     cost = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0,
                      per_block_fixed_ms=1.0, monolithic_init_ms=250.0)
-    assert skips["narrow"].active(8) < active_wide  # strictly drops blocks
-    table = SwitchTable(manifest, cost, skips)
+    assert actives["narrow"] < active_wide  # strictly drops blocks
+    table = SwitchTable(manifest, cost, actives)
     for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
         _, report = execute_switch(state, "wide", "narrow", mode, table)
         assert report.bytes_disk_to_cpu == 0

@@ -33,21 +33,18 @@ def state_with(manifest: ModelManifest, gpu=(), cpu=(), gpu_budget=None,
 class TestManifest:
     def test_rejects_empty(self):
         with pytest.raises(ManifestError):
-            ModelManifest("m", (), ())
+            ModelManifest("m", ())
 
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ManifestError):
-            ModelManifest("m", (10, 0), ("a", "b"))
+            ModelManifest("m", (10, 0))
 
-    def test_rejects_duplicate_shard_ids(self):
-        with pytest.raises(ManifestError):
-            ModelManifest("m", (10, 10), ("same.bin", "same.bin"))
-
-    def test_from_json_builds_shard_ids(self):
+    def test_from_json_ignores_shard_prefix(self):
+        # Manifest files written for the removed shard store still load.
         m = ModelManifest.from_json({
             "model_name": "x", "block_sizes_bytes": [5, 6], "shard_prefix": "s_",
         })
-        assert m.shard_ids == ("s_0.bin", "s_1.bin")
+        assert m == ModelManifest("x", (5, 6))
         assert m.total_bytes == 11
 
 

@@ -3,13 +3,21 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from switchsim.cli import EXIT_CONFIG, EXIT_OK, main
+import switchsim
+from switchsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_REPLAY, main
+
+# A child interpreter imports the same switchsim as the tests, installed or not.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(switchsim.__file__).parents[1]),
+                  os.environ.get("PYTHONPATH")]))}
 
 
 def write_tasks(path, ids=("a", "b")):
@@ -80,6 +88,15 @@ class TestEstimate:
         assert doc["counts"]["Car"] == {"TrafficLight": 1, "Obstacle": 1}
         assert doc["successors"]["Car"] == ["Obstacle", "TrafficLight"]
 
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        log = tmp_path / "log.txt"
+        log.write_text("Car\nTrafficLight\nCar\nObstacle\nPerson\n")
+        assert main(["estimate", "--log", str(log)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        out = tmp_path / "model.json"
+        assert main(["estimate", "--log", str(log), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == stdout.encode("utf-8")
+
 
 class TestReplayCommand:
     def test_replay_writes_reports(self, driving_dir, tmp_path):
@@ -98,6 +115,18 @@ class TestReplayCommand:
         assert code == EXIT_OK
         echo = json.loads((out / "config.echo.json").read_text())
         assert echo["mode"] == "monolithic"
+
+    def test_unknown_trace_task_is_a_replay_error(self, driving_dir, tmp_path, capsys):
+        # Monolithic mode loads the whole model and never looks a task up,
+        # so only the trace check can catch the unknown id.
+        trace = tmp_path / "trace.txt"
+        trace.write_text("Car\nGhost\nCar\n")
+        code = main(["replay", "--config", str(driving_dir / "config.json"),
+                     "--mode", "monolithic", "--trace", str(trace),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_REPLAY
+        assert "trace position 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_a_config_error(self, tmp_path):
         code = main(["replay", "--config", str(tmp_path / "nope.json"),
@@ -213,16 +242,15 @@ class TestConsoleEntry:
             [sys.executable, "-m", "switchsim.cli", "replay",
              "--config", str(driving_dir / "config.json"),
              "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert result.returncode == 0
         assert "switches" in result.stdout
 
     def test_byte_identical_across_processes_and_hash_seeds(self, driving_dir,
                                                             tmp_path):
-        import os
         for i, hashseed in enumerate(("1", "12345")):
-            env = {**os.environ, "PYTHONHASHSEED": hashseed}
+            env = {**CHILD_ENV, "PYTHONHASHSEED": hashseed}
             result = subprocess.run(
                 [sys.executable, "-m", "switchsim.cli", "replay",
                  "--config", str(driving_dir / "config.json"),

@@ -5,7 +5,9 @@ hashes every report except ``config.echo.json`` (it holds absolute
 paths). The digests were recorded from the simulator before its block
 store was reduced to one residency model, the varied-size one before
 switch costs were tabled per replay; a change that moves any simulated
-number, report format, tie-break or float summation order fails here.
+number, report format or tie-break fails here. Reports round latencies,
+so a change in float summation order can pass the digests; the
+replay-versus-reference test below compares every switch unrounded.
 """
 from __future__ import annotations
 
@@ -15,7 +17,11 @@ import random
 
 import pytest
 
+from switchsim import replay
+from switchsim.block_store import ModelManifest
 from switchsim.cli import main
+from switchsim.reference import reference_switch
+from switchsim.switching import CostModel, DeployMode
 from switchsim.workloads import write_driving_scenario
 
 # Seeded scenarios that differ in block count, k, prefetch window and host
@@ -71,15 +77,51 @@ def compare_digest(out_dir) -> str:
     return digest.hexdigest()
 
 
+def write_case(name: str, scenario_dir):
+    """Write the scenario of case ``name``; return its config."""
+    params = dict(CASES[name][0])
+    size_seed = params.pop("size_seed", None)
+    config = write_driving_scenario(scenario_dir, **params)
+    if size_seed is not None:
+        vary_block_sizes(scenario_dir, size_seed)
+    return config
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_compare_reports_match_golden_digest(name, tmp_path):
-    params, expected = CASES[name]
-    params = dict(params)
-    size_seed = params.pop("size_seed", None)
-    write_driving_scenario(tmp_path / "scenario", **params)
-    if size_seed is not None:
-        vary_block_sizes(tmp_path / "scenario", size_seed)
+    write_case(name, tmp_path / "scenario")
+    expected = CASES[name][1]
     out = tmp_path / "reports"
     assert main(["compare", "--config", str(tmp_path / "scenario" / "config.json"),
                  "--out-dir", str(out)]) == 0
     assert compare_digest(out) == expected
+
+
+def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
+    """Each switch of a replay equals the per-block reference on the same
+    input state: same state and report, floats unrounded, in all four modes."""
+    config = write_case("32-blocks-varied-sizes", tmp_path)
+    manifest = ModelManifest.load(config.manifest_path)
+    cost = CostModel.load(config.cost_model_path)
+    skipped_by_align = {}
+    checked = dict.fromkeys(DeployMode, 0)
+
+    def recording_select(tasks, oracles, align):
+        results = select(tasks, oracles, align=align)
+        skipped_by_align[align] = {tid: r.skipped for tid, r in results.items()}
+        return results
+
+    def checked_switch(state, from_task, to_task, mode, table):
+        result = switch(state, from_task, to_task, mode, table)
+        skipped = skipped_by_align[mode is DeployMode.FULL_METHOD]
+        assert result == reference_switch(state, from_task, to_task, mode, skipped,
+                                          cost, manifest)
+        checked[mode] += 1
+        return result
+
+    select, switch = replay.build_all_tasks, replay.execute_switch
+    monkeypatch.setattr(replay, "build_all_tasks", recording_select)
+    monkeypatch.setattr(replay, "execute_switch", checked_switch)
+    reports = replay.compare_modes(config)
+    assert checked == {mode: len(reports[mode].switches) for mode in DeployMode}
+    assert all(checked.values())

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.prefetch import block_usefulness, execute_prefetch, plan_prefetch
-from switchsim.sparsity import SkipSet
 from switchsim.switching import CostModel
 from switchsim.transitions import TransitionModel, assign_tiers
 
@@ -20,23 +19,19 @@ def make_setup(n=8, block_mb=10, cpu_budget_blocks=8):
     return manifest, state
 
 
-def skips_for(n: int, actives: dict[str, set[int]]) -> dict[str, SkipSet]:
-    return {t: SkipSet(t, frozenset(range(n)) - frozenset(a))
-            for t, a in actives.items()}
-
-
 # Current task uses {0,1}; successors B (p=0.7) uses {1,2,3}, C (p=0.3)
 # uses {3,4}. Level-2 is therefore {2,3,4}.
 def two_successor_setup(cpu_budget_blocks=8):
     manifest, state = make_setup(cpu_budget_blocks=cpu_budget_blocks)
-    skips = skips_for(8, {"A": {0, 1}, "B": {1, 2, 3}, "C": {3, 4}})
+    actives = {"A": frozenset({0, 1}), "B": frozenset({1, 2, 3}),
+               "C": frozenset({3, 4})}
     model = TransitionModel(
         counts={("A", "B"): 7, ("A", "C"): 3},
         probs={("A", "B"): 0.7, ("A", "C"): 0.3},
         successors={"A": ("B", "C")}, k=2,
     )
-    tiers = assign_tiers("A", skips, model, manifest)
-    weights = block_usefulness("A", model, skips, manifest)
+    tiers = assign_tiers("A", actives, model)
+    weights = block_usefulness("A", model, actives)
     return manifest, state, tiers, weights
 
 

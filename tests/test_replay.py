@@ -73,8 +73,10 @@ class TestRunReplay:
                     if f.latency_ms > 0]
         assert all(r > 1 for r in speedups)
 
-    def test_unknown_trace_task_surfaces_position(self, tmp_path):
-        config = small_scenario(tmp_path, trace=["Car", "TrafficLight", "Ghost"])
+    @pytest.mark.parametrize("mode", [m.value for m in DeployMode])
+    def test_unknown_trace_task_surfaces_position(self, tmp_path, mode):
+        config = small_scenario(tmp_path, trace=["Car", "TrafficLight", "Ghost"],
+                                mode=mode)
         with pytest.raises(ReplayError) as err:
             run_replay(config)
         assert err.value.position == 2

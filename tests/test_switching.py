@@ -8,7 +8,6 @@ import pytest
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import BudgetExceededError, ConfigError
 from switchsim.reference import reference_switch
-from switchsim.sparsity import SkipSet
 from switchsim.switching import (CostModel, DeployMode, SwitchTable,
                                  calibrate_uniform_block_bytes, execute_switch)
 
@@ -18,9 +17,8 @@ COST = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0,
                  per_block_fixed_ms=1.0, monolithic_init_ms=250.0)
 
 
-def skips_for(n: int, actives: dict[str, set[int]]) -> dict[str, SkipSet]:
-    return {t: SkipSet(t, frozenset(range(n)) - frozenset(a))
-            for t, a in actives.items()}
+def actives_for(actives: dict[str, set[int]]) -> dict[str, frozenset[int]]:
+    return {t: frozenset(a) for t, a in actives.items()}
 
 
 def state_for(manifest: ModelManifest, gpu=(), cpu=()) -> CacheState:
@@ -38,10 +36,10 @@ class TestDiffSet:
 
     def moved(self, active_from: set[int], active_to: set[int]) -> tuple[int, int]:
         manifest = ModelManifest.uniform("m", 8, MB)
-        skips = skips_for(8, {"a": active_from, "b": active_to})
+        actives = actives_for({"a": active_from, "b": active_to})
         state = state_for(manifest, gpu=tuple(sorted(active_from)))
         _, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
-                                   SwitchTable(manifest, COST, skips))
+                                   SwitchTable(manifest, COST, actives))
         return report.blocks_fetched, report.bytes_cpu_to_gpu
 
     def test_plain_difference(self):
@@ -59,18 +57,18 @@ class TestExecuteSwitch:
     def test_monolithic_reload_hits_calibration_target(self):
         block = calibrate_uniform_block_bytes(1566.5, 32, COST)
         manifest = ModelManifest.uniform("m", 32, block)
-        skips = skips_for(32, {"a": set(range(16)), "b": set(range(16, 32))})
+        actives = actives_for({"a": set(range(16)), "b": set(range(16, 32))})
         _, report = execute_switch(state_for(manifest), "a", "b", DeployMode.MONOLITHIC,
-                                   SwitchTable(manifest, COST, skips))
+                                   SwitchTable(manifest, COST, actives))
         assert report.latency_ms == pytest.approx(1566.5, abs=1e-3)
         assert report.blocks_reused == 0
 
     def test_sparse_no_split_reloads_whole_active_set(self):
         manifest = ModelManifest.uniform("m", 8, 100 * MB)
-        skips = skips_for(8, {"a": {0, 1, 2}, "b": {1, 2, 3}})
+        actives = actives_for({"a": {0, 1, 2}, "b": {1, 2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2))
         _, report = execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
-                                   SwitchTable(manifest, COST, skips))
+                                   SwitchTable(manifest, COST, actives))
         # Whole sparse checkpoint: 3 blocks over both links plus reinit.
         expected = 250.0 + 3 * (100 * MB / (2000 * 1000) + 1) \
             + 3 * (100 * MB / (8000 * 1000) + 1)
@@ -80,10 +78,10 @@ class TestExecuteSwitch:
 
     def test_split_only_moves_only_missing_blocks(self):
         manifest = ModelManifest.uniform("m", 8, 100 * MB)
-        skips = skips_for(8, {"a": {0, 1, 2}, "b": {1, 2, 3}})
+        actives = actives_for({"a": {0, 1, 2}, "b": {1, 2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2), cpu=(3,))
         new_state, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
-                                           SwitchTable(manifest, COST, skips))
+                                           SwitchTable(manifest, COST, actives))
         # No prestaging credit in split_only: block 3 pays both links.
         assert report.bytes_disk_to_cpu == 100 * MB
         assert report.bytes_cpu_to_gpu == 100 * MB
@@ -94,19 +92,19 @@ class TestExecuteSwitch:
     def test_full_method_prestaged_blocks_skip_the_disk_leg(self):
         # Three 100 MB differential blocks, all host-resident.
         manifest = ModelManifest.uniform("m", 8, 100 * MB)
-        skips = skips_for(8, {"a": {0, 1}, "b": {0, 5, 6, 7}})
+        actives = actives_for({"a": {0, 1}, "b": {0, 5, 6, 7}})
         state = state_for(manifest, gpu=(0, 1), cpu=(5, 6, 7))
         _, report = execute_switch(state, "a", "b", DeployMode.FULL_METHOD,
-                                   SwitchTable(manifest, COST, skips))
+                                   SwitchTable(manifest, COST, actives))
         assert report.blocks_prestaged == 3
         assert report.bytes_disk_to_cpu == 0
         assert report.latency_ms == pytest.approx(3 * (12.5 + 1.0))
 
     def test_zero_differential_costs_nothing_in_split_modes(self):
         manifest = ModelManifest.uniform("m", 8, 100 * MB)
-        skips = skips_for(8, {"a": {0, 1, 2}, "b": {1, 2}})
+        actives = actives_for({"a": {0, 1, 2}, "b": {1, 2}})
         state = state_for(manifest, gpu=(0, 1, 2))
-        table = SwitchTable(manifest, COST, skips)
+        table = SwitchTable(manifest, COST, actives)
         for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
             _, report = execute_switch(state, "a", "b", mode, table)
             assert report.latency_ms == 0.0
@@ -115,13 +113,13 @@ class TestExecuteSwitch:
 
     def test_active_set_beyond_budget_is_an_error(self):
         manifest = ModelManifest.uniform("m", 4, 100 * MB)
-        skips = skips_for(4, {"a": {0}, "b": {0, 1, 2, 3}})
+        actives = actives_for({"a": {0}, "b": {0, 1, 2, 3}})
         state = CacheState(gpu_budget_bytes=300 * MB,
                            cpu_budget_bytes=manifest.total_bytes,
                            gpu_resident=frozenset({0}))
         with pytest.raises(BudgetExceededError):
             execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
-                           SwitchTable(manifest, COST, skips))
+                           SwitchTable(manifest, COST, actives))
 
     def test_missing_skip_set_is_a_config_error(self):
         manifest = ModelManifest.uniform("m", 4, MB)
@@ -131,12 +129,12 @@ class TestExecuteSwitch:
 
     def test_residency_after_switch_is_the_active_set(self):
         manifest = ModelManifest.uniform("m", 8, MB)
-        skips = skips_for(8, {"a": {0, 1, 2}, "b": {2, 3}})
+        actives = actives_for({"a": {0, 1, 2}, "b": {2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2), cpu=(3,))
-        table = SwitchTable(manifest, COST, skips)
+        table = SwitchTable(manifest, COST, actives)
         for mode in DeployMode:
             new_state, _ = execute_switch(state, "a", "b", mode, table)
-            active = skips["b"].active(8) if mode is not DeployMode.MONOLITHIC \
+            active = actives["b"] if mode is not DeployMode.MONOLITHIC \
                 else manifest.all_blocks
             assert new_state.gpu_resident == active
 
@@ -156,7 +154,7 @@ class TestTableMatchesReference:
         for _ in range(150):
             n = rng.randrange(1, 40)
             sizes = tuple(rng.randrange(1, 50 * MB) for _ in range(n))
-            manifest = ModelManifest("m", sizes, tuple(f"s{i}" for i in range(n)))
+            manifest = ModelManifest("m", sizes)
             cost = CostModel(
                 disk_to_cpu_mbps=rng.uniform(100, 5000),
                 cpu_to_gpu_mbps=rng.uniform(1000, 20000),
@@ -164,15 +162,18 @@ class TestTableMatchesReference:
                 monolithic_init_ms=rng.uniform(0, 500),
             )
             tasks = [f"t{i}" for i in range(rng.randrange(2, 5))]
-            skips = skips_for(n, {t: set(rng.sample(range(n), rng.randrange(0, n + 1)))
-                                  for t in tasks})
-            table = SwitchTable(manifest, cost, skips)
+            skipped = {t: frozenset(range(n)) - frozenset(
+                rng.sample(range(n), rng.randrange(0, n + 1))) for t in tasks}
+            # The replay's derivation: a set's iteration order, and so the
+            # order of each millisecond sum, follows from this expression.
+            active = {t: frozenset(range(n)) - s for t, s in skipped.items()}
+            table = SwitchTable(manifest, cost, active)
             gpu_budget = rng.choice([manifest.total_bytes,
                                      rng.randrange(1, manifest.total_bytes + 1)])
             for _step in range(8):
                 a, b = rng.sample(tasks, 2)
                 # Mostly a device set that is no task's active set.
-                device = skips[a].active(n) if rng.random() < 0.3 \
+                device = active[a] if rng.random() < 0.3 \
                     else frozenset(rng.sample(range(n), rng.randrange(0, n + 1)))
                 mode = rng.choice(list(DeployMode))
                 # Each switch runs twice from equal (not identical) device
@@ -186,7 +187,7 @@ class TestTableMatchesReference:
                                        cpu_resident=frozenset(cpu), cpu_lru=cpu)
                     args = (state, a, b, mode)
                     assert self.outcome(execute_switch, *args, table) \
-                        == self.outcome(reference_switch, *args, skips, cost, manifest)
+                        == self.outcome(reference_switch, *args, skipped, cost, manifest)
                 leg = table.leg(mode, b, device)
                 assert table.leg(mode, b, frozenset(device)) is leg
 
@@ -195,27 +196,27 @@ class TestGpuUtilization:
     """Device bytes after a switch, as reported in ``gpu_resident_bytes_after``."""
 
     def test_empty_residency(self):
-        # A task that skips every block leaves the device empty.
+        # A task that actives every block leaves the device empty.
         manifest = ModelManifest.uniform("m", 4, MB)
-        skips = skips_for(4, {"a": {0, 1}, "b": set()})
+        actives = actives_for({"a": {0, 1}, "b": set()})
         _, report = execute_switch(state_for(manifest, gpu=(0, 1)), "a", "b",
                                    DeployMode.FULL_METHOD,
-                                   SwitchTable(manifest, COST, skips))
+                                   SwitchTable(manifest, COST, actives))
         assert report.gpu_resident_bytes_after == 0
 
     def test_full_residency_uniform_blocks(self):
         manifest = ModelManifest.uniform("m", 32, 100 * MB)
-        skips = skips_for(32, {"a": set(range(20)), "b": set(range(4, 24))})
+        actives = actives_for({"a": set(range(20)), "b": set(range(4, 24))})
         _, report = execute_switch(state_for(manifest, gpu=tuple(range(20))), "a", "b",
                                    DeployMode.MONOLITHIC,
-                                   SwitchTable(manifest, COST, skips))
+                                   SwitchTable(manifest, COST, actives))
         assert report.gpu_resident_bytes_after == 3200 * MB
 
     def test_sparse_mode_occupies_less_than_monolithic(self):
         manifest = ModelManifest.uniform("m", 32, 100 * MB)
-        skips = skips_for(32, {"a": set(range(20)), "b": set(range(4, 24))})
+        actives = actives_for({"a": set(range(20)), "b": set(range(4, 24))})
         state = state_for(manifest, gpu=tuple(range(20)))
-        table = SwitchTable(manifest, COST, skips)
+        table = SwitchTable(manifest, COST, actives)
         _, mono = execute_switch(state, "a", "b", DeployMode.MONOLITHIC, table)
         _, full = execute_switch(state, "a", "b", DeployMode.FULL_METHOD, table)
         assert full.gpu_resident_bytes_after == 2000 * MB
@@ -243,10 +244,10 @@ class TestAccountingIdentity:
             manifest = ModelManifest.uniform("m", n, rng.randrange(1, 40) * MB)
             active_a = set(rng.sample(range(n), rng.randrange(1, n + 1)))
             active_b = set(rng.sample(range(n), rng.randrange(1, n + 1)))
-            skips = skips_for(n, {"a": active_a, "b": active_b})
+            actives = actives_for({"a": active_a, "b": active_b})
             cpu = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
             state = state_for(manifest, gpu=tuple(sorted(active_a)), cpu=cpu)
-            table = SwitchTable(manifest, COST, skips)
+            table = SwitchTable(manifest, COST, actives)
             for mode in DeployMode:
                 _, report = execute_switch(state, "a", "b", mode, table)
                 assert report.latency_ms == pytest.approx(
@@ -259,11 +260,11 @@ class TestAccountingIdentity:
             manifest = ModelManifest.uniform("m", n, 5 * MB)
             active_a = set(rng.sample(range(n), rng.randrange(1, n + 1)))
             active_b = set(rng.sample(range(n), rng.randrange(1, n + 1)))
-            skips = skips_for(n, {"a": active_a, "b": active_b})
+            actives = actives_for({"a": active_a, "b": active_b})
             cpu = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
             state = state_for(manifest, gpu=tuple(sorted(active_a)), cpu=cpu)
             delta = frozenset(active_b) - frozenset(active_a)
-            table = SwitchTable(manifest, COST, skips)
+            table = SwitchTable(manifest, COST, actives)
             for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
                 _, report = execute_switch(state, "a", "b", mode, table)
                 missing = delta - state.gpu_resident
@@ -284,13 +285,13 @@ class TestModeOrdering:
                 monolithic_init_ms=rng.uniform(0, 500),
             )
             tasks = [f"t{i}" for i in range(rng.randrange(2, 5))]
-            skips = skips_for(n, {
+            actives = actives_for({
                 t: set(rng.sample(range(n), rng.randrange(1, n + 1)))
                 for t in tasks
             })
-            table = SwitchTable(manifest, cost, skips)
+            table = SwitchTable(manifest, cost, actives)
             states = {mode: state_for(
-                manifest, gpu=tuple(sorted(skips[tasks[0]].active(n)))
+                manifest, gpu=tuple(sorted(actives[tasks[0]]))
                 if mode is not DeployMode.MONOLITHIC else tuple(range(n)))
                 for mode in DeployMode}
             current = tasks[0]

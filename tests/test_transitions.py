@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsim.block_store import ModelManifest
 from switchsim.errors import ConfigError, LogParseError
-from switchsim.sparsity import SkipSet
 from switchsim.transitions import (TransitionModel, assign_tiers, fit_transition_model,
                                    ingest_log, load_task_log, top_k_successors,
                                    transition_probs)
@@ -93,29 +91,24 @@ class TestTopKSuccessors:
 
 
 class TestAssignTiers:
-    def make_skips(self, n: int, actives: dict[str, set[int]]) -> dict[str, SkipSet]:
-        return {t: SkipSet(t, frozenset(range(n)) - frozenset(a))
-                for t, a in actives.items()}
+    def actives(self, actives: dict[str, set[int]]) -> dict[str, frozenset[int]]:
+        return {t: frozenset(a) for t, a in actives.items()}
 
     def test_no_successors_leaves_level2_empty(self):
-        manifest = ModelManifest.uniform("m", 4, 10)
-        skips = self.make_skips(4, {"A": {0, 1}})
         model = TransitionModel(counts={}, probs={}, successors={}, k=2)
-        tiers = assign_tiers("A", skips, model, manifest)
+        tiers = assign_tiers("A", self.actives({"A": {0, 1}}), model)
         assert tiers.runtime == {0, 1}
         assert tiers.preload == frozenset()
 
     def test_successor_blocks_become_level2(self):
-        manifest = ModelManifest.uniform("m", 4, 10)
-        skips = self.make_skips(4, {"cur": {0, 1}, "next": {1, 2}})
+        actives = self.actives({"cur": {0, 1}, "next": {1, 2}})
         model = TransitionModel(counts={}, probs={("cur", "next"): 1.0},
                                 successors={"cur": ("next",)}, k=1)
-        tiers = assign_tiers("cur", skips, model, manifest)
+        tiers = assign_tiers("cur", actives, model)
         assert tiers.runtime == {0, 1}
         assert tiers.preload == {2}
 
     def test_five_task_route_matches_set_algebra(self):
-        n = 10
         actives = {
             "Car": {0, 1, 2, 3},
             "TrafficLight": {2, 3, 4},
@@ -123,10 +116,8 @@ class TestAssignTiers:
             "Person": {6, 7},
             "Bicycle": {8},
         }
-        skips = self.make_skips(n, actives)
-        manifest = ModelManifest.uniform("m", n, 10)
         model = fit_transition_model(ROUTE, k=2, known_tasks=TASKS)
-        tiers = assign_tiers("Car", skips, model, manifest)
+        tiers = assign_tiers("Car", self.actives(actives), model)
         # Independent set-algebra evaluation of the tier definition.
         level1 = set(actives["Car"])
         level2 = set().union(*(actives[t] for t in model.successors["Car"])) - level1
@@ -136,19 +127,17 @@ class TestAssignTiers:
     def test_partition_covers_all_blocks(self):
         # Level 3 is the complement of levels 1 and 2, so the three tiers
         # partition the model exactly when those two are disjoint.
-        manifest = ModelManifest.uniform("m", 6, 10)
-        skips = self.make_skips(6, {"a": {0, 5}, "b": {1, 2, 5}})
+        actives = self.actives({"a": {0, 5}, "b": {1, 2, 5}})
         model = fit_transition_model(["a", "b", "a"], k=2)
-        tiers = assign_tiers("a", skips, model, manifest)
+        tiers = assign_tiers("a", actives, model)
         assert tiers.runtime == {0, 5}
         assert tiers.preload == {1, 2}  # block 5 stays in the runtime tier
         assert not tiers.runtime & tiers.preload
 
     def test_unknown_current_task(self):
-        manifest = ModelManifest.uniform("m", 4, 10)
         model = TransitionModel(counts={}, probs={}, successors={}, k=2)
         with pytest.raises(ConfigError):
-            assign_tiers("ghost", {}, model, manifest)
+            assign_tiers("ghost", {}, model)
 
 
 class TestModelRoundTrip:
