@@ -1,4 +1,5 @@
-"""Golden digests of ``compare`` reports: refactors must keep every byte.
+"""Golden digests of ``compare`` and ``select`` output: refactors must keep
+every byte.
 
 Each case writes a driving scenario, runs ``switchsim compare`` on it and
 hashes every report except ``config.echo.json`` (it holds absolute
@@ -8,6 +9,8 @@ switch costs were tabled per replay; a change that moves any simulated
 number, report format or tie-break fails here. Reports round latencies,
 so a change in float summation order can pass the digests; the
 replay-versus-reference test below compares every switch unrounded.
+The compare reports hold no selection score; ``select`` prints each
+task's ``final_score`` at full float precision, so its digests pin that.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from switchsim.block_store import ModelManifest
 from switchsim.cli import main
 from switchsim.reference import reference_switch
 from switchsim.switching import CostModel, DeployMode
-from switchsim.workloads import write_driving_scenario
+from switchsim.workloads import DRIVING_TASKS, write_driving_scenario
 
 # Seeded scenarios that differ in block count, k, prefetch window and host
 # budget. Each one stages and evicts host-cache blocks in full_method. A
@@ -95,6 +98,30 @@ def test_compare_reports_match_golden_digest(name, tmp_path):
     assert main(["compare", "--config", str(tmp_path / "scenario" / "config.json"),
                  "--out-dir", str(out)]) == 0
     assert compare_digest(out) == expected
+
+
+# ``select`` at 128 blocks, five tasks, up to 32 removals each: aligned the
+# constraint binds for some tasks, independent the removal cap does.
+SELECT_CASES = {
+    "aligned": ([],
+        "67a019d1c0bf27841046ecefcc803ee2d00e5862794219249551244251e3a71a"),
+    "independent": (["--independent"],
+        "136df3a1beb70610c7d07572adc8b580d2725d5228c371968d3833c921b156a6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECT_CASES))
+def test_select_output_matches_golden_digest(name, tmp_path):
+    flags, expected = SELECT_CASES[name]
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps([
+        {"task_id": t, "retention_ratio": 0.9, "max_remove": 32,
+         "priority_weight": 5.0 - i} for i, t in enumerate(DRIVING_TASKS)]))
+    out = tmp_path / "skips.json"
+    assert main(["select", "--tasks", str(tasks), "--num-blocks", "128",
+                 "--seed", "7", "--correlation", "0.5", "--out", str(out),
+                 *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
