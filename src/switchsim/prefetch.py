@@ -36,10 +36,6 @@ class PrefetchPlan:
     def blocks(self) -> tuple[int, ...]:
         return tuple(e.block for e in self.entries)
 
-    def to_json(self) -> list[dict]:
-        return [{"block": e.block, "weight": e.weight, "bytes": e.size_bytes}
-                for e in self.entries]
-
 
 def block_usefulness(current: str, model: TransitionModel,
                      active: Mapping[str, frozenset[int]]) -> dict[int, float]:

@@ -2,8 +2,11 @@
 
 The brute-force routines re-derive selection semantics without sharing
 code with :mod:`switchsim.sparsity`; they exist to validate the fast path
-on small instances. :func:`reference_switch` recomputes a switch's sets
-and per-block link costs from scratch, to check the tabled
+on small instances. :func:`reference_select` is the selector that scores
+every candidate removal exactly, at any size, to check the estimating
+:mod:`switchsim.sparsity` selector result for result.
+:func:`reference_switch` recomputes a switch's sets and per-block link
+costs from scratch, to check the tabled
 :func:`switchsim.switching.execute_switch`. The instance generator
 produces seeded multi-task importance landscapes whose cross-task
 overlap is controlled by a single correlation knob.
@@ -17,7 +20,7 @@ from typing import Mapping
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
 from .errors import ConfigError
-from .sparsity import AdditiveOracle, MetricOracle, TaskSpec
+from .sparsity import AdditiveOracle, MetricOracle, SelectionResult, TaskSpec
 from .switching import CostModel, DeployMode, SwitchReport
 
 __all__ = [
@@ -25,6 +28,7 @@ __all__ = [
     "gen_instance",
     "brute_force_greedy_replay",
     "brute_force_best_feasible",
+    "reference_select",
     "enumerate_table_entries",
     "gen_markov_log",
     "reference_switch",
@@ -153,6 +157,46 @@ def brute_force_greedy_replay(oracle: MetricOracle, retention_ratio: float,
                         key=lambda row: (-row[1], row[0]))
         removed.append(ranked[0][0])
     return frozenset(removed)
+
+
+def reference_select(task: TaskSpec, oracle: MetricOracle,
+                     shared_pool: frozenset[int]) -> SelectionResult:
+    """Greedy selection that scores every candidate of every step exactly.
+
+    Same semantics and bookkeeping as the production selector, with one
+    ``oracle.score`` call per candidate per step; the two must agree on
+    every field of the result.
+    """
+    n = oracle.num_blocks
+    calls = 1
+    s_full = oracle.full_score
+    threshold = task.retention_ratio * s_full
+    skipped: set[int] = set()
+    order: list[int] = []
+    current = s_full
+    for _ in range(task.max_remove):
+        active = frozenset(range(n)) - skipped
+        feasible: list[tuple[int, float]] = []
+        for j in sorted(active):
+            s_j = oracle.score(active - {j})
+            calls += 1
+            if s_j >= threshold:
+                feasible.append((j, s_j))
+        if not feasible:
+            break
+        pooled = [(j, s) for j, s in feasible if j in shared_pool]
+        pick = pooled if pooled else feasible
+        # Highest score wins; equal scores resolve to the lowest block id.
+        best_j, best_s = max(pick, key=lambda js: (js[1], -js[0]))
+        skipped.add(best_j)
+        order.append(best_j)
+        current = best_s
+    return SelectionResult(
+        skipped=frozenset(skipped),
+        final_score=current,
+        oracle_calls=calls,
+        removal_order=tuple(order),
+    )
 
 
 def brute_force_best_feasible(oracle: MetricOracle, retention_ratio: float,

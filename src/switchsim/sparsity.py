@@ -5,11 +5,24 @@ task's score stays at or above ``retention_ratio`` times the full-model
 score. Alignment biases later tasks toward blocks already skipped by
 earlier ones (the shared pool) so that active sets overlap and task
 switches move fewer bytes.
+
+Each step asks the oracle for an estimate of every candidate removal's
+score plus a bound ``eps`` on the estimates' error
+(:meth:`MetricOracle.removal_scores`). The additive oracle estimates all
+of them from one sum of the active weights, so a step costs O(n) instead
+of O(n) evaluations of O(n) each. Every decision stays exact: a
+candidate whose estimate lies within ``eps`` of the threshold, or within
+``2 * eps`` of the best estimate it competes with, is scored exactly
+before it is judged, and the chosen removal's exact score is what the
+selector records. ``oracle_calls`` counts logical evaluations (the
+full-model score plus one per candidate per step), not the exact
+re-scores made.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -65,6 +78,22 @@ class MetricOracle:
     def full_score(self) -> float:
         return self.score(frozenset(range(self.num_blocks)))
 
+    def removal_scores(self, active: frozenset[int],
+                       candidates: Sequence[int]) -> tuple[list[float], float]:
+        """Estimate ``score(active - {j})`` for each candidate ``j`` in ``active``.
+
+        Returns the estimates and ``eps``: each estimate is within ``eps``
+        of the exact score. ``eps == 0`` means the estimates are the exact
+        scores; this default computes them one by one.
+        """
+        return [self.score(active - {j}) for j in candidates], 0.0
+
+
+# Unit roundoff of a double, and an absolute floor covering the rounding of
+# a quotient that underflows into the subnormal range.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_UNDERFLOW_FLOOR = 2.0 ** -1072
+
 
 class AdditiveOracle(MetricOracle):
     """Synthetic oracle: score(A) = clamp(sum of active importances / total, 0, 1)."""
@@ -72,17 +101,60 @@ class AdditiveOracle(MetricOracle):
     def __init__(self, weights: Sequence[float]):
         if not weights:
             raise OracleError("need at least one block weight")
-        if any(w < 0 for w in weights):
-            raise OracleError("importance weights must be non-negative")
         self.weights = tuple(float(w) for w in weights)
+        if not all(math.isfinite(w) for w in self.weights):
+            raise OracleError("importance weights must be finite")
+        if any(w < 0 for w in self.weights):
+            raise OracleError("importance weights must be non-negative")
         self.num_blocks = len(self.weights)
         self._total = sum(self.weights)
+        # Half the float range keeps every partial sum of any subset finite.
+        if self._total > sys.float_info.max / 2:
+            raise OracleError("importance weights sum beyond the float range")
 
     def score(self, active: frozenset[int]) -> float:
         if self._total == 0.0:
             return 1.0
         raw = sum(self.weights[k] for k in active) / self._total
         return min(max(raw, 0.0), 1.0)
+
+    def removal_scores(self, active: frozenset[int],
+                       candidates: Sequence[int]) -> tuple[list[float], float]:
+        """Estimate each removal as ``clamp((S - w_j) / T)`` from one exact sum.
+
+        Error bound, with u = 2**-53, m = len(active), S* the exact sum of
+        the active weights, S = fsum(...) = S*(1 + d), |d| <= u, and T the
+        total. All weights are finite and >= 0, and no partial sum
+        overflows (checked in ``__init__``).
+
+        * ``score(active - {j})`` sums m - 1 non-negative terms left to
+          right, so its sum s is within gamma_m * S* of S* - w_j, where
+          gamma_m = m*u / (1 - m*u). (A compensated ``sum`` only tightens
+          this.)
+        * w_j <= S* and rounding is monotone, so 0 <= S - w_j <= S, and the
+          rounded difference D is within |S - S*| + u*S <= (2u + u^2) S*
+          of S* - w_j.
+        * Hence |D - s| <= (gamma_m + 2u + u^2) S*. Both are divided by the
+          same T and rounded, which adds at most u * (D + s) / T
+          <= 2u (1 + gamma_m) S*/T, plus half a subnormal step each if a
+          quotient underflows.
+        * The clamp to [0, 1] does not widen a gap.
+
+        So |estimate - score| <= (m + 4) u S*/T (1 + O(m u)) + 2**-1074.
+        ``eps`` doubles the first term and takes 2**-1072 for the second;
+        the slack also covers the rounding of ``eps`` itself and of the
+        selector's comparisons against it.
+        """
+        if self._total == 0.0:
+            return [1.0] * len(candidates), 0.0
+        weights, total = self.weights, self._total
+        s = math.fsum(map(weights.__getitem__, active))
+        # s >= w_j, so no estimate is negative, and none exceeds 1 unless s/T does.
+        estimates = [(s - weights[j]) / total for j in candidates]
+        if s > total:
+            estimates = [min(e, 1.0) for e in estimates]
+        eps = 2.0 * (len(active) + 4) * _UNIT_ROUNDOFF * (s / total) + _UNDERFLOW_FLOOR
+        return estimates, eps
 
 
 class TableOracle(MetricOracle):
@@ -149,21 +221,34 @@ def _select(task: TaskSpec, oracle: MetricOracle,
     current = s_full
     for _ in range(task.max_remove):
         active = frozenset(range(n)) - skipped
-        feasible: list[tuple[int, float]] = []
-        for j in sorted(active):
-            s_j = oracle.score(active - {j})
-            calls += 1
-            if s_j >= threshold:
-                feasible.append((j, s_j))
+        candidates = sorted(active)
+        estimates, eps = oracle.removal_scores(active, candidates)
+        calls += len(candidates)
+        exact = dict(zip(candidates, estimates)) if eps == 0.0 else {}
+
+        def exact_score(j: int) -> float:
+            if j not in exact:
+                exact[j] = oracle.score(active - {j})
+            return exact[j]
+
+        # An estimate more than eps from the threshold decides feasibility
+        # on its own; a closer one is settled by the exact score.
+        feasible = [(j, est) for j, est in zip(candidates, estimates)
+                    if est - threshold > eps
+                    or (threshold - est <= eps and exact_score(j) >= threshold)]
         if not feasible:
             break
-        pooled = [(j, s) for j, s in feasible if j in shared_pool]
+        pooled = [(j, est) for j, est in feasible if j in shared_pool]
         pick = pooled if pooled else feasible
+        # A candidate more than 2 * eps below the top estimate scores
+        # strictly below the top candidate, so only the rest can win.
+        top = max(est for _, est in pick)
+        contenders = [j for j, est in pick if top - est <= 2.0 * eps]
         # Highest score wins; equal scores resolve to the lowest block id.
-        best_j, best_s = max(pick, key=lambda js: (js[1], -js[0]))
+        best_j = max(contenders, key=lambda j: (exact_score(j), -j))
         skipped.add(best_j)
         order.append(best_j)
-        current = best_s
+        current = exact_score(best_j)
     return SelectionResult(
         skipped=frozenset(skipped),
         final_score=current,

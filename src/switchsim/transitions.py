@@ -52,15 +52,6 @@ class TransitionModel:
             "successors": {t: list(s) for t, s in sorted(self.successors.items())},
         }
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "TransitionModel":
-        counts = {(a, b): int(n) for a, row in doc["counts"].items()
-                  for b, n in row.items()}
-        probs = {(a, b): float(p) for a, row in doc["probs"].items()
-                 for b, p in row.items()}
-        successors = {t: tuple(s) for t, s in doc["successors"].items()}
-        return cls(counts=counts, probs=probs, successors=successors, k=int(doc["k"]))
-
 
 def ingest_log(entries: Sequence[str],
                known_tasks: Iterable[str] | None = None) -> dict[tuple[str, str], int]:

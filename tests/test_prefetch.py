@@ -79,16 +79,6 @@ class TestPlanPrefetch:
         assert plan.blocks == (2, 3)  # third candidate no longer fits
         assert plan.total_bytes <= state.cpu_budget_bytes
 
-    def test_plan_dump_format(self):
-        manifest, state, tiers, weights = two_successor_setup()
-        plan = plan_prefetch(tiers, weights, state, manifest)
-        dump = plan.to_json()
-        assert dump == [
-            {"block": 2, "weight": 0.7, "bytes": 10 * MB},
-            {"block": 3, "weight": 0.7, "bytes": 10 * MB},
-            {"block": 4, "weight": 0.3, "bytes": 10 * MB},
-        ]
-
 
 class TestExecutePrefetch:
     def test_window_covers_whole_plan(self):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import statistics
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim.errors import ConfigError, OracleError
-from switchsim.reference import brute_force_greedy_replay, gen_instance
+from switchsim.reference import (brute_force_greedy_replay, enumerate_table_entries,
+                                 gen_instance, reference_select)
 from switchsim.sparsity import (AdditiveOracle, TableOracle, TaskSpec,
                                 aligned_skip_select, build_all_tasks,
                                 greedy_skip_select, jaccard)
@@ -22,6 +24,35 @@ def task(max_remove: int, retention: float = 0.9, task_id: str = "t",
                     max_remove=max_remove, priority_weight=priority)
 
 
+# Landscapes where estimates sit on the threshold or tie: equal weights,
+# zeros, decimals that do not add exactly, subnormals and all-zero (total
+# 0). In [0.1, 0.2, 0.3, 0.0] the exact sum is two ulps below the total
+# summed left to right, so at retention 1.0 an estimate misjudges dropping
+# the zero unless eps covers that gap. Weights one ulp apart order the
+# estimates differently from the exact scores, which then tie.
+ADVERSARIAL_WEIGHTS = [
+    [1.0] * 9,
+    [0.1] * 16,
+    [0.1, 0.2, 0.3, 0.0],
+    [0.1, 0.3, 0.0] * 6,
+    [0.1, 0.09999999999999999, 0.1],
+    [0.10000000000000002, 0.3, 0.1],
+    [0.1, 0.2, 0.3, 0.0, 0.7] * 8,
+    [0.0, 1.0, 0.0, 0.0, 2.0] * 3,
+    [0.0] * 6,
+    [1e-300, 1e-310, 0.5, 0.5, 1e-320] * 2,
+]
+
+
+def assert_matches_reference(spec: TaskSpec, oracle, pool: frozenset[int]):
+    """All four result fields equal the exactly-scoring reference's."""
+    mine = aligned_skip_select(spec, oracle, pool)
+    ref = reference_select(spec, oracle, pool)
+    assert (mine.skipped, mine.final_score, mine.oracle_calls, mine.removal_order) == \
+        (ref.skipped, ref.final_score, ref.oracle_calls, ref.removal_order)
+    return mine
+
+
 class TestOracles:
     def test_additive_score_is_weight_fraction(self):
         oracle = AdditiveOracle([1.0, 3.0])
@@ -31,6 +62,31 @@ class TestOracles:
     def test_additive_rejects_negative_weights(self):
         with pytest.raises(OracleError):
             AdditiveOracle([1.0, -0.1])
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0],
+                                         [1.0, -math.inf], [1e308, 1e308]])
+    def test_additive_rejects_non_finite_weights_and_totals(self, weights):
+        # Unchecked, [nan, 1] scores nan and [inf, 1] has a nan full score.
+        with pytest.raises(OracleError):
+            AdditiveOracle(weights)
+
+    @pytest.mark.parametrize("weights", ADVERSARIAL_WEIGHTS + [
+        gen_instance(seed, num_blocks=64, num_tasks=1, correlation=0.5).weights[0]
+        for seed in range(5)])
+    def test_additive_removal_estimates_are_within_eps(self, weights):
+        oracle = AdditiveOracle(weights)
+        rng = random.Random(len(weights))
+        for size in (1, 2, len(weights) // 2, len(weights)):
+            active = frozenset(rng.sample(range(len(weights)), size))
+            candidates = sorted(active)
+            estimates, eps = oracle.removal_scores(active, candidates)
+            for j, est in zip(candidates, estimates):
+                assert abs(est - oracle.score(active - {j})) <= eps
+
+    def test_table_removal_scores_are_exact(self):
+        oracle = TableOracle({frozenset({0, 1}): 1.0, frozenset({1}): 0.9,
+                              frozenset({0}): 0.1}, num_blocks=2)
+        assert oracle.removal_scores(frozenset({0, 1}), [0, 1]) == ([0.9, 0.1], 0.0)
 
     def test_table_oracle_missing_subset_is_an_error(self):
         oracle = TableOracle({frozenset({0, 1}): 1.0}, num_blocks=2)
@@ -78,6 +134,60 @@ class TestGreedySelect:
         res = greedy_skip_select(task(2), oracle)
         # 1 baseline + 4 candidates + 3 candidates.
         assert res.oracle_calls == 8
+
+
+class TestMatchesReferenceSelector:
+    # Retention 0.9 leaves the removal cap binding; at 0.99 and 0.995 the
+    # threshold binds. Tasks come in priority order, as in build_all_tasks.
+    @pytest.mark.parametrize("num_blocks, num_tasks, max_remove, seeds", [
+        (64, 5, None, 8), (256, 3, 12, 2), (512, 2, 4, 1)],
+        ids=["64-blocks", "256-blocks", "512-blocks"])
+    @pytest.mark.parametrize("align", [True, False], ids=["aligned", "independent"])
+    def test_generated_landscapes(self, num_blocks, num_tasks, max_remove, seeds,
+                                  align):
+        for seed in range(seeds):
+            for retention in (0.9, 0.99, 0.995):
+                inst = gen_instance(seed, num_blocks, num_tasks, correlation=0.6,
+                                    retention_ratio=retention)
+                oracles = inst.oracles()
+                pool: frozenset[int] = frozenset()
+                for spec in inst.task_specs(max_remove=max_remove):
+                    res = assert_matches_reference(spec, oracles[spec.task_id], pool)
+                    if align:
+                        pool |= res.skipped
+
+    @pytest.mark.parametrize("weights", ADVERSARIAL_WEIGHTS)
+    @pytest.mark.parametrize("retention", [1.0, 1 - 1e-15, 0.95, 0.5])
+    def test_adversarial_grid(self, weights, retention):
+        oracle = AdditiveOracle(weights)
+        n = len(weights)
+        rng = random.Random(n)
+        pools = [frozenset(), frozenset(rng.sample(range(n), n // 3)),
+                 frozenset(rng.sample(range(n), 2 * n // 3))]
+        for pool in pools:
+            assert_matches_reference(task(n, retention), oracle, pool)
+
+    def test_table_oracle(self):
+        rng = random.Random(11)
+        n = 6
+        oracle = TableOracle({frozenset(c): rng.random() for size in range(n + 1)
+                              for c in itertools.combinations(range(n), size)}, n)
+        additive = TableOracle.from_json(
+            enumerate_table_entries(AdditiveOracle([0.1, 0.3, 0.0, 0.2, 0.3, 0.1]), n), n)
+        for table in (oracle, additive):
+            for retention in (0.3, 0.7, 1.0):
+                for pool in (frozenset(), frozenset({1, 4}), frozenset(range(n))):
+                    assert_matches_reference(task(n, retention), table, pool)
+
+    def test_additive_selection_scores_few_removals_exactly(self):
+        inst = gen_instance(5, num_blocks=128, num_tasks=1, correlation=0.5,
+                            retention_ratio=0.99)
+        oracle = inst.oracle(0)
+        calls = []
+        score = oracle.score
+        oracle.score = lambda active: calls.append(1) or score(active)
+        res = greedy_skip_select(task(40, retention=0.99), oracle)
+        assert res.oracle_calls > 40 * len(calls)
 
 
 class TestAlignedSelect:

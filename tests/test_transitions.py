@@ -141,14 +141,18 @@ class TestAssignTiers:
 
 
 class TestModelRoundTrip:
-    def test_json_round_trip(self):
+    def test_json_dump_holds_every_pair(self):
+        # The document ``estimate`` writes keeps every count, probability
+        # and successor list through a trip through JSON text.
         model = fit_transition_model(ROUTE, k=2, known_tasks=TASKS)
-        back = TransitionModel.from_json(
-            json.loads(json.dumps(model.to_json())))
-        assert back.counts == dict(model.counts)
-        assert back.probs == dict(model.probs)
-        assert back.successors == dict(model.successors)
-        assert back.k == model.k
+        doc = json.loads(json.dumps(model.to_json()))
+        assert {(a, b): n for a, row in doc["counts"].items()
+                for b, n in row.items()} == dict(model.counts)
+        assert {(a, b): p for a, row in doc["probs"].items()
+                for b, p in row.items()} == dict(model.probs)
+        assert {t: tuple(s) for t, s in doc["successors"].items()} == \
+            dict(model.successors)
+        assert doc["k"] == model.k
 
     def test_successor_determinism(self):
         runs = [fit_transition_model(ROUTE, k=2).successors for _ in range(3)]
