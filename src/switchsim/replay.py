@@ -7,6 +7,16 @@ modes), estimates transition statistics, then walks the trace: each step
 grants a prefetch window, each task change executes a switch. All
 randomness is seeded through the config, so identical configs produce
 byte-identical reports.
+
+Within one replay a step is a pure function of its key, (current task,
+next task, :class:`CacheState`): the prefetch plan, staging, eviction and
+switch read nothing else, and everything else they read (manifest, cost
+model, active sets, transition model, window) is fixed for the replay.
+The replay computes each distinct key once, checks the state it leaves,
+and stores (next state, switch report or ``None``); a repeat appends the
+same report object. A step that raises stores nothing, so an error
+surfaces at the trace position where its key first occurs.
+``emit_reports`` encodes each distinct switch record once.
 """
 from __future__ import annotations
 
@@ -252,26 +262,45 @@ def _replay(scenario: Scenario, mode: DeployMode,
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
         current = first
+        # (current task, next task, state) -> (next state, switch or None).
+        steps: dict[tuple[str, str, CacheState],
+                    tuple[CacheState, SwitchReport | None]] = {}
         for pos in range(1, len(trace)):
             task = trace[pos]
-            try:
-                if mode is DeployMode.FULL_METHOD:
-                    if current not in tiering:
-                        tiers = assign_tiers(current, active, model)
-                        useful = block_usefulness(current, model, active)
-                        tiering[current] = (tiers, useful, tiers.runtime | tiers.preload)
-                    tiers, useful, protected = tiering[current]
-                    plan = plan_prefetch(tiers, useful, state, manifest)
-                    state, _staged, _moved = execute_prefetch(
-                        plan, state, config.compute_window_ms, cost, manifest,
-                        protected=protected, next_task_probs=useful,
-                    )
-                if task != current:
-                    state, report = execute_switch(state, current, task, mode, table)
-                    switches.append(report)
-                    current = task
-            except SwitchSimError as exc:
-                raise ReplayError(str(exc), position=pos) from exc
+            key = (current, task, state)
+            step = steps.get(key)
+            if step is None:
+                after, staged, report = state, frozenset(), None
+                try:
+                    if mode is DeployMode.FULL_METHOD:
+                        if current not in tiering:
+                            tiers = assign_tiers(current, active, model)
+                            useful = block_usefulness(current, model, active)
+                            tiering[current] = (tiers, useful,
+                                                tiers.runtime | tiers.preload)
+                        tiers, useful, protected = tiering[current]
+                        plan = plan_prefetch(tiers, useful, after, manifest)
+                        after, staged, _moved = execute_prefetch(
+                            plan, after, config.compute_window_ms, cost, manifest,
+                            protected=protected, next_task_probs=useful,
+                        )
+                    if task != current:
+                        after, report = execute_switch(after, current, task, mode, table)
+                    # Invariants of every computed step; a memo hit repeats
+                    # a checked one.
+                    after.check(manifest)
+                except SwitchSimError as exc:
+                    raise ReplayError(str(exc), position=pos) from exc
+                if after.gpu_resident != table.target(mode, task):
+                    raise ReplayError("device does not hold the running task's blocks",
+                                      position=pos)
+                if not staged <= after.cpu_resident:
+                    raise ReplayError("staged blocks are not host-resident", position=pos)
+                step = steps[key] = (after, report)
+            state, report = step
+            if report is not None:
+                switches.append(report)
+                current = task
     return _aggregate(mode, scenario, selections, switches)
 
 
@@ -314,9 +343,13 @@ def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
     paths = []
 
     switches_path = out / "switches.jsonl"
+    lines: dict[SwitchReport, str] = {}
     with open(switches_path, "w", encoding="utf-8", newline="\n") as fh:
         for s in report.switches:
-            fh.write(json.dumps(s.to_json()) + "\n")
+            line = lines.get(s)
+            if line is None:
+                line = lines[s] = json.dumps(s.to_json()) + "\n"
+            fh.write(line)
     paths.append(switches_path)
 
     summary_path = out / "summary.csv"
@@ -361,8 +394,10 @@ def write_compare_csv(reports: Mapping[DeployMode, ReplayReport],
     for mode in ordered_modes:
         for s in reports[mode].switches:
             pair = (s.from_task, s.to_task)
-            pair_lat.setdefault(pair, {m: [] for m in ordered_modes})
-            pair_lat[pair][mode].append(s.latency_ms)
+            rows = pair_lat.get(pair)
+            if rows is None:
+                rows = pair_lat[pair] = {m: [] for m in ordered_modes}
+            rows[mode].append(s.latency_ms)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["from_task", "to_task", "count",

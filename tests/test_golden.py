@@ -27,6 +27,8 @@ from switchsim.reference import reference_switch
 from switchsim.switching import CostModel, DeployMode
 from switchsim.workloads import DRIVING_TASKS, write_driving_scenario
 
+from reference_replay import reference_replay
+
 # Seeded scenarios that differ in block count, k, prefetch window and host
 # budget. Each one stages and evicts host-cache blocks in full_method. A
 # ``size_seed`` redraws the block sizes after the scenario is written (see
@@ -125,30 +127,43 @@ def test_select_output_matches_golden_digest(name, tmp_path):
 
 
 def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
-    """Each switch of a replay equals the per-block reference on the same
-    input state: same state and report, floats unrounded, in all four modes."""
+    """Each switch a replay executes equals the per-block reference on the
+    same input state: same state and report, floats unrounded, in all four
+    modes. Every reported switch is one of those checked results, and the
+    replay executes one switch per distinct step key that switches."""
     config = write_case("32-blocks-varied-sizes", tmp_path)
     manifest = ModelManifest.load(config.manifest_path)
     cost = CostModel.load(config.cost_model_path)
-    skipped_by_align = {}
-    checked = dict.fromkeys(DeployMode, 0)
+    selections_by_align = {}
+    checked = {mode: [] for mode in DeployMode}
 
     def recording_select(tasks, oracles, align):
-        results = select(tasks, oracles, align=align)
-        skipped_by_align[align] = {tid: r.skipped for tid, r in results.items()}
-        return results
+        selections_by_align[align] = select(tasks, oracles, align=align)
+        return selections_by_align[align]
 
     def checked_switch(state, from_task, to_task, mode, table):
         result = switch(state, from_task, to_task, mode, table)
-        skipped = skipped_by_align[mode is DeployMode.FULL_METHOD]
+        skipped = {tid: r.skipped for tid, r in
+                   selections_by_align[mode is DeployMode.FULL_METHOD].items()}
         assert result == reference_switch(state, from_task, to_task, mode, skipped,
                                           cost, manifest)
-        checked[mode] += 1
+        checked[mode].append(result[1])
         return result
 
     select, switch = replay.build_all_tasks, replay.execute_switch
     monkeypatch.setattr(replay, "build_all_tasks", recording_select)
     monkeypatch.setattr(replay, "execute_switch", checked_switch)
     reports = replay.compare_modes(config)
-    assert checked == {mode: len(reports[mode].switches) for mode in DeployMode}
-    assert all(checked.values())
+    scenario = replay.load_scenario(config)
+    model = replay.fit_transition_model(scenario.log, k=config.k,
+                                        known_tasks=scenario.task_ids)
+    for mode in DeployMode:
+        steps = []
+        reference_replay(scenario, mode,
+                         selections_by_align[mode is DeployMode.FULL_METHOD],
+                         model, steps)
+        switching_keys = {key for key in steps if key[0] != key[1]}
+        checked_ids = {id(r) for r in checked[mode]}
+        assert reports[mode].switches
+        assert all(id(r) in checked_ids for r in reports[mode].switches)
+        assert len(checked[mode]) == len(switching_keys)

@@ -2,17 +2,26 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import statistics
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsim import replay
+from switchsim.block_store import ModelManifest
 from switchsim.errors import ConfigError, ReplayError
-from switchsim.replay import (ScenarioConfig, compare_modes, emit_reports,
+from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
                               run_replay, write_compare_csv)
+from switchsim.sparsity import SelectionResult, TaskSpec
 from switchsim.switching import CostModel, DeployMode
+from switchsim.transitions import fit_transition_model
 from switchsim.workloads import write_driving_scenario
+
+from reference_replay import reference_replay
 
 ROUTE = ["Car", "TrafficLight", "Car", "Obstacle", "Person"]
 
@@ -118,6 +127,117 @@ class TestRunReplay:
     def test_replay_is_deterministic(self, tmp_path):
         config = small_scenario(tmp_path, window=50.0)
         assert run_replay(config) == run_replay(config)
+
+
+@st.composite
+def replay_inputs(draw):
+    """A small in-memory scenario with its selections and transition model.
+
+    Block sizes differ, so float sums depend on the order they walk
+    blocks. The device budget is the whole model or a drawn byte count, so
+    some replays fail on a task that does not fit the device. The host
+    holds from one block to the whole model; a small host cache makes its
+    contents depend on the path the trace took.
+    """
+    n = draw(st.integers(2, 8))
+    sizes = tuple(draw(st.lists(st.integers(1_000, 50_000), min_size=n, max_size=n)))
+    ids = tuple(f"t{i}" for i in range(draw(st.integers(2, 4))))
+    blocks = st.integers(0, n - 1)
+    selections = {}
+    for tid in ids:
+        order = tuple(draw(st.lists(blocks, unique=True, max_size=n - 1)))
+        selections[tid] = SelectionResult(skipped=frozenset(order), final_score=1.0,
+                                          oracle_calls=1, removal_order=order)
+    total = sum(sizes)
+    host_blocks = draw(st.integers(1, n))
+    k = draw(st.sampled_from([1, 2]))
+    config = ScenarioConfig(
+        manifest_path=Path("manifest.json"), tasks_path=Path("tasks.json"),
+        oracle={}, log_path=Path("log.txt"), trace_path=Path("trace.txt"),
+        cost_model_path=Path("cost.json"),
+        gpu_budget_bytes=draw(st.one_of(st.just(total),
+                                        st.integers(max(sizes), total))),
+        cpu_budget_bytes=min(total, host_blocks * max(sizes)), k=k,
+        compute_window_ms=draw(st.sampled_from([0.0, 5.0, 20.0, 80.0, 1e9])))
+    cost = CostModel(disk_to_cpu_mbps=draw(st.floats(1.0, 10.0)),
+                     cpu_to_gpu_mbps=draw(st.floats(5.0, 50.0)),
+                     per_block_fixed_ms=draw(st.sampled_from([0.0, 0.5])),
+                     monolithic_init_ms=draw(st.sampled_from([0.0, 7.0])))
+    log = tuple(draw(st.lists(st.sampled_from(ids), min_size=2, max_size=30)))
+    # Traces long enough to revisit step keys; tests above cover the
+    # empty and one-task traces.
+    trace = tuple(draw(st.lists(st.sampled_from(ids), min_size=10, max_size=60)))
+    scenario = Scenario(
+        config=config, manifest=ModelManifest("m", sizes),
+        tasks=tuple(TaskSpec(tid, retention_ratio=0.9, max_remove=n) for tid in ids),
+        oracles={}, log=log, trace=trace, cost=cost)
+    return scenario, selections, fit_transition_model(log, k=k, known_tasks=ids)
+
+
+def replay_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ReplayError as exc:
+        return (exc.position, str(exc))
+
+
+class TestMemoMatchesReference:
+    @given(replay_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_scenarios_in_every_mode(self, inputs):
+        # Equal reports, floats unrounded, or the same error at the same
+        # trace position.
+        scenario, selections, model = inputs
+        for mode in DeployMode:
+            args = (scenario, mode, selections, model)
+            assert replay_outcome(replay._replay, *args) \
+                == replay_outcome(reference_replay, *args)
+
+
+class TestStepInvariants:
+    """Each computed step checks the state it leaves; a layer that breaks
+    the state fails the replay at that step's trace position."""
+
+    # Steps 1 to 3 have distinct keys, so prefetch call i runs at position i.
+    TRACE = ["Car", "Car", "TrafficLight", "Car", "TrafficLight", "Obstacle"]
+
+    def corrupt_prefetch(self, monkeypatch, call, corrupt):
+        calls = 0
+
+        def corrupting(*args, **kwargs):
+            nonlocal calls
+            state, staged, moved = execute(*args, **kwargs)
+            calls += 1
+            if calls == call:
+                state, staged = corrupt(state, staged)
+            return state, staged, moved
+
+        execute = replay.execute_prefetch
+        monkeypatch.setattr(replay, "execute_prefetch", corrupting)
+
+    @pytest.mark.parametrize("call, corrupt", [
+        (3, lambda state, staged: (
+            dataclasses.replace(state, cpu_lru=state.cpu_lru[1:]), staged)),
+        (3, lambda state, staged: (
+            state, staged | {min(frozenset(range(16)) - state.cpu_resident)})),
+        # A step without a switch: no device load follows the prefetch.
+        (1, lambda state, staged: (
+            dataclasses.replace(state, gpu_resident=frozenset()), staged)),
+    ], ids=["lru-drops-resident-block", "staged-not-host-resident", "device-emptied"])
+    def test_corrupt_prefetch_fails_at_its_position(self, tmp_path, monkeypatch,
+                                                    call, corrupt):
+        config = small_scenario(tmp_path, trace=self.TRACE, window=1e9,
+                                cpu_budget_blocks=4)
+        self.corrupt_prefetch(monkeypatch, call, corrupt)
+        with pytest.raises(ReplayError) as err:
+            run_replay(config)
+        assert err.value.position == call
+
+    def test_uncorrupted_replay_passes(self, tmp_path, monkeypatch):
+        config = small_scenario(tmp_path, trace=self.TRACE, window=1e9,
+                                cpu_budget_blocks=4)
+        self.corrupt_prefetch(monkeypatch, 1, lambda state, staged: (state, staged))
+        assert len(run_replay(config).switches) == 4
 
 
 class TestCompareModes:
