@@ -13,12 +13,12 @@ is therefore unchanged by construction.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import BudgetExceededError, ManifestError, exact_int
+from .errors import BudgetExceededError, ManifestError, exact_int, read_json
 
 __all__ = [
     "ModelManifest",
@@ -51,8 +51,10 @@ class ModelManifest:
     def total_bytes(self) -> int:
         return sum(self.block_sizes)
 
-    @property
+    @cached_property
     def all_blocks(self) -> frozenset[int]:
+        # Built on first use and kept in the instance dict, which a frozen
+        # dataclass without slots still has.
         return frozenset(range(self.num_blocks))
 
     def bytes_of(self, blocks: Iterable[int]) -> int:
@@ -82,8 +84,7 @@ class ModelManifest:
 
     @classmethod
     def load(cls, path: Path | str) -> "ModelManifest":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,9 @@ class TierAssignment:
     preload: frozenset[int]
 
 
-def _touch(lru: tuple[int, ...], blocks: Iterable[int]) -> tuple[int, ...]:
+def _touch(lru: tuple[int, ...], blocks: frozenset[int]) -> tuple[int, ...]:
     # Move the named blocks to the most-recent end, preserving their id order.
-    touched = sorted(set(blocks))
-    kept = tuple(b for b in lru if b not in touched)
-    return kept + tuple(touched)
+    return tuple(b for b in lru if b not in blocks) + tuple(sorted(blocks))
 
 
 def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
@@ -141,19 +140,18 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
     """Free at least ``bytes_needed`` in the host cache by dropping resident blocks.
 
     Victims are taken in ascending order of next-task usefulness (the given
-    probability, 0.0 when absent), ties broken least-recently-used first,
-    then by ascending block id. Raises :class:`BudgetExceededError` with the
-    remaining shortfall when even evicting every non-protected block is not
-    enough.
+    probability, 0.0 when absent), then least-recently used first. The
+    candidates are read from ``cpu_lru``, which is already least-recent
+    first, and a stable sort by usefulness alone keeps that order among
+    ties. Recency is unique per block, so no further tie-break is needed.
+    Raises :class:`BudgetExceededError` with the remaining shortfall when
+    even evicting every non-protected block is not enough.
     """
     if bytes_needed <= 0:
         return state
     probs = next_task_probs or {}
-    recency = {b: i for i, b in enumerate(state.cpu_lru)}
-    candidates = sorted(
-        (b for b in state.cpu_resident if b not in protected),
-        key=lambda b: (probs.get(b, 0.0), recency[b], b),
-    )
+    candidates = sorted((b for b in state.cpu_lru if b not in protected),
+                        key=lambda b: probs.get(b, 0.0))
     victims: list[int] = []
     freed = 0
     for b in candidates:
@@ -164,8 +162,9 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
     if freed < bytes_needed:
         raise BudgetExceededError("cpu", bytes_needed - freed)
     gone = frozenset(victims)
-    return replace(state, cpu_resident=state.cpu_resident - gone,
-                   cpu_lru=tuple(b for b in state.cpu_lru if b not in gone))
+    return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
+                      state.cpu_resident - gone,
+                      tuple(b for b in state.cpu_lru if b not in gone))
 
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
@@ -186,10 +185,12 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
     bytes_moved = manifest.bytes_of(new_blocks)
     overflow = manifest.bytes_of(state.cpu_resident) + bytes_moved - state.cpu_budget_bytes
     if overflow > 0:
+        keep = protected if wanted <= protected else protected | wanted
         state = evict(manifest, state, overflow,
-                      protected=protected | wanted, next_task_probs=next_task_probs)
-    return replace(state, cpu_resident=state.cpu_resident | new_blocks,
-                   cpu_lru=_touch(state.cpu_lru, wanted)), bytes_moved
+                      protected=keep, next_task_probs=next_task_probs)
+    return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
+                      state.cpu_resident | new_blocks,
+                      _touch(state.cpu_lru, wanted)), bytes_moved
 
 
 def load_to_gpu(manifest: ModelManifest, state: CacheState,
@@ -203,4 +204,5 @@ def load_to_gpu(manifest: ModelManifest, state: CacheState,
     needed = manifest.bytes_of(target)
     if needed > state.gpu_budget_bytes:
         raise BudgetExceededError("gpu", needed - state.gpu_budget_bytes)
-    return replace(state, gpu_resident=target)
+    return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, target,
+                      state.cpu_resident, state.cpu_lru)

@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ManifestError, OracleError, SwitchSimError
+from .errors import ConfigError, ManifestError, OracleError, SwitchSimError, read_json
 from .block_store import ModelManifest
 from .replay import ScenarioConfig, compare_modes, emit_reports, run_replay, write_compare_csv
 from .reference import gen_instance
@@ -36,13 +36,14 @@ def _cmd_select(args: argparse.Namespace) -> int:
     tasks = load_task_specs(args.tasks)
     if args.manifest:
         num_blocks = ModelManifest.load(args.manifest).num_blocks
-    elif args.num_blocks:
-        num_blocks = args.num_blocks
-    else:
+    elif args.num_blocks is None:
         raise ConfigError("select needs --num-blocks or --manifest")
+    elif args.num_blocks < 1:
+        raise ConfigError(f"--num-blocks must be >= 1, got {args.num_blocks}")
+    else:
+        num_blocks = args.num_blocks
     if args.oracle_table:
-        with open(args.oracle_table, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(args.oracle_table)
         missing = [t.task_id for t in tasks if t.task_id not in doc]
         if missing:
             raise ConfigError(f"table oracle file lacks tasks: {missing}")
@@ -51,7 +52,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
     else:
         if args.seed is None:
             raise ConfigError("--seed is mandatory for synthetic oracles")
-        instance = gen_instance(args.seed, num_blocks, len(tasks), args.correlation)
+        try:
+            instance = gen_instance(args.seed, num_blocks, len(tasks), args.correlation)
+        except ValueError as exc:
+            raise ConfigError(f"bad synthetic oracle: {exc}") from exc
         oracles = {t.task_id: instance.oracle(i) for i, t in enumerate(tasks)}
     results = build_all_tasks(tasks, oracles, align=not args.independent)
     _write_json(selection_report(results), args.out)
@@ -66,11 +70,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _load_config_with_overrides(args: argparse.Namespace) -> ScenarioConfig:
     path = Path(args.config)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    doc = read_json(path)
     for key in ("manifest", "tasks", "log", "trace", "cost_model"):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:

@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all switchsim modules, plus the integer
-check their file parsers share."""
+"""Exception hierarchy shared by all switchsim modules, plus the file
+readers and the integer check their file parsers share."""
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 def exact_int(value: object) -> int:
@@ -60,3 +63,28 @@ class ReplayError(SwitchSimError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (trace position {position})")
+
+
+def read_text(path: Path | str) -> str:
+    """The UTF-8 text of the file at ``path``.
+
+    A missing, unreadable or non-UTF-8 file raises :class:`ConfigError`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: Path | str):
+    """The parsed JSON document in the file at ``path``.
+
+    A file :func:`read_text` rejects, or one that is not valid JSON,
+    raises :class:`ConfigError`.
+    """
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

@@ -63,7 +63,8 @@ def plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
     """
     candidates = tiers.preload - state.cpu_resident - state.gpu_resident
     ranked = sorted(candidates, key=lambda b: (-weights.get(b, 0.0), b))
-    keep = state.cpu_resident & (tiers.runtime | tiers.preload)
+    # The host set is small and the tiers are not: intersect it with each.
+    keep = (state.cpu_resident & tiers.runtime) | (state.cpu_resident & tiers.preload)
     capacity = state.cpu_budget_bytes - manifest.bytes_of(keep)
     entries: list[PlanEntry] = []
     used = 0
@@ -87,6 +88,11 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     window is not staged and ends the pass, so the staged set is always a
     prefix of the plan. Staged blocks add zero latency to the next switch.
     """
+    # Staging one plan block never evicts another; in a replay the plan is
+    # already inside ``protected``.
+    blocks = plan.blocks
+    if not protected.issuperset(blocks):
+        protected = protected | frozenset(blocks)
     staged: list[int] = []
     bytes_moved = 0
     elapsed = 0.0
@@ -96,8 +102,7 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
             break
         state, moved = stage_to_cpu(
             manifest, state, {entry.block},
-            protected=protected | frozenset(plan.blocks),
-            next_task_probs=next_task_probs,
+            protected=protected, next_task_probs=next_task_probs,
         )
         staged.append(entry.block)
         bytes_moved += moved

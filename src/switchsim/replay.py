@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .block_store import CacheState, ModelManifest, TierAssignment, load_to_gpu
-from .errors import ConfigError, ReplayError, SwitchSimError, exact_int
+from .errors import ConfigError, ReplayError, SwitchSimError, exact_int, read_json
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch
 from .reference import gen_instance
 from .sparsity import (MetricOracle, SelectionResult, TableOracle, TaskSpec,
@@ -61,6 +61,8 @@ class ScenarioConfig:
         if not (math.isfinite(self.compute_window_ms) and self.compute_window_ms >= 0):
             raise ConfigError(
                 f"compute_window_ms must be finite and >= 0, got {self.compute_window_ms}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
 
     @classmethod
     def from_dict(cls, doc: Mapping, base_dir: Path | str = ".") -> "ScenarioConfig":
@@ -93,8 +95,7 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path: Path | str) -> "ScenarioConfig":
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), base_dir=path.parent)
+        return cls.from_dict(read_json(path), base_dir=path.parent)
 
     def echo(self) -> dict:
         return {
@@ -150,8 +151,7 @@ def _build_oracles(spec: Mapping, manifest: ModelManifest,
             path = (base_dir / spec["path"]).resolve()
         except KeyError:
             raise ConfigError("table oracles require a path") from None
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         missing = [t.task_id for t in tasks if t.task_id not in doc]
         if missing:
             raise ConfigError(f"table oracle file lacks tasks: {missing}")
@@ -161,14 +161,11 @@ def _build_oracles(spec: Mapping, manifest: ModelManifest,
 
 
 def load_scenario(config: ScenarioConfig) -> Scenario:
-    try:
-        manifest = ModelManifest.load(config.manifest_path)
-        tasks = tuple(load_task_specs(config.tasks_path))
-        cost = CostModel.load(config.cost_model_path)
-        log = tuple(load_task_log(config.log_path))
-        trace = tuple(load_task_log(config.trace_path))
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}") from exc
+    manifest = ModelManifest.load(config.manifest_path)
+    tasks = tuple(load_task_specs(config.tasks_path))
+    cost = CostModel.load(config.cost_model_path)
+    log = tuple(load_task_log(config.log_path))
+    trace = tuple(load_task_log(config.trace_path))
     largest = max(manifest.block_sizes)
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
         raise ConfigError(

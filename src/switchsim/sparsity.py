@@ -20,14 +20,13 @@ re-scores made.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, OracleError, exact_int
+from .errors import ConfigError, OracleError, exact_int, read_json
 
 __all__ = [
     "TaskSpec",
@@ -322,8 +321,7 @@ def selection_report(results: Mapping[str, SelectionResult]) -> dict:
 
 def load_task_specs(path: Path | str) -> list[TaskSpec]:
     """Read the task file: a JSON array of task objects."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise ConfigError(f"{path}: task file must be a JSON array")
     tasks = []

@@ -14,7 +14,6 @@ far. Only the host credit of the full method changes from call to call.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 
 __all__ = [
     "DeployMode",
@@ -90,8 +89,7 @@ class CostModel:
 
     @classmethod
     def load(cls, path: Path | str) -> "CostModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
     def to_json(self) -> dict:
         return {
@@ -169,7 +167,6 @@ class SwitchTable:
                  active: Mapping[str, frozenset[int]]):
         self.manifest = manifest
         self.cost = cost
-        self.all_blocks = manifest.all_blocks
         self.active = active
         self.disk_ms = tuple(cost.disk_ms(size) for size in manifest.block_sizes)
         self.gpu_ms = tuple(cost.gpu_ms(size) for size in manifest.block_sizes)
@@ -187,7 +184,8 @@ class SwitchTable:
     def target(self, mode: DeployMode, task: str) -> frozenset[int]:
         """What the device holds while ``task`` runs: the whole model in
         monolithic mode, the task's active set in every other mode."""
-        return self.all_blocks if mode is DeployMode.MONOLITHIC else self.active[task]
+        return (self.manifest.all_blocks if mode is DeployMode.MONOLITHIC
+                else self.active[task])
 
     def leg(self, mode: DeployMode, to_task: str, device: frozenset[int]) -> SwitchLeg:
         """The memoized leg of a switch to ``to_task`` from device set ``device``."""

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .block_store import TierAssignment
-from .errors import ConfigError, LogParseError
+from .errors import ConfigError, LogParseError, read_text
 
 __all__ = [
     "TransitionModel",
@@ -100,6 +100,8 @@ def top_k_successors(probs: Mapping[tuple[str, str], float], task: str,
 def fit_transition_model(entries: Sequence[str], k: int = 2,
                          known_tasks: Iterable[str] | None = None) -> TransitionModel:
     """Estimate counts, probabilities, and successor lists from one log."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     counts = ingest_log(entries, known_tasks=known_tasks)
     probs = transition_probs(counts)
     sources = sorted({a for a, _b in counts})
@@ -128,10 +130,9 @@ def assign_tiers(current: str, active: Mapping[str, frozenset[int]],
 def load_task_log(path: Path | str) -> list[str]:
     """Read a task log: newline-delimited ids, or CSV ``timestamp,task_id`` rows."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            entries.append(line.split(",")[-1].strip() if "," in line else line)
+    for raw in read_text(path).split("\n"):
+        line = raw.strip()
+        if not line:
+            continue
+        entries.append(line.split(",")[-1].strip() if "," in line else line)
     return entries

@@ -9,7 +9,8 @@ from switchsim.errors import BudgetExceededError
 
 def run_random_ops(seed: int, ops: int = 12) -> None:
     """Run one random op sequence; assert budgets, conservation, exact device
-    residency, and that a budget error leaves the caller's state untouched."""
+    residency, that each op carries over the budgets and the tier it does not
+    touch, and that a budget error leaves the caller's state untouched."""
     rng = random.Random(seed)
     n = rng.randrange(1, 8)
     sizes = tuple(rng.randrange(1, 50) for _ in range(n))
@@ -30,10 +31,15 @@ def run_random_ops(seed: int, ops: int = 12) -> None:
             elif op == "load":
                 state = load_to_gpu(manifest, state, blocks)
                 assert state.gpu_resident == blocks
-                assert state.cpu_resident == before.cpu_resident
+                assert (state.cpu_resident, state.cpu_lru) \
+                    == (before.cpu_resident, before.cpu_lru)
             else:
                 state = evict(manifest, state, rng.randrange(0, sum(sizes)),
                               protected=blocks & state.cpu_resident)
+            if op != "load":
+                assert state.gpu_resident == before.gpu_resident
+            assert (state.gpu_budget_bytes, state.cpu_budget_bytes) \
+                == (before.gpu_budget_bytes, before.cpu_budget_bytes)
         except BudgetExceededError as err:
             assert err.shortfall_bytes > 0
             if op == "load":

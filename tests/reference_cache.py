@@ -1,0 +1,111 @@
+"""The host-cache operations as they were before their fast paths.
+
+``evict`` sorts every non-protected resident block by (usefulness,
+recency, id) through a recency dict, ``_touch`` tests membership in a
+list, ``stage_to_cpu`` always builds ``protected | wanted``,
+``plan_prefetch`` builds the union of both tiers, and ``execute_prefetch``
+builds ``protected | plan blocks`` once per staged entry. New states come
+from ``dataclasses.replace``. The functions in ``switchsim.block_store``
+and ``switchsim.prefetch`` are checked against these.
+"""
+from __future__ import annotations
+
+from dataclasses import replace
+from typing import Iterable, Mapping
+
+from switchsim.block_store import CacheState, ModelManifest, TierAssignment
+from switchsim.errors import BudgetExceededError, ManifestError
+from switchsim.prefetch import PlanEntry, PrefetchPlan
+from switchsim.switching import CostModel
+
+
+def reference_touch(lru: tuple[int, ...], blocks: Iterable[int]) -> tuple[int, ...]:
+    touched = sorted(set(blocks))
+    kept = tuple(b for b in lru if b not in touched)
+    return kept + tuple(touched)
+
+
+def reference_evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
+                    protected: frozenset[int] = frozenset(),
+                    next_task_probs: Mapping[int, float] | None = None) -> CacheState:
+    if bytes_needed <= 0:
+        return state
+    probs = next_task_probs or {}
+    recency = {b: i for i, b in enumerate(state.cpu_lru)}
+    candidates = sorted(
+        (b for b in state.cpu_resident if b not in protected),
+        key=lambda b: (probs.get(b, 0.0), recency[b], b),
+    )
+    victims: list[int] = []
+    freed = 0
+    for b in candidates:
+        if freed >= bytes_needed:
+            break
+        victims.append(b)
+        freed += manifest.block_sizes[b]
+    if freed < bytes_needed:
+        raise BudgetExceededError("cpu", bytes_needed - freed)
+    gone = frozenset(victims)
+    return replace(state, cpu_resident=state.cpu_resident - gone,
+                   cpu_lru=tuple(b for b in state.cpu_lru if b not in gone))
+
+
+def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
+                           blocks: Iterable[int],
+                           protected: frozenset[int] = frozenset(),
+                           next_task_probs: Mapping[int, float] | None = None
+                           ) -> tuple[CacheState, int]:
+    wanted = frozenset(blocks)
+    every = frozenset(range(manifest.num_blocks))
+    if not wanted <= every:
+        raise ManifestError(f"unknown block ids: {sorted(wanted - every)}")
+    new_blocks = wanted - state.cpu_resident
+    bytes_moved = manifest.bytes_of(new_blocks)
+    overflow = manifest.bytes_of(state.cpu_resident) + bytes_moved - state.cpu_budget_bytes
+    if overflow > 0:
+        state = reference_evict(manifest, state, overflow,
+                                protected=protected | wanted,
+                                next_task_probs=next_task_probs)
+    return replace(state, cpu_resident=state.cpu_resident | new_blocks,
+                   cpu_lru=reference_touch(state.cpu_lru, wanted)), bytes_moved
+
+
+def reference_plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
+                            state: CacheState, manifest: ModelManifest) -> PrefetchPlan:
+    candidates = tiers.preload - state.cpu_resident - state.gpu_resident
+    ranked = sorted(candidates, key=lambda b: (-weights.get(b, 0.0), b))
+    keep = state.cpu_resident & (tiers.runtime | tiers.preload)
+    capacity = state.cpu_budget_bytes - manifest.bytes_of(keep)
+    entries: list[PlanEntry] = []
+    used = 0
+    for b in ranked:
+        size = manifest.block_sizes[b]
+        if used + size > capacity:
+            continue
+        entries.append(PlanEntry(block=b, weight=weights.get(b, 0.0), size_bytes=size))
+        used += size
+    return PrefetchPlan(entries=tuple(entries), total_bytes=used)
+
+
+def reference_execute_prefetch(plan: PrefetchPlan, state: CacheState,
+                               compute_window_ms: float, cost: CostModel,
+                               manifest: ModelManifest,
+                               protected: frozenset[int] = frozenset(),
+                               next_task_probs: Mapping[int, float] | None = None
+                               ) -> tuple[CacheState, frozenset[int], int]:
+    staged: list[int] = []
+    bytes_moved = 0
+    elapsed = 0.0
+    for entry in plan.entries:
+        transfer = cost.disk_ms(entry.size_bytes)
+        if elapsed + transfer > compute_window_ms:
+            break
+        state, moved = reference_stage_to_cpu(
+            manifest, state, {entry.block},
+            protected=protected | frozenset(plan.blocks),
+            next_task_probs=next_task_probs,
+        )
+        staged.append(entry.block)
+        bytes_moved += moved
+        elapsed += transfer
+    return state, frozenset(staged), bytes_moved

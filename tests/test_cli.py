@@ -236,6 +236,88 @@ class TestBadNumbers:
         assert code == EXIT_CONFIG
 
 
+def run_select(tmp_path, *flags) -> int:
+    tasks = write_tasks(tmp_path / "tasks.json")
+    return main(["select", "--tasks", str(tasks), *flags])
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name, content", [
+        ("tasks.json", b'[{"task_id": "Car"'),
+        ("tasks.json", b"\xff\xfe[]"),
+        ("manifest.json", b"{"),
+        ("cost_model.json", b"disk_to_cpu_mbps = 1"),
+        ("log.txt", b"Car\n\xff\xfe\n"),
+        ("trace.txt", b"\xffCar\n"),
+    ])
+    def test_unreadable_scenario_file_is_a_config_error(self, driving_dir, tmp_path,
+                                                        name, content):
+        root = tmp_path / "scenario"
+        shutil.copytree(driving_dir, root)
+        (root / name).write_bytes(content)
+        code = main(["compare", "--config", str(root / "config.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("content", [None, b'{"Car": [', b"\xff"],
+                             ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_table_oracle_is_a_config_error(self, driving_dir, tmp_path,
+                                                       content):
+        root = tmp_path / "scenario"
+        shutil.copytree(driving_dir, root)
+        doc = json.loads((root / "config.json").read_text())
+        doc["oracle"] = {"kind": "table", "path": "table.json"}
+        (root / "config.json").write_text(json.dumps(doc))
+        if content is not None:
+            (root / "table.json").write_bytes(content)
+        code = main(["compare", "--config", str(root / "config.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--tasks", "{missing}", "--num-blocks", "8", "--seed", "1"],
+        ["select", "--tasks", "{tasks}", "--manifest", "{missing}", "--seed", "1"],
+        ["select", "--tasks", "{tasks}", "--num-blocks", "2",
+         "--oracle-table", "{missing}"],
+        ["estimate", "--log", "{missing}"],
+    ], ids=["tasks", "manifest", "oracle-table", "log"])
+    def test_missing_input_file_is_a_config_error(self, tmp_path, capsys, argv):
+        tasks = write_tasks(tmp_path / "tasks.json")
+        missing = tmp_path / "nope.json"
+        code = main([a.format(tasks=tasks, missing=missing) for a in argv])
+        assert code == EXIT_CONFIG
+        assert str(missing) in capsys.readouterr().err
+
+    def test_non_utf8_log_is_a_config_error(self, tmp_path):
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"Car\n\xffTrafficLight\n")
+        assert main(["estimate", "--log", str(log)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--num-blocks", "-3", "--seed", "1"], "--num-blocks must be >= 1, got -3"),
+        (["--num-blocks", "0", "--seed", "1"], "--num-blocks must be >= 1, got 0"),
+        (["--num-blocks", "8", "--seed", "1", "--correlation", "nan"],
+         "correlation must lie in [0, 1]"),
+    ], ids=["negative-blocks", "zero-blocks", "nan-correlation"])
+    def test_bad_select_flag_is_a_config_error(self, tmp_path, capsys, flags, message):
+        assert run_select(tmp_path, *flags) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "estimate"])
+    def test_k_below_one_is_a_config_error_without_transitions(self, driving_dir,
+                                                              tmp_path, capsys,
+                                                              command):
+        # A log that never switches fits no successor list, so only the
+        # up-front check can see k.
+        log = tmp_path / "log.txt"
+        log.write_text("Car\nCar\n")
+        argv = ["estimate", "--log", str(log), "--k", "0"] if command == "estimate" \
+            else ["compare", "--config", str(driving_dir / "config.json"),
+                  "--log", str(log), "--k", "0", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert "k must be >= 1, got 0" in capsys.readouterr().err
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, driving_dir, tmp_path):
         result = subprocess.run(

@@ -145,3 +145,20 @@ class TestExecutePrefetch:
             protected=tiers.runtime | tiers.preload)
         assert staged == {2, 3, 4}
         assert 7 not in state.cpu_resident  # straggler evicted to make room
+
+    def test_staged_plan_blocks_are_protected_without_the_callers_set(self):
+        # Block 7 is outside both tiers but more useful than every plan
+        # entry; staging the plan must still evict 7, not an earlier entry.
+        manifest, state, tiers, weights = two_successor_setup(
+            cpu_budget_blocks=3)
+        state = CacheState(
+            gpu_budget_bytes=state.gpu_budget_bytes,
+            cpu_budget_bytes=state.cpu_budget_bytes,
+            cpu_resident=frozenset({7}), cpu_lru=(7,),
+        )
+        plan = plan_prefetch(tiers, weights, state, manifest)
+        state, staged, _ = execute_prefetch(
+            plan, state, 1000.0, COST, manifest,
+            next_task_probs={**weights, 7: 1.0})
+        assert staged == {2, 3, 4}
+        assert state.cpu_resident == staged
