@@ -14,7 +14,8 @@ from .errors import ConfigError, ManifestError, OracleError, SwitchSimError, rea
 from .block_store import ModelManifest
 from .replay import ScenarioConfig, compare_modes, emit_reports, run_replay, write_compare_csv
 from .reference import gen_instance
-from .sparsity import TableOracle, build_all_tasks, load_task_specs, selection_report
+from .sparsity import (build_all_tasks, load_table_oracles, load_task_specs,
+                       selection_report)
 from .switching import DeployMode
 from .transitions import fit_transition_model, load_task_log
 
@@ -43,12 +44,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     else:
         num_blocks = args.num_blocks
     if args.oracle_table:
-        doc = read_json(args.oracle_table)
-        missing = [t.task_id for t in tasks if t.task_id not in doc]
-        if missing:
-            raise ConfigError(f"table oracle file lacks tasks: {missing}")
-        oracles = {t.task_id: TableOracle.from_json(doc[t.task_id], num_blocks)
-                   for t in tasks}
+        oracles = load_table_oracles(args.oracle_table, tasks, num_blocks)
     else:
         if args.seed is None:
             raise ConfigError("--seed is mandatory for synthetic oracles")
@@ -97,7 +93,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     paths = emit_reports(report, args.out_dir)
     mean = f"{report.mean_latency_ms:.3f} ms" if report.mean_latency_ms is not None \
         else "n/a"
-    print(f"{report.mode}: {len(report.switches)} switches, mean latency {mean}")
+    print(f"{report.mode}: {len(report.order)} switches, mean latency {mean}")
     print(f"wrote {len(paths)} files under {args.out_dir}")
     return EXIT_OK
 
@@ -110,7 +106,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         emit_reports(report, out_root / mode.value)
         mean = f"{report.mean_latency_ms:.3f} ms" if report.mean_latency_ms is not None \
             else "n/a"
-        print(f"{mode.value}: {len(report.switches)} switches, mean latency {mean}")
+        print(f"{mode.value}: {len(report.order)} switches, mean latency {mean}")
     write_compare_csv(reports, out_root / "compare.csv")
     print(f"wrote per-mode reports and compare.csv under {out_root}")
     return EXIT_OK

@@ -8,15 +8,24 @@ grants a prefetch window, each task change executes a switch. All
 randomness is seeded through the config, so identical configs produce
 byte-identical reports.
 
-Within one replay a step is a pure function of its key, (current task,
-next task, :class:`CacheState`): the prefetch plan, staging, eviction and
-switch read nothing else, and everything else they read (manifest, cost
-model, active sets, transition model, window) is fixed for the replay.
-The replay computes each distinct key once, checks the state it leaves,
-and stores (next state, switch report or ``None``); a repeat appends the
-same report object. A step that raises stores nothing, so an error
-surfaces at the trace position where its key first occurs.
-``emit_reports`` encodes each distinct switch record once.
+Within one replay a step is a pure function of (current task, next task,
+:class:`CacheState`): the prefetch plan, staging, eviction and switch
+read nothing else, and everything else they read (manifest, cost model,
+active sets, transition model, window) is fixed for the replay. The step
+memo keys on (current task, next task, ``state.cpu_lru``), a tuple of
+strings and ints that hashes without calling back into Python. That key
+fixes the whole state, because every state the replay steps from has
+been checked: the device holds ``table.target(mode, current)``, the host
+holds exactly the blocks in ``cpu_lru``, and both budgets equal the
+config's. The replay computes each distinct key once, checks the state
+it leaves, and stores (next state, record index or -1). A step that
+raises stores nothing, so an error surfaces at the trace position where
+its key first occurs.
+
+A :class:`ReplayReport` holds each distinct switch record once, in order
+of first occurrence, plus the trace's switches as indices into them.
+Aggregation, ``emit_reports`` and ``write_compare_csv`` work per distinct
+record, with C-level passes over the index sequence.
 """
 from __future__ import annotations
 
@@ -24,16 +33,18 @@ import csv
 import json
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .block_store import CacheState, ModelManifest, TierAssignment, load_to_gpu
-from .errors import ConfigError, ReplayError, SwitchSimError, exact_int, read_json
+from .errors import ConfigError, ReplayError, SwitchSimError, exact_int
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch
 from .reference import gen_instance
-from .sparsity import (MetricOracle, SelectionResult, TableOracle, TaskSpec,
-                       build_all_tasks, jaccard, load_task_specs)
+from .sparsity import (MetricOracle, SelectionResult, TaskSpec, build_all_tasks,
+                       jaccard, load_table_oracles, load_task_specs)
 from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute_switch
 from .transitions import TransitionModel, assign_tiers, fit_transition_model, load_task_log
 
@@ -92,11 +103,6 @@ class ScenarioConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
 
-    @classmethod
-    def load(cls, path: Path | str) -> "ScenarioConfig":
-        path = Path(path)
-        return cls.from_dict(read_json(path), base_dir=path.parent)
-
     def echo(self) -> dict:
         return {
             "manifest": str(self.manifest_path),
@@ -151,12 +157,7 @@ def _build_oracles(spec: Mapping, manifest: ModelManifest,
             path = (base_dir / spec["path"]).resolve()
         except KeyError:
             raise ConfigError("table oracles require a path") from None
-        doc = read_json(path)
-        missing = [t.task_id for t in tasks if t.task_id not in doc]
-        if missing:
-            raise ConfigError(f"table oracle file lacks tasks: {missing}")
-        return {t.task_id: TableOracle.from_json(doc[t.task_id], manifest.num_blocks)
-                for t in tasks}
+        return load_table_oracles(path, tasks, manifest.num_blocks)
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
@@ -182,12 +183,17 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
 
 @dataclass(frozen=True)
 class ReplayReport:
-    """Aggregated outcome of replaying one trace under one mode."""
+    """Aggregated outcome of replaying one trace under one mode.
+
+    ``records`` holds each distinct switch once, in order of first
+    occurrence; ``order`` lists the trace's switches as indices into it.
+    """
 
     mode: str
     task_ids: tuple[str, ...]
     selections: Mapping[str, SelectionResult]
-    switches: tuple[SwitchReport, ...]
+    records: tuple[SwitchReport, ...]
+    order: tuple[int, ...]
     jaccard_matrix: tuple[tuple[float, ...], ...]
     mean_latency_ms: float | None
     median_latency_ms: float | None
@@ -200,32 +206,48 @@ class ReplayReport:
     prestage_hit_rate: float
     config_echo: dict
 
+    @property
+    def switches(self) -> tuple[SwitchReport, ...]:
+        """Every switch of the trace, in trace order."""
+        return tuple(map(self.records.__getitem__, self.order))
+
 
 def _aggregate(mode: DeployMode, scenario: Scenario,
                selections: Mapping[str, SelectionResult],
-               switches: Sequence[SwitchReport]) -> ReplayReport:
+               records: tuple[SwitchReport, ...],
+               order: tuple[int, ...]) -> ReplayReport:
     ids = scenario.task_ids
     skips = {tid: selections[tid].skipped for tid in ids}
     matrix = tuple(
         tuple(jaccard(skips[a], skips[b]) for b in ids) for a in ids
     )
-    latencies = [s.latency_ms for s in switches]
-    hits = sum(s.blocks_prestaged for s in switches)
-    misses = sum(s.blocks_fetched for s in switches)
+    # Integer totals are count x value per distinct record, which is exact;
+    # the float statistics take one C-level pass over ``order``, and
+    # ``fsum(...) / n`` is what ``statistics.fmean`` computes for a list.
+    counts = Counter(order)
+
+    def total(field: str) -> int:
+        return sum(c * getattr(records[i], field) for i, c in counts.items())
+
+    n = len(order)
+    latency = [r.latency_ms for r in records]
+    gpu = [r.gpu_resident_bytes_after for r in records]
+    hits = total("blocks_prestaged")
+    misses = total("blocks_fetched")
     return ReplayReport(
         mode=mode.value,
         task_ids=ids,
         selections=dict(selections),
-        switches=tuple(switches),
+        records=records,
+        order=order,
         jaccard_matrix=matrix,
-        mean_latency_ms=statistics.fmean(latencies) if latencies else None,
-        median_latency_ms=statistics.median(latencies) if latencies else None,
-        max_latency_ms=max(latencies) if latencies else None,
-        total_bytes_disk_to_cpu=sum(s.bytes_disk_to_cpu for s in switches),
-        total_bytes_cpu_to_gpu=sum(s.bytes_cpu_to_gpu for s in switches),
-        mean_gpu_resident_bytes=(statistics.fmean(s.gpu_resident_bytes_after
-                                                  for s in switches)
-                                 if switches else None),
+        mean_latency_ms=math.fsum(map(latency.__getitem__, order)) / n if n else None,
+        median_latency_ms=statistics.median(map(latency.__getitem__, order))
+        if n else None,
+        max_latency_ms=max(latency[i] for i in counts) if n else None,
+        total_bytes_disk_to_cpu=total("bytes_disk_to_cpu"),
+        total_bytes_cpu_to_gpu=total("bytes_cpu_to_gpu"),
+        mean_gpu_resident_bytes=math.fsum(map(gpu.__getitem__, order)) / n if n else None,
         prestage_hits=hits,
         prestage_misses=misses,
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
@@ -244,12 +266,27 @@ def _replay(scenario: Scenario, mode: DeployMode,
     # order, which follows from this expression.
     active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
     table = SwitchTable(manifest, cost, active)
+    budgets = (config.gpu_budget_bytes, config.cpu_budget_bytes)
     # full_method's tiers, usefulness weights and protected set depend on
     # the current task only; each is computed the first time it runs.
     tiering: dict[str, tuple[TierAssignment, dict[int, float], frozenset[int]]] = {}
-    state = CacheState(gpu_budget_bytes=config.gpu_budget_bytes,
-                       cpu_budget_bytes=config.cpu_budget_bytes)
-    switches: list[SwitchReport] = []
+
+    def check(state: CacheState, task: str, pos: int) -> None:
+        # Together with the key's task and ``cpu_lru``, these fix the state.
+        try:
+            state.check(manifest)
+        except SwitchSimError as exc:
+            raise ReplayError(str(exc), position=pos) from exc
+        if state.gpu_resident != table.target(mode, task):
+            raise ReplayError("device does not hold the running task's blocks",
+                              position=pos)
+        if (state.gpu_budget_bytes, state.cpu_budget_bytes) != budgets:
+            raise ReplayError("cache budgets differ from the config's", position=pos)
+
+    state = CacheState(*budgets)
+    # Distinct switch record -> its index in the report's ``records``.
+    records: dict[SwitchReport, int] = {}
+    order: list[int] = []
     trace = scenario.trace
     if trace:
         first = trace[0]
@@ -258,13 +295,13 @@ def _replay(scenario: Scenario, mode: DeployMode,
             state = load_to_gpu(manifest, state, table.target(mode, first))
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
+        check(state, first, 0)
         current = first
-        # (current task, next task, state) -> (next state, switch or None).
-        steps: dict[tuple[str, str, CacheState],
-                    tuple[CacheState, SwitchReport | None]] = {}
+        # (current task, next task, cpu_lru) -> (next state, record index or -1).
+        steps: dict[tuple[str, str, tuple[int, ...]], tuple[CacheState, int]] = {}
         for pos in range(1, len(trace)):
             task = trace[pos]
-            key = (current, task, state)
+            key = (current, task, state.cpu_lru)
             step = steps.get(key)
             if step is None:
                 after, staged, report = state, frozenset(), None
@@ -283,22 +320,20 @@ def _replay(scenario: Scenario, mode: DeployMode,
                         )
                     if task != current:
                         after, report = execute_switch(after, current, task, mode, table)
-                    # Invariants of every computed step; a memo hit repeats
-                    # a checked one.
-                    after.check(manifest)
                 except SwitchSimError as exc:
                     raise ReplayError(str(exc), position=pos) from exc
-                if after.gpu_resident != table.target(mode, task):
-                    raise ReplayError("device does not hold the running task's blocks",
-                                      position=pos)
+                # Invariants of every computed step; a memo hit repeats a
+                # checked one.
+                check(after, task, pos)
                 if not staged <= after.cpu_resident:
                     raise ReplayError("staged blocks are not host-resident", position=pos)
-                step = steps[key] = (after, report)
-            state, report = step
-            if report is not None:
-                switches.append(report)
+                index = -1 if report is None else records.setdefault(report, len(records))
+                step = steps[key] = (after, index)
+            state, index = step
+            if index >= 0:
+                order.append(index)
                 current = task
-    return _aggregate(mode, scenario, selections, switches)
+    return _aggregate(mode, scenario, selections, tuple(records), tuple(order))
 
 
 def run_replay(config: ScenarioConfig) -> ReplayReport:
@@ -340,13 +375,11 @@ def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
     paths = []
 
     switches_path = out / "switches.jsonl"
-    lines: dict[SwitchReport, str] = {}
+    # One encoded line per distinct record; writelines streams the repeats
+    # without building the whole file in memory.
+    lines = [json.dumps(r.to_json()) + "\n" for r in report.records]
     with open(switches_path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in report.switches:
-            line = lines.get(s)
-            if line is None:
-                line = lines[s] = json.dumps(s.to_json()) + "\n"
-            fh.write(line)
+        fh.writelines(map(lines.__getitem__, report.order))
     paths.append(switches_path)
 
     summary_path = out / "summary.csv"
@@ -354,8 +387,8 @@ def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "value"])
         writer.writerow(["mode", report.mode])
-        writer.writerow(["num_switches", len(report.switches)])
-        if report.switches:
+        writer.writerow(["num_switches", len(report.order)])
+        if report.order:
             writer.writerow(["mean_latency_ms", _fmt_ms(report.mean_latency_ms)])
             writer.writerow(["median_latency_ms", _fmt_ms(report.median_latency_ms)])
             writer.writerow(["max_latency_ms", _fmt_ms(report.max_latency_ms)])
@@ -387,31 +420,39 @@ def write_compare_csv(reports: Mapping[DeployMode, ReplayReport],
     """Side-by-side per-pair mean latency across the four modes."""
     path = Path(path)
     ordered_modes = list(DeployMode)
-    pair_lat: dict[tuple[str, str], dict[DeployMode, list[float]]] = {}
+    # (from, to) -> mode -> [(latency, number of switches)] per distinct record.
+    pair_lat: dict[tuple[str, str], dict[DeployMode, list[tuple[float, int]]]] = {}
     for mode in ordered_modes:
-        for s in reports[mode].switches:
+        report = reports[mode]
+        for i, count in Counter(report.order).items():
+            s = report.records[i]
             pair = (s.from_task, s.to_task)
             rows = pair_lat.get(pair)
             if rows is None:
                 rows = pair_lat[pair] = {m: [] for m in ordered_modes}
-            rows[mode].append(s.latency_ms)
+            rows[mode].append((s.latency_ms, count))
+
+    def mean_ms(rows: list[tuple[float, int]]) -> str:
+        # fsum is exactly rounded, so any order of the multiset gives the
+        # per-switch fmean.
+        n = sum(count for _, count in rows)
+        return _fmt_ms(math.fsum(chain.from_iterable(
+            repeat(lat, count) for lat, count in rows)) / n) if n else ""
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["from_task", "to_task", "count",
                          *(f"{m.value}_ms" for m in ordered_modes)])
         for pair in sorted(pair_lat):
             rows = pair_lat[pair]
-            count = len(rows[ordered_modes[0]])
-            writer.writerow([
-                pair[0], pair[1], count,
-                *(_fmt_ms(statistics.fmean(rows[m])) if rows[m] else ""
-                  for m in ordered_modes),
-            ])
+            count = sum(c for _, c in rows[ordered_modes[0]])
+            writer.writerow([pair[0], pair[1], count,
+                             *(mean_ms(rows[m]) for m in ordered_modes)])
         totals = [
             _fmt_ms(reports[m].mean_latency_ms)
             if reports[m].mean_latency_ms is not None else ""
             for m in ordered_modes
         ]
         writer.writerow(["ALL", "ALL",
-                         len(reports[ordered_modes[0]].switches), *totals])
+                         len(reports[ordered_modes[0]].order), *totals])
     return path

@@ -57,6 +57,9 @@ class TaskSpec:
     priority_weight: float = 1.0
 
     def __post_init__(self):
+        # Trace lines are strings, so no other id could ever run.
+        if not isinstance(self.task_id, str):
+            raise ConfigError(f"task_id must be a string, got {self.task_id!r}")
         if not 0.0 < self.retention_ratio <= 1.0:
             raise ConfigError(f"{self.task_id}: retention_ratio must be in (0, 1]")
         if self.max_remove < 0:
@@ -317,6 +320,18 @@ def selection_report(results: Mapping[str, SelectionResult]) -> dict:
         }
         for task_id, res in results.items()
     }
+
+
+def load_table_oracles(path: Path | str, tasks: Sequence[TaskSpec],
+                       num_blocks: int) -> dict[str, TableOracle]:
+    """Read a table-oracle file: a JSON object mapping each task id to its rows."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: table oracle file must be a JSON object")
+    missing = [t.task_id for t in tasks if t.task_id not in doc]
+    if missing:
+        raise ConfigError(f"table oracle file lacks tasks: {missing}")
+    return {t.task_id: TableOracle.from_json(doc[t.task_id], num_blocks) for t in tasks}
 
 
 def load_task_specs(path: Path | str) -> list[TaskSpec]:

@@ -259,8 +259,11 @@ class TestMalformedInput:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("content", [None, b'{"Car": [', b"\xff"],
-                             ids=["missing", "not-json", "not-utf8"])
+    @pytest.mark.parametrize("content", [
+        None, b'{"Car": [', b"\xff",
+        # A list naming every task passes a membership test.
+        b'["Car", "TrafficLight", "Obstacle", "Person", "Bicycle"]',
+    ], ids=["missing", "not-json", "not-utf8", "not-an-object"])
     def test_unreadable_table_oracle_is_a_config_error(self, driving_dir, tmp_path,
                                                        content):
         root = tmp_path / "scenario"
@@ -273,6 +276,26 @@ class TestMalformedInput:
         code = main(["compare", "--config", str(root / "config.json"),
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+
+    def test_table_oracle_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        # "a" in "abc" holds, so only the type check stops the lookup.
+        tasks = write_tasks(tmp_path / "tasks.json", ids=("a",))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps("abc"))
+        code = main(["select", "--tasks", str(tasks), "--num-blocks", "2",
+                     "--oracle-table", str(table)])
+        assert code == EXIT_CONFIG
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task_id", [["a"], 7], ids=["list", "int"])
+    def test_non_string_task_id_is_a_config_error(self, tmp_path, capsys, task_id):
+        tasks = tmp_path / "tasks.json"
+        tasks.write_text(json.dumps([{"task_id": task_id, "retention_ratio": 0.9,
+                                      "max_remove": 3}]))
+        code = main(["select", "--tasks", str(tasks), "--num-blocks", "8",
+                     "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert "task_id must be a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["select", "--tasks", "{missing}", "--num-blocks", "8", "--seed", "1"],

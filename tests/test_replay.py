@@ -17,11 +17,12 @@ from switchsim.errors import ConfigError, ReplayError
 from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
                               run_replay, write_compare_csv)
 from switchsim.sparsity import SelectionResult, TaskSpec
-from switchsim.switching import CostModel, DeployMode
+from switchsim.switching import CostModel, DeployMode, SwitchReport
 from switchsim.transitions import fit_transition_model
 from switchsim.workloads import write_driving_scenario
 
-from reference_replay import reference_replay
+from reference_replay import (reference_aggregate, reference_replay,
+                              reference_write_compare_csv)
 
 ROUTE = ["Car", "TrafficLight", "Car", "Obstacle", "Person"]
 
@@ -194,6 +195,92 @@ class TestMemoMatchesReference:
                 == replay_outcome(reference_replay, *args)
 
 
+# Sums of these differ between naive and exactly rounded summation, e.g.
+# 1e16 + 1.0 + 1.0 or 0.1 + 0.2 + 0.3.
+LATENCIES = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.675, 1e16, 1 / 3]),
+                      st.floats(0.0, 1e4))
+TASK = st.sampled_from(["a", "b", "c"])
+COUNT = st.integers(0, 50)
+RECORD = st.builds(SwitchReport, from_task=TASK, to_task=TASK, mode=st.just("m"),
+                   latency_ms=LATENCIES, bytes_disk_to_cpu=st.integers(0, 10**12),
+                   bytes_cpu_to_gpu=st.integers(0, 10**12), blocks_reused=COUNT,
+                   blocks_fetched=COUNT, blocks_prestaged=COUNT,
+                   gpu_resident_bytes_after=st.integers(0, 10**12))
+
+
+@st.composite
+def record_tables(draw):
+    """A table of switch records and a trace of indices into it."""
+    records = tuple(draw(st.lists(RECORD, min_size=1, max_size=6)))
+    order = tuple(draw(st.lists(st.integers(0, len(records) - 1), max_size=40)))
+    return records, order
+
+
+def aggregate_scenario():
+    ids = ("a", "b", "c")
+    config = ScenarioConfig(
+        manifest_path=Path("manifest.json"), tasks_path=Path("tasks.json"),
+        oracle={}, log_path=Path("log.txt"), trace_path=Path("trace.txt"),
+        cost_model_path=Path("cost.json"), gpu_budget_bytes=1, cpu_budget_bytes=1)
+    scenario = Scenario(
+        config=config, manifest=ModelManifest("m", (1, 1, 1)),
+        tasks=tuple(TaskSpec(tid, retention_ratio=0.9, max_remove=3) for tid in ids),
+        oracles={}, log=(), trace=(), cost=CostModel(1.0, 1.0))
+    selections = {tid: SelectionResult(skipped=frozenset({i}), final_score=1.0,
+                                       oracle_calls=1, removal_order=(i,))
+                  for i, tid in enumerate(ids)}
+    return scenario, selections
+
+
+class TestAggregateMatchesReference:
+    """Aggregation and compare.csv per distinct record equal the per-switch
+    reference, floats unrounded."""
+
+    @given(record_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_every_report_field(self, table):
+        records, order = table
+        scenario, selections = aggregate_scenario()
+        fast = replay._aggregate(DeployMode.FULL_METHOD, scenario, selections,
+                                 records, order)
+        ref = reference_aggregate(DeployMode.FULL_METHOD, scenario, selections,
+                                  [records[i] for i in order])
+        # The reference interns only the records the order uses.
+        assert fast.switches == ref.switches
+        assert dataclasses.replace(fast, records=ref.records, order=ref.order) == ref
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        # One directory for every example; each overwrites the two files.
+        return tmp_path_factory.mktemp("compare")
+
+    @given(st.lists(record_tables(), min_size=4, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_compare_csv_bytes(self, out, tables):
+        scenario, selections = aggregate_scenario()
+        fast, ref = {}, {}
+        for mode, (records, order) in zip(DeployMode, tables):
+            fast[mode] = replay._aggregate(mode, scenario, selections, records, order)
+            ref[mode] = reference_aggregate(mode, scenario, selections,
+                                            [records[i] for i in order])
+        assert write_compare_csv(fast, out / "fast.csv").read_bytes() \
+            == reference_write_compare_csv(ref, out / "ref.csv").read_bytes()
+
+    def test_sum_that_naive_addition_rounds_differently(self):
+        # Left to right, sum() drops every 1.0 added to 1e16; fsum keeps them.
+        records = (SwitchReport("a", "b", "m", 1e16, 0, 0, 0, 0, 0, 0),
+                   SwitchReport("b", "a", "m", 1.0, 0, 0, 0, 0, 0, 0))
+        scenario, selections = aggregate_scenario()
+        for order in ((0, 1, 1), (0, 1, 1, 1), ()):
+            fast = replay._aggregate(DeployMode.MONOLITHIC, scenario, selections,
+                                     records, order)
+            ref = reference_aggregate(DeployMode.MONOLITHIC, scenario, selections,
+                                      [records[i] for i in order])
+            assert fast.mean_latency_ms == ref.mean_latency_ms
+            assert fast.median_latency_ms == ref.median_latency_ms
+        assert fast.mean_latency_ms is None and fast.switches == ()
+
+
 class TestStepInvariants:
     """Each computed step checks the state it leaves; a layer that breaks
     the state fails the replay at that step's trace position."""
@@ -223,7 +310,12 @@ class TestStepInvariants:
         # A step without a switch: no device load follows the prefetch.
         (1, lambda state, staged: (
             dataclasses.replace(state, gpu_resident=frozenset()), staged)),
-    ], ids=["lru-drops-resident-block", "staged-not-host-resident", "device-emptied"])
+        # A larger budget passes CacheState.check; the memo key leaves it out.
+        (3, lambda state, staged: (
+            dataclasses.replace(state, cpu_budget_bytes=state.cpu_budget_bytes + 1),
+            staged)),
+    ], ids=["lru-drops-resident-block", "staged-not-host-resident", "device-emptied",
+            "cpu-budget-changed"])
     def test_corrupt_prefetch_fails_at_its_position(self, tmp_path, monkeypatch,
                                                     call, corrupt):
         config = small_scenario(tmp_path, trace=self.TRACE, window=1e9,
