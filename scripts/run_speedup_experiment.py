@@ -12,6 +12,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import statistics
 import tempfile
 
@@ -25,11 +26,10 @@ def main() -> None:
     parser.add_argument("--work-dir", default=None,
                         help="keep scenario files here instead of a temp dir")
     args = parser.parse_args()
-    work = args.work_dir or tempfile.mkdtemp(prefix="switchsim-speedup-")
-    config = write_driving_scenario(work)
-    reports = compare_modes(config)
-
-    print(f"scenario: {work}")
+    with (contextlib.nullcontext(args.work_dir) if args.work_dir else
+          tempfile.TemporaryDirectory(prefix="switchsim-speedup-")) as work:
+        reports = compare_modes(write_driving_scenario(work))
+        print(f"scenario: {work}")
     print(f"{'mode':16s} {'switches':>8s} {'mean ms':>10s} {'max ms':>10s} "
           f"{'hit rate':>8s}")
     for mode in DeployMode:

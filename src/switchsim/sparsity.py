@@ -6,15 +6,17 @@ score. Alignment biases later tasks toward blocks already skipped by
 earlier ones (the shared pool) so that active sets overlap and task
 switches move fewer bytes.
 
-Each step asks the oracle for an estimate of every candidate removal's
-score plus a bound ``eps`` on the estimates' error
-(:meth:`MetricOracle.removal_scores`). The additive oracle estimates all
-of them from one sum of the active weights, so a step costs O(n) instead
-of O(n) evaluations of O(n) each. Every decision stays exact: a
+Each step asks the oracle for a ranking of the candidate removals, best
+estimated score first, plus a bound ``eps`` on the estimates' error
+(:meth:`MetricOracle.ranked_removals`). The additive oracle ranks blocks
+by weight once and estimates a removal from one sum of the active
+weights, so a step reads only a prefix of the ranking: it stops at the
+first estimate more than ``eps`` below the threshold or more than
+``2 * eps`` below the first feasible one. Every decision stays exact: a
 candidate whose estimate lies within ``eps`` of the threshold, or within
 ``2 * eps`` of the best estimate it competes with, is scored exactly
-before it is judged, and the chosen removal's exact score is what the
-selector records. ``oracle_calls`` counts logical evaluations (the
+before it is judged, and the reported final score is the exact score of
+the final active set. ``oracle_calls`` counts logical evaluations (the
 full-model score plus one per candidate per step), not the exact
 re-scores made.
 """
@@ -23,8 +25,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, OracleError, exact_int, read_json
 
@@ -60,6 +63,12 @@ class TaskSpec:
         # Trace lines are strings, so no other id could ever run.
         if not isinstance(self.task_id, str):
             raise ConfigError(f"task_id must be a string, got {self.task_id!r}")
+        # A trace line is stripped and split on commas (``load_task_log``),
+        # so no line could name an id like these.
+        if (not self.task_id or self.task_id != self.task_id.strip()
+                or any(c in self.task_id for c in ",\n\r")):
+            raise ConfigError(f"task_id {self.task_id!r} must be non-empty, without "
+                              "surrounding whitespace, commas or line breaks")
         if not 0.0 < self.retention_ratio <= 1.0:
             raise ConfigError(f"{self.task_id}: retention_ratio must be in (0, 1]")
         if self.max_remove < 0:
@@ -80,15 +89,30 @@ class MetricOracle:
     def full_score(self) -> float:
         return self.score(frozenset(range(self.num_blocks)))
 
-    def removal_scores(self, active: frozenset[int],
-                       candidates: Sequence[int]) -> tuple[list[float], float]:
-        """Estimate ``score(active - {j})`` for each candidate ``j`` in ``active``.
+    def ranked_removals(self, active: frozenset[int]) -> tuple[
+            Sequence[int], Callable[[int], float], float]:
+        """Rank the removals from ``active``, best estimated score first.
 
-        Returns the estimates and ``eps``: each estimate is within ``eps``
-        of the exact score. ``eps == 0`` means the estimates are the exact
-        scores; this default computes them one by one.
+        Returns ``(order, estimate, eps)``. Restricted to ``active``,
+        ``order`` names each block once, and ``estimate(j)`` (an estimate
+        of ``score(active - {j})``, asked only for ``j`` in ``active``)
+        never increases along it. Each estimate is within ``eps`` of the
+        exact score; ``eps == 0`` means the estimates are the exact
+        scores. This default scores every candidate exactly and orders
+        them by (-score, block id).
         """
-        return [self.score(active - {j}) for j in candidates], 0.0
+        scores = {j: self.score(active - {j}) for j in sorted(active)}
+        order = sorted(scores, key=lambda j: -scores[j])
+        return order, scores.__getitem__, 0.0
+
+
+def _sum_left_to_right(weights: Sequence[float], blocks: Iterable[int]) -> float:
+    # The built-in sum() of floats is compensated from Python 3.12 on; a
+    # plain left-to-right sum gives the same score on every version.
+    total = 0.0
+    for k in blocks:
+        total += weights[k]
+    return total
 
 
 # Unit roundoff of a double, and an absolute floor covering the rounding of
@@ -98,7 +122,11 @@ _UNDERFLOW_FLOOR = 2.0 ** -1072
 
 
 class AdditiveOracle(MetricOracle):
-    """Synthetic oracle: score(A) = clamp(sum of active importances / total, 0, 1)."""
+    """Synthetic oracle: score(A) = clamp(sum of active importances / total, 0, 1).
+
+    Both sums run left to right in block order, so a score is the same
+    float on every Python version and for every way of building ``A``.
+    """
 
     def __init__(self, weights: Sequence[float]):
         if not weights:
@@ -109,7 +137,7 @@ class AdditiveOracle(MetricOracle):
         if any(w < 0 for w in self.weights):
             raise OracleError("importance weights must be non-negative")
         self.num_blocks = len(self.weights)
-        self._total = sum(self.weights)
+        self._total = _sum_left_to_right(self.weights, range(self.num_blocks))
         # Half the float range keeps every partial sum of any subset finite.
         if self._total > sys.float_info.max / 2:
             raise OracleError("importance weights sum beyond the float range")
@@ -117,12 +145,23 @@ class AdditiveOracle(MetricOracle):
     def score(self, active: frozenset[int]) -> float:
         if self._total == 0.0:
             return 1.0
-        raw = sum(self.weights[k] for k in active) / self._total
+        # In block order: a set's iteration order depends on how it was built.
+        raw = _sum_left_to_right(self.weights, sorted(active)) / self._total
         return min(max(raw, 0.0), 1.0)
 
-    def removal_scores(self, active: frozenset[int],
-                       candidates: Sequence[int]) -> tuple[list[float], float]:
-        """Estimate each removal as ``clamp((S - w_j) / T)`` from one exact sum.
+    @cached_property
+    def _by_weight(self) -> list[int]:
+        # Stable: equal weights keep ascending block ids.
+        return sorted(range(self.num_blocks), key=self.weights.__getitem__)
+
+    def ranked_removals(self, active: frozenset[int]) -> tuple[
+            Sequence[int], Callable[[int], float], float]:
+        """Rank removals by weight, lightest first, each estimated as
+        ``clamp((S - w_j) / T)`` from one exact sum ``S``.
+
+        Subtraction, division and the clamp are monotone under rounding,
+        so a heavier block never gets a higher estimate: the by-weight
+        order is a non-increasing estimate order.
 
         Error bound, with u = 2**-53, m = len(active), S* the exact sum of
         the active weights, S = fsum(...) = S*(1 + d), |d| <= u, and T the
@@ -131,8 +170,7 @@ class AdditiveOracle(MetricOracle):
 
         * ``score(active - {j})`` sums m - 1 non-negative terms left to
           right, so its sum s is within gamma_m * S* of S* - w_j, where
-          gamma_m = m*u / (1 - m*u). (A compensated ``sum`` only tightens
-          this.)
+          gamma_m = m*u / (1 - m*u).
         * w_j <= S* and rounding is monotone, so 0 <= S - w_j <= S, and the
           rounded difference D is within |S - S*| + u*S <= (2u + u^2) S*
           of S* - w_j.
@@ -148,15 +186,14 @@ class AdditiveOracle(MetricOracle):
         selector's comparisons against it.
         """
         if self._total == 0.0:
-            return [1.0] * len(candidates), 0.0
+            return self._by_weight, lambda j: 1.0, 0.0
         weights, total = self.weights, self._total
-        s = math.fsum(map(weights.__getitem__, active))
-        # s >= w_j, so no estimate is negative, and none exceeds 1 unless s/T does.
-        estimates = [(s - weights[j]) / total for j in candidates]
-        if s > total:
-            estimates = [min(e, 1.0) for e in estimates]
+        s = math.fsum([weights[k] for k in active])
         eps = 2.0 * (len(active) + 4) * _UNIT_ROUNDOFF * (s / total) + _UNDERFLOW_FLOOR
-        return estimates, eps
+        # s >= w_j, so no estimate is negative, and none exceeds 1 unless s/T does.
+        if s > total:
+            return self._by_weight, lambda j: min((s - weights[j]) / total, 1.0), eps
+        return self._by_weight, lambda j: (s - weights[j]) / total, eps
 
 
 class TableOracle(MetricOracle):
@@ -214,46 +251,59 @@ class SelectionResult:
 
 def _select(task: TaskSpec, oracle: MetricOracle,
             shared_pool: frozenset[int]) -> SelectionResult:
-    n = oracle.num_blocks
     calls = 1
     s_full = oracle.full_score
     threshold = task.retention_ratio * s_full
-    skipped: set[int] = set()
+    active = frozenset(range(oracle.num_blocks))
     order: list[int] = []
-    current = s_full
     for _ in range(task.max_remove):
-        active = frozenset(range(n)) - skipped
-        candidates = sorted(active)
-        estimates, eps = oracle.removal_scores(active, candidates)
-        calls += len(candidates)
-        exact = dict(zip(candidates, estimates)) if eps == 0.0 else {}
+        ranking, estimate, eps = oracle.ranked_removals(active)
+        calls += len(active)
+        exact: dict[int, float] = {}
 
         def exact_score(j: int) -> float:
+            if eps == 0.0:
+                return estimate(j)
             if j not in exact:
                 exact[j] = oracle.score(active - {j})
             return exact[j]
 
-        # An estimate more than eps from the threshold decides feasibility
-        # on its own; a closer one is settled by the exact score.
-        feasible = [(j, est) for j, est in zip(candidates, estimates)
-                    if est - threshold > eps
-                    or (threshold - est <= eps and exact_score(j) >= threshold)]
-        if not feasible:
+        def contenders(members: frozenset[int]) -> list[int]:
+            # Walk the ranking down from the best estimate. An estimate more
+            # than eps below the threshold, and every one after it, is
+            # infeasible; a closer one is settled by the exact score. A
+            # candidate more than 2 * eps below the first feasible one
+            # scores strictly below it, so the walk stops there too.
+            found: list[int] = []
+            top = None
+            left = len(members)
+            for j in ranking:
+                if not left:
+                    break
+                if j not in members:
+                    continue
+                left -= 1
+                est = estimate(j)
+                if threshold - est > eps or (top is not None and top - est > 2.0 * eps):
+                    break
+                if est - threshold > eps or exact_score(j) >= threshold:
+                    if top is None:
+                        top = est
+                    found.append(j)
+            return found
+
+        pick = contenders(shared_pool & active) or contenders(active)
+        if not pick:
             break
-        pooled = [(j, est) for j, est in feasible if j in shared_pool]
-        pick = pooled if pooled else feasible
-        # A candidate more than 2 * eps below the top estimate scores
-        # strictly below the top candidate, so only the rest can win.
-        top = max(est for _, est in pick)
-        contenders = [j for j, est in pick if top - est <= 2.0 * eps]
         # Highest score wins; equal scores resolve to the lowest block id.
-        best_j = max(contenders, key=lambda j: (exact_score(j), -j))
-        skipped.add(best_j)
+        # A lone contender needs no exact score to win.
+        best_j = pick[0] if len(pick) == 1 else max(
+            pick, key=lambda j: (exact_score(j), -j))
+        active = active - {best_j}
         order.append(best_j)
-        current = exact_score(best_j)
     return SelectionResult(
-        skipped=frozenset(skipped),
-        final_score=current,
+        skipped=frozenset(order),
+        final_score=oracle.score(active) if order else s_full,
         oracle_calls=calls,
         removal_order=tuple(order),
     )

@@ -297,6 +297,19 @@ class TestMalformedInput:
         assert code == EXIT_CONFIG
         assert "task_id must be a string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task_id", ["", "a,b", "a\nb", "a\rb", " b", "b\t"],
+                             ids=["empty", "comma", "newline", "carriage-return",
+                                  "leading-space", "trailing-tab"])
+    def test_task_id_no_trace_line_can_name_is_a_config_error(self, tmp_path, capsys,
+                                                               task_id):
+        # Log and trace lines are stripped and split on commas: " b" and
+        # "a,b" would both read as task "b".
+        tasks = write_tasks(tmp_path / "tasks.json", ids=(task_id, "b"))
+        code = main(["select", "--tasks", str(tasks), "--num-blocks", "4",
+                     "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert "task_id" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["select", "--tasks", "{missing}", "--num-blocks", "8", "--seed", "1"],
         ["select", "--tasks", "{tasks}", "--manifest", "{missing}", "--seed", "1"],

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from switchsim.errors import ConfigError, OracleError
 from switchsim.reference import (brute_force_greedy_replay, enumerate_table_entries,
                                  gen_instance, reference_select)
-from switchsim.sparsity import (AdditiveOracle, TableOracle, TaskSpec,
+from switchsim.sparsity import (AdditiveOracle, MetricOracle, TableOracle, TaskSpec,
                                 aligned_skip_select, build_all_tasks,
                                 greedy_skip_select, jaccard)
 
@@ -44,6 +44,23 @@ ADVERSARIAL_WEIGHTS = [
 ]
 
 
+class PerturbedOracle(MetricOracle):
+    """Exact scores from ``base``; each estimate is off by ``offsets[j] * eps``,
+    as far from the exact score as the ``ranked_removals`` contract allows."""
+
+    def __init__(self, base: MetricOracle, eps: float, offsets: list[float]):
+        self.base, self.eps, self.offsets = base, eps, offsets
+        self.num_blocks = base.num_blocks
+
+    def score(self, active):
+        return self.base.score(active)
+
+    def ranked_removals(self, active):
+        est = {j: self.base.score(active - {j}) + self.offsets[j] * self.eps
+               for j in active}
+        return sorted(est, key=lambda j: -est[j]), est.__getitem__, self.eps
+
+
 def assert_matches_reference(spec: TaskSpec, oracle, pool: frozenset[int]):
     """All four result fields equal the exactly-scoring reference's."""
     mine = aligned_skip_select(spec, oracle, pool)
@@ -58,6 +75,18 @@ class TestOracles:
         oracle = AdditiveOracle([1.0, 3.0])
         assert oracle.full_score == 1.0
         assert oracle.score(frozenset({1})) == 0.75
+
+    def test_additive_sums_left_to_right(self):
+        # A compensated sum (the built-in sum() of Python 3.12+) makes the
+        # total 1e16 + 2 and this score 0.9999999999999998.
+        oracle = AdditiveOracle([1e16, 1.0, 1.0])
+        assert oracle.score(frozenset({0, 1})) == 1.0
+
+    def test_additive_score_ignores_how_the_set_was_built(self):
+        # In an 8-slot hash table 8 and 0 collide, so these two equal sets
+        # iterate as 8, 0, 1 and as 0, 1, 8.
+        oracle = AdditiveOracle([1.0, 1.0] + [0.0] * 6 + [1e16])
+        assert oracle.score(frozenset([8, 0, 1])) == oracle.score(frozenset([0, 1, 8])) == 1.0
 
     def test_additive_rejects_negative_weights(self):
         with pytest.raises(OracleError):
@@ -78,15 +107,40 @@ class TestOracles:
         rng = random.Random(len(weights))
         for size in (1, 2, len(weights) // 2, len(weights)):
             active = frozenset(rng.sample(range(len(weights)), size))
-            candidates = sorted(active)
-            estimates, eps = oracle.removal_scores(active, candidates)
-            for j, est in zip(candidates, estimates):
-                assert abs(est - oracle.score(active - {j})) <= eps
+            _, estimate, eps = oracle.ranked_removals(active)
+            for j in active:
+                assert abs(estimate(j) - oracle.score(active - {j})) <= eps
 
-    def test_table_removal_scores_are_exact(self):
-        oracle = TableOracle({frozenset({0, 1}): 1.0, frozenset({1}): 0.9,
-                              frozenset({0}): 0.1}, num_blocks=2)
-        assert oracle.removal_scores(frozenset({0, 1}), [0, 1]) == ([0.9, 0.1], 0.0)
+    def test_table_ranked_removals_are_exact(self):
+        oracle = TableOracle({frozenset({0, 1}): 1.0, frozenset({1}): 0.1,
+                              frozenset({0}): 0.9}, num_blocks=2)
+        order, estimate, eps = oracle.ranked_removals(frozenset({0, 1}))
+        assert (list(order), [estimate(j) for j in order], eps) == ([1, 0], [0.9, 0.1], 0.0)
+
+    @given(weights=st.lists(st.sampled_from([0.0, 1e-310, 0.1, 0.3, 1.0, 2.5]) |
+                            st.floats(0.0, 10.0), min_size=1, max_size=24),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_additive_ranking_covers_active_in_non_increasing_order(self, weights, data):
+        oracle = AdditiveOracle(weights)
+        active = frozenset(data.draw(st.sets(st.sampled_from(range(len(weights))))))
+        order, estimate, _ = oracle.ranked_removals(active)
+        ranked = [j for j in order if j in active]
+        assert sorted(ranked) == sorted(active)
+        estimates = [estimate(j) for j in ranked]
+        assert all(a >= b for a, b in zip(estimates, estimates[1:]))
+
+    @pytest.mark.parametrize("weights, expected", [
+        # Summed left to right the total is 1e16, below the exact active sum
+        # 1e16 + 2, so dropping a 1.0 estimates above 1 and clamps.
+        ([1e16, 1.0, 1.0], [1.0, 1.0, 2.0 / 1e16]),
+        ([0.0, 0.0], [1.0, 1.0]),
+    ], ids=["clamped", "all-zero"])
+    def test_additive_ranking_edge_estimates(self, weights, expected):
+        oracle = AdditiveOracle(weights)
+        active = frozenset(range(len(weights)))
+        order, estimate, _ = oracle.ranked_removals(active)
+        assert [estimate(j) for j in order] == expected
 
     def test_table_oracle_missing_subset_is_an_error(self):
         oracle = TableOracle({frozenset({0, 1}): 1.0}, num_blocks=2)
@@ -162,10 +216,26 @@ class TestMatchesReferenceSelector:
         oracle = AdditiveOracle(weights)
         n = len(weights)
         rng = random.Random(n)
+        # The heaviest third ranks last, so a pool scan skips most of the ranking.
+        heaviest = sorted(range(n), key=weights.__getitem__)[n - n // 3:]
         pools = [frozenset(), frozenset(rng.sample(range(n), n // 3)),
-                 frozenset(rng.sample(range(n), 2 * n // 3))]
+                 frozenset(rng.sample(range(n), 2 * n // 3)), frozenset(heaviest)]
         for pool in pools:
             assert_matches_reference(task(n, retention), oracle, pool)
+
+    @given(weights=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+           eps=st.sampled_from([0.01, 0.05, 0.2]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_estimates_anywhere_within_eps(self, weights, eps, data):
+        # Integer weights make exact scores tie; an estimate up to eps off
+        # can rank a candidate above one that scores higher.
+        n = len(weights)
+        offsets = data.draw(st.lists(st.sampled_from([-0.99, -0.5, 0.0, 0.5, 0.99]),
+                                     min_size=n, max_size=n))
+        pool = frozenset(data.draw(st.sets(st.sampled_from(range(n)))))
+        retention = data.draw(st.sampled_from([1.0, 0.8, 0.5]))
+        oracle = PerturbedOracle(AdditiveOracle(weights), eps, offsets)
+        assert_matches_reference(task(n, retention), oracle, pool)
 
     def test_table_oracle(self):
         rng = random.Random(11)
