@@ -14,8 +14,8 @@ import argparse
 import itertools
 import statistics
 
-from switchsim.reference import gen_instance
 from switchsim.sparsity import build_all_tasks, jaccard
+from switchsim.synthetic import gen_instance
 
 
 def mean_pairwise_jaccard(skips: list[frozenset[int]]) -> float:

@@ -47,10 +47,6 @@ class ModelManifest:
     def num_blocks(self) -> int:
         return len(self.block_sizes)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.block_sizes)
-
     @cached_property
     def all_blocks(self) -> frozenset[int]:
         # Built on first use and kept in the instance dict, which a frozen
@@ -60,12 +56,6 @@ class ModelManifest:
     def bytes_of(self, blocks: Iterable[int]) -> int:
         """Total size of the given block ids."""
         return sum(map(self.block_sizes.__getitem__, blocks))
-
-    @classmethod
-    def uniform(cls, model_name: str, num_blocks: int,
-                block_bytes: int) -> "ModelManifest":
-        """Manifest with ``num_blocks`` equal-size blocks."""
-        return cls(model_name=model_name, block_sizes=(block_bytes,) * num_blocks)
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ModelManifest":

@@ -13,10 +13,10 @@ from pathlib import Path
 from .errors import ConfigError, ManifestError, OracleError, SwitchSimError, read_json
 from .block_store import ModelManifest
 from .replay import ScenarioConfig, compare_modes, emit_reports, run_replay, write_compare_csv
-from .reference import gen_instance
 from .sparsity import (build_all_tasks, load_table_oracles, load_task_specs,
                        selection_report)
 from .switching import DeployMode
+from .synthetic import gen_instance
 from .transitions import fit_transition_model, load_task_log
 
 EXIT_OK = 0
@@ -67,6 +67,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _load_config_with_overrides(args: argparse.Namespace) -> ScenarioConfig:
     path = Path(args.config)
     doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: scenario config must be a JSON object")
     for key in ("manifest", "tasks", "log", "trace", "cost_model"):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:

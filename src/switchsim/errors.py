@@ -1,20 +1,56 @@
 """Exception hierarchy shared by all switchsim modules, plus the file
-readers and the integer check their file parsers share."""
+readers, number and key checks their file parsers share, and the float
+sum their cost and score totals share."""
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable, Sequence
 
 
 def exact_int(value: object) -> int:
-    """``int(value)``, refusing the floats that ``int`` would truncate or overflow.
+    """``int(value)``, refusing booleans and the floats that ``int`` would
+    truncate or overflow.
 
-    A fractional, infinite or NaN float raises :class:`ValueError`, which
-    every parser already turns into its typed error.
+    A boolean raises :class:`TypeError`; a fractional, infinite or NaN
+    float raises :class:`ValueError`. Every parser already turns both into
+    its typed error.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def as_float(value: object) -> float:
+    """``float(value)``, refusing booleans with :class:`TypeError`."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def check_keys(doc: object, allowed: frozenset[str], what: str) -> None:
+    """Raise :class:`ConfigError` unless ``doc`` is a JSON object whose keys
+    all lie in ``allowed``: a misspelt key would otherwise fall back to a
+    default and run a different simulation."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
+
+
+def sum_left_to_right(values: Sequence[float], indices: Iterable[int]) -> float:
+    """``values[i]`` summed over ``indices`` in iteration order.
+
+    The built-in ``sum()`` of floats is compensated from Python 3.12 on; a
+    plain left-to-right sum gives the same float on every version.
+    """
+    total = 0.0
+    for i in indices:
+        total += values[i]
+    return total
 
 
 class SwitchSimError(Exception):

@@ -14,27 +14,14 @@ from .block_store import CacheState, ModelManifest, TierAssignment, stage_to_cpu
 from .switching import CostModel
 from .transitions import TransitionModel
 
-__all__ = ["PlanEntry", "PrefetchPlan", "plan_prefetch", "execute_prefetch",
-           "block_usefulness"]
-
-
-@dataclass(frozen=True)
-class PlanEntry:
-    block: int
-    weight: float
-    size_bytes: int
+__all__ = ["PrefetchPlan", "plan_prefetch", "execute_prefetch", "block_usefulness"]
 
 
 @dataclass(frozen=True)
 class PrefetchPlan:
-    """Blocks to stage, ordered by descending weight (ties by ascending id)."""
+    """Block ids to stage, ordered by descending weight (ties by ascending id)."""
 
-    entries: tuple[PlanEntry, ...]
-    total_bytes: int
-
-    @property
-    def blocks(self) -> tuple[int, ...]:
-        return tuple(e.block for e in self.entries)
+    entries: tuple[int, ...]
 
 
 def block_usefulness(current: str, model: TransitionModel,
@@ -66,15 +53,15 @@ def plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
     # The host set is small and the tiers are not: intersect it with each.
     keep = (state.cpu_resident & tiers.runtime) | (state.cpu_resident & tiers.preload)
     capacity = state.cpu_budget_bytes - manifest.bytes_of(keep)
-    entries: list[PlanEntry] = []
+    entries: list[int] = []
     used = 0
     for b in ranked:
         size = manifest.block_sizes[b]
         if used + size > capacity:
             continue
-        entries.append(PlanEntry(block=b, weight=weights.get(b, 0.0), size_bytes=size))
+        entries.append(b)
         used += size
-    return PrefetchPlan(entries=tuple(entries), total_bytes=used)
+    return PrefetchPlan(entries=tuple(entries))
 
 
 def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: float,
@@ -90,21 +77,20 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     """
     # Staging one plan block never evicts another; in a replay the plan is
     # already inside ``protected``.
-    blocks = plan.blocks
-    if not protected.issuperset(blocks):
-        protected = protected | frozenset(blocks)
+    if not protected.issuperset(plan.entries):
+        protected = protected | frozenset(plan.entries)
     staged: list[int] = []
     bytes_moved = 0
     elapsed = 0.0
-    for entry in plan.entries:
-        transfer = cost.disk_ms(entry.size_bytes)
+    for block in plan.entries:
+        transfer = cost.disk_ms(manifest.block_sizes[block])
         if elapsed + transfer > compute_window_ms:
             break
         state, moved = stage_to_cpu(
-            manifest, state, {entry.block},
+            manifest, state, {block},
             protected=protected, next_task_probs=next_task_probs,
         )
-        staged.append(entry.block)
+        staged.append(block)
         bytes_moved += moved
         elapsed += transfer
     return state, frozenset(staged), bytes_moved

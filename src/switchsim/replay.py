@@ -40,16 +40,21 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .block_store import CacheState, ModelManifest, TierAssignment, load_to_gpu
-from .errors import ConfigError, ReplayError, SwitchSimError, exact_int
+from .errors import (ConfigError, ReplayError, SwitchSimError, as_float, check_keys,
+                     exact_int)
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch
-from .reference import gen_instance
 from .sparsity import (MetricOracle, SelectionResult, TaskSpec, build_all_tasks,
                        jaccard, load_table_oracles, load_task_specs)
 from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute_switch
+from .synthetic import gen_instance
 from .transitions import TransitionModel, assign_tiers, fit_transition_model, load_task_log
 
-__all__ = ["ScenarioConfig", "ReplayReport", "run_replay", "compare_modes",
-           "emit_reports", "write_compare_csv"]
+__all__ = ["ScenarioConfig", "ReplayReport", "load_scenario", "run_replay",
+           "compare_modes", "emit_reports", "write_compare_csv"]
+
+_CONFIG_KEYS = frozenset({"manifest", "tasks", "oracle", "log", "trace", "cost_model",
+                          "gpu_budget_bytes", "cpu_budget_bytes", "mode", "k",
+                          "compute_window_ms"})
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping, base_dir: Path | str = ".") -> "ScenarioConfig":
+        check_keys(doc, _CONFIG_KEYS, "scenario config")
         base = Path(base_dir)
 
         def path_of(key: str) -> Path:
@@ -98,7 +104,7 @@ class ScenarioConfig:
                 cpu_budget_bytes=exact_int(doc["cpu_budget_bytes"]),
                 mode=DeployMode(mode) if mode is not None else None,
                 k=exact_int(doc.get("k", 2)),
-                compute_window_ms=float(doc.get("compute_window_ms", 0.0)),
+                compute_window_ms=as_float(doc.get("compute_window_ms", 0.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
@@ -140,6 +146,7 @@ def _build_oracles(spec: Mapping, manifest: ModelManifest,
                    tasks: Sequence[TaskSpec], base_dir: Path) -> dict[str, MetricOracle]:
     kind = spec.get("kind")
     if kind == "synthetic":
+        check_keys(spec, frozenset({"kind", "seed", "correlation"}), "synthetic oracle spec")
         if "seed" not in spec:
             raise ConfigError("synthetic oracles require a seed")
         try:
@@ -147,12 +154,13 @@ def _build_oracles(spec: Mapping, manifest: ModelManifest,
                 seed=exact_int(spec["seed"]),
                 num_blocks=manifest.num_blocks,
                 num_tasks=len(tasks),
-                correlation=float(spec.get("correlation", 0.7)),
+                correlation=as_float(spec.get("correlation", 0.7)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic oracle: {exc}") from exc
         return {t.task_id: instance.oracle(i) for i, t in enumerate(tasks)}
     if kind == "table":
+        check_keys(spec, frozenset({"kind", "path"}), "table oracle spec")
         try:
             path = (base_dir / spec["path"]).resolve()
         except KeyError:

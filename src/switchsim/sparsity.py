@@ -27,9 +27,10 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import ConfigError, OracleError, exact_int, read_json
+from .errors import (ConfigError, OracleError, as_float, check_keys, exact_int,
+                     read_json, sum_left_to_right)
 
 __all__ = [
     "TaskSpec",
@@ -37,10 +38,12 @@ __all__ = [
     "AdditiveOracle",
     "TableOracle",
     "SelectionResult",
-    "greedy_skip_select",
-    "aligned_skip_select",
+    "select_skip_set",
     "build_all_tasks",
     "jaccard",
+    "selection_report",
+    "load_table_oracles",
+    "load_task_specs",
 ]
 
 
@@ -106,15 +109,6 @@ class MetricOracle:
         return order, scores.__getitem__, 0.0
 
 
-def _sum_left_to_right(weights: Sequence[float], blocks: Iterable[int]) -> float:
-    # The built-in sum() of floats is compensated from Python 3.12 on; a
-    # plain left-to-right sum gives the same score on every version.
-    total = 0.0
-    for k in blocks:
-        total += weights[k]
-    return total
-
-
 # Unit roundoff of a double, and an absolute floor covering the rounding of
 # a quotient that underflows into the subnormal range.
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -137,7 +131,7 @@ class AdditiveOracle(MetricOracle):
         if any(w < 0 for w in self.weights):
             raise OracleError("importance weights must be non-negative")
         self.num_blocks = len(self.weights)
-        self._total = _sum_left_to_right(self.weights, range(self.num_blocks))
+        self._total = sum_left_to_right(self.weights, range(self.num_blocks))
         # Half the float range keeps every partial sum of any subset finite.
         if self._total > sys.float_info.max / 2:
             raise OracleError("importance weights sum beyond the float range")
@@ -146,7 +140,7 @@ class AdditiveOracle(MetricOracle):
         if self._total == 0.0:
             return 1.0
         # In block order: a set's iteration order depends on how it was built.
-        raw = _sum_left_to_right(self.weights, sorted(active)) / self._total
+        raw = sum_left_to_right(self.weights, sorted(active)) / self._total
         return min(max(raw, 0.0), 1.0)
 
     @cached_property
@@ -226,7 +220,7 @@ class TableOracle(MetricOracle):
         try:
             for row in doc:
                 active = frozenset(exact_int(b) for b in row["active_blocks"])
-                score = float(row["score"])
+                score = as_float(row["score"])
                 if not all(0 <= b < num_blocks for b in active):
                     raise ValueError(f"block ids {sorted(active)} outside "
                                      f"[0, {num_blocks})")
@@ -249,8 +243,15 @@ class SelectionResult:
     removal_order: tuple[int, ...]
 
 
-def _select(task: TaskSpec, oracle: MetricOracle,
-            shared_pool: frozenset[int]) -> SelectionResult:
+def select_skip_set(task: TaskSpec, oracle: MetricOracle,
+                    shared_pool: frozenset[int] = frozenset()) -> SelectionResult:
+    """Greedy removal: repeatedly drop the feasible block with the best score.
+
+    Each step first restricts the feasible candidates to ``shared_pool``;
+    only when no pool candidate is feasible does it take the best
+    candidate overall. With the default empty pool this is plain greedy
+    selection.
+    """
     calls = 1
     s_full = oracle.full_score
     threshold = task.retention_ratio * s_full
@@ -309,23 +310,6 @@ def _select(task: TaskSpec, oracle: MetricOracle,
     )
 
 
-def greedy_skip_select(task: TaskSpec, oracle: MetricOracle) -> SelectionResult:
-    """Greedy removal: repeatedly drop the feasible block with the best score."""
-    return _select(task, oracle, frozenset())
-
-
-def aligned_skip_select(task: TaskSpec, oracle: MetricOracle,
-                        shared_pool: frozenset[int]) -> SelectionResult:
-    """Greedy removal with shared-pool preference.
-
-    Each step first restricts the feasible candidates to the shared pool;
-    only when no pool candidate is feasible does it fall back to the best
-    candidate overall. With an empty pool this is exactly
-    :func:`greedy_skip_select`.
-    """
-    return _select(task, oracle, frozenset(shared_pool))
-
-
 def build_all_tasks(tasks: Sequence[TaskSpec], oracles: Mapping[str, MetricOracle],
                     align: bool = True) -> dict[str, SelectionResult]:
     """Select skip sets for every task, in descending priority order.
@@ -344,10 +328,7 @@ def build_all_tasks(tasks: Sequence[TaskSpec], oracles: Mapping[str, MetricOracl
     results: dict[str, SelectionResult] = {}
     pool: frozenset[int] = frozenset()
     for task in ordered:
-        if align and pool:
-            res = aligned_skip_select(task, oracles[task.task_id], pool)
-        else:
-            res = greedy_skip_select(task, oracles[task.task_id])
+        res = select_skip_set(task, oracles[task.task_id], pool if align else frozenset())
         results[task.task_id] = res
         pool |= res.skipped
     return results
@@ -384,6 +365,9 @@ def load_table_oracles(path: Path | str, tasks: Sequence[TaskSpec],
     return {t.task_id: TableOracle.from_json(doc[t.task_id], num_blocks) for t in tasks}
 
 
+_TASK_KEYS = frozenset({"task_id", "retention_ratio", "max_remove", "priority_weight"})
+
+
 def load_task_specs(path: Path | str) -> list[TaskSpec]:
     """Read the task file: a JSON array of task objects."""
     doc = read_json(path)
@@ -391,12 +375,13 @@ def load_task_specs(path: Path | str) -> list[TaskSpec]:
         raise ConfigError(f"{path}: task file must be a JSON array")
     tasks = []
     for row in doc:
+        check_keys(row, _TASK_KEYS, f"{path}: task entry")
         try:
             tasks.append(TaskSpec(
                 task_id=row["task_id"],
-                retention_ratio=float(row["retention_ratio"]),
+                retention_ratio=as_float(row["retention_ratio"]),
                 max_remove=exact_int(row["max_remove"]),
-                priority_weight=float(row.get("priority_weight", 1.0)),
+                priority_weight=as_float(row.get("priority_weight", 1.0)),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad task entry {row!r}: {exc}") from exc

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
-from .errors import ConfigError, read_json
+from .errors import ConfigError, as_float, check_keys, read_json, sum_left_to_right
 
 __all__ = [
     "DeployMode",
@@ -77,12 +77,15 @@ class CostModel:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CostModel":
+        check_keys(doc, frozenset({"disk_to_cpu_mbps", "cpu_to_gpu_mbps",
+                                   "per_block_fixed_ms", "monolithic_init_ms"}),
+                   "cost model document")
         try:
             return cls(
-                disk_to_cpu_mbps=float(doc["disk_to_cpu_mbps"]),
-                cpu_to_gpu_mbps=float(doc["cpu_to_gpu_mbps"]),
-                per_block_fixed_ms=float(doc.get("per_block_fixed_ms", 0.0)),
-                monolithic_init_ms=float(doc.get("monolithic_init_ms", 0.0)),
+                disk_to_cpu_mbps=as_float(doc["disk_to_cpu_mbps"]),
+                cpu_to_gpu_mbps=as_float(doc["cpu_to_gpu_mbps"]),
+                per_block_fixed_ms=as_float(doc.get("per_block_fixed_ms", 0.0)),
+                monolithic_init_ms=as_float(doc.get("monolithic_init_ms", 0.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad cost model document: {exc}") from exc
@@ -174,7 +177,7 @@ class SwitchTable:
 
     def _transfer(self, blocks: frozenset[int], per_block_ms: tuple[float, ...]
                  ) -> Transfer:
-        return Transfer(blocks, sum(map(per_block_ms.__getitem__, blocks)),
+        return Transfer(blocks, sum_left_to_right(per_block_ms, blocks),
                         self.manifest.bytes_of(blocks))
 
     def disk_leg(self, need: frozenset[int], prestaged: frozenset[int]) -> Transfer:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .reference import gen_markov_log
 from .replay import ScenarioConfig
 from .switching import CostModel, calibrate_uniform_block_bytes
+from .synthetic import gen_markov_log
 
 __all__ = ["DRIVING_TASKS", "DRIVING_PAIR_BIAS", "default_cost_model",
            "write_driving_scenario"]

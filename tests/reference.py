@@ -1,4 +1,4 @@
-"""Independent reference implementations and synthetic instance generation.
+"""Independent reference implementations the fast paths are checked against.
 
 The brute-force routines re-derive selection semantics without sharing
 code with :mod:`switchsim.sparsity`; they exist to validate the fast path
@@ -7,127 +7,20 @@ every candidate removal exactly, at any size, to check the estimating
 :mod:`switchsim.sparsity` selector result for result.
 :func:`reference_switch` recomputes a switch's sets and per-block link
 costs from scratch, to check the tabled
-:func:`switchsim.switching.execute_switch`. The instance generator
-produces seeded multi-task importance landscapes whose cross-task
-overlap is controlled by a single correlation knob.
+:func:`switchsim.switching.execute_switch`.
 """
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 from typing import Mapping
 
-from .block_store import CacheState, ModelManifest, load_to_gpu
-from .errors import ConfigError
-from .sparsity import AdditiveOracle, MetricOracle, SelectionResult, TaskSpec
-from .switching import CostModel, DeployMode, SwitchReport
-
-__all__ = [
-    "SyntheticInstance",
-    "gen_instance",
-    "brute_force_greedy_replay",
-    "brute_force_best_feasible",
-    "reference_select",
-    "enumerate_table_entries",
-    "gen_markov_log",
-    "reference_switch",
-]
+from switchsim.block_store import CacheState, ModelManifest, load_to_gpu
+from switchsim.errors import ConfigError, sum_left_to_right
+from switchsim.sparsity import MetricOracle, SelectionResult, TaskSpec
+from switchsim.switching import CostModel, DeployMode, SwitchReport
 
 REPLAY_MAX_BLOCKS = 16
 EXHAUSTIVE_MAX_BLOCKS = 12
-
-# Instance-generator shape constants. A fixed fraction of blocks per task
-# is near-redundant (tiny importance) and the rest critical (importance
-# too large to ever remove under practical retention ratios). Which blocks
-# are redundant follows the base/noise blend at full correlation strength;
-# the fine ordering inside the redundant cohort decorrelates faster (cubed
-# coefficient), because related tasks agree on *what* is redundant far
-# more than on exactly *how* redundant.
-REDUNDANT_FRACTION = 0.75
-RANK_MIX_EXPONENT = 3
-REDUNDANT_SCALE = 0.02
-
-
-@dataclass(frozen=True)
-class SyntheticInstance:
-    """Seeded multi-task importance landscape for selection experiments."""
-
-    seed: int
-    num_blocks: int
-    num_tasks: int
-    correlation: float
-    weights: tuple[tuple[float, ...], ...]
-    retention: tuple[float, ...]
-
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(f"task{i:02d}" for i in range(self.num_tasks))
-
-    def oracle(self, index: int) -> AdditiveOracle:
-        return AdditiveOracle(self.weights[index])
-
-    def oracles(self, task_ids: tuple[str, ...] | None = None) -> dict[str, AdditiveOracle]:
-        ids = task_ids if task_ids is not None else self.task_ids
-        return {tid: self.oracle(i) for i, tid in enumerate(ids)}
-
-    def task_specs(self, max_remove: int | None = None,
-                   priority_weights: tuple[float, ...] | None = None,
-                   task_ids: tuple[str, ...] | None = None) -> list[TaskSpec]:
-        """Materialize task specs; default removal cap is 30% of the blocks."""
-        if max_remove is None:
-            max_remove = max(1, round(0.3 * self.num_blocks))
-        ids = task_ids if task_ids is not None else self.task_ids
-        return [
-            TaskSpec(
-                task_id=tid,
-                retention_ratio=self.retention[i],
-                max_remove=max_remove,
-                priority_weight=(priority_weights[i] if priority_weights is not None
-                                 else float(self.num_tasks - i)),
-            )
-            for i, tid in enumerate(ids)
-        ]
-
-
-def gen_instance(seed: int, num_blocks: int, num_tasks: int,
-                 correlation: float, retention_ratio: float = 0.9) -> SyntheticInstance:
-    """Draw a seeded instance whose cross-task skip overlap tracks ``correlation``.
-
-    Per task, the ``REDUNDANT_FRACTION`` of blocks ranking lowest under the
-    blend ``correlation * base + (1 - correlation) * noise`` get small
-    importances (orderable, individually removable); the rest get large
-    ones (never feasibly removable at practical retention ratios). At
-    correlation 1 every task sees identical importances; at 0 they are
-    independent.
-    """
-    if num_blocks < 1 or num_tasks < 1:
-        raise ValueError("num_blocks and num_tasks must be positive")
-    if not 0.0 <= correlation <= 1.0:
-        raise ValueError("correlation must lie in [0, 1]")
-    rng = random.Random(seed)
-    base = [rng.random() for _ in range(num_blocks)]
-    rank_base = [rng.random() for _ in range(num_blocks)]
-    c_rank = correlation ** RANK_MIX_EXPONENT
-    n_redundant = round(REDUNDANT_FRACTION * num_blocks)
-    weights = []
-    for _ in range(num_tasks):
-        blend = [correlation * b + (1 - correlation) * rng.random() for b in base]
-        rank = [c_rank * p + (1 - c_rank) * rng.random() for p in rank_base]
-        by_blend = sorted(range(num_blocks), key=lambda k: (blend[k], k))
-        redundant = set(by_blend[:n_redundant])
-        weights.append(tuple(
-            REDUNDANT_SCALE * rank[k] if k in redundant else 1.5 + 0.5 * blend[k]
-            for k in range(num_blocks)
-        ))
-    return SyntheticInstance(
-        seed=seed,
-        num_blocks=num_blocks,
-        num_tasks=num_tasks,
-        correlation=correlation,
-        weights=tuple(weights),
-        retention=(retention_ratio,) * num_tasks,
-    )
 
 
 def brute_force_greedy_replay(oracle: MetricOracle, retention_ratio: float,
@@ -238,28 +131,6 @@ def enumerate_table_entries(oracle: MetricOracle, num_blocks: int) -> list[dict]
     return rows
 
 
-def gen_markov_log(seed: int, length: int, task_ids: list[str],
-                   pair_bias: dict[tuple[str, str], float] | None = None) -> list[str]:
-    """Sample a task sequence from a first-order chain with biased pairs.
-
-    Every ordered pair of distinct tasks gets weight 1.0 unless overridden
-    in ``pair_bias``; larger weights make that switch proportionally more
-    frequent. Deterministic for a given seed.
-    """
-    if length <= 0:
-        return []
-    rng = random.Random(seed)
-    bias = pair_bias or {}
-    current = task_ids[0]
-    out = [current]
-    for _ in range(length - 1):
-        others = [t for t in task_ids if t != current]
-        weights = [bias.get((current, t), 1.0) for t in others]
-        current = rng.choices(others, weights=weights, k=1)[0]
-        out.append(current)
-    return out
-
-
 def reference_switch(state: CacheState, from_task: str, to_task: str,
                      mode: DeployMode, skipped: Mapping[str, frozenset[int]],
                      cost: CostModel, manifest: ModelManifest
@@ -269,7 +140,7 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
     Takes each task's skip set and derives the active set itself. Same
     semantics as :func:`switchsim.switching.execute_switch`, and the same
     set expressions as a replay, so each millisecond sum walks its blocks
-    in the same order and the two agree exactly.
+    in the same order, left to right, and the two agree exactly.
     """
     mode = DeployMode(mode)
     n = manifest.num_blocks
@@ -297,8 +168,8 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
         init = cost.monolithic_init_ms
 
     latency = (init
-               + sum(cost.disk_ms(manifest.block_sizes[b]) for b in disk_leg)
-               + sum(cost.gpu_ms(manifest.block_sizes[b]) for b in gpu_leg))
+               + sum_left_to_right([cost.disk_ms(s) for s in manifest.block_sizes], disk_leg)
+               + sum_left_to_right([cost.gpu_ms(s) for s in manifest.block_sizes], gpu_leg))
     report = SwitchReport(
         from_task=from_task,
         to_task=to_task,

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from switchsim.block_store import CacheState, ModelManifest, TierAssignment
 from switchsim.errors import BudgetExceededError, ManifestError
-from switchsim.prefetch import PlanEntry, PrefetchPlan
+from switchsim.prefetch import PrefetchPlan
 from switchsim.switching import CostModel
 
 
@@ -76,15 +76,15 @@ def reference_plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
     ranked = sorted(candidates, key=lambda b: (-weights.get(b, 0.0), b))
     keep = state.cpu_resident & (tiers.runtime | tiers.preload)
     capacity = state.cpu_budget_bytes - manifest.bytes_of(keep)
-    entries: list[PlanEntry] = []
+    entries: list[int] = []
     used = 0
     for b in ranked:
         size = manifest.block_sizes[b]
         if used + size > capacity:
             continue
-        entries.append(PlanEntry(block=b, weight=weights.get(b, 0.0), size_bytes=size))
+        entries.append(b)
         used += size
-    return PrefetchPlan(entries=tuple(entries), total_bytes=used)
+    return PrefetchPlan(entries=tuple(entries))
 
 
 def reference_execute_prefetch(plan: PrefetchPlan, state: CacheState,
@@ -96,16 +96,16 @@ def reference_execute_prefetch(plan: PrefetchPlan, state: CacheState,
     staged: list[int] = []
     bytes_moved = 0
     elapsed = 0.0
-    for entry in plan.entries:
-        transfer = cost.disk_ms(entry.size_bytes)
+    for block in plan.entries:
+        transfer = cost.disk_ms(manifest.block_sizes[block])
         if elapsed + transfer > compute_window_ms:
             break
         state, moved = reference_stage_to_cpu(
-            manifest, state, {entry.block},
-            protected=protected | frozenset(plan.blocks),
+            manifest, state, {block},
+            protected=protected | frozenset(plan.entries),
             next_task_probs=next_task_probs,
         )
-        staged.append(entry.block)
+        staged.append(block)
         bytes_moved += moved
         elapsed += transfer
     return state, frozenset(staged), bytes_moved

@@ -13,13 +13,14 @@ import time
 
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.cli import main
-from switchsim.reference import brute_force_greedy_replay, gen_instance
 from switchsim.replay import compare_modes
-from switchsim.sparsity import TaskSpec, build_all_tasks, greedy_skip_select, jaccard
+from switchsim.sparsity import TaskSpec, build_all_tasks, jaccard, select_skip_set
 from switchsim.switching import CostModel, DeployMode, SwitchTable, execute_switch
+from switchsim.synthetic import gen_instance
 from switchsim.workloads import write_driving_scenario
 
 from opharness import run_random_ops
+from reference import brute_force_greedy_replay
 
 
 def criterion(num: int, title: str):
@@ -47,7 +48,7 @@ def test_greedy_feasibility():
         oracle = inst.oracle(0)
         spec = TaskSpec("t", retention_ratio=0.9,
                         max_remove=max(1, round(0.3 * n)))
-        res = greedy_skip_select(spec, oracle)
+        res = select_skip_set(spec, oracle)
         active = frozenset(range(n)) - res.skipped
         assert oracle.score(active) >= 0.9 * oracle.full_score, \
             f"seed {seed}: constraint violated"
@@ -65,7 +66,7 @@ def test_greedy_matches_reference():
         inst = gen_instance(seed, num_blocks=n, num_tasks=1, correlation=corr)
         oracle = inst.oracle(0)
         spec = TaskSpec("t", retention_ratio=0.9, max_remove=max_remove)
-        fast = greedy_skip_select(spec, oracle).skipped
+        fast = select_skip_set(spec, oracle).skipped
         slow = brute_force_greedy_replay(oracle, 0.9, max_remove)
         assert fast == slow, f"seed {seed}: {sorted(fast)} != {sorted(slow)}"
     elapsed = time.monotonic() - start
@@ -117,7 +118,7 @@ def test_mode_ordering_over_random_scenarios():
         actives = {t: frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
                    for t in tasks}
         table = SwitchTable(manifest, cost, actives)
-        total = manifest.total_bytes
+        total = sum(manifest.block_sizes)
         states = {}
         for mode in DeployMode:
             boot = manifest.all_blocks if mode is DeployMode.MONOLITHIC \
@@ -205,12 +206,12 @@ def test_calibrated_speedup(tmp_path):
 
 @criterion(6, "a drop-only switch moves zero bytes in split modes")
 def test_zero_fetch_switch():
-    manifest = ModelManifest.uniform("m", 8, 50_000_000)
+    manifest = ModelManifest("m", (50_000_000,) * 8)
     actives = {"wide": frozenset(range(6)), "narrow": frozenset(range(5))}
     active_wide = actives["wide"]
     state = CacheState(
-        gpu_budget_bytes=manifest.total_bytes,
-        cpu_budget_bytes=manifest.total_bytes,
+        gpu_budget_bytes=sum(manifest.block_sizes),
+        cpu_budget_bytes=sum(manifest.block_sizes),
         gpu_resident=active_wide,
     )
     cost = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0,

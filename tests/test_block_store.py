@@ -15,12 +15,12 @@ MB = 1_000_000
 
 
 def uniform_manifest(n: int, size: int = 10 * MB) -> ModelManifest:
-    return ModelManifest.uniform(f"m{n}", n, size)
+    return ModelManifest(f"m{n}", (size,) * n)
 
 
 def state_with(manifest: ModelManifest, gpu=(), cpu=(), gpu_budget=None,
                cpu_budget=None) -> CacheState:
-    total = manifest.total_bytes
+    total = sum(manifest.block_sizes)
     return CacheState(
         gpu_budget_bytes=total if gpu_budget is None else gpu_budget,
         cpu_budget_bytes=total if cpu_budget is None else cpu_budget,
@@ -45,7 +45,7 @@ class TestManifest:
             "model_name": "x", "block_sizes_bytes": [5, 6], "shard_prefix": "s_",
         })
         assert m == ModelManifest("x", (5, 6))
-        assert m.total_bytes == 11
+        assert sum(m.block_sizes) == 11
 
 
 class TestStageToCpu:
@@ -98,7 +98,7 @@ class TestEvict:
     def test_lru_tie_break_hand_trace(self):
         m = uniform_manifest(8)
         s0 = CacheState(
-            gpu_budget_bytes=m.total_bytes, cpu_budget_bytes=m.total_bytes,
+            gpu_budget_bytes=sum(m.block_sizes), cpu_budget_bytes=sum(m.block_sizes),
             cpu_resident=frozenset({0, 1, 2}), cpu_lru=(1, 2, 0),
         )
         state = evict(m, s0, 10 * MB, protected=frozenset({0}))
@@ -126,7 +126,7 @@ class TestEvict:
     def test_equal_probs_fall_back_to_lru(self):
         m = uniform_manifest(8)
         s0 = CacheState(
-            gpu_budget_bytes=m.total_bytes, cpu_budget_bytes=m.total_bytes,
+            gpu_budget_bytes=sum(m.block_sizes), cpu_budget_bytes=sum(m.block_sizes),
             cpu_resident=frozenset({4, 7}), cpu_lru=(7, 4),
         )
         state = evict(m, s0, 10 * MB, next_task_probs={4: 0.2, 7: 0.2})

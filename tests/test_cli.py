@@ -205,6 +205,11 @@ class TestBadNumbers:
         ("manifest.json", ("block_sizes_bytes", 0), 62_625_000.5),
         ("tasks.json", (0, "max_remove"), 2.7),
         ("tasks.json", (0, "max_remove"), math.inf),
+        # JSON true is not the count 1.
+        ("config.json", ("k",), True),
+        ("config.json", ("oracle", "seed"), True),
+        ("manifest.json", ("block_sizes_bytes", 0), True),
+        ("tasks.json", (0, "max_remove"), True),
     ], ids=key_path_id)
     def test_non_integral_count_is_a_config_error(self, driving_dir, tmp_path,
                                                   name, path, value):
@@ -220,6 +225,8 @@ class TestBadNumbers:
         {"active_blocks": [0], "score": 1.5},
         {"active_blocks": [0], "score": -0.1},
         {"score": 0.5},
+        {"active_blocks": [True], "score": 0.5},
+        {"active_blocks": [0], "score": True},
     ], ids=lambda row: json.dumps(row))
     def test_bad_table_oracle_row_is_a_config_error(self, tmp_path, row):
         tasks = write_tasks(tmp_path / "tasks.json", ids=("a",))
@@ -230,10 +237,59 @@ class TestBadNumbers:
                      "--oracle-table", str(table)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name, path", [
+        ("config.json", ("compute_window_ms",)),
+        ("config.json", ("oracle", "correlation")),
+        ("cost_model.json", ("disk_to_cpu_mbps",)),
+        ("tasks.json", (0, "retention_ratio")),
+        ("tasks.json", (0, "priority_weight")),
+    ], ids=key_path_id)
+    def test_boolean_is_not_a_number(self, driving_dir, tmp_path, name, path):
+        # float(True) is 1.0, a valid value for each of these fields.
+        assert compare_edited(driving_dir, tmp_path, name, path, True) == EXIT_CONFIG
+
     def test_out_of_range_correlation_is_a_config_error(self, driving_dir, tmp_path):
         code = compare_edited(driving_dir, tmp_path, "config.json",
                               ("oracle", "correlation"), 1.5)
         assert code == EXIT_CONFIG
+
+
+class TestUnknownKeys:
+    # Each misspelt key used to be ignored, so its field silently ran with
+    # the default: window 0, correlation 0.7, priority 1, no fixed cost.
+    @pytest.mark.parametrize("name, path, value", [
+        ("config.json", ("compute_window",), 80.0),
+        ("config.json", ("oracle", "corelation"), 0.85),
+        ("tasks.json", (0, "priority"), 5.0),
+        ("cost_model.json", ("per_block_ms",), 1.0),
+    ], ids=key_path_id)
+    def test_unknown_key_is_a_config_error(self, driving_dir, tmp_path, name, path,
+                                           value):
+        assert compare_edited(driving_dir, tmp_path, name, path, value) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("extra, flags", [
+        ({}, []), ({"seed": 7}, []), ({}, ["--seed", "7"]),
+        ({}, ["--correlation", "0.5"]),
+    ], ids=["kind-and-path", "seed-key", "seed-flag", "correlation-flag"])
+    def test_table_oracle_spec_takes_kind_and_path_only(self, driving_dir, tmp_path,
+                                                        extra, flags):
+        root = tmp_path / "scenario"
+        shutil.copytree(driving_dir, root)
+        tasks = json.loads((root / "tasks.json").read_text())
+        for row in tasks:
+            row["max_remove"] = 0
+        (root / "tasks.json").write_text(json.dumps(tasks))
+        # With no removals, selection scores only the full model.
+        every = list(range(len(json.loads(
+            (root / "manifest.json").read_text())["block_sizes_bytes"])))
+        (root / "table.json").write_text(json.dumps(
+            {row["task_id"]: [{"active_blocks": every, "score": 1.0}] for row in tasks}))
+        doc = json.loads((root / "config.json").read_text())
+        doc["oracle"] = {"kind": "table", "path": "table.json", **extra}
+        (root / "config.json").write_text(json.dumps(doc))
+        code = main(["compare", "--config", str(root / "config.json"),
+                     "--out-dir", str(tmp_path / "out"), *flags])
+        assert code == (EXIT_CONFIG if extra or flags else EXIT_OK)
 
 
 def run_select(tmp_path, *flags) -> int:
@@ -249,6 +305,7 @@ class TestMalformedInput:
         ("cost_model.json", b"disk_to_cpu_mbps = 1"),
         ("log.txt", b"Car\n\xff\xfe\n"),
         ("trace.txt", b"\xffCar\n"),
+        ("config.json", b"[]"),
     ])
     def test_unreadable_scenario_file_is_a_config_error(self, driving_dir, tmp_path,
                                                         name, content):

@@ -23,10 +23,10 @@ import pytest
 from switchsim import replay
 from switchsim.block_store import ModelManifest
 from switchsim.cli import main
-from switchsim.reference import reference_switch
 from switchsim.switching import CostModel, DeployMode
 from switchsim.workloads import DRIVING_TASKS, write_driving_scenario
 
+from reference import reference_switch
 from reference_replay import reference_replay
 
 # Seeded scenarios that differ in block count, k, prefetch window and host

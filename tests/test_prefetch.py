@@ -13,8 +13,8 @@ MB = 1_000_000
 
 
 def make_setup(n=8, block_mb=10, cpu_budget_blocks=8):
-    manifest = ModelManifest.uniform("m", n, block_mb * MB)
-    state = CacheState(gpu_budget_bytes=manifest.total_bytes,
+    manifest = ModelManifest("m", (block_mb * MB,) * n)
+    state = CacheState(gpu_budget_bytes=sum(manifest.block_sizes),
                        cpu_budget_bytes=cpu_budget_blocks * block_mb * MB)
     return manifest, state
 
@@ -45,14 +45,14 @@ class TestPlanPrefetch:
         manifest, state, tiers, weights = two_successor_setup()
         assert weights[3] == 0.7  # needed by both successors; max wins
         plan = plan_prefetch(tiers, weights, state, manifest)
-        assert plan.blocks == (2, 3, 4)  # 0.7, 0.7, 0.3; id breaks the tie
-        assert [e.weight for e in plan.entries] == [0.7, 0.7, 0.3]
+        assert plan.entries == (2, 3, 4)  # 0.7, 0.7, 0.3; id breaks the tie
+        assert [weights[b] for b in plan.entries] == [0.7, 0.7, 0.3]
 
     def test_budget_admits_all_candidates(self):
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_prefetch(tiers, weights, state, manifest)
-        assert set(plan.blocks) == tiers.preload
-        assert plan.total_bytes == manifest.bytes_of(plan.blocks)
+        assert set(plan.entries) == tiers.preload
+        assert manifest.bytes_of(plan.entries) == 30 * MB
 
     def test_zero_budget_yields_empty_plan(self):
         manifest, state, tiers, weights = two_successor_setup()
@@ -60,7 +60,7 @@ class TestPlanPrefetch:
                            cpu_budget_bytes=0)
         plan = plan_prefetch(tiers, weights, state, manifest)
         assert plan.entries == ()
-        assert plan.total_bytes == 0
+        assert manifest.bytes_of(plan.entries) == 0
 
     def test_resident_blocks_are_not_replanned(self):
         manifest, state, tiers, weights = two_successor_setup()
@@ -70,14 +70,14 @@ class TestPlanPrefetch:
             cpu_resident=frozenset({3}), cpu_lru=(3,),
         )
         plan = plan_prefetch(tiers, weights, state, manifest)
-        assert 3 not in plan.blocks
+        assert 3 not in plan.entries
 
     def test_oversized_candidate_is_skipped_not_fatal(self):
         manifest, state, tiers, weights = two_successor_setup(
             cpu_budget_blocks=2)
         plan = plan_prefetch(tiers, weights, state, manifest)
-        assert plan.blocks == (2, 3)  # third candidate no longer fits
-        assert plan.total_bytes <= state.cpu_budget_bytes
+        assert plan.entries == (2, 3)  # third candidate no longer fits
+        assert manifest.bytes_of(plan.entries) <= state.cpu_budget_bytes
 
 
 class TestExecutePrefetch:
@@ -109,7 +109,7 @@ class TestExecutePrefetch:
         plan = plan_prefetch(tiers, weights, state, manifest)
         _, staged, _ = execute_prefetch(plan, state, window, COST, manifest)
         k = len(staged)
-        assert staged == frozenset(plan.blocks[:k])
+        assert staged == frozenset(plan.entries[:k])
 
     def test_larger_window_never_stages_fewer(self):
         manifest, state, tiers, weights = two_successor_setup()
@@ -139,7 +139,7 @@ class TestExecutePrefetch:
             cpu_resident=frozenset({7}), cpu_lru=(7,),
         )
         plan = plan_prefetch(tiers, weights, state, manifest)
-        assert set(plan.blocks) == {2, 3, 4}
+        assert set(plan.entries) == {2, 3, 4}
         state, staged, _ = execute_prefetch(
             plan, state, 1000.0, COST, manifest,
             protected=tiers.runtime | tiers.preload)

@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
-from switchsim.reference import (brute_force_best_feasible, brute_force_greedy_replay,
-                                 enumerate_table_entries, gen_instance, gen_markov_log)
-from switchsim.sparsity import AdditiveOracle, TableOracle, TaskSpec, greedy_skip_select
+from switchsim.sparsity import AdditiveOracle, TableOracle, TaskSpec, select_skip_set
+from switchsim.synthetic import gen_instance, gen_markov_log
+
+from reference import (brute_force_best_feasible, brute_force_greedy_replay,
+                       enumerate_table_entries)
 
 
 class TestGenInstance:
@@ -52,7 +54,7 @@ class TestGreedyReplay:
                                 correlation=(seed % 10) / 10)
             oracle = inst.oracle(0)
             spec = TaskSpec("t", retention_ratio=0.9, max_remove=n // 2)
-            fast = greedy_skip_select(spec, oracle).skipped
+            fast = select_skip_set(spec, oracle).skipped
             slow = brute_force_greedy_replay(oracle, 0.9, n // 2)
             assert fast == slow
 

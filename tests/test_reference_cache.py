@@ -59,7 +59,7 @@ def cache_cases(draw):
 @given(cache_cases(), st.data())
 def test_evict_matches_reference(case, data):
     manifest, state, probs, protected = case
-    needed = data.draw(st.integers(-5, manifest.total_bytes + 5))
+    needed = data.draw(st.integers(-5, sum(manifest.block_sizes) + 5))
     assert outcome(evict, manifest, state, needed, protected, probs) \
         == outcome(reference_evict, manifest, state, needed, protected, probs)
 
@@ -89,7 +89,7 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
     assert plan == reference_plan_prefetch(tiers, weights, state, manifest)
     if data.draw(st.booleans()):
         protected = runtime | preload  # contains the plan, as in a replay
-    window = data.draw(st.floats(0.0, manifest.total_bytes + 5.0))
+    window = data.draw(st.floats(0.0, sum(manifest.block_sizes) + 5.0))
     args = (plan, state, window, COST, manifest, protected, probs)
     assert outcome(execute_prefetch, *args) == outcome(reference_execute_prefetch, *args)
 

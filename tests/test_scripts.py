@@ -23,3 +23,19 @@ def test_speedup_experiment_removes_its_temp_dir(tmp_path, monkeypatch, capsys):
     load_script("run_speedup_experiment").main()
     assert "mean speedup" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_overlap_experiment_runs(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["run_overlap_experiment.py", "--instances", "2"])
+    load_script("run_overlap_experiment").main()
+    assert "aligned mean pairwise Jaccard" in capsys.readouterr().out
+
+
+def test_demo_scenario_is_written(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "demo"
+    monkeypatch.setattr(sys, "argv", ["build_demo_scenario.py", str(out)])
+    load_script("build_demo_scenario").main()
+    assert f"scenario written under {out}" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.json", "cost_model.json", "log.txt", "manifest.json", "tasks.json",
+        "trace.txt"]

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim.errors import ConfigError, OracleError
-from switchsim.reference import (brute_force_greedy_replay, enumerate_table_entries,
-                                 gen_instance, reference_select)
 from switchsim.sparsity import (AdditiveOracle, MetricOracle, TableOracle, TaskSpec,
-                                aligned_skip_select, build_all_tasks,
-                                greedy_skip_select, jaccard)
+                                build_all_tasks, jaccard, select_skip_set)
+from switchsim.synthetic import gen_instance
+
+from reference import brute_force_greedy_replay, enumerate_table_entries, reference_select
 
 
 def task(max_remove: int, retention: float = 0.9, task_id: str = "t",
@@ -63,7 +63,7 @@ class PerturbedOracle(MetricOracle):
 
 def assert_matches_reference(spec: TaskSpec, oracle, pool: frozenset[int]):
     """All four result fields equal the exactly-scoring reference's."""
-    mine = aligned_skip_select(spec, oracle, pool)
+    mine = select_skip_set(spec, oracle, pool)
     ref = reference_select(spec, oracle, pool)
     assert (mine.skipped, mine.final_score, mine.oracle_calls, mine.removal_order) == \
         (ref.skipped, ref.final_score, ref.oracle_calls, ref.removal_order)
@@ -151,7 +151,7 @@ class TestOracles:
         # Sparse accuracy above the full model is expressible via tables.
         oracle = TableOracle({frozenset({0, 1}): 0.8, frozenset({1}): 0.9,
                               frozenset({0}): 0.1}, num_blocks=2)
-        res = greedy_skip_select(task(1, retention=1.0), oracle)
+        res = select_skip_set(task(1, retention=1.0), oracle)
         assert res.skipped == {0}
         assert res.final_score == 0.9
 
@@ -160,13 +160,13 @@ class TestGreedySelect:
     def test_retention_threshold_uses_full_score(self):
         # lambda = 0.9: exactly one of the two light blocks fits the budget.
         oracle = AdditiveOracle([1.0, 1.0, 1.0, 1.0, 1.0, 0.4])
-        res = greedy_skip_select(task(3), oracle)
+        res = select_skip_set(task(3), oracle)
         assert res.skipped == {5}
         assert res.final_score >= 0.9 * oracle.full_score
 
     def test_strictly_decreasing_oracle_at_full_retention_removes_nothing(self):
         oracle = AdditiveOracle([1.0, 2.0, 3.0])
-        res = greedy_skip_select(task(3, retention=1.0), oracle)
+        res = select_skip_set(task(3, retention=1.0), oracle)
         assert res.skipped == frozenset()
         assert res.final_score == oracle.full_score
 
@@ -174,18 +174,18 @@ class TestGreedySelect:
         inst = gen_instance(seed=42, num_blocks=6, num_tasks=1, correlation=0.5)
         oracle = inst.oracle(0)
         spec = task(3)
-        mine = greedy_skip_select(spec, oracle)
+        mine = select_skip_set(spec, oracle)
         ref = brute_force_greedy_replay(oracle, 0.9, 3)
         assert mine.skipped == ref
 
     def test_respects_max_remove(self):
         oracle = AdditiveOracle([0.0, 0.0, 0.0, 0.0])
-        res = greedy_skip_select(task(2), oracle)
+        res = select_skip_set(task(2), oracle)
         assert len(res.skipped) == 2
 
     def test_counts_oracle_calls(self):
         oracle = AdditiveOracle([1.0, 1.0, 0.1, 0.1])
-        res = greedy_skip_select(task(2), oracle)
+        res = select_skip_set(task(2), oracle)
         # 1 baseline + 4 candidates + 3 candidates.
         assert res.oracle_calls == 8
 
@@ -256,19 +256,11 @@ class TestMatchesReferenceSelector:
         calls = []
         score = oracle.score
         oracle.score = lambda active: calls.append(1) or score(active)
-        res = greedy_skip_select(task(40, retention=0.99), oracle)
+        res = select_skip_set(task(40, retention=0.99), oracle)
         assert res.oracle_calls > 40 * len(calls)
 
 
 class TestAlignedSelect:
-    def test_empty_pool_equals_plain_greedy(self):
-        for seed in range(30):
-            inst = gen_instance(seed, num_blocks=10, num_tasks=1, correlation=0.6)
-            spec = task(4)
-            a = aligned_skip_select(spec, inst.oracle(0), frozenset())
-            g = greedy_skip_select(spec, inst.oracle(0))
-            assert a == g
-
     def test_feasible_pool_candidate_beats_better_outsider(self):
         # Shared block scores 0.92*full, non-shared 0.95*full: shared wins.
         oracle = TableOracle({
@@ -277,12 +269,12 @@ class TestAlignedSelect:
             frozenset({0}): 0.95,   # drop block 1 (not shared)
             frozenset(): 0.0,
         }, num_blocks=2)
-        res = aligned_skip_select(task(1), oracle, shared_pool=frozenset({0}))
+        res = select_skip_set(task(1), oracle, shared_pool=frozenset({0}))
         assert res.skipped == {0}
 
     def test_infeasible_pool_falls_back_to_best_overall(self):
         oracle = AdditiveOracle([5.0, 1.0, 0.2])
-        res = aligned_skip_select(task(1), oracle, shared_pool=frozenset({0}))
+        res = select_skip_set(task(1), oracle, shared_pool=frozenset({0}))
         assert res.skipped == {2}
 
     def test_alignment_never_hurts_pairwise_overlap(self):
@@ -292,9 +284,9 @@ class TestAlignedSelect:
             inst = gen_instance(seed, num_blocks=12, num_tasks=2,
                                 correlation=(seed % 10) / 10)
             spec = task(5)
-            s1 = greedy_skip_select(spec, inst.oracle(0)).skipped
-            ind = greedy_skip_select(spec, inst.oracle(1)).skipped
-            ali = aligned_skip_select(spec, inst.oracle(1), s1).skipped
+            s1 = select_skip_set(spec, inst.oracle(0)).skipped
+            ind = select_skip_set(spec, inst.oracle(1)).skipped
+            ali = select_skip_set(spec, inst.oracle(1), s1).skipped
             assert jaccard(ali, s1) >= jaccard(ind, s1)
 
     def test_matches_pool_aware_step_replay_at_small_n(self):
@@ -304,9 +296,9 @@ class TestAlignedSelect:
             n = 5 + seed % 4
             inst = gen_instance(seed, num_blocks=n, num_tasks=2,
                                 correlation=0.6)
-            pool = greedy_skip_select(task(n // 2), inst.oracle(0)).skipped
+            pool = select_skip_set(task(n // 2), inst.oracle(0)).skipped
             spec = task(n // 2)
-            mine = aligned_skip_select(spec, inst.oracle(1), pool).skipped
+            mine = select_skip_set(spec, inst.oracle(1), pool).skipped
             ref = brute_force_greedy_replay(inst.oracle(1), 0.9, n // 2,
                                             shared_pool=pool)
             assert mine == ref
@@ -317,7 +309,7 @@ class TestBuildAllTasks:
         inst = gen_instance(3, num_blocks=8, num_tasks=1, correlation=0.5)
         spec = task(3, task_id="only")
         results = build_all_tasks([spec], {"only": inst.oracle(0)})
-        assert results["only"] == greedy_skip_select(spec, inst.oracle(0))
+        assert results["only"] == select_skip_set(spec, inst.oracle(0))
 
     def test_identical_oracles_reproduce_the_first_skip_set(self):
         for n in (4, 6, 8):
@@ -334,7 +326,8 @@ class TestBuildAllTasks:
         weights = [5.0, 4.0, 3.0, 2.0, 1.0]
         inst = gen_instance(9, num_blocks=8, num_tasks=5, correlation=0.7)
         tasks = [task(2, task_id=t, priority=w) for t, w in zip(ids, weights)]
-        results = build_all_tasks(tasks, inst.oracles(tuple(ids)))
+        results = build_all_tasks(
+            tasks, {t: inst.oracle(i) for i, t in enumerate(ids)})
         order = list(results)
         assert order.index("Car") < order.index("Bicycle")
         assert order == ids  # descending priority
@@ -343,7 +336,8 @@ class TestBuildAllTasks:
         inst = gen_instance(1, num_blocks=6, num_tasks=2, correlation=0.5)
         tasks = [task(2, task_id="zeta", priority=1.0),
                  task(2, task_id="alpha", priority=1.0)]
-        results = build_all_tasks(tasks, inst.oracles(("zeta", "alpha")))
+        results = build_all_tasks(tasks, {"zeta": inst.oracle(0),
+                                         "alpha": inst.oracle(1)})
         assert list(results) == ["alpha", "zeta"]
 
     def test_missing_oracle_is_a_config_error(self):
@@ -391,7 +385,7 @@ class TestInvariants:
     def test_constraint_satisfaction_exact(self, seed, n, max_remove, corr):
         inst = gen_instance(seed, num_blocks=n, num_tasks=1, correlation=corr)
         oracle = inst.oracle(0)
-        res = greedy_skip_select(task(min(max_remove, n)), oracle)
+        res = select_skip_set(task(min(max_remove, n)), oracle)
         active = frozenset(range(n)) - res.skipped
         assert oracle.score(active) >= 0.9 * oracle.full_score
         assert len(res.skipped) <= max_remove
@@ -401,8 +395,8 @@ class TestInvariants:
     def test_greedy_step_soundness(self, seed):
         inst = gen_instance(seed, num_blocks=8, num_tasks=2, correlation=0.5)
         oracle = inst.oracle(0)
-        pool = greedy_skip_select(task(3), inst.oracle(1)).skipped
-        res = aligned_skip_select(task(4), oracle, pool)
+        pool = select_skip_set(task(3), inst.oracle(1)).skipped
+        res = select_skip_set(task(4), oracle, pool)
         # Replay the removal order: each step's pick must have been
         # feasible and score-maximal under pool preference and tie-break.
         threshold = 0.9 * oracle.full_score

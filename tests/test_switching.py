@@ -7,9 +7,10 @@ import pytest
 
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import BudgetExceededError, ConfigError
-from switchsim.reference import reference_switch
 from switchsim.switching import (CostModel, DeployMode, SwitchTable,
                                  calibrate_uniform_block_bytes, execute_switch)
+
+from reference import reference_switch
 
 MB = 1_000_000
 
@@ -23,8 +24,8 @@ def actives_for(actives: dict[str, set[int]]) -> dict[str, frozenset[int]]:
 
 def state_for(manifest: ModelManifest, gpu=(), cpu=()) -> CacheState:
     return CacheState(
-        gpu_budget_bytes=manifest.total_bytes,
-        cpu_budget_bytes=manifest.total_bytes,
+        gpu_budget_bytes=sum(manifest.block_sizes),
+        cpu_budget_bytes=sum(manifest.block_sizes),
         gpu_resident=frozenset(gpu),
         cpu_resident=frozenset(cpu), cpu_lru=tuple(cpu),
     )
@@ -35,7 +36,7 @@ class TestDiffSet:
     task needs that the device does not hold."""
 
     def moved(self, active_from: set[int], active_to: set[int]) -> tuple[int, int]:
-        manifest = ModelManifest.uniform("m", 8, MB)
+        manifest = ModelManifest("m", (MB,) * 8)
         actives = actives_for({"a": active_from, "b": active_to})
         state = state_for(manifest, gpu=tuple(sorted(active_from)))
         _, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
@@ -56,7 +57,7 @@ class TestDiffSet:
 class TestExecuteSwitch:
     def test_monolithic_reload_hits_calibration_target(self):
         block = calibrate_uniform_block_bytes(1566.5, 32, COST)
-        manifest = ModelManifest.uniform("m", 32, block)
+        manifest = ModelManifest("m", (block,) * 32)
         actives = actives_for({"a": set(range(16)), "b": set(range(16, 32))})
         _, report = execute_switch(state_for(manifest), "a", "b", DeployMode.MONOLITHIC,
                                    SwitchTable(manifest, COST, actives))
@@ -64,7 +65,7 @@ class TestExecuteSwitch:
         assert report.blocks_reused == 0
 
     def test_sparse_no_split_reloads_whole_active_set(self):
-        manifest = ModelManifest.uniform("m", 8, 100 * MB)
+        manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {1, 2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2))
         _, report = execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
@@ -77,7 +78,7 @@ class TestExecuteSwitch:
         assert report.bytes_disk_to_cpu == 300 * MB
 
     def test_split_only_moves_only_missing_blocks(self):
-        manifest = ModelManifest.uniform("m", 8, 100 * MB)
+        manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {1, 2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2), cpu=(3,))
         new_state, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
@@ -91,7 +92,7 @@ class TestExecuteSwitch:
 
     def test_full_method_prestaged_blocks_skip_the_disk_leg(self):
         # Three 100 MB differential blocks, all host-resident.
-        manifest = ModelManifest.uniform("m", 8, 100 * MB)
+        manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1}, "b": {0, 5, 6, 7}})
         state = state_for(manifest, gpu=(0, 1), cpu=(5, 6, 7))
         _, report = execute_switch(state, "a", "b", DeployMode.FULL_METHOD,
@@ -101,7 +102,7 @@ class TestExecuteSwitch:
         assert report.latency_ms == pytest.approx(3 * (12.5 + 1.0))
 
     def test_zero_differential_costs_nothing_in_split_modes(self):
-        manifest = ModelManifest.uniform("m", 8, 100 * MB)
+        manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {1, 2}})
         state = state_for(manifest, gpu=(0, 1, 2))
         table = SwitchTable(manifest, COST, actives)
@@ -112,23 +113,23 @@ class TestExecuteSwitch:
             assert report.bytes_cpu_to_gpu == 0
 
     def test_active_set_beyond_budget_is_an_error(self):
-        manifest = ModelManifest.uniform("m", 4, 100 * MB)
+        manifest = ModelManifest("m", (100 * MB,) * 4)
         actives = actives_for({"a": {0}, "b": {0, 1, 2, 3}})
         state = CacheState(gpu_budget_bytes=300 * MB,
-                           cpu_budget_bytes=manifest.total_bytes,
+                           cpu_budget_bytes=sum(manifest.block_sizes),
                            gpu_resident=frozenset({0}))
         with pytest.raises(BudgetExceededError):
             execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
                            SwitchTable(manifest, COST, actives))
 
     def test_missing_skip_set_is_a_config_error(self):
-        manifest = ModelManifest.uniform("m", 4, MB)
+        manifest = ModelManifest("m", (MB,) * 4)
         with pytest.raises(ConfigError):
             execute_switch(state_for(manifest), "a", "b", DeployMode.SPLIT_ONLY,
                            SwitchTable(manifest, COST, {}))
 
     def test_residency_after_switch_is_the_active_set(self):
-        manifest = ModelManifest.uniform("m", 8, MB)
+        manifest = ModelManifest("m", (MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {2, 3}})
         state = state_for(manifest, gpu=(0, 1, 2), cpu=(3,))
         table = SwitchTable(manifest, COST, actives)
@@ -168,8 +169,8 @@ class TestTableMatchesReference:
             # order of each millisecond sum, follows from this expression.
             active = {t: frozenset(range(n)) - s for t, s in skipped.items()}
             table = SwitchTable(manifest, cost, active)
-            gpu_budget = rng.choice([manifest.total_bytes,
-                                     rng.randrange(1, manifest.total_bytes + 1)])
+            gpu_budget = rng.choice([sum(manifest.block_sizes),
+                                     rng.randrange(1, sum(manifest.block_sizes) + 1)])
             for _step in range(8):
                 a, b = rng.sample(tasks, 2)
                 # Mostly a device set that is no task's active set.
@@ -182,7 +183,7 @@ class TestTableMatchesReference:
                 for _repeat in range(2):
                     cpu = tuple(rng.sample(range(n), rng.randrange(0, n + 1)))
                     state = CacheState(gpu_budget_bytes=gpu_budget,
-                                       cpu_budget_bytes=manifest.total_bytes,
+                                       cpu_budget_bytes=sum(manifest.block_sizes),
                                        gpu_resident=frozenset(sorted(device)),
                                        cpu_resident=frozenset(cpu), cpu_lru=cpu)
                     args = (state, a, b, mode)
@@ -197,7 +198,7 @@ class TestGpuUtilization:
 
     def test_empty_residency(self):
         # A task that actives every block leaves the device empty.
-        manifest = ModelManifest.uniform("m", 4, MB)
+        manifest = ModelManifest("m", (MB,) * 4)
         actives = actives_for({"a": {0, 1}, "b": set()})
         _, report = execute_switch(state_for(manifest, gpu=(0, 1)), "a", "b",
                                    DeployMode.FULL_METHOD,
@@ -205,7 +206,7 @@ class TestGpuUtilization:
         assert report.gpu_resident_bytes_after == 0
 
     def test_full_residency_uniform_blocks(self):
-        manifest = ModelManifest.uniform("m", 32, 100 * MB)
+        manifest = ModelManifest("m", (100 * MB,) * 32)
         actives = actives_for({"a": set(range(20)), "b": set(range(4, 24))})
         _, report = execute_switch(state_for(manifest, gpu=tuple(range(20))), "a", "b",
                                    DeployMode.MONOLITHIC,
@@ -213,7 +214,7 @@ class TestGpuUtilization:
         assert report.gpu_resident_bytes_after == 3200 * MB
 
     def test_sparse_mode_occupies_less_than_monolithic(self):
-        manifest = ModelManifest.uniform("m", 32, 100 * MB)
+        manifest = ModelManifest("m", (100 * MB,) * 32)
         actives = actives_for({"a": set(range(20)), "b": set(range(4, 24))})
         state = state_for(manifest, gpu=tuple(range(20)))
         table = SwitchTable(manifest, COST, actives)
@@ -241,7 +242,7 @@ class TestAccountingIdentity:
         rng = random.Random(5)
         for _ in range(60):
             n = rng.randrange(2, 12)
-            manifest = ModelManifest.uniform("m", n, rng.randrange(1, 40) * MB)
+            manifest = ModelManifest("m", (rng.randrange(1, 40) * MB,) * n)
             active_a = set(rng.sample(range(n), rng.randrange(1, n + 1)))
             active_b = set(rng.sample(range(n), rng.randrange(1, n + 1)))
             actives = actives_for({"a": active_a, "b": active_b})
@@ -257,7 +258,7 @@ class TestAccountingIdentity:
         rng = random.Random(9)
         for _ in range(60):
             n = rng.randrange(2, 12)
-            manifest = ModelManifest.uniform("m", n, 5 * MB)
+            manifest = ModelManifest("m", (5 * MB,) * n)
             active_a = set(rng.sample(range(n), rng.randrange(1, n + 1)))
             active_b = set(rng.sample(range(n), rng.randrange(1, n + 1)))
             actives = actives_for({"a": active_a, "b": active_b})
@@ -277,7 +278,7 @@ class TestModeOrdering:
         rng = random.Random(123)
         for _ in range(40):
             n = rng.randrange(2, 16)
-            manifest = ModelManifest.uniform("m", n, rng.randrange(1, 30) * MB)
+            manifest = ModelManifest("m", (rng.randrange(1, 30) * MB,) * n)
             cost = CostModel(
                 disk_to_cpu_mbps=rng.uniform(100, 5000),
                 cpu_to_gpu_mbps=rng.uniform(1000, 20000),
@@ -317,6 +318,22 @@ class TestModeOrdering:
                     >= latencies[DeployMode.SPLIT_ONLY] \
                     >= latencies[DeployMode.FULL_METHOD]
                 current = nxt
+
+
+class TestSummationOrder:
+    def test_link_milliseconds_sum_left_to_right(self):
+        # Per-block costs of 1e16, 1 and 1 ms on each link: summed left to
+        # right each leg is 1e16, where the compensated built-in sum() of
+        # Python 3.12+ gives 1e16 + 2.
+        cost = CostModel(disk_to_cpu_mbps=0.001, cpu_to_gpu_mbps=0.001)
+        manifest = ModelManifest("m", (10 ** 16, 1, 1))
+        state = CacheState(gpu_budget_bytes=10 ** 17, cpu_budget_bytes=10 ** 17)
+        table = SwitchTable(manifest, cost, {})
+        _, report = execute_switch(state, "a", "b", DeployMode.MONOLITHIC, table)
+        assert report.latency_ms == 2e16
+        _, ref = reference_switch(state, "a", "b", DeployMode.MONOLITHIC, {}, cost,
+                                  manifest)
+        assert ref.latency_ms == 2e16
 
 
 class TestCalibration:
