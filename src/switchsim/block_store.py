@@ -94,20 +94,30 @@ class CacheState:
     cpu_resident: frozenset[int] = frozenset()
     cpu_lru: tuple[int, ...] = ()
 
-    def check(self, manifest: ModelManifest) -> None:
-        """Raise if any state invariant is violated."""
-        for tier, resident, budget in (
-            ("gpu", self.gpu_resident, self.gpu_budget_bytes),
-            ("cpu", self.cpu_resident, self.cpu_budget_bytes),
-        ):
-            if not resident <= manifest.all_blocks:
-                raise ManifestError(f"{tier} resident set references unknown blocks")
-            used = manifest.bytes_of(resident)
-            if used > budget:
-                raise BudgetExceededError(tier, used - budget)
+    def check_device(self, manifest: ModelManifest) -> None:
+        """Raise unless the device holds known blocks within its budget.
+
+        A pure function of ``gpu_resident`` and ``gpu_budget_bytes``, so a
+        caller may check each distinct pair once.
+        """
+        _check_tier(manifest, "gpu", self.gpu_resident, self.gpu_budget_bytes)
+
+    def check_host(self, manifest: ModelManifest) -> None:
+        """Raise unless the host cache holds known blocks within its budget
+        and ``cpu_lru`` lists each of them exactly once."""
+        _check_tier(manifest, "cpu", self.cpu_resident, self.cpu_budget_bytes)
         if frozenset(self.cpu_lru) != self.cpu_resident \
                 or len(self.cpu_lru) != len(self.cpu_resident):
             raise ManifestError("cpu recency order out of sync with residency")
+
+
+def _check_tier(manifest: ModelManifest, tier: str, resident: frozenset[int],
+                budget: int) -> None:
+    if not resident <= manifest.all_blocks:
+        raise ManifestError(f"{tier} resident set references unknown blocks")
+    used = manifest.bytes_of(resident)
+    if used > budget:
+        raise BudgetExceededError(tier, used - budget)
 
 
 @dataclass(frozen=True)
@@ -119,9 +129,11 @@ class TierAssignment:
     preload: frozenset[int]
 
 
-def _touch(lru: tuple[int, ...], blocks: frozenset[int]) -> tuple[int, ...]:
-    # Move the named blocks to the most-recent end, preserving their id order.
-    return tuple(b for b in lru if b not in blocks) + tuple(sorted(blocks))
+def _touch(lru: tuple[int, ...], wanted: frozenset[int],
+           order: tuple[int, ...]) -> tuple[int, ...]:
+    # Move the ``wanted`` blocks to the most-recent end, in ``order``, which
+    # lists each of them once.
+    return tuple(b for b in lru if b not in wanted) + order
 
 
 def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
@@ -163,12 +175,15 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
                  ) -> tuple[CacheState, int]:
     """Pull blocks from disk into the host cache.
 
-    Already-resident blocks move zero bytes (their recency is refreshed).
-    When the budget would overflow, non-protected resident blocks are
-    evicted first; an unsatisfiable overflow raises and leaves the input
-    state untouched.
+    The blocks become the most recently used, in the order given (a
+    repeated id counts at its first occurrence). Already-resident blocks
+    move zero bytes. When the budget would overflow, non-protected resident
+    blocks other than the given ones are evicted first, with one
+    :func:`evict` for the whole overflow; an unsatisfiable overflow raises
+    with its whole shortfall and leaves the input state untouched.
     """
-    wanted = frozenset(blocks)
+    order = tuple(dict.fromkeys(blocks))
+    wanted = frozenset(order)
     if not wanted <= manifest.all_blocks:
         raise ManifestError(f"unknown block ids: {sorted(wanted - manifest.all_blocks)}")
     new_blocks = wanted - state.cpu_resident
@@ -180,19 +195,20 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
                       protected=keep, next_task_probs=next_task_probs)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
                       state.cpu_resident | new_blocks,
-                      _touch(state.cpu_lru, wanted)), bytes_moved
+                      _touch(state.cpu_lru, wanted, order)), bytes_moved
 
 
-def load_to_gpu(manifest: ModelManifest, state: CacheState,
-                target: frozenset[int]) -> CacheState:
+def load_to_gpu(state: CacheState, target: frozenset[int],
+                target_bytes: int) -> CacheState:
     """Make the device hold exactly ``target``, one task's active set.
 
-    Blocks outside ``target`` are dropped for free. Raises
-    :class:`BudgetExceededError` with the shortfall, leaving the input
-    state untouched, when ``target`` does not fit the device budget.
+    ``target_bytes`` is the size of ``target``; callers that load the same
+    set again keep it rather than re-summing it. Blocks outside ``target``
+    are dropped for free. Raises :class:`BudgetExceededError` with the
+    shortfall, leaving the input state untouched, when ``target`` does not
+    fit the device budget.
     """
-    needed = manifest.bytes_of(target)
-    if needed > state.gpu_budget_bytes:
-        raise BudgetExceededError("gpu", needed - state.gpu_budget_bytes)
+    if target_bytes > state.gpu_budget_bytes:
+        raise BudgetExceededError("gpu", target_bytes - state.gpu_budget_bytes)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, target,
                       state.cpu_resident, state.cpu_lru)

@@ -9,14 +9,15 @@ from typing import Iterable, Sequence
 
 
 def exact_int(value: object) -> int:
-    """``int(value)``, refusing booleans and the floats that ``int`` would
-    truncate or overflow.
+    """``int(value)`` for a JSON number, refusing the floats that ``int``
+    would truncate or overflow.
 
-    A boolean raises :class:`TypeError`; a fractional, infinite or NaN
-    float raises :class:`ValueError`. Every parser already turns both into
-    its typed error.
+    Anything but an ``int`` or ``float`` (a boolean, a string, ``None``)
+    raises :class:`TypeError`; a fractional, infinite or NaN float raises
+    :class:`ValueError`. Every parser already turns both into its typed
+    error.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not an integer")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
@@ -24,8 +25,9 @@ def exact_int(value: object) -> int:
 
 
 def as_float(value: object) -> float:
-    """``float(value)``, refusing booleans with :class:`TypeError`."""
-    if isinstance(value, bool):
+    """``float(value)`` for a JSON number; anything but an ``int`` or
+    ``float`` (a boolean, a string, ``None``) raises :class:`TypeError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 

@@ -11,15 +11,18 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .block_store import CacheState, ModelManifest, TierAssignment, stage_to_cpu
+from .errors import BudgetExceededError
 from .switching import CostModel
 from .transitions import TransitionModel
 
-__all__ = ["PrefetchPlan", "plan_prefetch", "execute_prefetch", "block_usefulness"]
+__all__ = ["PrefetchPlan", "plan_prefetch", "execute_prefetch", "block_usefulness",
+           "rank_preload"]
 
 
 @dataclass(frozen=True)
 class PrefetchPlan:
-    """Block ids to stage, ordered by descending weight (ties by ascending id)."""
+    """Distinct block ids to stage, ordered by descending weight (ties by
+    ascending id)."""
 
     entries: tuple[int, ...]
 
@@ -38,25 +41,36 @@ def block_usefulness(current: str, model: TransitionModel,
     return weights
 
 
-def plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
+def rank_preload(tiers: TierAssignment, weights: Mapping[int, float]) -> tuple[int, ...]:
+    """The pre-load tier by descending usefulness ``weights``, ties by
+    ascending id: the order :func:`plan_prefetch` scans."""
+    return tuple(sorted(tiers.preload, key=lambda b: (-weights.get(b, 0.0), b)))
+
+
+def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
                   state: CacheState, manifest: ModelManifest) -> PrefetchPlan:
     """Greedily fill the remaining host budget with pre-load-tier blocks.
 
-    Candidates are Level-2 blocks not already resident on either tier,
-    ranked by their usefulness ``weights`` (see :func:`block_usefulness`).
-    Capacity assumes Level-3 stragglers in the host cache can be evicted;
-    Level-1 and Level-2 residents are counted as untouchable. A candidate
-    that does not fit is skipped and the scan continues.
+    ``ranked`` is :func:`rank_preload` of the tiers and the usefulness
+    weights (see :func:`block_usefulness`); it depends on the running task
+    only, so a replay builds it once per task. Candidates are
+    the ranked blocks not already resident on either tier. ``protected``
+    holds the Level-1 and Level-2 blocks: capacity assumes Level-3
+    stragglers in the host cache can be evicted and counts protected
+    residents as untouchable. A candidate that does not fit is skipped and
+    the scan continues.
     """
-    candidates = tiers.preload - state.cpu_resident - state.gpu_resident
-    ranked = sorted(candidates, key=lambda b: (-weights.get(b, 0.0), b))
-    # The host set is small and the tiers are not: intersect it with each.
-    keep = (state.cpu_resident & tiers.runtime) | (state.cpu_resident & tiers.preload)
-    capacity = state.cpu_budget_bytes - manifest.bytes_of(keep)
+    cpu = state.cpu_resident
+    gpu = state.gpu_resident
+    sizes = manifest.block_sizes
+    # The host set is small, so the intersection walks it, not the tiers.
+    capacity = state.cpu_budget_bytes - manifest.bytes_of(cpu & protected)
     entries: list[int] = []
     used = 0
     for b in ranked:
-        size = manifest.block_sizes[b]
+        if b in cpu or b in gpu:
+            continue
+        size = sizes[b]
         if used + size > capacity:
             continue
         entries.append(b)
@@ -74,23 +88,42 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     Blocks are staged atomically: one whose transfer would overrun the
     window is not staged and ends the pass, so the staged set is always a
     prefix of the plan. Staged blocks add zero latency to the next switch.
+
+    The prefix is staged with one :func:`stage_to_cpu` call, which leaves
+    what staging it one block at a time would: the plan is protected, so
+    no staged block evicts another, the victims are the shortest prefix of
+    the eviction order that covers the total overflow, and the prefix ends
+    up most recent in plan order. When that overflow cannot be covered,
+    the error carries the shortfall at the first block where the
+    one-at-a-time pass would have failed.
     """
-    # Staging one plan block never evicts another; in a replay the plan is
-    # already inside ``protected``.
     if not protected.issuperset(plan.entries):
         protected = protected | frozenset(plan.entries)
-    staged: list[int] = []
-    bytes_moved = 0
+    sizes = manifest.block_sizes
+    count = 0
     elapsed = 0.0
     for block in plan.entries:
-        transfer = cost.disk_ms(manifest.block_sizes[block])
+        transfer = cost.disk_ms(sizes[block])
         if elapsed + transfer > compute_window_ms:
             break
-        state, moved = stage_to_cpu(
-            manifest, state, {block},
-            protected=protected, next_task_probs=next_task_probs,
-        )
-        staged.append(block)
-        bytes_moved += moved
         elapsed += transfer
-    return state, frozenset(staged), bytes_moved
+        count += 1
+    if not count:
+        return state, frozenset(), 0
+    prefix = plan.entries[:count]
+    try:
+        after, moved = stage_to_cpu(manifest, state, prefix, protected=protected,
+                                    next_task_probs=next_task_probs)
+    except BudgetExceededError as exc:
+        # The shortfall grows block by block along the prefix; the
+        # one-at-a-time pass stops at the first block where it is positive.
+        # Walk back from the last block: dropping a later block's new bytes
+        # gives the shortfall at the block before it.
+        shortfall = exc.shortfall_bytes
+        for block in reversed(prefix[1:]):
+            earlier = shortfall - (0 if block in state.cpu_resident else sizes[block])
+            if earlier <= 0:
+                break
+            shortfall = earlier
+        raise BudgetExceededError(exc.tier, shortfall) from None
+    return after, frozenset(prefix), moved

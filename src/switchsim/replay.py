@@ -39,10 +39,10 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .block_store import CacheState, ModelManifest, TierAssignment, load_to_gpu
+from .block_store import CacheState, ModelManifest, load_to_gpu
 from .errors import (ConfigError, ReplayError, SwitchSimError, as_float, check_keys,
                      exact_int)
-from .prefetch import block_usefulness, execute_prefetch, plan_prefetch
+from .prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
 from .sparsity import (MetricOracle, SelectionResult, TaskSpec, build_all_tasks,
                        jaccard, load_table_oracles, load_task_specs)
 from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute_switch
@@ -209,8 +209,6 @@ class ReplayReport:
     total_bytes_disk_to_cpu: int
     total_bytes_cpu_to_gpu: int
     mean_gpu_resident_bytes: float | None
-    prestage_hits: int
-    prestage_misses: int
     prestage_hit_rate: float
     config_echo: dict
 
@@ -256,8 +254,6 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
         total_bytes_disk_to_cpu=total("bytes_disk_to_cpu"),
         total_bytes_cpu_to_gpu=total("bytes_cpu_to_gpu"),
         mean_gpu_resident_bytes=math.fsum(map(gpu.__getitem__, order)) / n if n else None,
-        prestage_hits=hits,
-        prestage_misses=misses,
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
         config_echo=scenario.config.echo(),
     )
@@ -275,14 +271,22 @@ def _replay(scenario: Scenario, mode: DeployMode,
     active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
     table = SwitchTable(manifest, cost, active)
     budgets = (config.gpu_budget_bytes, config.cpu_budget_bytes)
-    # full_method's tiers, usefulness weights and protected set depend on
-    # the current task only; each is computed the first time it runs.
-    tiering: dict[str, tuple[TierAssignment, dict[int, float], frozenset[int]]] = {}
+    # full_method's ranked preload tier, usefulness weights and protected
+    # set depend on the current task only; each is computed the first time
+    # it runs.
+    tiering: dict[str, tuple[tuple[int, ...], dict[int, float], frozenset[int]]] = {}
+    # (device set, device budget) pairs that passed ``check_device``, a pure
+    # function of the two.
+    devices_checked: set[tuple[frozenset[int], int]] = set()
 
     def check(state: CacheState, task: str, pos: int) -> None:
         # Together with the key's task and ``cpu_lru``, these fix the state.
         try:
-            state.check(manifest)
+            device = (state.gpu_resident, state.gpu_budget_bytes)
+            if device not in devices_checked:
+                state.check_device(manifest)
+                devices_checked.add(device)
+            state.check_host(manifest)
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=pos) from exc
         if state.gpu_resident != table.target(mode, task):
@@ -300,7 +304,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
         first = trace[0]
         try:
             # Initial load of the first task; not counted as a switch.
-            state = load_to_gpu(manifest, state, table.target(mode, first))
+            target = table.target(mode, first)
+            state = load_to_gpu(state, target, manifest.bytes_of(target))
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
         check(state, first, 0)
@@ -318,10 +323,10 @@ def _replay(scenario: Scenario, mode: DeployMode,
                         if current not in tiering:
                             tiers = assign_tiers(current, active, model)
                             useful = block_usefulness(current, model, active)
-                            tiering[current] = (tiers, useful,
+                            tiering[current] = (rank_preload(tiers, useful), useful,
                                                 tiers.runtime | tiers.preload)
-                        tiers, useful, protected = tiering[current]
-                        plan = plan_prefetch(tiers, useful, after, manifest)
+                        ranked, useful, protected = tiering[current]
+                        plan = plan_prefetch(ranked, protected, after, manifest)
                         after, staged, _moved = execute_prefetch(
                             plan, after, config.compute_window_ms, cost, manifest,
                             protected=protected, next_task_probs=useful,

@@ -9,8 +9,9 @@ active set (runtime blocks only); in monolithic mode it holds the whole
 model. Dropping a device-resident block is free.
 
 A :class:`SwitchTable` holds what a replay's switches share: each task's
-active set, per-block link costs, and the legs of every switch seen so
-far. Only the host credit of the full method changes from call to call.
+active set, per-block link costs, the legs of every switch seen so far,
+and the full method's reports per host credit. Only the full method's
+host credit is computed per switch.
 """
 from __future__ import annotations
 
@@ -157,13 +158,18 @@ class SwitchLeg(NamedTuple):
 
 
 class SwitchTable:
-    """Per-replay switch constants and a memo of switch legs.
+    """Per-replay switch constants and memos of switch legs and reports.
 
     Built once from a replay's manifest, cost model and per-task active
     sets. A leg depends on the mode, the incoming task and the device set
-    only, so each distinct one is computed once. Every millisecond sum
-    walks the same sets in the same order as a per-switch recomputation
-    would.
+    only, so each distinct one is computed once. A full-method report also
+    depends on the outgoing task and on the prestaged blocks, so it is
+    kept per (outgoing task, incoming task, device set, prestaged blocks);
+    two tasks may share an active set, so the incoming task is part of
+    the key. The other modes' reports are fixed by their leg and repeat
+    only where a replay's step memo already repeats them, so they are not
+    kept. Every millisecond sum walks the same sets in the same order as a
+    per-switch recomputation would.
     """
 
     def __init__(self, manifest: ModelManifest, cost: CostModel,
@@ -174,6 +180,7 @@ class SwitchTable:
         self.disk_ms = tuple(cost.disk_ms(size) for size in manifest.block_sizes)
         self.gpu_ms = tuple(cost.gpu_ms(size) for size in manifest.block_sizes)
         self._legs: dict[tuple[DeployMode, str, frozenset[int]], SwitchLeg] = {}
+        self._full_reports: dict[tuple, SwitchReport] = {}
 
     def _transfer(self, blocks: frozenset[int], per_block_ms: tuple[float, ...]
                  ) -> Transfer:
@@ -232,15 +239,25 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
             if task not in table.active:
                 raise ConfigError(f"no active set for task {task!r}")
     leg = table.leg(mode, to_task, state.gpu_resident)
-    new_state = load_to_gpu(table.manifest, state, leg.target)
+    new_state = load_to_gpu(state, leg.target, leg.target_bytes)
+    if mode is not DeployMode.FULL_METHOD:
+        return new_state, _report(from_task, to_task, mode, leg, leg.disk, frozenset())
 
-    disk = leg.disk
-    prestaged = frozenset()
-    if mode is DeployMode.FULL_METHOD:
-        prestaged = leg.gpu.blocks & state.cpu_resident
-        if prestaged:
-            disk = table.disk_leg(leg.gpu.blocks, prestaged)
-    report = SwitchReport(
+    prestaged = leg.gpu.blocks & state.cpu_resident
+    # One flat tuple, the credited ids sorted: a frozenset in the key would
+    # be kept alive by the memo and take several times the memory.
+    key = (from_task, to_task, state.gpu_resident, *sorted(prestaged))
+    report = table._full_reports.get(key)
+    if report is None:
+        disk = table.disk_leg(leg.gpu.blocks, prestaged) if prestaged else leg.disk
+        report = table._full_reports[key] = _report(from_task, to_task, mode, leg,
+                                                     disk, prestaged)
+    return new_state, report
+
+
+def _report(from_task: str, to_task: str, mode: DeployMode, leg: SwitchLeg,
+            disk: Transfer, prestaged: frozenset[int]) -> SwitchReport:
+    return SwitchReport(
         from_task=from_task,
         to_task=to_task,
         mode=mode.value,
@@ -252,7 +269,6 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
         blocks_prestaged=len(prestaged),
         gpu_resident_bytes_after=leg.target_bytes,
     )
-    return new_state, report
 
 
 def calibrate_uniform_block_bytes(target_monolithic_ms: float, num_blocks: int,

@@ -29,7 +29,7 @@ def run_random_ops(seed: int, ops: int = 12) -> None:
                 assert moved == manifest.bytes_of(
                     state.cpu_resident - before.cpu_resident)
             elif op == "load":
-                state = load_to_gpu(manifest, state, blocks)
+                state = load_to_gpu(state, blocks, manifest.bytes_of(blocks))
                 assert state.gpu_resident == blocks
                 assert (state.cpu_resident, state.cpu_lru) \
                     == (before.cpu_resident, before.cpu_lru)
@@ -45,4 +45,5 @@ def run_random_ops(seed: int, ops: int = 12) -> None:
             if op == "load":
                 assert manifest.bytes_of(blocks) > before.gpu_budget_bytes
             assert state == before  # failing op must not disturb the state
-        state.check(manifest)
+        state.check_device(manifest)
+        state.check_host(manifest)

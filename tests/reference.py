@@ -151,7 +151,7 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
             if task not in skipped:
                 raise ConfigError(f"no skip set for task {task!r}")
         target = frozenset(range(n)) - skipped[to_task]
-    new_state = load_to_gpu(manifest, state, target)
+    new_state = load_to_gpu(state, target, manifest.bytes_of(target))
 
     if mode.is_split:
         need = target - state.gpu_resident

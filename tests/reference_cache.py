@@ -1,12 +1,14 @@
 """The host-cache operations as they were before their fast paths.
 
 ``evict`` sorts every non-protected resident block by (usefulness,
-recency, id) through a recency dict, ``_touch`` tests membership in a
-list, ``stage_to_cpu`` always builds ``protected | wanted``,
-``plan_prefetch`` builds the union of both tiers, and ``execute_prefetch``
-builds ``protected | plan blocks`` once per staged entry. New states come
-from ``dataclasses.replace``. The functions in ``switchsim.block_store``
-and ``switchsim.prefetch`` are checked against these.
+recency, id) through a recency dict, ``_touch`` moves one block at a
+time, ``stage_to_cpu`` always builds ``protected | wanted``,
+``plan_prefetch`` sorts the candidates on every call and builds the union
+of both tiers, and ``execute_prefetch`` stages one block per
+``stage_to_cpu`` call, building ``protected | plan blocks`` each time. New
+states come from ``dataclasses.replace``. The functions in
+``switchsim.block_store`` and ``switchsim.prefetch`` are checked against
+these.
 """
 from __future__ import annotations
 
@@ -20,9 +22,10 @@ from switchsim.switching import CostModel
 
 
 def reference_touch(lru: tuple[int, ...], blocks: Iterable[int]) -> tuple[int, ...]:
-    touched = sorted(set(blocks))
-    kept = tuple(b for b in lru if b not in touched)
-    return kept + tuple(touched)
+    """Move each of the distinct ``blocks`` in turn to the most-recent end."""
+    for block in blocks:
+        lru = tuple(b for b in lru if b != block) + (block,)
+    return lru
 
 
 def reference_evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
@@ -55,6 +58,7 @@ def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
                            protected: frozenset[int] = frozenset(),
                            next_task_probs: Mapping[int, float] | None = None
                            ) -> tuple[CacheState, int]:
+    blocks = list(blocks)
     wanted = frozenset(blocks)
     every = frozenset(range(manifest.num_blocks))
     if not wanted <= every:
@@ -67,7 +71,7 @@ def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
                                 protected=protected | wanted,
                                 next_task_probs=next_task_probs)
     return replace(state, cpu_resident=state.cpu_resident | new_blocks,
-                   cpu_lru=reference_touch(state.cpu_lru, wanted)), bytes_moved
+                   cpu_lru=reference_touch(state.cpu_lru, blocks)), bytes_moved
 
 
 def reference_plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],

@@ -1,9 +1,11 @@
 """The replay loop without its step memo, and aggregation per switch.
 
 ``reference_replay`` computes every trace step; it is the reference that
-the memoized ``switchsim.replay._replay`` is checked against. Each layer
-is called from its own module, so a test that patches the names
-``switchsim.replay`` looks up leaves this loop alone.
+the memoized ``switchsim.replay._replay`` is checked against. It plans
+and stages with the per-call sort and the one-block-at-a-time loop of
+``reference_cache``, and every other layer is called from its own
+module, so a test that patches the names ``switchsim.replay`` looks up
+leaves this loop alone.
 ``reference_aggregate`` and ``reference_write_compare_csv`` walk every
 switch, where ``switchsim.replay`` works per distinct record.
 """
@@ -16,11 +18,13 @@ from typing import Mapping, Sequence
 
 from switchsim.block_store import CacheState, TierAssignment, load_to_gpu
 from switchsim.errors import ReplayError, SwitchSimError
-from switchsim.prefetch import block_usefulness, execute_prefetch, plan_prefetch
+from switchsim.prefetch import block_usefulness
 from switchsim.replay import ReplayReport, Scenario, _fmt_ms
 from switchsim.sparsity import SelectionResult, jaccard
 from switchsim.switching import DeployMode, SwitchReport, SwitchTable, execute_switch
 from switchsim.transitions import TransitionModel, assign_tiers
+
+from reference_cache import reference_execute_prefetch, reference_plan_prefetch
 
 
 def reference_replay(scenario: Scenario, mode: DeployMode,
@@ -47,7 +51,8 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
     if trace:
         first = trace[0]
         try:
-            state = load_to_gpu(manifest, state, table.target(mode, first))
+            target = table.target(mode, first)
+            state = load_to_gpu(state, target, manifest.bytes_of(target))
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
         current = first
@@ -62,8 +67,8 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
                         useful = block_usefulness(current, model, active)
                         tiering[current] = (tiers, useful, tiers.runtime | tiers.preload)
                     tiers, useful, protected = tiering[current]
-                    plan = plan_prefetch(tiers, useful, state, manifest)
-                    state, _staged, _moved = execute_prefetch(
+                    plan = reference_plan_prefetch(tiers, useful, state, manifest)
+                    state, _staged, _moved = reference_execute_prefetch(
                         plan, state, config.compute_window_ms, cost, manifest,
                         protected=protected, next_task_probs=useful,
                     )
@@ -109,8 +114,6 @@ def reference_aggregate(mode: DeployMode, scenario: Scenario,
         mean_gpu_resident_bytes=(statistics.fmean(s.gpu_resident_bytes_after
                                                   for s in switches)
                                  if switches else None),
-        prestage_hits=hits,
-        prestage_misses=misses,
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
         config_echo=scenario.config.echo(),
     )

@@ -70,6 +70,12 @@ class TestStageToCpu:
         assert err.value.shortfall_bytes == 5 * MB
         assert s0.cpu_resident == frozenset()  # untouched
 
+    def test_blocks_become_most_recent_in_the_given_order(self):
+        m = uniform_manifest(8)
+        state, moved = stage_to_cpu(m, state_with(m, cpu=(4, 1)), [4, 3, 4])
+        assert state.cpu_lru == (1, 4, 3)  # a repeat counts at its first place
+        assert moved == 10 * MB
+
     def test_unknown_block_rejected(self):
         m = uniform_manifest(4)
         with pytest.raises(ManifestError):
@@ -80,7 +86,7 @@ class TestLoadToGpu:
     def test_device_holds_exactly_the_target(self):
         m = uniform_manifest(8)
         s0 = state_with(m, gpu=(0, 1, 2), cpu=(5,))
-        state = load_to_gpu(m, s0, frozenset({2, 3}))
+        state = load_to_gpu(s0, frozenset({2, 3}), 20 * MB)
         assert state.gpu_resident == {2, 3}  # 0 and 1 dropped, 3 added
         assert state.cpu_resident == {5}
 
@@ -88,7 +94,7 @@ class TestLoadToGpu:
         m = uniform_manifest(8)
         s0 = state_with(m, gpu=(0,), gpu_budget=25 * MB)
         with pytest.raises(BudgetExceededError) as err:
-            load_to_gpu(m, s0, frozenset({1, 2, 3}))
+            load_to_gpu(s0, frozenset({1, 2, 3}), 30 * MB)
         assert err.value.tier == "gpu"
         assert err.value.shortfall_bytes == 5 * MB
         assert s0.gpu_resident == {0}  # untouched
@@ -151,9 +157,10 @@ class TestProperties:
         state, first = stage_to_cpu(m, state, target)
         state, again = stage_to_cpu(m, state, target)
         assert again == 0
-        loaded = load_to_gpu(m, state, frozenset(target))
+        target_bytes = m.bytes_of(target)
+        loaded = load_to_gpu(state, frozenset(target), target_bytes)
         assert loaded.gpu_resident == target
-        assert load_to_gpu(m, loaded, frozenset(target)) == loaded
+        assert load_to_gpu(loaded, frozenset(target), target_bytes) == loaded
 
     def test_determinism(self):
         m = uniform_manifest(8)
@@ -162,6 +169,6 @@ class TestProperties:
             gpu_resident=frozenset({0, 1, 2}),
             cpu_resident=frozenset({3, 4}), cpu_lru=(4, 3),
         )
-        runs = [load_to_gpu(m, stage_to_cpu(m, s0, {5})[0], frozenset({1, 5}))
+        runs = [load_to_gpu(stage_to_cpu(m, s0, {5})[0], frozenset({1, 5}), 20 * MB)
                 for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]

@@ -210,6 +210,12 @@ class TestBadNumbers:
         ("config.json", ("oracle", "seed"), True),
         ("manifest.json", ("block_sizes_bytes", 0), True),
         ("tasks.json", (0, "max_remove"), True),
+        # Nor is a JSON string that int() would parse.
+        ("config.json", ("k",), "1"),
+        ("config.json", ("gpu_budget_bytes",), "1000000000000"),
+        ("config.json", ("oracle", "seed"), "7"),
+        ("manifest.json", ("block_sizes_bytes", 0), "62625000"),
+        ("tasks.json", (0, "max_remove"), "2"),
     ], ids=key_path_id)
     def test_non_integral_count_is_a_config_error(self, driving_dir, tmp_path,
                                                   name, path, value):
@@ -227,6 +233,8 @@ class TestBadNumbers:
         {"score": 0.5},
         {"active_blocks": [True], "score": 0.5},
         {"active_blocks": [0], "score": True},
+        {"active_blocks": ["0"], "score": 0.5},
+        {"active_blocks": [0], "score": "0.5"},
     ], ids=lambda row: json.dumps(row))
     def test_bad_table_oracle_row_is_a_config_error(self, tmp_path, row):
         tasks = write_tasks(tmp_path / "tasks.json", ids=("a",))
@@ -237,16 +245,27 @@ class TestBadNumbers:
                      "--oracle-table", str(table)])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("name, path", [
-        ("config.json", ("compute_window_ms",)),
-        ("config.json", ("oracle", "correlation")),
-        ("cost_model.json", ("disk_to_cpu_mbps",)),
-        ("tasks.json", (0, "retention_ratio")),
-        ("tasks.json", (0, "priority_weight")),
-    ], ids=key_path_id)
-    def test_boolean_is_not_a_number(self, driving_dir, tmp_path, name, path):
-        # float(True) is 1.0, a valid value for each of these fields.
-        assert compare_edited(driving_dir, tmp_path, name, path, True) == EXIT_CONFIG
+    @pytest.mark.parametrize("name, path, value", [
+        pytest.param(name, path, value,
+                     id=f"{name}-{key_path_id(path)}" + ("" if value is True else "-str"))
+        for name, path in [
+            ("config.json", ("compute_window_ms",)),
+            ("config.json", ("oracle", "correlation")),
+            ("cost_model.json", ("disk_to_cpu_mbps",)),
+            ("tasks.json", (0, "retention_ratio")),
+            ("tasks.json", (0, "priority_weight")),
+        ]
+        for value in (True, " 1 ")
+    ] + [
+        pytest.param("cost_model.json", ("per_block_fixed_ms",), "0.5",
+                     id="cost_model.json-per_block_fixed_ms-str"),
+        pytest.param("config.json", ("compute_window_ms",), "8e1",
+                     id="config.json-compute_window_ms-exp-str"),
+    ])
+    def test_boolean_is_not_a_number(self, driving_dir, tmp_path, name, path, value):
+        # float(True) is 1.0 and float(" 1 ") too, a valid value for each of
+        # these fields; only a JSON number is one.
+        assert compare_edited(driving_dir, tmp_path, name, path, value) == EXIT_CONFIG
 
     def test_out_of_range_correlation_is_a_config_error(self, driving_dir, tmp_path):
         code = compare_edited(driving_dir, tmp_path, "config.json",

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim.block_store import CacheState, ModelManifest
-from switchsim.prefetch import block_usefulness, execute_prefetch, plan_prefetch
+from switchsim.prefetch import (block_usefulness, execute_prefetch, plan_prefetch,
+                                rank_preload)
 from switchsim.switching import CostModel
 from switchsim.transitions import TransitionModel, assign_tiers
 
@@ -35,6 +36,12 @@ def two_successor_setup(cpu_budget_blocks=8):
     return manifest, state, tiers, weights
 
 
+def plan_for(tiers, weights, state, manifest):
+    """The plan a replay makes for these tiers and weights."""
+    return plan_prefetch(rank_preload(tiers, weights), tiers.runtime | tiers.preload,
+                         state, manifest)
+
+
 COST = CostModel(disk_to_cpu_mbps=1000.0, cpu_to_gpu_mbps=4000.0,
                  per_block_fixed_ms=0.0)
 # 10 MB over 1000 MB/s = 10 ms per block on the disk link.
@@ -44,13 +51,13 @@ class TestPlanPrefetch:
     def test_shared_block_takes_max_successor_probability(self):
         manifest, state, tiers, weights = two_successor_setup()
         assert weights[3] == 0.7  # needed by both successors; max wins
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         assert plan.entries == (2, 3, 4)  # 0.7, 0.7, 0.3; id breaks the tie
         assert [weights[b] for b in plan.entries] == [0.7, 0.7, 0.3]
 
     def test_budget_admits_all_candidates(self):
         manifest, state, tiers, weights = two_successor_setup()
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         assert set(plan.entries) == tiers.preload
         assert manifest.bytes_of(plan.entries) == 30 * MB
 
@@ -58,7 +65,7 @@ class TestPlanPrefetch:
         manifest, state, tiers, weights = two_successor_setup()
         state = CacheState(gpu_budget_bytes=state.gpu_budget_bytes,
                            cpu_budget_bytes=0)
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         assert plan.entries == ()
         assert manifest.bytes_of(plan.entries) == 0
 
@@ -69,13 +76,13 @@ class TestPlanPrefetch:
             cpu_budget_bytes=state.cpu_budget_bytes,
             cpu_resident=frozenset({3}), cpu_lru=(3,),
         )
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         assert 3 not in plan.entries
 
     def test_oversized_candidate_is_skipped_not_fatal(self):
         manifest, state, tiers, weights = two_successor_setup(
             cpu_budget_blocks=2)
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         assert plan.entries == (2, 3)  # third candidate no longer fits
         assert manifest.bytes_of(plan.entries) <= state.cpu_budget_bytes
 
@@ -83,7 +90,7 @@ class TestPlanPrefetch:
 class TestExecutePrefetch:
     def test_window_covers_whole_plan(self):
         manifest, state, tiers, weights = two_successor_setup()
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         state, staged, moved = execute_prefetch(plan, state, 1000.0, COST, manifest)
         assert staged == {2, 3, 4}
         assert moved == 30 * MB
@@ -91,14 +98,14 @@ class TestExecutePrefetch:
 
     def test_zero_window_stages_nothing(self):
         manifest, state, tiers, weights = two_successor_setup()
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         state, staged, moved = execute_prefetch(plan, state, 0.0, COST, manifest)
         assert staged == frozenset()
         assert moved == 0
 
     def test_window_fits_exactly_two_blocks(self):
         manifest, state, tiers, weights = two_successor_setup()
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         state, staged, _ = execute_prefetch(plan, state, 20.0, COST, manifest)
         assert staged == {2, 3}  # first two plan entries, atomically staged
 
@@ -106,24 +113,32 @@ class TestExecutePrefetch:
     @settings(max_examples=60, deadline=None)
     def test_staged_set_is_a_plan_prefix(self, window):
         manifest, state, tiers, weights = two_successor_setup()
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         _, staged, _ = execute_prefetch(plan, state, window, COST, manifest)
         k = len(staged)
         assert staged == frozenset(plan.entries[:k])
 
     def test_larger_window_never_stages_fewer(self):
         manifest, state, tiers, weights = two_successor_setup()
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         sizes = []
         for window in (0.0, 5.0, 10.0, 15.0, 25.0, 40.0):
             _, staged, _ = execute_prefetch(plan, state, window, COST, manifest)
             sizes.append(len(staged))
         assert sizes == sorted(sizes)
 
+    def test_staged_blocks_are_most_recent_in_plan_order(self):
+        manifest, state, tiers, _ = two_successor_setup()
+        weights = {4: 0.9, 2: 0.5, 3: 0.5}
+        plan = plan_for(tiers, weights, state, manifest)
+        assert plan.entries == (4, 2, 3)
+        state, staged, _ = execute_prefetch(plan, state, 1000.0, COST, manifest)
+        assert state.cpu_lru == (4, 2, 3)
+
     def test_execution_respects_host_budget(self):
         manifest, state, tiers, weights = two_successor_setup(
             cpu_budget_blocks=2)
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         state, staged, _ = execute_prefetch(
             plan, state, 1000.0, COST, manifest,
             protected=tiers.runtime | tiers.preload)
@@ -138,7 +153,7 @@ class TestExecutePrefetch:
             cpu_budget_bytes=state.cpu_budget_bytes,
             cpu_resident=frozenset({7}), cpu_lru=(7,),
         )
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         assert set(plan.entries) == {2, 3, 4}
         state, staged, _ = execute_prefetch(
             plan, state, 1000.0, COST, manifest,
@@ -156,7 +171,7 @@ class TestExecutePrefetch:
             cpu_budget_bytes=state.cpu_budget_bytes,
             cpu_resident=frozenset({7}), cpu_lru=(7,),
         )
-        plan = plan_prefetch(tiers, weights, state, manifest)
+        plan = plan_for(tiers, weights, state, manifest)
         state, staged, _ = execute_prefetch(
             plan, state, 1000.0, COST, manifest,
             next_task_probs={**weights, 7: 1.0})

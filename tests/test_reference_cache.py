@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from switchsim.block_store import (CacheState, ModelManifest, TierAssignment, _touch,
                                    evict, stage_to_cpu)
-from switchsim.errors import SwitchSimError
-from switchsim.prefetch import execute_prefetch, plan_prefetch
+from switchsim.errors import BudgetExceededError, SwitchSimError
+from switchsim.prefetch import PrefetchPlan, execute_prefetch, plan_prefetch
 from switchsim.switching import CostModel
 
 from reference_cache import (reference_evict, reference_execute_prefetch,
@@ -85,8 +85,14 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
         preload -= runtime  # the shape assign_tiers produces
     tiers = TierAssignment(runtime=runtime, preload=preload)
     weights = probs or {}
-    plan = plan_prefetch(tiers, weights, state, manifest)
+    ranked = tuple(sorted(preload, key=lambda b: (-weights.get(b, 0.0), b)))
+    plan = plan_prefetch(ranked, runtime | preload, state, manifest)
     assert plan == reference_plan_prefetch(tiers, weights, state, manifest)
+    if data.draw(st.booleans()):
+        # Any order of any non-resident blocks, so that sizes and plan order
+        # differ from the planner's and the host budget can run out.
+        order = data.draw(st.permutations(sorted(manifest.all_blocks - state.cpu_resident)))
+        plan = PrefetchPlan(tuple(order[:data.draw(st.integers(0, len(order)))]))
     if data.draw(st.booleans()):
         protected = runtime | preload  # contains the plan, as in a replay
     window = data.draw(st.floats(0.0, sum(manifest.block_sizes) + 5.0))
@@ -94,9 +100,20 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
     assert outcome(execute_prefetch, *args) == outcome(reference_execute_prefetch, *args)
 
 
+def test_execute_prefetch_reports_the_first_failing_blocks_shortfall():
+    # Staging 2 overflows the full, protected host by 10 bytes; staging 3
+    # as well would overflow it by 20. The one-at-a-time pass fails at 2.
+    manifest = ModelManifest("m", (10, 10, 10, 10))
+    state = CacheState(gpu_budget_bytes=40, cpu_budget_bytes=20,
+                       cpu_resident=frozenset({0, 1}), cpu_lru=(0, 1))
+    args = (PrefetchPlan((2, 3)), state, 100.0, COST, manifest, frozenset({0, 1}))
+    assert outcome(reference_execute_prefetch, *args) == (BudgetExceededError, 10)
+    assert outcome(execute_prefetch, *args) == (BudgetExceededError, 10)
+
+
 @given(st.lists(st.integers(0, 9), unique=True).flatmap(
     lambda lru: st.tuples(st.just(tuple(lru)),
-                          st.frozensets(st.integers(0, 9)))))
+                          st.lists(st.integers(0, 9), unique=True))))
 def test_touch_matches_reference(case):
-    lru, blocks = case
-    assert _touch(lru, blocks) == reference_touch(lru, blocks)
+    lru, order = case
+    assert _touch(lru, frozenset(order), tuple(order)) == reference_touch(lru, order)

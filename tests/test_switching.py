@@ -179,7 +179,8 @@ class TestTableMatchesReference:
                 mode = rng.choice(list(DeployMode))
                 # Each switch runs twice from equal (not identical) device
                 # sets and different host caches: the second call reads the
-                # memoized leg and recomputes only the host credit.
+                # memoized leg and, in full_method, the report memo for its
+                # host credit.
                 for _repeat in range(2):
                     cpu = tuple(rng.sample(range(n), rng.randrange(0, n + 1)))
                     state = CacheState(gpu_budget_bytes=gpu_budget,
@@ -191,6 +192,35 @@ class TestTableMatchesReference:
                         == self.outcome(reference_switch, *args, skipped, cost, manifest)
                 leg = table.leg(mode, b, device)
                 assert table.leg(mode, b, frozenset(device)) is leg
+
+
+    def test_warm_table_reports_equal_the_reference(self):
+        # b and c share an active set: a report memo keyed without the
+        # incoming task would hand the switch to c the report of b.
+        n = 8
+        manifest = ModelManifest("m", tuple((i + 1) * MB for i in range(n)))
+        skipped = {"a": frozenset({0, 1}), "b": frozenset({5, 6, 7}),
+                   "c": frozenset({5, 6, 7})}
+        active = {t: frozenset(range(n)) - s for t, s in skipped.items()}
+        table = SwitchTable(manifest, COST, active)
+        rng = random.Random(5)
+        total = sum(manifest.block_sizes)
+        cases = []
+        for _ in range(40):
+            a, b = rng.sample(sorted(skipped), 2)
+            cpu = tuple(rng.sample(range(n), rng.randrange(0, 4)))
+            cases.append((CacheState(total, total, active[a], frozenset(cpu), cpu), a, b))
+        first = {}
+        # The second pass runs every switch again on the warm table.
+        for _pass in range(2):
+            for state, a, b in cases:
+                for mode in DeployMode:
+                    result = execute_switch(state, a, b, mode, table)
+                    assert result == reference_switch(state, a, b, mode, skipped, COST,
+                                                      manifest)
+                    first.setdefault((state, a, b, mode), result[1])
+                    if mode is DeployMode.FULL_METHOD:
+                        assert result[1] is first[state, a, b, mode]
 
 
 class TestGpuUtilization:
