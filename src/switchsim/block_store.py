@@ -4,8 +4,14 @@ A model backbone is decomposed into per-block shards on disk; at runtime
 blocks move disk -> host cache -> device under byte budgets. This module
 owns the manifest (block inventory), the cache state for both tiers, and
 the residency-changing operations: staging into the host cache, which
-evicts by usefulness and recency, and loading the device with exactly
-one task's active set.
+evicts the least recently used unprotected blocks, and loading the
+device with exactly one task's active set.
+
+Eviction reads recency alone. The replay protects every block that
+next-task usefulness gives a nonzero weight (the running task's active
+set and the pre-load tier both come from its likely successors), so
+usefulness could never reorder the victims, and the replay checks that
+this holds for each running task.
 
 All operations are functional: they take a :class:`CacheState` and return
 a new one, never mutating the input. On a budget error the caller's state
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceededError, ManifestError, exact_int, read_json
 
@@ -77,15 +83,16 @@ class ModelManifest:
         return cls.from_json(read_json(path))
 
 
-@dataclass(frozen=True)
-class CacheState:
+class CacheState(NamedTuple):
     """Resident sets for the device and host tiers, under byte budgets.
 
     The device holds exactly the running task's active set and never
     evicts, so only the host cache keeps a recency order: ``cpu_lru`` lists
     the host-resident blocks from least to most recently touched. Keeping
     it inside the state makes eviction a pure function of (state,
-    arguments).
+    arguments). A named tuple: immutable, compared by value, and cheaper
+    to build than a frozen dataclass, which matters because every staging
+    and switch builds one.
     """
 
     gpu_budget_bytes: int
@@ -137,31 +144,26 @@ def _touch(lru: tuple[int, ...], wanted: frozenset[int],
 
 
 def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
-          protected: frozenset[int] = frozenset(),
-          next_task_probs: Mapping[int, float] | None = None) -> CacheState:
+          protected: frozenset[int] = frozenset()) -> CacheState:
     """Free at least ``bytes_needed`` in the host cache by dropping resident blocks.
 
-    Victims are taken in ascending order of next-task usefulness (the given
-    probability, 0.0 when absent), then least-recently used first. The
-    candidates are read from ``cpu_lru``, which is already least-recent
-    first, and a stable sort by usefulness alone keeps that order among
-    ties. Recency is unique per block, so no further tie-break is needed.
+    Victims are the least recently used non-protected blocks: the shortest
+    prefix of ``cpu_lru``, protected blocks left out, that frees enough.
     Raises :class:`BudgetExceededError` with the remaining shortfall when
     even evicting every non-protected block is not enough.
     """
     if bytes_needed <= 0:
         return state
-    probs = next_task_probs or {}
-    candidates = sorted((b for b in state.cpu_lru if b not in protected),
-                        key=lambda b: probs.get(b, 0.0))
+    sizes = manifest.block_sizes
     victims: list[int] = []
     freed = 0
-    for b in candidates:
-        if freed >= bytes_needed:
-            break
-        victims.append(b)
-        freed += manifest.block_sizes[b]
-    if freed < bytes_needed:
+    for b in state.cpu_lru:
+        if b not in protected:
+            victims.append(b)
+            freed += sizes[b]
+            if freed >= bytes_needed:
+                break
+    else:
         raise BudgetExceededError("cpu", bytes_needed - freed)
     gone = frozenset(victims)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
@@ -170,9 +172,7 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
 
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
-                 protected: frozenset[int] = frozenset(),
-                 next_task_probs: Mapping[int, float] | None = None
-                 ) -> tuple[CacheState, int]:
+                 protected: frozenset[int] = frozenset()) -> tuple[CacheState, int]:
     """Pull blocks from disk into the host cache.
 
     The blocks become the most recently used, in the order given (a
@@ -191,8 +191,7 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
     overflow = manifest.bytes_of(state.cpu_resident) + bytes_moved - state.cpu_budget_bytes
     if overflow > 0:
         keep = protected if wanted <= protected else protected | wanted
-        state = evict(manifest, state, overflow,
-                      protected=keep, next_task_probs=next_task_probs)
+        state = evict(manifest, state, overflow, protected=keep)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
                       state.cpu_resident | new_blocks,
                       _touch(state.cpu_lru, wanted, order)), bytes_moved

@@ -4,6 +4,11 @@ While a task runs, its inference step opens a virtual compute window; the
 prefetcher spends that window pulling pre-load-tier blocks from disk into
 the host cache, highest switch-probability first, under the host byte
 budget. Blocks staged here skip the disk leg at the next switch.
+
+Usefulness orders what is staged, not what is evicted: every block it
+weights is in the running task's runtime or pre-load tier, which a
+replay protects, so eviction takes the least recently used unprotected
+blocks and needs no weights.
 """
 from __future__ import annotations
 
@@ -25,6 +30,9 @@ class PrefetchPlan:
     ascending id)."""
 
     entries: tuple[int, ...]
+
+
+_NO_PLAN = PrefetchPlan(entries=())
 
 
 def block_usefulness(current: str, model: TransitionModel,
@@ -54,7 +62,8 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
     ``ranked`` is :func:`rank_preload` of the tiers and the usefulness
     weights (see :func:`block_usefulness`); it depends on the running task
     only, so a replay builds it once per task. Candidates are
-    the ranked blocks not already resident on either tier. ``protected``
+    the ranked blocks not already resident on either tier; when there are
+    none, the plan is empty and the host bytes are not summed. ``protected``
     holds the Level-1 and Level-2 blocks: capacity assumes Level-3
     stragglers in the host cache can be evicted and counts protected
     residents as untouchable. A candidate that does not fit is skipped and
@@ -62,14 +71,15 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
     """
     cpu = state.cpu_resident
     gpu = state.gpu_resident
+    missing = [b for b in ranked if b not in cpu and b not in gpu]
+    if not missing:
+        return _NO_PLAN
     sizes = manifest.block_sizes
     # The host set is small, so the intersection walks it, not the tiers.
     capacity = state.cpu_budget_bytes - manifest.bytes_of(cpu & protected)
     entries: list[int] = []
     used = 0
-    for b in ranked:
-        if b in cpu or b in gpu:
-            continue
+    for b in missing:
         size = sizes[b]
         if used + size > capacity:
             continue
@@ -80,8 +90,7 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
 
 def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: float,
                      cost: CostModel, manifest: ModelManifest,
-                     protected: frozenset[int] = frozenset(),
-                     next_task_probs: Mapping[int, float] | None = None
+                     protected: frozenset[int] = frozenset()
                      ) -> tuple[CacheState, frozenset[int], int]:
     """Stage plan blocks in order until the compute window runs out.
 
@@ -112,8 +121,7 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
         return state, frozenset(), 0
     prefix = plan.entries[:count]
     try:
-        after, moved = stage_to_cpu(manifest, state, prefix, protected=protected,
-                                    next_task_probs=next_task_probs)
+        after, moved = stage_to_cpu(manifest, state, prefix, protected=protected)
     except BudgetExceededError as exc:
         # The shortfall grows block by block along the prefix; the
         # one-at-a-time pass stops at the first block where it is positive.

@@ -20,7 +20,16 @@ holds exactly the blocks in ``cpu_lru``, and both budgets equal the
 config's. The replay computes each distinct key once, checks the state
 it leaves, and stores (next state, record index or -1). A step that
 raises stores nothing, so an error surfaces at the trace position where
-its key first occurs.
+its key first occurs. The check compares both budgets with the config's
+on every computed step. Its host half runs only when the step replaced
+``cpu_lru`` or ``cpu_resident``: host objects the step left in place
+are those of its input state, which was checked. Its device half runs
+once per distinct (device set, device budget).
+
+full_method's eviction reads recency alone. That is exact because every
+block that next-task usefulness weights lies in the running task's
+runtime or pre-load tier, which the replay protects; the replay checks
+this once per running task.
 
 A :class:`ReplayReport` holds each distinct switch record once, in order
 of first occurrence, plus the trace's switches as indices into them.
@@ -271,25 +280,29 @@ def _replay(scenario: Scenario, mode: DeployMode,
     active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
     table = SwitchTable(manifest, cost, active)
     budgets = (config.gpu_budget_bytes, config.cpu_budget_bytes)
-    # full_method's ranked preload tier, usefulness weights and protected
-    # set depend on the current task only; each is computed the first time
-    # it runs.
-    tiering: dict[str, tuple[tuple[int, ...], dict[int, float], frozenset[int]]] = {}
+    # full_method's ranked preload tier and protected set depend on the
+    # current task only; each is computed the first time it runs.
+    tiering: dict[str, tuple[tuple[int, ...], frozenset[int]]] = {}
     # (device set, device budget) pairs that passed ``check_device``, a pure
     # function of the two.
     devices_checked: set[tuple[frozenset[int], int]] = set()
 
-    def check(state: CacheState, task: str, pos: int) -> None:
+    def check(state: CacheState, task: str, pos: int, host_checked: bool) -> None:
         # Together with the key's task and ``cpu_lru``, these fix the state.
+        # ``check_host`` is a pure function of the host sets and the cpu
+        # budget, so ``host_checked`` skips it for host objects that already
+        # passed it; the budgets are compared on every call.
         try:
             device = (state.gpu_resident, state.gpu_budget_bytes)
             if device not in devices_checked:
                 state.check_device(manifest)
                 devices_checked.add(device)
-            state.check_host(manifest)
+            if not host_checked:
+                state.check_host(manifest)
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=pos) from exc
-        if state.gpu_resident != table.target(mode, task):
+        target = table.target(mode, task)
+        if state.gpu_resident is not target and state.gpu_resident != target:
             raise ReplayError("device does not hold the running task's blocks",
                               position=pos)
         if (state.gpu_budget_bytes, state.cpu_budget_bytes) != budgets:
@@ -308,7 +321,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
             state = load_to_gpu(state, target, manifest.bytes_of(target))
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
-        check(state, first, 0)
+        check(state, first, 0, False)
         current = first
         # (current task, next task, cpu_lru) -> (next state, record index or -1).
         steps: dict[tuple[str, str, tuple[int, ...]], tuple[CacheState, int]] = {}
@@ -323,21 +336,29 @@ def _replay(scenario: Scenario, mode: DeployMode,
                         if current not in tiering:
                             tiers = assign_tiers(current, active, model)
                             useful = block_usefulness(current, model, active)
-                            tiering[current] = (rank_preload(tiers, useful), useful,
-                                                tiers.runtime | tiers.preload)
-                        ranked, useful, protected = tiering[current]
+                            protected = tiers.runtime | tiers.preload
+                            # Eviction reads recency alone, which is exact only
+                            # while every useful block is protected.
+                            if not useful.keys() <= protected:
+                                raise SwitchSimError(
+                                    f"usefulness for task {current!r} weights blocks "
+                                    "outside its runtime and pre-load tiers")
+                            tiering[current] = (rank_preload(tiers, useful), protected)
+                        ranked, protected = tiering[current]
                         plan = plan_prefetch(ranked, protected, after, manifest)
                         after, staged, _moved = execute_prefetch(
                             plan, after, config.compute_window_ms, cost, manifest,
-                            protected=protected, next_task_probs=useful,
+                            protected=protected,
                         )
                     if task != current:
                         after, report = execute_switch(after, current, task, mode, table)
                 except SwitchSimError as exc:
                     raise ReplayError(str(exc), position=pos) from exc
                 # Invariants of every computed step; a memo hit repeats a
-                # checked one.
-                check(after, task, pos)
+                # checked one. ``state`` was checked, so its host objects
+                # need no second check when the step left them in place.
+                check(after, task, pos, after.cpu_lru is state.cpu_lru
+                      and after.cpu_resident is state.cpu_resident)
                 if not staged <= after.cpu_resident:
                     raise ReplayError("staged blocks are not host-resident", position=pos)
                 index = -1 if report is None else records.setdefault(report, len(records))

@@ -6,13 +6,17 @@ time, ``stage_to_cpu`` always builds ``protected | wanted``,
 ``plan_prefetch`` sorts the candidates on every call and builds the union
 of both tiers, and ``execute_prefetch`` stages one block per
 ``stage_to_cpu`` call, building ``protected | plan blocks`` each time. New
-states come from ``dataclasses.replace``. The functions in
+states come from ``CacheState._replace``. The functions in
 ``switchsim.block_store`` and ``switchsim.prefetch`` are checked against
 these.
+
+Eviction here still reads next-task usefulness. The fast eviction reads
+recency alone, which is the same whenever usefulness weights only
+protected blocks, the contract a replay keeps; the property tests draw
+usefulness that way.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Mapping
 
 from switchsim.block_store import CacheState, ModelManifest, TierAssignment
@@ -49,8 +53,8 @@ def reference_evict(manifest: ModelManifest, state: CacheState, bytes_needed: in
     if freed < bytes_needed:
         raise BudgetExceededError("cpu", bytes_needed - freed)
     gone = frozenset(victims)
-    return replace(state, cpu_resident=state.cpu_resident - gone,
-                   cpu_lru=tuple(b for b in state.cpu_lru if b not in gone))
+    return state._replace(cpu_resident=state.cpu_resident - gone,
+                          cpu_lru=tuple(b for b in state.cpu_lru if b not in gone))
 
 
 def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
@@ -70,8 +74,8 @@ def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
         state = reference_evict(manifest, state, overflow,
                                 protected=protected | wanted,
                                 next_task_probs=next_task_probs)
-    return replace(state, cpu_resident=state.cpu_resident | new_blocks,
-                   cpu_lru=reference_touch(state.cpu_lru, blocks)), bytes_moved
+    return state._replace(cpu_resident=state.cpu_resident | new_blocks,
+                          cpu_lru=reference_touch(state.cpu_lru, blocks)), bytes_moved
 
 
 def reference_plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],

@@ -122,23 +122,6 @@ class TestEvict:
         with pytest.raises(BudgetExceededError):
             evict(m, s0, 1, protected=frozenset({0, 1}))
 
-    def test_lowest_usefulness_goes_first(self):
-        m = uniform_manifest(8)
-        s0 = state_with(m, cpu=(0, 1, 2))
-        state = evict(m, s0, 10 * MB,
-                      next_task_probs={0: 0.9, 1: 0.5, 2: 0.1})
-        assert state.cpu_resident == {0, 1}
-
-    def test_equal_probs_fall_back_to_lru(self):
-        m = uniform_manifest(8)
-        s0 = CacheState(
-            gpu_budget_bytes=sum(m.block_sizes), cpu_budget_bytes=sum(m.block_sizes),
-            cpu_resident=frozenset({4, 7}), cpu_lru=(7, 4),
-        )
-        state = evict(m, s0, 10 * MB, next_task_probs={4: 0.2, 7: 0.2})
-        # Equal probs: LRU order decides (7 was touched before 4).
-        assert state.cpu_resident == {4}
-
 
 class TestProperties:
     def test_budget_safety_random_sequences(self):

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim.block_store import CacheState, ModelManifest
-from switchsim.prefetch import (block_usefulness, execute_prefetch, plan_prefetch,
-                                rank_preload)
+from switchsim.prefetch import (PrefetchPlan, block_usefulness, execute_prefetch,
+                                plan_prefetch, rank_preload)
 from switchsim.switching import CostModel
-from switchsim.transitions import TransitionModel, assign_tiers
+from switchsim.transitions import TransitionModel, assign_tiers, fit_transition_model
 
 MB = 1_000_000
 
@@ -162,18 +162,43 @@ class TestExecutePrefetch:
         assert 7 not in state.cpu_resident  # straggler evicted to make room
 
     def test_staged_plan_blocks_are_protected_without_the_callers_set(self):
-        # Block 7 is outside both tiers but more useful than every plan
-        # entry; staging the plan must still evict 7, not an earlier entry.
-        manifest, state, tiers, weights = two_successor_setup(
-            cpu_budget_blocks=3)
+        # Block 2 is host-resident, least recently used, and in the plan
+        # after the prefix the window covers. Staging that prefix overflows
+        # the host by one block, which must be straggler 7, not 2, though
+        # the caller protects nothing.
+        manifest, state, _, _ = two_successor_setup(cpu_budget_blocks=3)
         state = CacheState(
             gpu_budget_bytes=state.gpu_budget_bytes,
             cpu_budget_bytes=state.cpu_budget_bytes,
-            cpu_resident=frozenset({7}), cpu_lru=(7,),
+            cpu_resident=frozenset({2, 7}), cpu_lru=(2, 7),
         )
-        plan = plan_for(tiers, weights, state, manifest)
-        state, staged, _ = execute_prefetch(
-            plan, state, 1000.0, COST, manifest,
-            next_task_probs={**weights, 7: 1.0})
-        assert staged == {2, 3, 4}
-        assert state.cpu_resident == staged
+        plan = PrefetchPlan((3, 4, 2))
+        state, staged, _ = execute_prefetch(plan, state, 20.0, COST, manifest)
+        assert staged == {3, 4}
+        assert state.cpu_resident == {2, 3, 4}
+        assert state.cpu_lru == (2, 3, 4)
+
+
+@st.composite
+def tiering_inputs(draw):
+    """Active sets for up to four tasks, a model fitted to a drawn log, and
+    a running task."""
+    n = draw(st.integers(1, 10))
+    ids = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    active = {tid: frozenset(draw(st.lists(st.integers(0, n - 1), unique=True)))
+              for tid in ids}
+    log = draw(st.lists(st.sampled_from(ids), max_size=30))
+    model = fit_transition_model(log, k=draw(st.integers(1, 3)), known_tasks=ids)
+    return draw(st.sampled_from(ids)), model, active
+
+
+@given(tiering_inputs())
+@settings(max_examples=200, deadline=None)
+def test_usefulness_weights_only_runtime_and_preload_blocks(inputs):
+    # Both walk the running task's likely successors, so every weighted
+    # block is protected in a replay and eviction by recency alone takes
+    # the victims usefulness-aware eviction would.
+    current, model, active = inputs
+    tiers = assign_tiers(current, active, model)
+    assert block_usefulness(current, model, active).keys() \
+        <= tiers.runtime | tiers.preload

@@ -26,12 +26,22 @@ def outcome(fn, *args, **kwargs):
         return type(exc), getattr(exc, "shortfall_bytes", None)
 
 
+def usefulness(blocks: frozenset[int]):
+    """Usefulness weights over ``blocks`` only: ``None``, empty, or drawn
+    from a few values so that ties are common."""
+    weights = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    return st.one_of(st.none(), st.just({}),
+                     st.dictionaries(st.sampled_from(sorted(blocks)), weights)
+                     if blocks else st.just({}))
+
+
 @st.composite
 def cache_cases(draw):
     """A manifest, a consistent state, usefulness weights and a protected set.
 
-    Sizes are uniform or varied; weights are ``None``, empty, or drawn from
-    a few values so that ties are common.
+    Sizes are uniform or varied. The weights name protected blocks only,
+    as in a replay, where the reference's usefulness-aware eviction and
+    the recency-only one must agree.
     """
     n = draw(st.integers(1, 8))
     if draw(st.booleans()):
@@ -48,11 +58,8 @@ def cache_cases(draw):
         cpu_resident=frozenset(lru),
         cpu_lru=lru,
     )
-    probs = draw(st.one_of(
-        st.none(), st.just({}),
-        st.dictionaries(blocks, st.sampled_from([0.0, 0.25, 0.5, 1.0]))))
     protected = frozenset(draw(st.lists(blocks, unique=True)))
-    return manifest, state, probs, protected
+    return manifest, state, draw(usefulness(protected)), protected
 
 
 @settings(max_examples=300, deadline=None)
@@ -60,7 +67,7 @@ def cache_cases(draw):
 def test_evict_matches_reference(case, data):
     manifest, state, probs, protected = case
     needed = data.draw(st.integers(-5, sum(manifest.block_sizes) + 5))
-    assert outcome(evict, manifest, state, needed, protected, probs) \
+    assert outcome(evict, manifest, state, needed, protected) \
         == outcome(reference_evict, manifest, state, needed, protected, probs)
 
 
@@ -70,34 +77,49 @@ def test_stage_to_cpu_matches_reference(case, data):
     manifest, state, probs, protected = case
     # One id past the manifest is drawn too, to compare the unknown-id error.
     wanted = data.draw(st.lists(st.integers(0, manifest.num_blocks), unique=True))
-    assert outcome(stage_to_cpu, manifest, state, wanted, protected, probs) \
+    assert outcome(stage_to_cpu, manifest, state, wanted, protected) \
         == outcome(reference_stage_to_cpu, manifest, state, wanted, protected, probs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(cache_cases(), st.data())
 def test_plan_and_execute_prefetch_match_reference(case, data):
-    manifest, state, probs, protected = case
+    manifest, state, _probs, protected = case
     blocks = st.integers(0, manifest.num_blocks - 1)
     runtime = frozenset(data.draw(st.lists(blocks, unique=True)))
     preload = frozenset(data.draw(st.lists(blocks, unique=True)))
     if data.draw(st.booleans()):
         preload -= runtime  # the shape assign_tiers produces
     tiers = TierAssignment(runtime=runtime, preload=preload)
-    weights = probs or {}
+    weights = data.draw(usefulness(runtime | preload)) or {}
     ranked = tuple(sorted(preload, key=lambda b: (-weights.get(b, 0.0), b)))
     plan = plan_prefetch(ranked, runtime | preload, state, manifest)
     assert plan == reference_plan_prefetch(tiers, weights, state, manifest)
-    if data.draw(st.booleans()):
+    window = data.draw(st.floats(0.0, sum(manifest.block_sizes) + 5.0))
+    absent = sorted(manifest.all_blocks - state.cpu_resident)
+    shape = data.draw(st.sampled_from(["planned", "any", "full-host"]))
+    if shape != "planned" and absent:
         # Any order of any non-resident blocks, so that sizes and plan order
         # differ from the planner's and the host budget can run out.
-        order = data.draw(st.permutations(sorted(manifest.all_blocks - state.cpu_resident)))
-        plan = PrefetchPlan(tuple(order[:data.draw(st.integers(0, len(order)))]))
-    if data.draw(st.booleans()):
+        order = data.draw(st.permutations(absent))
+        plan = PrefetchPlan(tuple(order[:data.draw(st.integers(1, len(order)))]))
+    if shape == "full-host" and absent:
+        # A host full of protected blocks, with less free space than the
+        # plan and a window for all of it: staging fails, and the error must
+        # carry the shortfall at the first block that does not fit.
+        protected |= state.cpu_resident
+        free = data.draw(st.integers(0, manifest.bytes_of(plan.entries) - 1))
+        state = state._replace(
+            cpu_budget_bytes=manifest.bytes_of(state.cpu_resident) + free)
+        window = sum(manifest.block_sizes) + 5.0
+    elif data.draw(st.booleans()):
         protected = runtime | preload  # contains the plan, as in a replay
-    window = data.draw(st.floats(0.0, sum(manifest.block_sizes) + 5.0))
-    args = (plan, state, window, COST, manifest, protected, probs)
-    assert outcome(execute_prefetch, *args) == outcome(reference_execute_prefetch, *args)
+    # The reference evicts by usefulness; a replay's weights name only
+    # protected blocks.
+    useful = {b: w for b, w in weights.items() if b in protected}
+    args = (plan, state, window, COST, manifest, protected)
+    assert outcome(execute_prefetch, *args) \
+        == outcome(reference_execute_prefetch, *args, useful)
 
 
 def test_execute_prefetch_reports_the_first_failing_blocks_shortfall():

@@ -253,6 +253,32 @@ class TestMetamorphicRelations:
             assert (bigger.mean_latency_ms, bigger.prestage_hit_rate) \
                 == (base.mean_latency_ms, base.prestage_hit_rate)
 
+    @given(replay_inputs(), st.integers(1, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_device_slack_changes_nothing(self, inputs, slack):
+        # The device holds exactly the running task's target and never
+        # evicts, so a budget above the largest target replays exactly as
+        # one equal to it.
+        scenario, selections, model = inputs
+        manifest = scenario.manifest
+        active = [frozenset(range(manifest.num_blocks)) - r.skipped
+                  for r in selections.values()]
+        for mode in DeployMode:
+            largest = (sum(manifest.block_sizes) if mode is DeployMode.MONOLITHIC
+                       else max(map(manifest.bytes_of, active)))
+            tight, roomy = (
+                replay_outcome(replay._replay, dataclasses.replace(
+                    scenario, config=dataclasses.replace(scenario.config,
+                                                         gpu_budget_bytes=budget)),
+                    mode, selections, model)
+                for budget in (largest, largest + slack))
+            if isinstance(tight, tuple):
+                assert roomy == tight
+                continue
+            assert (roomy.records, roomy.order) == (tight.records, tight.order)
+            assert (roomy.mean_latency_ms, roomy.prestage_hit_rate) \
+                == (tight.mean_latency_ms, tight.prestage_hit_rate)
+
 
 # Sums of these differ between naive and exactly rounded summation, e.g.
 # 1e16 + 1.0 + 1.0 or 0.1 + 0.2 + 0.3.
@@ -363,16 +389,15 @@ class TestStepInvariants:
 
     @pytest.mark.parametrize("call, corrupt", [
         (3, lambda state, staged: (
-            dataclasses.replace(state, cpu_lru=state.cpu_lru[1:]), staged)),
+            state._replace(cpu_lru=state.cpu_lru[1:]), staged)),
         (3, lambda state, staged: (
             state, staged | {min(frozenset(range(16)) - state.cpu_resident)})),
         # A step without a switch: no device load follows the prefetch.
         (1, lambda state, staged: (
-            dataclasses.replace(state, gpu_resident=frozenset()), staged)),
-        # A larger budget passes CacheState.check; the memo key leaves it out.
+            state._replace(gpu_resident=frozenset()), staged)),
+        # A larger budget passes ``check_host``; the memo key leaves it out.
         (3, lambda state, staged: (
-            dataclasses.replace(state, cpu_budget_bytes=state.cpu_budget_bytes + 1),
-            staged)),
+            state._replace(cpu_budget_bytes=state.cpu_budget_bytes + 1), staged)),
     ], ids=["lru-drops-resident-block", "staged-not-host-resident", "device-emptied",
             "cpu-budget-changed"])
     def test_corrupt_prefetch_fails_at_its_position(self, tmp_path, monkeypatch,
@@ -383,6 +408,52 @@ class TestStepInvariants:
         with pytest.raises(ReplayError) as err:
             run_replay(config)
         assert err.value.position == call
+
+    # With no window nothing is staged, so the host is the step's input
+    # until the switch. Switch calls 1 to 3 run at positions 2, 3 and 5.
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state._replace(cpu_lru=state.cpu_lru + (0,)),
+        lambda state: state._replace(cpu_resident=state.cpu_resident | {0}),
+    ], ids=["lru-gains-block", "resident-gains-block"])
+    def test_corrupt_switch_host_fails_at_its_position(self, tmp_path, monkeypatch,
+                                                       corrupt):
+        config = small_scenario(tmp_path, trace=self.TRACE, window=0.0,
+                                cpu_budget_blocks=4)
+        calls = 0
+
+        def corrupting(*args):
+            nonlocal calls
+            state, report = switch(*args)
+            calls += 1
+            return (corrupt(state) if calls == 2 else state), report
+
+        switch = replay.execute_switch
+        monkeypatch.setattr(replay, "execute_switch", corrupting)
+        with pytest.raises(ReplayError) as err:
+            run_replay(config)
+        assert err.value.position == 3
+
+    def test_usefulness_outside_the_protected_tiers_fails_where_the_task_runs(
+            self, tmp_path, monkeypatch):
+        # Eviction by recency alone is exact only while every useful block is
+        # protected. TrafficLight first runs at step 3, so its weights are
+        # first read there.
+        config = small_scenario(tmp_path, trace=self.TRACE, window=1e9,
+                                cpu_budget_blocks=4)
+
+        def widened(current, model, active):
+            weights = usefulness(current, model, active)
+            if current == "TrafficLight":
+                tiers = replay.assign_tiers(current, active, model)
+                weights[min(frozenset(range(16)) - tiers.runtime - tiers.preload)] = 0.5
+            return weights
+
+        usefulness = replay.block_usefulness
+        monkeypatch.setattr(replay, "block_usefulness", widened)
+        with pytest.raises(ReplayError) as err:
+            run_replay(config)
+        assert err.value.position == 3
+        assert "TrafficLight" in str(err.value)
 
     def test_uncorrupted_replay_passes(self, tmp_path, monkeypatch):
         config = small_scenario(tmp_path, trace=self.TRACE, window=1e9,
