@@ -7,6 +7,10 @@ the residency-changing operations: staging into the host cache, which
 evicts the least recently used unprotected blocks, and loading the
 device with exactly one task's active set.
 
+The host cache is stored once, as its recency order ``cpu_lru``, which
+lists each host-resident block exactly once. ``CacheState.cpu_resident``
+builds the set from it on each access, for callers off the hot path.
+
 Eviction reads recency alone. The replay protects every block that
 next-task usefulness gives a nonzero weight (the running task's active
 set and the pre-load tier both come from its likely successors), so
@@ -84,22 +88,26 @@ class ModelManifest:
 
 
 class CacheState(NamedTuple):
-    """Resident sets for the device and host tiers, under byte budgets.
+    """Device residency and the host cache, under byte budgets.
 
     The device holds exactly the running task's active set and never
     evicts, so only the host cache keeps a recency order: ``cpu_lru`` lists
-    the host-resident blocks from least to most recently touched. Keeping
-    it inside the state makes eviction a pure function of (state,
-    arguments). A named tuple: immutable, compared by value, and cheaper
-    to build than a frozen dataclass, which matters because every staging
-    and switch builds one.
+    the host-resident blocks from least to most recently touched, and is
+    the only record of what the host holds. Keeping it inside the state
+    makes eviction a pure function of (state, arguments). A named tuple:
+    immutable, compared by value, and cheaper to build than a frozen
+    dataclass, which matters because every staging and switch builds one.
     """
 
     gpu_budget_bytes: int
     cpu_budget_bytes: int
     gpu_resident: frozenset[int] = frozenset()
-    cpu_resident: frozenset[int] = frozenset()
     cpu_lru: tuple[int, ...] = ()
+
+    @property
+    def cpu_resident(self) -> frozenset[int]:
+        """The host-resident blocks as a set, built on each access."""
+        return frozenset(self.cpu_lru)
 
     def check_device(self, manifest: ModelManifest) -> None:
         """Raise unless the device holds known blocks within its budget.
@@ -110,12 +118,12 @@ class CacheState(NamedTuple):
         _check_tier(manifest, "gpu", self.gpu_resident, self.gpu_budget_bytes)
 
     def check_host(self, manifest: ModelManifest) -> None:
-        """Raise unless the host cache holds known blocks within its budget
-        and ``cpu_lru`` lists each of them exactly once."""
-        _check_tier(manifest, "cpu", self.cpu_resident, self.cpu_budget_bytes)
-        if frozenset(self.cpu_lru) != self.cpu_resident \
-                or len(self.cpu_lru) != len(self.cpu_resident):
-            raise ManifestError("cpu recency order out of sync with residency")
+        """Raise unless ``cpu_lru`` names known blocks, none twice, within
+        the host budget."""
+        resident = frozenset(self.cpu_lru)
+        if len(resident) != len(self.cpu_lru):
+            raise ManifestError("cpu recency order lists a block twice")
+        _check_tier(manifest, "cpu", resident, self.cpu_budget_bytes)
 
 
 def _check_tier(manifest: ModelManifest, tier: str, resident: frozenset[int],
@@ -167,7 +175,6 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
         raise BudgetExceededError("cpu", bytes_needed - freed)
     gone = frozenset(victims)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
-                      state.cpu_resident - gone,
                       tuple(b for b in state.cpu_lru if b not in gone))
 
 
@@ -186,14 +193,13 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
     wanted = frozenset(order)
     if not wanted <= manifest.all_blocks:
         raise ManifestError(f"unknown block ids: {sorted(wanted - manifest.all_blocks)}")
-    new_blocks = wanted - state.cpu_resident
-    bytes_moved = manifest.bytes_of(new_blocks)
-    overflow = manifest.bytes_of(state.cpu_resident) + bytes_moved - state.cpu_budget_bytes
+    lru = state.cpu_lru
+    bytes_moved = manifest.bytes_of(wanted.difference(lru))
+    overflow = manifest.bytes_of(lru) + bytes_moved - state.cpu_budget_bytes
     if overflow > 0:
         keep = protected if wanted <= protected else protected | wanted
         state = evict(manifest, state, overflow, protected=keep)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
-                      state.cpu_resident | new_blocks,
                       _touch(state.cpu_lru, wanted, order)), bytes_moved
 
 
@@ -210,4 +216,4 @@ def load_to_gpu(state: CacheState, target: frozenset[int],
     if target_bytes > state.gpu_budget_bytes:
         raise BudgetExceededError("gpu", target_bytes - state.gpu_budget_bytes)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, target,
-                      state.cpu_resident, state.cpu_lru)
+                      state.cpu_lru)

@@ -9,6 +9,10 @@ Usefulness orders what is staged, not what is evicted: every block it
 weights is in the running task's runtime or pre-load tier, which a
 replay protects, so eviction takes the least recently used unprotected
 blocks and needs no weights.
+
+The host cache is read from its recency order ``cpu_lru`` alone, a
+short tuple: planning tests membership in it after the device set, and
+no host set is built.
 """
 from __future__ import annotations
 
@@ -69,14 +73,14 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
     residents as untouchable. A candidate that does not fit is skipped and
     the scan continues.
     """
-    cpu = state.cpu_resident
     gpu = state.gpu_resident
-    missing = [b for b in ranked if b not in cpu and b not in gpu]
+    lru = state.cpu_lru
+    missing = [b for b in ranked if b not in gpu and b not in lru]
     if not missing:
         return _NO_PLAN
     sizes = manifest.block_sizes
-    # The host set is small, so the intersection walks it, not the tiers.
-    capacity = state.cpu_budget_bytes - manifest.bytes_of(cpu & protected)
+    # The host order is short, so the intersection walks it, not the tiers.
+    capacity = state.cpu_budget_bytes - manifest.bytes_of(protected.intersection(lru))
     entries: list[int] = []
     used = 0
     for b in missing:
@@ -104,8 +108,11 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     the eviction order that covers the total overflow, and the prefix ends
     up most recent in plan order. When that overflow cannot be covered,
     the error carries the shortfall at the first block where the
-    one-at-a-time pass would have failed.
+    one-at-a-time pass would have failed. An empty plan returns the input
+    state.
     """
+    if not plan.entries:
+        return state, frozenset(), 0
     if not protected.issuperset(plan.entries):
         protected = protected | frozenset(plan.entries)
     sizes = manifest.block_sizes
@@ -129,7 +136,7 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
         # gives the shortfall at the block before it.
         shortfall = exc.shortfall_bytes
         for block in reversed(prefix[1:]):
-            earlier = shortfall - (0 if block in state.cpu_resident else sizes[block])
+            earlier = shortfall - (0 if block in state.cpu_lru else sizes[block])
             if earlier <= 0:
                 break
             shortfall = earlier

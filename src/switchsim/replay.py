@@ -11,20 +11,23 @@ byte-identical reports.
 Within one replay a step is a pure function of (current task, next task,
 :class:`CacheState`): the prefetch plan, staging, eviction and switch
 read nothing else, and everything else they read (manifest, cost model,
-active sets, transition model, window) is fixed for the replay. The step
-memo keys on (current task, next task, ``state.cpu_lru``), a tuple of
-strings and ints that hashes without calling back into Python. That key
-fixes the whole state, because every state the replay steps from has
-been checked: the device holds ``table.target(mode, current)``, the host
-holds exactly the blocks in ``cpu_lru``, and both budgets equal the
-config's. The replay computes each distinct key once, checks the state
-it leaves, and stores (next state, record index or -1). A step that
-raises stores nothing, so an error surfaces at the trace position where
-its key first occurs. The check compares both budgets with the config's
-on every computed step. Its host half runs only when the step replaced
-``cpu_lru`` or ``cpu_resident``: host objects the step left in place
-are those of its input state, which was checked. Its device half runs
-once per distinct (device set, device budget).
+active sets, transition model, window) is fixed for the replay. The
+host cache is its recency order ``cpu_lru`` alone, and the step memo
+keys on (current task, next task, ``cpu_lru``), a tuple of strings and
+ints that hashes without calling back into Python. That key fixes the
+whole state, because every state the replay steps from has been
+checked: the device holds ``table.target(mode, current)`` and both
+budgets equal the config's. The loop therefore carries only (current
+task, ``cpu_lru``). The replay computes each distinct key once, from a
+state built for it, checks the state the step leaves, and stores (next
+``cpu_lru``, record index or -1). A step that raises stores nothing, so
+an error surfaces at the trace position where its key first occurs.
+A switch moves blocks through the host without changing it, so the
+order a switch returns must be the very object the prefetch left. The
+check compares both budgets with the config's on every computed step.
+Its host half runs only when the step replaced ``cpu_lru``: an order
+the step left in place is its input's, which was checked. Its device
+half runs once per distinct (device set, device budget).
 
 full_method's eviction reads recency alone. That is exact because every
 block that next-task usefulness weights lies in the running task's
@@ -289,8 +292,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
 
     def check(state: CacheState, task: str, pos: int, host_checked: bool) -> None:
         # Together with the key's task and ``cpu_lru``, these fix the state.
-        # ``check_host`` is a pure function of the host sets and the cpu
-        # budget, so ``host_checked`` skips it for host objects that already
+        # ``check_host`` is a pure function of ``cpu_lru`` and the cpu
+        # budget, so ``host_checked`` skips it for an order that already
         # passed it; the budgets are compared on every call.
         try:
             device = (state.gpu_resident, state.gpu_budget_bytes)
@@ -308,7 +311,6 @@ def _replay(scenario: Scenario, mode: DeployMode,
         if (state.gpu_budget_bytes, state.cpu_budget_bytes) != budgets:
             raise ReplayError("cache budgets differ from the config's", position=pos)
 
-    state = CacheState(*budgets)
     # Distinct switch record -> its index in the report's ``records``.
     records: dict[SwitchReport, int] = {}
     order: list[int] = []
@@ -318,19 +320,22 @@ def _replay(scenario: Scenario, mode: DeployMode,
         try:
             # Initial load of the first task; not counted as a switch.
             target = table.target(mode, first)
-            state = load_to_gpu(state, target, manifest.bytes_of(target))
+            state = load_to_gpu(CacheState(*budgets), target, manifest.bytes_of(target))
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
         check(state, first, 0, False)
-        current = first
-        # (current task, next task, cpu_lru) -> (next state, record index or -1).
-        steps: dict[tuple[str, str, tuple[int, ...]], tuple[CacheState, int]] = {}
+        current, lru = first, state.cpu_lru
+        # (current task, next task, cpu_lru) -> (next cpu_lru, record index or -1).
+        steps: dict[tuple[str, str, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
         for pos in range(1, len(trace)):
             task = trace[pos]
-            key = (current, task, state.cpu_lru)
+            key = (current, task, lru)
             step = steps.get(key)
             if step is None:
-                after, staged, report = state, frozenset(), None
+                # The key fixes the state: the device holds the running
+                # task's target, and both budgets are the config's.
+                after = CacheState(*budgets, table.target(mode, current), lru)
+                staged, report = frozenset(), None
                 try:
                     if mode is DeployMode.FULL_METHOD:
                         if current not in tiering:
@@ -350,20 +355,23 @@ def _replay(scenario: Scenario, mode: DeployMode,
                             plan, after, config.compute_window_ms, cost, manifest,
                             protected=protected,
                         )
+                    staged_lru = after.cpu_lru
                     if task != current:
                         after, report = execute_switch(after, current, task, mode, table)
                 except SwitchSimError as exc:
                     raise ReplayError(str(exc), position=pos) from exc
+                # A switch moves blocks through the host without changing it.
+                if after.cpu_lru is not staged_lru:
+                    raise ReplayError("switch changed the host cache", position=pos)
                 # Invariants of every computed step; a memo hit repeats a
-                # checked one. ``state`` was checked, so its host objects
-                # need no second check when the step left them in place.
-                check(after, task, pos, after.cpu_lru is state.cpu_lru
-                      and after.cpu_resident is state.cpu_resident)
-                if not staged <= after.cpu_resident:
+                # checked one. ``lru`` was checked, so the host needs no
+                # second check when the step left it in place.
+                check(after, task, pos, after.cpu_lru is lru)
+                if staged and not staged.issubset(after.cpu_lru):
                     raise ReplayError("staged blocks are not host-resident", position=pos)
                 index = -1 if report is None else records.setdefault(report, len(records))
-                step = steps[key] = (after, index)
-            state, index = step
+                step = steps[key] = (after.cpu_lru, index)
+            lru, index = step
             if index >= 0:
                 order.append(index)
                 current = task

@@ -104,9 +104,12 @@ class CostModel:
         }
 
 
-@dataclass(frozen=True)
-class SwitchReport:
-    """Latency breakdown and residency accounting for one task switch."""
+class SwitchReport(NamedTuple):
+    """Latency breakdown and residency accounting for one task switch.
+
+    A named tuple, so a replay that interns reports by value hashes and
+    compares them in C.
+    """
 
     from_task: str
     to_task: str
@@ -244,7 +247,7 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
     if mode is not DeployMode.FULL_METHOD:
         return new_state, _report(from_task, to_task, mode, leg, leg.disk, frozenset())
 
-    prestaged = leg.gpu.blocks & state.cpu_resident
+    prestaged = leg.gpu.blocks.intersection(state.cpu_lru)
     # One flat tuple, the credited ids sorted: a frozenset in the key would
     # be kept alive by the memo and take several times the memory.
     key = (from_task, to_task, state.gpu_resident, *sorted(prestaged))

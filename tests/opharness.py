@@ -27,15 +27,14 @@ def run_random_ops(seed: int, ops: int = 12) -> None:
             if op == "stage":
                 state, moved = stage_to_cpu(manifest, state, blocks)
                 assert moved == manifest.bytes_of(
-                    state.cpu_resident - before.cpu_resident)
+                    frozenset(state.cpu_lru) - frozenset(before.cpu_lru))
             elif op == "load":
                 state = load_to_gpu(state, blocks, manifest.bytes_of(blocks))
                 assert state.gpu_resident == blocks
-                assert (state.cpu_resident, state.cpu_lru) \
-                    == (before.cpu_resident, before.cpu_lru)
+                assert state.cpu_lru == before.cpu_lru
             else:
                 state = evict(manifest, state, rng.randrange(0, sum(sizes)),
-                              protected=blocks & state.cpu_resident)
+                              protected=blocks.intersection(state.cpu_lru))
             if op != "load":
                 assert state.gpu_resident == before.gpu_resident
             assert (state.gpu_budget_bytes, state.cpu_budget_bytes) \

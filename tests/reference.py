@@ -155,7 +155,7 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
 
     if mode.is_split:
         need = target - state.gpu_resident
-        prestaged = need & state.cpu_resident if mode is DeployMode.FULL_METHOD \
+        prestaged = need & frozenset(state.cpu_lru) if mode is DeployMode.FULL_METHOD \
             else frozenset()
         disk_leg = need - prestaged
         gpu_leg = need

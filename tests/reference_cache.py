@@ -6,9 +6,10 @@ time, ``stage_to_cpu`` always builds ``protected | wanted``,
 ``plan_prefetch`` sorts the candidates on every call and builds the union
 of both tiers, and ``execute_prefetch`` stages one block per
 ``stage_to_cpu`` call, building ``protected | plan blocks`` each time. New
-states come from ``CacheState._replace``. The functions in
-``switchsim.block_store`` and ``switchsim.prefetch`` are checked against
-these.
+states come from ``CacheState._replace``. Each function derives the host
+set from ``cpu_lru`` itself, where the fast path reads the order alone.
+The functions in ``switchsim.block_store`` and ``switchsim.prefetch`` are
+checked against these.
 
 Eviction here still reads next-task usefulness. The fast eviction reads
 recency alone, which is the same whenever usefulness weights only
@@ -40,7 +41,7 @@ def reference_evict(manifest: ModelManifest, state: CacheState, bytes_needed: in
     probs = next_task_probs or {}
     recency = {b: i for i, b in enumerate(state.cpu_lru)}
     candidates = sorted(
-        (b for b in state.cpu_resident if b not in protected),
+        (b for b in frozenset(state.cpu_lru) if b not in protected),
         key=lambda b: (probs.get(b, 0.0), recency[b], b),
     )
     victims: list[int] = []
@@ -53,8 +54,7 @@ def reference_evict(manifest: ModelManifest, state: CacheState, bytes_needed: in
     if freed < bytes_needed:
         raise BudgetExceededError("cpu", bytes_needed - freed)
     gone = frozenset(victims)
-    return state._replace(cpu_resident=state.cpu_resident - gone,
-                          cpu_lru=tuple(b for b in state.cpu_lru if b not in gone))
+    return state._replace(cpu_lru=tuple(b for b in state.cpu_lru if b not in gone))
 
 
 def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
@@ -67,22 +67,23 @@ def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
     every = frozenset(range(manifest.num_blocks))
     if not wanted <= every:
         raise ManifestError(f"unknown block ids: {sorted(wanted - every)}")
-    new_blocks = wanted - state.cpu_resident
+    resident = frozenset(state.cpu_lru)
+    new_blocks = wanted - resident
     bytes_moved = manifest.bytes_of(new_blocks)
-    overflow = manifest.bytes_of(state.cpu_resident) + bytes_moved - state.cpu_budget_bytes
+    overflow = manifest.bytes_of(resident) + bytes_moved - state.cpu_budget_bytes
     if overflow > 0:
         state = reference_evict(manifest, state, overflow,
                                 protected=protected | wanted,
                                 next_task_probs=next_task_probs)
-    return state._replace(cpu_resident=state.cpu_resident | new_blocks,
-                          cpu_lru=reference_touch(state.cpu_lru, blocks)), bytes_moved
+    return state._replace(cpu_lru=reference_touch(state.cpu_lru, blocks)), bytes_moved
 
 
 def reference_plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
                             state: CacheState, manifest: ModelManifest) -> PrefetchPlan:
-    candidates = tiers.preload - state.cpu_resident - state.gpu_resident
+    resident = frozenset(state.cpu_lru)
+    candidates = tiers.preload - resident - state.gpu_resident
     ranked = sorted(candidates, key=lambda b: (-weights.get(b, 0.0), b))
-    keep = state.cpu_resident & (tiers.runtime | tiers.preload)
+    keep = resident & (tiers.runtime | tiers.preload)
     capacity = state.cpu_budget_bytes - manifest.bytes_of(keep)
     entries: list[int] = []
     used = 0

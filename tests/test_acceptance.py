@@ -139,7 +139,7 @@ def test_mode_ordering_over_random_scenarios():
                         gpu_budget_bytes=state.gpu_budget_bytes,
                         cpu_budget_bytes=state.cpu_budget_bytes,
                         gpu_resident=state.gpu_resident,
-                        cpu_resident=frozenset(prestage), cpu_lru=prestage,
+                        cpu_lru=prestage,
                     )
                 states[mode], report = execute_switch(
                     state, current, nxt, mode, table)

@@ -25,7 +25,6 @@ def state_with(manifest: ModelManifest, gpu=(), cpu=(), gpu_budget=None,
         gpu_budget_bytes=total if gpu_budget is None else gpu_budget,
         cpu_budget_bytes=total if cpu_budget is None else cpu_budget,
         gpu_resident=frozenset(gpu),
-        cpu_resident=frozenset(cpu),
         cpu_lru=tuple(cpu),
     )
 
@@ -105,7 +104,7 @@ class TestEvict:
         m = uniform_manifest(8)
         s0 = CacheState(
             gpu_budget_bytes=sum(m.block_sizes), cpu_budget_bytes=sum(m.block_sizes),
-            cpu_resident=frozenset({0, 1, 2}), cpu_lru=(1, 2, 0),
+            cpu_lru=(1, 2, 0),
         )
         state = evict(m, s0, 10 * MB, protected=frozenset({0}))
         assert state.cpu_resident == {0, 2}
@@ -121,6 +120,24 @@ class TestEvict:
         s0 = state_with(m, cpu=(0, 1))
         with pytest.raises(BudgetExceededError):
             evict(m, s0, 1, protected=frozenset({0, 1}))
+
+
+class TestCheckHost:
+    def test_block_listed_twice_rejected(self):
+        m = uniform_manifest(4)
+        with pytest.raises(ManifestError, match="twice"):
+            state_with(m, cpu=(1, 2, 1)).check_host(m)
+
+    def test_unknown_block_rejected(self):
+        m = uniform_manifest(4)
+        with pytest.raises(ManifestError, match="unknown"):
+            state_with(m, cpu=(0, 4)).check_host(m)
+
+    def test_over_budget_rejected(self):
+        m = uniform_manifest(4)
+        with pytest.raises(BudgetExceededError) as err:
+            state_with(m, cpu=(0, 1, 2), cpu_budget=25 * MB).check_host(m)
+        assert (err.value.tier, err.value.shortfall_bytes) == ("cpu", 5 * MB)
 
 
 class TestProperties:
@@ -150,7 +167,7 @@ class TestProperties:
         s0 = CacheState(
             gpu_budget_bytes=35 * MB, cpu_budget_bytes=25 * MB,
             gpu_resident=frozenset({0, 1, 2}),
-            cpu_resident=frozenset({3, 4}), cpu_lru=(4, 3),
+            cpu_lru=(4, 3),
         )
         runs = [load_to_gpu(stage_to_cpu(m, s0, {5})[0], frozenset({1, 5}), 20 * MB)
                 for _ in range(3)]

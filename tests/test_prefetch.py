@@ -74,7 +74,7 @@ class TestPlanPrefetch:
         state = CacheState(
             gpu_budget_bytes=state.gpu_budget_bytes,
             cpu_budget_bytes=state.cpu_budget_bytes,
-            cpu_resident=frozenset({3}), cpu_lru=(3,),
+            cpu_lru=(3,),
         )
         plan = plan_for(tiers, weights, state, manifest)
         assert 3 not in plan.entries
@@ -151,7 +151,7 @@ class TestExecutePrefetch:
         state = CacheState(
             gpu_budget_bytes=state.gpu_budget_bytes,
             cpu_budget_bytes=state.cpu_budget_bytes,
-            cpu_resident=frozenset({7}), cpu_lru=(7,),
+            cpu_lru=(7,),
         )
         plan = plan_for(tiers, weights, state, manifest)
         assert set(plan.entries) == {2, 3, 4}
@@ -170,7 +170,7 @@ class TestExecutePrefetch:
         state = CacheState(
             gpu_budget_bytes=state.gpu_budget_bytes,
             cpu_budget_bytes=state.cpu_budget_bytes,
-            cpu_resident=frozenset({2, 7}), cpu_lru=(2, 7),
+            cpu_lru=(2, 7),
         )
         plan = PrefetchPlan((3, 4, 2))
         state, staged, _ = execute_prefetch(plan, state, 20.0, COST, manifest)

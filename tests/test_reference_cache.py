@@ -55,7 +55,6 @@ def cache_cases(draw):
         gpu_budget_bytes=draw(st.integers(max(sizes), sum(sizes) + 10)),
         cpu_budget_bytes=draw(st.integers(max(sizes), sum(sizes) + 10)),
         gpu_resident=frozenset(draw(st.lists(blocks, unique=True))),
-        cpu_resident=frozenset(lru),
         cpu_lru=lru,
     )
     protected = frozenset(draw(st.lists(blocks, unique=True)))
@@ -127,7 +126,7 @@ def test_execute_prefetch_reports_the_first_failing_blocks_shortfall():
     # as well would overflow it by 20. The one-at-a-time pass fails at 2.
     manifest = ModelManifest("m", (10, 10, 10, 10))
     state = CacheState(gpu_budget_bytes=40, cpu_budget_bytes=20,
-                       cpu_resident=frozenset({0, 1}), cpu_lru=(0, 1))
+                       cpu_lru=(0, 1))
     args = (PrefetchPlan((2, 3)), state, 100.0, COST, manifest, frozenset({0, 1}))
     assert outcome(reference_execute_prefetch, *args) == (BudgetExceededError, 10)
     assert outcome(execute_prefetch, *args) == (BudgetExceededError, 10)

@@ -198,7 +198,7 @@ def without_mode(outcome):
     """A replay outcome's switches with the mode left out, or its error."""
     if isinstance(outcome, tuple):
         return outcome
-    return [dataclasses.replace(s, mode="") for s in outcome.switches]
+    return [s._replace(mode="") for s in outcome.switches]
 
 
 def scaled(scenario: Scenario, factor: int) -> Scenario:
@@ -245,8 +245,8 @@ class TestMetamorphicRelations:
                 assert bigger[0] == base[0]  # same trace position
                 continue
             assert bigger.order == base.order
-            assert [dataclasses.replace(
-                s, bytes_disk_to_cpu=s.bytes_disk_to_cpu // factor,
+            assert [s._replace(
+                bytes_disk_to_cpu=s.bytes_disk_to_cpu // factor,
                 bytes_cpu_to_gpu=s.bytes_cpu_to_gpu // factor,
                 gpu_resident_bytes_after=s.gpu_resident_bytes_after // factor)
                 for s in bigger.records] == list(base.records)
@@ -278,6 +278,40 @@ class TestMetamorphicRelations:
             assert (roomy.records, roomy.order) == (tight.records, tight.order)
             assert (roomy.mean_latency_ms, roomy.prestage_hit_rate) \
                 == (tight.mean_latency_ms, tight.prestage_hit_rate)
+
+    @given(replay_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_renaming_tasks_changes_only_the_names(self, inputs):
+        # A common prefix keeps the ids' sort order, so every tie that task
+        # ids break (successor ranking, priority order) breaks the same way.
+        scenario, selections, model = inputs
+        name = {tid: "renamed-" + tid for tid in scenario.task_ids}
+        old = {new: tid for tid, new in name.items()}
+        renamed = dataclasses.replace(
+            scenario,
+            tasks=tuple(dataclasses.replace(t, task_id=name[t.task_id])
+                        for t in scenario.tasks),
+            log=tuple(map(name.__getitem__, scenario.log)),
+            trace=tuple(map(name.__getitem__, scenario.trace)))
+        renamed_selections = {name[tid]: r for tid, r in selections.items()}
+        renamed_model = fit_transition_model(renamed.log, k=model.k,
+                                             known_tasks=renamed.task_ids)
+        for mode in DeployMode:
+            base = replay_outcome(replay._replay, scenario, mode, selections, model)
+            other = replay_outcome(replay._replay, renamed, mode, renamed_selections,
+                                   renamed_model)
+            if isinstance(base, tuple):
+                assert (other[0], other[1].replace("renamed-", "")) == base
+                continue
+            assert other.order == base.order
+            assert [r._replace(from_task=old[r.from_task], to_task=old[r.to_task])
+                    for r in other.records] == list(base.records)
+            assert other.task_ids == tuple(map(name.__getitem__, base.task_ids))
+            assert other.selections == renamed_selections
+            # Every other field, each float unrounded, is unchanged.
+            assert dataclasses.replace(other, task_ids=base.task_ids,
+                                       selections=base.selections,
+                                       records=base.records) == base
 
 
 # Sums of these differ between naive and exactly rounded summation, e.g.
@@ -389,7 +423,7 @@ class TestStepInvariants:
 
     @pytest.mark.parametrize("call, corrupt", [
         (3, lambda state, staged: (
-            state._replace(cpu_lru=state.cpu_lru[1:]), staged)),
+            state._replace(cpu_lru=state.cpu_lru + state.cpu_lru[:1]), staged)),
         (3, lambda state, staged: (
             state, staged | {min(frozenset(range(16)) - state.cpu_resident)})),
         # A step without a switch: no device load follows the prefetch.
@@ -398,7 +432,7 @@ class TestStepInvariants:
         # A larger budget passes ``check_host``; the memo key leaves it out.
         (3, lambda state, staged: (
             state._replace(cpu_budget_bytes=state.cpu_budget_bytes + 1), staged)),
-    ], ids=["lru-drops-resident-block", "staged-not-host-resident", "device-emptied",
+    ], ids=["lru-lists-a-block-twice", "staged-not-host-resident", "device-emptied",
             "cpu-budget-changed"])
     def test_corrupt_prefetch_fails_at_its_position(self, tmp_path, monkeypatch,
                                                     call, corrupt):
@@ -411,10 +445,10 @@ class TestStepInvariants:
 
     # With no window nothing is staged, so the host is the step's input
     # until the switch. Switch calls 1 to 3 run at positions 2, 3 and 5.
+    # The corrupt order is a valid host; only the switch's own check sees it.
     @pytest.mark.parametrize("corrupt", [
         lambda state: state._replace(cpu_lru=state.cpu_lru + (0,)),
-        lambda state: state._replace(cpu_resident=state.cpu_resident | {0}),
-    ], ids=["lru-gains-block", "resident-gains-block"])
+    ], ids=["lru-gains-block"])
     def test_corrupt_switch_host_fails_at_its_position(self, tmp_path, monkeypatch,
                                                        corrupt):
         config = small_scenario(tmp_path, trace=self.TRACE, window=0.0,

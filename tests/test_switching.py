@@ -27,7 +27,7 @@ def state_for(manifest: ModelManifest, gpu=(), cpu=()) -> CacheState:
         gpu_budget_bytes=sum(manifest.block_sizes),
         cpu_budget_bytes=sum(manifest.block_sizes),
         gpu_resident=frozenset(gpu),
-        cpu_resident=frozenset(cpu), cpu_lru=tuple(cpu),
+        cpu_lru=tuple(cpu),
     )
 
 
@@ -186,7 +186,7 @@ class TestTableMatchesReference:
                     state = CacheState(gpu_budget_bytes=gpu_budget,
                                        cpu_budget_bytes=sum(manifest.block_sizes),
                                        gpu_resident=frozenset(sorted(device)),
-                                       cpu_resident=frozenset(cpu), cpu_lru=cpu)
+                                       cpu_lru=cpu)
                     args = (state, a, b, mode)
                     assert self.outcome(execute_switch, *args, table) \
                         == self.outcome(reference_switch, *args, skipped, cost, manifest)
@@ -209,7 +209,7 @@ class TestTableMatchesReference:
         for _ in range(40):
             a, b = rng.sample(sorted(skipped), 2)
             cpu = tuple(rng.sample(range(n), rng.randrange(0, 4)))
-            cases.append((CacheState(total, total, active[a], frozenset(cpu), cpu), a, b))
+            cases.append((CacheState(total, total, active[a], cpu), a, b))
         first = {}
         # The second pass runs every switch again on the warm table.
         for _pass in range(2):
@@ -338,7 +338,7 @@ class TestModeOrdering:
                             gpu_budget_bytes=st_mode.gpu_budget_bytes,
                             cpu_budget_bytes=st_mode.cpu_budget_bytes,
                             gpu_resident=st_mode.gpu_resident,
-                            cpu_resident=frozenset(prestage), cpu_lru=prestage,
+                            cpu_lru=prestage,
                         )
                     states[mode], report = execute_switch(
                         st_mode, current, nxt, mode, table)
