@@ -194,9 +194,10 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
     oracles = _build_oracles(config.oracle, manifest, tasks,
                              base_dir=config.manifest_path.parent)
     known = {t.task_id for t in tasks}
-    for pos, task in enumerate(trace):
-        if task not in known:
-            raise ReplayError(f"trace task {task!r} is not a scenario task", position=pos)
+    if not known.issuperset(trace):
+        pos, task = next((pos, task) for pos, task in enumerate(trace)
+                         if task not in known)
+        raise ReplayError(f"trace task {task!r} is not a scenario task", position=pos)
     return Scenario(config=config, manifest=manifest, tasks=tasks, oracles=oracles,
                     log=log, trace=trace, cost=cost)
 

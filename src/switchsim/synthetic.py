@@ -7,8 +7,11 @@ pairs.
 """
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .sparsity import AdditiveOracle, TaskSpec
 
@@ -104,16 +107,40 @@ def gen_markov_log(seed: int, length: int, task_ids: list[str],
     Every ordered pair of distinct tasks gets weight 1.0 unless overridden
     in ``pair_bias``; larger weights make that switch proportionally more
     frequent. Deterministic for a given seed.
+
+    Each step is the draw ``rng.choices(others, weights=...)`` makes, taken
+    from one ``rng.random()`` call and the task's cumulative weights, which
+    are built the first time the chain leaves that task. The sequence thus
+    depends only on ``Random.random()``, whose output Python keeps stable
+    across versions.
     """
     if length <= 0:
         return []
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     bias = pair_bias or {}
+    rows: dict[str, tuple[list[str], list[float], float, int]] = {}
     current = task_ids[0]
     out = [current]
     for _ in range(length - 1):
-        others = [t for t in task_ids if t != current]
-        weights = [bias.get((current, t), 1.0) for t in others]
-        current = rng.choices(others, weights=weights, k=1)[0]
+        row = rows.get(current)
+        if row is None:
+            row = rows[current] = _successor_row(current, task_ids, bias)
+        others, cum, total, hi = row
+        current = others[bisect(cum, draw() * total, 0, hi)]
         out.append(current)
     return out
+
+
+def _successor_row(current: str, task_ids: list[str],
+                   bias: dict[tuple[str, str], float]
+                   ) -> tuple[list[str], list[float], float, int]:
+    """The tasks after ``current``, their cumulative weights, the total and
+    the bisect bound, refused as ``Random.choices`` refuses them."""
+    others = [t for t in task_ids if t != current]
+    cum = list(accumulate(bias.get((current, t), 1.0) for t in others))
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return others, cum, total, len(others) - 1

@@ -129,10 +129,5 @@ def assign_tiers(current: str, active: Mapping[str, frozenset[int]],
 
 def load_task_log(path: Path | str) -> list[str]:
     """Read a task log: newline-delimited ids, or CSV ``timestamp,task_id`` rows."""
-    entries = []
-    for raw in read_text(path).split("\n"):
-        line = raw.strip()
-        if not line:
-            continue
-        entries.append(line.split(",")[-1].strip() if "," in line else line)
-    return entries
+    return [line.rsplit(",", 1)[-1].strip() if "," in line else line
+            for line in map(str.strip, read_text(path).split("\n")) if line]

@@ -8,14 +8,20 @@ every candidate removal exactly, at any size, to check the estimating
 :func:`reference_switch` recomputes a switch's sets and per-block link
 costs from scratch, to check the tabled
 :func:`switchsim.switching.execute_switch`.
+:func:`reference_markov_log` and :func:`reference_load_task_log` are the
+per-step sampler and the per-line log reader that
+:func:`switchsim.synthetic.gen_markov_log` and
+:func:`switchsim.transitions.load_task_log` replace.
 """
 from __future__ import annotations
 
 import itertools
+import random
+from pathlib import Path
 from typing import Mapping
 
 from switchsim.block_store import CacheState, ModelManifest, load_to_gpu
-from switchsim.errors import ConfigError, sum_left_to_right
+from switchsim.errors import ConfigError, read_text, sum_left_to_right
 from switchsim.sparsity import MetricOracle, SelectionResult, TaskSpec
 from switchsim.switching import CostModel, DeployMode, SwitchReport
 
@@ -183,3 +189,32 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
         gpu_resident_bytes_after=manifest.bytes_of(new_state.gpu_resident),
     )
     return new_state, report
+
+
+def reference_markov_log(seed: int, length: int, task_ids: list[str],
+                         pair_bias: dict[tuple[str, str], float] | None = None
+                         ) -> list[str]:
+    """The chain sampled with ``Random.choices``, its weights rebuilt per step."""
+    if length <= 0:
+        return []
+    rng = random.Random(seed)
+    bias = pair_bias or {}
+    current = task_ids[0]
+    out = [current]
+    for _ in range(length - 1):
+        others = [t for t in task_ids if t != current]
+        weights = [bias.get((current, t), 1.0) for t in others]
+        current = rng.choices(others, weights=weights, k=1)[0]
+        out.append(current)
+    return out
+
+
+def reference_load_task_log(path: Path | str) -> list[str]:
+    """The task log read line by line."""
+    entries = []
+    for raw in read_text(path).split("\n"):
+        line = raw.strip()
+        if not line:
+            continue
+        entries.append(line.split(",")[-1].strip() if "," in line else line)
+    return entries

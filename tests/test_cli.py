@@ -13,6 +13,9 @@ import pytest
 
 import switchsim
 from switchsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_REPLAY, main
+from switchsim.switching import DeployMode
+from switchsim.synthetic import gen_markov_log
+from switchsim.workloads import DRIVING_PAIR_BIAS, DRIVING_TASKS
 
 # A child interpreter imports the same switchsim as the tests, installed or not.
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -126,6 +129,24 @@ class TestReplayCommand:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_REPLAY
         assert "trace position 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("unknown_at", [(2000,), (2000, 2300)], ids=["one", "two"])
+    @pytest.mark.parametrize("command", [("replay", "--mode", m.value) for m in DeployMode]
+                             + [("compare",)], ids=lambda c: c[-1])
+    def test_unknown_task_on_a_long_trace_fails_at_its_position(
+            self, driving_dir, tmp_path, capsys, command, unknown_at):
+        # With two unknown ids, the earlier one is reported.
+        steps = gen_markov_log(5, 2500, DRIVING_TASKS, pair_bias=DRIVING_PAIR_BIAS)
+        for pos in unknown_at:
+            steps[pos] = f"Ghost{pos}"
+        trace = tmp_path / "trace.txt"
+        trace.write_text("\n".join(steps) + "\n")
+        code = main([*command, "--config", str(driving_dir / "config.json"),
+                     "--trace", str(trace), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_REPLAY
+        assert ("trace task 'Ghost2000' is not a scenario task (trace position 2000)"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_a_config_error(self, tmp_path):

@@ -1,15 +1,20 @@
 """Brute-force selection references and synthetic instance generation."""
 from __future__ import annotations
 
+import hashlib
 import itertools
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from switchsim.sparsity import AdditiveOracle, TableOracle, TaskSpec, select_skip_set
 from switchsim.synthetic import gen_instance, gen_markov_log
+from switchsim.workloads import DRIVING_PAIR_BIAS, DRIVING_TASKS
 
 from reference import (brute_force_best_feasible, brute_force_greedy_replay,
-                       enumerate_table_entries)
+                       enumerate_table_entries, reference_markov_log)
 
 
 class TestGenInstance:
@@ -130,7 +135,50 @@ class TestTableEnumeration:
                 assert table.score(active) == oracle.score(active)
 
 
+# Pair weights that ``Random.choices`` refuses as a row total (zero, a
+# negative total, infinite or NaN) next to ordinary ones.
+PAIR_WEIGHTS = st.one_of(st.floats(0.0, 20.0), st.integers(-3, 20),
+                         st.sampled_from([0.0, -1.0, -4.0, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def markov_args(draw):
+    """Seed, length, 1-7 task ids (repeats allowed) and a pair bias or None."""
+    ids = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=7))
+    bias = None
+    if draw(st.booleans()):
+        pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        bias = draw(st.dictionaries(pair, PAIR_WEIGHTS, max_size=12))
+    return draw(st.integers(0, 2**32)), draw(st.integers(0, 300)), ids, bias
+
+
+def markov_outcome(fn, args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+
+
 class TestMarkovLog:
+    @given(markov_args())
+    @example((5, 1, ["a"], None))
+    @example((5, 2, ["a"], None))
+    @example((5, 40, ["a", "b", "c"], {("b", "a"): 0.0, ("b", "c"): 0.0}))
+    @example((5, 40, ["a", "b", "c"], {("c", "a"): -3.0, ("c", "b"): 1.0}))
+    @example((5, 40, ["a", "b"], {("a", "b"): math.inf}))
+    @example((5, 40, ["a", "b", "c"], {("a", "b"): math.nan}))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_choices_reference(self, args):
+        # The same sequence, or the same exception type and message.
+        assert markov_outcome(gen_markov_log, args) \
+            == markov_outcome(reference_markov_log, args)
+
+    def test_driving_stream_is_pinned(self):
+        # A change to the sampled stream, on any Python version, fails here.
+        log = gen_markov_log(1, 2500, DRIVING_TASKS, pair_bias=DRIVING_PAIR_BIAS)
+        assert hashlib.sha256("\n".join(log).encode()).hexdigest() == \
+            "e7f6c701b773a4330ca20d0c0136e88f1788b534ecf89c545f70f585110ffea6"
+
     def test_deterministic_per_seed(self):
         ids = ["a", "b", "c"]
         assert gen_markov_log(3, 50, ids) == gen_markov_log(3, 50, ids)

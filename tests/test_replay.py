@@ -129,6 +129,11 @@ class TestRunReplay:
         assert run_replay(config) == run_replay(config)
 
 
+# A closed walk over four tasks that takes each ordered pair of distinct
+# tasks once (back to its start).
+ALL_PAIRS_WALK = (0, 1, 2, 3, 0, 2, 1, 3, 2, 0, 3, 1)
+
+
 @st.composite
 def replay_inputs(draw):
     """A small in-memory scenario with its selections and transition model.
@@ -138,32 +143,48 @@ def replay_inputs(draw):
     some replays fail on a task that does not fit the device. The host
     holds from one block to the whole model; a small host cache makes its
     contents depend on the path the trace took.
+
+    Half the scenarios have four tasks and a log that ties all three
+    successors of each, more of them than ``k``, so the task-id tie-break
+    picks the pre-load tiers. For that choice to reach the records, these
+    scenarios skip a block in every task, fit the device and stage within
+    a window.
     """
     n = draw(st.integers(2, 8))
     sizes = tuple(draw(st.lists(st.integers(1_000, 50_000), min_size=n, max_size=n)))
-    ids = tuple(f"t{i}" for i in range(draw(st.integers(2, 4))))
+    tied = draw(st.booleans())
+    # The ids share a drawn prefix: their sort order stays fixed, while
+    # anything else about them, such as their hashes, varies.
+    prefix = f"t{draw(st.integers(0, 10**6))}-"
+    ids = tuple(f"{prefix}{i}" for i in range(4 if tied else draw(st.integers(2, 4))))
     blocks = st.integers(0, n - 1)
     selections = {}
     for tid in ids:
-        order = tuple(draw(st.lists(blocks, unique=True, max_size=n - 1)))
+        order = tuple(draw(st.lists(blocks, unique=True, min_size=int(tied),
+                                    max_size=n - 1)))
         selections[tid] = SelectionResult(skipped=frozenset(order), final_score=1.0,
                                           oracle_calls=1, removal_order=order)
     total = sum(sizes)
+    windows = [5.0, 20.0, 80.0, 1e9]
     host_blocks = draw(st.integers(1, n))
     k = draw(st.sampled_from([1, 2]))
     config = ScenarioConfig(
         manifest_path=Path("manifest.json"), tasks_path=Path("tasks.json"),
         oracle={}, log_path=Path("log.txt"), trace_path=Path("trace.txt"),
         cost_model_path=Path("cost.json"),
-        gpu_budget_bytes=draw(st.one_of(st.just(total),
-                                        st.integers(max(sizes), total))),
+        gpu_budget_bytes=total if tied else draw(st.one_of(
+            st.just(total), st.integers(max(sizes), total))),
         cpu_budget_bytes=min(total, host_blocks * max(sizes)), k=k,
-        compute_window_ms=draw(st.sampled_from([0.0, 5.0, 20.0, 80.0, 1e9])))
+        compute_window_ms=draw(st.sampled_from(windows if tied else [0.0, *windows])))
     cost = CostModel(disk_to_cpu_mbps=draw(st.floats(1.0, 10.0)),
                      cpu_to_gpu_mbps=draw(st.floats(5.0, 50.0)),
                      per_block_fixed_ms=draw(st.sampled_from([0.0, 0.5])),
                      monolithic_init_ms=draw(st.sampled_from([0.0, 7.0])))
-    log = tuple(draw(st.lists(st.sampled_from(ids), min_size=2, max_size=30)))
+    if tied:
+        walk = ALL_PAIRS_WALK * draw(st.integers(1, 3))
+        log = tuple(ids[i] for i in walk + walk[:1])
+    else:
+        log = tuple(draw(st.lists(st.sampled_from(ids), min_size=2, max_size=30)))
     # Traces long enough to revisit step keys; tests above cover the
     # empty and one-task traces.
     trace = tuple(draw(st.lists(st.sampled_from(ids), min_size=10, max_size=60)))

@@ -21,7 +21,18 @@ def test_speedup_experiment_removes_its_temp_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
     monkeypatch.setattr(sys, "argv", ["run_speedup_experiment.py"])
     load_script("run_speedup_experiment").main()
-    assert "mean speedup" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    # The default scenario's four mode rows and mean speedup, pinned so
+    # that a change to its trace, model or cost fails here.
+    assert lines[1:7] == [
+        "mode             switches    mean ms     max ms hit rate",
+        "monolithic             79   1566.500   1566.500    0.000",
+        "sparse_no_split        79    908.250    908.250    0.000",
+        "split_only             79    172.374    205.703    0.000",
+        "full_method            79      8.158      8.828    1.000",
+        "",
+    ]
+    assert lines[7] == "mean speedup (sparse_no_split / full_method): 111.34x"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -12,6 +12,8 @@ from switchsim.transitions import (TransitionModel, assign_tiers, fit_transition
                                    ingest_log, load_task_log, top_k_successors,
                                    transition_probs)
 
+from reference import reference_load_task_log
+
 TASKS = ["Car", "TrafficLight", "Obstacle", "Person", "Bicycle"]
 ROUTE = ["Car", "TrafficLight", "Car", "Obstacle", "Person"]
 
@@ -169,3 +171,29 @@ class TestLoadTaskLog:
         path = tmp_path / "log.csv"
         path.write_text("0.0,Car\n1.5,TrafficLight\n2.0,Car\n")
         assert load_task_log(path) == ["Car", "TrafficLight", "Car"]
+
+
+# Log lines: bare ids or ``timestamp,task`` rows, with padding, extra
+# commas and blank lines; separators mix ``\n`` and ``\r\n``.
+LOG_FIELD = st.text(alphabet="ab1. \t", max_size=4)
+LOG_LINE = st.one_of(
+    LOG_FIELD,
+    st.builds(",".join, st.lists(LOG_FIELD, min_size=2, max_size=4)),
+    st.sampled_from(["", " ", "\t", "Car", " Car\t", "0.5,Car", "0.5, Car ", "1,2,Car"]))
+
+
+@st.composite
+def log_texts(draw):
+    lines = draw(st.lists(LOG_LINE, max_size=20))
+    seps = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + sep for line, sep in zip(lines, seps))
+
+
+class TestLoadTaskLogMatchesReference:
+    @given(st.one_of(log_texts(), st.text(alphabet="ab,. \t\r\n", max_size=60)))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_text(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "generated-log.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_task_log(path) == reference_load_task_log(path)
