@@ -3,12 +3,25 @@
 A scenario bundles a manifest, task specs, an oracle source, a transition
 log, a trace to replay, a cost model, and budgets. Replay builds skip
 sets (aligned for the full method, independent for the baseline-style
-modes), estimates transition statistics, then walks the trace: each step
-grants a prefetch window, each task change executes a switch. All
-randomness is seeded through the config, so identical configs produce
-byte-identical reports.
+modes), estimates transition statistics, then replays the trace's task
+changes: each executes a switch, and in full_method each step also
+grants a prefetch window. All randomness is seeded through the config,
+so identical configs produce byte-identical reports.
 
-Within one replay a step is a pure function of (current task, next task,
+Only full_method stages blocks ahead of a switch. The three other modes
+(monolithic, sparse_no_split, split_only) never touch the host cache, so
+each of their switches depends on its (from, to) task pair alone. They
+have no step loop: a :class:`Scenario` computes the trace's distinct
+pairs (``from != to``, in order of first occurrence) and one index tuple
+once, and each of these modes computes and checks one switch per
+distinct pair. It starts from the state the pair fixes: the device
+holds ``table.target(mode, from)``, the host order is empty, and both
+budgets are the config's. All three share the index tuple as their
+``order``. A failing pair raises at its first trace position, which a
+scan finds only then.
+
+full_method's replay is a memoized state machine. Within one replay a
+step is a pure function of (current task, next task,
 :class:`CacheState`): the prefetch plan, staging, eviction and switch
 read nothing else, and everything else they read (manifest, cost model,
 active sets, transition model, window) is fixed for the replay. The
@@ -37,17 +50,22 @@ this once per running task.
 A :class:`ReplayReport` holds each distinct switch record once, in order
 of first occurrence, plus the trace's switches as indices into them.
 Aggregation, ``emit_reports`` and ``write_compare_csv`` work per distinct
-record, with C-level passes over the index sequence.
+record, with C-level passes over the index sequence. The median walks
+the distinct latencies in sorted order, weighted by their counts.
+``switches.jsonl`` is written as bytes: each distinct record is encoded
+once, and lines are joined in batches of 64, one write per batch.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import statistics
 from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import ne
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -137,6 +155,14 @@ class ScenarioConfig:
         }
 
 
+class _FirstSeen(dict):
+    """Maps each key to the number of distinct keys looked up before it."""
+
+    def __missing__(self, key):
+        self[key] = value = len(self)
+        return value
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A config with every referenced artifact loaded and validated."""
@@ -152,6 +178,22 @@ class Scenario:
     @property
     def task_ids(self) -> tuple[str, ...]:
         return tuple(t.task_id for t in self.tasks)
+
+    @cached_property
+    def switch_pairs(self) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...]]:
+        """The trace's distinct (from, to) pairs with ``from != to``, in
+        order of first occurrence, and its switches as indices into them.
+
+        Computed on first use and kept in the instance dict, which a frozen
+        dataclass without slots still has.
+        """
+        trace = self.trace
+        moves = compress(zip(trace, islice(trace, 1, None)),
+                         map(ne, trace, islice(trace, 1, None)))
+        # One pass in C; only a pair's first occurrence calls back into Python.
+        index = _FirstSeen()
+        order = tuple(map(index.__getitem__, moves))
+        return tuple(index), order
 
 
 def _build_oracles(spec: Mapping, manifest: ModelManifest,
@@ -241,8 +283,8 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
         tuple(jaccard(skips[a], skips[b]) for b in ids) for a in ids
     )
     # Integer totals are count x value per distinct record, which is exact;
-    # the float statistics take one C-level pass over ``order``, and
-    # ``fsum(...) / n`` is what ``statistics.fmean`` computes for a list.
+    # the means take one C-level pass over ``order``, and ``fsum(...) / n``
+    # is what ``statistics.fmean`` computes for a list.
     counts = Counter(order)
 
     def total(field: str) -> int:
@@ -261,8 +303,7 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
         order=order,
         jaccard_matrix=matrix,
         mean_latency_ms=math.fsum(map(latency.__getitem__, order)) / n if n else None,
-        median_latency_ms=statistics.median(map(latency.__getitem__, order))
-        if n else None,
+        median_latency_ms=_median(latency, counts, n) if n else None,
         max_latency_ms=max(latency[i] for i in counts) if n else None,
         total_bytes_disk_to_cpu=total("bytes_disk_to_cpu"),
         total_bytes_cpu_to_gpu=total("bytes_cpu_to_gpu"),
@@ -270,6 +311,30 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
         config_echo=scenario.config.echo(),
     )
+
+
+def _median(values: Sequence[float], counts: Mapping[int, int], n: int) -> float:
+    """``statistics.median`` of the ``n`` values in which ``values[i]``
+    occurs ``counts[i]`` times.
+
+    Walks the distinct values in sorted order, weighted by their counts,
+    so no list of ``n`` floats is built or sorted.
+    """
+    walk = sorted((values[i], c) for i, c in counts.items())
+    # ends[j]: how many values are at most walk[j][0].
+    ends = list(accumulate(c for _, c in walk))
+
+    def kth(k: int) -> float:
+        return walk[bisect_right(ends, k)][0]
+
+    mid = n // 2
+    return kth(mid) if n % 2 else (kth(mid - 1) + kth(mid)) / 2
+
+
+def _first_position(trace: Sequence[str], pair: tuple[str, str]) -> int:
+    """The trace position of the first switch from ``pair[0]`` to ``pair[1]``."""
+    return next(pos for pos in range(1, len(trace))
+                if (trace[pos - 1], trace[pos]) == pair)
 
 
 def _replay(scenario: Scenario, mode: DeployMode,
@@ -284,98 +349,117 @@ def _replay(scenario: Scenario, mode: DeployMode,
     active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
     table = SwitchTable(manifest, cost, active)
     budgets = (config.gpu_budget_bytes, config.cpu_budget_bytes)
-    # full_method's ranked preload tier and protected set depend on the
-    # current task only; each is computed the first time it runs.
-    tiering: dict[str, tuple[tuple[int, ...], frozenset[int]]] = {}
     # (device set, device budget) pairs that passed ``check_device``, a pure
     # function of the two.
     devices_checked: set[tuple[frozenset[int], int]] = set()
 
-    def check(state: CacheState, task: str, pos: int, host_checked: bool) -> None:
-        # Together with the key's task and ``cpu_lru``, these fix the state.
-        # ``check_host`` is a pure function of ``cpu_lru`` and the cpu
+    def check(state: CacheState, task: str, host_checked: bool) -> None:
+        # Together with the running task and ``cpu_lru``, these fix the
+        # state. ``check_host`` is a pure function of ``cpu_lru`` and the cpu
         # budget, so ``host_checked`` skips it for an order that already
         # passed it; the budgets are compared on every call.
-        try:
-            device = (state.gpu_resident, state.gpu_budget_bytes)
-            if device not in devices_checked:
-                state.check_device(manifest)
-                devices_checked.add(device)
-            if not host_checked:
-                state.check_host(manifest)
-        except SwitchSimError as exc:
-            raise ReplayError(str(exc), position=pos) from exc
+        device = (state.gpu_resident, state.gpu_budget_bytes)
+        if device not in devices_checked:
+            state.check_device(manifest)
+            devices_checked.add(device)
+        if not host_checked:
+            state.check_host(manifest)
         target = table.target(mode, task)
         if state.gpu_resident is not target and state.gpu_resident != target:
-            raise ReplayError("device does not hold the running task's blocks",
-                              position=pos)
+            raise SwitchSimError("device does not hold the running task's blocks")
         if (state.gpu_budget_bytes, state.cpu_budget_bytes) != budgets:
-            raise ReplayError("cache budgets differ from the config's", position=pos)
+            raise SwitchSimError("cache budgets differ from the config's")
 
+    trace = scenario.trace
+    if not trace:
+        return _aggregate(mode, scenario, selections, (), ())
+    first = trace[0]
+    try:
+        # Initial load of the first task; not counted as a switch.
+        target = table.target(mode, first)
+        state = load_to_gpu(CacheState(*budgets), target, manifest.bytes_of(target))
+        check(state, first, False)
+    except SwitchSimError as exc:
+        raise ReplayError(str(exc), position=0) from exc
+
+    if mode is not DeployMode.FULL_METHOD:
+        # Nothing stages, so the host stays empty and a switch depends on its
+        # (from, to) pair alone: each distinct pair is computed once, in
+        # order of first occurrence, and the trace's index tuple is shared.
+        pairs, order = scenario.switch_pairs
+        reports = []
+        for pair in pairs:
+            current, task = pair
+            try:
+                # The state the pair fixes: the device holds the running
+                # task's target, the host is empty, the budgets are the
+                # config's.
+                before = CacheState(*budgets, table.target(mode, current))
+                after, report = execute_switch(before, current, task, mode, table)
+                if after.cpu_lru is not before.cpu_lru:
+                    raise SwitchSimError("switch changed the host cache")
+                check(after, task, True)
+            except SwitchSimError as exc:
+                raise ReplayError(str(exc), _first_position(trace, pair)) from exc
+            reports.append(report)
+        return _aggregate(mode, scenario, selections, tuple(reports), order)
+
+    # full_method's ranked preload tier and protected set depend on the
+    # current task only; each is computed the first time it runs.
+    tiering: dict[str, tuple[tuple[int, ...], frozenset[int]]] = {}
     # Distinct switch record -> its index in the report's ``records``.
     records: dict[SwitchReport, int] = {}
     order: list[int] = []
-    trace = scenario.trace
-    if trace:
-        first = trace[0]
-        try:
-            # Initial load of the first task; not counted as a switch.
-            target = table.target(mode, first)
-            state = load_to_gpu(CacheState(*budgets), target, manifest.bytes_of(target))
-        except SwitchSimError as exc:
-            raise ReplayError(str(exc), position=0) from exc
-        check(state, first, 0, False)
-        current, lru = first, state.cpu_lru
-        # (current task, next task, cpu_lru) -> (next cpu_lru, record index or -1).
-        steps: dict[tuple[str, str, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
-        for pos in range(1, len(trace)):
-            task = trace[pos]
-            key = (current, task, lru)
-            step = steps.get(key)
-            if step is None:
-                # The key fixes the state: the device holds the running
-                # task's target, and both budgets are the config's.
-                after = CacheState(*budgets, table.target(mode, current), lru)
-                staged, report = frozenset(), None
-                try:
-                    if mode is DeployMode.FULL_METHOD:
-                        if current not in tiering:
-                            tiers = assign_tiers(current, active, model)
-                            useful = block_usefulness(current, model, active)
-                            protected = tiers.runtime | tiers.preload
-                            # Eviction reads recency alone, which is exact only
-                            # while every useful block is protected.
-                            if not useful.keys() <= protected:
-                                raise SwitchSimError(
-                                    f"usefulness for task {current!r} weights blocks "
-                                    "outside its runtime and pre-load tiers")
-                            tiering[current] = (rank_preload(tiers, useful), protected)
-                        ranked, protected = tiering[current]
-                        plan = plan_prefetch(ranked, protected, after, manifest)
-                        after, staged, _moved = execute_prefetch(
-                            plan, after, config.compute_window_ms, cost, manifest,
-                            protected=protected,
-                        )
-                    staged_lru = after.cpu_lru
-                    if task != current:
-                        after, report = execute_switch(after, current, task, mode, table)
-                except SwitchSimError as exc:
-                    raise ReplayError(str(exc), position=pos) from exc
+    current, lru = first, state.cpu_lru
+    # (current task, next task, cpu_lru) -> (next cpu_lru, record index or -1).
+    steps: dict[tuple[str, str, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
+    for pos in range(1, len(trace)):
+        task = trace[pos]
+        key = (current, task, lru)
+        step = steps.get(key)
+        if step is None:
+            # The key fixes the state: the device holds the running task's
+            # target, and both budgets are the config's.
+            after = CacheState(*budgets, table.target(mode, current), lru)
+            report = None
+            try:
+                if current not in tiering:
+                    tiers = assign_tiers(current, active, model)
+                    useful = block_usefulness(current, model, active)
+                    protected = tiers.runtime | tiers.preload
+                    # Eviction reads recency alone, which is exact only
+                    # while every useful block is protected.
+                    if not useful.keys() <= protected:
+                        raise SwitchSimError(
+                            f"usefulness for task {current!r} weights blocks "
+                            "outside its runtime and pre-load tiers")
+                    tiering[current] = (rank_preload(tiers, useful), protected)
+                ranked, protected = tiering[current]
+                plan = plan_prefetch(ranked, protected, after, manifest)
+                after, staged, _moved = execute_prefetch(
+                    plan, after, config.compute_window_ms, cost, manifest,
+                    protected=protected,
+                )
+                staged_lru = after.cpu_lru
+                if task != current:
+                    after, report = execute_switch(after, current, task, mode, table)
                 # A switch moves blocks through the host without changing it.
                 if after.cpu_lru is not staged_lru:
-                    raise ReplayError("switch changed the host cache", position=pos)
+                    raise SwitchSimError("switch changed the host cache")
                 # Invariants of every computed step; a memo hit repeats a
                 # checked one. ``lru`` was checked, so the host needs no
                 # second check when the step left it in place.
-                check(after, task, pos, after.cpu_lru is lru)
+                check(after, task, after.cpu_lru is lru)
                 if staged and not staged.issubset(after.cpu_lru):
-                    raise ReplayError("staged blocks are not host-resident", position=pos)
-                index = -1 if report is None else records.setdefault(report, len(records))
-                step = steps[key] = (after.cpu_lru, index)
-            lru, index = step
-            if index >= 0:
-                order.append(index)
-                current = task
+                    raise SwitchSimError("staged blocks are not host-resident")
+            except SwitchSimError as exc:
+                raise ReplayError(str(exc), position=pos) from exc
+            index = -1 if report is None else records.setdefault(report, len(records))
+            step = steps[key] = (after.cpu_lru, index)
+        lru, index = step
+        if index >= 0:
+            order.append(index)
+            current = task
     return _aggregate(mode, scenario, selections, tuple(records), tuple(order))
 
 
@@ -407,6 +491,10 @@ def compare_modes(config: ScenarioConfig) -> dict[DeployMode, ReplayReport]:
             for mode in DeployMode}
 
 
+# switches.jsonl lines joined per write.
+_LINES_PER_WRITE = 64
+
+
 def _fmt_ms(value: float) -> str:
     return f"{value:.3f}"
 
@@ -418,11 +506,15 @@ def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
     paths = []
 
     switches_path = out / "switches.jsonl"
-    # One encoded line per distinct record; writelines streams the repeats
-    # without building the whole file in memory.
-    lines = [json.dumps(r.to_json()) + "\n" for r in report.records]
-    with open(switches_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(map(lines.__getitem__, report.order))
+    # One encoded line per distinct record, joined in fixed batches: one
+    # write per batch, and memory bounded by a batch, not by the file.
+    # ``json.dumps`` escapes non-ASCII, so its text is its UTF-8 bytes.
+    lines = [(json.dumps(r.to_json()) + "\n").encode() for r in report.records]
+    order = report.order
+    with open(switches_path, "wb") as fh:
+        for start in range(0, len(order), _LINES_PER_WRITE):
+            fh.write(b"".join(map(lines.__getitem__,
+                                  order[start:start + _LINES_PER_WRITE])))
     paths.append(switches_path)
 
     summary_path = out / "summary.csv"

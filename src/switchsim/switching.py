@@ -169,9 +169,9 @@ class SwitchTable:
     depends on the outgoing task and on the prestaged blocks, so it is
     kept per (outgoing task, incoming task, device set, prestaged blocks);
     two tasks may share an active set, so the incoming task is part of
-    the key. The other modes' reports are fixed by their leg and repeat
-    only where a replay's step memo already repeats them, so they are not
-    kept. Every millisecond sum walks the same sets in the same order as a
+    the key. The other modes' reports are fixed by their leg, and a replay
+    computes each of them once per distinct (from, to) pair, so they are
+    not kept. Every millisecond sum walks the same sets in the same order as a
     per-switch recomputation would.
     """
 

@@ -109,23 +109,32 @@ def gen_markov_log(seed: int, length: int, task_ids: list[str],
     frequent. Deterministic for a given seed.
 
     Each step is the draw ``rng.choices(others, weights=...)`` makes, taken
-    from one ``rng.random()`` call and the task's cumulative weights, which
-    are built the first time the chain leaves that task. The sequence thus
-    depends only on ``Random.random()``, whose output Python keeps stable
-    across versions.
+    from one ``rng.random()`` call and the running task's cumulative
+    weights. The sequence thus depends only on ``Random.random()``, whose
+    output Python keeps stable across versions.
+
+    The inputs are checked before the first draw: an empty ``task_ids``
+    raises :class:`ValueError`, and so does a log of two or more steps with
+    fewer than two distinct task ids, or with a task whose pair weights do
+    not total a finite positive number.
     """
+    if not task_ids:
+        raise ValueError("a task log needs at least one task id")
     if length <= 0:
         return []
     draw = random.Random(seed).random
-    bias = pair_bias or {}
-    rows: dict[str, tuple[list[str], list[float], float, int]] = {}
     current = task_ids[0]
     out = [current]
+    if length == 1:
+        return out
+    if len(set(task_ids)) < 2:
+        raise ValueError(
+            f"a task log of {length} steps needs at least two distinct task ids, "
+            f"got {current!r} only")
+    bias = pair_bias or {}
+    rows = {task: _successor_row(task, task_ids, bias) for task in dict.fromkeys(task_ids)}
     for _ in range(length - 1):
-        row = rows.get(current)
-        if row is None:
-            row = rows[current] = _successor_row(current, task_ids, bias)
-        others, cum, total, hi = row
+        others, cum, total, hi = rows[current]
         current = others[bisect(cum, draw() * total, 0, hi)]
         out.append(current)
     return out
@@ -135,12 +144,12 @@ def _successor_row(current: str, task_ids: list[str],
                    bias: dict[tuple[str, str], float]
                    ) -> tuple[list[str], list[float], float, int]:
     """The tasks after ``current``, their cumulative weights, the total and
-    the bisect bound, refused as ``Random.choices`` refuses them."""
+    the bisect bound; a total that is not finite and positive raises."""
     others = [t for t in task_ids if t != current]
     cum = list(accumulate(bias.get((current, t), 1.0) for t in others))
     total = cum[-1] + 0.0
-    if total <= 0.0:
-        raise ValueError("Total of weights must be greater than zero")
-    if not math.isfinite(total):
-        raise ValueError("Total of weights must be finite")
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(
+            f"pair weights out of task {current!r} total {total}; "
+            "they must total a finite positive number")
     return others, cum, total, len(others) - 1

@@ -6,12 +6,14 @@ and stages with the per-call sort and the one-block-at-a-time loop of
 ``reference_cache``, and every other layer is called from its own
 module, so a test that patches the names ``switchsim.replay`` looks up
 leaves this loop alone.
-``reference_aggregate`` and ``reference_write_compare_csv`` walk every
-switch, where ``switchsim.replay`` works per distinct record.
+``reference_aggregate``, ``reference_write_compare_csv`` and
+``reference_write_switches`` walk every switch, where
+``switchsim.replay`` works per distinct record.
 """
 from __future__ import annotations
 
 import csv
+import json
 import statistics
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -151,4 +153,13 @@ def reference_write_compare_csv(reports: Mapping[DeployMode, ReplayReport],
         ]
         writer.writerow(["ALL", "ALL",
                          len(reports[ordered_modes[0]].switches), *totals])
+    return path
+
+
+def reference_write_switches(report: ReplayReport, path: Path | str) -> Path:
+    """switches.jsonl written one text line per switch."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for s in report.switches:
+            fh.write(json.dumps(s.to_json()) + "\n")
     return path

@@ -1,9 +1,11 @@
 """Brute-force selection references and synthetic instance generation."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -152,11 +154,22 @@ def markov_args(draw):
     return draw(st.integers(0, 2**32)), draw(st.integers(0, 300)), ids, bias
 
 
-def markov_outcome(fn, args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # the exception itself is what is compared
-        return type(exc), str(exc)
+def refused_up_front(length, ids, bias):
+    """Whether ``gen_markov_log`` must refuse these inputs before drawing."""
+    if not ids:
+        return True
+    if length < 2:
+        return False
+    if len(set(ids)) < 2:
+        return True
+    bias = bias or {}
+    for task in set(ids):
+        # Left to right, as the chain's cumulative weights add them.
+        total = functools.reduce(operator.add,
+                                 (bias.get((task, t), 1.0) for t in ids if t != task), 0.0)
+        if not (math.isfinite(total) and total > 0):
+            return True
+    return False
 
 
 class TestMarkovLog:
@@ -169,9 +182,39 @@ class TestMarkovLog:
     @example((5, 40, ["a", "b", "c"], {("a", "b"): math.nan}))
     @settings(max_examples=200, deadline=None)
     def test_matches_choices_reference(self, args):
-        # The same sequence, or the same exception type and message.
-        assert markov_outcome(gen_markov_log, args) \
-            == markov_outcome(reference_markov_log, args)
+        # Valid inputs give the reference's sequence; the rest fail before
+        # the first draw.
+        _seed, length, ids, bias = args
+        if refused_up_front(length, ids, bias):
+            with pytest.raises(ValueError):
+                gen_markov_log(*args)
+        else:
+            assert gen_markov_log(*args) == reference_markov_log(*args)
+
+    @pytest.mark.parametrize("length", [0, 1, 5])
+    def test_empty_task_list_is_refused(self, length):
+        with pytest.raises(ValueError, match="at least one task id"):
+            gen_markov_log(5, length, [])
+
+    @pytest.mark.parametrize("ids", [["a"], ["a", "a", "a"]])
+    def test_one_distinct_task_is_refused_from_two_steps(self, ids):
+        assert gen_markov_log(5, 1, ids) == ["a"]
+        with pytest.raises(ValueError, match="at least two distinct task ids"):
+            gen_markov_log(5, 2, ids)
+
+    @pytest.mark.parametrize("row", [
+        {("c", "a"): 0.0, ("c", "b"): 0.0},
+        {("c", "a"): -3.0, ("c", "b"): 1.0},
+        {("c", "a"): math.inf},
+        {("c", "b"): math.nan},
+    ], ids=["zero", "negative", "infinite", "nan"])
+    def test_bad_row_is_refused_before_the_chain_reaches_it(self, row):
+        # The chain starts at "a" and first leaves "c" at a later step, where
+        # the choices loop fails; a short log never gets there.
+        args = (5, 2, ["a", "b", "c"], row)
+        assert len(reference_markov_log(*args)) == 2
+        with pytest.raises(ValueError, match="out of task 'c'"):
+            gen_markov_log(*args)
 
     def test_driving_stream_is_pinned(self):
         # A change to the sampled stream, on any Python version, fails here.

@@ -8,7 +8,7 @@ import statistics
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchsim import replay
@@ -22,7 +22,7 @@ from switchsim.transitions import fit_transition_model
 from switchsim.workloads import write_driving_scenario
 
 from reference_replay import (reference_aggregate, reference_replay,
-                              reference_write_compare_csv)
+                              reference_write_compare_csv, reference_write_switches)
 
 ROUTE = ["Car", "TrafficLight", "Car", "Obstacle", "Person"]
 
@@ -213,6 +213,87 @@ class TestMemoMatchesReference:
             args = (scenario, mode, selections, model)
             assert replay_outcome(replay._replay, *args) \
                 == replay_outcome(reference_replay, *args)
+
+
+def host_free_scenario(trace, gpu_budget_bytes):
+    """Three tasks on four blocks: "a" holds 30 bytes on the device, "b" 50,
+    and "c" 90; the whole model is 100 bytes."""
+    ids = ("a", "b", "c")
+    config = ScenarioConfig(
+        manifest_path=Path("manifest.json"), tasks_path=Path("tasks.json"),
+        oracle={}, log_path=Path("log.txt"), trace_path=Path("trace.txt"),
+        cost_model_path=Path("cost.json"), gpu_budget_bytes=gpu_budget_bytes,
+        cpu_budget_bytes=40)
+    log = ("a", "b", "c", "a", "c", "b", "a")
+    scenario = Scenario(
+        config=config, manifest=ModelManifest("m", (10, 20, 30, 40)),
+        tasks=tuple(TaskSpec(tid, retention_ratio=0.9, max_remove=4) for tid in ids),
+        oracles={}, log=log, trace=tuple(trace),
+        cost=CostModel(1.0, 2.0, per_block_fixed_ms=0.5, monolithic_init_ms=7.0))
+    skipped = {"a": (2, 3), "b": (0, 3), "c": (0,)}
+    selections = {tid: SelectionResult(skipped=frozenset(order), final_score=1.0,
+                                       oracle_calls=1, removal_order=order)
+                  for tid, order in skipped.items()}
+    return scenario, selections, fit_transition_model(log, k=1, known_tasks=ids)
+
+
+HOST_FREE = [m for m in DeployMode if m is not DeployMode.FULL_METHOD]
+
+
+class TestHostFreeModes:
+    """monolithic, sparse_no_split and split_only never stage, so they
+    compute one switch per distinct (from, to) pair."""
+
+    # Self-steps between the switches, and pairs that repeat.
+    LOOP = ["a", "a", "b", "b", "b", "a", "a", "b", "a"]
+
+    @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
+    def test_self_steps_and_repeats_match_reference(self, mode):
+        scenario, selections, model = host_free_scenario(self.LOOP * 6, 100)
+        fast = replay._replay(scenario, mode, selections, model)
+        assert fast == reference_replay(scenario, mode, selections, model)
+        assert len(fast.records) == 2 and len(fast.order) == 6 * 4
+
+    @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
+    def test_device_budget_failure_deep_in_the_trace(self, mode):
+        # Task "c" first runs at position 56, after the trace has repeated
+        # other pairs and self-steps; its 90 bytes exceed the 60-byte device.
+        # The whole model never fits, so monolithic fails on the first load.
+        trace = self.LOOP * 6 + ["a", "a", "c", "c", "b"]
+        scenario, selections, model = host_free_scenario(trace, 60)
+        fast, ref = (replay_outcome(fn, scenario, mode, selections, model)
+                     for fn in (replay._replay, reference_replay))
+        assert fast == ref
+        assert fast[0] == (0 if mode is DeployMode.MONOLITHIC else 56)
+        assert "gpu budget exceeded by" in fast[1]
+
+    @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda state: state._replace(gpu_resident=frozenset()), "device does not hold"),
+        (lambda state: state._replace(cpu_budget_bytes=41), "cache budgets differ"),
+        (lambda state: state._replace(cpu_lru=(0,)), "switch changed the host cache"),
+    ], ids=["device-emptied", "cpu-budget-changed", "host-changed"])
+    def test_corrupt_switch_fails_at_the_pairs_first_position(
+            self, monkeypatch, mode, corrupt, message):
+        # The pair ("b", "c") first switches at position 28.
+        def corrupting(state, from_task, to_task, *args):
+            after, report = switch(state, from_task, to_task, *args)
+            return (corrupt(after) if (from_task, to_task) == ("b", "c") else after), report
+
+        switch = replay.execute_switch
+        monkeypatch.setattr(replay, "execute_switch", corrupting)
+        scenario, selections, model = host_free_scenario(
+            self.LOOP * 3 + ["b", "c", "a", "b", "c"], 100)
+        with pytest.raises(ReplayError, match=message) as err:
+            replay._replay(scenario, mode, selections, model)
+        assert err.value.position == 28
+
+    def test_modes_share_one_switch_order(self):
+        scenario, selections, model = host_free_scenario(self.LOOP * 3, 100)
+        orders = {id(replay._replay(scenario, mode, selections, model).order)
+                  for mode in HOST_FREE}
+        assert orders == {id(scenario.switch_pairs[1])}
+        assert scenario.switch_pairs[0] == (("a", "b"), ("b", "a"))
 
 
 def without_mode(outcome):
@@ -406,6 +487,25 @@ class TestAggregateMatchesReference:
         assert write_compare_csv(fast, out / "fast.csv").read_bytes() \
             == reference_write_compare_csv(ref, out / "ref.csv").read_bytes()
 
+    @given(st.lists(st.sampled_from([0.5, 1.0, 2.675, 1e16]) | st.floats(0.0, 1e4),
+                    min_size=1, max_size=6),
+           st.data())
+    @example([2.0], None)
+    @example([3.0, 3.0, 1.0], None)
+    @settings(max_examples=150, deadline=None)
+    def test_median_from_counts(self, latencies, data):
+        # Odd and even trace lengths, ties within and across records.
+        records = tuple(SwitchReport("a", "b", "m", lat, 0, 0, 0, 0, 0, 0)
+                        for lat in latencies)
+        indices = st.integers(0, len(records) - 1)
+        order = (tuple(range(len(records))) * 2 if data is None
+                 else tuple(data.draw(st.lists(indices, min_size=1, max_size=41))))
+        scenario, selections = aggregate_scenario()
+        fast = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, selections,
+                                 records, order)
+        assert fast.median_latency_ms == statistics.median(
+            records[i].latency_ms for i in order)
+
     def test_sum_that_naive_addition_rounds_differently(self):
         # Left to right, sum() drops every 1.0 added to 1e16; fsum keeps them.
         records = (SwitchReport("a", "b", "m", 1e16, 0, 0, 0, 0, 0, 0),
@@ -589,6 +689,24 @@ class TestEmitReports:
                      "config.echo.json"):
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+    def test_batched_switches_match_per_line_writer(self, tmp_path, n):
+        # Batches of 64 lines: empty, short, one short of a batch, one batch,
+        # one past it, and two batches and one line. Task ids outside ASCII
+        # check that the bytes are JSON's escaped text.
+        records = (SwitchReport("Car", "Ampel-\u00e4", "m", 1.0005, 1, 2, 3, 4, 5, 6),
+                   SwitchReport("Ampel-\u00e4", "Car", "m", 2.25, 0, 0, 0, 0, 0, 0),
+                   SwitchReport("Car", "Person", "m", 1e16 / 3, 7, 8, 9, 1, 2, 3))
+        order = tuple((i * i) % 3 for i in range(n))
+        scenario, selections = aggregate_scenario()
+        report = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, selections,
+                                   records, order)
+        emit_reports(report, tmp_path)
+        written = (tmp_path / "switches.jsonl").read_bytes()
+        assert written == reference_write_switches(report, tmp_path / "ref.jsonl"
+                                                   ).read_bytes()
+        assert written.count(b"\n") == n
 
     def test_summary_recomputable_from_switch_stream(self, tmp_path):
         config = small_scenario(tmp_path, window=30.0)
