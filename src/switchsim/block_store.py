@@ -33,7 +33,6 @@ from .errors import BudgetExceededError, ManifestError, exact_int, read_json
 __all__ = [
     "ModelManifest",
     "CacheState",
-    "TierAssignment",
     "stage_to_cpu",
     "load_to_gpu",
     "evict",
@@ -133,15 +132,6 @@ def _check_tier(manifest: ModelManifest, tier: str, resident: frozenset[int],
     used = manifest.bytes_of(resident)
     if used > budget:
         raise BudgetExceededError(tier, used - budget)
-
-
-@dataclass(frozen=True)
-class TierAssignment:
-    """Priority tiers: ``runtime`` (level 1, device) and ``preload`` (level 2,
-    host staging candidates). Every other block is level 3 (disk)."""
-
-    runtime: frozenset[int]
-    preload: frozenset[int]
 
 
 def _touch(lru: tuple[int, ...], wanted: frozenset[int],

@@ -12,11 +12,10 @@ from pathlib import Path
 
 from .errors import ConfigError, ManifestError, OracleError, SwitchSimError, read_json
 from .block_store import ModelManifest
-from .replay import ScenarioConfig, compare_modes, emit_reports, run_replay, write_compare_csv
-from .sparsity import (build_all_tasks, load_table_oracles, load_task_specs,
-                       selection_report)
+from .replay import (ScenarioConfig, build_oracles, compare_modes, emit_reports,
+                     run_replay, write_compare_csv)
+from .sparsity import build_all_tasks, load_task_specs, selection_report
 from .switching import DeployMode
-from .synthetic import gen_instance
 from .transitions import fit_transition_model, load_task_log
 
 EXIT_OK = 0
@@ -44,15 +43,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
     else:
         num_blocks = args.num_blocks
     if args.oracle_table:
-        oracles = load_table_oracles(args.oracle_table, tasks, num_blocks)
+        spec = {"kind": "table", "path": args.oracle_table}
+    elif args.seed is None:
+        raise ConfigError("--seed is mandatory for synthetic oracles")
     else:
-        if args.seed is None:
-            raise ConfigError("--seed is mandatory for synthetic oracles")
-        try:
-            instance = gen_instance(args.seed, num_blocks, len(tasks), args.correlation)
-        except ValueError as exc:
-            raise ConfigError(f"bad synthetic oracle: {exc}") from exc
-        oracles = {t.task_id: instance.oracle(i) for i, t in enumerate(tasks)}
+        spec = {"kind": "synthetic", "seed": args.seed, "correlation": args.correlation}
+    oracles = build_oracles(spec, num_blocks, tasks, base_dir=Path())
     results = build_all_tasks(tasks, oracles, align=not args.independent)
     _write_json(selection_report(results), args.out)
     return EXIT_OK
@@ -79,13 +75,12 @@ def _load_config_with_overrides(args: argparse.Namespace) -> ScenarioConfig:
             doc[key] = value
     if getattr(args, "mode", None) is not None:
         doc["mode"] = args.mode
-    if args.seed is not None or args.correlation is not None:
-        oracle = dict(doc.get("oracle") or {"kind": "synthetic"})
-        if args.seed is not None:
-            oracle["seed"] = args.seed
-        if args.correlation is not None:
-            oracle["correlation"] = args.correlation
-        doc["oracle"] = oracle
+    flags = {key: getattr(args, key) for key in ("seed", "correlation")
+             if getattr(args, key) is not None}
+    oracle = doc.get("oracle") or {"kind": "synthetic"}
+    # An oracle that is not an object is left for ScenarioConfig.from_dict to refuse.
+    if flags and isinstance(oracle, dict):
+        doc["oracle"] = {**oracle, **flags}
     return ScenarioConfig.from_dict(doc, base_dir=path.parent)
 
 

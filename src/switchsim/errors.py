@@ -26,10 +26,14 @@ def exact_int(value: object) -> int:
 
 def as_float(value: object) -> float:
     """``float(value)`` for a JSON number; anything but an ``int`` or
-    ``float`` (a boolean, a string, ``None``) raises :class:`TypeError`."""
+    ``float`` (a boolean, a string, ``None``) raises :class:`TypeError`,
+    and an integer too large for a float raises :class:`ValueError`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer is too large for a float") from None
 
 
 def check_keys(doc: object, allowed: frozenset[str], what: str) -> None:

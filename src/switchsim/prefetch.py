@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .block_store import CacheState, ModelManifest, TierAssignment, stage_to_cpu
+from .block_store import CacheState, ModelManifest, stage_to_cpu
 from .errors import BudgetExceededError
 from .switching import CostModel
-from .transitions import TransitionModel
+from .transitions import TierAssignment, TransitionModel
 
 __all__ = ["PrefetchPlan", "plan_prefetch", "execute_prefetch", "block_usefulness",
            "rank_preload"]

@@ -79,8 +79,8 @@ from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute
 from .synthetic import gen_instance
 from .transitions import TransitionModel, assign_tiers, fit_transition_model, load_task_log
 
-__all__ = ["ScenarioConfig", "ReplayReport", "load_scenario", "run_replay",
-           "compare_modes", "emit_reports", "write_compare_csv"]
+__all__ = ["ScenarioConfig", "ReplayReport", "build_oracles", "load_scenario",
+           "run_replay", "compare_modes", "emit_reports", "write_compare_csv"]
 
 _CONFIG_KEYS = frozenset({"manifest", "tasks", "oracle", "log", "trace", "cost_model",
                           "gpu_budget_bytes", "cpu_budget_bytes", "mode", "k",
@@ -122,11 +122,14 @@ class ScenarioConfig:
                 raise ConfigError(f"config is missing {key!r}") from None
 
         mode = doc.get("mode")
+        oracle = doc.get("oracle", {})
+        if not isinstance(oracle, dict):
+            raise ConfigError(f"oracle must be a JSON object, not {type(oracle).__name__}")
         try:
             return cls(
                 manifest_path=path_of("manifest"),
                 tasks_path=path_of("tasks"),
-                oracle=dict(doc.get("oracle") or {}),
+                oracle=dict(oracle),
                 log_path=path_of("log"),
                 trace_path=path_of("trace"),
                 cost_model_path=path_of("cost_model"),
@@ -196,8 +199,10 @@ class Scenario:
         return tuple(index), order
 
 
-def _build_oracles(spec: Mapping, manifest: ModelManifest,
-                   tasks: Sequence[TaskSpec], base_dir: Path) -> dict[str, MetricOracle]:
+def build_oracles(spec: Mapping, num_blocks: int, tasks: Sequence[TaskSpec],
+                  base_dir: Path) -> dict[str, MetricOracle]:
+    """Each task's oracle from a ``synthetic`` or ``table`` oracle spec; a
+    table's path is taken relative to ``base_dir``."""
     kind = spec.get("kind")
     if kind == "synthetic":
         check_keys(spec, frozenset({"kind", "seed", "correlation"}), "synthetic oracle spec")
@@ -206,7 +211,7 @@ def _build_oracles(spec: Mapping, manifest: ModelManifest,
         try:
             instance = gen_instance(
                 seed=exact_int(spec["seed"]),
-                num_blocks=manifest.num_blocks,
+                num_blocks=num_blocks,
                 num_tasks=len(tasks),
                 correlation=as_float(spec.get("correlation", 0.7)),
             )
@@ -215,11 +220,10 @@ def _build_oracles(spec: Mapping, manifest: ModelManifest,
         return {t.task_id: instance.oracle(i) for i, t in enumerate(tasks)}
     if kind == "table":
         check_keys(spec, frozenset({"kind", "path"}), "table oracle spec")
-        try:
-            path = (base_dir / spec["path"]).resolve()
-        except KeyError:
-            raise ConfigError("table oracles require a path") from None
-        return load_table_oracles(path, tasks, manifest.num_blocks)
+        path = spec.get("path")
+        if not isinstance(path, str):
+            raise ConfigError("table oracles require a path string")
+        return load_table_oracles(base_dir / path, tasks, num_blocks)
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
@@ -233,8 +237,8 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
         raise ConfigError(
             f"budgets must admit the largest block ({largest} bytes)")
-    oracles = _build_oracles(config.oracle, manifest, tasks,
-                             base_dir=config.manifest_path.parent)
+    oracles = build_oracles(config.oracle, manifest.num_blocks, tasks,
+                            base_dir=config.manifest_path.parent)
     known = {t.task_id for t in tasks}
     if not known.issuperset(trace):
         pos, task = next((pos, task) for pos, task in enumerate(trace)

@@ -190,7 +190,7 @@ class SwitchTable:
         return Transfer(blocks, sum_left_to_right(per_block_ms, blocks),
                         self.manifest.bytes_of(blocks))
 
-    def disk_leg(self, need: frozenset[int], prestaged: frozenset[int]) -> Transfer:
+    def _disk_leg(self, need: frozenset[int], prestaged: frozenset[int]) -> Transfer:
         """The disk leg of ``need`` when ``prestaged`` is already host-resident."""
         return self._transfer(need - prestaged, self.disk_ms)
 
@@ -211,7 +211,7 @@ class SwitchTable:
                 leg = SwitchLeg(target, self.manifest.bytes_of(target),
                                 len(target & device), 0.0,
                                 self._transfer(need, self.gpu_ms),
-                                self.disk_leg(need, frozenset()))
+                                self._disk_leg(need, frozenset()))
             else:
                 whole = self._transfer(target, self.gpu_ms)
                 leg = SwitchLeg(target, whole.nbytes, 0, self.cost.monolithic_init_ms,
@@ -253,7 +253,7 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
     key = (from_task, to_task, state.gpu_resident, *sorted(prestaged))
     report = table._full_reports.get(key)
     if report is None:
-        disk = table.disk_leg(leg.gpu.blocks, prestaged) if prestaged else leg.disk
+        disk = table._disk_leg(leg.gpu.blocks, prestaged) if prestaged else leg.disk
         report = table._full_reports[key] = _report(from_task, to_task, mode, leg,
                                                      disk, prestaged)
     return new_state, report

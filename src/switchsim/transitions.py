@@ -1,28 +1,38 @@
 """First-order task-transition statistics and priority-tier assignment.
 
-Counts adjacent task pairs in logged sequences, row-normalizes them into
-switch probabilities, extracts the top-K likely successors per task, and
-maps blocks into three tiers: device-resident for the running task,
-host-staging candidates for its likely successors, and disk for the rest.
+One pass over a logged sequence counts adjacent task pairs and each
+task's row total; the counts are then row-normalized into switch
+probabilities, and one sort gives every task's top-K likely successors.
+The module also maps blocks into three tiers: device-resident for the
+running task, host-staging candidates for its likely successors, and
+disk for the rest.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .block_store import TierAssignment
 from .errors import ConfigError, LogParseError, read_text
 
 __all__ = [
     "TransitionModel",
-    "ingest_log",
-    "transition_probs",
-    "top_k_successors",
+    "TierAssignment",
     "fit_transition_model",
     "assign_tiers",
     "load_task_log",
 ]
+
+
+@dataclass(frozen=True)
+class TierAssignment:
+    """Priority tiers: ``runtime`` (level 1, device) and ``preload`` (level 2,
+    host staging candidates). Every other block is level 3 (disk)."""
+
+    runtime: frozenset[int]
+    preload: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -53,59 +63,33 @@ class TransitionModel:
         }
 
 
-def ingest_log(entries: Sequence[str],
-               known_tasks: Iterable[str] | None = None) -> dict[tuple[str, str], int]:
-    """Count adjacent task pairs, dropping self-transitions.
-
-    A task continuing is not a switch and loads nothing, so (t, t) pairs
-    contribute no counts. Unknown task ids raise with the 0-based log
-    position.
-    """
-    known = frozenset(known_tasks) if known_tasks is not None else None
-    if known is not None:
-        for i, task in enumerate(entries):
-            if task not in known:
-                raise LogParseError(f"unknown task id {task!r}", position=i)
-    counts: dict[tuple[str, str], int] = {}
-    for a, b in zip(entries, entries[1:]):
-        if a == b:
-            continue
-        counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts
-
-
-def transition_probs(counts: Mapping[tuple[str, str], int]
-                     ) -> dict[tuple[str, str], float]:
-    """Row-normalize counts; tasks with no outgoing counts get no row."""
-    row_totals: dict[str, int] = {}
-    for (a, _b), n in counts.items():
-        row_totals[a] = row_totals.get(a, 0) + n
-    return {
-        (a, b): n / row_totals[a]
-        for (a, b), n in counts.items()
-        if row_totals[a] > 0
-    }
-
-
-def top_k_successors(probs: Mapping[tuple[str, str], float], task: str,
-                     k: int) -> list[str]:
-    """The k most likely successors of ``task``, ties broken lexicographically."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    row = [(b, p) for (a, b), p in probs.items() if a == task]
-    row.sort(key=lambda bp: (-bp[1], bp[0]))
-    return [b for b, _p in row[:k]]
-
-
 def fit_transition_model(entries: Sequence[str], k: int = 2,
                          known_tasks: Iterable[str] | None = None) -> TransitionModel:
-    """Estimate counts, probabilities, and successor lists from one log."""
+    """Estimate counts, probabilities, and successor lists from one log.
+
+    A task continuing is not a switch and loads nothing, so (t, t) pairs
+    contribute no counts; a task with no outgoing switch gets no row. Each
+    task's successors are its k most likely, ties broken by id. Unknown
+    task ids raise with the 0-based log position.
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    counts = ingest_log(entries, known_tasks=known_tasks)
-    probs = transition_probs(counts)
-    sources = sorted({a for a, _b in counts})
-    successors = {t: tuple(top_k_successors(probs, t, k)) for t in sources}
+    if known_tasks is not None:
+        known = frozenset(known_tasks)
+        if not known.issuperset(entries):
+            pos, task = next((pos, task) for pos, task in enumerate(entries)
+                             if task not in known)
+            raise LogParseError(f"unknown task id {task!r}", position=pos)
+    counts: dict[tuple[str, str], int] = {}
+    totals: dict[str, int] = {}
+    for pair in zip(entries, entries[1:]):
+        if pair[0] != pair[1]:
+            counts[pair] = counts.get(pair, 0) + 1
+            totals[pair[0]] = totals.get(pair[0], 0) + 1
+    probs = {pair: n / totals[pair[0]] for pair, n in counts.items()}
+    ranked = sorted(probs, key=lambda pair: (pair[0], -probs[pair], pair[1]))
+    successors = {task: tuple([b for _a, b in row][:k])
+                  for task, row in groupby(ranked, key=itemgetter(0))}
     return TransitionModel(counts=counts, probs=probs, successors=successors, k=k)
 
 

@@ -15,8 +15,7 @@ from .replay import ScenarioConfig
 from .switching import CostModel, calibrate_uniform_block_bytes
 from .synthetic import gen_markov_log
 
-__all__ = ["DRIVING_TASKS", "DRIVING_PAIR_BIAS", "default_cost_model",
-           "write_driving_scenario"]
+__all__ = ["DRIVING_TASKS", "DRIVING_PAIR_BIAS", "write_driving_scenario"]
 
 DRIVING_TASKS = ("Car", "TrafficLight", "Obstacle", "Person", "Bicycle")
 
@@ -32,15 +31,9 @@ DRIVING_PAIR_BIAS = {
 _PRIORITY = {"Car": 5.0, "TrafficLight": 4.0, "Obstacle": 3.0,
              "Person": 2.0, "Bicycle": 1.0}
 
-
-def default_cost_model() -> CostModel:
-    """NVMe-to-host and host-to-device bandwidths with per-block overhead."""
-    return CostModel(
-        disk_to_cpu_mbps=2000.0,
-        cpu_to_gpu_mbps=8000.0,
-        per_block_fixed_ms=1.0,
-        monolithic_init_ms=250.0,
-    )
+# NVMe-to-host and host-to-device bandwidths with per-block overhead.
+_COST_MODEL = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0,
+                        per_block_fixed_ms=1.0, monolithic_init_ms=250.0)
 
 
 def write_driving_scenario(
@@ -60,7 +53,6 @@ def write_driving_scenario(
     compute_window_ms: float = 80.0,
     cpu_budget_blocks: int = 8,
     mode: str | None = None,
-    cost: CostModel | None = None,
 ) -> ScenarioConfig:
     """Write a complete five-task scenario directory and return its config.
 
@@ -70,8 +62,8 @@ def write_driving_scenario(
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    cost = cost if cost is not None else default_cost_model()
-    block_bytes = calibrate_uniform_block_bytes(target_monolithic_ms, num_blocks, cost)
+    block_bytes = calibrate_uniform_block_bytes(target_monolithic_ms, num_blocks,
+                                                _COST_MODEL)
 
     (root / "manifest.json").write_text(json.dumps({
         "model_name": f"driving-{num_blocks}b",
@@ -85,7 +77,7 @@ def write_driving_scenario(
     ], indent=2) + "\n", encoding="utf-8")
 
     (root / "cost_model.json").write_text(
-        json.dumps(cost.to_json(), indent=2) + "\n", encoding="utf-8")
+        json.dumps(_COST_MODEL.to_json(), indent=2) + "\n", encoding="utf-8")
 
     log = gen_markov_log(log_seed, log_length, list(DRIVING_TASKS),
                          pair_bias=DRIVING_PAIR_BIAS)

@@ -12,18 +12,22 @@ costs from scratch, to check the tabled
 per-step sampler and the per-line log reader that
 :func:`switchsim.synthetic.gen_markov_log` and
 :func:`switchsim.transitions.load_task_log` replace.
+:func:`reference_fit_transition_model` is the three-step count, normalize
+and rank pipeline that the one-pass
+:func:`switchsim.transitions.fit_transition_model` replaces.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from switchsim.block_store import CacheState, ModelManifest, load_to_gpu
-from switchsim.errors import ConfigError, read_text, sum_left_to_right
+from switchsim.errors import ConfigError, LogParseError, read_text, sum_left_to_right
 from switchsim.sparsity import MetricOracle, SelectionResult, TaskSpec
 from switchsim.switching import CostModel, DeployMode, SwitchReport
+from switchsim.transitions import TransitionModel
 
 REPLAY_MAX_BLOCKS = 16
 EXHAUSTIVE_MAX_BLOCKS = 12
@@ -218,3 +222,33 @@ def reference_load_task_log(path: Path | str) -> list[str]:
             continue
         entries.append(line.split(",")[-1].strip() if "," in line else line)
     return entries
+
+
+def reference_fit_transition_model(entries: Sequence[str], k: int = 2,
+                                   known_tasks: Iterable[str] | None = None
+                                   ) -> TransitionModel:
+    """The model counted, normalized and ranked in three separate steps."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if known_tasks is not None:
+        known = frozenset(known_tasks)
+        for i, task in enumerate(entries):
+            if task not in known:
+                raise LogParseError(f"unknown task id {task!r}", position=i)
+    # Step 1: adjacent non-self pairs counted.
+    counts: dict[tuple[str, str], int] = {}
+    for a, b in zip(entries, entries[1:]):
+        if a != b:
+            counts[(a, b)] = counts.get((a, b), 0) + 1
+    # Step 2: row totals in a pass of their own, then every count normalized.
+    row_totals: dict[str, int] = {}
+    for (a, _b), n in counts.items():
+        row_totals[a] = row_totals.get(a, 0) + n
+    probs = {(a, b): n / row_totals[a] for (a, b), n in counts.items()}
+    # Step 3: each task's row filtered out of every pair and sorted on its own.
+    successors = {}
+    for task in sorted({a for a, _b in counts}):
+        row = sorted(((b, p) for (a, b), p in probs.items() if a == task),
+                     key=lambda bp: (-bp[1], bp[0]))
+        successors[task] = tuple(b for b, _p in row[:k])
+    return TransitionModel(counts=counts, probs=probs, successors=successors, k=k)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from switchsim.block_store import CacheState, ModelManifest, TierAssignment
+from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import BudgetExceededError, ManifestError
 from switchsim.prefetch import PrefetchPlan
 from switchsim.switching import CostModel
+from switchsim.transitions import TierAssignment
 
 
 def reference_touch(lru: tuple[int, ...], blocks: Iterable[int]) -> tuple[int, ...]:

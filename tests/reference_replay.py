@@ -18,13 +18,13 @@ import statistics
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from switchsim.block_store import CacheState, TierAssignment, load_to_gpu
+from switchsim.block_store import CacheState, load_to_gpu
 from switchsim.errors import ReplayError, SwitchSimError
 from switchsim.prefetch import block_usefulness
 from switchsim.replay import ReplayReport, Scenario, _fmt_ms
 from switchsim.sparsity import SelectionResult, jaccard
 from switchsim.switching import DeployMode, SwitchReport, SwitchTable, execute_switch
-from switchsim.transitions import TransitionModel, assign_tiers
+from switchsim.transitions import TierAssignment, TransitionModel, assign_tiers
 
 from reference_cache import reference_execute_prefetch, reference_plan_prefetch
 

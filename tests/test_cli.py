@@ -197,7 +197,8 @@ def key_path_id(value):
 
 
 class TestBadNumbers:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0,
+                                       pytest.param(10**400, id="int-1e400")])
     @pytest.mark.parametrize("name, path", [
         ("cost_model.json", ("disk_to_cpu_mbps",)),
         ("cost_model.json", ("cpu_to_gpu_mbps",)),
@@ -209,6 +210,15 @@ class TestBadNumbers:
     def test_non_finite_or_negative_is_a_config_error(self, driving_dir, tmp_path,
                                                       name, path, value):
         assert compare_edited(driving_dir, tmp_path, name, path, value) == EXIT_CONFIG
+
+    def test_integer_too_large_for_a_float_is_named_briefly(self, driving_dir,
+                                                            tmp_path, capsys):
+        code = compare_edited(driving_dir, tmp_path, "config.json",
+                              ("compute_window_ms",), 10**400)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "integer is too large for a float" in err
+        assert "0" * 100 not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
     def test_bad_compute_window_flag_is_a_config_error(self, driving_dir, tmp_path,
@@ -310,7 +320,10 @@ class TestUnknownKeys:
     @pytest.mark.parametrize("extra, flags", [
         ({}, []), ({"seed": 7}, []), ({}, ["--seed", "7"]),
         ({}, ["--correlation", "0.5"]),
-    ], ids=["kind-and-path", "seed-key", "seed-flag", "correlation-flag"])
+        # The path is a string; anything else is refused, not joined.
+        ({"path": 5}, []), ({"path": None}, []), ({"path": ["table.json"]}, []),
+    ], ids=["kind-and-path", "seed-key", "seed-flag", "correlation-flag",
+            "path-int", "path-null", "path-list"])
     def test_table_oracle_spec_takes_kind_and_path_only(self, driving_dir, tmp_path,
                                                         extra, flags):
         root = tmp_path / "scenario"
@@ -449,6 +462,16 @@ class TestMalformedInput:
                   "--log", str(log), "--k", "0", "--out-dir", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG
         assert "k must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "7"]], ids=["spec", "seed-flag"])
+    def test_oracle_not_an_object_is_a_config_error(self, driving_dir, tmp_path,
+                                                    capsys, flags):
+        # dict() would read these pairs as the default synthetic spec.
+        pairs = [["kind", "synthetic"], ["seed", 7], ["correlation", 0.85]]
+        code = compare_edited(driving_dir, tmp_path, "config.json", ("oracle",), pairs,
+                              *flags)
+        assert code == EXIT_CONFIG
+        assert "oracle must be a JSON object, not list" in capsys.readouterr().err
 
 
 class TestConsoleEntry:

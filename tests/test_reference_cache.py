@@ -4,11 +4,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsim.block_store import (CacheState, ModelManifest, TierAssignment, _touch,
-                                   evict, stage_to_cpu)
+from switchsim.block_store import CacheState, ModelManifest, _touch, evict, stage_to_cpu
 from switchsim.errors import BudgetExceededError, SwitchSimError
 from switchsim.prefetch import PrefetchPlan, execute_prefetch, plan_prefetch
 from switchsim.switching import CostModel
+from switchsim.transitions import TierAssignment
 
 from reference_cache import (reference_evict, reference_execute_prefetch,
                              reference_plan_prefetch, reference_stage_to_cpu,

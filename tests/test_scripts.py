@@ -1,16 +1,21 @@
-"""The experiment scripts under ``scripts/``."""
+"""The experiment scripts under ``scripts/``, and the names the benchmark's
+tracer in ``perfbench/`` patches."""
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import sys
 import tempfile
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from switchsim.sparsity import AdditiveOracle
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_script(name: str, directory: Path = SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -50,3 +55,13 @@ def test_demo_scenario_is_written(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "config.json", "cost_model.json", "log.txt", "manifest.json", "tasks.json",
         "trace.txt"]
+
+
+def test_every_name_the_tracer_patches_exists():
+    # The tracer swaps each attribute in its owner's __dict__; a refactor
+    # that moves or renames one breaks the benchmark's traced runs.
+    targets = load_script("tracer", ROOT / "perfbench").TARGETS
+    missing = [(module, attr) for module, attr, *_ in targets
+               if attr not in vars(importlib.import_module(module))]
+    assert missing == []
+    assert "score" in vars(AdditiveOracle)

@@ -1,4 +1,4 @@
-"""Transition counting, normalization, successor ranking, tier assignment."""
+"""The one-pass transition fit, tier assignment, and the task-log reader."""
 from __future__ import annotations
 
 import json
@@ -8,20 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim.errors import ConfigError, LogParseError
+from switchsim.synthetic import gen_markov_log
 from switchsim.transitions import (TransitionModel, assign_tiers, fit_transition_model,
-                                   ingest_log, load_task_log, top_k_successors,
-                                   transition_probs)
+                                   load_task_log)
+from switchsim.workloads import DRIVING_PAIR_BIAS, DRIVING_TASKS
 
-from reference import reference_load_task_log
+from reference import reference_fit_transition_model, reference_load_task_log
 
 TASKS = ["Car", "TrafficLight", "Obstacle", "Person", "Bicycle"]
 ROUTE = ["Car", "TrafficLight", "Car", "Obstacle", "Person"]
 
 
-class TestIngestLog:
+class TestFitCounts:
     def test_counts_route_pairs(self):
-        counts = ingest_log(ROUTE, known_tasks=TASKS)
-        assert counts == {
+        model = fit_transition_model(ROUTE, known_tasks=TASKS)
+        assert model.counts == {
             ("Car", "TrafficLight"): 1,
             ("TrafficLight", "Car"): 1,
             ("Car", "Obstacle"): 1,
@@ -29,41 +30,49 @@ class TestIngestLog:
         }
 
     def test_single_entry_log_counts_nothing(self):
-        assert ingest_log(["Car"], known_tasks=TASKS) == {}
+        model = fit_transition_model(["Car"], known_tasks=TASKS)
+        assert model.counts == model.probs == model.successors == {}
 
     def test_self_transitions_are_dropped(self):
-        assert ingest_log(["A", "A", "B"]) == {("A", "B"): 1}
+        assert fit_transition_model(["A", "A", "B"]).counts == {("A", "B"): 1}
 
-    def test_unknown_task_reports_position(self):
+    @pytest.mark.parametrize("log, position", [
+        (["Car", "Spaceship"], 1),
+        (["Spaceship", "Car", "Rocket"], 0),
+        (["Car", "Car", "Rocket", "Spaceship"], 2),
+    ])
+    def test_unknown_task_reports_first_position(self, log, position):
         with pytest.raises(LogParseError) as err:
-            ingest_log(["Car", "Spaceship"], known_tasks=TASKS)
-        assert err.value.position == 1
+            fit_transition_model(log, known_tasks=TASKS)
+        assert err.value.position == position
 
     @given(st.lists(st.sampled_from("abc"), max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_counts_conservation(self, entries):
-        counts = ingest_log(entries)
+        counts = fit_transition_model(entries).counts
         nonself = sum(1 for x, y in zip(entries, entries[1:]) if x != y)
         assert sum(counts.values()) == nonself
 
 
-class TestTransitionProbs:
+class TestFitProbs:
     def test_route_rows_normalize(self):
-        probs = transition_probs(ingest_log(ROUTE))
+        probs = fit_transition_model(ROUTE).probs
         assert probs[("Car", "TrafficLight")] == 0.5
         assert probs[("Car", "Obstacle")] == 0.5
         assert probs[("TrafficLight", "Car")] == 1.0
 
     def test_single_target_row(self):
-        assert transition_probs({("A", "B"): 3}) == {("A", "B"): 1.0}
+        assert fit_transition_model(["A", "B"] * 3).probs == {("A", "B"): 1.0,
+                                                              ("B", "A"): 1.0}
 
-    def test_empty_counts(self):
-        assert transition_probs({}) == {}
+    def test_empty_log(self):
+        model = fit_transition_model([])
+        assert model.counts == model.probs == model.successors == {}
 
     @given(st.lists(st.sampled_from("abcd"), min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one(self, entries):
-        probs = transition_probs(ingest_log(entries))
+        probs = fit_transition_model(entries).probs
         rows: dict[str, float] = {}
         for (a, _b), p in probs.items():
             rows[a] = rows.get(a, 0.0) + p
@@ -71,25 +80,62 @@ class TestTransitionProbs:
             assert abs(total - 1.0) <= 1e-9
 
 
-class TestTopKSuccessors:
+class TestFitSuccessors:
     def test_tie_breaks_lexicographically(self):
-        probs = transition_probs(ingest_log(ROUTE))
-        assert top_k_successors(probs, "Car", 1) == ["Obstacle"]
+        assert fit_transition_model(ROUTE, k=1).successors["Car"] == ("Obstacle",)
 
     def test_k_larger_than_row_returns_whole_row(self):
-        probs = transition_probs(ingest_log(ROUTE))
-        assert top_k_successors(probs, "TrafficLight", 5) == ["Car"]
+        assert fit_transition_model(ROUTE, k=5).successors["TrafficLight"] == ("Car",)
 
     def test_route_model_k2(self):
-        probs = transition_probs(ingest_log(ROUTE))
-        assert top_k_successors(probs, "Car", 2) == ["Obstacle", "TrafficLight"]
+        assert fit_transition_model(ROUTE, k=2).successors == {
+            "Car": ("Obstacle", "TrafficLight"),
+            "Obstacle": ("Person",),
+            "TrafficLight": ("Car",),
+        }
 
     def test_unseen_task_has_no_successors(self):
-        assert top_k_successors({}, "Car", 2) == []
+        model = fit_transition_model(ROUTE, known_tasks=TASKS)
+        assert "Bicycle" not in model.successors
+        assert model.successor_probs("Bicycle") == {}
 
-    def test_k_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            top_k_successors({}, "Car", 0)
+    @pytest.mark.parametrize("log", [[], ["Car", "Car"], ROUTE])
+    def test_k_must_be_positive(self, log):
+        with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+            fit_transition_model(log, k=0)
+
+
+# Task ids with a shared prefix and repeats, so that rows tie and several
+# successors compete for k slots; a k past sys.maxsize must still slice.
+FIT_LOG = st.lists(st.sampled_from(["a", "b", "c", "d", "a1", "b10"]), max_size=60)
+
+
+def model_items(model: TransitionModel):
+    # Every field in its dict order, plus the JSON text ``estimate`` writes.
+    return (list(model.counts.items()), list(model.probs.items()),
+            list(model.successors.items()), model.k,
+            json.dumps(model.to_json()))
+
+
+class TestFitMatchesReference:
+    @given(FIT_LOG, st.one_of(st.integers(1, 6), st.just(10**30)),
+           st.one_of(st.none(), st.sets(st.sampled_from(["a", "b", "c", "d", "a1"]))))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_logs(self, entries, k, known):
+        try:
+            expected = model_items(reference_fit_transition_model(entries, k, known))
+        except LogParseError as exc:
+            with pytest.raises(LogParseError) as err:
+                fit_transition_model(entries, k, known)
+            assert (str(err.value), err.value.position) == (str(exc), exc.position)
+            return
+        assert model_items(fit_transition_model(entries, k, known)) == expected
+
+    def test_driving_log(self):
+        log = gen_markov_log(11, 2500, list(DRIVING_TASKS), pair_bias=DRIVING_PAIR_BIAS)
+        for k in (1, 2, 4):
+            assert model_items(fit_transition_model(log, k, DRIVING_TASKS)) == \
+                model_items(reference_fit_transition_model(log, k, DRIVING_TASKS))
 
 
 class TestAssignTiers:
