@@ -32,6 +32,13 @@ def _write_json(doc, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _oracle_flags(args: argparse.Namespace) -> dict:
+    """The synthetic-oracle keys that --seed and --correlation set; an unset
+    flag leaves its key to the spec (and --correlation to its default)."""
+    return {key: getattr(args, key) for key in ("seed", "correlation")
+            if getattr(args, key) is not None}
+
+
 def _cmd_select(args: argparse.Namespace) -> int:
     tasks = load_task_specs(args.tasks)
     if args.manifest:
@@ -42,12 +49,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
         raise ConfigError(f"--num-blocks must be >= 1, got {args.num_blocks}")
     else:
         num_blocks = args.num_blocks
-    if args.oracle_table:
-        spec = {"kind": "table", "path": args.oracle_table}
-    elif args.seed is None:
-        raise ConfigError("--seed is mandatory for synthetic oracles")
-    else:
-        spec = {"kind": "synthetic", "seed": args.seed, "correlation": args.correlation}
+    # A table spec refuses the synthetic keys, and a synthetic one requires a seed.
+    kind = {"kind": "table", "path": args.oracle_table} if args.oracle_table \
+        else {"kind": "synthetic"}
+    spec = {**kind, **_oracle_flags(args)}
     oracles = build_oracles(spec, num_blocks, tasks, base_dir=Path())
     results = build_all_tasks(tasks, oracles, align=not args.independent)
     _write_json(selection_report(results), args.out)
@@ -75,8 +80,7 @@ def _load_config_with_overrides(args: argparse.Namespace) -> ScenarioConfig:
             doc[key] = value
     if getattr(args, "mode", None) is not None:
         doc["mode"] = args.mode
-    flags = {key: getattr(args, key) for key in ("seed", "correlation")
-             if getattr(args, key) is not None}
+    flags = _oracle_flags(args)
     oracle = doc.get("oracle") or {"kind": "synthetic"}
     # An oracle that is not an object is left for ScenarioConfig.from_dict to refuse.
     if flags and isinstance(oracle, dict):
@@ -140,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--manifest")
     p_select.add_argument("--oracle-table", dest="oracle_table")
     p_select.add_argument("--seed", type=int)
-    p_select.add_argument("--correlation", type=float, default=0.7)
+    p_select.add_argument("--correlation", type=float)
     p_select.add_argument("--independent", action="store_true",
                           help="select each task without shared-pool alignment")
     p_select.add_argument("--out", default=None)

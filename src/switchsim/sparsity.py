@@ -8,10 +8,12 @@ switches move fewer bytes.
 
 Each step asks the oracle for a ranking of the candidate removals, best
 estimated score first, plus a bound ``eps`` on the estimates' error
-(:meth:`MetricOracle.ranked_removals`). The additive oracle ranks blocks
-by weight once and estimates a removal from one sum of the active
-weights, so a step reads only a prefix of the ranking: it stops at the
-first estimate more than ``eps`` below the threshold or more than
+(:meth:`MetricOracle.ranked_removals`), through a :class:`RemovalRanking`
+that lives for one selection. The additive oracle ranks blocks by weight
+once per oracle, and the pool's blocks once per selection, and estimates
+a removal from one exact running sum of the active weights. So a step
+costs O(1) amortized plus a walk of a prefix of the ranking: it stops at
+the first estimate more than ``eps`` below the threshold or more than
 ``2 * eps`` below the first feasible one. Every decision stays exact: a
 candidate whose estimate lies within ``eps`` of the threshold, or within
 ``2 * eps`` of the best estimate it competes with, is scored exactly
@@ -27,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (ConfigError, OracleError, as_float, check_keys, exact_int,
                      read_json, sum_left_to_right)
@@ -35,6 +37,7 @@ from .errors import (ConfigError, OracleError, as_float, check_keys, exact_int,
 __all__ = [
     "TaskSpec",
     "MetricOracle",
+    "RemovalRanking",
     "AdditiveOracle",
     "TableOracle",
     "SelectionResult",
@@ -108,11 +111,43 @@ class MetricOracle:
         order = sorted(scores, key=lambda j: -scores[j])
         return order, scores.__getitem__, 0.0
 
+    def removal_ranking(self, shared_pool: frozenset[int]) -> RemovalRanking:
+        """The rankings of one greedy selection that starts from every block
+        and prefers ``shared_pool``; see :class:`RemovalRanking`."""
+        return RemovalRanking(self, shared_pool)
+
+
+class RemovalRanking:
+    """One selection's rankings, kept from step to step.
+
+    ``step(active)`` returns ``(pooled, ranked, estimate, eps)``:
+    ``ranked``, ``estimate`` and ``eps`` as :meth:`MetricOracle.ranked_removals`
+    gives them for ``active``, and ``pooled`` the shared pool's blocks in
+    ``ranked`` order. Both orders may name blocks outside ``active``,
+    which the caller skips. ``remove(j)`` follows each block the caller
+    drops from ``active``. This default ranks every step afresh.
+    """
+
+    def __init__(self, oracle: MetricOracle, shared_pool: frozenset[int]):
+        self.oracle, self.shared_pool = oracle, shared_pool
+
+    def step(self, active: set[int]) -> tuple[
+            Iterable[int], Iterable[int], Callable[[int], float], float]:
+        ranked, estimate, eps = self.oracle.ranked_removals(frozenset(active))
+        pool = self.shared_pool
+        return (j for j in ranked if j in pool), ranked, estimate, eps
+
+    def remove(self, j: int) -> None:
+        pass
+
 
 # Unit roundoff of a double, and an absolute floor covering the rounding of
 # a quotient that underflows into the subnormal range.
 _UNIT_ROUNDOFF = 2.0 ** -53
 _UNDERFLOW_FLOOR = 2.0 ** -1072
+# 2**-1074 is the smallest subnormal, so every finite float is a whole
+# number of these units.
+_EXACT_SCALE = 1 << 1074
 
 
 class AdditiveOracle(MetricOracle):
@@ -148,19 +183,65 @@ class AdditiveOracle(MetricOracle):
         # Stable: equal weights keep ascending block ids.
         return sorted(range(self.num_blocks), key=self.weights.__getitem__)
 
-    def ranked_removals(self, active: frozenset[int]) -> tuple[
-            Sequence[int], Callable[[int], float], float]:
-        """Rank removals by weight, lightest first, each estimated as
-        ``clamp((S - w_j) / T)`` from one exact sum ``S``.
+    @cached_property
+    def _exact_total(self) -> int:
+        return sum(map(_exact_units, self.weights))
+
+    def removal_ranking(self, shared_pool: frozenset[int]) -> RemovalRanking:
+        return _AdditiveRanking(self, shared_pool)
+
+
+def _exact_units(w: float) -> int:
+    """``w`` in units of 2**-1074, exactly."""
+    num, den = w.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _skip_inactive(order: list[int], cursor: int, active: set[int]) -> int:
+    """The first position from ``cursor`` on whose block is active."""
+    while cursor < len(order) and order[cursor] not in active:
+        cursor += 1
+    return cursor
+
+
+class _AdditiveRanking(RemovalRanking):
+    """Removals of an additive oracle: by weight, lightest first, each
+    estimated as ``clamp((S - w_j) / T)`` from the active weights' sum ``S``.
+
+    The ranking never changes, so it and the pool's share of it (ranked
+    once) each keep a cursor past their removed prefix. ``S`` is kept
+    exactly, as an int in units of 2**-1074, and each removal subtracts
+    its block's weight; the int divided by 2**1074 is the correctly
+    rounded float that ``math.fsum`` of the active weights gives. A step
+    thus costs O(1) amortized, plus the selector's walk.
+    """
+
+    def __init__(self, oracle: AdditiveOracle, shared_pool: frozenset[int]):
+        super().__init__(oracle, shared_pool)
+        self._order = oracle._by_weight
+        self._pool_order = [j for j in self._order if j in shared_pool]
+        self._cursor = self._pool_cursor = 0
+        self._exact = oracle._exact_total
+
+    def active_sum(self) -> float:
+        return self._exact / _EXACT_SCALE
+
+    def remove(self, j: int) -> None:
+        self._exact -= _exact_units(self.oracle.weights[j])
+
+    def step(self, active: set[int]):
+        """Both rankings from their cursors on, and the estimates and ``eps``
+        for ``active``.
 
         Subtraction, division and the clamp are monotone under rounding,
         so a heavier block never gets a higher estimate: the by-weight
         order is a non-increasing estimate order.
 
         Error bound, with u = 2**-53, m = len(active), S* the exact sum of
-        the active weights, S = fsum(...) = S*(1 + d), |d| <= u, and T the
-        total. All weights are finite and >= 0, and no partial sum
-        overflows (checked in ``__init__``).
+        the active weights, S = S*(1 + d), |d| <= u, its correct rounding
+        (the kept sum as a float), and T the total. All weights are finite
+        and >= 0, and no partial sum overflows (checked in
+        ``AdditiveOracle.__init__``).
 
         * ``score(active - {j})`` sums m - 1 non-negative terms left to
           right, so its sum s is within gamma_m * S* of S* - w_j, where
@@ -179,15 +260,20 @@ class AdditiveOracle(MetricOracle):
         the slack also covers the rounding of ``eps`` itself and of the
         selector's comparisons against it.
         """
-        if self._total == 0.0:
-            return self._by_weight, lambda j: 1.0, 0.0
-        weights, total = self.weights, self._total
-        s = math.fsum([weights[k] for k in active])
+        order, pool_order = self._order, self._pool_order
+        self._cursor = _skip_inactive(order, self._cursor, active)
+        self._pool_cursor = _skip_inactive(pool_order, self._pool_cursor, active)
+        ranked = map(order.__getitem__, range(self._cursor, len(order)))
+        pooled = map(pool_order.__getitem__, range(self._pool_cursor, len(pool_order)))
+        weights, total = self.oracle.weights, self.oracle._total
+        if total == 0.0:
+            return pooled, ranked, lambda j: 1.0, 0.0
+        s = self.active_sum()
         eps = 2.0 * (len(active) + 4) * _UNIT_ROUNDOFF * (s / total) + _UNDERFLOW_FLOOR
         # s >= w_j, so no estimate is negative, and none exceeds 1 unless s/T does.
         if s > total:
-            return self._by_weight, lambda j: min((s - weights[j]) / total, 1.0), eps
-        return self._by_weight, lambda j: (s - weights[j]) / total, eps
+            return pooled, ranked, lambda j: min((s - weights[j]) / total, 1.0), eps
+        return pooled, ranked, lambda j: (s - weights[j]) / total, eps
 
 
 class TableOracle(MetricOracle):
@@ -213,17 +299,23 @@ class TableOracle(MetricOracle):
     def from_json(cls, doc: Sequence[Mapping], num_blocks: int) -> "TableOracle":
         """Build from rows ``{"active_blocks": [ids], "score": s}``.
 
-        Ids must be integers in ``[0, num_blocks)`` and scores finite and in
-        [0, 1]; anything else is a :class:`ConfigError`.
+        Ids must be integers in ``[0, num_blocks)``, each listed once per
+        row, and scores finite and in [0, 1]; no two rows may name the same
+        active set. Anything else is a :class:`ConfigError`.
         """
         entries = {}
         try:
             for row in doc:
-                active = frozenset(exact_int(b) for b in row["active_blocks"])
+                ids = [exact_int(b) for b in row["active_blocks"]]
+                active = frozenset(ids)
                 score = as_float(row["score"])
                 if not all(0 <= b < num_blocks for b in active):
                     raise ValueError(f"block ids {sorted(active)} outside "
                                      f"[0, {num_blocks})")
+                if len(active) != len(ids):
+                    raise ValueError(f"block ids {ids} name a block twice")
+                if active in entries:
+                    raise ValueError(f"active set {sorted(active)} has two rows")
                 if not 0.0 <= score <= 1.0:
                     raise ValueError(f"score {score} outside [0, 1]")
                 entries[active] = score
@@ -255,10 +347,12 @@ def select_skip_set(task: TaskSpec, oracle: MetricOracle,
     calls = 1
     s_full = oracle.full_score
     threshold = task.retention_ratio * s_full
-    active = frozenset(range(oracle.num_blocks))
+    active = set(range(oracle.num_blocks))
+    pool_left = len(shared_pool & active)
+    ranking = oracle.removal_ranking(shared_pool)
     order: list[int] = []
     for _ in range(task.max_remove):
-        ranking, estimate, eps = oracle.ranked_removals(active)
+        pooled, ranked, estimate, eps = ranking.step(active)
         calls += len(active)
         exact: dict[int, float] = {}
 
@@ -266,22 +360,22 @@ def select_skip_set(task: TaskSpec, oracle: MetricOracle,
             if eps == 0.0:
                 return estimate(j)
             if j not in exact:
-                exact[j] = oracle.score(active - {j})
+                exact[j] = oracle.score(frozenset(active - {j}))
             return exact[j]
 
-        def contenders(members: frozenset[int]) -> list[int]:
-            # Walk the ranking down from the best estimate. An estimate more
-            # than eps below the threshold, and every one after it, is
-            # infeasible; a closer one is settled by the exact score. A
-            # candidate more than 2 * eps below the first feasible one
-            # scores strictly below it, so the walk stops there too.
+        def contenders(candidates: Iterable[int], left: int) -> list[int]:
+            # Walk a ranking down from the best estimate, over the ``left``
+            # active blocks among ``candidates``. An estimate more than eps
+            # below the threshold, and every one after it, is infeasible; a
+            # closer one is settled by the exact score. A candidate more
+            # than 2 * eps below the first feasible one scores strictly
+            # below it, so the walk stops there too.
             found: list[int] = []
             top = None
-            left = len(members)
-            for j in ranking:
+            for j in candidates:
                 if not left:
                     break
-                if j not in members:
+                if j not in active:
                     continue
                 left -= 1
                 est = estimate(j)
@@ -293,18 +387,21 @@ def select_skip_set(task: TaskSpec, oracle: MetricOracle,
                     found.append(j)
             return found
 
-        pick = contenders(shared_pool & active) or contenders(active)
+        pick = contenders(pooled, pool_left) or contenders(ranked, len(active))
         if not pick:
             break
         # Highest score wins; equal scores resolve to the lowest block id.
         # A lone contender needs no exact score to win.
         best_j = pick[0] if len(pick) == 1 else max(
             pick, key=lambda j: (exact_score(j), -j))
-        active = active - {best_j}
+        active.remove(best_j)
+        ranking.remove(best_j)
+        if best_j in shared_pool:
+            pool_left -= 1
         order.append(best_j)
     return SelectionResult(
         skipped=frozenset(order),
-        final_score=oracle.score(active) if order else s_full,
+        final_score=oracle.score(frozenset(active)) if order else s_full,
         oracle_calls=calls,
         removal_order=tuple(order),
     )

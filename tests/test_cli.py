@@ -266,6 +266,9 @@ class TestBadNumbers:
         {"active_blocks": [0], "score": True},
         {"active_blocks": ["0"], "score": 0.5},
         {"active_blocks": [0], "score": "0.5"},
+        # A later row for the same set used to replace the full-model score.
+        {"active_blocks": [1, 0], "score": 0.3},
+        {"active_blocks": [0, 0], "score": 0.5},
     ], ids=lambda row: json.dumps(row))
     def test_bad_table_oracle_row_is_a_config_error(self, tmp_path, row):
         tasks = write_tasks(tmp_path / "tasks.json", ids=("a",))
@@ -326,23 +329,61 @@ class TestUnknownKeys:
             "path-int", "path-null", "path-list"])
     def test_table_oracle_spec_takes_kind_and_path_only(self, driving_dir, tmp_path,
                                                         extra, flags):
-        root = tmp_path / "scenario"
-        shutil.copytree(driving_dir, root)
-        tasks = json.loads((root / "tasks.json").read_text())
-        for row in tasks:
-            row["max_remove"] = 0
-        (root / "tasks.json").write_text(json.dumps(tasks))
-        # With no removals, selection scores only the full model.
-        every = list(range(len(json.loads(
-            (root / "manifest.json").read_text())["block_sizes_bytes"])))
-        (root / "table.json").write_text(json.dumps(
-            {row["task_id"]: [{"active_blocks": every, "score": 1.0}] for row in tasks}))
-        doc = json.loads((root / "config.json").read_text())
-        doc["oracle"] = {"kind": "table", "path": "table.json", **extra}
-        (root / "config.json").write_text(json.dumps(doc))
-        code = main(["compare", "--config", str(root / "config.json"),
+        config = write_table_scenario(driving_dir, tmp_path, extra)
+        code = main(["compare", "--config", str(config),
                      "--out-dir", str(tmp_path / "out"), *flags])
         assert code == (EXIT_CONFIG if extra or flags else EXIT_OK)
+
+    @pytest.mark.parametrize("flags", [["--seed", "7"], ["--correlation", "0.1"],
+                                       ["--seed", "7", "--correlation", "0.1"]],
+                             ids=["seed", "correlation", "both"])
+    def test_select_with_table_refuses_synthetic_flags(self, tmp_path, capsys, flags):
+        tasks = write_tasks(tmp_path / "tasks.json", ids=("a",))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"a": [{"active_blocks": [0, 1], "score": 1.0}]}))
+        code = main(["select", "--tasks", str(tasks), "--num-blocks", "2",
+                     "--oracle-table", str(table), *flags])
+        assert code == EXIT_CONFIG
+        assert "table oracle spec has unknown keys" in capsys.readouterr().err
+
+
+def full_table(every):
+    # With no removals, selection scores only the full model.
+    return [{"active_blocks": every, "score": 1.0}]
+
+
+def write_table_scenario(driving_dir, tmp_path, oracle_extra=None, rows=full_table):
+    """A copy of the driving scenario that removes no block, with a table
+    oracle whose rows for each task are ``rows(every block id)``. Returns
+    its config path."""
+    root = tmp_path / "scenario"
+    shutil.copytree(driving_dir, root)
+    tasks = json.loads((root / "tasks.json").read_text())
+    for row in tasks:
+        row["max_remove"] = 0
+    (root / "tasks.json").write_text(json.dumps(tasks))
+    every = list(range(len(json.loads(
+        (root / "manifest.json").read_text())["block_sizes_bytes"])))
+    (root / "table.json").write_text(json.dumps(
+        {row["task_id"]: rows(every) for row in tasks}))
+    doc = json.loads((root / "config.json").read_text())
+    doc["oracle"] = {"kind": "table", "path": "table.json", **(oracle_extra or {})}
+    (root / "config.json").write_text(json.dumps(doc))
+    return root / "config.json"
+
+
+@pytest.mark.parametrize("extra_row, message", [
+    # A later row for the full set used to replace the full-model score.
+    (lambda every: {"active_blocks": every[::-1], "score": 0.3}, "has two rows"),
+    (lambda every: {"active_blocks": [0, 0], "score": 0.5}, "name a block twice"),
+], ids=["repeated-set", "repeated-id"])
+def test_compare_refuses_an_ambiguous_table_oracle(driving_dir, tmp_path, capsys,
+                                                   extra_row, message):
+    config = write_table_scenario(driving_dir, tmp_path,
+                                  rows=lambda every: full_table(every) + [extra_row(every)])
+    code = main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def run_select(tmp_path, *flags) -> int:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,28 @@ class PerturbedOracle(MetricOracle):
         return sorted(est, key=lambda j: -est[j]), est.__getitem__, self.eps
 
 
+def ranking_after(oracle: MetricOracle, removals, pool: frozenset[int] = frozenset()):
+    """The oracle's removal ranking and active set after ``removals``, in order."""
+    ranking = oracle.removal_ranking(pool)
+    active = set(range(oracle.num_blocks))
+    for j in removals:
+        ranking.step(active)
+        active.remove(j)
+        ranking.remove(j)
+    return ranking, active
+
+
+def assert_kept_sum_is_fsum(weights: list[float], removals: list[int]) -> None:
+    """The additive ranking's running sum, as a float, is ``math.fsum`` of the
+    active weights before and after each removal."""
+    ranking, active = ranking_after(AdditiveOracle(weights), [])
+    assert ranking.active_sum() == math.fsum(weights)
+    for j in removals:
+        active.remove(j)
+        ranking.remove(j)
+        assert ranking.active_sum() == math.fsum(weights[k] for k in active)
+
+
 def assert_matches_reference(spec: TaskSpec, oracle, pool: frozenset[int]):
     """All four result fields equal the exactly-scoring reference's."""
     mine = select_skip_set(spec, oracle, pool)
@@ -104,12 +127,15 @@ class TestOracles:
         for seed in range(5)])
     def test_additive_removal_estimates_are_within_eps(self, weights):
         oracle = AdditiveOracle(weights)
-        rng = random.Random(len(weights))
-        for size in (1, 2, len(weights) // 2, len(weights)):
-            active = frozenset(rng.sample(range(len(weights)), size))
-            _, estimate, eps = oracle.ranked_removals(active)
-            for j in active:
-                assert abs(estimate(j) - oracle.score(active - {j})) <= eps
+        removals = list(range(len(weights)))
+        random.Random(len(weights)).shuffle(removals)
+        ranking, active = ranking_after(oracle, [])
+        for j in removals:
+            _, _, estimate, eps = ranking.step(active)
+            for k in active:
+                assert abs(estimate(k) - oracle.score(frozenset(active - {k}))) <= eps
+            active.remove(j)
+            ranking.remove(j)
 
     def test_table_ranked_removals_are_exact(self):
         oracle = TableOracle({frozenset({0, 1}): 1.0, frozenset({1}): 0.1,
@@ -122,11 +148,15 @@ class TestOracles:
            data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_additive_ranking_covers_active_in_non_increasing_order(self, weights, data):
+        n = len(weights)
         oracle = AdditiveOracle(weights)
-        active = frozenset(data.draw(st.sets(st.sampled_from(range(len(weights))))))
-        order, estimate, _ = oracle.ranked_removals(active)
-        ranked = [j for j in order if j in active]
+        removals = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+        pool = frozenset(data.draw(st.sets(st.sampled_from(range(n)))))
+        ranking, active = ranking_after(oracle, removals, pool)
+        pooled, ranked, estimate, _ = ranking.step(active)
+        ranked = [j for j in ranked if j in active]
         assert sorted(ranked) == sorted(active)
+        assert [j for j in pooled if j in active] == [j for j in ranked if j in pool]
         estimates = [estimate(j) for j in ranked]
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
@@ -137,10 +167,28 @@ class TestOracles:
         ([0.0, 0.0], [1.0, 1.0]),
     ], ids=["clamped", "all-zero"])
     def test_additive_ranking_edge_estimates(self, weights, expected):
-        oracle = AdditiveOracle(weights)
-        active = frozenset(range(len(weights)))
-        order, estimate, _ = oracle.ranked_removals(active)
-        assert [estimate(j) for j in order] == expected
+        ranking, active = ranking_after(AdditiveOracle(weights), [])
+        _, ranked, estimate, _ = ranking.step(active)
+        assert [estimate(j) for j in ranked] == expected
+
+    @given(weights=st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                             0.1, 0.3, 1e8]) |
+                            st.floats(0.0, 1e8), min_size=1, max_size=40),
+           near_guard=st.lists(st.sampled_from([2e307, 4e307]), max_size=2),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kept_sum_equals_fsum_after_any_removals(self, weights, near_guard, data):
+        # At most two weights near the overflow guard (half the float range).
+        weights = data.draw(st.permutations(weights + near_guard))
+        removals = data.draw(st.permutations(range(len(weights))))
+        assert_kept_sum_is_fsum(weights, removals)
+
+    @pytest.mark.parametrize("weights", ADVERSARIAL_WEIGHTS + [
+        [1e16, 1.0, 1.0], [4e307, 4e307, 5e-324], [sys.float_info.max / 2]])
+    def test_kept_sum_equals_fsum_on_edge_landscapes(self, weights):
+        n = len(weights)
+        for removals in (range(n), reversed(range(n))):
+            assert_kept_sum_is_fsum(weights, list(removals))
 
     def test_table_oracle_missing_subset_is_an_error(self):
         oracle = TableOracle({frozenset({0, 1}): 1.0}, num_blocks=2)
@@ -222,6 +270,39 @@ class TestMatchesReferenceSelector:
                  frozenset(rng.sample(range(n), 2 * n // 3)), frozenset(heaviest)]
         for pool in pools:
             assert_matches_reference(task(n, retention), oracle, pool)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_heaviest_half_pool_with_deep_removals(self, seed):
+        # Low retention removes critical blocks too, and every removal from
+        # the pool leaves a gap ahead of the lighter outsiders in the ranking.
+        n = 48
+        inst = gen_instance(seed, num_blocks=n, num_tasks=1, correlation=0.5)
+        weights = inst.weights[0]
+        heaviest = frozenset(sorted(range(n), key=weights.__getitem__)[n // 2:])
+        for retention in (0.5, 0.2, 0.05):
+            res = assert_matches_reference(task(n, retention), AdditiveOracle(weights),
+                                           heaviest)
+            assert len(res.skipped & heaviest) > n // 4
+
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    @pytest.mark.parametrize("weights", [[0.0, 1.0, 0.0], [1e-320, 0.0, 1e-310, 3.0],
+                                         [2.0, 1.0, 1.0, 2.0]])
+    def test_removal_cap_at_or_beyond_block_count(self, weights, extra):
+        n = len(weights)
+        oracle = AdditiveOracle(weights)
+        for retention in (1.0, 0.5, 1e-9):
+            for pool in (frozenset(), frozenset({0}), frozenset(range(n))):
+                assert_matches_reference(task(n + extra, retention), oracle, pool)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_all_zero_weights_remove_every_block(self, n):
+        # A zero total scores every set 1.0, so the cursors reach the end.
+        oracle = AdditiveOracle([0.0] * n)
+        for pool in (frozenset(), frozenset({n - 1}), frozenset(range(n))):
+            res = assert_matches_reference(task(n + 2, 1.0), oracle, pool)
+            assert res.skipped == frozenset(range(n))
+            assert res.final_score == 1.0
+            assert res.oracle_calls == 1 + n * (n + 1) // 2
 
     @given(weights=st.lists(st.integers(0, 4), min_size=1, max_size=8),
            eps=st.sampled_from([0.01, 0.05, 0.2]), data=st.data())
