@@ -10,6 +10,10 @@ device with exactly one task's active set.
 The host cache is stored once, as its recency order ``cpu_lru``, which
 lists each host-resident block exactly once. ``CacheState.cpu_resident``
 builds the set from it on each access, for callers off the hot path.
+Eviction walks ``cpu_lru`` once, picking victims and building the order
+that stays in the same pass. Staging blocks of which none is resident,
+as a prefetch prefix always is, appends them to the order eviction
+leaves; only a partly resident set is filtered out of the order first.
 
 Eviction reads recency alone. The replay protects every block that
 next-task usefulness gives a nonzero weight (the running task's active
@@ -147,25 +151,28 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
 
     Victims are the least recently used non-protected blocks: the shortest
     prefix of ``cpu_lru``, protected blocks left out, that frees enough.
+    One pass over ``cpu_lru`` picks them and builds the order that stays.
     Raises :class:`BudgetExceededError` with the remaining shortfall when
     even evicting every non-protected block is not enough.
     """
     if bytes_needed <= 0:
         return state
     sizes = manifest.block_sizes
-    victims: list[int] = []
+    lru = state.cpu_lru
+    kept: list[int] = []
     freed = 0
-    for b in state.cpu_lru:
-        if b not in protected:
-            victims.append(b)
-            freed += sizes[b]
-            if freed >= bytes_needed:
-                break
+    for i, b in enumerate(lru):
+        if b in protected:
+            kept.append(b)
+            continue
+        freed += sizes[b]
+        if freed >= bytes_needed:
+            break
     else:
         raise BudgetExceededError("cpu", bytes_needed - freed)
-    gone = frozenset(victims)
+    # Past the last victim every block stays, in order.
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
-                      tuple(b for b in state.cpu_lru if b not in gone))
+                      (*kept, *lru[i + 1:]))
 
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
@@ -178,19 +185,25 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
     blocks other than the given ones are evicted first, with one
     :func:`evict` for the whole overflow; an unsatisfiable overflow raises
     with its whole shortfall and leaves the input state untouched.
+
+    When none of the blocks is resident, as for a prefetch prefix, eviction
+    cannot reach them, and they are appended to the order that eviction
+    leaves.
     """
     order = tuple(dict.fromkeys(blocks))
     wanted = frozenset(order)
     if not wanted <= manifest.all_blocks:
         raise ManifestError(f"unknown block ids: {sorted(wanted - manifest.all_blocks)}")
     lru = state.cpu_lru
-    bytes_moved = manifest.bytes_of(wanted.difference(lru))
+    fresh = wanted.isdisjoint(lru)
+    bytes_moved = manifest.bytes_of(order if fresh else wanted.difference(lru))
     overflow = manifest.bytes_of(lru) + bytes_moved - state.cpu_budget_bytes
     if overflow > 0:
-        keep = protected if wanted <= protected else protected | wanted
+        keep = protected if fresh or wanted <= protected else protected | wanted
         state = evict(manifest, state, overflow, protected=keep)
+    lru = state.cpu_lru + order if fresh else _touch(state.cpu_lru, wanted, order)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
-                      _touch(state.cpu_lru, wanted, order)), bytes_moved
+                      lru), bytes_moved
 
 
 def load_to_gpu(state: CacheState, target: frozenset[int],

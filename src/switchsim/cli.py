@@ -70,10 +70,12 @@ def _load_config_with_overrides(args: argparse.Namespace) -> ScenarioConfig:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: scenario config must be a JSON object")
+    # A path flag names a file from the working directory; only the
+    # config's own paths resolve against the config's directory.
     for key in ("manifest", "tasks", "log", "trace", "cost_model"):
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
-            doc[key] = value
+            doc[key] = str(Path(value).absolute())
     for key in ("gpu_budget_bytes", "cpu_budget_bytes", "k", "compute_window_ms"):
         value = getattr(args, key, None)
         if value is not None:

@@ -11,32 +11,33 @@ replay protects, so eviction takes the least recently used unprotected
 blocks and needs no weights.
 
 The host cache is read from its recency order ``cpu_lru`` alone, a
-short tuple: planning tests membership in it after the device set, and
-no host set is built.
+short tuple: planning tests membership in it after the device set, sums
+the protected residents' bytes in one walk of it, and builds no host
+set. When every candidate fits, the plan is all of them without a greedy
+scan. Execution reads each block's disk time from a per-block tuple that
+a replay computes once (``SwitchTable.disk_ms``), and stages the prefix
+the window covers with one :func:`stage_to_cpu` call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 from .block_store import CacheState, ModelManifest, stage_to_cpu
 from .errors import BudgetExceededError
-from .switching import CostModel
 from .transitions import TierAssignment, TransitionModel
 
 __all__ = ["PrefetchPlan", "plan_prefetch", "execute_prefetch", "block_usefulness",
            "rank_preload"]
 
 
-@dataclass(frozen=True)
-class PrefetchPlan:
+class PrefetchPlan(NamedTuple):
     """Distinct block ids to stage, ordered by descending weight (ties by
     ascending id)."""
 
     entries: tuple[int, ...]
 
 
-_NO_PLAN = PrefetchPlan(entries=())
+_NO_PLAN = PrefetchPlan(())
 
 
 def block_usefulness(current: str, model: TransitionModel,
@@ -70,8 +71,9 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
     none, the plan is empty and the host bytes are not summed. ``protected``
     holds the Level-1 and Level-2 blocks: capacity assumes Level-3
     stragglers in the host cache can be evicted and counts protected
-    residents as untouchable. A candidate that does not fit is skipped and
-    the scan continues.
+    residents as untouchable. When every candidate fits, the plan is all
+    of them; otherwise a candidate that does not fit is skipped and the
+    scan continues.
     """
     gpu = state.gpu_resident
     lru = state.cpu_lru
@@ -79,8 +81,10 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
     if not missing:
         return _NO_PLAN
     sizes = manifest.block_sizes
-    # The host order is short, so the intersection walks it, not the tiers.
-    capacity = state.cpu_budget_bytes - manifest.bytes_of(protected.intersection(lru))
+    # The host order is short, so capacity walks it, not the tiers.
+    capacity = state.cpu_budget_bytes - sum([sizes[b] for b in lru if b in protected])
+    if manifest.bytes_of(missing) <= capacity:
+        return PrefetchPlan(tuple(missing))
     entries: list[int] = []
     used = 0
     for b in missing:
@@ -89,15 +93,17 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
             continue
         entries.append(b)
         used += size
-    return PrefetchPlan(entries=tuple(entries))
+    return PrefetchPlan(tuple(entries))
 
 
 def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: float,
-                     cost: CostModel, manifest: ModelManifest,
+                     disk_ms: Sequence[float], manifest: ModelManifest,
                      protected: frozenset[int] = frozenset()
                      ) -> tuple[CacheState, frozenset[int], int]:
     """Stage plan blocks in order until the compute window runs out.
 
+    ``disk_ms[b]`` is block ``b``'s disk-link time, ``CostModel.disk_ms`` of
+    its size; a replay passes ``SwitchTable.disk_ms``, computed once.
     Blocks are staged atomically: one whose transfer would overrun the
     window is not staged and ends the pass, so the staged set is always a
     prefix of the plan. Staged blocks add zero latency to the next switch.
@@ -111,22 +117,24 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     one-at-a-time pass would have failed. An empty plan returns the input
     state.
     """
-    if not plan.entries:
+    entries = plan.entries
+    if not entries:
         return state, frozenset(), 0
-    if not protected.issuperset(plan.entries):
-        protected = protected | frozenset(plan.entries)
-    sizes = manifest.block_sizes
+    if not protected.issuperset(entries):
+        protected = protected | frozenset(entries)
     count = 0
     elapsed = 0.0
-    for block in plan.entries:
-        transfer = cost.disk_ms(sizes[block])
-        if elapsed + transfer > compute_window_ms:
+    for block in entries:
+        # ``elapsed`` becomes the running sum plus this transfer, the value
+        # the window is compared with.
+        elapsed += disk_ms[block]
+        if elapsed > compute_window_ms:
             break
-        elapsed += transfer
         count += 1
     if not count:
         return state, frozenset(), 0
-    prefix = plan.entries[:count]
+    # A slice of the whole tuple is the tuple itself, not a copy.
+    prefix = entries[:count]
     try:
         after, moved = stage_to_cpu(manifest, state, prefix, protected=protected)
     except BudgetExceededError as exc:
@@ -136,7 +144,8 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
         # gives the shortfall at the block before it.
         shortfall = exc.shortfall_bytes
         for block in reversed(prefix[1:]):
-            earlier = shortfall - (0 if block in state.cpu_lru else sizes[block])
+            earlier = shortfall - (0 if block in state.cpu_lru
+                                   else manifest.block_sizes[block])
             if earlier <= 0:
                 break
             shortfall = earlier

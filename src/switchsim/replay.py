@@ -89,7 +89,12 @@ _CONFIG_KEYS = frozenset({"manifest", "tasks", "oracle", "log", "trace", "cost_m
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one replay needs, as resolved file paths and parameters."""
+    """Everything one replay needs, as resolved file paths and parameters.
+
+    ``table_dir`` is the config file's directory, which a table oracle's
+    ``path`` is relative to; :meth:`from_dict` sets it for a table oracle
+    only, and without it the path is read from the working directory.
+    """
 
     manifest_path: Path
     tasks_path: Path
@@ -102,6 +107,7 @@ class ScenarioConfig:
     mode: DeployMode | None = None
     k: int = 2
     compute_window_ms: float = 0.0
+    table_dir: Path | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.compute_window_ms) and self.compute_window_ms >= 0):
@@ -138,6 +144,7 @@ class ScenarioConfig:
                 mode=DeployMode(mode) if mode is not None else None,
                 k=exact_int(doc.get("k", 2)),
                 compute_window_ms=as_float(doc.get("compute_window_ms", 0.0)),
+                table_dir=base.resolve() if oracle.get("kind") == "table" else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
@@ -238,7 +245,7 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
         raise ConfigError(
             f"budgets must admit the largest block ({largest} bytes)")
     oracles = build_oracles(config.oracle, manifest.num_blocks, tasks,
-                            base_dir=config.manifest_path.parent)
+                            base_dir=config.table_dir or Path())
     known = {t.task_id for t in tasks}
     if not known.issuperset(trace):
         pos, task = next((pos, task) for pos, task in enumerate(trace)
@@ -415,6 +422,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
     records: dict[SwitchReport, int] = {}
     order: list[int] = []
     current, lru = first, state.cpu_lru
+    gpu_budget, cpu_budget = budgets
+    window = config.compute_window_ms
     # (current task, next task, cpu_lru) -> (next cpu_lru, record index or -1).
     steps: dict[tuple[str, str, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
     for pos in range(1, len(trace)):
@@ -423,8 +432,10 @@ def _replay(scenario: Scenario, mode: DeployMode,
         step = steps.get(key)
         if step is None:
             # The key fixes the state: the device holds the running task's
-            # target, and both budgets are the config's.
-            after = CacheState(*budgets, table.target(mode, current), lru)
+            # target, which in full_method is its active set (``check``
+            # compares it with ``table.target``), and both budgets are the
+            # config's.
+            after = CacheState(gpu_budget, cpu_budget, active[current], lru)
             report = None
             try:
                 if current not in tiering:
@@ -441,9 +452,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 ranked, protected = tiering[current]
                 plan = plan_prefetch(ranked, protected, after, manifest)
                 after, staged, _moved = execute_prefetch(
-                    plan, after, config.compute_window_ms, cost, manifest,
-                    protected=protected,
-                )
+                    plan, after, window, table.disk_ms, manifest, protected=protected)
                 staged_lru = after.cpu_lru
                 if task != current:
                     after, report = execute_switch(after, current, task, mode, table)

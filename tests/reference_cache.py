@@ -63,7 +63,8 @@ def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
                            protected: frozenset[int] = frozenset(),
                            next_task_probs: Mapping[int, float] | None = None
                            ) -> tuple[CacheState, int]:
-    blocks = list(blocks)
+    # A repeated id counts at its first occurrence.
+    blocks = list(dict.fromkeys(blocks))
     wanted = frozenset(blocks)
     every = frozenset(range(manifest.num_blocks))
     if not wanted <= every:

@@ -110,6 +110,27 @@ class TestEvict:
         assert state.cpu_resident == {0, 2}
         assert state.cpu_lru == (2, 0)
 
+    # Blocks of 10 MB, 1 and 3 protected between the victims 0, 2 and 4.
+    @pytest.mark.parametrize("needed, lru", [
+        (1, (1, 2, 3, 4)),              # the least recently used victim covers it
+        (20 * MB, (1, 3, 4)),           # exact cover by 0 and 2: 4 stays
+        (20 * MB + 1, (1, 3)),          # one byte more takes 4 as well
+        (30 * MB, (1, 3)),              # every unprotected block, exactly
+    ], ids=["one-victim", "exact-cover", "one-past-cover", "all-unprotected"])
+    def test_protected_blocks_between_victims_hand_trace(self, needed, lru):
+        m = uniform_manifest(8)
+        s0 = state_with(m, gpu=(5,), cpu=(0, 1, 2, 3, 4))
+        state = evict(m, s0, needed, protected=frozenset({1, 3}))
+        assert state.cpu_lru == lru
+        assert state.gpu_resident == s0.gpu_resident
+
+    def test_shortfall_past_every_unprotected_block(self):
+        m = uniform_manifest(8)
+        s0 = state_with(m, cpu=(0, 1, 2, 3, 4))
+        with pytest.raises(BudgetExceededError) as err:
+            evict(m, s0, 30 * MB + 1, protected=frozenset({1, 3}))
+        assert (err.value.tier, err.value.shortfall_bytes) == ("cpu", 1)
+
     def test_zero_bytes_needed_is_identity(self):
         m = uniform_manifest(4)
         s0 = state_with(m, cpu=(0, 1))

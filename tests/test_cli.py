@@ -164,6 +164,55 @@ class TestReplayCommand:
         assert code == EXIT_CONFIG
 
 
+class TestPathFlags:
+    """A path flag resolves against the working directory, not the config's."""
+
+    @pytest.mark.parametrize("flag, name, broken", [
+        ("--manifest", "manifest.json", b"{"),
+        ("--tasks", "tasks.json", b"{"),
+        ("--log", "log.txt", b"\xff"),
+        ("--trace", "trace.txt", b"\xff"),
+        ("--cost-model", "cost_model.json", b"{"),
+    ], ids=["manifest", "tasks", "log", "trace", "cost-model"])
+    def test_flag_reads_the_working_directorys_file(self, driving_dir, tmp_path,
+                                                     monkeypatch, flag, name, broken):
+        # The config's directory holds a broken file of the same name.
+        shutil.copytree(driving_dir, tmp_path / "scen")
+        shadow = "shadow" + Path(name).suffix
+        shutil.copy(driving_dir / name, tmp_path / shadow)
+        (tmp_path / "scen" / shadow).write_bytes(broken)
+        monkeypatch.chdir(tmp_path)
+        code = main(["replay", "--config", "scen/config.json", flag, shadow,
+                     "--out-dir", "out"])
+        assert code == EXIT_OK
+        echo = json.loads((tmp_path / "out" / "config.echo.json").read_text())
+        assert echo[flag[2:].replace("-", "_")] == str((tmp_path / shadow).resolve())
+
+    def test_trace_flag_is_not_shadowed_by_the_configs_directory(
+            self, driving_dir, tmp_path, monkeypatch, capsys):
+        # Both files are valid traces; the working directory's has 3 switches.
+        shutil.copytree(driving_dir, tmp_path / "scen")
+        shutil.copy(driving_dir / "trace.txt", tmp_path / "scen" / "mytrace.txt")
+        (tmp_path / "mytrace.txt").write_text("Car\nTrafficLight\nCar\nObstacle\n")
+        monkeypatch.chdir(tmp_path)
+        code = main(["replay", "--config", "scen/config.json", "--trace", "mytrace.txt",
+                     "--out-dir", "out"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("full_method: 3 switches,")
+
+    def test_table_oracle_path_resolves_against_the_configs_directory(
+            self, driving_dir, tmp_path):
+        # The manifest comes from another directory, which has no table.
+        config = write_table_scenario(driving_dir, tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        shutil.copy(config.parent / "manifest.json", elsewhere / "manifest.json")
+        code = main(["compare", "--config", str(config),
+                     "--manifest", str(elsewhere / "manifest.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+
+
 class TestCompareCommand:
     def test_compare_writes_all_modes(self, driving_dir, tmp_path):
         out = tmp_path / "cmp"

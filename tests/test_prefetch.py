@@ -44,7 +44,9 @@ def plan_for(tiers, weights, state, manifest):
 
 COST = CostModel(disk_to_cpu_mbps=1000.0, cpu_to_gpu_mbps=4000.0,
                  per_block_fixed_ms=0.0)
-# 10 MB over 1000 MB/s = 10 ms per block on the disk link.
+# 10 MB over 1000 MB/s = 10 ms per block on the disk link. Every manifest
+# here has 8 such blocks; a replay passes the same per-block tuple.
+DISK_MS = (COST.disk_ms(10 * MB),) * 8
 
 
 class TestPlanPrefetch:
@@ -91,7 +93,7 @@ class TestExecutePrefetch:
     def test_window_covers_whole_plan(self):
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_for(tiers, weights, state, manifest)
-        state, staged, moved = execute_prefetch(plan, state, 1000.0, COST, manifest)
+        state, staged, moved = execute_prefetch(plan, state, 1000.0, DISK_MS, manifest)
         assert staged == {2, 3, 4}
         assert moved == 30 * MB
         assert state.cpu_resident == {2, 3, 4}
@@ -99,14 +101,14 @@ class TestExecutePrefetch:
     def test_zero_window_stages_nothing(self):
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_for(tiers, weights, state, manifest)
-        state, staged, moved = execute_prefetch(plan, state, 0.0, COST, manifest)
+        state, staged, moved = execute_prefetch(plan, state, 0.0, DISK_MS, manifest)
         assert staged == frozenset()
         assert moved == 0
 
     def test_window_fits_exactly_two_blocks(self):
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_for(tiers, weights, state, manifest)
-        state, staged, _ = execute_prefetch(plan, state, 20.0, COST, manifest)
+        state, staged, _ = execute_prefetch(plan, state, 20.0, DISK_MS, manifest)
         assert staged == {2, 3}  # first two plan entries, atomically staged
 
     @given(window=st.floats(0.0, 60.0))
@@ -114,7 +116,7 @@ class TestExecutePrefetch:
     def test_staged_set_is_a_plan_prefix(self, window):
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_for(tiers, weights, state, manifest)
-        _, staged, _ = execute_prefetch(plan, state, window, COST, manifest)
+        _, staged, _ = execute_prefetch(plan, state, window, DISK_MS, manifest)
         k = len(staged)
         assert staged == frozenset(plan.entries[:k])
 
@@ -123,7 +125,7 @@ class TestExecutePrefetch:
         plan = plan_for(tiers, weights, state, manifest)
         sizes = []
         for window in (0.0, 5.0, 10.0, 15.0, 25.0, 40.0):
-            _, staged, _ = execute_prefetch(plan, state, window, COST, manifest)
+            _, staged, _ = execute_prefetch(plan, state, window, DISK_MS, manifest)
             sizes.append(len(staged))
         assert sizes == sorted(sizes)
 
@@ -132,7 +134,7 @@ class TestExecutePrefetch:
         weights = {4: 0.9, 2: 0.5, 3: 0.5}
         plan = plan_for(tiers, weights, state, manifest)
         assert plan.entries == (4, 2, 3)
-        state, staged, _ = execute_prefetch(plan, state, 1000.0, COST, manifest)
+        state, staged, _ = execute_prefetch(plan, state, 1000.0, DISK_MS, manifest)
         assert state.cpu_lru == (4, 2, 3)
 
     def test_execution_respects_host_budget(self):
@@ -140,7 +142,7 @@ class TestExecutePrefetch:
             cpu_budget_blocks=2)
         plan = plan_for(tiers, weights, state, manifest)
         state, staged, _ = execute_prefetch(
-            plan, state, 1000.0, COST, manifest,
+            plan, state, 1000.0, DISK_MS, manifest,
             protected=tiers.runtime | tiers.preload)
         assert manifest.bytes_of(state.cpu_resident) <= state.cpu_budget_bytes
 
@@ -156,7 +158,7 @@ class TestExecutePrefetch:
         plan = plan_for(tiers, weights, state, manifest)
         assert set(plan.entries) == {2, 3, 4}
         state, staged, _ = execute_prefetch(
-            plan, state, 1000.0, COST, manifest,
+            plan, state, 1000.0, DISK_MS, manifest,
             protected=tiers.runtime | tiers.preload)
         assert staged == {2, 3, 4}
         assert 7 not in state.cpu_resident  # straggler evicted to make room
@@ -173,7 +175,7 @@ class TestExecutePrefetch:
             cpu_lru=(2, 7),
         )
         plan = PrefetchPlan((3, 4, 2))
-        state, staged, _ = execute_prefetch(plan, state, 20.0, COST, manifest)
+        state, staged, _ = execute_prefetch(plan, state, 20.0, DISK_MS, manifest)
         assert staged == {3, 4}
         assert state.cpu_resident == {2, 3, 4}
         assert state.cpu_lru == (2, 3, 4)

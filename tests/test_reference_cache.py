@@ -1,6 +1,7 @@
 """The host-cache operations against their references in ``reference_cache``."""
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,12 @@ from reference_cache import (reference_evict, reference_execute_prefetch,
 
 # A block of s bytes takes s ms on the disk link.
 COST = CostModel(disk_to_cpu_mbps=0.001, cpu_to_gpu_mbps=1.0)
+
+
+def disk_ms(manifest: ModelManifest, cost: CostModel = COST) -> tuple[float, ...]:
+    """Each block's disk-link time, the tuple a replay passes to
+    ``execute_prefetch``; the reference calls ``cost.disk_ms`` itself."""
+    return tuple(map(cost.disk_ms, manifest.block_sizes))
 
 
 def outcome(fn, *args, **kwargs):
@@ -74,8 +81,9 @@ def test_evict_matches_reference(case, data):
 @given(cache_cases(), st.data())
 def test_stage_to_cpu_matches_reference(case, data):
     manifest, state, probs, protected = case
-    # One id past the manifest is drawn too, to compare the unknown-id error.
-    wanted = data.draw(st.lists(st.integers(0, manifest.num_blocks), unique=True))
+    # One id past the manifest is drawn too, to compare the unknown-id error,
+    # and ids may repeat.
+    wanted = data.draw(st.lists(st.integers(0, manifest.num_blocks)))
     assert outcome(stage_to_cpu, manifest, state, wanted, protected) \
         == outcome(reference_stage_to_cpu, manifest, state, wanted, protected, probs)
 
@@ -116,9 +124,10 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
     # The reference evicts by usefulness; a replay's weights name only
     # protected blocks.
     useful = {b: w for b, w in weights.items() if b in protected}
-    args = (plan, state, window, COST, manifest, protected)
-    assert outcome(execute_prefetch, *args) \
-        == outcome(reference_execute_prefetch, *args, useful)
+    assert outcome(execute_prefetch, plan, state, window, disk_ms(manifest), manifest,
+                   protected) \
+        == outcome(reference_execute_prefetch, plan, state, window, COST, manifest,
+                   protected, useful)
 
 
 def test_execute_prefetch_reports_the_first_failing_blocks_shortfall():
@@ -127,9 +136,57 @@ def test_execute_prefetch_reports_the_first_failing_blocks_shortfall():
     manifest = ModelManifest("m", (10, 10, 10, 10))
     state = CacheState(gpu_budget_bytes=40, cpu_budget_bytes=20,
                        cpu_lru=(0, 1))
-    args = (PrefetchPlan((2, 3)), state, 100.0, COST, manifest, frozenset({0, 1}))
-    assert outcome(reference_execute_prefetch, *args) == (BudgetExceededError, 10)
-    assert outcome(execute_prefetch, *args) == (BudgetExceededError, 10)
+    plan, protected = PrefetchPlan((2, 3)), frozenset({0, 1})
+    assert outcome(reference_execute_prefetch, plan, state, 100.0, COST, manifest,
+                   protected) == (BudgetExceededError, 10)
+    assert outcome(execute_prefetch, plan, state, 100.0, disk_ms(manifest), manifest,
+                   protected) == (BudgetExceededError, 10)
+
+
+# Blocks 0..5 of 10, 20, ..., 60 bytes; block 1 is protected throughout.
+SIZED = ModelManifest("m", (10, 20, 30, 40, 50, 60))
+
+
+@pytest.mark.parametrize("lru, blocks, budget, expected", [
+    # All fresh: 40 bytes over, covered exactly by 0 and 2 around protected 1.
+    ((0, 1, 2), [4, 3], 110, ((1, 4, 3), 90)),
+    # All fresh, with room: appended in the given order.
+    ((0, 1, 2), [5, 3], 200, ((0, 1, 2, 5, 3), 100)),
+    # Partly resident: only 3 moves bytes; 2 and 0 may not be evicted, so 1
+    # would be the victim, but it is protected and the overflow fails.
+    ((0, 1, 2), [2, 3, 0], 90, (BudgetExceededError, 10)),
+    # Partly resident, with room: 2 and 0 move to the most recent end.
+    ((0, 1, 2), [2, 3, 0], 100, ((1, 2, 3, 0), 40)),
+    # A repeated id counts at its first place, resident or fresh.
+    ((1, 0), [3, 1, 3], 100, ((0, 3, 1), 40)),
+    ((0,), [3, 4, 3], 200, ((0, 3, 4), 90)),
+], ids=["fresh-evicting", "fresh", "partly-resident-short", "partly-resident",
+        "repeat-resident", "repeat-fresh"])
+def test_stage_to_cpu_hand_cases_match_reference(lru, blocks, budget, expected):
+    state = CacheState(gpu_budget_bytes=210, cpu_budget_bytes=budget, cpu_lru=lru)
+    protected = frozenset({1})
+    fast = outcome(stage_to_cpu, SIZED, state, blocks, protected)
+    assert fast == outcome(reference_stage_to_cpu, SIZED, state, blocks, protected)
+    if isinstance(fast, tuple) and isinstance(fast[0], CacheState):
+        fast = (fast[0].cpu_lru, fast[1])
+    assert fast == expected
+
+
+@pytest.mark.parametrize("window, staged", [
+    (4.0, {0, 1}),      # 1.5 + 2.5 lands on the window exactly: both fit
+    (3.999, {0}),
+    (5.0, {0, 1, 2}),   # 1.5 + 2.5 + 1.0, exactly again
+])
+def test_execute_prefetch_window_boundary_with_fixed_cost(window, staged):
+    # With a 0.5 ms fixed cost per block, blocks of 1,000, 2,000 and 500
+    # bytes take 1.5, 2.5 and 1.0 ms on a 1 MB/s link; every sum is exact.
+    cost = CostModel(disk_to_cpu_mbps=1.0, cpu_to_gpu_mbps=1.0, per_block_fixed_ms=0.5)
+    manifest = ModelManifest("m", (1000, 2000, 500, 700))
+    state = CacheState(gpu_budget_bytes=4200, cpu_budget_bytes=3500, cpu_lru=(3,))
+    plan = PrefetchPlan((0, 1, 2))
+    fast = execute_prefetch(plan, state, window, disk_ms(manifest, cost), manifest)
+    assert fast == reference_execute_prefetch(plan, state, window, cost, manifest)
+    assert fast[1] == staged
 
 
 @given(st.lists(st.integers(0, 9), unique=True).flatmap(

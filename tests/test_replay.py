@@ -215,6 +215,43 @@ class TestMemoMatchesReference:
                 == replay_outcome(reference_replay, *args)
 
 
+    def test_each_distinct_step_prefetches_and_switches_once(self, tmp_path,
+                                                             monkeypatch):
+        # A host-churn-shaped scenario: 64 blocks, a 12-block host, k=1 and
+        # a window for every plan, so the host order keeps changing and
+        # most steps miss the memo. Each distinct (current, next, host)
+        # key runs execute_prefetch once, and execute_switch once if it
+        # switches; a memo hit calls neither.
+        config = write_driving_scenario(
+            tmp_path, num_blocks=64, target_monolithic_ms=3000.0, max_remove=24,
+            correlation=0.3, trace_length=600, k=1, compute_window_ms=1000.0,
+            cpu_budget_blocks=12, mode="full_method")
+        calls = {"execute_prefetch": 0, "execute_switch": 0}
+
+        def counting(name):
+            layer = getattr(replay, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return layer(*args, **kwargs)
+            monkeypatch.setattr(replay, name, wrapper)
+
+        for name in calls:
+            counting(name)
+        report = run_replay(config)
+        scenario = replay.load_scenario(config)
+        selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
+        model = fit_transition_model(scenario.log, k=config.k,
+                                     known_tasks=scenario.task_ids)
+        steps = []
+        assert reference_replay(scenario, DeployMode.FULL_METHOD, selections, model,
+                                steps) == report
+        keys = set(steps)
+        assert len(keys) < len(steps)  # the memo hits
+        assert calls == {"execute_prefetch": len(keys),
+                         "execute_switch": sum(k[0] != k[1] for k in keys)}
+
+
 def host_free_scenario(trace, gpu_budget_bytes):
     """Three tasks on four blocks: "a" holds 30 bytes on the device, "b" 50,
     and "c" 90; the whole model is 100 bytes."""
