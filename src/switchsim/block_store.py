@@ -11,9 +11,9 @@ The host cache is stored once, as its recency order ``cpu_lru``, which
 lists each host-resident block exactly once. ``CacheState.cpu_resident``
 builds the set from it on each access, for callers off the hot path.
 Eviction walks ``cpu_lru`` once, picking victims and building the order
-that stays in the same pass. Staging blocks of which none is resident,
-as a prefetch prefix always is, appends them to the order eviction
-leaves; only a partly resident set is filtered out of the order first.
+that stays in the same pass. Staging blocks none of which is resident,
+as every prefetch prefix is, appends them to the order eviction leaves;
+only a partly resident list is first filtered out of the order.
 
 Eviction reads recency alone. The replay protects every block that
 next-task usefulness gives a nonzero weight (the running task's active
@@ -158,10 +158,10 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
     if bytes_needed <= 0:
         return state
     sizes = manifest.block_sizes
-    lru = state.cpu_lru
     kept: list[int] = []
     freed = 0
-    for i, b in enumerate(lru):
+    blocks = iter(state.cpu_lru)
+    for b in blocks:
         if b in protected:
             kept.append(b)
             continue
@@ -171,8 +171,9 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
     else:
         raise BudgetExceededError("cpu", bytes_needed - freed)
     # Past the last victim every block stays, in order.
+    kept.extend(blocks)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
-                      (*kept, *lru[i + 1:]))
+                      tuple(kept))
 
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
@@ -186,9 +187,8 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
     :func:`evict` for the whole overflow; an unsatisfiable overflow raises
     with its whole shortfall and leaves the input state untouched.
 
-    When none of the blocks is resident, as for a prefetch prefix, eviction
-    cannot reach them, and they are appended to the order that eviction
-    leaves.
+    When none of the blocks is resident, eviction cannot reach them and
+    they are appended to the order eviction leaves, without a filter.
     """
     order = tuple(dict.fromkeys(blocks))
     wanted = frozenset(order)
@@ -199,7 +199,7 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
     bytes_moved = manifest.bytes_of(order if fresh else wanted.difference(lru))
     overflow = manifest.bytes_of(lru) + bytes_moved - state.cpu_budget_bytes
     if overflow > 0:
-        keep = protected if fresh or wanted <= protected else protected | wanted
+        keep = protected if wanted <= protected else protected | wanted
         state = evict(manifest, state, overflow, protected=keep)
     lru = state.cpu_lru + order if fresh else _touch(state.cpu_lru, wanted, order)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,

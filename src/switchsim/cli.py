@@ -53,7 +53,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     kind = {"kind": "table", "path": args.oracle_table} if args.oracle_table \
         else {"kind": "synthetic"}
     spec = {**kind, **_oracle_flags(args)}
-    oracles = build_oracles(spec, num_blocks, tasks, base_dir=Path())
+    oracles = build_oracles(spec, num_blocks, tasks)
     results = build_all_tasks(tasks, oracles, align=not args.independent)
     _write_json(selection_report(results), args.out)
     return EXIT_OK

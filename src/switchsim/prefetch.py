@@ -13,8 +13,7 @@ blocks and needs no weights.
 The host cache is read from its recency order ``cpu_lru`` alone, a
 short tuple: planning tests membership in it after the device set, sums
 the protected residents' bytes in one walk of it, and builds no host
-set. When every candidate fits, the plan is all of them without a greedy
-scan. Execution reads each block's disk time from a per-block tuple that
+set. Execution reads each block's disk time from a per-block tuple that
 a replay computes once (``SwitchTable.disk_ms``), and stages the prefix
 the window covers with one :func:`stage_to_cpu` call.
 """
@@ -71,9 +70,8 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
     none, the plan is empty and the host bytes are not summed. ``protected``
     holds the Level-1 and Level-2 blocks: capacity assumes Level-3
     stragglers in the host cache can be evicted and counts protected
-    residents as untouchable. When every candidate fits, the plan is all
-    of them; otherwise a candidate that does not fit is skipped and the
-    scan continues.
+    residents as untouchable. A candidate that does not fit is skipped and
+    the scan continues.
     """
     gpu = state.gpu_resident
     lru = state.cpu_lru
@@ -83,8 +81,6 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
     sizes = manifest.block_sizes
     # The host order is short, so capacity walks it, not the tiers.
     capacity = state.cpu_budget_bytes - sum([sizes[b] for b in lru if b in protected])
-    if manifest.bytes_of(missing) <= capacity:
-        return PrefetchPlan(tuple(missing))
     entries: list[int] = []
     used = 0
     for b in missing:

@@ -89,12 +89,7 @@ _CONFIG_KEYS = frozenset({"manifest", "tasks", "oracle", "log", "trace", "cost_m
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one replay needs, as resolved file paths and parameters.
-
-    ``table_dir`` is the config file's directory, which a table oracle's
-    ``path`` is relative to; :meth:`from_dict` sets it for a table oracle
-    only, and without it the path is read from the working directory.
-    """
+    """Everything one replay needs, as resolved file paths and parameters."""
 
     manifest_path: Path
     tasks_path: Path
@@ -107,7 +102,6 @@ class ScenarioConfig:
     mode: DeployMode | None = None
     k: int = 2
     compute_window_ms: float = 0.0
-    table_dir: Path | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.compute_window_ms) and self.compute_window_ms >= 0):
@@ -131,11 +125,16 @@ class ScenarioConfig:
         oracle = doc.get("oracle", {})
         if not isinstance(oracle, dict):
             raise ConfigError(f"oracle must be a JSON object, not {type(oracle).__name__}")
+        oracle = dict(oracle)
         try:
+            # A table's path is relative to the config's directory too; one
+            # that is not a string is left for ``build_oracles`` to refuse.
+            if isinstance(oracle.get("path"), str):
+                oracle["path"] = str((base / oracle["path"]).resolve())
             return cls(
                 manifest_path=path_of("manifest"),
                 tasks_path=path_of("tasks"),
-                oracle=dict(oracle),
+                oracle=oracle,
                 log_path=path_of("log"),
                 trace_path=path_of("trace"),
                 cost_model_path=path_of("cost_model"),
@@ -144,7 +143,6 @@ class ScenarioConfig:
                 mode=DeployMode(mode) if mode is not None else None,
                 k=exact_int(doc.get("k", 2)),
                 compute_window_ms=as_float(doc.get("compute_window_ms", 0.0)),
-                table_dir=base.resolve() if oracle.get("kind") == "table" else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
@@ -206,10 +204,10 @@ class Scenario:
         return tuple(index), order
 
 
-def build_oracles(spec: Mapping, num_blocks: int, tasks: Sequence[TaskSpec],
-                  base_dir: Path) -> dict[str, MetricOracle]:
+def build_oracles(spec: Mapping, num_blocks: int, tasks: Sequence[TaskSpec]
+                  ) -> dict[str, MetricOracle]:
     """Each task's oracle from a ``synthetic`` or ``table`` oracle spec; a
-    table's path is taken relative to ``base_dir``."""
+    relative table path is read from the working directory."""
     kind = spec.get("kind")
     if kind == "synthetic":
         check_keys(spec, frozenset({"kind", "seed", "correlation"}), "synthetic oracle spec")
@@ -230,7 +228,7 @@ def build_oracles(spec: Mapping, num_blocks: int, tasks: Sequence[TaskSpec],
         path = spec.get("path")
         if not isinstance(path, str):
             raise ConfigError("table oracles require a path string")
-        return load_table_oracles(base_dir / path, tasks, num_blocks)
+        return load_table_oracles(Path(path), tasks, num_blocks)
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
@@ -244,8 +242,7 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
         raise ConfigError(
             f"budgets must admit the largest block ({largest} bytes)")
-    oracles = build_oracles(config.oracle, manifest.num_blocks, tasks,
-                            base_dir=config.table_dir or Path())
+    oracles = build_oracles(config.oracle, manifest.num_blocks, tasks)
     known = {t.task_id for t in tasks}
     if not known.issuperset(trace):
         pos, task = next((pos, task) for pos, task in enumerate(trace)
@@ -422,8 +419,6 @@ def _replay(scenario: Scenario, mode: DeployMode,
     records: dict[SwitchReport, int] = {}
     order: list[int] = []
     current, lru = first, state.cpu_lru
-    gpu_budget, cpu_budget = budgets
-    window = config.compute_window_ms
     # (current task, next task, cpu_lru) -> (next cpu_lru, record index or -1).
     steps: dict[tuple[str, str, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
     for pos in range(1, len(trace)):
@@ -432,10 +427,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
         step = steps.get(key)
         if step is None:
             # The key fixes the state: the device holds the running task's
-            # target, which in full_method is its active set (``check``
-            # compares it with ``table.target``), and both budgets are the
-            # config's.
-            after = CacheState(gpu_budget, cpu_budget, active[current], lru)
+            # target, and both budgets are the config's.
+            after = CacheState(*budgets, table.target(mode, current), lru)
             report = None
             try:
                 if current not in tiering:
@@ -452,7 +445,9 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 ranked, protected = tiering[current]
                 plan = plan_prefetch(ranked, protected, after, manifest)
                 after, staged, _moved = execute_prefetch(
-                    plan, after, window, table.disk_ms, manifest, protected=protected)
+                    plan, after, config.compute_window_ms, table.disk_ms, manifest,
+                    protected=protected,
+                )
                 staged_lru = after.cpu_lru
                 if task != current:
                     after, report = execute_switch(after, current, task, mode, table)

@@ -211,6 +211,9 @@ class TestPathFlags:
                      "--manifest", str(elsewhere / "manifest.json"),
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_OK
+        # The echo names the table that was read, as it names every other file.
+        echo = json.loads((tmp_path / "out" / "full_method" / "config.echo.json").read_text())
+        assert echo["oracle"]["path"] == str((config.parent / "table.json").resolve())
 
 
 class TestCompareCommand:
