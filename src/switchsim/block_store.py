@@ -11,9 +11,9 @@ The host cache is stored once, as its recency order ``cpu_lru``, which
 lists each host-resident block exactly once. ``CacheState.cpu_resident``
 builds the set from it on each access, for callers off the hot path.
 Eviction walks ``cpu_lru`` once, picking victims and building the order
-that stays in the same pass. Staging blocks none of which is resident,
-as every prefetch prefix is, appends them to the order eviction leaves;
-only a partly resident list is first filtered out of the order.
+that stays in the same pass. Staging takes only distinct blocks the host
+does not hold, the differential set a prefetch plan names, so the host
+order changes one way: eviction, then an append.
 
 Eviction reads recency alone. The replay protects every block that
 next-task usefulness gives a nonzero weight (the running task's active
@@ -138,13 +138,6 @@ def _check_tier(manifest: ModelManifest, tier: str, resident: frozenset[int],
         raise BudgetExceededError(tier, used - budget)
 
 
-def _touch(lru: tuple[int, ...], wanted: frozenset[int],
-           order: tuple[int, ...]) -> tuple[int, ...]:
-    # Move the ``wanted`` blocks to the most-recent end, in ``order``, which
-    # lists each of them once.
-    return tuple(b for b in lru if b not in wanted) + order
-
-
 def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
           protected: frozenset[int] = frozenset()) -> CacheState:
     """Free at least ``bytes_needed`` in the host cache by dropping resident blocks.
@@ -178,32 +171,30 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
                  protected: frozenset[int] = frozenset()) -> tuple[CacheState, int]:
-    """Pull blocks from disk into the host cache.
+    """Pull blocks the host does not hold from disk into the host cache.
 
-    The blocks become the most recently used, in the order given (a
-    repeated id counts at its first occurrence). Already-resident blocks
-    move zero bytes. When the budget would overflow, non-protected resident
-    blocks other than the given ones are evicted first, with one
-    :func:`evict` for the whole overflow; an unsatisfiable overflow raises
-    with its whole shortfall and leaves the input state untouched.
-
-    When none of the blocks is resident, eviction cannot reach them and
-    they are appended to the order eviction leaves, without a filter.
+    ``blocks`` must be distinct, known and not host-resident; anything else
+    raises :class:`ManifestError`. They become the most recently used, in
+    the order given, appended to the order eviction leaves. When the budget
+    would overflow, one :func:`evict` for the whole overflow first drops
+    the least recently used resident blocks outside ``protected``; the
+    given blocks are not resident, so eviction cannot reach them. An
+    unsatisfiable overflow raises with its whole shortfall and leaves the
+    input state untouched.
     """
-    order = tuple(dict.fromkeys(blocks))
+    order = tuple(blocks)
     wanted = frozenset(order)
     if not wanted <= manifest.all_blocks:
         raise ManifestError(f"unknown block ids: {sorted(wanted - manifest.all_blocks)}")
     lru = state.cpu_lru
-    fresh = wanted.isdisjoint(lru)
-    bytes_moved = manifest.bytes_of(order if fresh else wanted.difference(lru))
+    if len(wanted) != len(order) or not wanted.isdisjoint(lru):
+        raise ManifestError("staging takes distinct blocks the host does not hold")
+    bytes_moved = manifest.bytes_of(order)
     overflow = manifest.bytes_of(lru) + bytes_moved - state.cpu_budget_bytes
     if overflow > 0:
-        keep = protected if wanted <= protected else protected | wanted
-        state = evict(manifest, state, overflow, protected=keep)
-    lru = state.cpu_lru + order if fresh else _touch(state.cpu_lru, wanted, order)
+        state = evict(manifest, state, overflow, protected=protected)
     return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
-                      lru), bytes_moved
+                      state.cpu_lru + order), bytes_moved
 
 
 def load_to_gpu(state: CacheState, target: frozenset[int],

@@ -1,7 +1,8 @@
 """Command-line front end: select, estimate, replay, and compare.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for selection
-or oracle failures, 4 for replay-time failures.
+Exit codes: 0 on success, 2 for configuration problems and for output
+paths that cannot be written (the message names the path), 3 for
+selection or oracle failures, 4 for replay-time failures.
 """
 from __future__ import annotations
 
@@ -182,6 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     except SwitchSimError as exc:
         print(f"replay error: {exc}", file=sys.stderr)
         return EXIT_REPLAY
+    except OSError as exc:
+        # Reads raise ConfigError (``errors.read_text``), so this is a write.
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

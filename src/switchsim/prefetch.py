@@ -15,7 +15,10 @@ short tuple: planning tests membership in it after the device set, sums
 the protected residents' bytes in one walk of it, and builds no host
 set. Execution reads each block's disk time from a per-block tuple that
 a replay computes once (``SwitchTable.disk_ms``), and stages the prefix
-the window covers with one :func:`stage_to_cpu` call.
+the window covers with one :func:`stage_to_cpu` call. Only the caller's
+protected set (the runtime and pre-load tiers, in a replay) is shielded
+from eviction; plan blocks need no protection, because the host does not
+hold them until they are staged and eviction walks only what it holds.
 """
 from __future__ import annotations
 
@@ -104,20 +107,19 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     window is not staged and ends the pass, so the staged set is always a
     prefix of the plan. Staged blocks add zero latency to the next switch.
 
-    The prefix is staged with one :func:`stage_to_cpu` call, which leaves
-    what staging it one block at a time would: the plan is protected, so
-    no staged block evicts another, the victims are the shortest prefix of
-    the eviction order that covers the total overflow, and the prefix ends
-    up most recent in plan order. When that overflow cannot be covered,
-    the error carries the shortfall at the first block where the
-    one-at-a-time pass would have failed. An empty plan returns the input
-    state.
+    Plan blocks are not host-resident (:func:`plan_prefetch` plans only
+    blocks resident on neither tier), so the prefix is staged with one
+    :func:`stage_to_cpu` call under the caller's ``protected`` set. That
+    leaves what staging it one block at a time would: eviction walks only
+    the blocks resident before the call, so no staged block evicts
+    another, the victims are the shortest prefix of the eviction order
+    that covers the total overflow, and the prefix ends up most recent in
+    plan order. When that overflow cannot be covered, the error carries
+    the shortfall at the first block where the one-at-a-time pass would
+    have failed. An empty plan, or one whose first block overruns the
+    window, returns the input state.
     """
     entries = plan.entries
-    if not entries:
-        return state, frozenset(), 0
-    if not protected.issuperset(entries):
-        protected = protected | frozenset(entries)
     count = 0
     elapsed = 0.0
     for block in entries:
@@ -136,12 +138,11 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     except BudgetExceededError as exc:
         # The shortfall grows block by block along the prefix; the
         # one-at-a-time pass stops at the first block where it is positive.
-        # Walk back from the last block: dropping a later block's new bytes
+        # Walk back from the last block: dropping a later block's bytes
         # gives the shortfall at the block before it.
         shortfall = exc.shortfall_bytes
         for block in reversed(prefix[1:]):
-            earlier = shortfall - (0 if block in state.cpu_lru
-                                   else manifest.block_sizes[block])
+            earlier = shortfall - manifest.block_sizes[block]
             if earlier <= 0:
                 break
             shortfall = earlier

@@ -262,7 +262,6 @@ class ReplayReport:
 
     mode: str
     task_ids: tuple[str, ...]
-    selections: Mapping[str, SelectionResult]
     records: tuple[SwitchReport, ...]
     order: tuple[int, ...]
     jaccard_matrix: tuple[tuple[float, ...], ...]
@@ -306,7 +305,6 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
     return ReplayReport(
         mode=mode.value,
         task_ids=ids,
-        selections=dict(selections),
         records=records,
         order=order,
         jaccard_matrix=matrix,

@@ -236,8 +236,6 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
     * ``full_method``: as split_only, but blocks already host-resident
       skip the disk leg.
     """
-    if not isinstance(mode, DeployMode):
-        mode = DeployMode(mode)
     if mode is not DeployMode.MONOLITHIC:
         for task in (from_task, to_task):
             if task not in table.active:

@@ -4,13 +4,17 @@ from __future__ import annotations
 import random
 
 from switchsim.block_store import CacheState, ModelManifest, evict, load_to_gpu, stage_to_cpu
-from switchsim.errors import BudgetExceededError
+from switchsim.errors import BudgetExceededError, ManifestError
 
 
 def run_random_ops(seed: int, ops: int = 12) -> None:
     """Run one random op sequence; assert budgets, conservation, exact device
     residency, that each op carries over the budgets and the tier it does not
-    touch, and that a budget error leaves the caller's state untouched."""
+    touch, and that a budget error leaves the caller's state untouched.
+
+    A staging draw that includes host-resident blocks must be refused with
+    the state untouched; its blocks the host does not hold are then staged.
+    """
     rng = random.Random(seed)
     n = rng.randrange(1, 8)
     sizes = tuple(rng.randrange(1, 50) for _ in range(n))
@@ -25,7 +29,15 @@ def run_random_ops(seed: int, ops: int = 12) -> None:
         before = state
         try:
             if op == "stage":
-                state, moved = stage_to_cpu(manifest, state, blocks)
+                fresh = blocks.difference(state.cpu_lru)
+                if fresh != blocks:
+                    try:
+                        stage_to_cpu(manifest, state, blocks)
+                    except ManifestError:
+                        pass
+                    else:
+                        raise AssertionError("staging a resident block was not refused")
+                state, moved = stage_to_cpu(manifest, state, fresh)
                 assert moved == manifest.bytes_of(
                     frozenset(state.cpu_lru) - frozenset(before.cpu_lru))
             elif op == "load":

@@ -1,7 +1,7 @@
 """The host-cache operations as they were before their fast paths.
 
 ``evict`` sorts every non-protected resident block by (usefulness,
-recency, id) through a recency dict, ``_touch`` moves one block at a
+recency, id) through a recency dict, ``reference_touch`` moves one block at a
 time, ``stage_to_cpu`` always builds ``protected | wanted``,
 ``plan_prefetch`` sorts the candidates on every call and builds the union
 of both tiers, and ``execute_prefetch`` stages one block per

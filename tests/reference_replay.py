@@ -104,7 +104,6 @@ def reference_aggregate(mode: DeployMode, scenario: Scenario,
     return ReplayReport(
         mode=mode.value,
         task_ids=ids,
-        selections=dict(selections),
         records=tuple(index),
         order=order,
         jaccard_matrix=matrix,

@@ -13,7 +13,7 @@ import time
 
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.cli import main
-from switchsim.replay import compare_modes
+from switchsim.replay import compare_modes, load_scenario
 from switchsim.sparsity import TaskSpec, build_all_tasks, jaccard, select_skip_set
 from switchsim.switching import CostModel, DeployMode, SwitchTable, execute_switch
 from switchsim.synthetic import gen_instance
@@ -165,9 +165,12 @@ def test_calibrated_speedup(tmp_path):
     assert abs(mono.mean_latency_ms - 1566.5) < 1e-3, \
         f"calibration off: monolithic mean {mono.mean_latency_ms:.3f} ms"
 
-    # Aligned skip sets sit at the reported ~47-50% sparsity level.
+    # Aligned skip sets, the full method's, sit at the reported ~47-50%
+    # sparsity level.
+    scenario = load_scenario(config)
+    aligned = build_all_tasks(scenario.tasks, scenario.oracles, align=True)
     sparsity = statistics.fmean(
-        len(sel.skipped) / 32 for sel in full.selections.values())
+        len(sel.skipped) / scenario.manifest.num_blocks for sel in aligned.values())
     assert 0.44 <= sparsity <= 0.52, f"aligned sparsity {sparsity:.3f}"
 
     mean_speedup = (sparse.mean_latency_ms / full.mean_latency_ms

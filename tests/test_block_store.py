@@ -54,12 +54,12 @@ class TestStageToCpu:
         assert state.cpu_resident == {3, 4}
         assert moved == 20 * MB
 
-    def test_idempotent_restage(self):
+    def test_resident_block_refused(self):
         m = uniform_manifest(8)
         s0 = state_with(m, cpu=(3,))
-        state, moved = stage_to_cpu(m, s0, {3, 4})
-        assert state.cpu_resident == {3, 4}
-        assert moved == 10 * MB
+        with pytest.raises(ManifestError, match="does not hold"):
+            stage_to_cpu(m, s0, {3, 4})
+        assert s0.cpu_lru == (3,)  # untouched
 
     def test_budget_exceeded_reports_shortfall(self):
         m = uniform_manifest(8)
@@ -69,11 +69,12 @@ class TestStageToCpu:
         assert err.value.shortfall_bytes == 5 * MB
         assert s0.cpu_resident == frozenset()  # untouched
 
-    def test_blocks_become_most_recent_in_the_given_order(self):
+    def test_repeated_block_refused(self):
         m = uniform_manifest(8)
-        state, moved = stage_to_cpu(m, state_with(m, cpu=(4, 1)), [4, 3, 4])
-        assert state.cpu_lru == (1, 4, 3)  # a repeat counts at its first place
-        assert moved == 10 * MB
+        s0 = state_with(m, cpu=(1,))
+        with pytest.raises(ManifestError, match="distinct"):
+            stage_to_cpu(m, s0, [4, 3, 4])
+        assert s0.cpu_lru == (1,)  # untouched
 
     def test_unknown_block_rejected(self):
         m = uniform_manifest(4)
@@ -171,13 +172,12 @@ class TestProperties:
     def test_budget_safety_hypothesis(self, seed):
         run_random_ops(seed)
 
-    def test_monotone_staging_and_idempotence(self):
+    def test_restage_refused_and_reload_idempotent(self):
         m = uniform_manifest(6)
-        state = state_with(m)
         target = {1, 3, 5}
-        state, first = stage_to_cpu(m, state, target)
-        state, again = stage_to_cpu(m, state, target)
-        assert again == 0
+        state, _ = stage_to_cpu(m, state_with(m), target)
+        with pytest.raises(ManifestError):
+            stage_to_cpu(m, state, target)
         target_bytes = m.bytes_of(target)
         loaded = load_to_gpu(state, frozenset(target), target_bytes)
         assert loaded.gpu_resident == target

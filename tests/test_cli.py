@@ -228,6 +228,29 @@ class TestCompareCommand:
         assert (out / "compare.csv").is_file()
 
 
+class TestUnwritableOutput:
+    def test_compare_out_dir_naming_a_file(self, driving_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["compare", "--config", str(driving_dir / "config.json"),
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
+    def test_select_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run_select(tmp_path, "--num-blocks", "8", "--seed", "3",
+                          "--out", str(out)) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
+    def test_estimate_out_in_a_missing_directory(self, tmp_path, capsys):
+        log = tmp_path / "log.txt"
+        log.write_text("Car\nTrafficLight\nCar\n")
+        out = tmp_path / "missing" / "y.json"
+        assert main(["estimate", "--log", str(log), "--out", str(out)]) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
+
 def compare_edited(driving_dir, tmp_path, name, path, value, *flags) -> int:
     """Run compare on a copy of the driving scenario whose ``name`` file has
     ``value`` at the key path ``path``."""

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim.block_store import CacheState, ModelManifest
-from switchsim.prefetch import (PrefetchPlan, block_usefulness, execute_prefetch,
-                                plan_prefetch, rank_preload)
+from switchsim.prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
 from switchsim.switching import CostModel
 from switchsim.transitions import TransitionModel, assign_tiers, fit_transition_model
 
@@ -162,23 +161,6 @@ class TestExecutePrefetch:
             protected=tiers.runtime | tiers.preload)
         assert staged == {2, 3, 4}
         assert 7 not in state.cpu_resident  # straggler evicted to make room
-
-    def test_staged_plan_blocks_are_protected_without_the_callers_set(self):
-        # Block 2 is host-resident, least recently used, and in the plan
-        # after the prefix the window covers. Staging that prefix overflows
-        # the host by one block, which must be straggler 7, not 2, though
-        # the caller protects nothing.
-        manifest, state, _, _ = two_successor_setup(cpu_budget_blocks=3)
-        state = CacheState(
-            gpu_budget_bytes=state.gpu_budget_bytes,
-            cpu_budget_bytes=state.cpu_budget_bytes,
-            cpu_lru=(2, 7),
-        )
-        plan = PrefetchPlan((3, 4, 2))
-        state, staged, _ = execute_prefetch(plan, state, 20.0, DISK_MS, manifest)
-        assert staged == {3, 4}
-        assert state.cpu_resident == {2, 3, 4}
-        assert state.cpu_lru == (2, 3, 4)
 
 
 @st.composite

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsim.block_store import CacheState, ModelManifest, _touch, evict, stage_to_cpu
-from switchsim.errors import BudgetExceededError, SwitchSimError
+from switchsim.block_store import CacheState, ModelManifest, evict, stage_to_cpu
+from switchsim.errors import BudgetExceededError, ManifestError, SwitchSimError
 from switchsim.prefetch import PrefetchPlan, execute_prefetch, plan_prefetch
 from switchsim.switching import CostModel
 from switchsim.transitions import TierAssignment
 
 from reference_cache import (reference_evict, reference_execute_prefetch,
-                             reference_plan_prefetch, reference_stage_to_cpu,
-                             reference_touch)
+                             reference_plan_prefetch, reference_stage_to_cpu)
 
 # A block of s bytes takes s ms on the disk link.
 COST = CostModel(disk_to_cpu_mbps=0.001, cpu_to_gpu_mbps=1.0)
@@ -81,11 +80,18 @@ def test_evict_matches_reference(case, data):
 @given(cache_cases(), st.data())
 def test_stage_to_cpu_matches_reference(case, data):
     manifest, state, probs, protected = case
-    # One id past the manifest is drawn too, to compare the unknown-id error,
-    # and ids may repeat.
-    wanted = data.draw(st.lists(st.integers(0, manifest.num_blocks)))
-    assert outcome(stage_to_cpu, manifest, state, wanted, protected) \
-        == outcome(reference_stage_to_cpu, manifest, state, wanted, protected, probs)
+    # Ids may repeat or be host-resident, and one id past the manifest is
+    # drawn too; half the draws take only ids the host does not hold.
+    ids = range(manifest.num_blocks + 1)
+    if data.draw(st.booleans()):
+        ids = [b for b in ids if b not in state.cpu_lru]
+    wanted = data.draw(st.lists(st.sampled_from(ids), unique=data.draw(st.booleans())))
+    fast = outcome(stage_to_cpu, manifest, state, wanted, protected)
+    if len(set(wanted)) == len(wanted) and state.cpu_resident.isdisjoint(wanted):
+        assert fast == outcome(reference_stage_to_cpu, manifest, state, wanted, protected,
+                               probs)
+    else:
+        assert fast == (ManifestError, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -152,16 +158,9 @@ SIZED = ModelManifest("m", (10, 20, 30, 40, 50, 60))
     ((0, 1, 2), [4, 3], 110, ((1, 4, 3), 90)),
     # All fresh, with room: appended in the given order.
     ((0, 1, 2), [5, 3], 200, ((0, 1, 2, 5, 3), 100)),
-    # Partly resident: only 3 moves bytes; 2 and 0 may not be evicted, so 1
-    # would be the victim, but it is protected and the overflow fails.
-    ((0, 1, 2), [2, 3, 0], 90, (BudgetExceededError, 10)),
-    # Partly resident, with room: 2 and 0 move to the most recent end.
-    ((0, 1, 2), [2, 3, 0], 100, ((1, 2, 3, 0), 40)),
-    # A repeated id counts at its first place, resident or fresh.
-    ((1, 0), [3, 1, 3], 100, ((0, 3, 1), 40)),
-    ((0,), [3, 4, 3], 200, ((0, 3, 4), 90)),
-], ids=["fresh-evicting", "fresh", "partly-resident-short", "partly-resident",
-        "repeat-resident", "repeat-fresh"])
+    # All fresh, but the overflow needs protected 1: the whole shortfall.
+    ((0, 1, 2), [5, 3], 110, (BudgetExceededError, 10)),
+], ids=["fresh-evicting", "fresh", "fresh-short"])
 def test_stage_to_cpu_hand_cases_match_reference(lru, blocks, budget, expected):
     state = CacheState(gpu_budget_bytes=210, cpu_budget_bytes=budget, cpu_lru=lru)
     protected = frozenset({1})
@@ -170,6 +169,19 @@ def test_stage_to_cpu_hand_cases_match_reference(lru, blocks, budget, expected):
     if isinstance(fast, tuple) and isinstance(fast[0], CacheState):
         fast = (fast[0].cpu_lru, fast[1])
     assert fast == expected
+
+
+@pytest.mark.parametrize("lru, blocks", [
+    ((0, 1, 2), [2, 3, 0]),     # partly resident
+    ((0, 1, 2), [1]),           # resident and protected
+    ((1, 0), [3, 1, 3]),        # repeated and resident
+    ((0,), [3, 4, 3]),          # repeated, none resident
+], ids=["partly-resident", "resident-protected", "repeat-resident", "repeat-fresh"])
+def test_stage_to_cpu_refuses_resident_or_repeated_blocks(lru, blocks):
+    state = CacheState(gpu_budget_bytes=210, cpu_budget_bytes=210, cpu_lru=lru)
+    with pytest.raises(ManifestError):
+        stage_to_cpu(SIZED, state, blocks, frozenset({1}))
+    assert state.cpu_lru == lru
 
 
 @pytest.mark.parametrize("window, staged", [
@@ -187,11 +199,3 @@ def test_execute_prefetch_window_boundary_with_fixed_cost(window, staged):
     fast = execute_prefetch(plan, state, window, disk_ms(manifest, cost), manifest)
     assert fast == reference_execute_prefetch(plan, state, window, cost, manifest)
     assert fast[1] == staged
-
-
-@given(st.lists(st.integers(0, 9), unique=True).flatmap(
-    lambda lru: st.tuples(st.just(tuple(lru)),
-                          st.lists(st.integers(0, 9), unique=True))))
-def test_touch_matches_reference(case):
-    lru, order = case
-    assert _touch(lru, frozenset(order), tuple(order)) == reference_touch(lru, order)
