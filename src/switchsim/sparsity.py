@@ -6,21 +6,21 @@ score. Alignment biases later tasks toward blocks already skipped by
 earlier ones (the shared pool) so that active sets overlap and task
 switches move fewer bytes.
 
-Each step asks the oracle for a ranking of the candidate removals, best
-estimated score first, plus a bound ``eps`` on the estimates' error
-(:meth:`MetricOracle.ranked_removals`), through a :class:`RemovalRanking`
-that lives for one selection. The additive oracle ranks blocks by weight
-once per oracle, and the pool's blocks once per selection, and estimates
-a removal from one exact running sum of the active weights. So a step
-costs O(1) amortized plus a walk of a prefix of the ranking: it stops at
-the first estimate more than ``eps`` below the threshold or more than
-``2 * eps`` below the first feasible one. Every decision stays exact: a
-candidate whose estimate lies within ``eps`` of the threshold, or within
-``2 * eps`` of the best estimate it competes with, is scored exactly
-before it is judged, and the reported final score is the exact score of
-the final active set. ``oracle_calls`` counts logical evaluations (the
-full-model score plus one per candidate per step), not the exact
-re-scores made.
+Each step asks the selection's :class:`RemovalRanking` for the active
+blocks ranked best estimated score first, the pool's share of that
+order, and a bound ``eps`` on the estimates' error. A ranking lives for
+one selection and names only the blocks still active. The additive
+oracle's ranking orders the blocks by weight once per selection, drops
+each block as it is removed, and estimates a removal from one exact
+running sum of the active weights. So a step does O(1) Python work plus
+a walk of a prefix of the ranking: it stops at the first estimate more
+than ``eps`` below the threshold or more than ``2 * eps`` below the
+first feasible one. Every decision stays exact: a candidate whose
+estimate lies within ``eps`` of the threshold, or within ``2 * eps`` of
+the best estimate it competes with, is scored exactly before it is
+judged, and the reported final score is the exact score of the final
+active set. ``oracle_calls`` counts logical evaluations (the full-model
+score plus one per candidate per step), not the exact re-scores made.
 """
 from __future__ import annotations
 
@@ -95,22 +95,6 @@ class MetricOracle:
     def full_score(self) -> float:
         return self.score(frozenset(range(self.num_blocks)))
 
-    def ranked_removals(self, active: frozenset[int]) -> tuple[
-            Sequence[int], Callable[[int], float], float]:
-        """Rank the removals from ``active``, best estimated score first.
-
-        Returns ``(order, estimate, eps)``. Restricted to ``active``,
-        ``order`` names each block once, and ``estimate(j)`` (an estimate
-        of ``score(active - {j})``, asked only for ``j`` in ``active``)
-        never increases along it. Each estimate is within ``eps`` of the
-        exact score; ``eps == 0`` means the estimates are the exact
-        scores. This default scores every candidate exactly and orders
-        them by (-score, block id).
-        """
-        scores = {j: self.score(active - {j}) for j in sorted(active)}
-        order = sorted(scores, key=lambda j: -scores[j])
-        return order, scores.__getitem__, 0.0
-
     def removal_ranking(self, shared_pool: frozenset[int]) -> RemovalRanking:
         """The rankings of one greedy selection that starts from every block
         and prefers ``shared_pool``; see :class:`RemovalRanking`."""
@@ -120,12 +104,15 @@ class MetricOracle:
 class RemovalRanking:
     """One selection's rankings, kept from step to step.
 
-    ``step(active)`` returns ``(pooled, ranked, estimate, eps)``:
-    ``ranked``, ``estimate`` and ``eps`` as :meth:`MetricOracle.ranked_removals`
-    gives them for ``active``, and ``pooled`` the shared pool's blocks in
-    ``ranked`` order. Both orders may name blocks outside ``active``,
-    which the caller skips. ``remove(j)`` follows each block the caller
-    drops from ``active``. This default ranks every step afresh.
+    ``step(active)`` returns ``(pooled, ranked, estimate, eps)``.
+    ``ranked`` names each block of ``active`` once, best estimated score
+    first: ``estimate(j)``, an estimate of ``score(active - {j})``, never
+    increases along it and is within ``eps`` of that score (``eps == 0``
+    means the estimates are the exact scores). ``pooled`` is the shared
+    pool's share of ``ranked``, in the same order. Neither names a block
+    outside ``active``. ``remove(j)`` follows each block the caller drops
+    from ``active``. This default scores every candidate exactly at every
+    step and orders them by (-score, block id).
     """
 
     def __init__(self, oracle: MetricOracle, shared_pool: frozenset[int]):
@@ -133,9 +120,11 @@ class RemovalRanking:
 
     def step(self, active: set[int]) -> tuple[
             Iterable[int], Iterable[int], Callable[[int], float], float]:
-        ranked, estimate, eps = self.oracle.ranked_removals(frozenset(active))
+        frozen = frozenset(active)
+        scores = {j: self.oracle.score(frozen - {j}) for j in sorted(active)}
+        ranked = sorted(scores, key=lambda j: -scores[j])
         pool = self.shared_pool
-        return (j for j in ranked if j in pool), ranked, estimate, eps
+        return [j for j in ranked if j in pool], ranked, scores.__getitem__, 0.0
 
     def remove(self, j: int) -> None:
         pass
@@ -179,11 +168,6 @@ class AdditiveOracle(MetricOracle):
         return min(max(raw, 0.0), 1.0)
 
     @cached_property
-    def _by_weight(self) -> list[int]:
-        # Stable: equal weights keep ascending block ids.
-        return sorted(range(self.num_blocks), key=self.weights.__getitem__)
-
-    @cached_property
     def _exact_total(self) -> int:
         return sum(map(_exact_units, self.weights))
 
@@ -197,40 +181,37 @@ def _exact_units(w: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def _skip_inactive(order: list[int], cursor: int, active: set[int]) -> int:
-    """The first position from ``cursor`` on whose block is active."""
-    while cursor < len(order) and order[cursor] not in active:
-        cursor += 1
-    return cursor
-
-
 class _AdditiveRanking(RemovalRanking):
     """Removals of an additive oracle: by weight, lightest first, each
     estimated as ``clamp((S - w_j) / T)`` from the active weights' sum ``S``.
 
-    The ranking never changes, so it and the pool's share of it (ranked
-    once) each keep a cursor past their removed prefix. ``S`` is kept
-    exactly, as an int in units of 2**-1074, and each removal subtracts
-    its block's weight; the int divided by 2**1074 is the correctly
-    rounded float that ``math.fsum`` of the active weights gives. A step
-    thus costs O(1) amortized, plus the selector's walk.
+    The order never changes, so it and the pool's share of it are built
+    once, as insertion-ordered dicts, and each removal deletes its block
+    from both. ``S`` is kept exactly, as an int in units of 2**-1074, and
+    each removal subtracts its block's weight; the int divided by 2**1074
+    is the correctly rounded float that ``math.fsum`` of the active
+    weights gives. A step thus does O(1) Python work, plus the selector's
+    walk; a dict iterator passes over deleted entries in C.
     """
 
     def __init__(self, oracle: AdditiveOracle, shared_pool: frozenset[int]):
         super().__init__(oracle, shared_pool)
-        self._order = oracle._by_weight
-        self._pool_order = [j for j in self._order if j in shared_pool]
-        self._cursor = self._pool_cursor = 0
+        # Stable: equal weights keep ascending block ids.
+        order = sorted(range(oracle.num_blocks), key=oracle.weights.__getitem__)
+        self._ranked = dict.fromkeys(order)
+        self._pooled = dict.fromkeys(j for j in order if j in shared_pool)
         self._exact = oracle._exact_total
 
     def active_sum(self) -> float:
         return self._exact / _EXACT_SCALE
 
     def remove(self, j: int) -> None:
+        del self._ranked[j]
+        self._pooled.pop(j, None)
         self._exact -= _exact_units(self.oracle.weights[j])
 
     def step(self, active: set[int]):
-        """Both rankings from their cursors on, and the estimates and ``eps``
+        """Both rankings of the active blocks, and the estimates and ``eps``
         for ``active``.
 
         Subtraction, division and the clamp are monotone under rounding,
@@ -260,11 +241,7 @@ class _AdditiveRanking(RemovalRanking):
         the slack also covers the rounding of ``eps`` itself and of the
         selector's comparisons against it.
         """
-        order, pool_order = self._order, self._pool_order
-        self._cursor = _skip_inactive(order, self._cursor, active)
-        self._pool_cursor = _skip_inactive(pool_order, self._pool_cursor, active)
-        ranked = map(order.__getitem__, range(self._cursor, len(order)))
-        pooled = map(pool_order.__getitem__, range(self._pool_cursor, len(pool_order)))
+        pooled, ranked = iter(self._pooled), iter(self._ranked)
         weights, total = self.oracle.weights, self.oracle._total
         if total == 0.0:
             return pooled, ranked, lambda j: 1.0, 0.0
@@ -348,7 +325,6 @@ def select_skip_set(task: TaskSpec, oracle: MetricOracle,
     s_full = oracle.full_score
     threshold = task.retention_ratio * s_full
     active = set(range(oracle.num_blocks))
-    pool_left = len(shared_pool & active)
     ranking = oracle.removal_ranking(shared_pool)
     order: list[int] = []
     for _ in range(task.max_remove):
@@ -363,21 +339,15 @@ def select_skip_set(task: TaskSpec, oracle: MetricOracle,
                 exact[j] = oracle.score(frozenset(active - {j}))
             return exact[j]
 
-        def contenders(candidates: Iterable[int], left: int) -> list[int]:
-            # Walk a ranking down from the best estimate, over the ``left``
-            # active blocks among ``candidates``. An estimate more than eps
-            # below the threshold, and every one after it, is infeasible; a
-            # closer one is settled by the exact score. A candidate more
-            # than 2 * eps below the first feasible one scores strictly
-            # below it, so the walk stops there too.
+        def contenders(candidates: Iterable[int]) -> list[int]:
+            # Walk a ranking of active blocks down from the best estimate.
+            # An estimate more than eps below the threshold, and every one
+            # after it, is infeasible; a closer one is settled by the exact
+            # score. A candidate more than 2 * eps below the first feasible
+            # one scores strictly below it, so the walk stops there too.
             found: list[int] = []
             top = None
             for j in candidates:
-                if not left:
-                    break
-                if j not in active:
-                    continue
-                left -= 1
                 est = estimate(j)
                 if threshold - est > eps or (top is not None and top - est > 2.0 * eps):
                     break
@@ -387,7 +357,7 @@ def select_skip_set(task: TaskSpec, oracle: MetricOracle,
                     found.append(j)
             return found
 
-        pick = contenders(pooled, pool_left) or contenders(ranked, len(active))
+        pick = contenders(pooled) or contenders(ranked)
         if not pick:
             break
         # Highest score wins; equal scores resolve to the lowest block id.
@@ -396,8 +366,6 @@ def select_skip_set(task: TaskSpec, oracle: MetricOracle,
             pick, key=lambda j: (exact_score(j), -j))
         active.remove(best_j)
         ranking.remove(best_j)
-        if best_j in shared_pool:
-            pool_left -= 1
         order.append(best_j)
     return SelectionResult(
         skipped=frozenset(order),

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim.errors import ConfigError, OracleError
-from switchsim.sparsity import (AdditiveOracle, MetricOracle, TableOracle, TaskSpec,
-                                build_all_tasks, jaccard, select_skip_set)
+from switchsim.sparsity import (AdditiveOracle, MetricOracle, RemovalRanking, TableOracle,
+                                TaskSpec, build_all_tasks, jaccard, select_skip_set)
 from switchsim.synthetic import gen_instance
 
 from reference import brute_force_greedy_replay, enumerate_table_entries, reference_select
@@ -46,20 +46,33 @@ ADVERSARIAL_WEIGHTS = [
 
 
 class PerturbedOracle(MetricOracle):
-    """Exact scores from ``base``; each estimate is off by ``offsets[j] * eps``,
-    as far from the exact score as the ``ranked_removals`` contract allows."""
+    """Exact scores from ``base``; its rankings estimate each removal
+    ``offsets[j] * eps`` off the exact score, as far as the
+    :class:`RemovalRanking` contract allows. ``steps`` counts the ranking
+    steps taken."""
 
     def __init__(self, base: MetricOracle, eps: float, offsets: list[float]):
         self.base, self.eps, self.offsets = base, eps, offsets
         self.num_blocks = base.num_blocks
+        self.steps = 0
 
     def score(self, active):
         return self.base.score(active)
 
-    def ranked_removals(self, active):
-        est = {j: self.base.score(active - {j}) + self.offsets[j] * self.eps
-               for j in active}
-        return sorted(est, key=lambda j: -est[j]), est.__getitem__, self.eps
+    def removal_ranking(self, shared_pool):
+        return PerturbedRanking(self, shared_pool)
+
+
+class PerturbedRanking(RemovalRanking):
+    def step(self, active):
+        oracle = self.oracle
+        oracle.steps += 1
+        frozen = frozenset(active)
+        est = {j: oracle.score(frozen - {j}) + oracle.offsets[j] * oracle.eps
+               for j in sorted(active)}
+        ranked = sorted(est, key=lambda j: -est[j])
+        pooled = [j for j in ranked if j in self.shared_pool]
+        return pooled, ranked, est.__getitem__, oracle.eps
 
 
 def ranking_after(oracle: MetricOracle, removals, pool: frozenset[int] = frozenset()):
@@ -137,28 +150,47 @@ class TestOracles:
             active.remove(j)
             ranking.remove(j)
 
-    def test_table_ranked_removals_are_exact(self):
-        oracle = TableOracle({frozenset({0, 1}): 1.0, frozenset({1}): 0.1,
-                              frozenset({0}): 0.9}, num_blocks=2)
-        order, estimate, eps = oracle.ranked_removals(frozenset({0, 1}))
-        assert (list(order), [estimate(j) for j in order], eps) == ([1, 0], [0.9, 0.1], 0.0)
+    def test_default_ranking_scores_exactly_by_score_then_id(self):
+        # Dropping 0 or 2 ties at 0.5, so 0 ranks first.
+        full = frozenset(range(4))
+        oracle = TableOracle({full: 1.0, full - {0}: 0.5, full - {1}: 0.9,
+                              full - {2}: 0.5, full - {3}: 0.7}, num_blocks=4)
+        ranking = oracle.removal_ranking(frozenset({0, 2, 3}))
+        assert type(ranking) is RemovalRanking
+        pooled, ranked, estimate, eps = ranking.step(set(full))
+        ranked = list(ranked)
+        assert ranked == [1, 3, 0, 2]
+        assert [estimate(j) for j in ranked] == [0.9, 0.7, 0.5, 0.5]
+        assert list(pooled) == [3, 0, 2]
+        assert eps == 0.0
 
     @given(weights=st.lists(st.sampled_from([0.0, 1e-310, 0.1, 0.3, 1.0, 2.5]) |
                             st.floats(0.0, 10.0), min_size=1, max_size=24),
            data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_additive_ranking_covers_active_in_non_increasing_order(self, weights, data):
+    def test_additive_rankings_hold_the_active_blocks_by_weight(self, weights, data):
+        # Pool preference removes the pool's blocks before lighter ones
+        # outside it, so removals break the by-weight order.
         n = len(weights)
         oracle = AdditiveOracle(weights)
-        removals = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
         pool = frozenset(data.draw(st.sets(st.sampled_from(range(n)))))
-        ranking, active = ranking_after(oracle, removals, pool)
-        pooled, ranked, estimate, _ = ranking.step(active)
-        ranked = [j for j in ranked if j in active]
-        assert sorted(ranked) == sorted(active)
-        assert [j for j in pooled if j in active] == [j for j in ranked if j in pool]
-        estimates = [estimate(j) for j in ranked]
-        assert all(a >= b for a, b in zip(estimates, estimates[1:]))
+        by_weight = sorted(range(n), key=weights.__getitem__)
+        removals = data.draw(st.sampled_from([
+            [j for j in by_weight if j in pool] + [j for j in by_weight if j not in pool],
+            data.draw(st.permutations(range(n)))]))
+        removals = removals[:data.draw(st.integers(0, n))]
+        ranking, active = ranking_after(oracle, [], pool)
+        for j in removals + [None]:
+            pooled, ranked, estimate, _ = ranking.step(active)
+            ranked = list(ranked)
+            assert ranked == [k for k in by_weight if k in active]
+            assert list(pooled) == [k for k in ranked if k in pool]
+            estimates = [estimate(k) for k in ranked]
+            assert all(a >= b for a, b in zip(estimates, estimates[1:]))
+            if j is not None:
+                active.remove(j)
+                ranking.remove(j)
+        assert_kept_sum_is_fsum(weights, removals)
 
     @pytest.mark.parametrize("weights, expected", [
         # Summed left to right the total is 1e16, below the exact active sum
@@ -296,7 +328,7 @@ class TestMatchesReferenceSelector:
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_all_zero_weights_remove_every_block(self, n):
-        # A zero total scores every set 1.0, so the cursors reach the end.
+        # A zero total scores every set 1.0, so the rankings empty out.
         oracle = AdditiveOracle([0.0] * n)
         for pool in (frozenset(), frozenset({n - 1}), frozenset(range(n))):
             res = assert_matches_reference(task(n + 2, 1.0), oracle, pool)
@@ -317,6 +349,7 @@ class TestMatchesReferenceSelector:
         retention = data.draw(st.sampled_from([1.0, 0.8, 0.5]))
         oracle = PerturbedOracle(AdditiveOracle(weights), eps, offsets)
         assert_matches_reference(task(n, retention), oracle, pool)
+        assert oracle.steps
 
     def test_table_oracle(self):
         rng = random.Random(11)
