@@ -30,17 +30,23 @@ keys on (current task, next task, ``cpu_lru``), a tuple of strings and
 ints that hashes without calling back into Python. That key fixes the
 whole state, because every state the replay steps from has been
 checked: the device holds ``table.target(mode, current)`` and both
-budgets equal the config's. The loop therefore carries only (current
-task, ``cpu_lru``). The replay computes each distinct key once, from a
-state built for it, checks the state the step leaves, and stores (next
-``cpu_lru``, record index or -1). A step that raises stores nothing, so
-an error surfaces at the trace position where its key first occurs.
+budgets equal the config's. The replay computes each distinct key once,
+checks the state the step leaves, and stores (next ``cpu_lru``, record
+index or -1). The loop carries (current task, ``cpu_lru``) and the
+checked state the last computed step left, which is the next computed
+step's input; only a computed step that follows a memo hit builds its
+state, from the key. Each running task gets one context, built the
+first time it runs a computed step: its device target, its ranked
+pre-load tier and its protected set. A step that raises stores nothing,
+so an error surfaces at the trace position where its key first occurs.
 A switch moves blocks through the host without changing it, so the
 order a switch returns must be the very object the prefetch left. The
-check compares both budgets with the config's on every computed step.
-Its host half runs only when the step replaced ``cpu_lru``: an order
-the step left in place is its input's, which was checked. Its device
-half runs once per distinct (device set, device budget).
+check compares the device with the running task's target, by identity
+first, and both budgets with the config's on every computed step. Its
+host half runs only when the step replaced ``cpu_lru``: an order the
+step left in place is its input's, which was checked. Its device half
+is then a pure function of the task's target and the config's device
+budget, so it runs once per task.
 
 full_method's eviction reads recency alone. That is exact because every
 block that next-task usefulness weights lies in the running task's
@@ -50,7 +56,9 @@ this once per running task.
 A :class:`ReplayReport` holds each distinct switch record once, in order
 of first occurrence, plus the trace's switches as indices into them.
 Aggregation, ``emit_reports`` and ``write_compare_csv`` work per distinct
-record, with C-level passes over the index sequence. The median walks
+record, with C-level passes over the index sequence. Each distinct index
+sequence is counted once per compare: a report carries its counts, and
+the host-free modes share ``Scenario.switch_counts``. The median walks
 the distinct latencies in sorted order, weighted by their counts.
 ``switches.jsonl`` is written as bytes: each distinct record is encoded
 once, and lines are joined in batches of 64, one write per batch.
@@ -62,7 +70,7 @@ import json
 import math
 from collections import Counter
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import ne
@@ -203,6 +211,12 @@ class Scenario:
         order = tuple(map(index.__getitem__, moves))
         return tuple(index), order
 
+    @cached_property
+    def switch_counts(self) -> Counter[int]:
+        """How often the trace makes each switch of ``switch_pairs``: one
+        count of the index tuple, which the host-free modes share."""
+        return Counter(self.switch_pairs[1])
+
 
 def build_oracles(spec: Mapping, num_blocks: int, tasks: Sequence[TaskSpec]
                   ) -> dict[str, MetricOracle]:
@@ -257,7 +271,9 @@ class ReplayReport:
     """Aggregated outcome of replaying one trace under one mode.
 
     ``records`` holds each distinct switch once, in order of first
-    occurrence; ``order`` lists the trace's switches as indices into it.
+    occurrence; ``order`` lists the trace's switches as indices into it,
+    and ``counts`` maps each index to how often ``order`` holds it.
+    ``counts`` follows from ``order``, so equality leaves it out.
     """
 
     mode: str
@@ -273,6 +289,7 @@ class ReplayReport:
     mean_gpu_resident_bytes: float | None
     prestage_hit_rate: float
     config_echo: dict
+    counts: Mapping[int, int] = field(compare=False, repr=False)
 
     @property
     def switches(self) -> tuple[SwitchReport, ...]:
@@ -283,7 +300,8 @@ class ReplayReport:
 def _aggregate(mode: DeployMode, scenario: Scenario,
                selections: Mapping[str, SelectionResult],
                records: tuple[SwitchReport, ...],
-               order: tuple[int, ...]) -> ReplayReport:
+               order: tuple[int, ...],
+               counts: Mapping[int, int] | None = None) -> ReplayReport:
     ids = scenario.task_ids
     skips = {tid: selections[tid].skipped for tid in ids}
     matrix = tuple(
@@ -291,8 +309,10 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
     )
     # Integer totals are count x value per distinct record, which is exact;
     # the means take one C-level pass over ``order``, and ``fsum(...) / n``
-    # is what ``statistics.fmean`` computes for a list.
-    counts = Counter(order)
+    # is what ``statistics.fmean`` computes for a list. ``counts``, when
+    # given, is ``Counter(order)`` already taken.
+    if counts is None:
+        counts = Counter(order)
 
     def total(field: str) -> int:
         return sum(c * getattr(records[i], field) for i, c in counts.items())
@@ -316,6 +336,7 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
         mean_gpu_resident_bytes=math.fsum(map(gpu.__getitem__, order)) / n if n else None,
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
         config_echo=scenario.config.echo(),
+        counts=counts,
     )
 
 
@@ -354,27 +375,27 @@ def _replay(scenario: Scenario, mode: DeployMode,
     # order, which follows from this expression.
     active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
     table = SwitchTable(manifest, cost, active)
-    budgets = (config.gpu_budget_bytes, config.cpu_budget_bytes)
-    # (device set, device budget) pairs that passed ``check_device``, a pure
-    # function of the two.
-    devices_checked: set[tuple[frozenset[int], int]] = set()
+    gpu_budget, cpu_budget = config.gpu_budget_bytes, config.cpu_budget_bytes
+    # Tasks whose target passed ``check_device`` under the config's device
+    # budget; the check is a pure function of the two.
+    devices_checked: set[str] = set()
 
     def check(state: CacheState, task: str, host_checked: bool) -> None:
         # Together with the running task and ``cpu_lru``, these fix the
         # state. ``check_host`` is a pure function of ``cpu_lru`` and the cpu
         # budget, so ``host_checked`` skips it for an order that already
-        # passed it; the budgets are compared on every call.
-        device = (state.gpu_resident, state.gpu_budget_bytes)
-        if device not in devices_checked:
+        # passed it; the device and the budgets are compared on every call.
+        target = table.target(mode, task)
+        device = state.gpu_resident
+        if device is not target and device != target:
+            raise SwitchSimError("device does not hold the running task's blocks")
+        if state.gpu_budget_bytes != gpu_budget or state.cpu_budget_bytes != cpu_budget:
+            raise SwitchSimError("cache budgets differ from the config's")
+        if task not in devices_checked:
             state.check_device(manifest)
-            devices_checked.add(device)
+            devices_checked.add(task)
         if not host_checked:
             state.check_host(manifest)
-        target = table.target(mode, task)
-        if state.gpu_resident is not target and state.gpu_resident != target:
-            raise SwitchSimError("device does not hold the running task's blocks")
-        if (state.gpu_budget_bytes, state.cpu_budget_bytes) != budgets:
-            raise SwitchSimError("cache budgets differ from the config's")
 
     trace = scenario.trace
     if not trace:
@@ -383,7 +404,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
     try:
         # Initial load of the first task; not counted as a switch.
         target = table.target(mode, first)
-        state = load_to_gpu(CacheState(*budgets), target, manifest.bytes_of(target))
+        state = load_to_gpu(CacheState(gpu_budget, cpu_budget), target,
+                            manifest.bytes_of(target))
         check(state, first, False)
     except SwitchSimError as exc:
         raise ReplayError(str(exc), position=0) from exc
@@ -400,7 +422,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 # The state the pair fixes: the device holds the running
                 # task's target, the host is empty, the budgets are the
                 # config's.
-                before = CacheState(*budgets, table.target(mode, current))
+                before = CacheState(gpu_budget, cpu_budget, table.target(mode, current))
                 after, report = execute_switch(before, current, task, mode, table)
                 if after.cpu_lru is not before.cpu_lru:
                     raise SwitchSimError("switch changed the host cache")
@@ -408,11 +430,24 @@ def _replay(scenario: Scenario, mode: DeployMode,
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), _first_position(trace, pair)) from exc
             reports.append(report)
-        return _aggregate(mode, scenario, selections, tuple(reports), order)
+        return _aggregate(mode, scenario, selections, tuple(reports), order,
+                          scenario.switch_counts)
 
-    # full_method's ranked preload tier and protected set depend on the
-    # current task only; each is computed the first time it runs.
-    tiering: dict[str, tuple[tuple[int, ...], frozenset[int]]] = {}
+    # Running task -> (device target, ranked pre-load tier, protected set),
+    # what its computed steps read; built the first time it runs one.
+    contexts: dict[str, tuple[frozenset[int], tuple[int, ...], frozenset[int]]] = {}
+
+    def context(task: str) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:
+        tiers = assign_tiers(task, active, model)
+        useful = block_usefulness(task, model, active)
+        protected = tiers.runtime | tiers.preload
+        # Eviction reads recency alone, which is exact only while every
+        # useful block is protected.
+        if not useful.keys() <= protected:
+            raise SwitchSimError(f"usefulness for task {task!r} weights blocks "
+                                 "outside its runtime and pre-load tiers")
+        return table.target(mode, task), rank_preload(tiers, useful), protected
+
     # Distinct switch record -> its index in the report's ``records``.
     records: dict[SwitchReport, int] = {}
     order: list[int] = []
@@ -424,28 +459,21 @@ def _replay(scenario: Scenario, mode: DeployMode,
         key = (current, task, lru)
         step = steps.get(key)
         if step is None:
-            # The key fixes the state: the device holds the running task's
-            # target, and both budgets are the config's.
-            after = CacheState(*budgets, table.target(mode, current), lru)
             report = None
             try:
-                if current not in tiering:
-                    tiers = assign_tiers(current, active, model)
-                    useful = block_usefulness(current, model, active)
-                    protected = tiers.runtime | tiers.preload
-                    # Eviction reads recency alone, which is exact only
-                    # while every useful block is protected.
-                    if not useful.keys() <= protected:
-                        raise SwitchSimError(
-                            f"usefulness for task {current!r} weights blocks "
-                            "outside its runtime and pre-load tiers")
-                    tiering[current] = (rank_preload(tiers, useful), protected)
-                ranked, protected = tiering[current]
-                plan = plan_prefetch(ranked, protected, after, manifest)
+                ctx = contexts.get(current)
+                if ctx is None:
+                    ctx = contexts[current] = context(current)
+                target, ranked, protected = ctx
+                if state is None:
+                    # A memo hit left only ``lru``. The key fixes the state:
+                    # the device holds the running task's target, and both
+                    # budgets are the config's.
+                    state = CacheState(gpu_budget, cpu_budget, target, lru)
+                plan = plan_prefetch(ranked, protected, state, manifest)
                 after, staged, _moved = execute_prefetch(
-                    plan, after, config.compute_window_ms, table.disk_ms, manifest,
-                    protected=protected,
-                )
+                    plan, state, config.compute_window_ms, table.disk_ms, manifest,
+                    protected=protected)
                 staged_lru = after.cpu_lru
                 if task != current:
                     after, report = execute_switch(after, current, task, mode, table)
@@ -462,6 +490,10 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 raise ReplayError(str(exc), position=pos) from exc
             index = -1 if report is None else records.setdefault(report, len(records))
             step = steps[key] = (after.cpu_lru, index)
+            # The checked state the step left is the next miss's input.
+            state = after
+        else:
+            state = None
         lru, index = step
         if index >= 0:
             order.append(index)
@@ -565,7 +597,7 @@ def write_compare_csv(reports: Mapping[DeployMode, ReplayReport],
     pair_lat: dict[tuple[str, str], dict[DeployMode, list[tuple[float, int]]]] = {}
     for mode in ordered_modes:
         report = reports[mode]
-        for i, count in Counter(report.order).items():
+        for i, count in report.counts.items():
             s = report.records[i]
             pair = (s.from_task, s.to_task)
             rows = pair_lat.get(pair)

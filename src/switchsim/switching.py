@@ -8,10 +8,13 @@ After a successful switch the device holds exactly the incoming task's
 active set (runtime blocks only); in monolithic mode it holds the whole
 model. Dropping a device-resident block is free.
 
-A :class:`SwitchTable` holds what a replay's switches share: each task's
-active set, per-block link costs, the legs of every switch seen so far,
-and the full method's reports per host credit. Only the full method's
-host credit is computed per switch.
+A switch starts from the outgoing task's target: the device holds
+exactly what that task runs on, and :func:`execute_switch` refuses any
+other device set. So a switch's legs depend on the mode and the (from,
+to) task pair alone. A :class:`SwitchTable` holds what a replay's
+switches share: each task's active set, per-block link costs, the legs
+of every pair seen so far, and the full method's reports per host
+credit. Only the full method's host credit is computed per switch.
 """
 from __future__ import annotations
 
@@ -22,7 +25,8 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
-from .errors import ConfigError, as_float, check_keys, read_json, sum_left_to_right
+from .errors import (ConfigError, SwitchSimError, as_float, check_keys, read_json,
+                     sum_left_to_right)
 
 __all__ = [
     "DeployMode",
@@ -146,33 +150,40 @@ class Transfer(NamedTuple):
 
 
 class SwitchLeg(NamedTuple):
-    """What a switch moves for one (mode, incoming task, device set).
+    """What a switch moves for one (mode, outgoing task, incoming task).
 
-    ``disk`` is the disk leg with no host credit; the full method credits
-    blocks already in the host cache per call.
+    ``source`` is the device set the switch starts from, the outgoing
+    task's target. ``disk`` is the whole checkpoint's disk leg in the
+    monolithic-style modes; it is None in the split modes, whose disk leg
+    takes the blocks the host does not already hold and is computed per
+    report.
     """
 
+    source: frozenset[int]
     target: frozenset[int]
     target_bytes: int
     reused: int
     init_ms: float
     gpu: Transfer
-    disk: Transfer
+    disk: Transfer | None
 
 
 class SwitchTable:
     """Per-replay switch constants and memos of switch legs and reports.
 
     Built once from a replay's manifest, cost model and per-task active
-    sets. A leg depends on the mode, the incoming task and the device set
-    only, so each distinct one is computed once. A full-method report also
-    depends on the outgoing task and on the prestaged blocks, so it is
-    kept per (outgoing task, incoming task, device set, prestaged blocks);
-    two tasks may share an active set, so the incoming task is part of
-    the key. The other modes' reports are fixed by their leg, and a replay
-    computes each of them once per distinct (from, to) pair, so they are
-    not kept. Every millisecond sum walks the same sets in the same order as a
-    per-switch recomputation would.
+    sets. A switch starts from the outgoing task's target, so its leg
+    depends on the mode and the (from, to) task pair only, and each
+    distinct pair's leg is built once per mode; that first build also
+    checks that both tasks have an active set. A full-method report also
+    depends on the prestaged blocks, so it is kept per (outgoing task,
+    incoming task, prestaged blocks); two tasks may share an active set,
+    so both tasks are part of the key. The other modes' reports are fixed
+    by their leg, and a replay computes each of them once per distinct
+    (from, to) pair, so they are not kept. A monolithic-style reload does
+    not depend on the outgoing task, so its transfers are kept per (mode,
+    incoming task). Every millisecond sum walks the same sets in the same
+    order as a per-switch recomputation would.
     """
 
     def __init__(self, manifest: ModelManifest, cost: CostModel,
@@ -182,8 +193,12 @@ class SwitchTable:
         self.active = active
         self.disk_ms = tuple(cost.disk_ms(size) for size in manifest.block_sizes)
         self.gpu_ms = tuple(cost.gpu_ms(size) for size in manifest.block_sizes)
-        self._legs: dict[tuple[DeployMode, str, frozenset[int]], SwitchLeg] = {}
+        self._legs: dict[DeployMode, dict[tuple[str, str], SwitchLeg]] = {
+            mode: {} for mode in DeployMode}
         self._full_reports: dict[tuple, SwitchReport] = {}
+        # (mode, incoming task) -> a whole-checkpoint reload's (gpu, disk)
+        # transfers.
+        self._reloads: dict[tuple[DeployMode, str], tuple[Transfer, Transfer]] = {}
 
     def _transfer(self, blocks: frozenset[int], per_block_ms: tuple[float, ...]
                  ) -> Transfer:
@@ -200,29 +215,45 @@ class SwitchTable:
         return (self.manifest.all_blocks if mode is DeployMode.MONOLITHIC
                 else self.active[task])
 
-    def leg(self, mode: DeployMode, to_task: str, device: frozenset[int]) -> SwitchLeg:
-        """The memoized leg of a switch to ``to_task`` from device set ``device``."""
-        key = (mode, to_task, device)
-        leg = self._legs.get(key)
-        if leg is None:
-            target = self.target(mode, to_task)
-            if mode.is_split:
-                need = target - device
-                leg = SwitchLeg(target, self.manifest.bytes_of(target),
-                                len(target & device), 0.0,
-                                self._transfer(need, self.gpu_ms),
-                                self._disk_leg(need, frozenset()))
-            else:
-                whole = self._transfer(target, self.gpu_ms)
-                leg = SwitchLeg(target, whole.nbytes, 0, self.cost.monolithic_init_ms,
-                                whole, self._transfer(target, self.disk_ms))
-            self._legs[key] = leg
+    def _source(self, mode: DeployMode, from_task: str, to_task: str) -> frozenset[int]:
+        """The device set a switch from ``from_task`` to ``to_task`` starts
+        from; raises :class:`ConfigError` when either task has no active
+        set."""
+        if mode is not DeployMode.MONOLITHIC:
+            for task in (from_task, to_task):
+                if task not in self.active:
+                    raise ConfigError(f"no active set for task {task!r}")
+        return self.target(mode, from_task)
+
+    def _build_leg(self, mode: DeployMode, from_task: str, to_task: str,
+                   source: frozenset[int]) -> SwitchLeg:
+        """The leg of a switch from ``from_task``, whose target is
+        ``source``, to ``to_task``, kept in the mode's memo."""
+        target = self.target(mode, to_task)
+        if mode.is_split:
+            need = target - source
+            leg = SwitchLeg(source, target, self.manifest.bytes_of(target),
+                            len(target & source), 0.0, self._transfer(need, self.gpu_ms),
+                            None)
+        else:
+            reload = self._reloads.get((mode, to_task))
+            if reload is None:
+                reload = self._reloads[mode, to_task] = (
+                    self._transfer(target, self.gpu_ms), self._transfer(target, self.disk_ms))
+            gpu, disk = reload
+            leg = SwitchLeg(source, target, gpu.nbytes, 0, self.cost.monolithic_init_ms,
+                            gpu, disk)
+        self._legs[mode][from_task, to_task] = leg
         return leg
 
 
 def execute_switch(state: CacheState, from_task: str, to_task: str, mode: DeployMode,
                    table: SwitchTable) -> tuple[CacheState, SwitchReport]:
     """Run one task switch and account its cost.
+
+    The device must hold the outgoing task's target,
+    ``table.target(mode, from_task)``; any other device set raises
+    :class:`SwitchSimError` and leaves the table's memos unchanged.
 
     Mode semantics:
 
@@ -236,24 +267,29 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
     * ``full_method``: as split_only, but blocks already host-resident
       skip the disk leg.
     """
-    if mode is not DeployMode.MONOLITHIC:
-        for task in (from_task, to_task):
-            if task not in table.active:
-                raise ConfigError(f"no active set for task {task!r}")
-    leg = table.leg(mode, to_task, state.gpu_resident)
+    leg = table._legs[mode].get((from_task, to_task))
+    # A pair's first switch checks both active sets, then the device, and
+    # only then builds the leg, so a refused switch adds nothing to a memo.
+    source = table._source(mode, from_task, to_task) if leg is None else leg.source
+    device = state.gpu_resident
+    if device is not source and device != source:
+        raise SwitchSimError(f"the device does not hold task {from_task!r}'s target")
+    if leg is None:
+        leg = table._build_leg(mode, from_task, to_task, source)
     new_state = load_to_gpu(state, leg.target, leg.target_bytes)
     if mode is not DeployMode.FULL_METHOD:
-        return new_state, _report(from_task, to_task, mode, leg, leg.disk, frozenset())
+        disk = leg.disk or table._disk_leg(leg.gpu.blocks, frozenset())
+        return new_state, _report(from_task, to_task, mode, leg, disk, frozenset())
 
     prestaged = leg.gpu.blocks.intersection(state.cpu_lru)
     # One flat tuple, the credited ids sorted: a frozenset in the key would
     # be kept alive by the memo and take several times the memory.
-    key = (from_task, to_task, state.gpu_resident, *sorted(prestaged))
+    key = (from_task, to_task, *sorted(prestaged))
     report = table._full_reports.get(key)
     if report is None:
-        disk = table._disk_leg(leg.gpu.blocks, prestaged) if prestaged else leg.disk
-        report = table._full_reports[key] = _report(from_task, to_task, mode, leg,
-                                                     disk, prestaged)
+        report = table._full_reports[key] = _report(
+            from_task, to_task, mode, leg, table._disk_leg(leg.gpu.blocks, prestaged),
+            prestaged)
     return new_state, report
 
 

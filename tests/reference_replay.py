@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -117,6 +118,7 @@ def reference_aggregate(mode: DeployMode, scenario: Scenario,
                                  if switches else None),
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
         config_echo=scenario.config.echo(),
+        counts=Counter(order),
     )
 
 

@@ -217,15 +217,10 @@ class TestMemoMatchesReference:
 
     def test_each_distinct_step_prefetches_and_switches_once(self, tmp_path,
                                                              monkeypatch):
-        # A host-churn-shaped scenario: 64 blocks, a 12-block host, k=1 and
-        # a window for every plan, so the host order keeps changing and
-        # most steps miss the memo. Each distinct (current, next, host)
-        # key runs execute_prefetch once, and execute_switch once if it
-        # switches; a memo hit calls neither.
-        config = write_driving_scenario(
-            tmp_path, num_blocks=64, target_monolithic_ms=3000.0, max_remove=24,
-            correlation=0.3, trace_length=600, k=1, compute_window_ms=1000.0,
-            cpu_budget_blocks=12, mode="full_method")
+        # Each distinct (current, next, host) key runs execute_prefetch
+        # once, and execute_switch once if it switches; a memo hit calls
+        # neither.
+        config = host_churn_scenario(tmp_path)
         calls = {"execute_prefetch": 0, "execute_switch": 0}
 
         def counting(name):
@@ -250,6 +245,37 @@ class TestMemoMatchesReference:
         assert len(keys) < len(steps)  # the memo hits
         assert calls == {"execute_prefetch": len(keys),
                          "execute_switch": sum(k[0] != k[1] for k in keys)}
+
+    def test_each_replay_builds_one_leg_per_distinct_pair(self, tmp_path, monkeypatch):
+        # Legs are keyed on the (from, to) pair, not on the device set. In
+        # full_method too every pair is built, because a pair's first
+        # occurrence is a step key not seen before.
+        tables = {}
+
+        def recording(state, from_task, to_task, mode, table):
+            tables[mode] = table
+            return switch(state, from_task, to_task, mode, table)
+
+        switch = replay.execute_switch
+        monkeypatch.setattr(replay, "execute_switch", recording)
+        config = host_churn_scenario(tmp_path)
+        compare_modes(config)
+        pairs = replay.load_scenario(config).switch_pairs[0]
+        assert len(pairs) > 1 and set(tables) == set(DeployMode)
+        for mode, table in tables.items():
+            assert {m: len(legs) for m, legs in table._legs.items()} \
+                == {m: len(pairs) if m is mode else 0 for m in DeployMode}
+            assert set(table._legs[mode]) == set(pairs)
+
+
+def host_churn_scenario(root):
+    """The host-churn benchmark's shape on a 600-step trace: 64 blocks, a
+    12-block host, k=1 and a window for every plan, so the host order keeps
+    changing and most full_method steps miss the memo."""
+    return write_driving_scenario(
+        root, num_blocks=64, target_monolithic_ms=3000.0, max_remove=24,
+        correlation=0.3, trace_length=600, k=1, compute_window_ms=1000.0,
+        cpu_budget_blocks=12, mode="full_method")
 
 
 def host_free_scenario(trace, gpu_budget_bytes):
@@ -622,6 +648,47 @@ class TestStepInvariants:
         with pytest.raises(ReplayError) as err:
             run_replay(config)
         assert err.value.position == 3
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state._replace(
+            gpu_resident=state.gpu_resident - {min(state.gpu_resident)}),
+        lambda state: state._replace(gpu_resident=frozenset(range(16))),
+    ], ids=["device-drops-a-block", "device-holds-the-whole-model"])
+    def test_corrupt_switch_device_fails_at_its_position(self, tmp_path, monkeypatch,
+                                                         corrupt):
+        # Switch call 2 runs at position 3, as in the host case above.
+        config = small_scenario(tmp_path, trace=self.TRACE, window=0.0,
+                                cpu_budget_blocks=4)
+        calls = 0
+
+        def corrupting(*args):
+            nonlocal calls
+            state, report = switch(*args)
+            calls += 1
+            return (corrupt(state) if calls == 2 else state), report
+
+        switch = replay.execute_switch
+        monkeypatch.setattr(replay, "execute_switch", corrupting)
+        with pytest.raises(ReplayError, match="device does not hold") as err:
+            run_replay(config)
+        assert err.value.position == 3
+
+    @pytest.mark.parametrize("mode", DeployMode, ids=lambda m: m.value)
+    def test_switch_leaving_an_equal_device_copy_passes(self, monkeypatch, mode):
+        # The device is compared by identity first, then by value: a copy
+        # of the target passes the replay's check, and in full_method the
+        # next switch starts from it.
+        def copying(*args):
+            after, report = switch(*args)
+            return after._replace(gpu_resident=frozenset(sorted(after.gpu_resident))), \
+                report
+
+        switch = replay.execute_switch
+        monkeypatch.setattr(replay, "execute_switch", copying)
+        scenario, selections, model = host_free_scenario(
+            TestHostFreeModes.LOOP * 3 + ["b", "c", "a", "c", "b"], 100)
+        assert replay._replay(scenario, mode, selections, model) \
+            == reference_replay(scenario, mode, selections, model)
 
     def test_usefulness_outside_the_protected_tiers_fails_where_the_task_runs(
             self, tmp_path, monkeypatch):

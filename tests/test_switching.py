@@ -6,7 +6,7 @@ import random
 import pytest
 
 from switchsim.block_store import CacheState, ModelManifest
-from switchsim.errors import BudgetExceededError, ConfigError
+from switchsim.errors import BudgetExceededError, ConfigError, SwitchSimError
 from switchsim.switching import (CostModel, DeployMode, SwitchTable,
                                  calibrate_uniform_block_bytes, execute_switch)
 
@@ -29,6 +29,11 @@ def state_for(manifest: ModelManifest, gpu=(), cpu=()) -> CacheState:
         gpu_resident=frozenset(gpu),
         cpu_lru=tuple(cpu),
     )
+
+
+def on_target(table: SwitchTable, mode: DeployMode, task: str, cpu=()) -> CacheState:
+    """Roomy budgets, the device holding ``task``'s target in ``mode``."""
+    return state_for(table.manifest, gpu=table.target(mode, task), cpu=cpu)
 
 
 class TestDiffSet:
@@ -59,7 +64,8 @@ class TestExecuteSwitch:
         block = calibrate_uniform_block_bytes(1566.5, 32, COST)
         manifest = ModelManifest("m", (block,) * 32)
         actives = actives_for({"a": set(range(16)), "b": set(range(16, 32))})
-        _, report = execute_switch(state_for(manifest), "a", "b", DeployMode.MONOLITHIC,
+        state = state_for(manifest, gpu=range(32))
+        _, report = execute_switch(state, "a", "b", DeployMode.MONOLITHIC,
                                    SwitchTable(manifest, COST, actives))
         assert report.latency_ms == pytest.approx(1566.5, abs=1e-3)
         assert report.blocks_reused == 0
@@ -122,6 +128,29 @@ class TestExecuteSwitch:
             execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
                            SwitchTable(manifest, COST, actives))
 
+    def test_device_off_the_outgoing_target_is_refused(self):
+        # A refused switch builds no leg and no report, on a fresh pair and
+        # on one whose leg and full-method reports are memoized.
+        manifest = ModelManifest("m", (MB,) * 8)
+        actives = actives_for({"a": {0, 1, 2}, "b": {2, 3}})
+        table = SwitchTable(manifest, COST, actives)
+        memos = lambda: ({m: dict(legs) for m, legs in table._legs.items()},
+                         dict(table._full_reports), dict(table._reloads))
+        for warm in (False, True):
+            for mode in DeployMode:
+                if warm:
+                    execute_switch(on_target(table, mode, "a", cpu=(3,)), "a", "b", mode,
+                                   table)
+                before = memos()
+                for device in ({0, 1}, {0, 1, 2, 3}, set(), actives["b"]):
+                    if frozenset(device) == table.target(mode, "a"):
+                        continue
+                    state = state_for(manifest, gpu=device, cpu=(3,))
+                    with pytest.raises(SwitchSimError, match="does not hold task 'a'"):
+                        execute_switch(state, "a", "b", mode, table)
+                assert memos() == before
+                assert len(before[0][mode]) == warm
+
     def test_missing_skip_set_is_a_config_error(self):
         manifest = ModelManifest("m", (MB,) * 4)
         with pytest.raises(ConfigError):
@@ -131,9 +160,9 @@ class TestExecuteSwitch:
     def test_residency_after_switch_is_the_active_set(self):
         manifest = ModelManifest("m", (MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {2, 3}})
-        state = state_for(manifest, gpu=(0, 1, 2), cpu=(3,))
         table = SwitchTable(manifest, COST, actives)
         for mode in DeployMode:
+            state = on_target(table, mode, "a", cpu=(3,))
             new_state, _ = execute_switch(state, "a", "b", mode, table)
             active = actives["b"] if mode is not DeployMode.MONOLITHIC \
                 else manifest.all_blocks
@@ -169,30 +198,25 @@ class TestTableMatchesReference:
             # order of each millisecond sum, follows from this expression.
             active = {t: frozenset(range(n)) - s for t, s in skipped.items()}
             table = SwitchTable(manifest, cost, active)
-            gpu_budget = rng.choice([sum(manifest.block_sizes),
-                                     rng.randrange(1, sum(manifest.block_sizes) + 1)])
-            for _step in range(8):
+            total = sum(manifest.block_sizes)
+            gpu_budget = rng.choice([total, rng.randrange(1, total + 1)])
+            cases = []
+            for _step in range(4):
                 a, b = rng.sample(tasks, 2)
-                # Mostly a device set that is no task's active set.
-                device = active[a] if rng.random() < 0.3 \
-                    else frozenset(rng.sample(range(n), rng.randrange(0, n + 1)))
-                mode = rng.choice(list(DeployMode))
-                # Each switch runs twice from equal (not identical) device
-                # sets and different host caches: the second call reads the
-                # memoized leg and, in full_method, the report memo for its
-                # host credit.
-                for _repeat in range(2):
+                for mode in DeployMode:
+                    # An equal, not identical, copy of the outgoing task's
+                    # target.
+                    device = frozenset(sorted(table.target(mode, a)))
                     cpu = tuple(rng.sample(range(n), rng.randrange(0, n + 1)))
-                    state = CacheState(gpu_budget_bytes=gpu_budget,
-                                       cpu_budget_bytes=sum(manifest.block_sizes),
-                                       gpu_resident=frozenset(sorted(device)),
-                                       cpu_lru=cpu)
-                    args = (state, a, b, mode)
-                    assert self.outcome(execute_switch, *args, table) \
-                        == self.outcome(reference_switch, *args, skipped, cost, manifest)
-                leg = table.leg(mode, b, device)
-                assert table.leg(mode, b, frozenset(device)) is leg
-
+                    cases.append((CacheState(gpu_budget, total, device, cpu), a, b, mode))
+            # The second pass runs every switch again on the warm table: it
+            # reads the pair's leg and, in full_method, the report memo for
+            # its host credit.
+            for _pass in range(2):
+                for state, a, b, mode in cases:
+                    assert self.outcome(execute_switch, state, a, b, mode, table) \
+                        == self.outcome(reference_switch, state, a, b, mode, skipped,
+                                        cost, manifest)
 
     def test_warm_table_reports_equal_the_reference(self):
         # b and c share an active set: a report memo keyed without the
@@ -209,12 +233,13 @@ class TestTableMatchesReference:
         for _ in range(40):
             a, b = rng.sample(sorted(skipped), 2)
             cpu = tuple(rng.sample(range(n), rng.randrange(0, 4)))
-            cases.append((CacheState(total, total, active[a], cpu), a, b))
+            cases.append((a, b, cpu))
         first = {}
         # The second pass runs every switch again on the warm table.
         for _pass in range(2):
-            for state, a, b in cases:
+            for a, b, cpu in cases:
                 for mode in DeployMode:
+                    state = CacheState(total, total, table.target(mode, a), cpu)
                     result = execute_switch(state, a, b, mode, table)
                     assert result == reference_switch(state, a, b, mode, skipped, COST,
                                                       manifest)
@@ -238,7 +263,7 @@ class TestGpuUtilization:
     def test_full_residency_uniform_blocks(self):
         manifest = ModelManifest("m", (100 * MB,) * 32)
         actives = actives_for({"a": set(range(20)), "b": set(range(4, 24))})
-        _, report = execute_switch(state_for(manifest, gpu=tuple(range(20))), "a", "b",
+        _, report = execute_switch(state_for(manifest, gpu=range(32)), "a", "b",
                                    DeployMode.MONOLITHIC,
                                    SwitchTable(manifest, COST, actives))
         assert report.gpu_resident_bytes_after == 3200 * MB
@@ -246,10 +271,10 @@ class TestGpuUtilization:
     def test_sparse_mode_occupies_less_than_monolithic(self):
         manifest = ModelManifest("m", (100 * MB,) * 32)
         actives = actives_for({"a": set(range(20)), "b": set(range(4, 24))})
-        state = state_for(manifest, gpu=tuple(range(20)))
         table = SwitchTable(manifest, COST, actives)
-        _, mono = execute_switch(state, "a", "b", DeployMode.MONOLITHIC, table)
-        _, full = execute_switch(state, "a", "b", DeployMode.FULL_METHOD, table)
+        mono, full = (execute_switch(on_target(table, mode, "a"), "a", "b", mode,
+                                     table)[1]
+                      for mode in (DeployMode.MONOLITHIC, DeployMode.FULL_METHOD))
         assert full.gpu_resident_bytes_after == 2000 * MB
         assert full.gpu_resident_bytes_after < mono.gpu_resident_bytes_after
 
@@ -277,9 +302,9 @@ class TestAccountingIdentity:
             active_b = set(rng.sample(range(n), rng.randrange(1, n + 1)))
             actives = actives_for({"a": active_a, "b": active_b})
             cpu = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
-            state = state_for(manifest, gpu=tuple(sorted(active_a)), cpu=cpu)
             table = SwitchTable(manifest, COST, actives)
             for mode in DeployMode:
+                state = on_target(table, mode, "a", cpu=cpu)
                 _, report = execute_switch(state, "a", "b", mode, table)
                 assert report.latency_ms == pytest.approx(
                     self._recompute(report, COST))
@@ -357,7 +382,8 @@ class TestSummationOrder:
         # Python 3.12+ gives 1e16 + 2.
         cost = CostModel(disk_to_cpu_mbps=0.001, cpu_to_gpu_mbps=0.001)
         manifest = ModelManifest("m", (10 ** 16, 1, 1))
-        state = CacheState(gpu_budget_bytes=10 ** 17, cpu_budget_bytes=10 ** 17)
+        state = CacheState(gpu_budget_bytes=10 ** 17, cpu_budget_bytes=10 ** 17,
+                           gpu_resident=manifest.all_blocks)
         table = SwitchTable(manifest, cost, {})
         _, report = execute_switch(state, "a", "b", DeployMode.MONOLITHIC, table)
         assert report.latency_ms == 2e16
