@@ -1,11 +1,15 @@
 """Exception hierarchy shared by all switchsim modules, plus the file
 readers, number and key checks their file parsers share, and the float
-sum their cost and score totals share."""
+sums their cost, score and report totals share."""
 from __future__ import annotations
 
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
+
+# 2**-1074 is the smallest subnormal, so every finite float is a whole
+# number of these units.
+EXACT_SCALE = 1 << 1074
 
 
 def exact_int(value: object) -> int:
@@ -57,6 +61,25 @@ def sum_left_to_right(values: Sequence[float], indices: Iterable[int]) -> float:
     for i in indices:
         total += values[i]
     return total
+
+
+def exact_units(w: float) -> int:
+    """``w`` in units of 2**-1074, exactly."""
+    num, den = w.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def counted_fsum(counted: Iterable[tuple[float, int]]) -> float:
+    """The sum of ``count`` copies of each finite, non-negative ``value`` in
+    ``counted``'s (value, count) pairs: the float that ``math.fsum`` of the
+    expanded multiset gives.
+
+    The sum is kept as an int in units of 2**-1074, and int division
+    rounds it correctly (Shewchuk, 1997). So the work is per pair, not per
+    copy. A sum beyond the float range raises :class:`OverflowError`, as
+    ``fsum`` does.
+    """
+    return sum(count * exact_units(value) for value, count in counted) / EXACT_SCALE
 
 
 class SwitchSimError(Exception):

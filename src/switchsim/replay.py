@@ -55,13 +55,17 @@ this once per running task.
 
 A :class:`ReplayReport` holds each distinct switch record once, in order
 of first occurrence, plus the trace's switches as indices into them.
-Aggregation, ``emit_reports`` and ``write_compare_csv`` work per distinct
-record, with C-level passes over the index sequence. Each distinct index
-sequence is counted once per compare: a report carries its counts, and
-the host-free modes share ``Scenario.switch_counts``. The median walks
-the distinct latencies in sorted order, weighted by their counts.
+Aggregation and ``write_compare_csv`` work per distinct record, weighted
+by its count. Each distinct index sequence is counted once per compare:
+a report carries its counts, and the host-free modes share
+``Scenario.switch_counts``. Every mean is a count-weighted exact sum
+(``errors.counted_fsum``), which is the float ``math.fsum`` of every
+switch's value gives, divided by the number of switches. The median
+walks the distinct latencies in sorted order, weighted by their counts.
+The Jaccard matrix is built once per selection, so twice per compare.
 ``switches.jsonl`` is written as bytes: each distinct record is encoded
-once, and lines are joined in batches of 64, one write per batch.
+once, and lines are joined in batches of ``_LINES_PER_WRITE``, one write
+per batch.
 """
 from __future__ import annotations
 
@@ -72,14 +76,14 @@ from collections import Counter
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, compress, islice
 from operator import ne
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
 from .errors import (ConfigError, ReplayError, SwitchSimError, as_float, check_keys,
-                     exact_int)
+                     counted_fsum, exact_int)
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
 from .sparsity import (MetricOracle, SelectionResult, TaskSpec, build_all_tasks,
                        jaccard, load_table_oracles, load_task_specs)
@@ -297,20 +301,31 @@ class ReplayReport:
         return tuple(map(self.records.__getitem__, self.order))
 
 
+def _jaccard_matrix(ids: Sequence[str], selections: Mapping[str, SelectionResult]
+                    ) -> tuple[tuple[float, ...], ...]:
+    """Skip-set overlap between every two of ``ids``, in ``ids`` order.
+
+    ``|a & b| / |a | b|`` is symmetric bit for bit and 1.0 for ``a == b``,
+    so each off-diagonal cell is computed once and mirrored.
+    """
+    skips = [selections[tid].skipped for tid in ids]
+    rows = [[1.0] * len(skips) for _ in skips]
+    for i, a in enumerate(skips):
+        for j in range(i + 1, len(skips)):
+            rows[i][j] = rows[j][i] = jaccard(a, skips[j])
+    return tuple(map(tuple, rows))
+
+
 def _aggregate(mode: DeployMode, scenario: Scenario,
-               selections: Mapping[str, SelectionResult],
+               matrix: tuple[tuple[float, ...], ...],
                records: tuple[SwitchReport, ...],
                order: tuple[int, ...],
                counts: Mapping[int, int] | None = None) -> ReplayReport:
-    ids = scenario.task_ids
-    skips = {tid: selections[tid].skipped for tid in ids}
-    matrix = tuple(
-        tuple(jaccard(skips[a], skips[b]) for b in ids) for a in ids
-    )
-    # Integer totals are count x value per distinct record, which is exact;
-    # the means take one C-level pass over ``order``, and ``fsum(...) / n``
-    # is what ``statistics.fmean`` computes for a list. ``counts``, when
-    # given, is ``Counter(order)`` already taken.
+    # Every total and mean sums count x value per distinct record. Integer
+    # totals are exact, and ``counted_fsum(...) / n`` is the
+    # ``fsum(...) / n`` that ``statistics.fmean`` computes for the expanded
+    # list; ``fsum`` takes each int as its float, so the device sizes do
+    # too. ``counts``, when given, is ``Counter(order)`` already taken.
     if counts is None:
         counts = Counter(order)
 
@@ -318,22 +333,26 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
         return sum(c * getattr(records[i], field) for i, c in counts.items())
 
     n = len(order)
+
+    def mean(field: str) -> float | None:
+        return counted_fsum((float(getattr(records[i], field)), c)
+                            for i, c in counts.items()) / n if n else None
+
     latency = [r.latency_ms for r in records]
-    gpu = [r.gpu_resident_bytes_after for r in records]
     hits = total("blocks_prestaged")
     misses = total("blocks_fetched")
     return ReplayReport(
         mode=mode.value,
-        task_ids=ids,
+        task_ids=scenario.task_ids,
         records=records,
         order=order,
         jaccard_matrix=matrix,
-        mean_latency_ms=math.fsum(map(latency.__getitem__, order)) / n if n else None,
+        mean_latency_ms=mean("latency_ms"),
         median_latency_ms=_median(latency, counts, n) if n else None,
         max_latency_ms=max(latency[i] for i in counts) if n else None,
         total_bytes_disk_to_cpu=total("bytes_disk_to_cpu"),
         total_bytes_cpu_to_gpu=total("bytes_cpu_to_gpu"),
-        mean_gpu_resident_bytes=math.fsum(map(gpu.__getitem__, order)) / n if n else None,
+        mean_gpu_resident_bytes=mean("gpu_resident_bytes_after"),
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
         config_echo=scenario.config.echo(),
         counts=counts,
@@ -366,7 +385,12 @@ def _first_position(trace: Sequence[str], pair: tuple[str, str]) -> int:
 
 def _replay(scenario: Scenario, mode: DeployMode,
             selections: Mapping[str, SelectionResult],
-            model: TransitionModel) -> ReplayReport:
+            model: TransitionModel,
+            matrix: tuple[tuple[float, ...], ...] | None = None) -> ReplayReport:
+    """Replay the trace under ``mode``; ``matrix``, when given, is
+    ``selections``' Jaccard matrix already built."""
+    if matrix is None:
+        matrix = _jaccard_matrix(scenario.task_ids, selections)
     config = scenario.config
     manifest = scenario.manifest
     cost = scenario.cost
@@ -399,7 +423,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
 
     trace = scenario.trace
     if not trace:
-        return _aggregate(mode, scenario, selections, (), ())
+        return _aggregate(mode, scenario, matrix, (), ())
     first = trace[0]
     try:
         # Initial load of the first task; not counted as a switch.
@@ -430,7 +454,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), _first_position(trace, pair)) from exc
             reports.append(report)
-        return _aggregate(mode, scenario, selections, tuple(reports), order,
+        return _aggregate(mode, scenario, matrix, tuple(reports), order,
                           scenario.switch_counts)
 
     # Running task -> (device target, ranked pre-load tier, protected set),
@@ -498,7 +522,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
         if index >= 0:
             order.append(index)
             current = task
-    return _aggregate(mode, scenario, selections, tuple(records), tuple(order))
+    return _aggregate(mode, scenario, matrix, tuple(records), tuple(order))
 
 
 def run_replay(config: ScenarioConfig) -> ReplayReport:
@@ -517,20 +541,25 @@ def compare_modes(config: ScenarioConfig) -> dict[DeployMode, ReplayReport]:
     """Replay the same scenario under all four modes, identical inputs and seeds.
 
     Only the full method aligns skip sets; the three other modes share one
-    independent selection. The transition model is fitted once.
+    independent selection and its Jaccard matrix. The transition model is
+    fitted once.
     """
     scenario = load_scenario(config)
-    by_align = {align: build_all_tasks(scenario.tasks, scenario.oracles, align=align)
-                for align in (False, True)}
+    by_align = {}
+    for align in (False, True):
+        selections = build_all_tasks(scenario.tasks, scenario.oracles, align=align)
+        by_align[align] = selections, _jaccard_matrix(scenario.task_ids, selections)
     model = fit_transition_model(scenario.log, k=config.k,
                                  known_tasks=scenario.task_ids)
-    return {mode: _replay(scenario, mode, by_align[mode is DeployMode.FULL_METHOD],
-                          model)
-            for mode in DeployMode}
+    reports = {}
+    for mode in DeployMode:
+        selections, matrix = by_align[mode is DeployMode.FULL_METHOD]
+        reports[mode] = _replay(scenario, mode, selections, model, matrix)
+    return reports
 
 
 # switches.jsonl lines joined per write.
-_LINES_PER_WRITE = 64
+_LINES_PER_WRITE = 256
 
 
 def _fmt_ms(value: float) -> str:
@@ -582,8 +611,8 @@ def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
 
     echo_path = out / "config.echo.json"
     with open(echo_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.config_echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # One write: ``json.dump`` would write each token separately.
+        fh.write(json.dumps(report.config_echo, indent=2, sort_keys=True) + "\n")
     paths.append(echo_path)
     return paths
 
@@ -606,11 +635,9 @@ def write_compare_csv(reports: Mapping[DeployMode, ReplayReport],
             rows[mode].append((s.latency_ms, count))
 
     def mean_ms(rows: list[tuple[float, int]]) -> str:
-        # fsum is exactly rounded, so any order of the multiset gives the
-        # per-switch fmean.
+        # The exact sum is the per-switch fmean's fsum, in any order.
         n = sum(count for _, count in rows)
-        return _fmt_ms(math.fsum(chain.from_iterable(
-            repeat(lat, count) for lat, count in rows)) / n) if n else ""
+        return _fmt_ms(counted_fsum(rows) / n) if n else ""
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -31,8 +31,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import (ConfigError, OracleError, as_float, check_keys, exact_int,
-                     read_json, sum_left_to_right)
+from .errors import (EXACT_SCALE, ConfigError, OracleError, as_float, check_keys,
+                     exact_int, exact_units, read_json, sum_left_to_right)
 
 __all__ = [
     "TaskSpec",
@@ -134,9 +134,6 @@ class RemovalRanking:
 # a quotient that underflows into the subnormal range.
 _UNIT_ROUNDOFF = 2.0 ** -53
 _UNDERFLOW_FLOOR = 2.0 ** -1072
-# 2**-1074 is the smallest subnormal, so every finite float is a whole
-# number of these units.
-_EXACT_SCALE = 1 << 1074
 
 
 class AdditiveOracle(MetricOracle):
@@ -169,16 +166,10 @@ class AdditiveOracle(MetricOracle):
 
     @cached_property
     def _exact_total(self) -> int:
-        return sum(map(_exact_units, self.weights))
+        return sum(map(exact_units, self.weights))
 
     def removal_ranking(self, shared_pool: frozenset[int]) -> RemovalRanking:
         return _AdditiveRanking(self, shared_pool)
-
-
-def _exact_units(w: float) -> int:
-    """``w`` in units of 2**-1074, exactly."""
-    num, den = w.as_integer_ratio()
-    return num << (1075 - den.bit_length())
 
 
 class _AdditiveRanking(RemovalRanking):
@@ -203,12 +194,12 @@ class _AdditiveRanking(RemovalRanking):
         self._exact = oracle._exact_total
 
     def active_sum(self) -> float:
-        return self._exact / _EXACT_SCALE
+        return self._exact / EXACT_SCALE
 
     def remove(self, j: int) -> None:
         del self._ranked[j]
         self._pooled.pop(j, None)
-        self._exact -= _exact_units(self.oracle.weights[j])
+        self._exact -= exact_units(self.oracle.weights[j])
 
     def step(self, active: set[int]):
         """Both rankings of the active blocks, and the estimates and ``eps``

@@ -51,6 +51,12 @@ class DeployMode(str, Enum):
         return self in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD)
 
 
+# Aliases for the per-switch mode tests: on CPython 3.11 a member lookup on
+# the Enum class costs about ten times a global lookup.
+_MONOLITHIC = DeployMode.MONOLITHIC
+_FULL_METHOD = DeployMode.FULL_METHOD
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Link bandwidths plus fixed per-block and reinitialization costs.
@@ -180,10 +186,12 @@ class SwitchTable:
     incoming task, prestaged blocks); two tasks may share an active set,
     so both tasks are part of the key. The other modes' reports are fixed
     by their leg, and a replay computes each of them once per distinct
-    (from, to) pair, so they are not kept. A monolithic-style reload does
-    not depend on the outgoing task, so its transfers are kept per (mode,
-    incoming task). Every millisecond sum walks the same sets in the same
-    order as a per-switch recomputation would.
+    (from, to) pair, so they are not kept. A monolithic-style reload
+    depends on its target alone, so its transfers are kept per target set:
+    one in monolithic mode, one per distinct active set in sparse_no_split.
+    Every millisecond sum walks the same sets in the same order as a
+    per-switch recomputation would; equal active sets built by one
+    expression, as a replay builds them, iterate alike.
     """
 
     def __init__(self, manifest: ModelManifest, cost: CostModel,
@@ -196,9 +204,9 @@ class SwitchTable:
         self._legs: dict[DeployMode, dict[tuple[str, str], SwitchLeg]] = {
             mode: {} for mode in DeployMode}
         self._full_reports: dict[tuple, SwitchReport] = {}
-        # (mode, incoming task) -> a whole-checkpoint reload's (gpu, disk)
-        # transfers.
-        self._reloads: dict[tuple[DeployMode, str], tuple[Transfer, Transfer]] = {}
+        # Target set -> a whole-checkpoint reload's (gpu, disk) transfers.
+        # A frozenset caches its hash, so a lookup hashes each target once.
+        self._reloads: dict[frozenset[int], tuple[Transfer, Transfer]] = {}
 
     def _transfer(self, blocks: frozenset[int], per_block_ms: tuple[float, ...]
                  ) -> Transfer:
@@ -212,14 +220,13 @@ class SwitchTable:
     def target(self, mode: DeployMode, task: str) -> frozenset[int]:
         """What the device holds while ``task`` runs: the whole model in
         monolithic mode, the task's active set in every other mode."""
-        return (self.manifest.all_blocks if mode is DeployMode.MONOLITHIC
-                else self.active[task])
+        return self.manifest.all_blocks if mode is _MONOLITHIC else self.active[task]
 
     def _source(self, mode: DeployMode, from_task: str, to_task: str) -> frozenset[int]:
         """The device set a switch from ``from_task`` to ``to_task`` starts
         from; raises :class:`ConfigError` when either task has no active
         set."""
-        if mode is not DeployMode.MONOLITHIC:
+        if mode is not _MONOLITHIC:
             for task in (from_task, to_task):
                 if task not in self.active:
                     raise ConfigError(f"no active set for task {task!r}")
@@ -236,9 +243,9 @@ class SwitchTable:
                             len(target & source), 0.0, self._transfer(need, self.gpu_ms),
                             None)
         else:
-            reload = self._reloads.get((mode, to_task))
+            reload = self._reloads.get(target)
             if reload is None:
-                reload = self._reloads[mode, to_task] = (
+                reload = self._reloads[target] = (
                     self._transfer(target, self.gpu_ms), self._transfer(target, self.disk_ms))
             gpu, disk = reload
             leg = SwitchLeg(source, target, gpu.nbytes, 0, self.cost.monolithic_init_ms,
@@ -277,7 +284,7 @@ def execute_switch(state: CacheState, from_task: str, to_task: str, mode: Deploy
     if leg is None:
         leg = table._build_leg(mode, from_task, to_task, source)
     new_state = load_to_gpu(state, leg.target, leg.target_bytes)
-    if mode is not DeployMode.FULL_METHOD:
+    if mode is not _FULL_METHOD:
         disk = leg.disk or table._disk_leg(leg.gpu.blocks, frozenset())
         return new_state, _report(from_task, to_task, mode, leg, disk, frozenset())
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import statistics
 from pathlib import Path
 
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 from switchsim import replay
 from switchsim.block_store import ModelManifest
-from switchsim.errors import ConfigError, ReplayError
+from switchsim.errors import ConfigError, ReplayError, counted_fsum
 from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
                               run_replay, write_compare_csv)
-from switchsim.sparsity import SelectionResult, TaskSpec
+from switchsim.sparsity import SelectionResult, TaskSpec, jaccard
 from switchsim.switching import CostModel, DeployMode, SwitchReport
 from switchsim.transitions import fit_transition_model
 from switchsim.workloads import write_driving_scenario
@@ -246,10 +247,8 @@ class TestMemoMatchesReference:
         assert calls == {"execute_prefetch": len(keys),
                          "execute_switch": sum(k[0] != k[1] for k in keys)}
 
-    def test_each_replay_builds_one_leg_per_distinct_pair(self, tmp_path, monkeypatch):
-        # Legs are keyed on the (from, to) pair, not on the device set. In
-        # full_method too every pair is built, because a pair's first
-        # occurrence is a step key not seen before.
+    def switch_tables(self, monkeypatch):
+        """Each mode's ``SwitchTable``, recorded from its replay's switches."""
         tables = {}
 
         def recording(state, from_task, to_task, mode, table):
@@ -258,6 +257,13 @@ class TestMemoMatchesReference:
 
         switch = replay.execute_switch
         monkeypatch.setattr(replay, "execute_switch", recording)
+        return tables
+
+    def test_each_replay_builds_one_leg_per_distinct_pair(self, tmp_path, monkeypatch):
+        # Legs are keyed on the (from, to) pair, not on the device set. In
+        # full_method too every pair is built, because a pair's first
+        # occurrence is a step key not seen before.
+        tables = self.switch_tables(monkeypatch)
         config = host_churn_scenario(tmp_path)
         compare_modes(config)
         pairs = replay.load_scenario(config).switch_pairs[0]
@@ -266,6 +272,23 @@ class TestMemoMatchesReference:
             assert {m: len(legs) for m, legs in table._legs.items()} \
                 == {m: len(pairs) if m is mode else 0 for m in DeployMode}
             assert set(table._legs[mode]) == set(pairs)
+
+    def test_each_replay_keeps_one_reload_per_target_set(self, tmp_path, monkeypatch):
+        # A whole-checkpoint reload depends on its target alone: monolithic's
+        # five tasks share the whole model, and sparse_no_split keeps one
+        # reload per distinct incoming active set. The split modes reload
+        # nothing.
+        tables = self.switch_tables(monkeypatch)
+        config = host_churn_scenario(tmp_path)
+        compare_modes(config)
+        scenario = replay.load_scenario(config)
+        incoming = {to for _, to in scenario.switch_pairs[0]}
+        assert len(scenario.tasks) == len(incoming) == 5
+        sparse = tables[DeployMode.SPARSE_NO_SPLIT]
+        assert list(tables[DeployMode.MONOLITHIC]._reloads) == [scenario.manifest.all_blocks]
+        assert set(sparse._reloads) == {sparse.active[task] for task in incoming}
+        assert not tables[DeployMode.SPLIT_ONLY]._reloads
+        assert not tables[DeployMode.FULL_METHOD]._reloads
 
 
 def host_churn_scenario(root):
@@ -511,7 +534,7 @@ def aggregate_scenario():
     selections = {tid: SelectionResult(skipped=frozenset({i}), final_score=1.0,
                                        oracle_calls=1, removal_order=(i,))
                   for i, tid in enumerate(ids)}
-    return scenario, selections
+    return scenario, selections, replay._jaccard_matrix(ids, selections)
 
 
 class TestAggregateMatchesReference:
@@ -522,8 +545,8 @@ class TestAggregateMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_every_report_field(self, table):
         records, order = table
-        scenario, selections = aggregate_scenario()
-        fast = replay._aggregate(DeployMode.FULL_METHOD, scenario, selections,
+        scenario, selections, matrix = aggregate_scenario()
+        fast = replay._aggregate(DeployMode.FULL_METHOD, scenario, matrix,
                                  records, order)
         ref = reference_aggregate(DeployMode.FULL_METHOD, scenario, selections,
                                   [records[i] for i in order])
@@ -539,10 +562,10 @@ class TestAggregateMatchesReference:
     @given(st.lists(record_tables(), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_compare_csv_bytes(self, out, tables):
-        scenario, selections = aggregate_scenario()
+        scenario, selections, matrix = aggregate_scenario()
         fast, ref = {}, {}
         for mode, (records, order) in zip(DeployMode, tables):
-            fast[mode] = replay._aggregate(mode, scenario, selections, records, order)
+            fast[mode] = replay._aggregate(mode, scenario, matrix, records, order)
             ref[mode] = reference_aggregate(mode, scenario, selections,
                                             [records[i] for i in order])
         assert write_compare_csv(fast, out / "fast.csv").read_bytes() \
@@ -561,8 +584,8 @@ class TestAggregateMatchesReference:
         indices = st.integers(0, len(records) - 1)
         order = (tuple(range(len(records))) * 2 if data is None
                  else tuple(data.draw(st.lists(indices, min_size=1, max_size=41))))
-        scenario, selections = aggregate_scenario()
-        fast = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, selections,
+        scenario, _, matrix = aggregate_scenario()
+        fast = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, matrix,
                                  records, order)
         assert fast.median_latency_ms == statistics.median(
             records[i].latency_ms for i in order)
@@ -571,15 +594,59 @@ class TestAggregateMatchesReference:
         # Left to right, sum() drops every 1.0 added to 1e16; fsum keeps them.
         records = (SwitchReport("a", "b", "m", 1e16, 0, 0, 0, 0, 0, 0),
                    SwitchReport("b", "a", "m", 1.0, 0, 0, 0, 0, 0, 0))
-        scenario, selections = aggregate_scenario()
+        scenario, selections, matrix = aggregate_scenario()
         for order in ((0, 1, 1), (0, 1, 1, 1), ()):
-            fast = replay._aggregate(DeployMode.MONOLITHIC, scenario, selections,
+            fast = replay._aggregate(DeployMode.MONOLITHIC, scenario, matrix,
                                      records, order)
             ref = reference_aggregate(DeployMode.MONOLITHIC, scenario, selections,
                                       [records[i] for i in order])
             assert fast.mean_latency_ms == ref.mean_latency_ms
             assert fast.median_latency_ms == ref.median_latency_ms
         assert fast.mean_latency_ms is None and fast.switches == ()
+
+    @given(st.lists(st.frozensets(st.integers(0, 7), max_size=8), min_size=1, max_size=6))
+    @example([frozenset(), frozenset()])
+    @example([frozenset(), frozenset({1}), frozenset(range(8))])
+    @settings(max_examples=150, deadline=None)
+    def test_jaccard_matrix_equals_every_cell_computed(self, skips):
+        # Equal and empty skip sets included: each mirrored cell and the
+        # diagonal equal the per-cell ``jaccard``.
+        ids = tuple(f"t{i}" for i in range(len(skips)))
+        selections = {tid: SelectionResult(skipped=skip, final_score=1.0,
+                                           oracle_calls=1, removal_order=tuple(skip))
+                      for tid, skip in zip(ids, skips)}
+        assert replay._jaccard_matrix(ids, selections) \
+            == tuple(tuple(jaccard(a, b) for b in skips) for a in skips)
+
+
+class TestCountedFsum:
+    """``counted_fsum`` is ``math.fsum`` of the expanded multiset."""
+
+    # Mixes that naive addition rounds differently, subnormals, and values
+    # whose doubled sum overflows. ``abs`` drops -0.0, which no report holds.
+    VALUES = (st.sampled_from([1e16, 1.0, 0.1, 1 / 3, 5e-324, 1e-310, 1.7e308, 9e307])
+              | st.floats(0.0, allow_nan=False, allow_infinity=False).map(abs))
+
+    @given(st.lists(st.tuples(VALUES, st.integers(0, 50)), max_size=8))
+    @example([(1e16, 1), (1.0, 3)])
+    @example([(5e-324, 3), (1e-310, 2)])
+    @example([(1.7e308, 2)])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_of_the_expanded_values(self, counted):
+        expanded = [value for value, count in counted for _ in range(count)]
+        try:
+            expected = math.fsum(expanded)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                counted_fsum(counted)
+            return
+        assert counted_fsum(counted) == expected
+
+    def test_sum_beyond_the_float_range_raises_as_fsum_does(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1.7e308] * 2)
+        with pytest.raises(OverflowError):
+            counted_fsum([(1.7e308, 2)])
 
 
 class TestStepInvariants:
@@ -767,6 +834,10 @@ class TestCompareModes:
         assert mean_j(full) > mean_j(split)
 
 
+# switches.jsonl lines per write.
+BATCH = replay._LINES_PER_WRITE
+
+
 class TestEmitReports:
     def test_five_tasks_give_a_6x6_jaccard_csv(self, tmp_path):
         report = run_replay(small_scenario(tmp_path))
@@ -793,17 +864,19 @@ class TestEmitReports:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize(
+        "n", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1],
+        ids=["0", "1", "B-1", "B", "B+1", "2B+1"])
     def test_batched_switches_match_per_line_writer(self, tmp_path, n):
-        # Batches of 64 lines: empty, short, one short of a batch, one batch,
+        # Batches of B lines: empty, short, one short of a batch, one batch,
         # one past it, and two batches and one line. Task ids outside ASCII
         # check that the bytes are JSON's escaped text.
         records = (SwitchReport("Car", "Ampel-\u00e4", "m", 1.0005, 1, 2, 3, 4, 5, 6),
                    SwitchReport("Ampel-\u00e4", "Car", "m", 2.25, 0, 0, 0, 0, 0, 0),
                    SwitchReport("Car", "Person", "m", 1e16 / 3, 7, 8, 9, 1, 2, 3))
         order = tuple((i * i) % 3 for i in range(n))
-        scenario, selections = aggregate_scenario()
-        report = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, selections,
+        scenario, _, matrix = aggregate_scenario()
+        report = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, matrix,
                                    records, order)
         emit_reports(report, tmp_path)
         written = (tmp_path / "switches.jsonl").read_bytes()

@@ -246,6 +246,9 @@ class TestTableMatchesReference:
                     first.setdefault((state, a, b, mode), result[1])
                     if mode is DeployMode.FULL_METHOD:
                         assert result[1] is first[state, a, b, mode]
+        # Reloads are kept per target: the whole model, a's active set, and
+        # the one b and c share.
+        assert set(table._reloads) == {manifest.all_blocks, active["a"], active["b"]}
 
 
 class TestGpuUtilization:
