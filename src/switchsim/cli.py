@@ -3,15 +3,23 @@
 Exit codes: 0 on success, 2 for configuration problems and for output
 paths that cannot be written (the message names the path), 3 for
 selection or oracle failures, 4 for replay-time failures.
+
+:func:`main` builds the argument parser once per process, on its first
+call, and reuses it, since building it costs many times what parsing
+with it does. Parsing leaves the parser as it was: no action appends to
+or extends a value and no default is mutable. So a caller that runs
+many commands in one process gets what separate processes would.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ManifestError, OracleError, SwitchSimError, read_json
+from .errors import (ConfigError, ManifestError, OracleError, SwitchSimError, read_json,
+                     write_text)
 from .block_store import ModelManifest
 from .replay import (ScenarioConfig, build_oracles, compare_modes, emit_reports,
                      run_replay, write_compare_csv)
@@ -30,7 +38,7 @@ def _write_json(doc, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
 
 
 def _oracle_flags(args: argparse.Namespace) -> dict:
@@ -169,9 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ManifestError) as exc:

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all switchsim modules, plus the file
-readers, number and key checks their file parsers share, and the float
-sums their cost, score and report totals share."""
+readers, number and key checks their file parsers share, the file writer
+their reports share, and the float sums their cost, score and report
+totals share."""
 from __future__ import annotations
 
 import json
@@ -153,3 +154,13 @@ def read_json(path: Path | str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def write_text(path: Path | str, text: str) -> None:
+    """Write ``text`` to ``path`` as its UTF-8 bytes: one binary open and
+    one write, with no newline translation on any platform.
+
+    An :class:`OSError` propagates, naming the path.
+    """
+    with open(path, "wb") as fh:
+        fh.write(text.encode())

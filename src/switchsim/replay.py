@@ -63,13 +63,18 @@ a report carries its counts, and the host-free modes share
 switch's value gives, divided by the number of switches. The median
 walks the distinct latencies in sorted order, weighted by their counts.
 The Jaccard matrix is built once per selection, so twice per compare.
-``switches.jsonl`` is written as bytes: each distinct record is encoded
-once, and lines are joined in batches of ``_LINES_PER_WRITE``, one write
-per batch.
+Every report file is opened once, in binary mode, and gets its UTF-8
+bytes. ``summary.csv``, ``jaccard.csv``, ``compare.csv`` and
+``config.echo.json`` are formatted in memory and written with one write
+each (``errors.write_text``). ``switches.jsonl`` is written in batches:
+each distinct record is encoded once, and each batch of
+``_LINES_PER_WRITE`` lines is gathered by one ``operator.itemgetter``
+call and written with one write, so memory is bounded by a batch.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import Counter
@@ -77,13 +82,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, islice
-from operator import ne
+from operator import itemgetter, ne
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
 from .errors import (ConfigError, ReplayError, SwitchSimError, as_float, check_keys,
-                     counted_fsum, exact_int)
+                     counted_fsum, exact_int, write_text)
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
 from .sparsity import (MetricOracle, SelectionResult, TaskSpec, build_all_tasks,
                        jaccard, load_table_oracles, load_task_specs)
@@ -566,11 +571,16 @@ def _fmt_ms(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _csv_text(rows: Iterable[Sequence[object]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
     """Write switches.jsonl, summary.csv, jaccard.csv, and config.echo.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
 
     switches_path = out / "switches.jsonl"
     # One encoded line per distinct record, joined in fixed batches: one
@@ -580,41 +590,33 @@ def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
     order = report.order
     with open(switches_path, "wb") as fh:
         for start in range(0, len(order), _LINES_PER_WRITE):
-            fh.write(b"".join(map(lines.__getitem__,
-                                  order[start:start + _LINES_PER_WRITE])))
-    paths.append(switches_path)
+            chunk = order[start:start + _LINES_PER_WRITE]
+            # itemgetter of one index returns the item, not a 1-tuple.
+            got = itemgetter(*chunk)(lines)
+            fh.write(b"".join(got) if len(chunk) > 1 else got)
 
+    summary: list[list[object]] = [["metric", "value"], ["mode", report.mode],
+                                   ["num_switches", len(report.order)]]
+    if report.order:
+        summary += [["mean_latency_ms", _fmt_ms(report.mean_latency_ms)],
+                    ["median_latency_ms", _fmt_ms(report.median_latency_ms)],
+                    ["max_latency_ms", _fmt_ms(report.max_latency_ms)],
+                    ["mean_gpu_resident_bytes", _fmt_ms(report.mean_gpu_resident_bytes)]]
+    summary += [["total_bytes_disk_to_cpu", report.total_bytes_disk_to_cpu],
+                ["total_bytes_cpu_to_gpu", report.total_bytes_cpu_to_gpu],
+                ["prestage_hit_rate", f"{report.prestage_hit_rate:.6f}"]]
     summary_path = out / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        writer.writerow(["mode", report.mode])
-        writer.writerow(["num_switches", len(report.order)])
-        if report.order:
-            writer.writerow(["mean_latency_ms", _fmt_ms(report.mean_latency_ms)])
-            writer.writerow(["median_latency_ms", _fmt_ms(report.median_latency_ms)])
-            writer.writerow(["max_latency_ms", _fmt_ms(report.max_latency_ms)])
-            writer.writerow(["mean_gpu_resident_bytes",
-                             _fmt_ms(report.mean_gpu_resident_bytes)])
-        writer.writerow(["total_bytes_disk_to_cpu", report.total_bytes_disk_to_cpu])
-        writer.writerow(["total_bytes_cpu_to_gpu", report.total_bytes_cpu_to_gpu])
-        writer.writerow(["prestage_hit_rate", f"{report.prestage_hit_rate:.6f}"])
-    paths.append(summary_path)
+    write_text(summary_path, _csv_text(summary))
 
+    jaccard = [["task_id", *report.task_ids]]
+    jaccard += ([tid, *(f"{v:.6f}" for v in row)]
+                for tid, row in zip(report.task_ids, report.jaccard_matrix))
     jaccard_path = out / "jaccard.csv"
-    with open(jaccard_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task_id", *report.task_ids])
-        for tid, row in zip(report.task_ids, report.jaccard_matrix):
-            writer.writerow([tid, *(f"{v:.6f}" for v in row)])
-    paths.append(jaccard_path)
+    write_text(jaccard_path, _csv_text(jaccard))
 
     echo_path = out / "config.echo.json"
-    with open(echo_path, "w", encoding="utf-8", newline="\n") as fh:
-        # One write: ``json.dump`` would write each token separately.
-        fh.write(json.dumps(report.config_echo, indent=2, sort_keys=True) + "\n")
-    paths.append(echo_path)
-    return paths
+    write_text(echo_path, json.dumps(report.config_echo, indent=2, sort_keys=True) + "\n")
+    return [switches_path, summary_path, jaccard_path, echo_path]
 
 
 def write_compare_csv(reports: Mapping[DeployMode, ReplayReport],
@@ -639,20 +641,18 @@ def write_compare_csv(reports: Mapping[DeployMode, ReplayReport],
         n = sum(count for _, count in rows)
         return _fmt_ms(counted_fsum(rows) / n) if n else ""
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["from_task", "to_task", "count",
-                         *(f"{m.value}_ms" for m in ordered_modes)])
-        for pair in sorted(pair_lat):
-            rows = pair_lat[pair]
-            count = sum(c for _, c in rows[ordered_modes[0]])
-            writer.writerow([pair[0], pair[1], count,
-                             *(mean_ms(rows[m]) for m in ordered_modes)])
-        totals = [
-            _fmt_ms(reports[m].mean_latency_ms)
-            if reports[m].mean_latency_ms is not None else ""
-            for m in ordered_modes
-        ]
-        writer.writerow(["ALL", "ALL",
-                         len(reports[ordered_modes[0]].order), *totals])
+    table: list[list[object]] = [["from_task", "to_task", "count",
+                                  *(f"{m.value}_ms" for m in ordered_modes)]]
+    for pair in sorted(pair_lat):
+        rows = pair_lat[pair]
+        count = sum(c for _, c in rows[ordered_modes[0]])
+        table.append([pair[0], pair[1], count,
+                      *(mean_ms(rows[m]) for m in ordered_modes)])
+    totals = [
+        _fmt_ms(reports[m].mean_latency_ms)
+        if reports[m].mean_latency_ms is not None else ""
+        for m in ordered_modes
+    ]
+    table.append(["ALL", "ALL", len(reports[ordered_modes[0]].order), *totals])
+    write_text(path, _csv_text(table))
     return path

@@ -9,6 +9,9 @@ leaves this loop alone.
 ``reference_aggregate``, ``reference_write_compare_csv`` and
 ``reference_write_switches`` walk every switch, where
 ``switchsim.replay`` works per distinct record.
+``reference_write_small_reports`` writes summary.csv, jaccard.csv and
+config.echo.json row by row through text-mode files, where
+``switchsim.replay`` formats each in memory and writes its bytes once.
 """
 from __future__ import annotations
 
@@ -164,3 +167,31 @@ def reference_write_switches(report: ReplayReport, path: Path | str) -> Path:
         for s in report.switches:
             fh.write(json.dumps(s.to_json()) + "\n")
     return path
+
+
+def reference_write_small_reports(report: ReplayReport, out: Path) -> None:
+    """summary.csv, jaccard.csv and config.echo.json under the directory
+    ``out``, each written row by row to a text-mode file."""
+    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["metric", "value"])
+        writer.writerow(["mode", report.mode])
+        writer.writerow(["num_switches", len(report.order)])
+        if report.order:
+            writer.writerow(["mean_latency_ms", _fmt_ms(report.mean_latency_ms)])
+            writer.writerow(["median_latency_ms", _fmt_ms(report.median_latency_ms)])
+            writer.writerow(["max_latency_ms", _fmt_ms(report.max_latency_ms)])
+            writer.writerow(["mean_gpu_resident_bytes",
+                             _fmt_ms(report.mean_gpu_resident_bytes)])
+        writer.writerow(["total_bytes_disk_to_cpu", report.total_bytes_disk_to_cpu])
+        writer.writerow(["total_bytes_cpu_to_gpu", report.total_bytes_cpu_to_gpu])
+        writer.writerow(["prestage_hit_rate", f"{report.prestage_hit_rate:.6f}"])
+
+    with open(out / "jaccard.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["task_id", *report.task_ids])
+        for tid, row in zip(report.task_ids, report.jaccard_matrix):
+            writer.writerow([tid, *(f"{v:.6f}" for v in row)])
+
+    with open(out / "config.echo.json", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(report.config_echo, indent=2, sort_keys=True) + "\n")

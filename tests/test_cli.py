@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import switchsim
+from switchsim import cli
 from switchsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_REPLAY, main
 from switchsim.switching import DeployMode
 from switchsim.synthetic import gen_markov_log
@@ -226,6 +227,42 @@ class TestCompareCommand:
         assert subdirs == ["full_method", "monolithic", "sparse_no_split",
                            "split_only"]
         assert (out / "compare.csv").is_file()
+
+
+class TestParserReuse:
+    def test_no_flag_or_default_carries_to_the_next_call(self, driving_dir, tmp_path,
+                                                         capsys, monkeypatch):
+        # main() reuses one parser per process. Each call after a flag was
+        # given must read as it does on a parser built for that call alone.
+        tasks = str(write_tasks(tmp_path / "tasks.json", ids=("a", "b", "c")))
+        config = str(driving_dir / "config.json")
+        select = ["select", "--tasks", tasks, "--num-blocks", "32", "--seed", "3",
+                  "--correlation", "0.6"]
+        calls = [[*select, "--independent"], select,
+                 ["replay", "--config", config, "--mode", "split_only"],
+                 ["replay", "--config", config],
+                 ["compare", "--config", config]]
+
+        def outputs(root: Path) -> dict[str, bytes]:
+            root.mkdir()
+            got = {}
+            for i, argv in enumerate(calls):
+                out = ["--out", str(root / f"{i}.json")] if argv[0] == "select" \
+                    else ["--out-dir", str(root / str(i))]
+                assert main([*argv, *out]) == EXIT_OK
+                got[f"{i}/stdout"] = capsys.readouterr().out.replace(
+                    str(root), "<root>").encode()
+            for path in sorted(root.rglob("*")):
+                if path.is_file():
+                    got[path.relative_to(root).as_posix()] = path.read_bytes()
+            return got
+
+        reused = outputs(tmp_path / "reused")
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert outputs(tmp_path / "fresh") == reused
+        # Each flag changes its output, so a flag that carried over would show.
+        assert reused["0.json"] != reused["1.json"]
+        assert reused["2/summary.csv"] != reused["3/summary.csv"]
 
 
 class TestUnwritableOutput:

@@ -23,7 +23,8 @@ from switchsim.transitions import fit_transition_model
 from switchsim.workloads import write_driving_scenario
 
 from reference_replay import (reference_aggregate, reference_replay,
-                              reference_write_compare_csv, reference_write_switches)
+                              reference_write_compare_csv, reference_write_small_reports,
+                              reference_write_switches)
 
 ROUTE = ["Car", "TrafficLight", "Car", "Obstacle", "Person"]
 
@@ -504,7 +505,9 @@ class TestMetamorphicRelations:
 # 1e16 + 1.0 + 1.0 or 0.1 + 0.2 + 0.3.
 LATENCIES = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.675, 1e16, 1 / 3]),
                       st.floats(0.0, 1e4))
-TASK = st.sampled_from(["a", "b", "c"])
+# Task ids that CSV must quote, and one outside ASCII.
+ODD_IDS = ('say "hi"', "Ampel-\u00e4")
+TASK = st.sampled_from(["a", "b", "c", *ODD_IDS])
 COUNT = st.integers(0, 50)
 RECORD = st.builds(SwitchReport, from_task=TASK, to_task=TASK, mode=st.just("m"),
                    latency_ms=LATENCIES, bytes_disk_to_cpu=st.integers(0, 10**12),
@@ -521,8 +524,7 @@ def record_tables(draw):
     return records, order
 
 
-def aggregate_scenario():
-    ids = ("a", "b", "c")
+def aggregate_scenario(ids=("a", "b", "c")):
     config = ScenarioConfig(
         manifest_path=Path("manifest.json"), tasks_path=Path("tasks.json"),
         oracle={}, log_path=Path("log.txt"), trace_path=Path("trace.txt"),
@@ -560,6 +562,9 @@ class TestAggregateMatchesReference:
         return tmp_path_factory.mktemp("compare")
 
     @given(st.lists(record_tables(), min_size=4, max_size=4))
+    @example(tables=[((SwitchReport(ODD_IDS[0], ODD_IDS[1], "m", 1.5, 0, 0, 0, 0, 0, 0),
+                       SwitchReport(ODD_IDS[1], "a", "m", 2.25, 0, 0, 0, 0, 0, 0)),
+                      (0, 1, 0))] * 4)
     @settings(max_examples=50, deadline=None)
     def test_compare_csv_bytes(self, out, tables):
         scenario, selections, matrix = aggregate_scenario()
@@ -883,6 +888,27 @@ class TestEmitReports:
         assert written == reference_write_switches(report, tmp_path / "ref.jsonl"
                                                    ).read_bytes()
         assert written.count(b"\n") == n
+
+    @pytest.mark.parametrize("case", ["replay", "zero-switches", "odd-ids"])
+    def test_small_reports_match_text_mode_writers(self, tmp_path, case):
+        if case == "odd-ids":
+            ids = (*ODD_IDS, "Car")
+            records = (SwitchReport(ids[0], ids[1], "m", 1.0005, 1, 2, 3, 4, 5, 6),
+                       SwitchReport(ids[1], ids[2], "m", 2.25, 0, 0, 0, 0, 0, 0))
+            scenario, _, matrix = aggregate_scenario(ids)
+            report = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, matrix,
+                                       records, (0, 1, 0))
+            report = dataclasses.replace(report, config_echo={
+                **report.config_echo, "manifest": "Ampel-\u00e4/manifest.json"})
+        else:
+            trace = ["Car", "Car"] if case == "zero-switches" else None
+            report = run_replay(small_scenario(tmp_path, trace=trace, window=30.0))
+        emit_reports(report, tmp_path / "fast")
+        (tmp_path / "ref").mkdir()
+        reference_write_small_reports(report, tmp_path / "ref")
+        for name in ("summary.csv", "jaccard.csv", "config.echo.json"):
+            assert (tmp_path / "fast" / name).read_bytes() \
+                == (tmp_path / "ref" / name).read_bytes()
 
     def test_summary_recomputable_from_switch_stream(self, tmp_path):
         config = small_scenario(tmp_path, window=30.0)
