@@ -6,7 +6,9 @@ sets (aligned for the full method, independent for the baseline-style
 modes), estimates transition statistics, then replays the trace's task
 changes: each executes a switch, and in full_method each step also
 grants a prefetch window. All randomness is seeded through the config,
-so identical configs produce byte-identical reports.
+so identical configs produce byte-identical reports. Loading maps every
+trace and log entry onto its task spec's own id string, so each task id
+is one object however often the trace names it.
 
 Only full_method stages blocks ahead of a switch. The three other modes
 (monolithic, sparse_no_split, split_only) never touch the host cache, so
@@ -25,20 +27,23 @@ step is a pure function of (current task, next task,
 :class:`CacheState`): the prefetch plan, staging, eviction and switch
 read nothing else, and everything else they read (manifest, cost model,
 active sets, transition model, window) is fixed for the replay. The
-host cache is its recency order ``cpu_lru`` alone, and the step memo
-keys on (current task, next task, ``cpu_lru``), a tuple of strings and
-ints that hashes without calling back into Python. That key fixes the
-whole state, because every state the replay steps from has been
-checked: the device holds ``table.target(mode, current)`` and both
-budgets equal the config's. The replay computes each distinct key once,
-checks the state the step leaves, and stores (next ``cpu_lru``, record
-index or -1). The loop carries (current task, ``cpu_lru``) and the
-checked state the last computed step left, which is the next computed
-step's input; only a computed step that follows a memo hit builds its
-state, from the key. Each running task gets one context, built the
-first time it runs a computed step: its device target, its ranked
-pre-load tier and its protected set. A step that raises stores nothing,
-so an error surfaces at the trace position where its key first occurs.
+host cache is its recency order ``cpu_lru`` alone, and (current task,
+next task, ``cpu_lru``) fixes the whole state, because every state the
+replay steps from has been checked: the device holds
+``table.target(mode, current)`` and both budgets equal the config's. The
+step memo is one dict per (current task, next task) pair, made on the
+pair's first lookup and keyed by ``cpu_lru``, a tuple of ints that hashes
+without calling back into Python; the loop keeps the current task's pairs
+at hand, so a step builds no key tuple. The replay computes each distinct
+state once, checks the state the step leaves, and stores (next
+``cpu_lru``, record index or -1). The loop carries (current task,
+``cpu_lru``) and the checked state the last computed step left, which is
+the next computed step's input; only a computed step that follows a memo
+hit builds its state, from the running task and ``cpu_lru``. Each running
+task gets one context, built the first time it runs a computed step: its
+device target, its ranked pre-load tier and its protected set. A step
+that raises stores nothing, so an error surfaces at the trace position
+where its state first occurs.
 A switch moves blocks through the host without changing it, so the
 order a switch returns must be the very object the prefetch left. The
 check compares the device with the running task's target, by identity
@@ -66,18 +71,18 @@ The Jaccard matrix is built once per selection, so twice per compare.
 Every report file is opened once, in binary mode, and gets its UTF-8
 bytes. ``summary.csv``, ``jaccard.csv``, ``compare.csv`` and
 ``config.echo.json`` are formatted in memory and written with one write
-each (``errors.write_text``). ``switches.jsonl`` is written in batches:
+each (``errors.write_text``). The CSVs are formatted by ``_csv_text``,
+which quotes as ``csv.writer(lineterminator="\\n")`` does without the
+writer's 128 KiB buffer. ``switches.jsonl`` is written in batches:
 each distinct record is encoded once, and each batch of
 ``_LINES_PER_WRITE`` lines is gathered by one ``operator.itemgetter``
 call and written with one write, so memory is bounded by a batch.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -259,18 +264,26 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
     manifest = ModelManifest.load(config.manifest_path)
     tasks = tuple(load_task_specs(config.tasks_path))
     cost = CostModel.load(config.cost_model_path)
-    log = tuple(load_task_log(config.log_path))
-    trace = tuple(load_task_log(config.trace_path))
+    # Each log and trace entry becomes its task spec's own id string, so a
+    # task id is one object however often it occurs; the mapping runs in C.
+    # A log id no task has stays as read, for ``fit_transition_model`` to
+    # refuse with its position.
+    ids = {t.task_id: t.task_id for t in tasks}
+    log = load_task_log(config.log_path)
+    log = tuple(map(ids.get, log, log))
+    trace = load_task_log(config.trace_path)
     largest = max(manifest.block_sizes)
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
         raise ConfigError(
             f"budgets must admit the largest block ({largest} bytes)")
     oracles = build_oracles(config.oracle, manifest.num_blocks, tasks)
-    known = {t.task_id for t in tasks}
-    if not known.issuperset(trace):
+    try:
+        trace = tuple(map(ids.__getitem__, trace))
+    except KeyError:
         pos, task = next((pos, task) for pos, task in enumerate(trace)
-                         if task not in known)
-        raise ReplayError(f"trace task {task!r} is not a scenario task", position=pos)
+                         if task not in ids)
+        raise ReplayError(f"trace task {task!r} is not a scenario task",
+                          position=pos) from None
     return Scenario(config=config, manifest=manifest, tasks=tasks, oracles=oracles,
                     log=log, trace=trace, cost=cost)
 
@@ -481,12 +494,15 @@ def _replay(scenario: Scenario, mode: DeployMode,
     records: dict[SwitchReport, int] = {}
     order: list[int] = []
     current, lru = first, state.cpu_lru
-    # (current task, next task, cpu_lru) -> (next cpu_lru, record index or -1).
-    steps: dict[tuple[str, str, tuple[int, ...]], tuple[tuple[int, ...], int]] = {}
+    # current task -> next task -> cpu_lru -> (next cpu_lru, record index or
+    # -1). A pair's dict is made on its first lookup, and ``row`` is the
+    # current task's, so a step builds no key tuple.
+    steps = defaultdict(lambda: defaultdict(dict))
+    row = steps[current]
     for pos in range(1, len(trace)):
         task = trace[pos]
-        key = (current, task, lru)
-        step = steps.get(key)
+        memo = row[task]
+        step = memo.get(lru)
         if step is None:
             report = None
             try:
@@ -495,9 +511,10 @@ def _replay(scenario: Scenario, mode: DeployMode,
                     ctx = contexts[current] = context(current)
                 target, ranked, protected = ctx
                 if state is None:
-                    # A memo hit left only ``lru``. The key fixes the state:
-                    # the device holds the running task's target, and both
-                    # budgets are the config's.
+                    # A memo hit left only ``lru``. (current task, next
+                    # task, ``lru``) fixes the state: the device holds the
+                    # running task's target, and both budgets are the
+                    # config's.
                     state = CacheState(gpu_budget, cpu_budget, target, lru)
                 plan = plan_prefetch(ranked, protected, state, manifest)
                 after, staged, _moved = execute_prefetch(
@@ -518,7 +535,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), position=pos) from exc
             index = -1 if report is None else records.setdefault(report, len(records))
-            step = steps[key] = (after.cpu_lru, index)
+            step = memo[lru] = (after.cpu_lru, index)
             # The checked state the step left is the next miss's input.
             state = after
         else:
@@ -527,6 +544,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
         if index >= 0:
             order.append(index)
             current = task
+            row = steps[task]
     return _aggregate(mode, scenario, matrix, tuple(records), tuple(order))
 
 
@@ -571,10 +589,31 @@ def _fmt_ms(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _csv_field(value: object) -> str:
+    text = str(value)
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or "\r" in text:
+        return '"' + text + '"'
+    return text
+
+
 def _csv_text(rows: Iterable[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    r"""The rows as ``csv.writer(lineterminator="\n")`` writes them.
+
+    Fields are strings, ints and floats, as ``str`` gives them. A field
+    with a quote, a comma or a line break is quoted and its quotes doubled,
+    and a row of one empty field is ``""``. A ``\r`` is quoted as CPython
+    3.13's writer quotes it (3.10-3.12 leave it bare); no task id holds
+    one. The C writer allocates a 32,768-character buffer (128 KiB) on its
+    first row, where a report's rows need a few hundred bytes.
+    """
+    lines = []
+    for row in rows:
+        line = ",".join(map(_csv_field, row))
+        lines.append(line if line or len(row) != 1 else '""')
+    lines.append("")
+    return "\n".join(lines)
 
 
 def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:

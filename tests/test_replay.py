@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
+import io
 import json
 import math
 import statistics
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from switchsim import replay
 from switchsim.block_store import ModelManifest
-from switchsim.errors import ConfigError, ReplayError, counted_fsum
+from switchsim.errors import ConfigError, LogParseError, ReplayError, counted_fsum
 from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
                               run_replay, write_compare_csv)
 from switchsim.sparsity import SelectionResult, TaskSpec, jaccard
@@ -129,6 +132,58 @@ class TestRunReplay:
     def test_replay_is_deterministic(self, tmp_path):
         config = small_scenario(tmp_path, window=50.0)
         assert run_replay(config) == run_replay(config)
+
+
+def write_entries(path, entries, timestamps):
+    """A task log or trace: bare ids, or padded ``timestamp, task_id`` rows."""
+    rows = (f"{i}.5, {task}" if timestamps else task for i, task in enumerate(entries))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+class TestLoadScenario:
+    @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
+    def test_each_entry_is_its_task_specs_id(self, tmp_path, timestamps):
+        config = small_scenario(tmp_path)
+        for path in (config.log_path, config.trace_path):
+            write_entries(path, path.read_text(encoding="utf-8").split(), timestamps)
+        scenario = replay.load_scenario(config)
+        specs = {t.task_id: t for t in scenario.tasks}
+        assert scenario.trace and scenario.log
+        for entries in (scenario.trace, scenario.log):
+            assert all(task is specs[task].task_id for task in entries)
+
+    @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
+    def test_unknown_ids_keep_their_positions(self, tmp_path, timestamps):
+        config = small_scenario(tmp_path)
+        write_entries(config.trace_path, ["Car", "Person", "Ghost", "Car"], timestamps)
+        with pytest.raises(ReplayError) as err:
+            replay.load_scenario(config)
+        assert err.value.position == 2
+        # A log id no task has is kept as read, and the fit refuses it.
+        write_entries(config.trace_path, ["Car", "Person"], timestamps)
+        write_entries(config.log_path, ["Car", "Person", "Car", "Ghost", "Car"],
+                      timestamps)
+        assert replay.load_scenario(config).log[3] == "Ghost"
+        with pytest.raises(LogParseError) as err:
+            run_replay(config)
+        assert err.value.position == 3
+
+    def test_a_trace_step_retains_one_tuple_slot(self, tmp_path):
+        # Each step holds a task spec's own id, so a longer trace retains
+        # 8 B per step; a string per step would take 64 B or more.
+        replay.load_scenario(small_scenario(tmp_path / "warm-up"))
+        retained = []
+        for steps in (2_000, 20_000):
+            config = small_scenario(tmp_path / str(steps), trace=(ROUTE * steps)[:steps])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                scenario = replay.load_scenario(config)
+                retained.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert len(scenario.trace) == steps
+        assert (retained[1] - retained[0]) / 18_000 < 16
 
 
 # A closed walk over four tasks that takes each ordered pair of distinct
@@ -943,3 +998,54 @@ class TestEmitReports:
                            "sparse_no_split_ms", "split_only_ms",
                            "full_method_ms"]
         assert rows[-1][0] == "ALL"
+
+
+def _is_task_id(text: str) -> bool:
+    try:
+        TaskSpec(text, 1.0, 0)
+    except ConfigError:
+        return False
+    return True
+
+
+# The fields a report row can hold, and more. Task ids as TaskSpec accepts
+# them: non-empty, no surrounding whitespace, no comma, "\r" or "\n";
+# quotes, inner spaces and non-ASCII are drawn often. Other text with
+# commas, quotes and "\n". Ints, floats as the reports format them (and as
+# ``str`` gives them), and empty fields. A "\r" lies outside this domain:
+# CPython 3.13's writer quotes it and 3.10-3.12's do not.
+CSV_TASK_ID = st.one_of(st.text(min_size=1), st.text(' "aäß\t', min_size=1),
+                        st.sampled_from(ODD_IDS)).filter(_is_task_id)
+CSV_TEXT = st.one_of(st.text(), st.text('a ,"\n')).filter(lambda text: "\r" not in text)
+CSV_FLOAT = st.floats(allow_nan=False, allow_infinity=False, width=64)
+CSV_FIELD = st.one_of(CSV_TASK_ID, CSV_TEXT, st.integers(-10**20, 10**20), CSV_FLOAT,
+                      CSV_FLOAT.map("{:.3f}".format), CSV_FLOAT.map("{:.6f}".format),
+                      st.just(""))
+
+
+class TestCsvText:
+    @given(rows=st.lists(st.one_of(st.lists(CSV_FIELD, min_size=1, max_size=1),
+                                   st.lists(CSV_FIELD, min_size=2, max_size=7)),
+                         max_size=10))
+    @example(rows=[[""], ["", ""], ['say "hi"', "Ampel-ä", "a b", 3, "1.500"], [7]])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_csv_writer_bytes(self, rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert replay._csv_text(rows).encode() == buf.getvalue().encode()
+
+    def test_a_summary_sized_table_peaks_under_16_kib(self):
+        means = ("mean_latency_ms", "median_latency_ms", "max_latency_ms",
+                 "mean_gpu_resident_bytes")
+        rows = [["metric", "value"], ["mode", "full_method"], ["num_switches", 1584],
+                *([name, "87.984"] for name in means),
+                ["total_bytes_disk_to_cpu", 10**12], ["total_bytes_cpu_to_gpu", 10**12],
+                ["prestage_hit_rate", "0.680455"]]
+        tracemalloc.start()
+        try:
+            text = replay._csv_text(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == len(rows)
+        assert peak < 16 * 1024
