@@ -6,8 +6,9 @@ correlation 0.5, caps every task's removals at a quarter of the blocks,
 and times ``build_all_tasks`` with alignment on fresh oracles (so no
 per-oracle cache carries over between repeats). Prints the median
 milliseconds and the summed ``oracle_calls`` per block count, then one
-SHA-256 over every task's ``removal_order`` at every block count run.
-The counts and the digest do not depend on the host; the timings do.
+SHA-256 over every task's ``removal_order`` and one over the ``repr`` of
+every task's ``final_score``, each at every block count run. The counts
+and the digests do not depend on the host; the timings do.
 
 Usage:
     python scripts/time_selection.py [--max-blocks 2048] [--repeats 5]
@@ -38,7 +39,7 @@ def main() -> None:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    digest = hashlib.sha256()
+    orders, scores = hashlib.sha256(), hashlib.sha256()
     print(f"{'blocks':>7} {'median ms':>10} {'oracle_calls':>13}")
     for num_blocks in BLOCK_COUNTS:
         if num_blocks > args.max_blocks:
@@ -53,10 +54,12 @@ def main() -> None:
             times.append(perf_counter() - start)
         calls = sum(res.oracle_calls for res in results.values())
         for task_id in inst.task_ids:
-            digest.update(f"{num_blocks} {task_id} {results[task_id].removal_order}\n"
-                          .encode())
+            res = results[task_id]
+            orders.update(f"{num_blocks} {task_id} {res.removal_order}\n".encode())
+            scores.update(f"{num_blocks} {task_id} {res.final_score!r}\n".encode())
         print(f"{num_blocks:>7} {1e3 * statistics.median(times):>10.2f} {calls:>13}")
-    print(f"removal orders sha256={digest.hexdigest()}")
+    print(f"removal orders sha256={orders.hexdigest()}")
+    print(f"final scores sha256={scores.hexdigest()}")
 
 
 if __name__ == "__main__":

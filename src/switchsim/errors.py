@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all switchsim modules, plus the file
 readers, number and key checks their file parsers share, the file writer
-their reports share, and the float sums their cost, score and report
-totals share."""
+their reports share, the float sums their cost and report totals share,
+and the exact units the additive oracle's ranking keeps its sum in."""
 from __future__ import annotations
 
 import json

@@ -7,32 +7,25 @@ earlier ones (the shared pool) so that active sets overlap and task
 switches move fewer bytes.
 
 Each step asks the selection's :class:`RemovalRanking` for the active
-blocks ranked best estimated score first, the pool's share of that
-order, and a bound ``eps`` on the estimates' error. A ranking lives for
-one selection and names only the blocks still active. The additive
-oracle's ranking orders the blocks by weight once per selection, drops
-each block as it is removed, and estimates a removal from one exact
-running sum of the active weights. So a step does O(1) Python work plus
-a walk of a prefix of the ranking: it stops at the first estimate more
-than ``eps`` below the threshold or more than ``2 * eps`` below the
-first feasible one. Every decision stays exact: a candidate whose
-estimate lies within ``eps`` of the threshold, or within ``2 * eps`` of
-the best estimate it competes with, is scored exactly before it is
-judged, and the reported final score is the exact score of the final
-active set. ``oracle_calls`` counts logical evaluations (the full-model
-score plus one per candidate per step), not the exact re-scores made.
+blocks ranked best score first, and the pool's share of that order. A
+ranking lives for one selection and names only the blocks still active.
+The additive oracle's ranking orders the blocks by weight once per
+selection, drops each block as it is removed, and scores a removal from
+one exact running sum of the active weights, which gives the same float
+as :meth:`AdditiveOracle.score`. So a step does O(1) Python work plus a
+walk of the ranking's equal-score prefix. ``oracle_calls`` counts
+logical evaluations (the full-model score plus one per candidate per
+step), not the calls made to ``score``.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (EXACT_SCALE, ConfigError, OracleError, as_float, check_keys,
-                     exact_int, exact_units, read_json, sum_left_to_right)
+                     exact_int, exact_units, read_json)
 
 __all__ = [
     "TaskSpec",
@@ -104,43 +97,37 @@ class MetricOracle:
 class RemovalRanking:
     """One selection's rankings, kept from step to step.
 
-    ``step(active)`` returns ``(pooled, ranked, estimate, eps)``.
-    ``ranked`` names each block of ``active`` once, best estimated score
-    first: ``estimate(j)``, an estimate of ``score(active - {j})``, never
-    increases along it and is within ``eps`` of that score (``eps == 0``
-    means the estimates are the exact scores). ``pooled`` is the shared
-    pool's share of ``ranked``, in the same order. Neither names a block
-    outside ``active``. ``remove(j)`` follows each block the caller drops
-    from ``active``. This default scores every candidate exactly at every
-    step and orders them by (-score, block id).
+    ``step(active)`` returns ``(pooled, ranked, score)``. ``ranked`` names
+    each block of ``active`` once, best score first: ``score(j)``, the
+    oracle's ``score(active - {j})``, never increases along it.
+    ``pooled`` is the shared pool's share of ``ranked``, in the same
+    order. Neither names a block outside ``active``. ``remove(j)`` follows
+    each block the caller drops from ``active``. This default scores every
+    candidate at every step and orders them by (-score, block id).
     """
 
     def __init__(self, oracle: MetricOracle, shared_pool: frozenset[int]):
         self.oracle, self.shared_pool = oracle, shared_pool
 
     def step(self, active: set[int]) -> tuple[
-            Iterable[int], Iterable[int], Callable[[int], float], float]:
+            Iterable[int], Iterable[int], Callable[[int], float]]:
         frozen = frozenset(active)
         scores = {j: self.oracle.score(frozen - {j}) for j in sorted(active)}
         ranked = sorted(scores, key=lambda j: -scores[j])
         pool = self.shared_pool
-        return [j for j in ranked if j in pool], ranked, scores.__getitem__, 0.0
+        return [j for j in ranked if j in pool], ranked, scores.__getitem__
 
     def remove(self, j: int) -> None:
         pass
 
 
-# Unit roundoff of a double, and an absolute floor covering the rounding of
-# a quotient that underflows into the subnormal range.
-_UNIT_ROUNDOFF = 2.0 ** -53
-_UNDERFLOW_FLOOR = 2.0 ** -1072
-
-
 class AdditiveOracle(MetricOracle):
-    """Synthetic oracle: score(A) = clamp(sum of active importances / total, 0, 1).
+    """Synthetic oracle: score(A) = sum of active importances / total.
 
-    Both sums run left to right in block order, so a score is the same
-    float on every Python version and for every way of building ``A``.
+    Both sums are correctly rounded (``math.fsum``), so a score is the
+    same float on every Python version and for every way of building
+    ``A``. Rounding is monotone and a subset never sums above the total,
+    so every score lies in [0, 1].
     """
 
     def __init__(self, weights: Sequence[float]):
@@ -152,37 +139,32 @@ class AdditiveOracle(MetricOracle):
         if any(w < 0 for w in self.weights):
             raise OracleError("importance weights must be non-negative")
         self.num_blocks = len(self.weights)
-        self._total = sum_left_to_right(self.weights, range(self.num_blocks))
-        # Half the float range keeps every partial sum of any subset finite.
-        if self._total > sys.float_info.max / 2:
-            raise OracleError("importance weights sum beyond the float range")
+        try:
+            self._total = math.fsum(self.weights)
+        except OverflowError:
+            raise OracleError("importance weights sum beyond the float range") from None
 
     def score(self, active: frozenset[int]) -> float:
         if self._total == 0.0:
             return 1.0
-        # In block order: a set's iteration order depends on how it was built.
-        raw = sum_left_to_right(self.weights, sorted(active)) / self._total
-        return min(max(raw, 0.0), 1.0)
-
-    @cached_property
-    def _exact_total(self) -> int:
-        return sum(map(exact_units, self.weights))
+        return math.fsum(map(self.weights.__getitem__, active)) / self._total
 
     def removal_ranking(self, shared_pool: frozenset[int]) -> RemovalRanking:
         return _AdditiveRanking(self, shared_pool)
 
 
 class _AdditiveRanking(RemovalRanking):
-    """Removals of an additive oracle: by weight, lightest first, each
-    estimated as ``clamp((S - w_j) / T)`` from the active weights' sum ``S``.
+    """Removals of an additive oracle: by weight, lightest first.
 
     The order never changes, so it and the pool's share of it are built
     once, as insertion-ordered dicts, and each removal deletes its block
-    from both. ``S`` is kept exactly, as an int in units of 2**-1074, and
-    each removal subtracts its block's weight; the int divided by 2**1074
-    is the correctly rounded float that ``math.fsum`` of the active
-    weights gives. A step thus does O(1) Python work, plus the selector's
-    walk; a dict iterator passes over deleted entries in C.
+    from both. The active weights' sum ``S`` is kept exactly, as an int
+    in units of 2**-1074, and each removal subtracts its block's units.
+    Int division rounds correctly, as ``math.fsum`` does, so
+    ``(S - u[j]) / 2**1074 / total`` is bit for bit the oracle's score of
+    the active set without ``j``; it falls as the weight rises. A step
+    thus does O(1) Python work, plus the selector's walk; a dict iterator
+    passes over deleted entries in C.
     """
 
     def __init__(self, oracle: AdditiveOracle, shared_pool: frozenset[int]):
@@ -191,57 +173,21 @@ class _AdditiveRanking(RemovalRanking):
         order = sorted(range(oracle.num_blocks), key=oracle.weights.__getitem__)
         self._ranked = dict.fromkeys(order)
         self._pooled = dict.fromkeys(j for j in order if j in shared_pool)
-        self._exact = oracle._exact_total
-
-    def active_sum(self) -> float:
-        return self._exact / EXACT_SCALE
+        self._units = tuple(map(exact_units, oracle.weights))
+        self._sum = sum(self._units)
 
     def remove(self, j: int) -> None:
         del self._ranked[j]
         self._pooled.pop(j, None)
-        self._exact -= exact_units(self.oracle.weights[j])
+        self._sum -= self._units[j]
 
     def step(self, active: set[int]):
-        """Both rankings of the active blocks, and the estimates and ``eps``
-        for ``active``.
-
-        Subtraction, division and the clamp are monotone under rounding,
-        so a heavier block never gets a higher estimate: the by-weight
-        order is a non-increasing estimate order.
-
-        Error bound, with u = 2**-53, m = len(active), S* the exact sum of
-        the active weights, S = S*(1 + d), |d| <= u, its correct rounding
-        (the kept sum as a float), and T the total. All weights are finite
-        and >= 0, and no partial sum overflows (checked in
-        ``AdditiveOracle.__init__``).
-
-        * ``score(active - {j})`` sums m - 1 non-negative terms left to
-          right, so its sum s is within gamma_m * S* of S* - w_j, where
-          gamma_m = m*u / (1 - m*u).
-        * w_j <= S* and rounding is monotone, so 0 <= S - w_j <= S, and the
-          rounded difference D is within |S - S*| + u*S <= (2u + u^2) S*
-          of S* - w_j.
-        * Hence |D - s| <= (gamma_m + 2u + u^2) S*. Both are divided by the
-          same T and rounded, which adds at most u * (D + s) / T
-          <= 2u (1 + gamma_m) S*/T, plus half a subnormal step each if a
-          quotient underflows.
-        * The clamp to [0, 1] does not widen a gap.
-
-        So |estimate - score| <= (m + 4) u S*/T (1 + O(m u)) + 2**-1074.
-        ``eps`` doubles the first term and takes 2**-1072 for the second;
-        the slack also covers the rounding of ``eps`` itself and of the
-        selector's comparisons against it.
-        """
         pooled, ranked = iter(self._pooled), iter(self._ranked)
-        weights, total = self.oracle.weights, self.oracle._total
+        total = self.oracle._total
         if total == 0.0:
-            return pooled, ranked, lambda j: 1.0, 0.0
-        s = self.active_sum()
-        eps = 2.0 * (len(active) + 4) * _UNIT_ROUNDOFF * (s / total) + _UNDERFLOW_FLOOR
-        # s >= w_j, so no estimate is negative, and none exceeds 1 unless s/T does.
-        if s > total:
-            return pooled, ranked, lambda j: min((s - weights[j]) / total, 1.0), eps
-        return pooled, ranked, lambda j: (s - weights[j]) / total, eps
+            return pooled, ranked, lambda j: 1.0
+        s, units = self._sum, self._units
+        return pooled, ranked, lambda j: (s - units[j]) / EXACT_SCALE / total
 
 
 class TableOracle(MetricOracle):
@@ -303,14 +249,31 @@ class SelectionResult:
     removal_order: tuple[int, ...]
 
 
+def _best(ranking: Iterable[int], score: Callable[[int], float],
+          threshold: float) -> int | None:
+    """The lowest block id among the best-scoring blocks of ``ranking``,
+    which lists blocks best score first, or ``None`` if the best score is
+    below ``threshold``. Unequal weights can round to equal scores, which
+    are then not in id order."""
+    blocks = iter(ranking)
+    best = next(blocks, None)
+    if best is None or (top := score(best)) < threshold:
+        return None
+    for j in blocks:
+        if score(j) < top:
+            break
+        best = min(best, j)
+    return best
+
+
 def select_skip_set(task: TaskSpec, oracle: MetricOracle,
                     shared_pool: frozenset[int] = frozenset()) -> SelectionResult:
     """Greedy removal: repeatedly drop the feasible block with the best score.
 
     Each step first restricts the feasible candidates to ``shared_pool``;
     only when no pool candidate is feasible does it take the best
-    candidate overall. With the default empty pool this is plain greedy
-    selection.
+    candidate overall. Equal scores resolve to the lowest block id. With
+    the default empty pool this is plain greedy selection.
     """
     calls = 1
     s_full = oracle.full_score
@@ -319,42 +282,13 @@ def select_skip_set(task: TaskSpec, oracle: MetricOracle,
     ranking = oracle.removal_ranking(shared_pool)
     order: list[int] = []
     for _ in range(task.max_remove):
-        pooled, ranked, estimate, eps = ranking.step(active)
+        pooled, ranked, score = ranking.step(active)
         calls += len(active)
-        exact: dict[int, float] = {}
-
-        def exact_score(j: int) -> float:
-            if eps == 0.0:
-                return estimate(j)
-            if j not in exact:
-                exact[j] = oracle.score(frozenset(active - {j}))
-            return exact[j]
-
-        def contenders(candidates: Iterable[int]) -> list[int]:
-            # Walk a ranking of active blocks down from the best estimate.
-            # An estimate more than eps below the threshold, and every one
-            # after it, is infeasible; a closer one is settled by the exact
-            # score. A candidate more than 2 * eps below the first feasible
-            # one scores strictly below it, so the walk stops there too.
-            found: list[int] = []
-            top = None
-            for j in candidates:
-                est = estimate(j)
-                if threshold - est > eps or (top is not None and top - est > 2.0 * eps):
-                    break
-                if est - threshold > eps or exact_score(j) >= threshold:
-                    if top is None:
-                        top = est
-                    found.append(j)
-            return found
-
-        pick = contenders(pooled) or contenders(ranked)
-        if not pick:
+        best_j = _best(pooled, score, threshold)
+        if best_j is None:
+            best_j = _best(ranked, score, threshold)
+        if best_j is None:
             break
-        # Highest score wins; equal scores resolve to the lowest block id.
-        # A lone contender needs no exact score to win.
-        best_j = pick[0] if len(pick) == 1 else max(
-            pick, key=lambda j: (exact_score(j), -j))
         active.remove(best_j)
         ranking.remove(best_j)
         order.append(best_j)

@@ -106,9 +106,9 @@ def test_compare_reports_match_golden_digest(name, tmp_path):
 # constraint binds for some tasks, independent the removal cap does.
 SELECT_CASES = {
     "aligned": ([],
-        "67a019d1c0bf27841046ecefcc803ee2d00e5862794219249551244251e3a71a"),
+        "d4dddc44591e98f6faa5d513e49bd511c67fcb903bb2ee0f48cbfb9cde21e684"),
     "independent": (["--independent"],
-        "136df3a1beb70610c7d07572adc8b580d2725d5228c371968d3833c921b156a6"),
+        "48ee8f29256bd89bd9da3637cfd338e8bbe76a6ddd45c295dd337dc49af10e8e"),
 }
 
 

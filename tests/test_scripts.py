@@ -58,15 +58,17 @@ def test_demo_scenario_is_written(tmp_path, monkeypatch, capsys):
 
 
 def test_time_selection_prints_pinned_counts_and_digest(monkeypatch, capsys):
-    # CI pins the same figures up to 1,024 blocks; these are for 128.
+    # CI pins the same figures up to 2,048 blocks; these are for 128.
     monkeypatch.setattr(sys, "argv", ["time_selection.py", "--max-blocks", "128",
                                       "--repeats", "1"])
     load_script("time_selection").main()
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].split()[::2] == ["128", "18005"]
     assert lines[2] == ("removal orders sha256="
                         "e6342cc0b9f40054258e367fbc2dba3ce12411cd412ee7481f943fbfadf51e32")
+    assert lines[3] == ("final scores sha256="
+                        "214e42e2dee7fc9412fdb7d725b13247cf89738e8f485878df773e7a2ccd509a")
 
 
 def test_every_name_the_tracer_patches_exists():
