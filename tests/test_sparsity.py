@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsim.errors import ConfigError, OracleError
+from switchsim.errors import EXACT_SCALE, ConfigError, OracleError
 from switchsim.sparsity import (AdditiveOracle, MetricOracle, RemovalRanking, TableOracle,
                                 TaskSpec, build_all_tasks, jaccard, select_skip_set)
 from switchsim.synthetic import gen_instance
@@ -52,6 +52,17 @@ def ranking_after(oracle: MetricOracle, removals, pool: frozenset[int] = frozens
         active.remove(j)
         ranking.remove(j)
     return ranking, active
+
+
+def assert_kept_sum_is_fsum(weights: list[float], removals: list[int]) -> None:
+    """The additive ranking's int sum, in units of 2**-1074, converts to
+    ``math.fsum`` of the active weights before and after each removal."""
+    ranking, active = ranking_after(AdditiveOracle(weights), [])
+    assert ranking._sum / EXACT_SCALE == math.fsum(weights)
+    for j in removals:
+        active.remove(j)
+        ranking.remove(j)
+        assert ranking._sum / EXACT_SCALE == math.fsum(weights[k] for k in active)
 
 
 def assert_ranking_scores_are_fsum(weights: list[float], removals: list[int],
@@ -152,12 +163,35 @@ class TestOracles:
                 ranking.remove(j)
 
     @pytest.mark.parametrize("weights, expected", [
+        # The exact total 1e16 + 2 is above the left-to-right one, 1e16;
+        # the scores stay in [0, 1] with no clamp.
+        ([1e16, 1.0, 1.0], [0.9999999999999998, 0.9999999999999998,
+                            1.9999999999999997e-16]),
         ([0.0, 0.0], [1.0, 1.0]),
-    ], ids=["all-zero"])
+    ], ids=["exact-total", "all-zero"])
     def test_additive_ranking_edge_estimates(self, weights, expected):
         ranking, active = ranking_after(AdditiveOracle(weights), [])
         _, ranked, score = ranking.step(active)
         assert [score(j) for j in ranked] == expected
+
+    @given(weights=st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                             0.1, 0.3, 1e8]) |
+                            st.floats(0.0, 1e8), min_size=1, max_size=40),
+           near_range=st.lists(st.sampled_from([2e307, 4e307]), max_size=2),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kept_sum_equals_fsum_after_any_removals(self, weights, near_range, data):
+        # At most two weights near the float range, so the total stays finite.
+        weights = data.draw(st.permutations(weights + near_range))
+        removals = data.draw(st.permutations(range(len(weights))))
+        assert_kept_sum_is_fsum(weights, removals)
+
+    @pytest.mark.parametrize("weights", ADVERSARIAL_WEIGHTS + [
+        [1e16, 1.0, 1.0], [4e307, 4e307, 5e-324], [sys.float_info.max / 2]])
+    def test_kept_sum_equals_fsum_on_edge_landscapes(self, weights):
+        n = len(weights)
+        for removals in (range(n), reversed(range(n))):
+            assert_kept_sum_is_fsum(weights, list(removals))
 
     @pytest.mark.parametrize("landscape", [st.just(w) for w in ADVERSARIAL_WEIGHTS + [
         [1e16, 1.0, 1.0], [4e307, 4e307, 5e-324], [sys.float_info.max],
