@@ -24,6 +24,16 @@ this holds for each running task.
 All operations are functional: they take a :class:`CacheState` and return
 a new one, never mutating the input. On a budget error the caller's state
 is therefore unchanged by construction.
+
+A full_method replay stages, evicts and loads on most of its steps, so
+these operations build as little as they can per call. Each new state is
+built by ``_new_tuple`` (``tuple.__new__``) from all four fields, which
+skips the Python frame of the named tuple's generated ``__new__``; the
+prefetch planner builds its plans the same way. Byte sums index
+``block_sizes`` in a list comprehension, and staging sums the host order
+in its own frame, not through :meth:`ModelManifest.bytes_of`.
+:meth:`CacheState.check_host` checks distinct blocks, known ids and the
+budget in one frame.
 """
 from __future__ import annotations
 
@@ -41,6 +51,11 @@ __all__ = [
     "load_to_gpu",
     "evict",
 ]
+
+# Builds a named tuple from a tuple of all its fields, in C: the generated
+# ``__new__`` adds a Python frame to every state a step builds. It checks
+# nothing, so each caller passes every field in order.
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -68,7 +83,8 @@ class ModelManifest:
 
     def bytes_of(self, blocks: Iterable[int]) -> int:
         """Total size of the given block ids."""
-        return sum(map(self.block_sizes.__getitem__, blocks))
+        sizes = self.block_sizes
+        return sum([sizes[b] for b in blocks])
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ModelManifest":
@@ -118,24 +134,30 @@ class CacheState(NamedTuple):
         A pure function of ``gpu_resident`` and ``gpu_budget_bytes``, so a
         caller may check each distinct pair once.
         """
-        _check_tier(manifest, "gpu", self.gpu_resident, self.gpu_budget_bytes)
+        resident = self.gpu_resident
+        if not resident <= manifest.all_blocks:
+            raise ManifestError("gpu resident set references unknown blocks")
+        used = manifest.bytes_of(resident)
+        if used > self.gpu_budget_bytes:
+            raise BudgetExceededError("gpu", used - self.gpu_budget_bytes)
 
     def check_host(self, manifest: ModelManifest) -> None:
         """Raise unless ``cpu_lru`` names known blocks, none twice, within
-        the host budget."""
-        resident = frozenset(self.cpu_lru)
-        if len(resident) != len(self.cpu_lru):
+        the host budget.
+
+        A replay checks the order each computed step leaves, so the three
+        checks share one frame and the sum walks the order itself.
+        """
+        lru = self.cpu_lru
+        resident = frozenset(lru)
+        if len(resident) != len(lru):
             raise ManifestError("cpu recency order lists a block twice")
-        _check_tier(manifest, "cpu", resident, self.cpu_budget_bytes)
-
-
-def _check_tier(manifest: ModelManifest, tier: str, resident: frozenset[int],
-                budget: int) -> None:
-    if not resident <= manifest.all_blocks:
-        raise ManifestError(f"{tier} resident set references unknown blocks")
-    used = manifest.bytes_of(resident)
-    if used > budget:
-        raise BudgetExceededError(tier, used - budget)
+        if not resident <= manifest.all_blocks:
+            raise ManifestError("cpu resident set references unknown blocks")
+        sizes = manifest.block_sizes
+        used = sum([sizes[b] for b in lru])
+        if used > self.cpu_budget_bytes:
+            raise BudgetExceededError("cpu", used - self.cpu_budget_bytes)
 
 
 def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
@@ -165,8 +187,8 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
         raise BudgetExceededError("cpu", bytes_needed - freed)
     # Past the last victim every block stays, in order.
     kept.extend(blocks)
-    return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
-                      tuple(kept))
+    return _new_tuple(CacheState, (state.gpu_budget_bytes, state.cpu_budget_bytes,
+                                   state.gpu_resident, tuple(kept)))
 
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
@@ -189,12 +211,13 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
     lru = state.cpu_lru
     if len(wanted) != len(order) or not wanted.isdisjoint(lru):
         raise ManifestError("staging takes distinct blocks the host does not hold")
-    bytes_moved = manifest.bytes_of(order)
-    overflow = manifest.bytes_of(lru) + bytes_moved - state.cpu_budget_bytes
+    sizes = manifest.block_sizes
+    bytes_moved = sum([sizes[b] for b in order])
+    overflow = sum([sizes[b] for b in lru]) + bytes_moved - state.cpu_budget_bytes
     if overflow > 0:
-        state = evict(manifest, state, overflow, protected=protected)
-    return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, state.gpu_resident,
-                      state.cpu_lru + order), bytes_moved
+        state = evict(manifest, state, overflow, protected)
+    return _new_tuple(CacheState, (state.gpu_budget_bytes, state.cpu_budget_bytes,
+                                   state.gpu_resident, state.cpu_lru + order)), bytes_moved
 
 
 def load_to_gpu(state: CacheState, target: frozenset[int],
@@ -209,5 +232,5 @@ def load_to_gpu(state: CacheState, target: frozenset[int],
     """
     if target_bytes > state.gpu_budget_bytes:
         raise BudgetExceededError("gpu", target_bytes - state.gpu_budget_bytes)
-    return CacheState(state.gpu_budget_bytes, state.cpu_budget_bytes, target,
-                      state.cpu_lru)
+    return _new_tuple(CacheState, (state.gpu_budget_bytes, state.cpu_budget_bytes, target,
+                                   state.cpu_lru))

@@ -19,12 +19,16 @@ the window covers with one :func:`stage_to_cpu` call. Only the caller's
 protected set (the runtime and pre-load tiers, in a replay) is shielded
 from eviction; plan blocks need no protection, because the host does not
 hold them until they are staged and eviction walks only what it holds.
+
+A full_method replay plans on most of its steps, so a plan is built by
+``block_store._new_tuple`` from its one field, without the generated
+``__new__``'s Python frame, and the empty plan is one shared constant.
 """
 from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .block_store import CacheState, ModelManifest, stage_to_cpu
+from .block_store import CacheState, ModelManifest, _new_tuple, stage_to_cpu
 from .errors import BudgetExceededError
 from .transitions import TierAssignment, TransitionModel
 
@@ -83,16 +87,14 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
         return _NO_PLAN
     sizes = manifest.block_sizes
     # The host order is short, so capacity walks it, not the tiers.
-    capacity = state.cpu_budget_bytes - sum([sizes[b] for b in lru if b in protected])
+    room = state.cpu_budget_bytes - sum([sizes[b] for b in lru if b in protected])
     entries: list[int] = []
-    used = 0
     for b in missing:
         size = sizes[b]
-        if used + size > capacity:
-            continue
-        entries.append(b)
-        used += size
-    return PrefetchPlan(tuple(entries))
+        if size <= room:
+            entries.append(b)
+            room -= size
+    return _new_tuple(PrefetchPlan, (tuple(entries),))
 
 
 def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: float,
@@ -134,7 +136,7 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     # A slice of the whole tuple is the tuple itself, not a copy.
     prefix = entries[:count]
     try:
-        after, moved = stage_to_cpu(manifest, state, prefix, protected=protected)
+        after, moved = stage_to_cpu(manifest, state, prefix, protected)
     except BudgetExceededError as exc:
         # The shortfall grows block by block along the prefix; the
         # one-at-a-time pass stops at the first block where it is positive.

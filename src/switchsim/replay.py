@@ -8,7 +8,8 @@ changes: each executes a switch, and in full_method each step also
 grants a prefetch window. All randomness is seeded through the config,
 so identical configs produce byte-identical reports. Loading maps every
 trace and log entry onto its task spec's own id string, so each task id
-is one object however often the trace names it.
+is one object however often the trace names it; the trace's lookups run
+in one ``operator.itemgetter`` call (``_lookup``).
 
 Only full_method stages blocks ahead of a switch. The three other modes
 (monolithic, sparse_no_split, split_only) never touch the host cache, so
@@ -39,7 +40,8 @@ state once, checks the state the step leaves, and stores (next
 ``cpu_lru``, record index or -1). The loop carries (current task,
 ``cpu_lru``) and the checked state the last computed step left, which is
 the next computed step's input; only a computed step that follows a memo
-hit builds its state, from the running task and ``cpu_lru``. Each running
+hit builds its state, from the running task and ``cpu_lru``, with
+``block_store._new_tuple``. Each running
 task gets one context, built the first time it runs a computed step: its
 device target, its ranked pre-load tier and its protected set. A step
 that raises stores nothing, so an error surfaces at the trace position
@@ -51,7 +53,9 @@ first, and both budgets with the config's on every computed step. Its
 host half runs only when the step replaced ``cpu_lru``: an order the
 step left in place is its input's, which was checked. Its device half
 is then a pure function of the task's target and the config's device
-budget, so it runs once per task.
+budget, so it runs once per task. A computed step reads the window and
+the per-block disk times from locals set before the loop, and the order
+the prefetch left once.
 
 full_method's eviction reads recency alone. That is exact because every
 block that next-task usefulness weights lies in the running task's
@@ -75,8 +79,8 @@ each (``errors.write_text``). The CSVs are formatted by ``_csv_text``,
 which quotes as ``csv.writer(lineterminator="\\n")`` does without the
 writer's 128 KiB buffer. ``switches.jsonl`` is written in batches:
 each distinct record is encoded once, and each batch of
-``_LINES_PER_WRITE`` lines is gathered by one ``operator.itemgetter``
-call and written with one write, so memory is bounded by a batch.
+``_LINES_PER_WRITE`` lines is gathered by ``_lookup`` and written with
+one write, so memory is bounded by a batch.
 """
 from __future__ import annotations
 
@@ -91,7 +95,7 @@ from operator import itemgetter, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .block_store import CacheState, ModelManifest, load_to_gpu
+from .block_store import CacheState, ModelManifest, _new_tuple, load_to_gpu
 from .errors import (ConfigError, ReplayError, SwitchSimError, as_float, check_keys,
                      counted_fsum, exact_int, write_text)
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
@@ -260,6 +264,19 @@ def build_oracles(spec: Mapping, num_blocks: int, tasks: Sequence[TaskSpec]
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
+def _lookup(mapping: Mapping, keys: Sequence) -> tuple:
+    """``tuple(mapping[k] for k in keys)``, the lookups done in C by one
+    ``operator.itemgetter`` call; a missing key raises ``KeyError``.
+
+    ``itemgetter`` cannot be built without a key and returns a bare item
+    for one key, so fewer than two keys are looked up in Python. A tuple
+    of keys is passed to ``itemgetter`` as it is, without a copy.
+    """
+    if len(keys) < 2:
+        return tuple([mapping[k] for k in keys])
+    return itemgetter(*keys)(mapping)
+
+
 def load_scenario(config: ScenarioConfig) -> Scenario:
     manifest = ModelManifest.load(config.manifest_path)
     tasks = tuple(load_task_specs(config.tasks_path))
@@ -271,14 +288,15 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
     ids = {t.task_id: t.task_id for t in tasks}
     log = load_task_log(config.log_path)
     log = tuple(map(ids.get, log, log))
-    trace = load_task_log(config.trace_path)
+    # A tuple, so the lookup below passes it to ``itemgetter`` uncopied.
+    trace = tuple(load_task_log(config.trace_path))
     largest = max(manifest.block_sizes)
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
         raise ConfigError(
             f"budgets must admit the largest block ({largest} bytes)")
     oracles = build_oracles(config.oracle, manifest.num_blocks, tasks)
     try:
-        trace = tuple(map(ids.__getitem__, trace))
+        trace = _lookup(ids, trace)
     except KeyError:
         pos, task = next((pos, task) for pos, task in enumerate(trace)
                          if task not in ids)
@@ -499,6 +517,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
     # current task's, so a step builds no key tuple.
     steps = defaultdict(lambda: defaultdict(dict))
     row = steps[current]
+    window, disk_ms = config.compute_window_ms, table.disk_ms
     for pos in range(1, len(trace)):
         task = trace[pos]
         memo = row[task]
@@ -515,27 +534,27 @@ def _replay(scenario: Scenario, mode: DeployMode,
                     # task, ``lru``) fixes the state: the device holds the
                     # running task's target, and both budgets are the
                     # config's.
-                    state = CacheState(gpu_budget, cpu_budget, target, lru)
+                    state = _new_tuple(CacheState, (gpu_budget, cpu_budget, target, lru))
                 plan = plan_prefetch(ranked, protected, state, manifest)
-                after, staged, _moved = execute_prefetch(
-                    plan, state, config.compute_window_ms, table.disk_ms, manifest,
-                    protected=protected)
-                staged_lru = after.cpu_lru
+                after, staged, _moved = execute_prefetch(plan, state, window, disk_ms,
+                                                         manifest, protected)
+                next_lru = after.cpu_lru
                 if task != current:
                     after, report = execute_switch(after, current, task, mode, table)
-                # A switch moves blocks through the host without changing it.
-                if after.cpu_lru is not staged_lru:
-                    raise SwitchSimError("switch changed the host cache")
+                    # A switch moves blocks through the host without
+                    # changing it.
+                    if after.cpu_lru is not next_lru:
+                        raise SwitchSimError("switch changed the host cache")
                 # Invariants of every computed step; a memo hit repeats a
                 # checked one. ``lru`` was checked, so the host needs no
                 # second check when the step left it in place.
-                check(after, task, after.cpu_lru is lru)
-                if staged and not staged.issubset(after.cpu_lru):
+                check(after, task, next_lru is lru)
+                if staged and not staged.issubset(next_lru):
                     raise SwitchSimError("staged blocks are not host-resident")
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), position=pos) from exc
             index = -1 if report is None else records.setdefault(report, len(records))
-            step = memo[lru] = (after.cpu_lru, index)
+            step = memo[lru] = (next_lru, index)
             # The checked state the step left is the next miss's input.
             state = after
         else:
@@ -629,10 +648,7 @@ def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
     order = report.order
     with open(switches_path, "wb") as fh:
         for start in range(0, len(order), _LINES_PER_WRITE):
-            chunk = order[start:start + _LINES_PER_WRITE]
-            # itemgetter of one index returns the item, not a 1-tuple.
-            got = itemgetter(*chunk)(lines)
-            fh.write(b"".join(got) if len(chunk) > 1 else got)
+            fh.write(b"".join(_lookup(lines, order[start:start + _LINES_PER_WRITE])))
 
     summary: list[list[object]] = [["metric", "value"], ["mode", report.mode],
                                    ["num_switches", len(report.order)]]

@@ -1,4 +1,5 @@
-"""Block manifest, host staging and eviction, and device loading semantics."""
+"""Block manifest, host staging and eviction, and device loading semantics,
+and the states and plans the hot path builds without their ``__new__``."""
 from __future__ import annotations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from switchsim.block_store import (CacheState, ModelManifest, evict, load_to_gpu,
                                    stage_to_cpu)
 from switchsim.errors import BudgetExceededError, ManifestError
+from switchsim.prefetch import PrefetchPlan, plan_prefetch
 
 from opharness import run_random_ops
 
@@ -142,6 +144,65 @@ class TestEvict:
         s0 = state_with(m, cpu=(0, 1))
         with pytest.raises(BudgetExceededError):
             evict(m, s0, 1, protected=frozenset({0, 1}))
+
+
+def assert_like_constructed(built: tuple, cls: type) -> None:
+    """``built``, made without ``cls``'s generated ``__new__``, is an
+    instance of ``cls`` that behaves as the constructor-built one does."""
+    made = cls(*built)
+    assert type(built) is cls
+    assert len(built) == len(cls._fields) == len(made)
+    assert built == made and not built != made
+    assert hash(built) == hash(made)
+    assert repr(built) == repr(made)
+    assert built._asdict() == made._asdict()
+    first = cls._fields[0]
+    assert built._replace(**{first: 0}) == made._replace(**{first: 0})
+    assert type(built._replace(**{first: 0})) is cls
+
+
+class TestBuiltStates:
+    """The states the operations build behave as constructor-built ones."""
+
+    def test_stage_evict_and_load_build_cache_states(self):
+        m = uniform_manifest(8)
+        s0 = state_with(m, cpu=(0, 1, 2), cpu_budget=40 * MB)
+        staged, _ = stage_to_cpu(m, s0, (3, 4), frozenset({1}))
+        assert staged.cpu_lru == (1, 2, 3, 4)
+        evicted = evict(m, staged, 10 * MB)
+        loaded = load_to_gpu(staged, frozenset({5}), 10 * MB)
+        for state in (staged, evicted, loaded):
+            assert_like_constructed(state, CacheState)
+        assert evicted == state_with(m, cpu=(2, 3, 4), cpu_budget=40 * MB)
+        assert loaded == state_with(m, gpu=(5,), cpu=(1, 2, 3, 4), cpu_budget=40 * MB)
+        assert loaded.cpu_resident == frozenset({1, 2, 3, 4})
+
+    def test_built_states_key_a_dict_with_constructed_ones(self):
+        m = uniform_manifest(4)
+        built = stage_to_cpu(m, state_with(m), (2, 0))[0]
+        assert {state_with(m, cpu=(2, 0)): "x"}[built] == "x"
+
+    def test_plans_are_built_as_prefetch_plans(self):
+        # The planner builds its plans the same way.
+        m = uniform_manifest(8)
+        plan = plan_prefetch((5, 3, 4), frozenset({0, 3, 4, 5}),
+                             state_with(m, gpu=(0,), cpu=(4,), cpu_budget=30 * MB), m)
+        assert_like_constructed(plan, PrefetchPlan)
+        assert plan == PrefetchPlan((5, 3))
+
+
+ITERABLES = {"generator": lambda ids: (b for b in ids), "frozenset": frozenset,
+             "tuple": tuple, "list": list}
+
+
+class TestBytesOf:
+    @pytest.mark.parametrize("make", ITERABLES.values(), ids=ITERABLES.keys())
+    def test_sums_any_iterable_of_ids(self, make):
+        assert ModelManifest("m", (5, 6, 7)).bytes_of(make((2, 0))) == 12
+
+    @pytest.mark.parametrize("make", ITERABLES.values(), ids=ITERABLES.keys())
+    def test_empty_iterable_is_zero_bytes(self, make):
+        assert ModelManifest("m", (5, 6, 7)).bytes_of(make(())) == 0
 
 
 class TestCheckHost:

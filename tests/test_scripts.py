@@ -1,14 +1,18 @@
 """The experiment scripts under ``scripts/``, and the names the benchmark's
-tracer in ``perfbench/`` patches."""
+tracer in ``perfbench/`` patches and the layer calls it counts."""
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 import tempfile
 from pathlib import Path
 
+from switchsim import cli
 from switchsim.sparsity import AdditiveOracle
+from switchsim.workloads import write_driving_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -79,3 +83,27 @@ def test_every_name_the_tracer_patches_exists():
                if attr not in vars(importlib.import_module(module))]
     assert missing == []
     assert "score" in vars(AdditiveOracle)
+
+
+def test_the_tracer_sees_every_layer_of_a_churning_compare(tmp_path):
+    # A small host-churn-shaped scenario: 64 blocks, a 12-block host, k=1
+    # and a 1000 ms window, so full_method plans, stages, evicts and
+    # switches on most steps. The counts were recorded before the hot path
+    # was made cheaper; a layer that is bypassed, fused or called from a
+    # name the tracer does not patch changes them.
+    write_driving_scenario(tmp_path / "scenario", num_blocks=64, target_monolithic_ms=3000.0,
+                           max_remove=24, correlation=0.3, k=1, compute_window_ms=1000.0,
+                           cpu_budget_blocks=12, trace_seed=1, trace_length=300)
+    tracer = load_script("tracer", ROOT / "perfbench").Tracer()
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["compare", "--config", str(tmp_path / "scenario" / "config.json"),
+                         "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert tracer.restored()
+    layers = tracer.layer_metrics()
+    assert {name: layers[name] for name in (
+        "block_store.stage_calls", "block_store.evict_calls", "block_store.evicted_blocks",
+        "prefetch.planned_blocks", "prefetch.staged_blocks", "switching.switch_calls")} == {
+        "block_store.stage_calls": 140, "block_store.evict_calls": 137,
+        "block_store.evicted_blocks": 245, "prefetch.planned_blocks": 257,
+        "prefetch.staged_blocks": 257, "switching.switch_calls": 299}

@@ -203,8 +203,16 @@ class TestOracles:
     @settings(max_examples=40, deadline=None)
     def test_additive_ranking_scores_equal_oracle_scores(self, landscape, data):
         # The fixed landscapes, and drawn ones with weights from subnormal
-        # to near the float range, each after any removals and pool.
+        # to near the float range, each after any removals and pool. A draw
+        # whose total overflows is outside the oracle's domain, which it
+        # refuses exactly then.
         weights = data.draw(landscape)
+        try:
+            math.fsum(weights)
+        except OverflowError:
+            with pytest.raises(OracleError, match="beyond the float range"):
+                AdditiveOracle(weights)
+            return
         n = len(weights)
         removals = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
         pool = frozenset(data.draw(st.sets(st.sampled_from(range(n)))))
