@@ -14,8 +14,9 @@ The host cache is read from its recency order ``cpu_lru`` alone, a
 short tuple: planning tests membership in it after the device set, sums
 the protected residents' bytes in one walk of it, and builds no host
 set. Execution reads each block's disk time from a per-block tuple that
-a replay computes once (``SwitchTable.disk_ms``), and stages the prefix
-the window covers with one :func:`stage_to_cpu` call. Only the caller's
+a replay computes once (``SwitchTable.disk_ms``), stages the prefix the
+window covers with one :func:`stage_to_cpu` call, and returns that prefix
+as a slice of the plan's tuple, with no set built. Only the caller's
 protected set (the runtime and pre-load tiers, in a replay) is shielded
 from eviction; plan blocks need no protection, because the host does not
 hold them until they are staged and eviction walks only what it holds.
@@ -100,14 +101,16 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
 def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: float,
                      disk_ms: Sequence[float], manifest: ModelManifest,
                      protected: frozenset[int] = frozenset()
-                     ) -> tuple[CacheState, frozenset[int], int]:
+                     ) -> tuple[CacheState, tuple[int, ...], int]:
     """Stage plan blocks in order until the compute window runs out.
 
     ``disk_ms[b]`` is block ``b``'s disk-link time, ``CostModel.disk_ms`` of
     its size; a replay passes ``SwitchTable.disk_ms``, computed once.
     Blocks are staged atomically: one whose transfer would overrun the
-    window is not staged and ends the pass, so the staged set is always a
-    prefix of the plan. Staged blocks add zero latency to the next switch.
+    window is not staged and ends the pass, so the staged blocks are always
+    a prefix of the plan. Returns the new state, that prefix of
+    ``plan.entries`` as a tuple, and the bytes moved. Staged blocks add zero
+    latency to the next switch.
 
     Plan blocks are not host-resident (:func:`plan_prefetch` plans only
     blocks resident on neither tier), so the prefix is staged with one
@@ -119,7 +122,7 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     plan order. When that overflow cannot be covered, the error carries
     the shortfall at the first block where the one-at-a-time pass would
     have failed. An empty plan, or one whose first block overruns the
-    window, returns the input state.
+    window, returns the input state and ``()``.
     """
     entries = plan.entries
     count = 0
@@ -132,7 +135,7 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
             break
         count += 1
     if not count:
-        return state, frozenset(), 0
+        return state, (), 0
     # A slice of the whole tuple is the tuple itself, not a copy.
     prefix = entries[:count]
     try:
@@ -149,4 +152,4 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
                 break
             shortfall = earlier
         raise BudgetExceededError(exc.tier, shortfall) from None
-    return after, frozenset(prefix), moved
+    return after, prefix, moved

@@ -38,20 +38,21 @@ without calling back into Python; the loop keeps the current task's pairs
 at hand, so a step builds no key tuple. The replay computes each distinct
 state once, checks the state the step leaves, and stores (next
 ``cpu_lru``, record index or -1). The loop carries (current task,
-``cpu_lru``) and the checked state the last computed step left, which is
-the next computed step's input; only a computed step that follows a memo
-hit builds its state, from the running task and ``cpu_lru``, with
-``block_store._new_tuple``. Each running
-task gets one context, built the first time it runs a computed step: its
-device target, its ranked pre-load tier and its protected set. A step
-that raises stores nothing, so an error surfaces at the trace position
-where its state first occurs.
+``cpu_lru``) alone: each computed step builds its input from its memo
+key, as the running task's target, ``cpu_lru`` and the config's budgets,
+with ``block_store._new_tuple``. Each running task gets one context,
+built the first time it runs a computed step: its device target, its
+ranked pre-load tier and its protected set. A step that raises stores
+nothing, so an error surfaces at the trace position where its state
+first occurs.
 A switch moves blocks through the host without changing it, so the
 order a switch returns must be the very object the prefetch left. The
 check compares the device with the running task's target, by identity
 first, and both budgets with the config's on every computed step. Its
 host half runs only when the step replaced ``cpu_lru``: an order the
-step left in place is its input's, which was checked. Its device half
+step left in place is its input's, which was checked. The prefix the
+prefetch staged must be the newest part of the order it left, in plan
+order, which one tuple comparison checks. The check's device half
 is then a pure function of the task's target and the config's device
 budget, so it runs once per task. A computed step reads the window and
 the per-block disk times from locals set before the loop, and the order
@@ -529,12 +530,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 if ctx is None:
                     ctx = contexts[current] = context(current)
                 target, ranked, protected = ctx
-                if state is None:
-                    # A memo hit left only ``lru``. (current task, next
-                    # task, ``lru``) fixes the state: the device holds the
-                    # running task's target, and both budgets are the
-                    # config's.
-                    state = _new_tuple(CacheState, (gpu_budget, cpu_budget, target, lru))
+                state = _new_tuple(CacheState, (gpu_budget, cpu_budget, target, lru))
                 plan = plan_prefetch(ranked, protected, state, manifest)
                 after, staged, _moved = execute_prefetch(plan, state, window, disk_ms,
                                                          manifest, protected)
@@ -549,16 +545,13 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 # checked one. ``lru`` was checked, so the host needs no
                 # second check when the step left it in place.
                 check(after, task, next_lru is lru)
-                if staged and not staged.issubset(next_lru):
-                    raise SwitchSimError("staged blocks are not host-resident")
+                if next_lru[len(next_lru) - len(staged):] != staged:
+                    raise SwitchSimError("staged blocks are not the host's newest, "
+                                         "in plan order")
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), position=pos) from exc
             index = -1 if report is None else records.setdefault(report, len(records))
             step = memo[lru] = (next_lru, index)
-            # The checked state the step left is the next miss's input.
-            state = after
-        else:
-            state = None
         lru, index = step
         if index >= 0:
             order.append(index)

@@ -103,7 +103,7 @@ def reference_execute_prefetch(plan: PrefetchPlan, state: CacheState,
                                manifest: ModelManifest,
                                protected: frozenset[int] = frozenset(),
                                next_task_probs: Mapping[int, float] | None = None
-                               ) -> tuple[CacheState, frozenset[int], int]:
+                               ) -> tuple[CacheState, tuple[int, ...], int]:
     staged: list[int] = []
     bytes_moved = 0
     elapsed = 0.0
@@ -119,4 +119,4 @@ def reference_execute_prefetch(plan: PrefetchPlan, state: CacheState,
         staged.append(block)
         bytes_moved += moved
         elapsed += transfer
-    return state, frozenset(staged), bytes_moved
+    return state, tuple(staged), bytes_moved

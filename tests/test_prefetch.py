@@ -93,7 +93,7 @@ class TestExecutePrefetch:
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_for(tiers, weights, state, manifest)
         state, staged, moved = execute_prefetch(plan, state, 1000.0, DISK_MS, manifest)
-        assert staged == {2, 3, 4}
+        assert staged == (2, 3, 4)
         assert moved == 30 * MB
         assert state.cpu_resident == {2, 3, 4}
 
@@ -101,14 +101,14 @@ class TestExecutePrefetch:
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_for(tiers, weights, state, manifest)
         state, staged, moved = execute_prefetch(plan, state, 0.0, DISK_MS, manifest)
-        assert staged == frozenset()
+        assert staged == ()
         assert moved == 0
 
     def test_window_fits_exactly_two_blocks(self):
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_for(tiers, weights, state, manifest)
         state, staged, _ = execute_prefetch(plan, state, 20.0, DISK_MS, manifest)
-        assert staged == {2, 3}  # first two plan entries, atomically staged
+        assert staged == (2, 3)  # first two plan entries, atomically staged
 
     @given(window=st.floats(0.0, 60.0))
     @settings(max_examples=60, deadline=None)
@@ -116,8 +116,7 @@ class TestExecutePrefetch:
         manifest, state, tiers, weights = two_successor_setup()
         plan = plan_for(tiers, weights, state, manifest)
         _, staged, _ = execute_prefetch(plan, state, window, DISK_MS, manifest)
-        k = len(staged)
-        assert staged == frozenset(plan.entries[:k])
+        assert staged == plan.entries[:len(staged)]
 
     def test_larger_window_never_stages_fewer(self):
         manifest, state, tiers, weights = two_successor_setup()
@@ -134,7 +133,7 @@ class TestExecutePrefetch:
         plan = plan_for(tiers, weights, state, manifest)
         assert plan.entries == (4, 2, 3)
         state, staged, _ = execute_prefetch(plan, state, 1000.0, DISK_MS, manifest)
-        assert state.cpu_lru == (4, 2, 3)
+        assert staged == state.cpu_lru == (4, 2, 3)
 
     def test_execution_respects_host_budget(self):
         manifest, state, tiers, weights = two_successor_setup(
@@ -159,7 +158,7 @@ class TestExecutePrefetch:
         state, staged, _ = execute_prefetch(
             plan, state, 1000.0, DISK_MS, manifest,
             protected=tiers.runtime | tiers.preload)
-        assert staged == {2, 3, 4}
+        assert staged == (2, 3, 4)
         assert 7 not in state.cpu_resident  # straggler evicted to make room
 
 

@@ -185,9 +185,9 @@ def test_stage_to_cpu_refuses_resident_or_repeated_blocks(lru, blocks):
 
 
 @pytest.mark.parametrize("window, staged", [
-    (4.0, {0, 1}),      # 1.5 + 2.5 lands on the window exactly: both fit
-    (3.999, {0}),
-    (5.0, {0, 1, 2}),   # 1.5 + 2.5 + 1.0, exactly again
+    (4.0, (0, 1)),      # 1.5 + 2.5 lands on the window exactly: both fit
+    (3.999, (0,)),
+    (5.0, (0, 1, 2)),   # 1.5 + 2.5 + 1.0, exactly again
 ])
 def test_execute_prefetch_window_boundary_with_fixed_cost(window, staged):
     # With a 0.5 ms fixed cost per block, blocks of 1,000, 2,000 and 500

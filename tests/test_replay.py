@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchsim import replay
-from switchsim.block_store import ModelManifest
+from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import ConfigError, LogParseError, ReplayError, counted_fsum
 from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
                               run_replay, write_compare_csv)
@@ -290,7 +290,17 @@ class TestMemoMatchesReference:
 
         for name in calls:
             counting(name)
-        report = run_replay(config)
+        steps = self.reference_steps(config, run_replay(config))
+        keys = set(steps)
+        assert len(keys) < len(steps)  # the memo hits
+        assert calls == {"execute_prefetch": len(keys),
+                         "execute_switch": sum(k[0] != k[1] for k in keys)}
+
+    @staticmethod
+    def reference_steps(config, report):
+        """Every step's key (current task, next task, state before the
+        step) in trace order, from the reference full_method replay of
+        ``config``, which must equal ``report``."""
         scenario = replay.load_scenario(config)
         selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
         model = fit_transition_model(scenario.log, k=config.k,
@@ -298,10 +308,33 @@ class TestMemoMatchesReference:
         steps = []
         assert reference_replay(scenario, DeployMode.FULL_METHOD, selections, model,
                                 steps) == report
-        keys = set(steps)
+        return steps
+
+    def test_each_computed_step_starts_from_its_memo_key(self, tmp_path, monkeypatch):
+        # The replay computes a step at its key's first occurrence, and the
+        # state it plans from is built from that key alone: the running
+        # task's target, by identity, the key's ``cpu_lru`` and the
+        # config's budgets.
+        config = host_churn_scenario(tmp_path)
+        tables = self.switch_tables(monkeypatch)
+        inputs = []
+
+        def recording(ranked, protected, state, manifest):
+            inputs.append(state)
+            return plan(ranked, protected, state, manifest)
+
+        plan = replay.plan_prefetch
+        monkeypatch.setattr(replay, "plan_prefetch", recording)
+        steps = self.reference_steps(config, run_replay(config))
+        keys = list(dict.fromkeys(steps))
         assert len(keys) < len(steps)  # the memo hits
-        assert calls == {"execute_prefetch": len(keys),
-                         "execute_switch": sum(k[0] != k[1] for k in keys)}
+        assert len(inputs) == len(keys)
+        table = tables[DeployMode.FULL_METHOD]
+        for state, (current, _task, before) in zip(inputs, keys):
+            target = table.target(DeployMode.FULL_METHOD, current)
+            assert state == CacheState(config.gpu_budget_bytes, config.cpu_budget_bytes,
+                                       target, before.cpu_lru)
+            assert state.gpu_resident is target
 
     def switch_tables(self, monkeypatch):
         """Each mode's ``SwitchTable``, recorded from its replay's switches."""
@@ -709,6 +742,14 @@ class TestCountedFsum:
             counted_fsum([(1.7e308, 2)])
 
 
+def older_block_reported_staged(state, staged):
+    """The host also holds an older block, which is a valid host, and the
+    prefetch reports that oldest resident block as staged last: it is
+    host-resident, but not among the newest."""
+    older = min(frozenset(range(16)) - state.cpu_resident)
+    return state._replace(cpu_lru=(older,) + state.cpu_lru), staged + (older,)
+
+
 class TestStepInvariants:
     """Each computed step checks the state it leaves; a layer that breaks
     the state fails the replay at that step's trace position."""
@@ -734,15 +775,16 @@ class TestStepInvariants:
         (3, lambda state, staged: (
             state._replace(cpu_lru=state.cpu_lru + state.cpu_lru[:1]), staged)),
         (3, lambda state, staged: (
-            state, staged | {min(frozenset(range(16)) - state.cpu_resident)})),
+            state, staged + (min(frozenset(range(16)) - state.cpu_resident),))),
+        (3, lambda state, staged: older_block_reported_staged(state, staged)),
         # A step without a switch: no device load follows the prefetch.
         (1, lambda state, staged: (
             state._replace(gpu_resident=frozenset()), staged)),
         # A larger budget passes ``check_host``; the memo key leaves it out.
         (3, lambda state, staged: (
             state._replace(cpu_budget_bytes=state.cpu_budget_bytes + 1), staged)),
-    ], ids=["lru-lists-a-block-twice", "staged-not-host-resident", "device-emptied",
-            "cpu-budget-changed"])
+    ], ids=["lru-lists-a-block-twice", "staged-not-host-resident",
+            "staged-oldest-host-block", "device-emptied", "cpu-budget-changed"])
     def test_corrupt_prefetch_fails_at_its_position(self, tmp_path, monkeypatch,
                                                     call, corrupt):
         config = small_scenario(tmp_path, trace=self.TRACE, window=1e9,
