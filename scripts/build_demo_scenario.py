@@ -30,7 +30,7 @@ def main() -> None:
         mode=args.mode,
     )
     print(f"scenario written under {args.out_dir}")
-    print(f"  manifest: {config.manifest_path.name}, "
+    print(f"  manifest: {config.manifest.name}, "
           f"gpu budget {config.gpu_budget_bytes} B, "
           f"cpu budget {config.cpu_budget_bytes} B")
 

@@ -21,8 +21,8 @@ from pathlib import Path
 from .errors import (ConfigError, ManifestError, OracleError, SwitchSimError, read_json,
                      write_text)
 from .block_store import ModelManifest
-from .replay import (ScenarioConfig, build_oracles, compare_modes, emit_reports,
-                     run_replay, write_compare_csv)
+from .replay import (FLOAT_KEYS, INT_KEYS, PATH_KEYS, ScenarioConfig, build_oracles,
+                     compare_modes, emit_reports, run_replay, write_compare_csv)
 from .sparsity import build_all_tasks, load_task_specs, selection_report
 from .switching import DeployMode
 from .transitions import fit_transition_model, load_task_log
@@ -81,16 +81,15 @@ def _load_config_with_overrides(args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"{path}: scenario config must be a JSON object")
     # A path flag names a file from the working directory; only the
     # config's own paths resolve against the config's directory.
-    for key in ("manifest", "tasks", "log", "trace", "cost_model"):
-        value = getattr(args, key, None)
+    for key in PATH_KEYS:
+        value = getattr(args, key)
         if value is not None:
             doc[key] = str(Path(value).absolute())
-    for key in ("gpu_budget_bytes", "cpu_budget_bytes", "k", "compute_window_ms"):
+    # compare has no --mode.
+    for key in (*INT_KEYS, *FLOAT_KEYS, "mode"):
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
-    if getattr(args, "mode", None) is not None:
-        doc["mode"] = args.mode
     flags = _oracle_flags(args)
     oracle = doc.get("oracle") or {"kind": "synthetic"}
     # An oracle that is not an object is left for ScenarioConfig.from_dict to refuse.
@@ -129,15 +128,11 @@ def _add_override_flags(parser: argparse.ArgumentParser, with_mode: bool) -> Non
     parser.add_argument("--out-dir", required=True, help="directory for reports")
     if with_mode:
         parser.add_argument("--mode", choices=[m.value for m in DeployMode])
-    parser.add_argument("--manifest")
-    parser.add_argument("--tasks")
-    parser.add_argument("--log")
-    parser.add_argument("--trace")
-    parser.add_argument("--cost-model", dest="cost_model")
-    parser.add_argument("--gpu-budget-bytes", type=int, dest="gpu_budget_bytes")
-    parser.add_argument("--cpu-budget-bytes", type=int, dest="cpu_budget_bytes")
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--compute-window-ms", type=float, dest="compute_window_ms")
+    # One flag per config key but ``oracle``, whose seed and correlation
+    # have their own flags.
+    for keys, kind in ((PATH_KEYS, None), (INT_KEYS, int), (FLOAT_KEYS, float)):
+        for key in keys:
+            parser.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--correlation", type=float)
 

@@ -89,7 +89,7 @@ import json
 import math
 from collections import Counter, defaultdict
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, compress, islice
 from operator import itemgetter, ne
@@ -106,24 +106,31 @@ from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute
 from .synthetic import gen_instance
 from .transitions import TransitionModel, assign_tiers, fit_transition_model, load_task_log
 
-__all__ = ["ScenarioConfig", "ReplayReport", "build_oracles", "load_scenario",
-           "run_replay", "compare_modes", "emit_reports", "write_compare_csv"]
+__all__ = ["PATH_KEYS", "INT_KEYS", "FLOAT_KEYS", "ScenarioConfig", "ReplayReport",
+           "build_oracles", "load_scenario", "run_replay", "compare_modes", "emit_reports",
+           "write_compare_csv"]
 
-_CONFIG_KEYS = frozenset({"manifest", "tasks", "oracle", "log", "trace", "cost_model",
-                          "gpu_budget_bytes", "cpu_budget_bytes", "mode", "k",
-                          "compute_window_ms"})
+# The scenario config's keys, grouped by how a key's value is parsed. Each
+# is a field of :class:`ScenarioConfig`, as are ``oracle`` and ``mode``.
+PATH_KEYS = ("manifest", "tasks", "log", "trace", "cost_model")
+INT_KEYS = ("gpu_budget_bytes", "cpu_budget_bytes", "k")
+FLOAT_KEYS = ("compute_window_ms",)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one replay needs, as resolved file paths and parameters."""
+    """Everything one replay needs, as resolved file paths and parameters.
 
-    manifest_path: Path
-    tasks_path: Path
+    Each field is the scenario config key of the same name, so the fields
+    fix which keys a config may have, and :meth:`echo` writes them back.
+    """
+
+    manifest: Path
+    tasks: Path
     oracle: Mapping
-    log_path: Path
-    trace_path: Path
-    cost_model_path: Path
+    log: Path
+    trace: Path
+    cost_model: Path
     gpu_budget_bytes: int
     cpu_budget_bytes: int
     mode: DeployMode | None = None
@@ -131,63 +138,55 @@ class ScenarioConfig:
     compute_window_ms: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.compute_window_ms) and self.compute_window_ms >= 0):
-            raise ConfigError(
-                f"compute_window_ms must be finite and >= 0, got {self.compute_window_ms}")
+        # A bool is an int to Python, and a float count fails late, in the
+        # fit or the budget checks, or runs and echoes a float.
+        for key in INT_KEYS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        window = self.compute_window_ms
+        if isinstance(window, bool) or not isinstance(window, (int, float)):
+            raise ConfigError(f"compute_window_ms must be a number, got {window!r}")
+        if not (math.isfinite(window) and window >= 0):
+            raise ConfigError(f"compute_window_ms must be finite and >= 0, got {window}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
     @classmethod
     def from_dict(cls, doc: Mapping, base_dir: Path | str = ".") -> "ScenarioConfig":
-        check_keys(doc, _CONFIG_KEYS, "scenario config")
+        check_keys(doc, frozenset(f.name for f in fields(cls)), "scenario config")
         base = Path(base_dir)
-
-        def path_of(key: str) -> Path:
-            try:
-                return (base / doc[key]).resolve()
-            except KeyError:
-                raise ConfigError(f"config is missing {key!r}") from None
-
-        mode = doc.get("mode")
         oracle = doc.get("oracle", {})
         if not isinstance(oracle, dict):
             raise ConfigError(f"oracle must be a JSON object, not {type(oracle).__name__}")
-        oracle = dict(oracle)
+        values = {"oracle": dict(oracle)}
         try:
             # A table's path is relative to the config's directory too; one
             # that is not a string is left for ``build_oracles`` to refuse.
             if isinstance(oracle.get("path"), str):
-                oracle["path"] = str((base / oracle["path"]).resolve())
-            return cls(
-                manifest_path=path_of("manifest"),
-                tasks_path=path_of("tasks"),
-                oracle=oracle,
-                log_path=path_of("log"),
-                trace_path=path_of("trace"),
-                cost_model_path=path_of("cost_model"),
-                gpu_budget_bytes=exact_int(doc["gpu_budget_bytes"]),
-                cpu_budget_bytes=exact_int(doc["cpu_budget_bytes"]),
-                mode=DeployMode(mode) if mode is not None else None,
-                k=exact_int(doc.get("k", 2)),
-                compute_window_ms=as_float(doc.get("compute_window_ms", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+                values["oracle"]["path"] = str((base / oracle["path"]).resolve())
+            for key in PATH_KEYS:
+                if key not in doc:
+                    raise ConfigError(f"config is missing {key!r}")
+                values[key] = (base / doc[key]).resolve()
+            # An absent key takes its field's default, and an absent key
+            # without one fails the constructor, which names it.
+            values.update({key: exact_int(doc[key]) for key in INT_KEYS if key in doc})
+            values.update({key: as_float(doc[key]) for key in FLOAT_KEYS if key in doc})
+            if doc.get("mode") is not None:
+                values["mode"] = DeployMode(doc["mode"])
+            return cls(**values)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
 
     def echo(self) -> dict:
-        return {
-            "manifest": str(self.manifest_path),
-            "tasks": str(self.tasks_path),
-            "oracle": dict(self.oracle),
-            "log": str(self.log_path),
-            "trace": str(self.trace_path),
-            "cost_model": str(self.cost_model_path),
-            "gpu_budget_bytes": self.gpu_budget_bytes,
-            "cpu_budget_bytes": self.cpu_budget_bytes,
-            "mode": self.mode.value if self.mode is not None else None,
-            "k": self.k,
-            "compute_window_ms": self.compute_window_ms,
-        }
+        """The config as the JSON object of its keys, which
+        :meth:`from_dict` reads back to an equal config."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update({key: str(doc[key]) for key in PATH_KEYS})
+        doc["oracle"] = dict(self.oracle)
+        doc["mode"] = self.mode.value if self.mode is not None else None
+        return doc
 
 
 class _FirstSeen(dict):
@@ -279,18 +278,18 @@ def _lookup(mapping: Mapping, keys: Sequence) -> tuple:
 
 
 def load_scenario(config: ScenarioConfig) -> Scenario:
-    manifest = ModelManifest.load(config.manifest_path)
-    tasks = tuple(load_task_specs(config.tasks_path))
-    cost = CostModel.load(config.cost_model_path)
+    manifest = ModelManifest.load(config.manifest)
+    tasks = tuple(load_task_specs(config.tasks))
+    cost = CostModel.load(config.cost_model)
     # Each log and trace entry becomes its task spec's own id string, so a
     # task id is one object however often it occurs; the mapping runs in C.
     # A log id no task has stays as read, for ``fit_transition_model`` to
     # refuse with its position.
     ids = {t.task_id: t.task_id for t in tasks}
-    log = load_task_log(config.log_path)
+    log = load_task_log(config.log)
     log = tuple(map(ids.get, log, log))
     # A tuple, so the lookup below passes it to ``itemgetter`` uncopied.
-    trace = tuple(load_task_log(config.trace_path))
+    trace = tuple(load_task_log(config.trace))
     largest = max(manifest.block_sizes)
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
         raise ConfigError(
@@ -391,7 +390,7 @@ def _aggregate(mode: DeployMode, scenario: Scenario,
         total_bytes_cpu_to_gpu=total("bytes_cpu_to_gpu"),
         mean_gpu_resident_bytes=mean("gpu_resident_bytes_after"),
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
-        config_echo=scenario.config.echo(),
+        config_echo={**scenario.config.echo(), "mode": mode.value},
         counts=counts,
     )
 

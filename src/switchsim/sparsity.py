@@ -20,7 +20,7 @@ step), not the calls made to ``score``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -355,7 +355,7 @@ def load_table_oracles(path: Path | str, tasks: Sequence[TaskSpec],
     return {t.task_id: TableOracle.from_json(doc[t.task_id], num_blocks) for t in tasks}
 
 
-_TASK_KEYS = frozenset({"task_id", "retention_ratio", "max_remove", "priority_weight"})
+_TASK_KEYS = frozenset(f.name for f in fields(TaskSpec))
 
 
 def load_task_specs(path: Path | str) -> list[TaskSpec]:

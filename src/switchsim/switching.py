@@ -19,7 +19,7 @@ credit. Only the full method's host credit is computed per switch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -88,17 +88,13 @@ class CostModel:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CostModel":
-        check_keys(doc, frozenset({"disk_to_cpu_mbps", "cpu_to_gpu_mbps",
-                                   "per_block_fixed_ms", "monolithic_init_ms"}),
-                   "cost model document")
+        check_keys(doc, frozenset(f.name for f in fields(cls)), "cost model document")
         try:
-            return cls(
-                disk_to_cpu_mbps=as_float(doc["disk_to_cpu_mbps"]),
-                cpu_to_gpu_mbps=as_float(doc["cpu_to_gpu_mbps"]),
-                per_block_fixed_ms=as_float(doc.get("per_block_fixed_ms", 0.0)),
-                monolithic_init_ms=as_float(doc.get("monolithic_init_ms", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            # An absent key takes its field's default, and an absent key
+            # without one fails the constructor, which names it.
+            return cls(**{f.name: as_float(doc[f.name]) for f in fields(cls)
+                          if f.name in doc})
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad cost model document: {exc}") from exc
 
     @classmethod
@@ -106,12 +102,7 @@ class CostModel:
         return cls.from_json(read_json(path))
 
     def to_json(self) -> dict:
-        return {
-            "disk_to_cpu_mbps": self.disk_to_cpu_mbps,
-            "cpu_to_gpu_mbps": self.cpu_to_gpu_mbps,
-            "per_block_fixed_ms": self.per_block_fixed_ms,
-            "monolithic_init_ms": self.monolithic_init_ms,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class SwitchReport(NamedTuple):
@@ -133,18 +124,10 @@ class SwitchReport(NamedTuple):
     gpu_resident_bytes_after: int
 
     def to_json(self) -> dict:
-        return {
-            "from_task": self.from_task,
-            "to_task": self.to_task,
-            "mode": self.mode,
-            "latency_ms": round(self.latency_ms, 3),
-            "bytes_disk_to_cpu": self.bytes_disk_to_cpu,
-            "bytes_cpu_to_gpu": self.bytes_cpu_to_gpu,
-            "blocks_reused": self.blocks_reused,
-            "blocks_fetched": self.blocks_fetched,
-            "blocks_prestaged": self.blocks_prestaged,
-            "gpu_resident_bytes_after": self.gpu_resident_bytes_after,
-        }
+        """The fields in order, with the latency rounded to 3 decimals."""
+        doc = self._asdict()
+        doc["latency_ms"] = round(self.latency_ms, 3)
+        return doc
 
 
 class Transfer(NamedTuple):

@@ -120,7 +120,7 @@ def reference_aggregate(mode: DeployMode, scenario: Scenario,
                                                   for s in switches)
                                  if switches else None),
         prestage_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
-        config_echo=scenario.config.echo(),
+        config_echo={**scenario.config.echo(), "mode": mode.value},
         counts=Counter(order),
     )
 

@@ -1,6 +1,8 @@
 """CLI subcommands, flag overrides, and exit codes."""
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import pytest
 import switchsim
 from switchsim import cli
 from switchsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_REPLAY, main
+from switchsim.replay import ScenarioConfig
 from switchsim.switching import DeployMode
 from switchsim.synthetic import gen_markov_log
 from switchsim.workloads import DRIVING_PAIR_BIAS, DRIVING_TASKS
@@ -165,6 +168,43 @@ class TestReplayCommand:
         assert code == EXIT_CONFIG
 
 
+def override_flags(command: str) -> dict[str, str]:
+    """Each option string of ``command`` but ``--help``, mapped to its dest."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {flag: a.dest for a in sub._actions for flag in a.option_strings
+            if flag not in ("-h", "--help")}
+
+
+class TestOverrideFlags:
+    """Every config key but ``oracle`` has a flag whose dest is the key."""
+
+    @pytest.mark.parametrize("command", ["replay", "compare"])
+    def test_flags_are_the_configs_keys(self, command):
+        keys = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if f.name != "oracle" and (command == "replay" or f.name != "mode")]
+        assert override_flags(command) == {
+            **{"--" + key.replace("_", "-"): key for key in keys},
+            "--config": "config", "--out-dir": "out_dir", "--seed": "seed",
+            "--correlation": "correlation"}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--gpu-budget-bytes", 1), ("--cpu-budget-bytes", 1), ("--k", 1),
+        ("--compute-window-ms", 12.5),
+    ], ids=lambda v: str(v).lstrip("-"))
+    def test_number_flag_reaches_the_echo(self, driving_dir, tmp_path, flag, value):
+        key = flag[2:].replace("-", "_")
+        doc = json.loads((driving_dir / "config.json").read_text())
+        # A budget flag adds one byte to the config's budget.
+        value = doc[key] + value if key.endswith("_bytes") else value
+        out = tmp_path / "out"
+        code = main(["replay", "--config", str(driving_dir / "config.json"),
+                     flag, str(value), "--out-dir", str(out)])
+        assert code == EXIT_OK
+        echo = json.loads((out / "config.echo.json").read_text())
+        assert echo[key] == value and type(echo[key]) is type(value)
+
+
 class TestPathFlags:
     """A path flag resolves against the working directory, not the config's."""
 
@@ -227,6 +267,15 @@ class TestCompareCommand:
         assert subdirs == ["full_method", "monolithic", "sparse_no_split",
                            "split_only"]
         assert (out / "compare.csv").is_file()
+
+    def test_each_modes_echo_names_the_mode_it_replayed(self, driving_dir, tmp_path):
+        # The config names full_method; each echo records its own replay.
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(driving_dir / "config.json"),
+                     "--out-dir", str(out)]) == EXIT_OK
+        for mode in DeployMode:
+            echo = json.loads((out / mode.value / "config.echo.json").read_text())
+            assert echo["mode"] == mode.value
 
 
 class TestParserReuse:

@@ -132,8 +132,8 @@ def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
     modes. Every reported switch is one of those checked results, and the
     replay executes one switch per distinct step key that switches."""
     config = write_case("32-blocks-varied-sizes", tmp_path)
-    manifest = ModelManifest.load(config.manifest_path)
-    cost = CostModel.load(config.cost_model_path)
+    manifest = ModelManifest.load(config.manifest)
+    cost = CostModel.load(config.cost_model)
     selections_by_align = {}
     checked = {mode: [] for mode in DeployMode}
 

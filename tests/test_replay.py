@@ -67,8 +67,8 @@ class TestRunReplay:
                                          mode="full_method"))
         assert len(mono.switches) == len(full.switches) == 4
         # Monolithic transitions all cost the calibrated full reload.
-        cost = CostModel.load(config.cost_model_path)
-        manifest_doc = json.loads(config.manifest_path.read_text())
+        cost = CostModel.load(config.cost_model)
+        manifest_doc = json.loads(config.manifest.read_text())
         sizes = manifest_doc["block_sizes_bytes"]
         expected = cost.monolithic_init_ms + sum(
             cost.disk_ms(s) + cost.gpu_ms(s) for s in sizes)
@@ -140,11 +140,35 @@ def write_entries(path, entries, timestamps):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+class TestScenarioConfig:
+    """Each field is a config key: the echo reads back to the same config."""
+
+    @pytest.mark.parametrize("mode", ["full_method", None])
+    def test_echo_round_trips(self, tmp_path, mode):
+        config = small_scenario(tmp_path, mode=mode, window=12.5)
+        assert ScenarioConfig.from_dict(config.echo()) == config
+        table = dataclasses.replace(config, oracle={
+            "kind": "table", "path": str((tmp_path / "table.json").resolve())})
+        assert ScenarioConfig.from_dict(table.echo()) == table
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", 1.5), ("k", True), ("cpu_budget_bytes", "8"), ("gpu_budget_bytes", 1e12),
+        ("gpu_budget_bytes", None), ("compute_window_ms", "80"),
+        ("compute_window_ms", False),
+    ], ids=repr)
+    def test_directly_built_config_checks_its_numbers(self, key, value):
+        # Unchecked, a fractional k fails in the fit with a bare TypeError,
+        # k=True runs as k=1 and a float budget runs and echoes a float.
+        config = aggregate_scenario()[0].config
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(config, **{key: value})
+
+
 class TestLoadScenario:
     @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
     def test_each_entry_is_its_task_specs_id(self, tmp_path, timestamps):
         config = small_scenario(tmp_path)
-        for path in (config.log_path, config.trace_path):
+        for path in (config.log, config.trace):
             write_entries(path, path.read_text(encoding="utf-8").split(), timestamps)
         scenario = replay.load_scenario(config)
         specs = {t.task_id: t for t in scenario.tasks}
@@ -155,13 +179,13 @@ class TestLoadScenario:
     @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
     def test_unknown_ids_keep_their_positions(self, tmp_path, timestamps):
         config = small_scenario(tmp_path)
-        write_entries(config.trace_path, ["Car", "Person", "Ghost", "Car"], timestamps)
+        write_entries(config.trace, ["Car", "Person", "Ghost", "Car"], timestamps)
         with pytest.raises(ReplayError) as err:
             replay.load_scenario(config)
         assert err.value.position == 2
         # A log id no task has is kept as read, and the fit refuses it.
-        write_entries(config.trace_path, ["Car", "Person"], timestamps)
-        write_entries(config.log_path, ["Car", "Person", "Car", "Ghost", "Car"],
+        write_entries(config.trace, ["Car", "Person"], timestamps)
+        write_entries(config.log, ["Car", "Person", "Car", "Ghost", "Car"],
                       timestamps)
         assert replay.load_scenario(config).log[3] == "Ghost"
         with pytest.raises(LogParseError) as err:
@@ -226,9 +250,9 @@ def replay_inputs(draw):
     host_blocks = draw(st.integers(1, n))
     k = draw(st.sampled_from([1, 2]))
     config = ScenarioConfig(
-        manifest_path=Path("manifest.json"), tasks_path=Path("tasks.json"),
-        oracle={}, log_path=Path("log.txt"), trace_path=Path("trace.txt"),
-        cost_model_path=Path("cost.json"),
+        manifest=Path("manifest.json"), tasks=Path("tasks.json"),
+        oracle={}, log=Path("log.txt"), trace=Path("trace.txt"),
+        cost_model=Path("cost.json"),
         gpu_budget_bytes=total if tied else draw(st.one_of(
             st.just(total), st.integers(max(sizes), total))),
         cpu_budget_bytes=min(total, host_blocks * max(sizes)), k=k,
@@ -395,9 +419,9 @@ def host_free_scenario(trace, gpu_budget_bytes):
     and "c" 90; the whole model is 100 bytes."""
     ids = ("a", "b", "c")
     config = ScenarioConfig(
-        manifest_path=Path("manifest.json"), tasks_path=Path("tasks.json"),
-        oracle={}, log_path=Path("log.txt"), trace_path=Path("trace.txt"),
-        cost_model_path=Path("cost.json"), gpu_budget_bytes=gpu_budget_bytes,
+        manifest=Path("manifest.json"), tasks=Path("tasks.json"),
+        oracle={}, log=Path("log.txt"), trace=Path("trace.txt"),
+        cost_model=Path("cost.json"), gpu_budget_bytes=gpu_budget_bytes,
         cpu_budget_bytes=40)
     log = ("a", "b", "c", "a", "c", "b", "a")
     scenario = Scenario(
@@ -614,9 +638,9 @@ def record_tables(draw):
 
 def aggregate_scenario(ids=("a", "b", "c")):
     config = ScenarioConfig(
-        manifest_path=Path("manifest.json"), tasks_path=Path("tasks.json"),
-        oracle={}, log_path=Path("log.txt"), trace_path=Path("trace.txt"),
-        cost_model_path=Path("cost.json"), gpu_budget_bytes=1, cpu_budget_bytes=1)
+        manifest=Path("manifest.json"), tasks=Path("tasks.json"),
+        oracle={}, log=Path("log.txt"), trace=Path("trace.txt"),
+        cost_model=Path("cost.json"), gpu_budget_bytes=1, cpu_budget_bytes=1)
     scenario = Scenario(
         config=config, manifest=ModelManifest("m", (1, 1, 1)),
         tasks=tuple(TaskSpec(tid, retention_ratio=0.9, max_remove=3) for tid in ids),

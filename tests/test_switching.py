@@ -7,7 +7,7 @@ import pytest
 
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import BudgetExceededError, ConfigError, SwitchSimError
-from switchsim.switching import (CostModel, DeployMode, SwitchTable,
+from switchsim.switching import (CostModel, DeployMode, SwitchReport, SwitchTable,
                                  calibrate_uniform_block_bytes, execute_switch)
 
 from reference import reference_switch
@@ -393,6 +393,28 @@ class TestSummationOrder:
         _, ref = reference_switch(state, "a", "b", DeployMode.MONOLITHIC, {}, cost,
                                   manifest)
         assert ref.latency_ms == 2e16
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("cost", [COST, CostModel(disk_to_cpu_mbps=0.5,
+                                                      cpu_to_gpu_mbps=1e9)],
+                             ids=["every-field", "defaults"])
+    def test_cost_model_round_trips(self, cost):
+        assert list(cost.to_json()) == ["disk_to_cpu_mbps", "cpu_to_gpu_mbps",
+                                        "per_block_fixed_ms", "monolithic_init_ms"]
+        assert CostModel.from_json(cost.to_json()) == cost
+
+    def test_cost_model_without_a_bandwidth_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="bad cost model document.*cpu_to_gpu_mbps"):
+            CostModel.from_json({"disk_to_cpu_mbps": 1.0})
+
+    def test_switch_report_lists_its_fields_with_the_latency_rounded(self):
+        report = SwitchReport("a", "b", "split_only", 1.23456, 1, 2, 3, 4, 5, 6)
+        assert list(report.to_json().items()) == [
+            ("from_task", "a"), ("to_task", "b"), ("mode", "split_only"),
+            ("latency_ms", 1.235), ("bytes_disk_to_cpu", 1), ("bytes_cpu_to_gpu", 2),
+            ("blocks_reused", 3), ("blocks_fetched", 4), ("blocks_prestaged", 5),
+            ("gpu_resident_bytes_after", 6)]
 
 
 class TestCalibration:
