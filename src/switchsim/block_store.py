@@ -68,6 +68,10 @@ class ModelManifest:
     def __post_init__(self):
         if len(self.block_sizes) < 1:
             raise ManifestError("a manifest needs at least one block")
+        for size in self.block_sizes:
+            # A bool is an int to Python; a block holds a whole number of bytes.
+            if isinstance(size, bool) or not isinstance(size, int):
+                raise ManifestError(f"block_sizes must be integers, got {size!r}")
         if any(s <= 0 for s in self.block_sizes):
             raise ManifestError("every block size must be positive")
 

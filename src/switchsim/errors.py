@@ -1,12 +1,12 @@
 """Exception hierarchy shared by all switchsim modules, plus the file
 readers, number and key checks their file parsers share, the file writer
-their reports share, the float sums their cost and report totals share,
-and the exact units the additive oracle's ranking keeps its sum in."""
+their reports share, the exact sum their report means share, and the
+exact units the additive oracle's ranking keeps its sum in."""
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # 2**-1074 is the smallest subnormal, so every finite float is a whole
 # number of these units.
@@ -50,18 +50,6 @@ def check_keys(doc: object, allowed: frozenset[str], what: str) -> None:
     unknown = doc.keys() - allowed
     if unknown:
         raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
-
-
-def sum_left_to_right(values: Sequence[float], indices: Iterable[int]) -> float:
-    """``values[i]`` summed over ``indices`` in iteration order.
-
-    The built-in ``sum()`` of floats is compensated from Python 3.12 on; a
-    plain left-to-right sum gives the same float on every version.
-    """
-    total = 0.0
-    for i in indices:
-        total += values[i]
-    return total
 
 
 def exact_units(w: float) -> int:

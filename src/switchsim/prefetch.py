@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .block_store import CacheState, ModelManifest, _new_tuple, stage_to_cpu
-from .errors import BudgetExceededError
 from .transitions import TierAssignment, TransitionModel
 
 __all__ = ["PrefetchPlan", "plan_prefetch", "execute_prefetch", "block_usefulness",
@@ -119,10 +118,13 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     the blocks resident before the call, so no staged block evicts
     another, the victims are the shortest prefix of the eviction order
     that covers the total overflow, and the prefix ends up most recent in
-    plan order. When that overflow cannot be covered, the error carries
-    the shortfall at the first block where the one-at-a-time pass would
-    have failed. An empty plan, or one whose first block overruns the
-    window, returns the input state and ``()``.
+    plan order. When that overflow cannot be covered, the
+    :class:`BudgetExceededError` of :func:`stage_to_cpu` stands, with the
+    whole prefix's shortfall. No replay reaches it: :func:`plan_prefetch`
+    plans within the host budget less the protected residents, and the
+    prefix is staged under the same protected set, so it always fits. An
+    empty plan, or one whose first block overruns the window, returns the
+    input state and ``()``.
     """
     entries = plan.entries
     count = 0
@@ -138,18 +140,5 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
         return state, (), 0
     # A slice of the whole tuple is the tuple itself, not a copy.
     prefix = entries[:count]
-    try:
-        after, moved = stage_to_cpu(manifest, state, prefix, protected)
-    except BudgetExceededError as exc:
-        # The shortfall grows block by block along the prefix; the
-        # one-at-a-time pass stops at the first block where it is positive.
-        # Walk back from the last block: dropping a later block's bytes
-        # gives the shortfall at the block before it.
-        shortfall = exc.shortfall_bytes
-        for block in reversed(prefix[1:]):
-            earlier = shortfall - manifest.block_sizes[block]
-            if earlier <= 0:
-                break
-            shortfall = earlier
-        raise BudgetExceededError(exc.tier, shortfall) from None
+    after, moved = stage_to_cpu(manifest, state, prefix, protected)
     return after, prefix, moved

@@ -151,6 +151,9 @@ class ScenarioConfig:
             raise ConfigError(f"compute_window_ms must be finite and >= 0, got {window}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        # A mode string would select independently, then fail in the table.
+        if self.mode is not None and not isinstance(self.mode, DeployMode):
+            raise ConfigError(f"mode must be a DeployMode or None, got {self.mode!r}")
 
     @classmethod
     def from_dict(cls, doc: Mapping, base_dir: Path | str = ".") -> "ScenarioConfig":
@@ -431,8 +434,6 @@ def _replay(scenario: Scenario, mode: DeployMode,
     manifest = scenario.manifest
     cost = scenario.cost
     n = manifest.num_blocks
-    # Each switch's millisecond sums walk these sets in their iteration
-    # order, which follows from this expression.
     active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
     table = SwitchTable(manifest, cost, active)
     gpu_budget, cpu_budget = config.gpu_budget_bytes, config.cpu_budget_bytes

@@ -68,6 +68,15 @@ class TaskSpec:
                 or any(c in self.task_id for c in ",\n\r")):
             raise ConfigError(f"task_id {self.task_id!r} must be non-empty, without "
                               "surrounding whitespace, commas or line breaks")
+        # A bool is an int to Python, and a float cap would remove a
+        # fractional number of blocks.
+        for key in ("retention_ratio", "priority_weight"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{self.task_id}: {key} must be a number, got {value!r}")
+        if isinstance(self.max_remove, bool) or not isinstance(self.max_remove, int):
+            raise ConfigError(f"{self.task_id}: max_remove must be an integer, "
+                              f"got {self.max_remove!r}")
         if not 0.0 < self.retention_ratio <= 1.0:
             raise ConfigError(f"{self.task_id}: retention_ratio must be in (0, 1]")
         if self.max_remove < 0:

@@ -15,6 +15,9 @@ to) task pair alone. A :class:`SwitchTable` holds what a replay's
 switches share: each task's active set, per-block link costs, the legs
 of every pair seen so far, and the full method's reports per host
 credit. Only the full method's host credit is computed per switch.
+Each link's milliseconds are the correctly rounded sum (``math.fsum``) of
+its blocks' per-block costs, so a latency depends on the block sets
+alone, not on the order a set iterates in.
 """
 from __future__ import annotations
 
@@ -25,8 +28,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .block_store import CacheState, ModelManifest, load_to_gpu
-from .errors import (ConfigError, SwitchSimError, as_float, check_keys, read_json,
-                     sum_left_to_right)
+from .errors import ConfigError, SwitchSimError, as_float, check_keys, read_json
 
 __all__ = [
     "DeployMode",
@@ -71,6 +73,11 @@ class CostModel:
     monolithic_init_ms: float = 0.0
 
     def __post_init__(self):
+        # A bool is an int to Python, so True would run at 1 MB/s.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
         if not all(math.isfinite(v) and v > 0
                    for v in (self.disk_to_cpu_mbps, self.cpu_to_gpu_mbps)):
             raise ConfigError("bandwidths must be positive and finite")
@@ -172,9 +179,6 @@ class SwitchTable:
     (from, to) pair, so they are not kept. A monolithic-style reload
     depends on its target alone, so its transfers are kept per target set:
     one in monolithic mode, one per distinct active set in sparse_no_split.
-    Every millisecond sum walks the same sets in the same order as a
-    per-switch recomputation would; equal active sets built by one
-    expression, as a replay builds them, iterate alike.
     """
 
     def __init__(self, manifest: ModelManifest, cost: CostModel,
@@ -193,7 +197,7 @@ class SwitchTable:
 
     def _transfer(self, blocks: frozenset[int], per_block_ms: tuple[float, ...]
                  ) -> Transfer:
-        return Transfer(blocks, sum_left_to_right(per_block_ms, blocks),
+        return Transfer(blocks, math.fsum(map(per_block_ms.__getitem__, blocks)),
                         self.manifest.bytes_of(blocks))
 
     def _disk_leg(self, need: frozenset[int], prestaged: frozenset[int]) -> Transfer:

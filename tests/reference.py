@@ -19,12 +19,13 @@ and rank pipeline that the one-pass
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from switchsim.block_store import CacheState, ModelManifest, load_to_gpu
-from switchsim.errors import ConfigError, LogParseError, read_text, sum_left_to_right
+from switchsim.errors import ConfigError, LogParseError, read_text
 from switchsim.sparsity import MetricOracle, SelectionResult, TaskSpec
 from switchsim.switching import CostModel, DeployMode, SwitchReport
 from switchsim.transitions import TransitionModel
@@ -148,9 +149,9 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
     """One switch with every set and per-block link cost rebuilt on the spot.
 
     Takes each task's skip set and derives the active set itself. Same
-    semantics as :func:`switchsim.switching.execute_switch`, and the same
-    set expressions as a replay, so each millisecond sum walks its blocks
-    in the same order, left to right, and the two agree exactly.
+    semantics as :func:`switchsim.switching.execute_switch`; each leg's
+    milliseconds are ``math.fsum`` of its blocks' costs, so the two agree
+    exactly.
     """
     mode = DeployMode(mode)
     n = manifest.num_blocks
@@ -177,9 +178,10 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
         reused = 0
         init = cost.monolithic_init_ms
 
+    sizes = manifest.block_sizes
     latency = (init
-               + sum_left_to_right([cost.disk_ms(s) for s in manifest.block_sizes], disk_leg)
-               + sum_left_to_right([cost.gpu_ms(s) for s in manifest.block_sizes], gpu_leg))
+               + math.fsum(cost.disk_ms(sizes[b]) for b in disk_leg)
+               + math.fsum(cost.gpu_ms(sizes[b]) for b in gpu_leg))
     report = SwitchReport(
         from_task=from_task,
         to_task=to_task,

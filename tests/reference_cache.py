@@ -4,8 +4,10 @@
 recency, id) through a recency dict, ``reference_touch`` moves one block at a
 time, ``stage_to_cpu`` always builds ``protected | wanted``,
 ``plan_prefetch`` sorts the candidates on every call and builds the union
-of both tiers, and ``execute_prefetch`` stages one block per
-``stage_to_cpu`` call, building ``protected | plan blocks`` each time. New
+of both tiers, and ``execute_prefetch`` finds the prefix the window
+covers, then stages one block per ``stage_to_cpu`` call, building
+``protected | plan blocks`` each time; a failure there reports the whole
+prefix's shortfall. New
 states come from ``CacheState._replace``. Each function derives the host
 set from ``cpu_lru`` itself, where the fast path reads the order alone.
 The functions in ``switchsim.block_store`` and ``switchsim.prefetch`` are
@@ -105,18 +107,25 @@ def reference_execute_prefetch(plan: PrefetchPlan, state: CacheState,
                                next_task_probs: Mapping[int, float] | None = None
                                ) -> tuple[CacheState, tuple[int, ...], int]:
     staged: list[int] = []
-    bytes_moved = 0
     elapsed = 0.0
     for block in plan.entries:
         transfer = cost.disk_ms(manifest.block_sizes[block])
         if elapsed + transfer > compute_window_ms:
             break
-        state, moved = reference_stage_to_cpu(
-            manifest, state, {block},
-            protected=protected | frozenset(plan.entries),
-            next_task_probs=next_task_probs,
-        )
         staged.append(block)
-        bytes_moved += moved
         elapsed += transfer
+    bytes_moved = 0
+    for i, block in enumerate(staged):
+        try:
+            state, moved = reference_stage_to_cpu(
+                manifest, state, {block},
+                protected=protected | frozenset(plan.entries),
+                next_task_probs=next_task_probs,
+            )
+        except BudgetExceededError as exc:
+            # Each later block of the window's prefix adds its bytes to the
+            # shortfall of staging the whole prefix.
+            later = sum(manifest.block_sizes[b] for b in staged[i + 1:])
+            raise BudgetExceededError(exc.tier, exc.shortfall_bytes + later) from None
+        bytes_moved += moved
     return state, tuple(staged), bytes_moved

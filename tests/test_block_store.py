@@ -40,6 +40,14 @@ class TestManifest:
         with pytest.raises(ManifestError):
             ModelManifest("m", (10, 0))
 
+    @pytest.mark.parametrize("sizes", [(True, 2), (1.5, 2), (2.0,), ("3",), (None,)],
+                             ids=repr)
+    def test_rejects_sizes_that_are_not_integers(self, sizes):
+        # Unchecked, True is a 1-byte block, 1.5 a fractional one, and "3"
+        # fails with a bare TypeError.
+        with pytest.raises(ManifestError, match="block_sizes"):
+            ModelManifest("m", sizes)
+
     def test_from_json_ignores_shard_prefix(self):
         # Manifest files written for the removed shard store still load.
         m = ModelManifest.from_json({

@@ -269,13 +269,23 @@ class TestCompareCommand:
         assert (out / "compare.csv").is_file()
 
     def test_each_modes_echo_names_the_mode_it_replayed(self, driving_dir, tmp_path):
-        # The config names full_method; each echo records its own replay.
+        # The config names full_method; each echo records its own replay,
+        # and a replay of one mode writes what the compare wrote for it.
+        config = str(driving_dir / "config.json")
         out = tmp_path / "cmp"
-        assert main(["compare", "--config", str(driving_dir / "config.json"),
-                     "--out-dir", str(out)]) == EXIT_OK
+        assert main(["compare", "--config", config, "--out-dir", str(out)]) == EXIT_OK
         for mode in DeployMode:
             echo = json.loads((out / mode.value / "config.echo.json").read_text())
             assert echo["mode"] == mode.value
+            single = tmp_path / mode.value
+            assert main(["replay", "--config", config, "--mode", mode.value,
+                         "--out-dir", str(single)]) == EXIT_OK
+            names = sorted(p.name for p in single.iterdir())
+            assert names == ["config.echo.json", "jaccard.csv", "summary.csv",
+                             "switches.jsonl"]
+            assert names == sorted(p.name for p in (out / mode.value).iterdir())
+            for name in names:
+                assert (single / name).read_bytes() == (out / mode.value / name).read_bytes()
 
 
 class TestParserReuse:

@@ -119,7 +119,7 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
     if shape == "full-host" and absent:
         # A host full of protected blocks, with less free space than the
         # plan and a window for all of it: staging fails, and the error must
-        # carry the shortfall at the first block that does not fit.
+        # carry the whole plan's shortfall.
         protected |= state.cpu_resident
         free = data.draw(st.integers(0, manifest.bytes_of(plan.entries) - 1))
         state = state._replace(
@@ -136,17 +136,17 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
                    protected, useful)
 
 
-def test_execute_prefetch_reports_the_first_failing_blocks_shortfall():
-    # Staging 2 overflows the full, protected host by 10 bytes; staging 3
-    # as well would overflow it by 20. The one-at-a-time pass fails at 2.
+def test_execute_prefetch_reports_the_whole_prefixs_shortfall():
+    # Staging 2 overflows the full, protected host by 10 bytes, and 3 as
+    # well by 20: the window covers both, so the error carries 20.
     manifest = ModelManifest("m", (10, 10, 10, 10))
     state = CacheState(gpu_budget_bytes=40, cpu_budget_bytes=20,
                        cpu_lru=(0, 1))
     plan, protected = PrefetchPlan((2, 3)), frozenset({0, 1})
     assert outcome(reference_execute_prefetch, plan, state, 100.0, COST, manifest,
-                   protected) == (BudgetExceededError, 10)
+                   protected) == (BudgetExceededError, 20)
     assert outcome(execute_prefetch, plan, state, 100.0, disk_ms(manifest), manifest,
-                   protected) == (BudgetExceededError, 10)
+                   protected) == (BudgetExceededError, 20)
 
 
 # Blocks 0..5 of 10, 20, ..., 60 bytes; block 1 is protected throughout.

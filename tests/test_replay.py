@@ -154,11 +154,12 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("key, value", [
         ("k", 1.5), ("k", True), ("cpu_budget_bytes", "8"), ("gpu_budget_bytes", 1e12),
         ("gpu_budget_bytes", None), ("compute_window_ms", "80"),
-        ("compute_window_ms", False),
+        ("compute_window_ms", False), ("mode", "full_method"),
     ], ids=repr)
     def test_directly_built_config_checks_its_numbers(self, key, value):
         # Unchecked, a fractional k fails in the fit with a bare TypeError,
-        # k=True runs as k=1 and a float budget runs and echoes a float.
+        # k=True runs as k=1, a float budget runs and echoes a float, and a
+        # mode string selects independently, then fails in the switch table.
         config = aggregate_scenario()[0].config
         with pytest.raises(ConfigError, match=key):
             dataclasses.replace(config, **{key: value})

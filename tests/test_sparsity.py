@@ -451,6 +451,18 @@ class TestBuildAllTasks:
         with pytest.raises(ConfigError):
             build_all_tasks([task(1, task_id="x")], {})
 
+    @pytest.mark.parametrize("key, value", [
+        ("retention_ratio", True), ("retention_ratio", "0.5"), ("max_remove", 1.5),
+        ("max_remove", True), ("max_remove", "1"), ("priority_weight", True),
+        ("priority_weight", None),
+    ], ids=repr)
+    def test_directly_built_spec_checks_its_numbers(self, key, value):
+        # Unchecked, True runs as 1, a fractional cap is accepted, and a
+        # string fails with a bare TypeError.
+        fields = {"task_id": "a", "retention_ratio": 0.5, "max_remove": 1, key: value}
+        with pytest.raises(ConfigError, match=key):
+            TaskSpec(**fields)
+
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_priority_is_a_config_error(self, weight):
         # A NaN weight would make the processing order depend on list order.

@@ -194,8 +194,6 @@ class TestTableMatchesReference:
             tasks = [f"t{i}" for i in range(rng.randrange(2, 5))]
             skipped = {t: frozenset(range(n)) - frozenset(
                 rng.sample(range(n), rng.randrange(0, n + 1))) for t in tasks}
-            # The replay's derivation: a set's iteration order, and so the
-            # order of each millisecond sum, follows from this expression.
             active = {t: frozenset(range(n)) - s for t, s in skipped.items()}
             table = SwitchTable(manifest, cost, active)
             total = sum(manifest.block_sizes)
@@ -379,20 +377,39 @@ class TestModeOrdering:
 
 
 class TestSummationOrder:
-    def test_link_milliseconds_sum_left_to_right(self):
-        # Per-block costs of 1e16, 1 and 1 ms on each link: summed left to
-        # right each leg is 1e16, where the compensated built-in sum() of
-        # Python 3.12+ gives 1e16 + 2.
-        cost = CostModel(disk_to_cpu_mbps=0.001, cpu_to_gpu_mbps=0.001)
+    # A block of s bytes takes s ms on each link.
+    COST = CostModel(disk_to_cpu_mbps=0.001, cpu_to_gpu_mbps=0.001)
+
+    def test_link_milliseconds_are_correctly_rounded_sums(self):
+        # Per-block costs of 1e16, 1 and 1 ms on each link: each leg is
+        # exactly 1e16 + 2, and the two legs 2e16 + 4, which a left-to-right
+        # sum would round down to 1e16 and 2e16.
         manifest = ModelManifest("m", (10 ** 16, 1, 1))
         state = CacheState(gpu_budget_bytes=10 ** 17, cpu_budget_bytes=10 ** 17,
                            gpu_resident=manifest.all_blocks)
-        table = SwitchTable(manifest, cost, {})
+        table = SwitchTable(manifest, self.COST, {})
         _, report = execute_switch(state, "a", "b", DeployMode.MONOLITHIC, table)
-        assert report.latency_ms == 2e16
-        _, ref = reference_switch(state, "a", "b", DeployMode.MONOLITHIC, {}, cost,
+        assert report.latency_ms == 2.0000000000000004e16
+        _, ref = reference_switch(state, "a", "b", DeployMode.MONOLITHIC, {}, self.COST,
                                   manifest)
-        assert ref.latency_ms == 2e16
+        assert ref.latency_ms == 2.0000000000000004e16
+
+    def test_equal_active_sets_give_equal_reports_in_any_iteration_order(self):
+        # Block 0 costs 1e16 ms per link and blocks 8 and 16 cost 1 ms: left
+        # to right, 0, 8, 16 drops both 1s, and 16, 8, 0 keeps them.
+        manifest = ModelManifest("m", (10 ** 16,) + (1,) * 16)
+        forward, backward = frozenset([0, 8, 16]), frozenset([16, 8, 0])
+        assert forward == backward and list(forward) != list(backward)
+        reports = []
+        for b_active in (forward, backward):
+            table = SwitchTable(manifest, self.COST, {"a": frozenset({1}), "b": b_active})
+            state = CacheState(gpu_budget_bytes=10 ** 17, cpu_budget_bytes=10 ** 17,
+                               gpu_resident=frozenset({1}))
+            _, report = execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT, table)
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0].latency_ms.hex() == reports[1].latency_ms.hex()
+        assert reports[0].latency_ms == 2.0000000000000004e16
 
 
 class TestDocuments:
@@ -407,6 +424,17 @@ class TestDocuments:
     def test_cost_model_without_a_bandwidth_is_a_config_error(self):
         with pytest.raises(ConfigError, match="bad cost model document.*cpu_to_gpu_mbps"):
             CostModel.from_json({"disk_to_cpu_mbps": 1.0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("disk_to_cpu_mbps", True), ("disk_to_cpu_mbps", "1"), ("cpu_to_gpu_mbps", None),
+        ("per_block_fixed_ms", False), ("monolithic_init_ms", "0"),
+    ], ids=repr)
+    def test_directly_built_cost_model_checks_its_numbers(self, key, value):
+        # Unchecked, True runs at 1 MB/s and a string fails with a bare
+        # TypeError.
+        fields = {"disk_to_cpu_mbps": 1, "cpu_to_gpu_mbps": 2.0, key: value}
+        with pytest.raises(ConfigError, match=key):
+            CostModel(**fields)
 
     def test_switch_report_lists_its_fields_with_the_latency_rounded(self):
         report = SwitchReport("a", "b", "split_only", 1.23456, 1, 2, 3, 4, 5, 6)
