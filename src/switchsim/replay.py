@@ -7,9 +7,11 @@ modes), estimates transition statistics, then replays the trace's task
 changes: each executes a switch, and in full_method each step also
 grants a prefetch window. All randomness is seeded through the config,
 so identical configs produce byte-identical reports. Loading maps every
-trace and log entry onto its task spec's own id string, so each task id
-is one object however often the trace names it; the trace's lookups run
-in one ``operator.itemgetter`` call (``_lookup``).
+trace and log entry that names a task onto its task spec's own id string
+(``transitions.load_task_log``), so each task id is one object however
+often the trace names it, and a trace id no task has fails at its
+position. Loading also refuses block sizes and costs whose totals over
+the trace would overflow a float.
 
 Only full_method stages blocks ahead of a switch. The three other modes
 (monolithic, sparse_no_split, split_only) never touch the host cache, so
@@ -79,9 +81,11 @@ bytes. ``summary.csv``, ``jaccard.csv``, ``compare.csv`` and
 each (``errors.write_text``). The CSVs are formatted by ``_csv_text``,
 which quotes as ``csv.writer(lineterminator="\\n")`` does without the
 writer's 128 KiB buffer. ``switches.jsonl`` is written in batches:
-each distinct record is encoded once, and each batch of
-``_LINES_PER_WRITE`` lines is gathered by ``_lookup`` and written with
-one write, so memory is bounded by a batch.
+each distinct record is encoded once, by one format string built from
+``SwitchReport``'s fields (the bytes ``json.dumps`` gives its dict), and
+each batch, as many lines as ``_WRITE_BYTES`` holds of the longest (at
+least one), is gathered by ``_lookup`` and written with one write, so
+memory is bounded by a batch.
 """
 from __future__ import annotations
 
@@ -92,6 +96,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, compress, islice
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -280,31 +285,56 @@ def _lookup(mapping: Mapping, keys: Sequence) -> tuple:
     return itemgetter(*keys)(mapping)
 
 
+def _check_finite_costs(manifest: ModelManifest, cost: CostModel, switches: int) -> None:
+    """Refuse block sizes and costs whose sums overflow a float.
+
+    Every switch moves a subset of the whole model, so the model's bytes
+    bound each byte count, and a whole-model reload (the reinitialization
+    plus every block's disk and device milliseconds) bounds each latency.
+    A total or mean over the trace sums at most ``switches`` of them, so
+    both bounds times ``switches`` being finite floats keeps every float a
+    replay computes finite.
+    """
+    sizes = manifest.block_sizes
+    try:
+        nbytes = float(sum(sizes)) * switches
+    except OverflowError:
+        nbytes = math.inf
+    if not math.isfinite(nbytes):
+        raise ConfigError(f"the model's bytes over the trace's {switches} switches "
+                          "are too many for a float")
+    try:
+        reload_ms = (cost.monolithic_init_ms + math.fsum(map(cost.disk_ms, sizes))
+                     + math.fsum(map(cost.gpu_ms, sizes))) * switches
+    except OverflowError:
+        reload_ms = math.inf
+    if not math.isfinite(reload_ms):
+        raise ConfigError(f"whole-model reloads over the trace's {switches} switches "
+                          "take more milliseconds than a float holds")
+
+
 def load_scenario(config: ScenarioConfig) -> Scenario:
     manifest = ModelManifest.load(config.manifest)
     tasks = tuple(load_task_specs(config.tasks))
     cost = CostModel.load(config.cost_model)
-    # Each log and trace entry becomes its task spec's own id string, so a
-    # task id is one object however often it occurs; the mapping runs in C.
-    # A log id no task has stays as read, for ``fit_transition_model`` to
-    # refuse with its position.
-    ids = {t.task_id: t.task_id for t in tasks}
-    log = load_task_log(config.log)
-    log = tuple(map(ids.get, log, log))
-    # A tuple, so the lookup below passes it to ``itemgetter`` uncopied.
-    trace = tuple(load_task_log(config.trace))
+    # Each log and trace entry that names a task is its task spec's own id
+    # string, so a task id is one object however often it occurs. A log id
+    # no task has stays as read, for ``fit_transition_model`` to refuse
+    # with its position.
+    ids = [t.task_id for t in tasks]
+    log = tuple(load_task_log(config.log, ids))
+    trace = tuple(load_task_log(config.trace, ids))
     largest = max(manifest.block_sizes)
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
         raise ConfigError(
             f"budgets must admit the largest block ({largest} bytes)")
+    _check_finite_costs(manifest, cost, max(1, len(trace) - 1))
     oracles = build_oracles(config.oracle, manifest.num_blocks, tasks)
-    try:
-        trace = _lookup(ids, trace)
-    except KeyError:
+    known = frozenset(ids)
+    if not known.issuperset(trace):
         pos, task = next((pos, task) for pos, task in enumerate(trace)
-                         if task not in ids)
-        raise ReplayError(f"trace task {task!r} is not a scenario task",
-                          position=pos) from None
+                         if task not in known)
+        raise ReplayError(f"trace task {task!r} is not a scenario task", position=pos)
     return Scenario(config=config, manifest=manifest, tasks=tasks, oracles=oracles,
                     log=log, trace=trace, cost=cost)
 
@@ -593,8 +623,33 @@ def compare_modes(config: ScenarioConfig) -> dict[DeployMode, ReplayReport]:
     return reports
 
 
-# switches.jsonl lines joined per write.
-_LINES_PER_WRITE = 256
+# The most bytes of switches.jsonl lines joined per write, unless one line
+# is longer.
+_WRITE_BYTES = 32 * 1024
+
+# One switches.jsonl line: a record's fields in order, as ``json.dumps``
+# writes the record's dict (``", "`` and ``": "`` separators).
+_SWITCH_LINE = "{{" + ", ".join(f'"{name}": {{}}' for name in SwitchReport._fields) + "}}\n"
+
+
+def _json_float(value: float) -> str:
+    """``value`` as ``json.dumps`` writes a float."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _switch_line(r: SwitchReport) -> bytes:
+    """The record's switches.jsonl line: the bytes of ``json.dumps`` of its
+    fields, in order, with the latency rounded to 3 decimals, and a line
+    break. Strings are escaped to ASCII, so the text is its UTF-8 bytes."""
+    return _SWITCH_LINE.format(
+        _json_str(r.from_task), _json_str(r.to_task), _json_str(r.mode),
+        _json_float(round(r.latency_ms, 3)), *map(int.__repr__, r[4:])).encode()
 
 
 def _fmt_ms(value: float) -> str:
@@ -634,14 +689,15 @@ def emit_reports(report: ReplayReport, out_dir: Path | str) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
 
     switches_path = out / "switches.jsonl"
-    # One encoded line per distinct record, joined in fixed batches: one
-    # write per batch, and memory bounded by a batch, not by the file.
-    # ``json.dumps`` escapes non-ASCII, so its text is its UTF-8 bytes.
-    lines = [(json.dumps(r.to_json()) + "\n").encode() for r in report.records]
+    # One encoded line per distinct record, joined in batches of at most
+    # ``_WRITE_BYTES`` (or of one longer line): one write per batch, and
+    # memory bounded by a batch, not by the file.
+    lines = [_switch_line(r) for r in report.records]
     order = report.order
+    per_write = max(1, _WRITE_BYTES // max(map(len, lines), default=1))
     with open(switches_path, "wb") as fh:
-        for start in range(0, len(order), _LINES_PER_WRITE):
-            fh.write(b"".join(_lookup(lines, order[start:start + _LINES_PER_WRITE])))
+        for start in range(0, len(order), per_write):
+            fh.write(b"".join(_lookup(lines, order[start:start + per_write])))
 
     summary: list[list[object]] = [["metric", "value"], ["mode", report.mode],
                                    ["num_switches", len(report.order)]]

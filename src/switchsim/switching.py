@@ -130,12 +130,6 @@ class SwitchReport(NamedTuple):
     blocks_prestaged: int
     gpu_resident_bytes_after: int
 
-    def to_json(self) -> dict:
-        """The fields in order, with the latency rounded to 3 decimals."""
-        doc = self._asdict()
-        doc["latency_ms"] = round(self.latency_ms, 3)
-        return doc
-
 
 class Transfer(NamedTuple):
     """Blocks crossing one link, with their summed milliseconds and bytes."""

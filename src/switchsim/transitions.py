@@ -6,6 +6,11 @@ probabilities, and one sort gives every task's top-K likely successors.
 The module also maps blocks into three tiers: device-resident for the
 running task, host-staging candidates for its likely successors, and
 disk for the rest.
+
+A task log is read once and mapped slice by slice: each slice of about
+4 KiB ends at a line break, and its stripped, non-empty lines are mapped
+through a dict seeded with the task ids, so a bare id is looked up in C
+and every entry that names a task is the task's own id string.
 """
 from __future__ import annotations
 
@@ -111,7 +116,41 @@ def assign_tiers(current: str, active: Mapping[str, frozenset[int]],
     return TierAssignment(runtime=level1, preload=level2 - level1)
 
 
-def load_task_log(path: Path | str) -> list[str]:
-    """Read a task log: newline-delimited ids, or CSV ``timestamp,task_id`` rows."""
-    return [line.rsplit(",", 1)[-1].strip() if "," in line else line
-            for line in map(str.strip, read_text(path).split("\n")) if line]
+# Characters per slice of a task log: each slice ends at a line break, so
+# only a slice's lines are ever held as separate strings.
+_SLICE_CHARS = 4096
+
+
+class _LogEntries(dict):
+    """Maps a stripped, non-empty log line to its entry; seeded with the
+    task ids, each mapped to itself.
+
+    A seeded line is looked up in C. Any other line's entry is the field
+    after its last comma, stripped, or the whole line without a comma;
+    an entry that is a seeded id becomes the seeded string. Nothing is
+    stored, so a log of distinct timestamped rows grows no table.
+    """
+
+    def __missing__(self, line: str) -> str:
+        entry = line.rsplit(",", 1)[-1].strip() if "," in line else line
+        return self.get(entry, entry)
+
+
+def load_task_log(path: Path | str, task_ids: Iterable[str] = ()) -> list[str]:
+    """Read a task log: newline-delimited ids, or CSV ``timestamp,task_id`` rows.
+
+    An entry that names one of ``task_ids`` is that very string, so each
+    id is one object however often the log names it; any other entry is
+    kept as read. The text is read once and split slice by slice, so no
+    list of the whole file's lines is built.
+    """
+    text = read_text(path)
+    entries = _LogEntries((t, t) for t in task_ids)
+    out: list[str] = []
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or size
+        out += map(entries.__getitem__,
+                   filter(None, map(str.strip, text[start:end].split("\n"))))
+        start = end
+    return out

@@ -160,12 +160,20 @@ def reference_write_compare_csv(reports: Mapping[DeployMode, ReplayReport],
     return path
 
 
+def reference_switch_line(s: SwitchReport) -> str:
+    """A switches.jsonl line: ``json.dumps`` of the record's fields, in
+    order, with the latency rounded to 3 decimals."""
+    doc = s._asdict()
+    doc["latency_ms"] = round(s.latency_ms, 3)
+    return json.dumps(doc) + "\n"
+
+
 def reference_write_switches(report: ReplayReport, path: Path | str) -> Path:
     """switches.jsonl written one text line per switch."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in report.switches:
-            fh.write(json.dumps(s.to_json()) + "\n")
+            fh.write(reference_switch_line(s))
     return path
 
 

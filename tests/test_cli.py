@@ -472,6 +472,47 @@ class TestBadNumbers:
         # these fields; only a JSON number is one.
         assert compare_edited(driving_dir, tmp_path, name, path, value) == EXIT_CONFIG
 
+    # Each passes the file loaders' checks; unchecked, it overflows in the
+    # replay or in the report means.
+    @pytest.mark.parametrize("name, path, value, cause", [
+        pytest.param("cost_model.json", ("disk_to_cpu_mbps",), 1e-320, "reloads",
+                     id="disk-bandwidth-1e-320"),
+        pytest.param("manifest.json", ("block_sizes_bytes",), 10 ** 400, "bytes",
+                     id="block-sizes-1e400"),
+        pytest.param("cost_model.json", ("per_block_fixed_ms",), 1e307, "reloads",
+                     id="per-block-ms-1e307"),
+        # Each latency is finite; their sum over the trace is not.
+        pytest.param("cost_model.json", ("monolithic_init_ms",), 1e307, "reloads",
+                     id="init-ms-1e307"),
+        # Each resident byte count is a finite float; their sum is not.
+        pytest.param("manifest.json", ("block_sizes_bytes",), 10 ** 306, "bytes",
+                     id="block-sizes-1e306"),
+    ])
+    def test_overflowing_sizes_or_costs_are_a_config_error(self, driving_dir, tmp_path,
+                                                           capsys, name, path, value,
+                                                           cause):
+        flags = ()
+        if path == ("block_sizes_bytes",):
+            # Every block that large, and budgets that admit them.
+            manifest = json.loads((driving_dir / "manifest.json").read_text())
+            value = [value] * len(manifest["block_sizes_bytes"])
+            budget = str(100 * value[0])
+            flags = ("--gpu-budget-bytes", budget, "--cpu-budget-bytes", budget)
+            if value[0] < 10 ** 308:
+                # Links fast enough that every latency stays finite.
+                flags += ("--cost-model", str(self.fast_links(tmp_path)))
+        code = compare_edited(driving_dir, tmp_path, name, path, value, *flags)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and cause in err
+        assert "Traceback" not in err and "0" * 100 not in err
+
+    @staticmethod
+    def fast_links(tmp_path):
+        path = tmp_path / "fast_links.json"
+        path.write_text(json.dumps({"disk_to_cpu_mbps": 1e300, "cpu_to_gpu_mbps": 1e300}))
+        return path
+
     def test_out_of_range_correlation_is_a_config_error(self, driving_dir, tmp_path):
         code = compare_edited(driving_dir, tmp_path, "config.json",
                               ("oracle", "correlation"), 1.5)

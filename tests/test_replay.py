@@ -8,6 +8,7 @@ import io
 import json
 import math
 import statistics
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from switchsim.switching import CostModel, DeployMode, SwitchReport
 from switchsim.transitions import fit_transition_model
 from switchsim.workloads import write_driving_scenario
 
-from reference_replay import (reference_aggregate, reference_replay,
+from reference_replay import (reference_aggregate, reference_replay, reference_switch_line,
                               reference_write_compare_csv, reference_write_small_reports,
                               reference_write_switches)
 
@@ -209,6 +210,23 @@ class TestLoadScenario:
                 tracemalloc.stop()
             assert len(scenario.trace) == steps
         assert (retained[1] - retained[0]) / 18_000 < 16
+
+    @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
+    def test_loading_peaks_near_the_trace_tuples_size(self, tmp_path, timestamps):
+        # The file's text, the entries and their tuple: no list of the
+        # file's lines, which would hold a string per line.
+        config = small_scenario(tmp_path)
+        write_entries(config.trace, (ROUTE * 4_000)[:20_000], timestamps)
+        replay.load_scenario(config)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            scenario = replay.load_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scenario.trace) == 20_000
+        assert peak < 6 * sys.getsizeof(scenario.trace)
 
 
 # A closed walk over four tasks that takes each ordered pair of distinct
@@ -961,8 +979,71 @@ class TestCompareModes:
         assert mean_j(full) > mean_j(split)
 
 
-# switches.jsonl lines per write.
-BATCH = replay._LINES_PER_WRITE
+# Records for the batch tests. Task ids outside ASCII check that the bytes
+# are JSON's escaped text.
+BATCH_RECORDS = (SwitchReport("Car", "Ampel-\u00e4", "m", 1.0005, 1, 2, 3, 4, 5, 6),
+                 SwitchReport("Ampel-\u00e4", "Car", "m", 2.25, 0, 0, 0, 0, 0, 0),
+                 SwitchReport("Car", "Person", "m", 1e16 / 3, 7, 8, 9, 1, 2, 3))
+# switches.jsonl lines per write: as many of the longest line as the byte
+# bound holds.
+BATCH = replay._WRITE_BYTES // max(len(reference_switch_line(r).encode())
+                                   for r in BATCH_RECORDS)
+
+
+class RecordingFile:
+    """A binary file that keeps the bytes of each write."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+        self.writes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.fh.write(data)
+
+
+def emit_recording_writes(monkeypatch, report, out):
+    """``emit_reports(report, out)``, and the bytes of each write of
+    switches.jsonl."""
+    files = []
+
+    def recording_open(path, mode):
+        files.append(RecordingFile(path, mode))
+        return files[-1]
+
+    monkeypatch.setattr(replay, "open", recording_open, raising=False)
+    emit_reports(report, out)
+    assert len(files) == 1
+    return files[0].writes
+
+
+# Record strings: any text, with JSON's escapes (quotes, backslashes,
+# control characters) and characters outside ASCII, a lone surrogate too.
+RECORD_TEXT = st.text(st.one_of(st.characters(),
+                                st.sampled_from('"\\/\x00\x1f\x7f\u00e4\u2028\ud800\U0001f697')),
+                      max_size=8)
+# Latencies: any float, ties at the third decimal, and the edges of the
+# float range.
+RECORD_LATENCY = st.one_of(
+    st.floats(),
+    st.integers(-10 ** 9, 10 ** 9).map(lambda i: (i + 0.5) / 1000),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.675, 1.0005, 1e16 / 3, 1e22,
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan]))
+RECORD_INT = st.integers(0, 2 ** 70)
+
+
+class TestSwitchLine:
+    @given(st.builds(SwitchReport, RECORD_TEXT, RECORD_TEXT, RECORD_TEXT, RECORD_LATENCY,
+                     *[RECORD_INT] * 6))
+    @settings(max_examples=300, deadline=None)
+    def test_line_is_json_dumps_of_the_record(self, record):
+        assert replay._switch_line(record) == reference_switch_line(record).encode()
 
 
 class TestEmitReports:
@@ -994,22 +1075,37 @@ class TestEmitReports:
     @pytest.mark.parametrize(
         "n", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1],
         ids=["0", "1", "B-1", "B", "B+1", "2B+1"])
-    def test_batched_switches_match_per_line_writer(self, tmp_path, n):
+    def test_batched_switches_match_per_line_writer(self, tmp_path, monkeypatch, n):
         # Batches of B lines: empty, short, one short of a batch, one batch,
-        # one past it, and two batches and one line. Task ids outside ASCII
-        # check that the bytes are JSON's escaped text.
-        records = (SwitchReport("Car", "Ampel-\u00e4", "m", 1.0005, 1, 2, 3, 4, 5, 6),
-                   SwitchReport("Ampel-\u00e4", "Car", "m", 2.25, 0, 0, 0, 0, 0, 0),
-                   SwitchReport("Car", "Person", "m", 1e16 / 3, 7, 8, 9, 1, 2, 3))
+        # one past it, and two batches and one line.
         order = tuple((i * i) % 3 for i in range(n))
         scenario, _, matrix = aggregate_scenario()
         report = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, matrix,
-                                   records, order)
-        emit_reports(report, tmp_path)
+                                   BATCH_RECORDS, order)
+        writes = emit_recording_writes(monkeypatch, report, tmp_path)
         written = (tmp_path / "switches.jsonl").read_bytes()
         assert written == reference_write_switches(report, tmp_path / "ref.jsonl"
                                                    ).read_bytes()
         assert written.count(b"\n") == n
+        assert b"".join(writes) == written
+        assert [w.count(b"\n") for w in writes] == [
+            min(BATCH, n - start) for start in range(0, n, BATCH)]
+        assert all(len(w) <= replay._WRITE_BYTES for w in writes)
+
+    def test_a_line_longer_than_the_bound_is_written_alone(self, tmp_path, monkeypatch):
+        long_id = "L" * replay._WRITE_BYTES
+        records = (*BATCH_RECORDS, SwitchReport("Car", long_id, "m", 1.5, 1, 1, 1, 1, 1, 1))
+        order = (0, 3, 1, 2, 3, 3, 0)
+        scenario, _, matrix = aggregate_scenario()
+        report = replay._aggregate(DeployMode.SPLIT_ONLY, scenario, matrix,
+                                   records, order)
+        writes = emit_recording_writes(monkeypatch, report, tmp_path)
+        assert b"".join(writes) == reference_write_switches(
+            report, tmp_path / "ref.jsonl").read_bytes()
+        # One line per write; only the long record's lines exceed the bound.
+        assert [w.count(b"\n") for w in writes] == [1] * len(order)
+        assert [len(w) > replay._WRITE_BYTES for w in writes] == [
+            i == 3 for i in order]
 
     @pytest.mark.parametrize("case", ["replay", "zero-switches", "odd-ids"])
     def test_small_reports_match_text_mode_writers(self, tmp_path, case):

@@ -1,10 +1,12 @@
 """Differential sets, switch execution across modes, cost accounting."""
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from switchsim import replay
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import BudgetExceededError, ConfigError, SwitchSimError
 from switchsim.switching import (CostModel, DeployMode, SwitchReport, SwitchTable,
@@ -437,8 +439,11 @@ class TestDocuments:
             CostModel(**fields)
 
     def test_switch_report_lists_its_fields_with_the_latency_rounded(self):
+        # The report's switches.jsonl line.
         report = SwitchReport("a", "b", "split_only", 1.23456, 1, 2, 3, 4, 5, 6)
-        assert list(report.to_json().items()) == [
+        line = replay._switch_line(report)
+        assert line.endswith(b"}\n") and line.count(b"\n") == 1
+        assert json.loads(line, object_pairs_hook=list) == [
             ("from_task", "a"), ("to_task", "b"), ("mode", "split_only"),
             ("latency_ms", 1.235), ("bytes_disk_to_cpu", 1), ("bytes_cpu_to_gpu", 2),
             ("blocks_reused", 3), ("blocks_fetched", 4), ("blocks_prestaged", 5),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchsim import transitions
 from switchsim.errors import ConfigError, LogParseError
 from switchsim.synthetic import gen_markov_log
 from switchsim.transitions import (TransitionModel, assign_tiers, fit_transition_model,
@@ -17,6 +18,7 @@ from reference import reference_fit_transition_model, reference_load_task_log
 
 TASKS = ["Car", "TrafficLight", "Obstacle", "Person", "Bicycle"]
 ROUTE = ["Car", "TrafficLight", "Car", "Obstacle", "Person"]
+SLICE = transitions._SLICE_CHARS
 
 
 class TestFitCounts:
@@ -241,5 +243,63 @@ class TestLoadTaskLogMatchesReference:
     @settings(max_examples=100, deadline=None)
     def test_generated_text(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "generated-log.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_task_log(path) == reference_load_task_log(path)
+
+    @given(st.one_of(log_texts(), st.text(alphabet="ab,. \t\r\n", max_size=60)),
+           st.sampled_from([(), TASKS, ["a", "b", "ab"]]))
+    @settings(max_examples=100, deadline=None)
+    def test_entries_naming_a_task_are_its_id(self, tmp_path_factory, text, task_ids):
+        path = tmp_path_factory.getbasetemp() / "generated-log.txt"
+        path.write_bytes(text.encode("utf-8"))
+        entries = load_task_log(path, task_ids)
+        assert entries == reference_load_task_log(path)
+        ids = {t: t for t in task_ids}
+        assert all(entry is ids.get(entry, entry) for entry in entries)
+
+
+def numbered_rows(count, sep="\n", start=0):
+    """``count`` distinct ``timestamp,task`` and bare rows, each ended by
+    ``sep``: any row lost or repeated changes the entries."""
+    return "".join((f"{i}.5, T{i}" if i % 2 else f"T{i}") + sep
+                   for i in range(start, start + count))
+
+
+# Texts that span several slices, each with the feature its id names.
+MULTI_SLICE_TEXTS = {
+    # Rows of 4 to 12 characters put some line across every boundary.
+    "straddling-lines": numbered_rows(3_000),
+    "a-line-longer-than-a-slice": (numbered_rows(300) + "9.5," + "L" * (3 * SLICE)
+                                   + "\n" + numbered_rows(300, start=300)),
+    "one-line-of-several-slices": "x" * (2 * SLICE + 1),
+    "blank-runs-at-a-boundary": ("a" * (SLICE - 3) + "\n" + " \n\n\t\n" * 8 + "b\n"
+                                 + "\n" * (2 * SLICE) + numbered_rows(500)),
+    "a-boundary-at-each-line-break": ("c" * (SLICE - 1) + "\n") * 5,
+    "crlf": numbered_rows(2_000, sep="\r\n"),
+    "lone-cr": numbered_rows(2_000, sep="\r"),
+    "mixed-breaks": numbered_rows(700) + numbered_rows(700, "\r\n", 700)
+                    + numbered_rows(700, "\r", 1400),
+    "no-final-line-break": numbered_rows(2_000)[:-1],
+}
+
+
+class TestLoadTaskLogAcrossSlices:
+    @pytest.mark.parametrize("name", MULTI_SLICE_TEXTS)
+    def test_matches_reference(self, tmp_path, name):
+        text = MULTI_SLICE_TEXTS[name]
+        assert len(text) > SLICE
+        path = tmp_path / "log.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_task_log(path) == reference_load_task_log(path)
+        assert load_task_log(path, ["T1", "T2"]) == reference_load_task_log(path)
+
+    @given(st.lists(st.tuples(st.integers(0, 2 * SLICE), st.sampled_from("ab ,\t"),
+                              st.sampled_from(["\n", "\r\n", "\r", "\n\n"])),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_long_lines(self, tmp_path_factory, lines):
+        text = "".join(f"{char * length}{i}{sep}" for i, (length, char, sep)
+                       in enumerate(lines))
+        path = tmp_path_factory.getbasetemp() / "generated-long-log.txt"
         path.write_bytes(text.encode("utf-8"))
         assert load_task_log(path) == reference_load_task_log(path)
