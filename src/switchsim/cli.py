@@ -22,7 +22,8 @@ from .errors import (ConfigError, ManifestError, OracleError, SwitchSimError, re
                      write_text)
 from .block_store import ModelManifest
 from .replay import (FLOAT_KEYS, INT_KEYS, PATH_KEYS, ScenarioConfig, build_oracles,
-                     compare_modes, emit_reports, run_replay, write_compare_csv)
+                     compare_modes, emit_reports, load_scenario, replay_scenario,
+                     write_compare_csv)
 from .sparsity import build_all_tasks, load_task_specs, selection_report
 from .switching import DeployMode
 from .transitions import fit_transition_model, load_task_log
@@ -100,7 +101,9 @@ def _load_config_with_overrides(args: argparse.Namespace) -> ScenarioConfig:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     config = _load_config_with_overrides(args)
-    report = run_replay(config)
+    if config.mode is None:
+        raise ConfigError("replay needs a mode (set it in the config or via --mode)")
+    report = replay_scenario(load_scenario(config), (config.mode,))[config.mode]
     paths = emit_reports(report, args.out_dir)
     mean = f"{report.mean_latency_ms:.3f} ms" if report.mean_latency_ms is not None \
         else "n/a"

@@ -1,12 +1,21 @@
 """Scenario loading, trace replay, mode comparison, and report emission.
 
+:func:`replay_scenario` is the one replay entry point. It replays a
+loaded :class:`Scenario`'s trace under each mode it is given, all on the
+same inputs. Unless it is given skip sets, it selects once per alignment
+the modes need, the independent selection first; only full_method
+aligns. Unless it is given a transition model, it fits one, once. It
+builds each selection's Jaccard matrix once, and it selects and fits
+before the first replay, so a selection or fit error precedes any replay
+error. :func:`compare_modes` loads a config's scenario and replays it
+under all four modes; the ``replay`` command runs the same pipeline for
+one mode, so its reports are that mode's in a compare.
+
 A scenario bundles a manifest, task specs, an oracle source, a transition
-log, a trace to replay, a cost model, and budgets. Replay builds skip
-sets (aligned for the full method, independent for the baseline-style
-modes), estimates transition statistics, then replays the trace's task
-changes: each executes a switch, and in full_method each step also
-grants a prefetch window. All randomness is seeded through the config,
-so identical configs produce byte-identical reports. Loading maps every
+log, a trace to replay, a cost model, and budgets. Each change of task in
+the trace executes a switch, and in full_method each step also grants a
+prefetch window. All randomness is seeded through the config, so
+identical configs produce byte-identical reports. Loading maps every
 trace and log entry that names a task onto its task spec's own id string
 (``transitions.load_task_log``), so each task id is one object however
 often the trace names it, and a trace id no task has fails at its
@@ -15,15 +24,13 @@ the trace would overflow a float.
 
 Only full_method stages blocks ahead of a switch. The three other modes
 (monolithic, sparse_no_split, split_only) never touch the host cache, so
-each of their switches depends on its (from, to) task pair alone. They
-have no step loop: a :class:`Scenario` computes the trace's distinct
-pairs (``from != to``, in order of first occurrence) and one index tuple
-once, and each of these modes computes and checks one switch per
-distinct pair. It starts from the state the pair fixes: the device
-holds ``table.target(mode, from)``, the host order is empty, and both
-budgets are the config's. All three share the index tuple as their
-``order``. A failing pair raises at its first trace position, which a
-scan finds only then.
+each of their switches depends on its (from, to) task pair alone. Each
+computes and checks one switch per distinct pair of
+``Scenario.switch_pairs`` (``from != to``, in order of first occurrence).
+It starts from the state the pair fixes: the device holds
+``table.target(mode, from)``, the host order is empty, and both budgets
+are the config's. All three share the trace's index tuple as their
+``order``. A failing pair raises at its first trace position.
 
 full_method's replay is a memoized state machine. Within one replay a
 step is a pure function of (current task, next task,
@@ -34,31 +41,22 @@ host cache is its recency order ``cpu_lru`` alone, and (current task,
 next task, ``cpu_lru``) fixes the whole state, because every state the
 replay steps from has been checked: the device holds
 ``table.target(mode, current)`` and both budgets equal the config's. The
-step memo is one dict per (current task, next task) pair, made on the
-pair's first lookup and keyed by ``cpu_lru``, a tuple of ints that hashes
-without calling back into Python; the loop keeps the current task's pairs
-at hand, so a step builds no key tuple. The replay computes each distinct
-state once, checks the state the step leaves, and stores (next
-``cpu_lru``, record index or -1). The loop carries (current task,
-``cpu_lru``) alone: each computed step builds its input from its memo
-key, as the running task's target, ``cpu_lru`` and the config's budgets,
-with ``block_store._new_tuple``. Each running task gets one context,
-built the first time it runs a computed step: its device target, its
-ranked pre-load tier and its protected set. A step that raises stores
-nothing, so an error surfaces at the trace position where its state
-first occurs.
-A switch moves blocks through the host without changing it, so the
-order a switch returns must be the very object the prefetch left. The
-check compares the device with the running task's target, by identity
-first, and both budgets with the config's on every computed step. Its
-host half runs only when the step replaced ``cpu_lru``: an order the
-step left in place is its input's, which was checked. The prefix the
+replay computes each distinct step once, from a state built from its
+memo key alone, checks the state the step leaves, and stores (next
+``cpu_lru``, record index or -1). Each running task's device target,
+ranked pre-load tier and protected set are built once, the first time it
+runs a computed step. A step that raises stores nothing, so an error
+surfaces at the trace position where its state first occurs.
+
+Each computed step checks the state it leaves. The device must equal the
+running task's target, and both budgets the config's. A switch moves
+blocks through the host without changing it, so the order a switch
+returns must be the very object the prefetch left. The prefix the
 prefetch staged must be the newest part of the order it left, in plan
-order, which one tuple comparison checks. The check's device half
-is then a pure function of the task's target and the config's device
-budget, so it runs once per task. A computed step reads the window and
-the per-block disk times from locals set before the loop, and the order
-the prefetch left once.
+order. ``check_host`` runs only when the step replaced ``cpu_lru``,
+since an order left in place is its input's, which was checked.
+``check_device`` is a pure function of the task's target and the
+config's device budget, so it runs once per task.
 
 full_method's eviction reads recency alone. That is exact because every
 block that next-task usefulness weights lies in the running task's
@@ -68,24 +66,16 @@ this once per running task.
 A :class:`ReplayReport` holds each distinct switch record once, in order
 of first occurrence, plus the trace's switches as indices into them.
 Aggregation and ``write_compare_csv`` work per distinct record, weighted
-by its count. Each distinct index sequence is counted once per compare:
-a report carries its counts, and the host-free modes share
-``Scenario.switch_counts``. Every mean is a count-weighted exact sum
+by its count. Every mean is a count-weighted exact sum
 (``errors.counted_fsum``), which is the float ``math.fsum`` of every
-switch's value gives, divided by the number of switches. The median
-walks the distinct latencies in sorted order, weighted by their counts.
-The Jaccard matrix is built once per selection, so twice per compare.
-Every report file is opened once, in binary mode, and gets its UTF-8
-bytes. ``summary.csv``, ``jaccard.csv``, ``compare.csv`` and
-``config.echo.json`` are formatted in memory and written with one write
-each (``errors.write_text``). The CSVs are formatted by ``_csv_text``,
-which quotes as ``csv.writer(lineterminator="\\n")`` does without the
-writer's 128 KiB buffer. ``switches.jsonl`` is written in batches:
-each distinct record is encoded once, by one format string built from
-``SwitchReport``'s fields (the bytes ``json.dumps`` gives its dict), and
-each batch, as many lines as ``_WRITE_BYTES`` holds of the longest (at
-least one), is gathered by ``_lookup`` and written with one write, so
-memory is bounded by a batch.
+switch's value gives, divided by the number of switches.
+
+Every report file is opened once, in binary mode, and gets the UTF-8
+bytes the standard writers give: ``csv.writer(lineterminator="\\n")``
+for the CSVs and ``json.dumps`` for ``config.echo.json`` and each
+``switches.jsonl`` line. ``switches.jsonl`` is written in batches of at
+most ``_WRITE_BYTES`` (or of one longer line), one write per batch, so
+memory is bounded by a batch; every other file takes one write.
 """
 from __future__ import annotations
 
@@ -112,8 +102,8 @@ from .synthetic import gen_instance
 from .transitions import TransitionModel, assign_tiers, fit_transition_model, load_task_log
 
 __all__ = ["PATH_KEYS", "INT_KEYS", "FLOAT_KEYS", "ScenarioConfig", "ReplayReport",
-           "build_oracles", "load_scenario", "run_replay", "compare_modes", "emit_reports",
-           "write_compare_csv"]
+           "build_oracles", "load_scenario", "replay_scenario", "compare_modes",
+           "emit_reports", "write_compare_csv"]
 
 # The scenario config's keys, grouped by how a key's value is parsed. Each
 # is a field of :class:`ScenarioConfig`, as are ``oracle`` and ``mode``.
@@ -453,13 +443,10 @@ def _first_position(trace: Sequence[str], pair: tuple[str, str]) -> int:
 
 
 def _replay(scenario: Scenario, mode: DeployMode,
-            selections: Mapping[str, SelectionResult],
-            model: TransitionModel,
-            matrix: tuple[tuple[float, ...], ...] | None = None) -> ReplayReport:
-    """Replay the trace under ``mode``; ``matrix``, when given, is
-    ``selections``' Jaccard matrix already built."""
-    if matrix is None:
-        matrix = _jaccard_matrix(scenario.task_ids, selections)
+            selections: Mapping[str, SelectionResult], model: TransitionModel,
+            matrix: tuple[tuple[float, ...], ...]) -> ReplayReport:
+    """Replay the trace under ``mode``; ``matrix`` is ``selections``'
+    Jaccard matrix."""
     config = scenario.config
     manifest = scenario.manifest
     cost = scenario.cost
@@ -590,37 +577,39 @@ def _replay(scenario: Scenario, mode: DeployMode,
     return _aggregate(mode, scenario, matrix, tuple(records), tuple(order))
 
 
-def run_replay(config: ScenarioConfig) -> ReplayReport:
-    """Load the scenario and replay its trace under the configured mode."""
-    if config.mode is None:
-        raise ConfigError("replay needs a mode (set it in the config or via --mode)")
-    scenario = load_scenario(config)
-    selections = build_all_tasks(scenario.tasks, scenario.oracles,
-                                 align=config.mode is DeployMode.FULL_METHOD)
-    model = fit_transition_model(scenario.log, k=config.k,
-                                 known_tasks=scenario.task_ids)
-    return _replay(scenario, config.mode, selections, model)
+def replay_scenario(scenario: Scenario, modes: Iterable[DeployMode] = DeployMode,
+                    selections: Mapping[str, SelectionResult] | None = None,
+                    model: TransitionModel | None = None
+                    ) -> dict[DeployMode, ReplayReport]:
+    """Replay the scenario's trace under each of ``modes``, in their order.
+
+    Unless ``selections`` is given, each alignment the modes need is
+    selected once, the independent one first: only full_method aligns.
+    Unless ``model`` is given, the transition model is fitted once. Each
+    selection's Jaccard matrix is built once, and all of this happens
+    before the first replay.
+    """
+    modes = tuple(modes)
+    ids = scenario.task_ids
+    if selections is None:
+        inputs = {}
+        for align in sorted({mode is DeployMode.FULL_METHOD for mode in modes}):
+            chosen = build_all_tasks(scenario.tasks, scenario.oracles, align=align)
+            inputs[align] = chosen, _jaccard_matrix(ids, chosen)
+    else:
+        inputs = dict.fromkeys((False, True), (selections, _jaccard_matrix(ids, selections)))
+    if model is None:
+        model = fit_transition_model(scenario.log, k=scenario.config.k, known_tasks=ids)
+    reports = {}
+    for mode in modes:
+        chosen, matrix = inputs[mode is DeployMode.FULL_METHOD]
+        reports[mode] = _replay(scenario, mode, chosen, model, matrix)
+    return reports
 
 
 def compare_modes(config: ScenarioConfig) -> dict[DeployMode, ReplayReport]:
-    """Replay the same scenario under all four modes, identical inputs and seeds.
-
-    Only the full method aligns skip sets; the three other modes share one
-    independent selection and its Jaccard matrix. The transition model is
-    fitted once.
-    """
-    scenario = load_scenario(config)
-    by_align = {}
-    for align in (False, True):
-        selections = build_all_tasks(scenario.tasks, scenario.oracles, align=align)
-        by_align[align] = selections, _jaccard_matrix(scenario.task_ids, selections)
-    model = fit_transition_model(scenario.log, k=config.k,
-                                 known_tasks=scenario.task_ids)
-    reports = {}
-    for mode in DeployMode:
-        selections, matrix = by_align[mode is DeployMode.FULL_METHOD]
-        reports[mode] = _replay(scenario, mode, selections, model, matrix)
-    return reports
+    """Load the scenario and replay it under all four modes."""
+    return replay_scenario(load_scenario(config))
 
 
 # The most bytes of switches.jsonl lines joined per write, unless one line

@@ -1,7 +1,8 @@
 """The replay loop without its step memo, and aggregation per switch.
 
 ``reference_replay`` computes every trace step; it is the reference that
-the memoized ``switchsim.replay._replay`` is checked against. It plans
+the memoized replay of ``switchsim.replay.replay_scenario`` is checked
+against, on the same skip sets and transition model. It plans
 and stages with the per-call sort and the one-block-at-a-time loop of
 ``reference_cache``, and every other layer is called from its own
 module, so a test that patches the names ``switchsim.replay`` looks up

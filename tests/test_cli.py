@@ -158,6 +158,18 @@ class TestReplayCommand:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
 
+    def test_mode_is_required(self, driving_dir, tmp_path, capsys):
+        root = tmp_path / "scenario"
+        shutil.copytree(driving_dir, root)
+        doc = json.loads((root / "config.json").read_text())
+        doc["mode"] = None
+        (root / "config.json").write_text(json.dumps(doc))
+        code = main(["replay", "--config", str(root / "config.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error: replay needs a mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_mode_in_config(self, driving_dir, tmp_path):
         doc = json.loads((driving_dir / "config.json").read_text())
         doc["mode"] = "warp_drive"

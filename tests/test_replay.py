@@ -20,7 +20,7 @@ from switchsim import replay
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import ConfigError, LogParseError, ReplayError, counted_fsum
 from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
-                              run_replay, write_compare_csv)
+                              replay_scenario, write_compare_csv)
 from switchsim.sparsity import SelectionResult, TaskSpec, jaccard
 from switchsim.switching import CostModel, DeployMode, SwitchReport
 from switchsim.transitions import fit_transition_model
@@ -52,10 +52,21 @@ def small_scenario(root, *, trace=None, mode="full_method", window=0.0,
     return config
 
 
-class TestRunReplay:
+def run_config(config):
+    """The replay of the config's scenario under the config's mode."""
+    return replay_scenario(replay.load_scenario(config), (config.mode,))[config.mode]
+
+
+def replay_mode(scenario, mode, selections, model):
+    """The replay of ``scenario`` under ``mode`` alone, on the given skip
+    sets and transition model."""
+    return replay_scenario(scenario, (mode,), selections, model)[mode]
+
+
+class TestReplayScenario:
     def test_single_task_trace_has_no_switches(self, tmp_path):
         config = small_scenario(tmp_path, trace=["Car"] * 6)
-        report = run_replay(config)
+        report = run_config(config)
         assert report.switches == ()
         assert report.mean_latency_ms is None
         assert report.median_latency_ms is None
@@ -63,8 +74,8 @@ class TestRunReplay:
 
     def test_route_trace_speedup_with_hand_checked_transition(self, tmp_path):
         config = small_scenario(tmp_path, trace=ROUTE, mode="monolithic")
-        mono = run_replay(config)
-        full = run_replay(small_scenario(tmp_path / "f", trace=ROUTE,
+        mono = run_config(config)
+        full = run_config(small_scenario(tmp_path / "f", trace=ROUTE,
                                          mode="full_method"))
         assert len(mono.switches) == len(full.switches) == 4
         # Monolithic transitions all cost the calibrated full reload.
@@ -94,36 +105,30 @@ class TestRunReplay:
         config = small_scenario(tmp_path, trace=["Car", "TrafficLight", "Ghost"],
                                 mode=mode)
         with pytest.raises(ReplayError) as err:
-            run_replay(config)
+            run_config(config)
         assert err.value.position == 2
-
-    def test_mode_is_required(self, tmp_path):
-        config = small_scenario(tmp_path)
-        config = ScenarioConfig(**{**config.__dict__, "mode": None})
-        with pytest.raises(ConfigError):
-            run_replay(config)
 
     def test_budgets_must_admit_largest_block(self, tmp_path):
         config = small_scenario(tmp_path)
         bad = ScenarioConfig(**{**config.__dict__, "cpu_budget_bytes": 1})
         with pytest.raises(ConfigError):
-            run_replay(bad)
+            run_config(bad)
 
     def test_hit_rate_is_one_with_full_coverage(self, tmp_path):
         # Wide windows, k covering every successor, and a host budget for
         # the whole model: every differential block is prestaged.
         config = small_scenario(tmp_path, window=1e9, k=4,
                                 cpu_budget_blocks=16)
-        report = run_replay(config)
+        report = run_config(config)
         assert report.prestage_hit_rate == 1.0
 
     def test_hit_rate_bounds(self, tmp_path):
         for mode in ("monolithic", "split_only", "full_method"):
-            report = run_replay(small_scenario(tmp_path / mode, mode=mode))
+            report = run_config(small_scenario(tmp_path / mode, mode=mode))
             assert 0.0 <= report.prestage_hit_rate <= 1.0
 
     def test_jaccard_matrix_symmetric_unit_diagonal(self, tmp_path):
-        report = run_replay(small_scenario(tmp_path))
+        report = run_config(small_scenario(tmp_path))
         m = report.jaccard_matrix
         for i in range(len(m)):
             assert m[i][i] == 1.0
@@ -132,7 +137,7 @@ class TestRunReplay:
 
     def test_replay_is_deterministic(self, tmp_path):
         config = small_scenario(tmp_path, window=50.0)
-        assert run_replay(config) == run_replay(config)
+        assert run_config(config) == run_config(config)
 
 
 def write_entries(path, entries, timestamps):
@@ -191,7 +196,7 @@ class TestLoadScenario:
                       timestamps)
         assert replay.load_scenario(config).log[3] == "Ghost"
         with pytest.raises(LogParseError) as err:
-            run_replay(config)
+            run_config(config)
         assert err.value.position == 3
 
     def test_a_trace_step_retains_one_tuple_slot(self, tmp_path):
@@ -311,7 +316,7 @@ class TestMemoMatchesReference:
         scenario, selections, model = inputs
         for mode in DeployMode:
             args = (scenario, mode, selections, model)
-            assert replay_outcome(replay._replay, *args) \
+            assert replay_outcome(replay_mode, *args) \
                 == replay_outcome(reference_replay, *args)
 
 
@@ -333,7 +338,7 @@ class TestMemoMatchesReference:
 
         for name in calls:
             counting(name)
-        steps = self.reference_steps(config, run_replay(config))
+        steps = self.reference_steps(config, run_config(config))
         keys = set(steps)
         assert len(keys) < len(steps)  # the memo hits
         assert calls == {"execute_prefetch": len(keys),
@@ -368,7 +373,7 @@ class TestMemoMatchesReference:
 
         plan = replay.plan_prefetch
         monkeypatch.setattr(replay, "plan_prefetch", recording)
-        steps = self.reference_steps(config, run_replay(config))
+        steps = self.reference_steps(config, run_config(config))
         keys = list(dict.fromkeys(steps))
         assert len(keys) < len(steps)  # the memo hits
         assert len(inputs) == len(keys)
@@ -468,7 +473,7 @@ class TestHostFreeModes:
     @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
     def test_self_steps_and_repeats_match_reference(self, mode):
         scenario, selections, model = host_free_scenario(self.LOOP * 6, 100)
-        fast = replay._replay(scenario, mode, selections, model)
+        fast = replay_mode(scenario, mode, selections, model)
         assert fast == reference_replay(scenario, mode, selections, model)
         assert len(fast.records) == 2 and len(fast.order) == 6 * 4
 
@@ -480,7 +485,7 @@ class TestHostFreeModes:
         trace = self.LOOP * 6 + ["a", "a", "c", "c", "b"]
         scenario, selections, model = host_free_scenario(trace, 60)
         fast, ref = (replay_outcome(fn, scenario, mode, selections, model)
-                     for fn in (replay._replay, reference_replay))
+                     for fn in (replay_mode, reference_replay))
         assert fast == ref
         assert fast[0] == (0 if mode is DeployMode.MONOLITHIC else 56)
         assert "gpu budget exceeded by" in fast[1]
@@ -503,12 +508,12 @@ class TestHostFreeModes:
         scenario, selections, model = host_free_scenario(
             self.LOOP * 3 + ["b", "c", "a", "b", "c"], 100)
         with pytest.raises(ReplayError, match=message) as err:
-            replay._replay(scenario, mode, selections, model)
+            replay_mode(scenario, mode, selections, model)
         assert err.value.position == 28
 
     def test_modes_share_one_switch_order(self):
         scenario, selections, model = host_free_scenario(self.LOOP * 3, 100)
-        orders = {id(replay._replay(scenario, mode, selections, model).order)
+        orders = {id(replay_mode(scenario, mode, selections, model).order)
                   for mode in HOST_FREE}
         assert orders == {id(scenario.switch_pairs[1])}
         assert scenario.switch_pairs[0] == (("a", "b"), ("b", "a"))
@@ -546,7 +551,7 @@ class TestMetamorphicRelations:
         scenario, selections, model = inputs
         scenario = dataclasses.replace(
             scenario, config=dataclasses.replace(scenario.config, compute_window_ms=0.0))
-        full, split = (replay_outcome(replay._replay, scenario, mode, selections, model)
+        full, split = (replay_outcome(replay_mode, scenario, mode, selections, model)
                        for mode in (DeployMode.FULL_METHOD, DeployMode.SPLIT_ONLY))
         assert without_mode(full) == without_mode(split)
 
@@ -559,7 +564,7 @@ class TestMetamorphicRelations:
         factor = 2 ** power
         big = scaled(scenario, factor)
         for mode in DeployMode:
-            base, bigger = (replay_outcome(replay._replay, s, mode, selections, model)
+            base, bigger = (replay_outcome(replay_mode, s, mode, selections, model)
                             for s in (scenario, big))
             if isinstance(base, tuple):
                 assert bigger[0] == base[0]  # same trace position
@@ -587,7 +592,7 @@ class TestMetamorphicRelations:
             largest = (sum(manifest.block_sizes) if mode is DeployMode.MONOLITHIC
                        else max(map(manifest.bytes_of, active)))
             tight, roomy = (
-                replay_outcome(replay._replay, dataclasses.replace(
+                replay_outcome(replay_mode, dataclasses.replace(
                     scenario, config=dataclasses.replace(scenario.config,
                                                          gpu_budget_bytes=budget)),
                     mode, selections, model)
@@ -617,8 +622,8 @@ class TestMetamorphicRelations:
         renamed_model = fit_transition_model(renamed.log, k=model.k,
                                              known_tasks=renamed.task_ids)
         for mode in DeployMode:
-            base = replay_outcome(replay._replay, scenario, mode, selections, model)
-            other = replay_outcome(replay._replay, renamed, mode, renamed_selections,
+            base = replay_outcome(replay_mode, scenario, mode, selections, model)
+            other = replay_outcome(replay_mode, renamed, mode, renamed_selections,
                                    renamed_model)
             if isinstance(base, tuple):
                 assert (other[0], other[1].replace("renamed-", "")) == base
@@ -834,7 +839,7 @@ class TestStepInvariants:
                                 cpu_budget_blocks=4)
         self.corrupt_prefetch(monkeypatch, call, corrupt)
         with pytest.raises(ReplayError) as err:
-            run_replay(config)
+            run_config(config)
         assert err.value.position == call
 
     # With no window nothing is staged, so the host is the step's input
@@ -858,7 +863,7 @@ class TestStepInvariants:
         switch = replay.execute_switch
         monkeypatch.setattr(replay, "execute_switch", corrupting)
         with pytest.raises(ReplayError) as err:
-            run_replay(config)
+            run_config(config)
         assert err.value.position == 3
 
     @pytest.mark.parametrize("corrupt", [
@@ -882,7 +887,7 @@ class TestStepInvariants:
         switch = replay.execute_switch
         monkeypatch.setattr(replay, "execute_switch", corrupting)
         with pytest.raises(ReplayError, match="device does not hold") as err:
-            run_replay(config)
+            run_config(config)
         assert err.value.position == 3
 
     @pytest.mark.parametrize("mode", DeployMode, ids=lambda m: m.value)
@@ -899,7 +904,7 @@ class TestStepInvariants:
         monkeypatch.setattr(replay, "execute_switch", copying)
         scenario, selections, model = host_free_scenario(
             TestHostFreeModes.LOOP * 3 + ["b", "c", "a", "c", "b"], 100)
-        assert replay._replay(scenario, mode, selections, model) \
+        assert replay_mode(scenario, mode, selections, model) \
             == reference_replay(scenario, mode, selections, model)
 
     def test_usefulness_outside_the_protected_tiers_fails_where_the_task_runs(
@@ -920,7 +925,7 @@ class TestStepInvariants:
         usefulness = replay.block_usefulness
         monkeypatch.setattr(replay, "block_usefulness", widened)
         with pytest.raises(ReplayError) as err:
-            run_replay(config)
+            run_config(config)
         assert err.value.position == 3
         assert "TrafficLight" in str(err.value)
 
@@ -928,7 +933,7 @@ class TestStepInvariants:
         config = small_scenario(tmp_path, trace=self.TRACE, window=1e9,
                                 cpu_budget_blocks=4)
         self.corrupt_prefetch(monkeypatch, 1, lambda state, staged: (state, staged))
-        assert len(run_replay(config).switches) == 4
+        assert len(run_config(config).switches) == 4
 
 
 class TestCompareModes:
@@ -948,9 +953,21 @@ class TestCompareModes:
                 DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD)]
             assert means[0] >= means[1] >= means[2] >= means[3]
 
-    def test_one_fit_per_compare_and_one_tiering_per_running_task(self, tmp_path,
-                                                                  monkeypatch):
-        calls = {"fit": 0, "tiers": []}
+    @pytest.mark.parametrize("modes, aligns", [
+        (None, [False, True]),
+        ((DeployMode.FULL_METHOD,), [True]),
+        ((DeployMode.SPLIT_ONLY,), [False]),
+    ], ids=["compare", "full_method", "split_only"])
+    def test_one_fit_per_compare_and_one_tiering_per_running_task(
+            self, tmp_path, monkeypatch, modes, aligns):
+        # One selection per alignment the modes need, the independent one
+        # first, and one fit; ``None`` is a compare of all four modes. Only
+        # full_method, the aligned mode, ranks pre-load tiers.
+        calls = {"align": [], "fit": 0, "tiers": []}
+
+        def counted_select(*args, align):
+            calls["align"].append(align)
+            return select(*args, align=align)
 
         def counted_fit(*args, **kwargs):
             calls["fit"] += 1
@@ -960,14 +977,37 @@ class TestCompareModes:
             calls["tiers"].append(current)
             return tiers(current, *args)
 
-        fit, tiers = replay.fit_transition_model, replay.assign_tiers
+        select, fit, tiers = (replay.build_all_tasks, replay.fit_transition_model,
+                              replay.assign_tiers)
+        monkeypatch.setattr(replay, "build_all_tasks", counted_select)
         monkeypatch.setattr(replay, "fit_transition_model", counted_fit)
         monkeypatch.setattr(replay, "assign_tiers", counted_tiers)
         config = small_scenario(tmp_path, window=40.0)
-        compare_modes(config)
+        if modes is None:
+            compare_modes(config)
+        else:
+            replay_scenario(replay.load_scenario(config), modes)
         trace = (tmp_path / "trace.txt").read_text().split()
+        assert calls["align"] == aligns
         assert calls["fit"] == 1
-        assert sorted(calls["tiers"]) == sorted(set(trace[:-1]))
+        assert sorted(calls["tiers"]) == (sorted(set(trace[:-1])) if True in aligns else [])
+
+    def test_one_mode_replays_as_in_all_four(self, tmp_path):
+        scenario = replay.load_scenario(host_churn_scenario(tmp_path))
+        reports = replay_scenario(scenario)
+        assert list(reports) == list(DeployMode)
+        for mode in DeployMode:
+            assert replay_scenario(scenario, (mode,)) == {mode: reports[mode]}
+
+    def test_given_selections_and_model_are_used_as_they_are(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("selected or fitted again")
+
+        monkeypatch.setattr(replay, "build_all_tasks", refused)
+        monkeypatch.setattr(replay, "fit_transition_model", refused)
+        scenario, selections, model = host_free_scenario(TestHostFreeModes.LOOP * 3, 100)
+        assert replay_scenario(scenario, DeployMode, selections, model) == {
+            mode: reference_replay(scenario, mode, selections, model) for mode in DeployMode}
 
     def test_aligned_selection_only_in_full_method(self, tmp_path):
         reports = compare_modes(small_scenario(tmp_path, window=40.0))
@@ -1048,7 +1088,7 @@ class TestSwitchLine:
 
 class TestEmitReports:
     def test_five_tasks_give_a_6x6_jaccard_csv(self, tmp_path):
-        report = run_replay(small_scenario(tmp_path))
+        report = run_config(small_scenario(tmp_path))
         emit_reports(report, tmp_path / "out")
         text = (tmp_path / "out" / "jaccard.csv").read_text()
         rows = list(csv.reader(text.splitlines()))
@@ -1057,7 +1097,7 @@ class TestEmitReports:
 
     def test_zero_switches_summary_has_header_only_latency_section(self, tmp_path):
         config = small_scenario(tmp_path, trace=["Car", "Car"])
-        report = run_replay(config)
+        report = run_config(config)
         emit_reports(report, tmp_path / "out")
         text = (tmp_path / "out" / "summary.csv").read_text()
         assert "num_switches,0" in text
@@ -1065,8 +1105,8 @@ class TestEmitReports:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = small_scenario(tmp_path, window=30.0)
-        emit_reports(run_replay(config), tmp_path / "a")
-        emit_reports(run_replay(config), tmp_path / "b")
+        emit_reports(run_config(config), tmp_path / "a")
+        emit_reports(run_config(config), tmp_path / "b")
         for name in ("switches.jsonl", "summary.csv", "jaccard.csv",
                      "config.echo.json"):
             assert (tmp_path / "a" / name).read_bytes() \
@@ -1120,7 +1160,7 @@ class TestEmitReports:
                 **report.config_echo, "manifest": "Ampel-\u00e4/manifest.json"})
         else:
             trace = ["Car", "Car"] if case == "zero-switches" else None
-            report = run_replay(small_scenario(tmp_path, trace=trace, window=30.0))
+            report = run_config(small_scenario(tmp_path, trace=trace, window=30.0))
         emit_reports(report, tmp_path / "fast")
         (tmp_path / "ref").mkdir()
         reference_write_small_reports(report, tmp_path / "ref")
@@ -1130,7 +1170,7 @@ class TestEmitReports:
 
     def test_summary_recomputable_from_switch_stream(self, tmp_path):
         config = small_scenario(tmp_path, window=30.0)
-        report = run_replay(config)
+        report = run_config(config)
         out = tmp_path / "out"
         emit_reports(report, out)
         rows = [json.loads(line)
