@@ -29,7 +29,7 @@ computes and checks one switch per distinct pair of
 ``Scenario.switch_pairs`` (``from != to``, in order of first occurrence).
 It starts from the state the pair fixes: the device holds
 ``table.target(mode, from)``, the host order is empty, and both budgets
-are the config's. All three share the trace's index tuple as their
+are the config's. All three share the trace's index array as their
 ``order``. A failing pair raises at its first trace position.
 
 full_method's replay is a memoized state machine. Within one replay a
@@ -42,11 +42,12 @@ next task, ``cpu_lru``) fixes the whole state, because every state the
 replay steps from has been checked: the device holds
 ``table.target(mode, current)`` and both budgets equal the config's. The
 replay computes each distinct step once, from a state built from its
-memo key alone, checks the state the step leaves, and stores (next
-``cpu_lru``, record index or -1). Each running task's device target,
-ranked pre-load tier and protected set are built once, the first time it
-runs a computed step. A step that raises stores nothing, so an error
-surfaces at the trace position where its state first occurs.
+memo key alone, checks the state the step leaves, and stores its record
+index or -1, paired with the next ``cpu_lru`` only when the step replaced
+it. Each running task's device target, ranked pre-load tier and
+protected set are built once, the first time it runs a computed step. A
+step that raises stores nothing, so an error surfaces at the trace
+position where its state first occurs.
 
 Each computed step checks the state it leaves. The device must equal the
 running task's target, and both budgets the config's. A switch moves
@@ -64,11 +65,12 @@ runtime or pre-load tier, which the replay protects; the replay checks
 this once per running task.
 
 A :class:`ReplayReport` holds each distinct switch record once, in order
-of first occurrence, plus the trace's switches as indices into them.
-Aggregation and ``write_compare_csv`` work per distinct record, weighted
-by its count. Every mean is a count-weighted exact sum
-(``errors.counted_fsum``), which is the float ``math.fsum`` of every
-switch's value gives, divided by the number of switches.
+of first occurrence, plus the trace's switches as an ``array('I')`` of
+indices into them, four bytes a switch. Aggregation and
+``write_compare_csv`` work per distinct record, weighted by its count.
+Every mean is a count-weighted exact sum (``errors.counted_fsum``),
+which is the float ``math.fsum`` of every switch's value gives, divided
+by the number of switches.
 
 Every report file is opened once, in binary mode, and gets the UTF-8
 bytes the standard writers give: ``csv.writer(lineterminator="\\n")``
@@ -81,6 +83,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import Counter, defaultdict
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
@@ -212,9 +215,10 @@ class Scenario:
         return tuple(t.task_id for t in self.tasks)
 
     @cached_property
-    def switch_pairs(self) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...]]:
+    def switch_pairs(self) -> tuple[tuple[tuple[str, str], ...], array]:
         """The trace's distinct (from, to) pairs with ``from != to``, in
-        order of first occurrence, and its switches as indices into them.
+        order of first occurrence, and its switches as an ``array('I')`` of
+        indices into them.
 
         Computed on first use and kept in the instance dict, which a frozen
         dataclass without slots still has.
@@ -224,13 +228,13 @@ class Scenario:
                          map(ne, trace, islice(trace, 1, None)))
         # One pass in C; only a pair's first occurrence calls back into Python.
         index = _FirstSeen()
-        order = tuple(map(index.__getitem__, moves))
+        order = array("I", map(index.__getitem__, moves))
         return tuple(index), order
 
     @cached_property
     def switch_counts(self) -> Counter[int]:
         """How often the trace makes each switch of ``switch_pairs``: one
-        count of the index tuple, which the host-free modes share."""
+        count of the index array, which the host-free modes share."""
         return Counter(self.switch_pairs[1])
 
 
@@ -267,8 +271,9 @@ def _lookup(mapping: Mapping, keys: Sequence) -> tuple:
     ``operator.itemgetter`` call; a missing key raises ``KeyError``.
 
     ``itemgetter`` cannot be built without a key and returns a bare item
-    for one key, so fewer than two keys are looked up in Python. A tuple
-    of keys is passed to ``itemgetter`` as it is, without a copy.
+    for one key, so fewer than two keys are looked up in Python. Any
+    sequence of keys, an ``array`` of indices included, is unpacked into
+    the ``itemgetter`` call.
     """
     if len(keys) < 2:
         return tuple([mapping[k] for k in keys])
@@ -334,15 +339,16 @@ class ReplayReport:
     """Aggregated outcome of replaying one trace under one mode.
 
     ``records`` holds each distinct switch once, in order of first
-    occurrence; ``order`` lists the trace's switches as indices into it,
-    and ``counts`` maps each index to how often ``order`` holds it.
-    ``counts`` follows from ``order``, so equality leaves it out.
+    occurrence; ``order`` lists the trace's switches as an ``array('I')``
+    of indices into it, four bytes a switch, and ``counts`` maps each
+    index to how often ``order`` holds it. ``counts`` follows from
+    ``order``, so equality leaves it out.
     """
 
     mode: str
     task_ids: tuple[str, ...]
     records: tuple[SwitchReport, ...]
-    order: tuple[int, ...]
+    order: array
     jaccard_matrix: tuple[tuple[float, ...], ...]
     mean_latency_ms: float | None
     median_latency_ms: float | None
@@ -378,7 +384,7 @@ def _jaccard_matrix(ids: Sequence[str], selections: Mapping[str, SelectionResult
 def _aggregate(mode: DeployMode, scenario: Scenario,
                matrix: tuple[tuple[float, ...], ...],
                records: tuple[SwitchReport, ...],
-               order: tuple[int, ...],
+               order: Sequence[int],
                counts: Mapping[int, int] | None = None) -> ReplayReport:
     # Every total and mean sums count x value per distinct record. Integer
     # totals are exact, and ``counted_fsum(...) / n`` is the
@@ -477,7 +483,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
 
     trace = scenario.trace
     if not trace:
-        return _aggregate(mode, scenario, matrix, (), ())
+        return _aggregate(mode, scenario, matrix, (), array("I"))
     first = trace[0]
     try:
         # Initial load of the first task; not counted as a switch.
@@ -491,7 +497,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
     if mode is not DeployMode.FULL_METHOD:
         # Nothing stages, so the host stays empty and a switch depends on its
         # (from, to) pair alone: each distinct pair is computed once, in
-        # order of first occurrence, and the trace's index tuple is shared.
+        # order of first occurrence, and the trace's index array is shared.
         pairs, order = scenario.switch_pairs
         reports = []
         for pair in pairs:
@@ -528,11 +534,13 @@ def _replay(scenario: Scenario, mode: DeployMode,
 
     # Distinct switch record -> its index in the report's ``records``.
     records: dict[SwitchReport, int] = {}
-    order: list[int] = []
+    order = array("I")
+    append = order.append
     current, lru = first, state.cpu_lru
-    # current task -> next task -> cpu_lru -> (next cpu_lru, record index or
-    # -1). A pair's dict is made on its first lookup, and ``row`` is the
-    # current task's, so a step builds no key tuple.
+    # current task -> next task -> cpu_lru -> record index or -1, paired
+    # with the next cpu_lru when the step replaced it. A pair's dict is
+    # made on its first lookup, and ``row`` is the current task's, so a
+    # step builds no key tuple.
     steps = defaultdict(lambda: defaultdict(dict))
     row = steps[current]
     window, disk_ms = config.compute_window_ms, table.disk_ms
@@ -567,14 +575,17 @@ def _replay(scenario: Scenario, mode: DeployMode,
                                          "in plan order")
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), position=pos) from exc
-            index = -1 if report is None else records.setdefault(report, len(records))
-            step = memo[lru] = (next_lru, index)
-        lru, index = step
-        if index >= 0:
-            order.append(index)
+            step = -1 if report is None else records.setdefault(report, len(records))
+            if next_lru is not lru:
+                step = (next_lru, step)
+            memo[lru] = step
+        if type(step) is tuple:
+            lru, step = step
+        if step >= 0:
+            append(step)
             current = task
             row = steps[task]
-    return _aggregate(mode, scenario, matrix, tuple(records), tuple(order))
+    return _aggregate(mode, scenario, matrix, tuple(records), order)
 
 
 def replay_scenario(scenario: Scenario, modes: Iterable[DeployMode] = DeployMode,
@@ -588,8 +599,16 @@ def replay_scenario(scenario: Scenario, modes: Iterable[DeployMode] = DeployMode
     Unless ``model`` is given, the transition model is fitted once. Each
     selection's Jaccard matrix is built once, and all of this happens
     before the first replay.
+
+    Before any of it, a mode that is not a :class:`DeployMode` is refused,
+    as are given selections that leave out a scenario task or skip a block
+    the manifest lacks. A given skip set is not checked for feasibility
+    (budget, ``max_remove``), so a caller may inject one on purpose.
     """
     modes = tuple(modes)
+    for mode in modes:
+        if not isinstance(mode, DeployMode):
+            raise ConfigError(f"mode must be a DeployMode, got {mode!r}")
     ids = scenario.task_ids
     if selections is None:
         inputs = {}
@@ -597,6 +616,15 @@ def replay_scenario(scenario: Scenario, modes: Iterable[DeployMode] = DeployMode
             chosen = build_all_tasks(scenario.tasks, scenario.oracles, align=align)
             inputs[align] = chosen, _jaccard_matrix(ids, chosen)
     else:
+        blocks = frozenset(range(scenario.manifest.num_blocks))
+        for tid in ids:
+            if tid not in selections:
+                raise ConfigError(f"the given selections leave out task {tid!r}")
+            stray = selections[tid].skipped - blocks
+            if stray:
+                raise ConfigError(
+                    f"task {tid!r} skips block(s) {', '.join(sorted(map(repr, stray)))}, "
+                    f"which the manifest's {len(blocks)} blocks lack")
         inputs = dict.fromkeys((False, True), (selections, _jaccard_matrix(ids, selections)))
     if model is None:
         model = fit_transition_model(scenario.log, k=scenario.config.k, known_tasks=ids)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+from array import array
 from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -94,7 +95,7 @@ def reference_aggregate(mode: DeployMode, scenario: Scenario,
     """Aggregate the switch list one switch at a time.
 
     ``records`` and ``order`` intern the switches by value in order of
-    first occurrence.
+    first occurrence; ``order`` is an ``array('I')``, as the replay's is.
     """
     ids = scenario.task_ids
     skips = {tid: selections[tid].skipped for tid in ids}
@@ -102,7 +103,7 @@ def reference_aggregate(mode: DeployMode, scenario: Scenario,
         tuple(jaccard(skips[a], skips[b]) for b in ids) for a in ids
     )
     index: dict[SwitchReport, int] = {}
-    order = tuple(index.setdefault(s, len(index)) for s in switches)
+    order = array("I", [index.setdefault(s, len(index)) for s in switches])
     latencies = [s.latency_ms for s in switches]
     hits = sum(s.blocks_prestaged for s in switches)
     misses = sum(s.blocks_fetched for s in switches)

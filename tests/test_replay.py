@@ -10,6 +10,7 @@ import math
 import statistics
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,70 @@ class TestReplayScenario:
     def test_replay_is_deterministic(self, tmp_path):
         config = small_scenario(tmp_path, window=50.0)
         assert run_config(config) == run_config(config)
+
+    @pytest.mark.parametrize("modes, message", [
+        (["full_method"], "'full_method'"), ([1], "1"),
+    ], ids=["mode-string", "mode-int"])
+    def test_a_mode_that_is_no_deploy_mode_is_refused_first(
+            self, tmp_path, monkeypatch, modes, message):
+        # Unchecked, a mode string selects and fits, then fails in the
+        # switch table with a bare AttributeError; an int is a KeyError.
+        def refused(*args, **kwargs):
+            raise AssertionError("selected or fitted before the modes were checked")
+
+        scenario = replay.load_scenario(small_scenario(tmp_path))
+        monkeypatch.setattr(replay, "build_all_tasks", refused)
+        monkeypatch.setattr(replay, "fit_transition_model", refused)
+        with pytest.raises(ConfigError, match=f"DeployMode, got {message}"):
+            replay_scenario(scenario, modes)
+
+    def test_given_selections_must_name_every_task(self, monkeypatch):
+        # Unchecked, a missing task is a bare KeyError from the Jaccard
+        # matrix. The check precedes the fit, which would fail here.
+        monkeypatch.setattr(replay, "fit_transition_model", None)
+        scenario, selections, _ = host_free_scenario(TestHostFreeModes.LOOP, 100)
+        del selections["c"]
+        with pytest.raises(ConfigError, match="leave out task 'c'"):
+            replay_scenario(scenario, DeployMode, selections, None)
+
+    def test_given_skip_sets_must_name_manifest_blocks(self, monkeypatch):
+        # Unchecked, a skipped block the manifest lacks replays without an
+        # error and simulates something else. The check precedes the fit,
+        # which would fail here.
+        monkeypatch.setattr(replay, "fit_transition_model", None)
+        scenario, selections, _ = host_free_scenario(TestHostFreeModes.LOOP, 100)
+        selections["b"] = dataclasses.replace(selections["b"],
+                                              skipped=frozenset({0, 4, 999}))
+        with pytest.raises(ConfigError, match=r"task 'b' skips block\(s\) 4, 999,"):
+            replay_scenario(scenario, DeployMode, selections, None)
+
+    def test_given_skip_sets_are_not_checked_for_feasibility(self):
+        # Every block skipped, far over max_remove: replayed as given.
+        scenario, selections, model = host_free_scenario(TestHostFreeModes.LOOP, 100)
+        selections["a"] = dataclasses.replace(selections["a"],
+                                              skipped=frozenset(range(4)))
+        assert replay_scenario(scenario, DeployMode, selections, model) == {
+            mode: reference_replay(scenario, mode, selections, model) for mode in DeployMode}
+
+    def test_replay_peak_grows_by_at_most_12_bytes_a_switch(self, tmp_path):
+        # Every mode's order is an array('I'), four bytes a switch, and the
+        # host-free modes share theirs: no list or tuple of the switches.
+        replay_scenario(replay.load_scenario(small_scenario(tmp_path / "warm-up")))
+        peaks, switches = [], []
+        for steps in (10_000, 20_000):
+            scenario = replay.load_scenario(
+                write_driving_scenario(tmp_path / str(steps), trace_length=steps))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                reports = replay_scenario(scenario)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(type(r.order) is array and r.order.typecode == "I"
+                       for r in reports.values())
+            switches.append(len(reports[DeployMode.FULL_METHOD].order))
+        assert (peaks[1] - peaks[0]) / (switches[1] - switches[0]) <= 12
 
 
 def write_entries(path, entries, timestamps):
@@ -656,7 +721,7 @@ RECORD = st.builds(SwitchReport, from_task=TASK, to_task=TASK, mode=st.just("m")
 def record_tables(draw):
     """A table of switch records and a trace of indices into it."""
     records = tuple(draw(st.lists(RECORD, min_size=1, max_size=6)))
-    order = tuple(draw(st.lists(st.integers(0, len(records) - 1), max_size=40)))
+    order = array("I", draw(st.lists(st.integers(0, len(records) - 1), max_size=40)))
     return records, order
 
 
@@ -700,7 +765,7 @@ class TestAggregateMatchesReference:
     @given(st.lists(record_tables(), min_size=4, max_size=4))
     @example(tables=[((SwitchReport(ODD_IDS[0], ODD_IDS[1], "m", 1.5, 0, 0, 0, 0, 0, 0),
                        SwitchReport(ODD_IDS[1], "a", "m", 2.25, 0, 0, 0, 0, 0, 0)),
-                      (0, 1, 0))] * 4)
+                      array("I", (0, 1, 0)))] * 4)
     @settings(max_examples=50, deadline=None)
     def test_compare_csv_bytes(self, out, tables):
         scenario, selections, matrix = aggregate_scenario()
