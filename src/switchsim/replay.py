@@ -16,9 +16,13 @@ log, a trace to replay, a cost model, and budgets. Each change of task in
 the trace executes a switch, and in full_method each step also grants a
 prefetch window. All randomness is seeded through the config, so
 identical configs produce byte-identical reports. Loading maps every
-trace and log entry that names a task onto its task spec's own id string
+log entry that names a task onto its task spec's own id string
 (``transitions.load_task_log``), so each task id is one object however
-often the trace names it, and a trace id no task has fails at its
+often the log names it. It maps every trace entry to its task's index in
+``Scenario.tasks`` in the same pass that reads it
+(``transitions.load_task_indices``), so ``Scenario.trace`` is an unsigned
+``array`` of the narrowest typecode for the number of tasks, one byte a
+step for up to 256 tasks, and a trace id no task has fails at its
 position. Loading also refuses block sizes and costs whose totals over
 the trace would overflow a float.
 
@@ -29,8 +33,9 @@ computes and checks one switch per distinct pair of
 ``Scenario.switch_pairs`` (``from != to``, in order of first occurrence).
 It starts from the state the pair fixes: the device holds
 ``table.target(mode, from)``, the host order is empty, and both budgets
-are the config's. All three share the trace's index array as their
-``order``. A failing pair raises at its first trace position.
+are the config's. All three share the pairs' index array as their
+``order``, of the narrowest typecode for ``n * (n - 1)`` pairs of ``n``
+tasks. A failing pair raises at its first trace position.
 
 full_method's replay is a memoized state machine. Within one replay a
 step is a pure function of (current task, next task,
@@ -44,10 +49,12 @@ replay steps from has been checked: the device holds
 replay computes each distinct step once, from a state built from its
 memo key alone, checks the state the step leaves, and stores its record
 index or -1, paired with the next ``cpu_lru`` only when the step replaced
-it. Each running task's device target, ranked pre-load tier and
-protected set are built once, the first time it runs a computed step. A
-step that raises stores nothing, so an error surfaces at the trace
-position where its state first occurs.
+it. The memo is a list of rows per running task's index, each a list of
+``cpu_lru`` dicts per next task's index, so a step looks up no id; ids
+are read only on a miss. Each running task's device target, ranked
+pre-load tier and protected set are built once, the first time it runs a
+computed step. A step that raises stores nothing, so an error surfaces
+at the trace position where its state first occurs.
 
 Each computed step checks the state it leaves. The device must equal the
 running task's target, and both budgets the config's. A switch moves
@@ -65,8 +72,11 @@ runtime or pre-load tier, which the replay protects; the replay checks
 this once per running task.
 
 A :class:`ReplayReport` holds each distinct switch record once, in order
-of first occurrence, plus the trace's switches as an ``array('I')`` of
-indices into them, four bytes a switch. Aggregation and
+of first occurrence, plus the trace's switches as an unsigned ``array``
+of indices into them, of the narrowest typecode the indices fit: one
+byte a switch for up to 256 records. full_method's order is a
+``bytearray`` until its 257th distinct record, then an ``array('H')``,
+and an ``array('I')`` from its 65,537th. Aggregation and
 ``write_compare_csv`` work per distinct record, weighted by its count.
 Every mean is a count-weighted exact sum (``errors.counted_fsum``),
 which is the float ``math.fsum`` of every switch's value gives, divided
@@ -84,7 +94,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -92,6 +102,7 @@ from itertools import accumulate, compress, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter, ne
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .block_store import CacheState, ModelManifest, _new_tuple, load_to_gpu
@@ -102,7 +113,8 @@ from .sparsity import (MetricOracle, SelectionResult, TaskSpec, build_all_tasks,
                        jaccard, load_table_oracles, load_task_specs)
 from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute_switch
 from .synthetic import gen_instance
-from .transitions import TransitionModel, assign_tiers, fit_transition_model, load_task_log
+from .transitions import (TransitionModel, assign_tiers, fit_transition_model,
+                          index_typecode, load_task_indices, load_task_log)
 
 __all__ = ["PATH_KEYS", "INT_KEYS", "FLOAT_KEYS", "ScenarioConfig", "ReplayReport",
            "build_oracles", "load_scenario", "replay_scenario", "compare_modes",
@@ -200,36 +212,46 @@ class _FirstSeen(dict):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A config with every referenced artifact loaded and validated."""
+    """A config with every referenced artifact loaded and validated.
+
+    ``log`` holds the task ids the log names, as ``load_task_log`` reads
+    them. ``trace`` holds each step's task as its index in ``tasks``: an
+    unsigned ``array`` of ``index_typecode(len(tasks))``.
+    """
 
     config: ScenarioConfig
     manifest: ModelManifest
     tasks: tuple[TaskSpec, ...]
     oracles: Mapping[str, MetricOracle]
-    log: tuple[str, ...]
-    trace: tuple[str, ...]
+    log: Sequence[str]
+    trace: Sequence[int]
     cost: CostModel
 
-    @property
+    # Computed on first use and kept in the instance dict, which a frozen
+    # dataclass without slots still has.
+    @cached_property
     def task_ids(self) -> tuple[str, ...]:
         return tuple(t.task_id for t in self.tasks)
 
     @cached_property
     def switch_pairs(self) -> tuple[tuple[tuple[str, str], ...], array]:
-        """The trace's distinct (from, to) pairs with ``from != to``, in
-        order of first occurrence, and its switches as an ``array('I')`` of
-        indices into them.
-
-        Computed on first use and kept in the instance dict, which a frozen
-        dataclass without slots still has.
-        """
+        """The trace's distinct (from, to) id pairs with ``from != to``, in
+        order of first occurrence, and its switches as an ``array`` of
+        indices into them, of the narrowest typecode for every ordered pair
+        of distinct tasks."""
         trace = self.trace
         moves = compress(zip(trace, islice(trace, 1, None)),
                          map(ne, trace, islice(trace, 1, None)))
         # One pass in C; only a pair's first occurrence calls back into Python.
+        # One-byte indices are filled through ``bytes``, which takes ints in
+        # C where ``array('B')`` parses each one.
         index = _FirstSeen()
-        order = array("I", map(index.__getitem__, moves))
-        return tuple(index), order
+        indices = map(index.__getitem__, moves)
+        n = len(self.tasks)
+        typecode = index_typecode(n * (n - 1))
+        order = array(typecode, bytes(indices) if typecode == "B" else indices)
+        ids = self.task_ids
+        return tuple([(ids[a], ids[b]) for a, b in index]), order
 
     @cached_property
     def switch_counts(self) -> Counter[int]:
@@ -312,23 +334,22 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
     manifest = ModelManifest.load(config.manifest)
     tasks = tuple(load_task_specs(config.tasks))
     cost = CostModel.load(config.cost_model)
-    # Each log and trace entry that names a task is its task spec's own id
-    # string, so a task id is one object however often it occurs. A log id
-    # no task has stays as read, for ``fit_transition_model`` to refuse
-    # with its position.
+    # Each log entry that names a task is its task spec's own id string, so
+    # a task id is one object however often it occurs. A log id no task has
+    # stays as read, for ``fit_transition_model`` to refuse with its
+    # position. Each trace entry is its task's index; an unknown one is
+    # refused below, after the checks that precede it.
     ids = [t.task_id for t in tasks]
-    log = tuple(load_task_log(config.log, ids))
-    trace = tuple(load_task_log(config.trace, ids))
+    log = load_task_log(config.log, ids)
+    trace, unknown = load_task_indices(config.trace, ids)
     largest = max(manifest.block_sizes)
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
         raise ConfigError(
             f"budgets must admit the largest block ({largest} bytes)")
     _check_finite_costs(manifest, cost, max(1, len(trace) - 1))
     oracles = build_oracles(config.oracle, manifest.num_blocks, tasks)
-    known = frozenset(ids)
-    if not known.issuperset(trace):
-        pos, task = next((pos, task) for pos, task in enumerate(trace)
-                         if task not in known)
+    if unknown is not None:
+        pos, task = unknown
         raise ReplayError(f"trace task {task!r} is not a scenario task", position=pos)
     return Scenario(config=config, manifest=manifest, tasks=tasks, oracles=oracles,
                     log=log, trace=trace, cost=cost)
@@ -339,10 +360,12 @@ class ReplayReport:
     """Aggregated outcome of replaying one trace under one mode.
 
     ``records`` holds each distinct switch once, in order of first
-    occurrence; ``order`` lists the trace's switches as an ``array('I')``
-    of indices into it, four bytes a switch, and ``counts`` maps each
-    index to how often ``order`` holds it. ``counts`` follows from
-    ``order``, so equality leaves it out.
+    occurrence; ``order`` lists the trace's switches as an unsigned
+    ``array`` of indices into it, of the narrowest typecode they fit (one
+    byte a switch up to 256 records), and ``counts`` maps each index to
+    how often ``order`` holds it. ``counts`` follows from ``order``, so
+    equality leaves it out; arrays of different typecodes compare by
+    their items.
     """
 
     mode: str
@@ -442,10 +465,16 @@ def _median(values: Sequence[float], counts: Mapping[int, int], n: int) -> float
     return kth(mid) if n % 2 else (kth(mid - 1) + kth(mid)) / 2
 
 
-def _first_position(trace: Sequence[str], pair: tuple[str, str]) -> int:
-    """The trace position of the first switch from ``pair[0]`` to ``pair[1]``."""
+def _first_position(trace: Sequence[int], pair: tuple[int, int]) -> int:
+    """The trace position of the first switch from task index ``pair[0]``
+    to ``pair[1]``."""
     return next(pos for pos in range(1, len(trace))
                 if (trace[pos - 1], trace[pos]) == pair)
+
+
+# A memo cell no step has been stored in: an empty mapping that refuses
+# writes, so every cell of a new row can share it.
+_NO_STEPS = MappingProxyType({})
 
 
 def _replay(scenario: Scenario, mode: DeployMode,
@@ -456,8 +485,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
     config = scenario.config
     manifest = scenario.manifest
     cost = scenario.cost
-    n = manifest.num_blocks
-    active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
+    blocks = manifest.all_blocks
+    active = {tid: blocks - r.skipped for tid, r in selections.items()}
     table = SwitchTable(manifest, cost, active)
     gpu_budget, cpu_budget = config.gpu_budget_bytes, config.cpu_budget_bytes
     # Tasks whose target passed ``check_device`` under the config's device
@@ -483,14 +512,15 @@ def _replay(scenario: Scenario, mode: DeployMode,
 
     trace = scenario.trace
     if not trace:
-        return _aggregate(mode, scenario, matrix, (), array("I"))
+        return _aggregate(mode, scenario, matrix, (), array("B"))
+    ids = scenario.task_ids
     first = trace[0]
     try:
         # Initial load of the first task; not counted as a switch.
-        target = table.target(mode, first)
+        target = table.target(mode, ids[first])
         state = load_to_gpu(CacheState(gpu_budget, cpu_budget), target,
                             manifest.bytes_of(target))
-        check(state, first, False)
+        check(state, ids[first], False)
     except SwitchSimError as exc:
         raise ReplayError(str(exc), position=0) from exc
 
@@ -512,14 +542,15 @@ def _replay(scenario: Scenario, mode: DeployMode,
                     raise SwitchSimError("switch changed the host cache")
                 check(after, task, True)
             except SwitchSimError as exc:
-                raise ReplayError(str(exc), _first_position(trace, pair)) from exc
+                raise ReplayError(str(exc), _first_position(
+                    trace, (ids.index(current), ids.index(task)))) from exc
             reports.append(report)
         return _aggregate(mode, scenario, matrix, tuple(reports), order,
                           scenario.switch_counts)
 
-    # Running task -> (device target, ranked pre-load tier, protected set),
-    # what its computed steps read; built the first time it runs one.
-    contexts: dict[str, tuple[frozenset[int], tuple[int, ...], frozenset[int]]] = {}
+    # Running task's index -> (device target, ranked pre-load tier, protected
+    # set), what its computed steps read; built the first time it runs one.
+    contexts: list[tuple | None] = [None] * len(ids)
 
     def context(task: str) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:
         tiers = assign_tiers(task, active, model)
@@ -534,15 +565,18 @@ def _replay(scenario: Scenario, mode: DeployMode,
 
     # Distinct switch record -> its index in the report's ``records``.
     records: dict[SwitchReport, int] = {}
-    order = array("I")
-    append = order.append
+    # One byte a switch until a record index reaches ``limit``; then the
+    # order is widened to the next typecode.
+    order: bytearray | array = bytearray()
+    append, limit = order.append, 1 << 8
     current, lru = first, state.cpu_lru
-    # current task -> next task -> cpu_lru -> record index or -1, paired
-    # with the next cpu_lru when the step replaced it. A pair's dict is
-    # made on its first lookup, and ``row`` is the current task's, so a
-    # step builds no key tuple.
-    steps = defaultdict(lambda: defaultdict(dict))
-    row = steps[current]
+    # [current task][next task] -> cpu_lru -> record index or -1, paired
+    # with the next cpu_lru when the step replaced it, indexed by task
+    # index. A running task's row is made on its first switch in, and a
+    # pair's dict on its first computed step; ``row`` is the current
+    # task's, so a step builds no key tuple.
+    steps: list[list[Mapping] | None] = [None] * len(ids)
+    row = steps[current] = [_NO_STEPS] * len(ids)
     window, disk_ms = config.compute_window_ms, table.disk_ms
     for pos in range(1, len(trace)):
         task = trace[pos]
@@ -550,10 +584,11 @@ def _replay(scenario: Scenario, mode: DeployMode,
         step = memo.get(lru)
         if step is None:
             report = None
+            current_id, task_id = ids[current], ids[task]
             try:
-                ctx = contexts.get(current)
+                ctx = contexts[current]
                 if ctx is None:
-                    ctx = contexts[current] = context(current)
+                    ctx = contexts[current] = context(current_id)
                 target, ranked, protected = ctx
                 state = _new_tuple(CacheState, (gpu_budget, cpu_budget, target, lru))
                 plan = plan_prefetch(ranked, protected, state, manifest)
@@ -561,7 +596,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
                                                          manifest, protected)
                 next_lru = after.cpu_lru
                 if task != current:
-                    after, report = execute_switch(after, current, task, mode, table)
+                    after, report = execute_switch(after, current_id, task_id, mode,
+                                                   table)
                     # A switch moves blocks through the host without
                     # changing it.
                     if after.cpu_lru is not next_lru:
@@ -569,15 +605,25 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 # Invariants of every computed step; a memo hit repeats a
                 # checked one. ``lru`` was checked, so the host needs no
                 # second check when the step left it in place.
-                check(after, task, next_lru is lru)
+                check(after, task_id, next_lru is lru)
                 if next_lru[len(next_lru) - len(staged):] != staged:
                     raise SwitchSimError("staged blocks are not the host's newest, "
                                          "in plan order")
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), position=pos) from exc
-            step = -1 if report is None else records.setdefault(report, len(records))
+            if report is None:
+                step = -1
+            else:
+                step = records.setdefault(report, len(records))
+                if step == limit:
+                    # ``iter``: an array built from a bytearray would read
+                    # its raw bytes, not its items.
+                    order = array(index_typecode(step + 1), iter(order))
+                    append, limit = order.append, 1 << 8 * order.itemsize
             if next_lru is not lru:
                 step = (next_lru, step)
+            if memo is _NO_STEPS:
+                memo = row[task] = {}
             memo[lru] = step
         if type(step) is tuple:
             lru, step = step
@@ -585,6 +631,10 @@ def _replay(scenario: Scenario, mode: DeployMode,
             append(step)
             current = task
             row = steps[task]
+            if row is None:
+                row = steps[task] = [_NO_STEPS] * len(ids)
+    if type(order) is bytearray:
+        order = array("B", order)
     return _aggregate(mode, scenario, matrix, tuple(records), order)
 
 
@@ -616,7 +666,7 @@ def replay_scenario(scenario: Scenario, modes: Iterable[DeployMode] = DeployMode
             chosen = build_all_tasks(scenario.tasks, scenario.oracles, align=align)
             inputs[align] = chosen, _jaccard_matrix(ids, chosen)
     else:
-        blocks = frozenset(range(scenario.manifest.num_blocks))
+        blocks = scenario.manifest.all_blocks
         for tid in ids:
             if tid not in selections:
                 raise ConfigError(f"the given selections leave out task {tid!r}")

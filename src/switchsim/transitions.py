@@ -9,16 +9,21 @@ disk for the rest.
 
 A task log is read once and mapped slice by slice: each slice of about
 4 KiB ends at a line break, and its stripped, non-empty lines are mapped
-through a dict seeded with the task ids, so a bare id is looked up in C
-and every entry that names a task is the task's own id string.
+through a dict seeded with the task ids, so a bare id is looked up in C.
+``load_task_log`` maps every entry that names a task to the task's own id
+string. ``load_task_indices`` maps each entry to its task's index, in the
+same pass, into an unsigned ``array`` of the narrowest typecode for the
+number of tasks (``index_typecode``): one byte an entry for up to 256
+tasks.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, count, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, LogParseError, read_text
 
@@ -28,6 +33,8 @@ __all__ = [
     "fit_transition_model",
     "assign_tiers",
     "load_task_log",
+    "load_task_indices",
+    "index_typecode",
 ]
 
 
@@ -121,19 +128,59 @@ def assign_tiers(current: str, active: Mapping[str, frozenset[int]],
 _SLICE_CHARS = 4096
 
 
+def _slices(text: str) -> Iterator[Iterable[str]]:
+    """The text's stripped, non-empty lines, one iterator per slice of
+    about ``_SLICE_CHARS`` characters that ends at a line break."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or size
+        yield filter(None, map(str.strip, text[start:end].split("\n")))
+        start = end
+
+
+def _entry(line: str) -> str:
+    """A stripped, non-empty line's entry: the field after its last comma,
+    stripped, or the whole line without a comma."""
+    return line.rsplit(",", 1)[-1].strip() if "," in line else line
+
+
 class _LogEntries(dict):
     """Maps a stripped, non-empty log line to its entry; seeded with the
     task ids, each mapped to itself.
 
-    A seeded line is looked up in C. Any other line's entry is the field
-    after its last comma, stripped, or the whole line without a comma;
-    an entry that is a seeded id becomes the seeded string. Nothing is
-    stored, so a log of distinct timestamped rows grows no table.
+    A seeded line is looked up in C. Any other line's entry is
+    ``_entry(line)``; an entry that is a seeded id becomes the seeded
+    string. Nothing is stored, so a log of distinct timestamped rows grows
+    no table.
     """
 
     def __missing__(self, line: str) -> str:
-        entry = line.rsplit(",", 1)[-1].strip() if "," in line else line
+        entry = _entry(line)
         return self.get(entry, entry)
+
+
+class _TaskIndices(dict):
+    """Maps a stripped, non-empty log line to the index of the task its
+    entry names; seeded with each task id mapped to its index.
+
+    A line whose entry names no task maps to 0 and clears ``known``. As in
+    :class:`_LogEntries`, nothing is stored.
+    """
+
+    known = True
+
+    def __missing__(self, line: str) -> int:
+        index = self.get(_entry(line))
+        if index is None:
+            self.known = False
+            return 0
+        return index
+
+
+def index_typecode(size: int) -> str:
+    """The narrowest unsigned ``array`` typecode that holds every index
+    below ``size``: ``'B'`` up to 256, ``'H'`` up to 65,536, else ``'I'``."""
+    return "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
 
 
 def load_task_log(path: Path | str, task_ids: Iterable[str] = ()) -> list[str]:
@@ -144,13 +191,38 @@ def load_task_log(path: Path | str, task_ids: Iterable[str] = ()) -> list[str]:
     kept as read. The text is read once and split slice by slice, so no
     list of the whole file's lines is built.
     """
-    text = read_text(path)
     entries = _LogEntries((t, t) for t in task_ids)
     out: list[str] = []
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _SLICE_CHARS) + 1 or size
-        out += map(entries.__getitem__,
-                   filter(None, map(str.strip, text[start:end].split("\n"))))
-        start = end
+    for lines in _slices(read_text(path)):
+        out += map(entries.__getitem__, lines)
     return out
+
+
+def load_task_indices(path: Path | str, task_ids: Sequence[str]
+                      ) -> tuple[array, tuple[int, str] | None]:
+    """Read a task log as the index in ``task_ids`` of each entry's task.
+
+    The log is read as :func:`load_task_log` reads it, and each slice's
+    entries are mapped to indices in the same pass, into one ``array`` of
+    ``index_typecode(len(task_ids))``: one byte an entry for up to 256
+    tasks, built through ``bytes``. No list of the entries is built.
+
+    Returns the indices and, when an entry names no task, the 0-based
+    position and text of the first such entry, else ``None``; such an
+    entry holds index 0, so the array has one item per entry either way.
+    """
+    text = read_text(path)
+    index = _TaskIndices(zip(task_ids, count()))
+    out = array(index_typecode(len(task_ids)))
+    for lines in _slices(text):
+        if out.itemsize == 1:
+            # ``bytes`` fills from ints in C; ``array('B')`` would parse
+            # each one through a format string.
+            out.frombytes(bytes(map(index.__getitem__, lines)))
+        else:
+            out.extend(map(index.__getitem__, lines))
+    if index.known:
+        return out, None
+    entries = map(_entry, chain.from_iterable(_slices(text)))
+    return out, next((pos, entry) for pos, entry in enumerate(entries)
+                     if entry not in index)

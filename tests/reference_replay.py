@@ -55,7 +55,8 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
     state = CacheState(gpu_budget_bytes=config.gpu_budget_bytes,
                        cpu_budget_bytes=config.cpu_budget_bytes)
     switches: list[SwitchReport] = []
-    trace = scenario.trace
+    # The scenario's trace holds task indices; this loop reads the ids.
+    trace = [scenario.task_ids[i] for i in scenario.trace]
     if trace:
         first = trace[0]
         try:

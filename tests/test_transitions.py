@@ -11,7 +11,7 @@ from switchsim import transitions
 from switchsim.errors import ConfigError, LogParseError
 from switchsim.synthetic import gen_markov_log
 from switchsim.transitions import (TransitionModel, assign_tiers, fit_transition_model,
-                                   load_task_log)
+                                   index_typecode, load_task_indices, load_task_log)
 from switchsim.workloads import DRIVING_PAIR_BIAS, DRIVING_TASKS
 
 from reference import reference_fit_transition_model, reference_load_task_log
@@ -303,3 +303,64 @@ class TestLoadTaskLogAcrossSlices:
         path = tmp_path_factory.getbasetemp() / "generated-long-log.txt"
         path.write_bytes(text.encode("utf-8"))
         assert load_task_log(path) == reference_load_task_log(path)
+
+
+def reference_task_indices(path, task_ids):
+    """Each entry's index in ``task_ids`` (0 for an entry that names no
+    task) and the position and text of the first such entry, or None."""
+    entries = reference_load_task_log(path)
+    index = {tid: i for i, tid in enumerate(task_ids)}
+    unknown = next(((pos, e) for pos, e in enumerate(entries) if e not in index), None)
+    return [index.get(e, 0) for e in entries], unknown
+
+
+class TestLoadTaskIndices:
+    @pytest.mark.parametrize("size, typecode", [
+        (0, "B"), (256, "B"), (257, "H"), (1 << 16, "H"), ((1 << 16) + 1, "I"),
+    ])
+    def test_narrowest_typecode(self, size, typecode):
+        assert index_typecode(size) == typecode
+
+    @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
+    def test_every_id_is_its_index(self, tmp_path, timestamps):
+        path = tmp_path / "trace.txt"
+        steps = ROUTE * 3
+        path.write_text("".join(f"{i}.5, {t}\n" if timestamps else f" {t}\n\n"
+                                for i, t in enumerate(steps)))
+        indices, unknown = load_task_indices(path, TASKS)
+        assert indices.typecode == "B" and unknown is None
+        assert indices.tolist() == [TASKS.index(t) for t in steps]
+
+    @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
+    def test_unknown_ids_keep_their_positions(self, tmp_path, timestamps):
+        # Every entry still takes a slot, and the first unknown one is named.
+        path = tmp_path / "trace.txt"
+        steps = ["Car", "Ghost", "Person", "Ghost2", "Car"]
+        path.write_text("".join(f"{i}.5,{t}\n" if timestamps else f"{t}\n"
+                                for i, t in enumerate(steps)))
+        indices, unknown = load_task_indices(path, TASKS)
+        assert indices.tolist() == [0, 0, 3, 0, 0]
+        assert unknown == (1, "Ghost")
+
+    @given(st.one_of(log_texts(), st.text(alphabet="ab,. \t\r\n", max_size=60)),
+           st.sampled_from([(), TASKS, ["a", "b", "ab"], ["ab", "b", "a"]]))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_text(self, tmp_path_factory, text, task_ids):
+        path = tmp_path_factory.getbasetemp() / "generated-trace.txt"
+        path.write_bytes(text.encode("utf-8"))
+        indices, unknown = load_task_indices(path, task_ids)
+        assert (indices.tolist(), unknown) == reference_task_indices(path, task_ids)
+
+    @pytest.mark.parametrize("name", MULTI_SLICE_TEXTS)
+    @pytest.mark.parametrize("known", ["all", "two"])
+    def test_across_slices(self, tmp_path, name, known):
+        # The numbered rows name up to 3,000 distinct tasks, listed in
+        # reverse, so the indices are two bytes wide; with two tasks known,
+        # the first unknown entry is named.
+        path = tmp_path / "trace.txt"
+        path.write_bytes(MULTI_SLICE_TEXTS[name].encode("utf-8"))
+        task_ids = ([f"T{i}" for i in reversed(range(3_000))] if known == "all"
+                    else ["T2", "T1"])
+        indices, unknown = load_task_indices(path, task_ids)
+        assert indices.typecode == index_typecode(len(task_ids))
+        assert (indices.tolist(), unknown) == reference_task_indices(path, task_ids)
