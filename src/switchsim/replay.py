@@ -46,23 +46,30 @@ host cache is its recency order ``cpu_lru`` alone, and (current task,
 next task, ``cpu_lru``) fixes the whole state, because every state the
 replay steps from has been checked: the device holds
 ``table.target(mode, current)`` and both budgets equal the config's. The
-replay computes each distinct step once, from a state built from its
-memo key alone, checks the state the step leaves, and stores its record
-index or -1, paired with the next ``cpu_lru`` only when the step replaced
-it. The memo is a list of rows per running task's index, each a list of
-``cpu_lru`` dicts per next task's index, so a step looks up no id; ids
-are read only on a miss. Each running task's device target, ranked
-pre-load tier and protected set are built once, the first time it runs a
-computed step. A step that raises stores nothing, so an error surfaces
-at the trace position where its state first occurs.
+replay starts from the empty host order ``b""`` when the manifest has at
+most 256 blocks, so every block id fits in a byte, and from ``()``
+otherwise. Each layer returns orders of the type it was given, so every
+``cpu_lru`` the replay reaches, each memo key among them, is ``bytes``
+of one byte a block (which caches its hash) or, above 256 blocks, a
+tuple. The replay computes each distinct step once, from a state built
+from its memo key alone, checks the state the step leaves, and stores its
+record index or -1, paired with the next ``cpu_lru`` only when the step
+replaced it. The memo is a list of rows per running task's index, each a
+list of ``cpu_lru`` dicts per next task's index, so a step looks up no
+id; ids are read only on a miss. Each running task's device target,
+ranked pre-load tier and protected set are built once, the first time it
+runs a computed step. A step that raises stores nothing, so an error
+surfaces at the trace position where its state first occurs.
 
 Each computed step checks the state it leaves. The device must equal the
 running task's target, and both budgets the config's. A switch moves
 blocks through the host without changing it, so the order a switch
 returns must be the very object the prefetch left. The prefix the
 prefetch staged must be the newest part of the order it left, in plan
-order. ``check_host`` runs only when the step replaced ``cpu_lru``,
-since an order left in place is its input's, which was checked.
+order; the prefix is of the order's type, an empty one too, so the two
+compare by content. ``check_host`` runs only when the step replaced
+``cpu_lru``, since an order left in place is its input's, which was
+checked.
 ``check_device`` is a pure function of the task's target and the
 config's device budget, so it runs once per task.
 
@@ -569,7 +576,8 @@ def _replay(scenario: Scenario, mode: DeployMode,
     # order is widened to the next typecode.
     order: bytearray | array = bytearray()
     append, limit = order.append, 1 << 8
-    current, lru = first, state.cpu_lru
+    # One byte a cached block when every block id fits in one.
+    current, lru = first, b"" if manifest.num_blocks <= 256 else ()
     # [current task][next task] -> cpu_lru -> record index or -1, paired
     # with the next cpu_lru when the step replaced it, indexed by task
     # index. A running task's row is made on its first switch in, and a

@@ -91,6 +91,19 @@ class TestStageToCpu:
         with pytest.raises(ManifestError):
             stage_to_cpu(m, state_with(m), {9})
 
+    @pytest.mark.parametrize("num_blocks, blocks", [
+        (16, [3, 256]), (16, (300,)), (300, [3, 256]), (300, (299,)),
+    ], ids=["unknown-256", "unknown-300", "known-256", "known-299"])
+    def test_id_past_a_byte_on_a_bytes_order_is_a_manifest_error(self, num_blocks, blocks):
+        # Unknown to a 16-block manifest, or known to a 300-block one: either
+        # way a ManifestError, never the bare ValueError of ``bytes([256])``,
+        # and the state is untouched.
+        m = uniform_manifest(num_blocks)
+        s0 = state_with(m)._replace(cpu_lru=b"\x01\x02")
+        with pytest.raises(ManifestError, match="256|unknown"):
+            stage_to_cpu(m, s0, blocks)
+        assert s0.cpu_lru == b"\x01\x02"
+
 
 class TestLoadToGpu:
     def test_device_holds_exactly_the_target(self):

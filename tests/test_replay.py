@@ -211,6 +211,26 @@ class TestReplayScenario:
             switches.append(len(reports[DeployMode.FULL_METHOD].order))
         assert (peaks[1] - peaks[0]) / (switches[1] - switches[0]) <= 4
 
+    def test_full_method_peak_grows_by_at_most_85_bytes_a_step(self, tmp_path):
+        # On host-churn's shape most steps miss the memo, which then holds a
+        # host order key per computed step and the next order when the step
+        # replaced it. Those are bytes, one byte a block: CPython 3.11 reads
+        # 70 B a step, where tuples of ints read 103 B.
+        peaks = []
+        for steps in (4_000, 8_000):
+            scenario = replay.load_scenario(host_churn_scenario(tmp_path / str(steps), steps))
+            selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
+            model = fit_transition_model(scenario.log, k=1, known_tasks=scenario.task_ids)
+            replay_mode(scenario, DeployMode.FULL_METHOD, selections, model)  # warm-up
+            gc.collect()
+            tracemalloc.start()
+            try:
+                replay_mode(scenario, DeployMode.FULL_METHOD, selections, model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 4_000 <= 85
+
 
 def write_entries(path, entries, timestamps):
     """A task log or trace: bare ids, or padded ``timestamp, task_id`` rows."""
@@ -462,6 +482,33 @@ class TestMemoMatchesReference:
             assert report == reference_replay(scenario, mode, selections, model)
             assert len(report.records) > 256 and report.order.typecode == "H"
 
+    @pytest.mark.parametrize("num_blocks, kind", [(256, bytes), (300, tuple)])
+    def test_host_orders_are_bytes_up_to_256_blocks(self, tmp_path, monkeypatch,
+                                                    num_blocks, kind):
+        # Up to 256 blocks every id fits in a byte, and every host order a
+        # full_method step plans from is bytes; past that, a tuple. Either
+        # way every mode equals the reference, whose orders are tuples.
+        config = write_driving_scenario(
+            tmp_path, num_blocks=num_blocks, target_monolithic_ms=3000.0, max_remove=100,
+            correlation=0.3, trace_length=300, k=1, compute_window_ms=1000.0,
+            cpu_budget_blocks=12)
+        orders = []
+
+        def recording(ranked, protected, state, manifest):
+            orders.append(state.cpu_lru)
+            return plan(ranked, protected, state, manifest)
+
+        plan = replay.plan_prefetch
+        monkeypatch.setattr(replay, "plan_prefetch", recording)
+        scenario = replay.load_scenario(config)
+        selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
+        model = fit_transition_model(scenario.log, k=1, known_tasks=scenario.task_ids)
+        reports = replay_scenario(scenario, DeployMode, selections, model)
+        assert {type(order) for order in orders} == {kind}
+        assert max(map(len, orders)) == 12  # the host fills up, so it evicts
+        for mode, report in reports.items():
+            assert report == reference_replay(scenario, mode, selections, model)
+
 
     def test_each_distinct_step_prefetches_and_switches_once(self, tmp_path,
                                                              monkeypatch):
@@ -523,8 +570,11 @@ class TestMemoMatchesReference:
         table = tables[DeployMode.FULL_METHOD]
         for state, (current, _task, before) in zip(inputs, keys):
             target = table.target(DeployMode.FULL_METHOD, current)
+            # The reference's host orders are tuples; 64 blocks fit a byte
+            # each, so the replay's are bytes.
+            assert type(state.cpu_lru) is bytes
             assert state == CacheState(config.gpu_budget_bytes, config.cpu_budget_bytes,
-                                       target, before.cpu_lru)
+                                       target, bytes(before.cpu_lru))
             assert state.gpu_resident is target
 
     def switch_tables(self, monkeypatch):
@@ -571,13 +621,14 @@ class TestMemoMatchesReference:
         assert not tables[DeployMode.FULL_METHOD]._reloads
 
 
-def host_churn_scenario(root):
-    """The host-churn benchmark's shape on a 600-step trace: 64 blocks, a
-    12-block host, k=1 and a window for every plan, so the host order keeps
-    changing and most full_method steps miss the memo."""
+def host_churn_scenario(root, trace_length=600):
+    """The host-churn benchmark's shape, on a 600-step trace unless told
+    otherwise: 64 blocks, a 12-block host, k=1 and a window for every plan,
+    so the host order keeps changing and most full_method steps miss the
+    memo."""
     return write_driving_scenario(
         root, num_blocks=64, target_monolithic_ms=3000.0, max_remove=24,
-        correlation=0.3, trace_length=600, k=1, compute_window_ms=1000.0,
+        correlation=0.3, trace_length=trace_length, k=1, compute_window_ms=1000.0,
         cpu_budget_blocks=12, mode="full_method")
 
 
@@ -934,12 +985,21 @@ class TestCountedFsum:
             counted_fsum([(1.7e308, 2)])
 
 
+def appended(order, *blocks):
+    """``order`` with ``blocks`` appended, built in ``order``'s type. A
+    16-block replay's host orders and staged prefixes are ``bytes``, and a
+    corruption built as a tuple would fail on its type, not on the check."""
+    assert type(order) is bytes
+    return order + type(order)(blocks)
+
+
 def older_block_reported_staged(state, staged):
     """The host also holds an older block, which is a valid host, and the
     prefetch reports that oldest resident block as staged last: it is
     host-resident, but not among the newest."""
     older = min(frozenset(range(16)) - state.cpu_resident)
-    return state._replace(cpu_lru=(older,) + state.cpu_lru), staged + (older,)
+    return (state._replace(cpu_lru=appended(state.cpu_lru[:0], older) + state.cpu_lru),
+            appended(staged, older))
 
 
 class TestStepInvariants:
@@ -967,7 +1027,7 @@ class TestStepInvariants:
         (3, lambda state, staged: (
             state._replace(cpu_lru=state.cpu_lru + state.cpu_lru[:1]), staged)),
         (3, lambda state, staged: (
-            state, staged + (min(frozenset(range(16)) - state.cpu_resident),))),
+            state, appended(staged, min(frozenset(range(16)) - state.cpu_resident)))),
         (3, lambda state, staged: older_block_reported_staged(state, staged)),
         # A step without a switch: no device load follows the prefetch.
         (1, lambda state, staged: (
@@ -990,7 +1050,7 @@ class TestStepInvariants:
     # until the switch. Switch calls 1 to 3 run at positions 2, 3 and 5.
     # The corrupt order is a valid host; only the switch's own check sees it.
     @pytest.mark.parametrize("corrupt", [
-        lambda state: state._replace(cpu_lru=state.cpu_lru + (0,)),
+        lambda state: state._replace(cpu_lru=appended(state.cpu_lru, 0)),
     ], ids=["lru-gains-block"])
     def test_corrupt_switch_host_fails_at_its_position(self, tmp_path, monkeypatch,
                                                        corrupt):
