@@ -15,13 +15,6 @@ that stays in the same pass. Staging takes only distinct blocks the host
 does not hold, the differential set a prefetch plan names, so the host
 order changes one way: eviction, then an append.
 
-A host order is a ``tuple`` of block ids or, when every id fits in a
-byte, ``bytes``, one byte a block. Membership, iteration, slicing,
-concatenation and hashing read both alike, and a ``bytes`` object caches
-its hash. Each operation builds the order it returns with the type of the
-order it was given, so a replay that starts from ``b""`` keeps ``bytes``
-throughout, and a tuple in gives a tuple out.
-
 Eviction reads recency alone. The replay protects every block that
 next-task usefulness gives a nonzero weight (the running task's active
 set and the pre-load tier both come from its likely successors), so
@@ -122,9 +115,8 @@ class CacheState(NamedTuple):
 
     The device holds exactly the running task's active set and never
     evicts, so only the host cache keeps a recency order: ``cpu_lru`` lists
-    the host-resident blocks from least to most recently touched, as
-    ``bytes`` or a tuple (see the module docstring), and is the only
-    record of what the host holds. Keeping it inside the state
+    the host-resident blocks from least to most recently touched, and is
+    the only record of what the host holds. Keeping it inside the state
     makes eviction a pure function of (state, arguments). A named tuple:
     immutable, compared by value, and cheaper to build than a frozen
     dataclass, which matters because every staging and switch builds one.
@@ -133,7 +125,7 @@ class CacheState(NamedTuple):
     gpu_budget_bytes: int
     cpu_budget_bytes: int
     gpu_resident: frozenset[int] = frozenset()
-    cpu_lru: bytes | tuple[int, ...] = ()
+    cpu_lru: tuple[int, ...] = ()
 
     @property
     def cpu_resident(self) -> frozenset[int]:
@@ -178,18 +170,16 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
 
     Victims are the least recently used non-protected blocks: the shortest
     prefix of ``cpu_lru``, protected blocks left out, that frees enough.
-    One pass over ``cpu_lru`` picks them and builds the order that stays,
-    of ``cpu_lru``'s type. Raises :class:`BudgetExceededError` with the
-    remaining shortfall when even evicting every non-protected block is
-    not enough.
+    One pass over ``cpu_lru`` picks them and builds the order that stays.
+    Raises :class:`BudgetExceededError` with the remaining shortfall when
+    even evicting every non-protected block is not enough.
     """
     if bytes_needed <= 0:
         return state
     sizes = manifest.block_sizes
     kept: list[int] = []
     freed = 0
-    lru = state.cpu_lru
-    blocks = iter(lru)
+    blocks = iter(state.cpu_lru)
     for b in blocks:
         if b in protected:
             kept.append(b)
@@ -202,7 +192,7 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
     # Past the last victim every block stays, in order.
     kept.extend(blocks)
     return _new_tuple(CacheState, (state.gpu_budget_bytes, state.cpu_budget_bytes,
-                                   state.gpu_resident, type(lru)(kept)))
+                                   state.gpu_resident, tuple(kept)))
 
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
@@ -211,33 +201,20 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
 
     ``blocks`` must be distinct, known and not host-resident; anything else
     raises :class:`ManifestError`. They become the most recently used, in
-    the order given, appended to the order eviction leaves, in the host
-    order's type. When the budget would overflow, one :func:`evict` for
-    the whole overflow first drops the least recently used resident blocks
-    outside ``protected``; the given blocks are not resident, so eviction
-    cannot reach them. An unsatisfiable overflow raises with its whole
-    shortfall and leaves the input state untouched.
-
-    Blocks of the host order's own type (a plan's prefix, in a replay) are
-    taken as they are; others are checked as a tuple, then converted. So
-    an id too large for a ``bytes`` order is refused with
-    :class:`ManifestError`: unknown to a manifest of at most 256 blocks, or
-    refused by the conversion on a larger one.
+    the order given, appended to the order eviction leaves. When the budget
+    would overflow, one :func:`evict` for the whole overflow first drops
+    the least recently used resident blocks outside ``protected``; the
+    given blocks are not resident, so eviction cannot reach them. An
+    unsatisfiable overflow raises with its whole shortfall and leaves the
+    input state untouched.
     """
-    lru = state.cpu_lru
-    kind = type(lru)
-    order = blocks if type(blocks) is kind else tuple(blocks)
+    order = tuple(blocks)
     wanted = frozenset(order)
     if not wanted <= manifest.all_blocks:
         raise ManifestError(f"unknown block ids: {sorted(wanted - manifest.all_blocks)}")
+    lru = state.cpu_lru
     if len(wanted) != len(order) or not wanted.isdisjoint(lru):
         raise ManifestError("staging takes distinct blocks the host does not hold")
-    if type(order) is not kind:
-        try:
-            order = kind(order)
-        except ValueError:
-            raise ManifestError(f"a bytes host order holds ids below 256, not "
-                                f"{sorted(b for b in wanted if b > 255)}") from None
     sizes = manifest.block_sizes
     bytes_moved = sum([sizes[b] for b in order])
     overflow = sum([sizes[b] for b in lru]) + bytes_moved - state.cpu_budget_bytes

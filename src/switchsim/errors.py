@@ -134,14 +134,16 @@ def read_text(path: Path | str) -> str:
 def read_json(path: Path | str):
     """The parsed JSON document in the file at ``path``.
 
-    A file :func:`read_text` rejects, or one that is not valid JSON,
-    raises :class:`ConfigError`.
+    A file :func:`read_text` rejects, one that is not valid JSON, or one
+    nested too deep for the parser's recursion raises :class:`ConfigError`.
     """
     text = read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path} nests its JSON too deep to parse") from exc
 
 
 def write_text(path: Path | str, text: str) -> None:

@@ -11,22 +11,19 @@ replay protects, so eviction takes the least recently used unprotected
 blocks and needs no weights.
 
 The host cache is read from its recency order ``cpu_lru`` alone, a
-short ``bytes`` or tuple (see ``block_store``): planning tests
-membership in it after the device set, sums the protected residents'
-bytes in one walk of it, and builds no host set. A plan's entries take
-the host order's type, and so does the prefix execution stages, empty
-ones included, so a replay on ``bytes`` orders stays on them. Execution
-reads each block's disk time from a per-block tuple that a replay
-computes once (``SwitchTable.disk_ms``), stages the prefix the window
-covers with one :func:`stage_to_cpu` call, and returns that prefix as a
-slice of the plan's entries, with no set built. Only the caller's
+short tuple: planning tests membership in it after the device set, sums
+the protected residents' bytes in one walk of it, and builds no host
+set. Execution reads each block's disk time from a per-block tuple that
+a replay computes once (``SwitchTable.disk_ms``), stages the prefix the
+window covers with one :func:`stage_to_cpu` call, and returns that prefix
+as a slice of the plan's tuple, with no set built. Only the caller's
 protected set (the runtime and pre-load tiers, in a replay) is shielded
 from eviction; plan blocks need no protection, because the host does not
 hold them until they are staged and eviction walks only what it holds.
 
 A full_method replay plans on most of its steps, so a plan is built by
 ``block_store._new_tuple`` from its one field, without the generated
-``__new__``'s Python frame.
+``__new__``'s Python frame, and the empty plan is one shared constant.
 """
 from __future__ import annotations
 
@@ -41,9 +38,12 @@ __all__ = ["PrefetchPlan", "plan_prefetch", "execute_prefetch", "block_usefulnes
 
 class PrefetchPlan(NamedTuple):
     """Distinct block ids to stage, ordered by descending weight (ties by
-    ascending id), as ``bytes`` or a tuple, like the host order."""
+    ascending id)."""
 
-    entries: bytes | tuple[int, ...]
+    entries: tuple[int, ...]
+
+
+_NO_PLAN = PrefetchPlan(())
 
 
 def block_usefulness(current: str, model: TransitionModel,
@@ -78,14 +78,13 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
     holds the Level-1 and Level-2 blocks: capacity assumes Level-3
     stragglers in the host cache can be evicted and counts protected
     residents as untouchable. A candidate that does not fit is skipped and
-    the scan continues. The entries are of ``state.cpu_lru``'s type.
+    the scan continues.
     """
     gpu = state.gpu_resident
     lru = state.cpu_lru
     missing = [b for b in ranked if b not in gpu and b not in lru]
     if not missing:
-        # The empty order of the host's type: ``b""`` or ``()``, no copy.
-        return _new_tuple(PrefetchPlan, (lru[:0],))
+        return _NO_PLAN
     sizes = manifest.block_sizes
     # The host order is short, so capacity walks it, not the tiers.
     room = state.cpu_budget_bytes - sum([sizes[b] for b in lru if b in protected])
@@ -95,22 +94,22 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
         if size <= room:
             entries.append(b)
             room -= size
-    return _new_tuple(PrefetchPlan, (type(lru)(entries),))
+    return _new_tuple(PrefetchPlan, (tuple(entries),))
 
 
 def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: float,
                      disk_ms: Sequence[float], manifest: ModelManifest,
                      protected: frozenset[int] = frozenset()
-                     ) -> tuple[CacheState, bytes | tuple[int, ...], int]:
+                     ) -> tuple[CacheState, tuple[int, ...], int]:
     """Stage plan blocks in order until the compute window runs out.
 
     ``disk_ms[b]`` is block ``b``'s disk-link time, ``CostModel.disk_ms`` of
     its size; a replay passes ``SwitchTable.disk_ms``, computed once.
     Blocks are staged atomically: one whose transfer would overrun the
     window is not staged and ends the pass, so the staged blocks are always
-    a prefix of the plan. Returns the new state, that prefix as a slice of
-    ``plan.entries`` (so of its type), and the bytes moved. Staged blocks
-    add zero latency to the next switch.
+    a prefix of the plan. Returns the new state, that prefix of
+    ``plan.entries`` as a tuple, and the bytes moved. Staged blocks add zero
+    latency to the next switch.
 
     Plan blocks are not host-resident (:func:`plan_prefetch` plans only
     blocks resident on neither tier), so the prefix is staged with one
@@ -125,7 +124,7 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
     plans within the host budget less the protected residents, and the
     prefix is staged under the same protected set, so it always fits. An
     empty plan, or one whose first block overruns the window, returns the
-    input state and the entries' empty slice, ``b""`` or ``()``.
+    input state and ``()``.
     """
     entries = plan.entries
     count = 0
@@ -137,10 +136,9 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
         if elapsed > compute_window_ms:
             break
         count += 1
-    # A slice of all the entries is the entries themselves, not a copy, and
-    # an empty slice is the type's shared empty object.
-    prefix = entries[:count]
     if not count:
-        return state, prefix, 0
+        return state, (), 0
+    # A slice of the whole tuple is the tuple itself, not a copy.
+    prefix = entries[:count]
     after, moved = stage_to_cpu(manifest, state, prefix, protected)
     return after, prefix, moved

@@ -45,31 +45,29 @@ active sets, transition model, window) is fixed for the replay. The
 host cache is its recency order ``cpu_lru`` alone, and (current task,
 next task, ``cpu_lru``) fixes the whole state, because every state the
 replay steps from has been checked: the device holds
-``table.target(mode, current)`` and both budgets equal the config's. The
-replay starts from the empty host order ``b""`` when the manifest has at
-most 256 blocks, so every block id fits in a byte, and from ``()``
-otherwise. Each layer returns orders of the type it was given, so every
-``cpu_lru`` the replay reaches, each memo key among them, is ``bytes``
-of one byte a block (which caches its hash) or, above 256 blocks, a
-tuple. The replay computes each distinct step once, from a state built
-from its memo key alone, checks the state the step leaves, and stores its
-record index or -1, paired with the next ``cpu_lru`` only when the step
-replaced it. The memo is a list of rows per running task's index, each a
-list of ``cpu_lru`` dicts per next task's index, so a step looks up no
-id; ids are read only on a miss. Each running task's device target,
-ranked pre-load tier and protected set are built once, the first time it
-runs a computed step. A step that raises stores nothing, so an error
-surfaces at the trace position where its state first occurs.
+``table.target(mode, current)`` and both budgets equal the config's.
+The layers take and return host orders as tuples; the replay alone packs
+the orders it keeps, each memo key and each next order, into ``bytes``,
+one byte a block (which caches its hash), when the manifest has at most
+256 blocks, so every block id fits in a byte, and keeps them as tuples
+otherwise. The replay computes each distinct step once, from a state
+built from its memo key alone (the key as a tuple), checks the state the
+step leaves, and stores its record index or -1, paired with the packed
+next ``cpu_lru`` only when the step replaced it. The memo is a list of
+rows per running task's index, each a list of ``cpu_lru`` dicts per next
+task's index, so a step looks up no id; ids are read only on a miss.
+Each running task's device target, ranked pre-load tier and protected
+set are built once, the first time it runs a computed step. A step that
+raises stores nothing, so an error surfaces at the trace position where
+its state first occurs.
 
 Each computed step checks the state it leaves. The device must equal the
 running task's target, and both budgets the config's. A switch moves
 blocks through the host without changing it, so the order a switch
 returns must be the very object the prefetch left. The prefix the
 prefetch staged must be the newest part of the order it left, in plan
-order; the prefix is of the order's type, an empty one too, so the two
-compare by content. ``check_host`` runs only when the step replaced
-``cpu_lru``, since an order left in place is its input's, which was
-checked.
+order. ``check_host`` runs only when the step replaced ``cpu_lru``,
+since an order left in place is its input's, which was checked.
 ``check_device`` is a pure function of the task's target and the
 config's device budget, so it runs once per task.
 
@@ -81,8 +79,8 @@ this once per running task.
 A :class:`ReplayReport` holds each distinct switch record once, in order
 of first occurrence, plus the trace's switches as an unsigned ``array``
 of indices into them, of the narrowest typecode the indices fit: one
-byte a switch for up to 256 records. full_method's order is a
-``bytearray`` until its 257th distinct record, then an ``array('H')``,
+byte a switch for up to 256 records. full_method's order is an
+``array('B')`` until its 257th distinct record, then an ``array('H')``,
 and an ``array('I')`` from its 65,537th. Aggregation and
 ``write_compare_csv`` work per distinct record, weighted by its count.
 Every mean is a count-weighted exact sum (``errors.counted_fsum``),
@@ -574,10 +572,12 @@ def _replay(scenario: Scenario, mode: DeployMode,
     records: dict[SwitchReport, int] = {}
     # One byte a switch until a record index reaches ``limit``; then the
     # order is widened to the next typecode.
-    order: bytearray | array = bytearray()
+    order = array("B")
     append, limit = order.append, 1 << 8
-    # One byte a cached block when every block id fits in one.
-    current, lru = first, b"" if manifest.num_blocks <= 256 else ()
+    # The layers take and return tuples; the memo keys each host order as
+    # ``bytes``, one byte a block, when every block id fits in one.
+    pack = bytes if manifest.num_blocks <= 256 else tuple
+    current, lru = first, pack()
     # [current task][next task] -> cpu_lru -> record index or -1, paired
     # with the next cpu_lru when the step replaced it, indexed by task
     # index. A running task's row is made on its first switch in, and a
@@ -598,7 +598,9 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 if ctx is None:
                     ctx = contexts[current] = context(current_id)
                 target, ranked, protected = ctx
-                state = _new_tuple(CacheState, (gpu_budget, cpu_budget, target, lru))
+                # The key itself when it is a tuple.
+                host = tuple(lru)
+                state = _new_tuple(CacheState, (gpu_budget, cpu_budget, target, host))
                 plan = plan_prefetch(ranked, protected, state, manifest)
                 after, staged, _moved = execute_prefetch(plan, state, window, disk_ms,
                                                          manifest, protected)
@@ -611,9 +613,9 @@ def _replay(scenario: Scenario, mode: DeployMode,
                     if after.cpu_lru is not next_lru:
                         raise SwitchSimError("switch changed the host cache")
                 # Invariants of every computed step; a memo hit repeats a
-                # checked one. ``lru`` was checked, so the host needs no
-                # second check when the step left it in place.
-                check(after, task_id, next_lru is lru)
+                # checked one. ``host`` was checked, so it needs no second
+                # check when the step left it in place.
+                check(after, task_id, next_lru is host)
                 if next_lru[len(next_lru) - len(staged):] != staged:
                     raise SwitchSimError("staged blocks are not the host's newest, "
                                          "in plan order")
@@ -624,12 +626,10 @@ def _replay(scenario: Scenario, mode: DeployMode,
             else:
                 step = records.setdefault(report, len(records))
                 if step == limit:
-                    # ``iter``: an array built from a bytearray would read
-                    # its raw bytes, not its items.
-                    order = array(index_typecode(step + 1), iter(order))
+                    order = array(index_typecode(step + 1), order)
                     append, limit = order.append, 1 << 8 * order.itemsize
-            if next_lru is not lru:
-                step = (next_lru, step)
+            if next_lru is not host:
+                step = (pack(next_lru), step)
             if memo is _NO_STEPS:
                 memo = row[task] = {}
             memo[lru] = step
@@ -641,8 +641,6 @@ def _replay(scenario: Scenario, mode: DeployMode,
             row = steps[task]
             if row is None:
                 row = steps[task] = [_NO_STEPS] * len(ids)
-    if type(order) is bytearray:
-        order = array("B", order)
     return _aggregate(mode, scenario, matrix, tuple(records), order)
 
 

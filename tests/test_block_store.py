@@ -94,15 +94,20 @@ class TestStageToCpu:
     @pytest.mark.parametrize("num_blocks, blocks", [
         (16, [3, 256]), (16, (300,)), (300, [3, 256]), (300, (299,)),
     ], ids=["unknown-256", "unknown-300", "known-256", "known-299"])
-    def test_id_past_a_byte_on_a_bytes_order_is_a_manifest_error(self, num_blocks, blocks):
-        # Unknown to a 16-block manifest, or known to a 300-block one: either
-        # way a ManifestError, never the bare ValueError of ``bytes([256])``,
-        # and the state is untouched.
+    def test_ids_past_a_byte_stage_only_when_known(self, num_blocks, blocks):
+        # Host orders are tuples, so no id width is special: unknown to a
+        # 16-block manifest is a ManifestError that leaves the state as it
+        # was, and known to a 300-block one stages after the resident ids.
         m = uniform_manifest(num_blocks)
-        s0 = state_with(m)._replace(cpu_lru=b"\x01\x02")
-        with pytest.raises(ManifestError, match="256|unknown"):
-            stage_to_cpu(m, s0, blocks)
-        assert s0.cpu_lru == b"\x01\x02"
+        s0 = state_with(m, cpu=(1, 2))
+        if num_blocks < max(blocks):
+            with pytest.raises(ManifestError, match="unknown"):
+                stage_to_cpu(m, s0, blocks)
+            assert s0.cpu_lru == (1, 2)
+        else:
+            state, moved = stage_to_cpu(m, s0, blocks)
+            assert state.cpu_lru == (1, 2, *blocks)
+            assert moved == len(blocks) * 10 * MB
 
 
 class TestLoadToGpu:

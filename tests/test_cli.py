@@ -16,6 +16,7 @@ import pytest
 import switchsim
 from switchsim import cli
 from switchsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_REPLAY, main
+from switchsim.errors import ConfigError, read_json
 from switchsim.replay import ScenarioConfig
 from switchsim.switching import DeployMode
 from switchsim.synthetic import gen_markov_log
@@ -633,6 +634,23 @@ class TestMalformedInput:
         code = main(["compare", "--config", str(root / "config.json"),
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", ["config.json", "manifest.json"])
+    def test_json_nested_past_the_parsers_recursion_is_a_config_error(
+            self, driving_dir, tmp_path, capsys, name):
+        # The parser raises RecursionError, not JSONDecodeError, on arrays
+        # nested 100,000 deep.
+        root = tmp_path / "scenario"
+        shutil.copytree(driving_dir, root)
+        path = root / name
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigError, match="nests its JSON too deep"):
+            read_json(path)
+        code = main(["compare", "--config", str(root / "config.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {path} nests its JSON too deep to parse\n"
 
     @pytest.mark.parametrize("content", [
         None, b'{"Car": [', b"\xff",

@@ -32,37 +32,6 @@ def outcome(fn, *args, **kwargs):
         return type(exc), getattr(exc, "shortfall_bytes", None)
 
 
-# The two types a host order takes: a tuple, and bytes when every block id
-# fits in a byte. Each layer runs on both, against the reference on tuples.
-KINDS = (tuple, bytes)
-
-
-def in_kind(kind, state: CacheState) -> CacheState:
-    """``state`` with its host order of type ``kind``."""
-    return state._replace(cpu_lru=kind(state.cpu_lru))
-
-
-def items(kind, order):
-    """The ids of ``order``, which must be of type ``kind``, as a tuple."""
-    assert type(order) is kind
-    return tuple(order)
-
-
-def as_tuples(kind, result):
-    """A layer's result with each order in it, the host order, a plan's
-    entries or a staged prefix, checked to be of type ``kind`` and made a
-    tuple, to compare with the reference's; an error outcome as it is."""
-    if isinstance(result, CacheState):
-        return result._replace(cpu_lru=items(kind, result.cpu_lru))
-    if isinstance(result, PrefetchPlan):
-        return PrefetchPlan(items(kind, result.entries))
-    if isinstance(result[0], CacheState):
-        if len(result) == 3:  # execute_prefetch: state, staged prefix, bytes
-            return as_tuples(kind, result[0]), items(kind, result[1]), result[2]
-        return as_tuples(kind, result[0]), result[1]
-    return result
-
-
 def usefulness(blocks: frozenset[int]):
     """Usefulness weights over ``blocks`` only: ``None``, empty, or drawn
     from a few values so that ties are common."""
@@ -103,10 +72,8 @@ def cache_cases(draw):
 def test_evict_matches_reference(case, data):
     manifest, state, probs, protected = case
     needed = data.draw(st.integers(-5, sum(manifest.block_sizes) + 5))
-    expected = outcome(reference_evict, manifest, state, needed, protected, probs)
-    for kind in KINDS:
-        assert as_tuples(kind, outcome(evict, manifest, in_kind(kind, state), needed,
-                                       protected)) == expected
+    assert outcome(evict, manifest, state, needed, protected) \
+        == outcome(reference_evict, manifest, state, needed, protected, probs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,22 +81,17 @@ def test_evict_matches_reference(case, data):
 def test_stage_to_cpu_matches_reference(case, data):
     manifest, state, probs, protected = case
     # Ids may repeat or be host-resident, and one id past the manifest is
-    # drawn too; half the draws take only ids the host does not hold. Half
-    # pass the ids as a list, half in the host order's type, as a replay
-    # passes a plan's prefix.
+    # drawn too; half the draws take only ids the host does not hold.
     ids = range(manifest.num_blocks + 1)
     if data.draw(st.booleans()):
         ids = [b for b in ids if b not in state.cpu_lru]
     wanted = data.draw(st.lists(st.sampled_from(ids), unique=data.draw(st.booleans())))
-    in_order_type = data.draw(st.booleans())
+    fast = outcome(stage_to_cpu, manifest, state, wanted, protected)
     if len(set(wanted)) == len(wanted) and state.cpu_resident.isdisjoint(wanted):
-        expected = outcome(reference_stage_to_cpu, manifest, state, wanted, protected, probs)
+        assert fast == outcome(reference_stage_to_cpu, manifest, state, wanted, protected,
+                               probs)
     else:
-        expected = (ManifestError, None)
-    for kind in KINDS:
-        given_ids = kind(wanted) if in_order_type else wanted
-        assert as_tuples(kind, outcome(stage_to_cpu, manifest, in_kind(kind, state),
-                                       given_ids, protected)) == expected
+        assert fast == (ManifestError, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,10 +106,8 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
     tiers = TierAssignment(runtime=runtime, preload=preload)
     weights = data.draw(usefulness(runtime | preload)) or {}
     ranked = tuple(sorted(preload, key=lambda b: (-weights.get(b, 0.0), b)))
-    plan = reference_plan_prefetch(tiers, weights, state, manifest)
-    for kind in KINDS:
-        assert as_tuples(kind, plan_prefetch(ranked, runtime | preload, in_kind(kind, state),
-                                             manifest)) == plan
+    plan = plan_prefetch(ranked, runtime | preload, state, manifest)
+    assert plan == reference_plan_prefetch(tiers, weights, state, manifest)
     window = data.draw(st.floats(0.0, sum(manifest.block_sizes) + 5.0))
     absent = sorted(manifest.all_blocks - state.cpu_resident)
     shape = data.draw(st.sampled_from(["planned", "any", "full-host"]))
@@ -170,12 +130,10 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
     # The reference evicts by usefulness; a replay's weights name only
     # protected blocks.
     useful = {b: w for b, w in weights.items() if b in protected}
-    expected = outcome(reference_execute_prefetch, plan, state, window, COST, manifest,
-                       protected, useful)
-    for kind in KINDS:
-        assert as_tuples(kind, outcome(execute_prefetch, PrefetchPlan(kind(plan.entries)),
-                                       in_kind(kind, state), window, disk_ms(manifest),
-                                       manifest, protected)) == expected
+    assert outcome(execute_prefetch, plan, state, window, disk_ms(manifest), manifest,
+                   protected) \
+        == outcome(reference_execute_prefetch, plan, state, window, COST, manifest,
+                   protected, useful)
 
 
 def test_execute_prefetch_reports_the_whole_prefixs_shortfall():

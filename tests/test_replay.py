@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from switchsim import replay
+from switchsim import block_store, prefetch, replay
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import ConfigError, LogParseError, ReplayError, counted_fsum
 from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
@@ -214,8 +214,8 @@ class TestReplayScenario:
     def test_full_method_peak_grows_by_at_most_85_bytes_a_step(self, tmp_path):
         # On host-churn's shape most steps miss the memo, which then holds a
         # host order key per computed step and the next order when the step
-        # replaced it. Those are bytes, one byte a block: CPython 3.11 reads
-        # 70 B a step, where tuples of ints read 103 B.
+        # replaced it. The replay packs both as bytes, one byte a block:
+        # CPython 3.11 reads 68 B a step, where tuples of ints read 101 B.
         peaks = []
         for steps in (4_000, 8_000):
             scenario = replay.load_scenario(host_churn_scenario(tmp_path / str(steps), steps))
@@ -482,33 +482,54 @@ class TestMemoMatchesReference:
             assert report == reference_replay(scenario, mode, selections, model)
             assert len(report.records) > 256 and report.order.typecode == "H"
 
-    @pytest.mark.parametrize("num_blocks, kind", [(256, bytes), (300, tuple)])
-    def test_host_orders_are_bytes_up_to_256_blocks(self, tmp_path, monkeypatch,
-                                                    num_blocks, kind):
-        # Up to 256 blocks every id fits in a byte, and every host order a
-        # full_method step plans from is bytes; past that, a tuple. Either
-        # way every mode equals the reference, whose orders are tuples.
+    # Each layer a full_method step reaches, and the host orders, plan
+    # entries and staged prefixes among its arguments and its result.
+    LAYER_ORDERS = {
+        (replay, "plan_prefetch"): lambda args, plan: (args[2].cpu_lru, plan.entries),
+        (replay, "execute_prefetch"): lambda args, out: (
+            args[0].entries, args[1].cpu_lru, out[0].cpu_lru, out[1]),
+        (prefetch, "stage_to_cpu"): lambda args, out: (args[1].cpu_lru, out[0].cpu_lru),
+        (block_store, "evict"): lambda args, out: (args[1].cpu_lru, out.cpu_lru),
+        (replay, "execute_switch"): lambda args, out: (args[0].cpu_lru, out[0].cpu_lru),
+    }
+
+    @pytest.mark.parametrize("num_blocks", [256, 300])
+    def test_layers_take_tuple_host_orders_either_side_of_256_blocks(
+            self, tmp_path, monkeypatch, num_blocks):
+        # Up to 256 blocks every id fits in a byte and the replay keys its
+        # memo by bytes; past that, by tuples. Either way every layer takes
+        # and returns tuples, and every mode equals the reference.
         config = write_driving_scenario(
             tmp_path, num_blocks=num_blocks, target_monolithic_ms=3000.0, max_remove=100,
             correlation=0.3, trace_length=300, k=1, compute_window_ms=1000.0,
             cpu_budget_blocks=12)
-        orders = []
+        orders = {}
 
-        def recording(ranked, protected, state, manifest):
-            orders.append(state.cpu_lru)
-            return plan(ranked, protected, state, manifest)
+        def spy(module, name, pick):
+            layer = getattr(module, name)
 
-        plan = replay.plan_prefetch
-        monkeypatch.setattr(replay, "plan_prefetch", recording)
+            def spying(*args):
+                result = layer(*args)
+                orders.setdefault(name, []).extend(pick(args, result))
+                return result
+            monkeypatch.setattr(module, name, spying)
+
+        for (module, name), pick in self.LAYER_ORDERS.items():
+            spy(module, name, pick)
         scenario = replay.load_scenario(config)
         selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
         model = fit_transition_model(scenario.log, k=1, known_tasks=scenario.task_ids)
         reports = replay_scenario(scenario, DeployMode, selections, model)
-        assert {type(order) for order in orders} == {kind}
-        assert max(map(len, orders)) == 12  # the host fills up, so it evicts
+        assert orders.keys() == {name for _, name in self.LAYER_ORDERS}
+        for name, seen in orders.items():
+            assert {type(order) for order in seen} == {tuple}, name
+        # The host fills up, so it evicts; at 300 blocks it holds ids past a
+        # byte.
+        assert max(map(len, orders["plan_prefetch"])) == 12
+        if num_blocks > 256:
+            assert max(map(max, filter(None, orders["stage_to_cpu"]))) > 255
         for mode, report in reports.items():
             assert report == reference_replay(scenario, mode, selections, model)
-
 
     def test_each_distinct_step_prefetches_and_switches_once(self, tmp_path,
                                                              monkeypatch):
@@ -570,11 +591,8 @@ class TestMemoMatchesReference:
         table = tables[DeployMode.FULL_METHOD]
         for state, (current, _task, before) in zip(inputs, keys):
             target = table.target(DeployMode.FULL_METHOD, current)
-            # The reference's host orders are tuples; 64 blocks fit a byte
-            # each, so the replay's are bytes.
-            assert type(state.cpu_lru) is bytes
             assert state == CacheState(config.gpu_budget_bytes, config.cpu_budget_bytes,
-                                       target, bytes(before.cpu_lru))
+                                       target, before.cpu_lru)
             assert state.gpu_resident is target
 
     def switch_tables(self, monkeypatch):
@@ -985,21 +1003,12 @@ class TestCountedFsum:
             counted_fsum([(1.7e308, 2)])
 
 
-def appended(order, *blocks):
-    """``order`` with ``blocks`` appended, built in ``order``'s type. A
-    16-block replay's host orders and staged prefixes are ``bytes``, and a
-    corruption built as a tuple would fail on its type, not on the check."""
-    assert type(order) is bytes
-    return order + type(order)(blocks)
-
-
 def older_block_reported_staged(state, staged):
     """The host also holds an older block, which is a valid host, and the
     prefetch reports that oldest resident block as staged last: it is
     host-resident, but not among the newest."""
     older = min(frozenset(range(16)) - state.cpu_resident)
-    return (state._replace(cpu_lru=appended(state.cpu_lru[:0], older) + state.cpu_lru),
-            appended(staged, older))
+    return state._replace(cpu_lru=(older,) + state.cpu_lru), staged + (older,)
 
 
 class TestStepInvariants:
@@ -1027,7 +1036,7 @@ class TestStepInvariants:
         (3, lambda state, staged: (
             state._replace(cpu_lru=state.cpu_lru + state.cpu_lru[:1]), staged)),
         (3, lambda state, staged: (
-            state, appended(staged, min(frozenset(range(16)) - state.cpu_resident)))),
+            state, staged + (min(frozenset(range(16)) - state.cpu_resident),))),
         (3, lambda state, staged: older_block_reported_staged(state, staged)),
         # A step without a switch: no device load follows the prefetch.
         (1, lambda state, staged: (
@@ -1050,7 +1059,7 @@ class TestStepInvariants:
     # until the switch. Switch calls 1 to 3 run at positions 2, 3 and 5.
     # The corrupt order is a valid host; only the switch's own check sees it.
     @pytest.mark.parametrize("corrupt", [
-        lambda state: state._replace(cpu_lru=appended(state.cpu_lru, 0)),
+        lambda state: state._replace(cpu_lru=state.cpu_lru + (0,)),
     ], ids=["lru-gains-block"])
     def test_corrupt_switch_host_fails_at_its_position(self, tmp_path, monkeypatch,
                                                        corrupt):
