@@ -93,7 +93,8 @@ class BudgetExceededError(SwitchSimError):
 
 
 class LogParseError(SwitchSimError):
-    """A task log contains an unknown task id; ``position`` is 0-based."""
+    """A scenario's task log names no scenario task; raised at load, with
+    the entry's 0-based log ``position``."""
 
     def __init__(self, message: str, position: int):
         self.position = position
@@ -120,12 +121,14 @@ class ReplayError(SwitchSimError):
 
 
 def read_text(path: Path | str) -> str:
-    """The UTF-8 text of the file at ``path``.
+    """The UTF-8 text of the file at ``path``, without a leading byte-order
+    mark, so every input reads the same with or without one; a U+FEFF
+    anywhere else stays in the text.
 
     A missing, unreadable or non-UTF-8 file raises :class:`ConfigError`.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc

@@ -15,16 +15,13 @@ A scenario bundles a manifest, task specs, an oracle source, a transition
 log, a trace to replay, a cost model, and budgets. Each change of task in
 the trace executes a switch, and in full_method each step also grants a
 prefetch window. All randomness is seeded through the config, so
-identical configs produce byte-identical reports. Loading maps every
-log entry that names a task onto its task spec's own id string
-(``transitions.load_task_log``), so each task id is one object however
-often the log names it. It maps every trace entry to its task's index in
-``Scenario.tasks`` in the same pass that reads it
-(``transitions.load_task_indices``), so ``Scenario.trace`` is an unsigned
-``array`` of the narrowest typecode for the number of tasks, one byte a
-step for up to 256 tasks, and a trace id no task has fails at its
-position. Loading also refuses block sizes and costs whose totals over
-the trace would overflow a float.
+identical configs produce byte-identical reports. Loading maps every log
+and trace entry to its task's index in ``Scenario.tasks`` in the pass
+that reads it (``transitions.load_task_indices``), into an unsigned
+``array`` of the narrowest typecode for the number of tasks: one byte an
+entry for up to 256 tasks. An unknown trace id, then an unknown log id,
+fails at its position. Loading also refuses block sizes and costs whose
+totals over the trace would overflow a float.
 
 Only full_method stages blocks ahead of a switch. The three other modes
 (monolithic, sparse_no_split, split_only) never touch the host cache, so
@@ -111,15 +108,15 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .block_store import CacheState, ModelManifest, _new_tuple, load_to_gpu
-from .errors import (ConfigError, ReplayError, SwitchSimError, as_float, check_keys,
-                     counted_fsum, exact_int, write_text)
+from .errors import (ConfigError, LogParseError, ReplayError, SwitchSimError, as_float,
+                     check_keys, counted_fsum, exact_int, write_text)
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
 from .sparsity import (MetricOracle, SelectionResult, TaskSpec, build_all_tasks,
                        jaccard, load_table_oracles, load_task_specs)
 from .switching import CostModel, DeployMode, SwitchReport, SwitchTable, execute_switch
 from .synthetic import gen_instance
 from .transitions import (TransitionModel, assign_tiers, fit_transition_model,
-                          index_typecode, load_task_indices, load_task_log)
+                          index_typecode, load_task_indices)
 
 __all__ = ["PATH_KEYS", "INT_KEYS", "FLOAT_KEYS", "ScenarioConfig", "ReplayReport",
            "build_oracles", "load_scenario", "replay_scenario", "compare_modes",
@@ -219,16 +216,16 @@ class _FirstSeen(dict):
 class Scenario:
     """A config with every referenced artifact loaded and validated.
 
-    ``log`` holds the task ids the log names, as ``load_task_log`` reads
-    them. ``trace`` holds each step's task as its index in ``tasks``: an
-    unsigned ``array`` of ``index_typecode(len(tasks))``.
+    ``log`` and ``trace`` hold each entry's task as its index in
+    ``tasks``, as ``load_task_indices`` reads them: each an unsigned
+    ``array`` of ``index_typecode(len(tasks))``.
     """
 
     config: ScenarioConfig
     manifest: ModelManifest
     tasks: tuple[TaskSpec, ...]
     oracles: Mapping[str, MetricOracle]
-    log: Sequence[str]
+    log: Sequence[int]
     trace: Sequence[int]
     cost: CostModel
 
@@ -339,13 +336,10 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
     manifest = ModelManifest.load(config.manifest)
     tasks = tuple(load_task_specs(config.tasks))
     cost = CostModel.load(config.cost_model)
-    # Each log entry that names a task is its task spec's own id string, so
-    # a task id is one object however often it occurs. A log id no task has
-    # stays as read, for ``fit_transition_model`` to refuse with its
-    # position. Each trace entry is its task's index; an unknown one is
-    # refused below, after the checks that precede it.
+    # Each log and trace entry is its task's index; unknown ids are refused
+    # below, after the checks that precede them.
     ids = [t.task_id for t in tasks]
-    log = load_task_log(config.log, ids)
+    log, unknown_log = load_task_indices(config.log, ids)
     trace, unknown = load_task_indices(config.trace, ids)
     largest = max(manifest.block_sizes)
     if config.gpu_budget_bytes < largest or config.cpu_budget_bytes < largest:
@@ -356,6 +350,9 @@ def load_scenario(config: ScenarioConfig) -> Scenario:
     if unknown is not None:
         pos, task = unknown
         raise ReplayError(f"trace task {task!r} is not a scenario task", position=pos)
+    if unknown_log is not None:
+        pos, task = unknown_log
+        raise LogParseError(f"unknown task id {task!r}", position=pos)
     return Scenario(config=config, manifest=manifest, tasks=tasks, oracles=oracles,
                     log=log, trace=trace, cost=cost)
 
@@ -683,7 +680,8 @@ def replay_scenario(scenario: Scenario, modes: Iterable[DeployMode] = DeployMode
                     f"which the manifest's {len(blocks)} blocks lack")
         inputs = dict.fromkeys((False, True), (selections, _jaccard_matrix(ids, selections)))
     if model is None:
-        model = fit_transition_model(scenario.log, k=scenario.config.k, known_tasks=ids)
+        # Each task's own id string, so the fit hashes one object per task.
+        model = fit_transition_model(_lookup(ids, scenario.log), k=scenario.config.k)
     reports = {}
     for mode in modes:
         chosen, matrix = inputs[mode is DeployMode.FULL_METHOD]

@@ -7,12 +7,11 @@ The module also maps blocks into three tiers: device-resident for the
 running task, host-staging candidates for its likely successors, and
 disk for the rest.
 
-A task log is read once and mapped slice by slice: each slice of about
-4 KiB ends at a line break, and its stripped, non-empty lines are mapped
-through a dict seeded with the task ids, so a bare id is looked up in C.
-``load_task_log`` maps every entry that names a task to the task's own id
-string. ``load_task_indices`` maps each entry to its task's index, in the
-same pass, into an unsigned ``array`` of the narrowest typecode for the
+A task log is read once and split slice by slice: each slice of about
+4 KiB ends at a line break. ``load_task_log`` keeps every entry as read.
+``load_task_indices`` maps each entry to its task's index in the same
+pass, through a dict seeded with the task ids, so a bare id is looked up
+in C, into an unsigned ``array`` of the narrowest typecode for the
 number of tasks (``index_typecode``): one byte an entry for up to 256
 tasks.
 """
@@ -25,7 +24,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConfigError, LogParseError, read_text
+from .errors import ConfigError, read_text
 
 __all__ = [
     "TransitionModel",
@@ -75,23 +74,16 @@ class TransitionModel:
         }
 
 
-def fit_transition_model(entries: Sequence[str], k: int = 2,
-                         known_tasks: Iterable[str] | None = None) -> TransitionModel:
+def fit_transition_model(entries: Sequence[str], k: int = 2) -> TransitionModel:
     """Estimate counts, probabilities, and successor lists from one log.
 
     A task continuing is not a switch and loads nothing, so (t, t) pairs
     contribute no counts; a task with no outgoing switch gets no row. Each
-    task's successors are its k most likely, ties broken by id. Unknown
-    task ids raise with the 0-based log position.
+    task's successors are its k most likely, ties broken by id. Entries
+    are not checked against a task list; ``load_scenario`` does that.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if known_tasks is not None:
-        known = frozenset(known_tasks)
-        if not known.issuperset(entries):
-            pos, task = next((pos, task) for pos, task in enumerate(entries)
-                             if task not in known)
-            raise LogParseError(f"unknown task id {task!r}", position=pos)
     counts: dict[tuple[str, str], int] = {}
     totals: dict[str, int] = {}
     for pair in zip(entries, entries[1:]):
@@ -144,27 +136,13 @@ def _entry(line: str) -> str:
     return line.rsplit(",", 1)[-1].strip() if "," in line else line
 
 
-class _LogEntries(dict):
-    """Maps a stripped, non-empty log line to its entry; seeded with the
-    task ids, each mapped to itself.
-
-    A seeded line is looked up in C. Any other line's entry is
-    ``_entry(line)``; an entry that is a seeded id becomes the seeded
-    string. Nothing is stored, so a log of distinct timestamped rows grows
-    no table.
-    """
-
-    def __missing__(self, line: str) -> str:
-        entry = _entry(line)
-        return self.get(entry, entry)
-
-
 class _TaskIndices(dict):
     """Maps a stripped, non-empty log line to the index of the task its
     entry names; seeded with each task id mapped to its index.
 
-    A line whose entry names no task maps to 0 and clears ``known``. As in
-    :class:`_LogEntries`, nothing is stored.
+    A line whose entry names no task maps to 0 and clears ``known``.
+    Nothing is stored, so a log of distinct timestamped rows grows no
+    table.
     """
 
     known = True
@@ -183,18 +161,15 @@ def index_typecode(size: int) -> str:
     return "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
 
 
-def load_task_log(path: Path | str, task_ids: Iterable[str] = ()) -> list[str]:
+def load_task_log(path: Path | str) -> list[str]:
     """Read a task log: newline-delimited ids, or CSV ``timestamp,task_id`` rows.
 
-    An entry that names one of ``task_ids`` is that very string, so each
-    id is one object however often the log names it; any other entry is
-    kept as read. The text is read once and split slice by slice, so no
-    list of the whole file's lines is built.
+    Every entry is kept as read. The text is read once and split slice by
+    slice, so no list of the whole file's lines is built.
     """
-    entries = _LogEntries((t, t) for t in task_ids)
     out: list[str] = []
     for lines in _slices(read_text(path)):
-        out += map(entries.__getitem__, lines)
+        out += map(_entry, lines)
     return out
 
 

@@ -22,10 +22,10 @@ import itertools
 import math
 import random
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from switchsim.block_store import CacheState, ModelManifest, load_to_gpu
-from switchsim.errors import ConfigError, LogParseError, read_text
+from switchsim.errors import ConfigError, read_text
 from switchsim.sparsity import MetricOracle, SelectionResult, TaskSpec
 from switchsim.switching import CostModel, DeployMode, SwitchReport
 from switchsim.transitions import TransitionModel
@@ -226,17 +226,10 @@ def reference_load_task_log(path: Path | str) -> list[str]:
     return entries
 
 
-def reference_fit_transition_model(entries: Sequence[str], k: int = 2,
-                                   known_tasks: Iterable[str] | None = None
-                                   ) -> TransitionModel:
+def reference_fit_transition_model(entries: Sequence[str], k: int = 2) -> TransitionModel:
     """The model counted, normalized and ranked in three separate steps."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if known_tasks is not None:
-        known = frozenset(known_tasks)
-        for i, task in enumerate(entries):
-            if task not in known:
-                raise LogParseError(f"unknown task id {task!r}", position=i)
     # Step 1: adjacent non-self pairs counted.
     counts: dict[tuple[str, str], int] = {}
     for a, b in zip(entries, entries[1:]):

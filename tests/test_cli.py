@@ -15,7 +15,7 @@ import pytest
 
 import switchsim
 from switchsim import cli
-from switchsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_REPLAY, main
+from switchsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_REPLAY, EXIT_SELECTION, main
 from switchsim.errors import ConfigError, read_json
 from switchsim.replay import ScenarioConfig
 from switchsim.switching import DeployMode
@@ -611,6 +611,23 @@ def test_compare_refuses_an_ambiguous_table_oracle(driving_dir, tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+def test_an_unknown_log_id_precedes_a_selection_error(driving_dir, tmp_path, capsys):
+    # A table without rows fails selection; a log naming no task fails
+    # loading, which comes first.
+    config = write_table_scenario(driving_dir, tmp_path, rows=lambda every: [])
+    argv = ["compare", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_SELECTION
+    assert capsys.readouterr().err.startswith("selection error: no table entry")
+    log = config.parent / "log.txt"
+    entries = len(log.read_text().split())
+    with open(log, "a") as fh:
+        fh.write("Ghost\n")
+    assert main(argv) == EXIT_REPLAY
+    assert capsys.readouterr().err == \
+        f"replay error: unknown task id 'Ghost' (log position {entries})\n"
+    assert not (tmp_path / "out").exists()
+
+
 def run_select(tmp_path, *flags) -> int:
     tasks = write_tasks(tmp_path / "tasks.json")
     return main(["select", "--tasks", str(tasks), *flags])
@@ -755,6 +772,52 @@ class TestMalformedInput:
                               *flags)
         assert code == EXIT_CONFIG
         assert "oracle must be a JSON object, not list" in capsys.readouterr().err
+
+
+def output_bytes(root):
+    """Every file under ``root`` by its relative name."""
+    return {f.relative_to(root).as_posix(): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", ["config.json", "manifest.json", "tasks.json",
+                                      "cost_model.json", "log.txt", "trace.txt",
+                                      "estimate"])
+    def test_a_leading_bom_reads_as_without_one(self, driving_dir, tmp_path, name):
+        # Each scenario file, and estimate's log, writes the same bytes with
+        # a UTF-8 byte-order mark at its head as without one.
+        root = tmp_path / "scenario"
+        shutil.copytree(driving_dir, root)
+
+        def run(out):
+            if name == "estimate":
+                out.mkdir()
+                return main(["estimate", "--log", str(root / "log.txt"),
+                             "--out", str(out / "model.json")])
+            return main(["compare", "--config", str(root / "config.json"),
+                         "--out-dir", str(out)])
+
+        assert run(tmp_path / "plain") == EXIT_OK
+        path = root / ("log.txt" if name == "estimate" else name)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(tmp_path / "bom") == EXIT_OK
+        plain = output_bytes(tmp_path / "plain")
+        assert len(plain) == (1 if name == "estimate" else 17)
+        assert output_bytes(tmp_path / "bom") == plain
+
+    def test_a_bom_past_the_head_of_the_trace_stays_text(self, driving_dir, tmp_path,
+                                                         capsys):
+        # Only the mark at the head is dropped: a later U+FEFF is part of
+        # its line's id, which names no task.
+        root = tmp_path / "scenario"
+        shutil.copytree(driving_dir, root)
+        (root / "trace.txt").write_bytes("\ufeffCar\nPerson\n\ufeffCar\n".encode())
+        code = main(["compare", "--config", str(root / "config.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_REPLAY
+        assert capsys.readouterr().err == ("replay error: trace task '\\ufeffCar' is not "
+                                           "a scenario task (trace position 2)\n")
 
 
 class TestConsoleEntry:

@@ -155,8 +155,8 @@ def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(replay, "execute_switch", checked_switch)
     reports = replay.compare_modes(config)
     scenario = replay.load_scenario(config)
-    model = replay.fit_transition_model(scenario.log, k=config.k,
-                                        known_tasks=scenario.task_ids)
+    model = replay.fit_transition_model([scenario.task_ids[i] for i in scenario.log],
+                                        k=config.k)
     for mode in DeployMode:
         steps = []
         reference_replay(scenario, mode,

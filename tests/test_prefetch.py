@@ -171,7 +171,7 @@ def tiering_inputs(draw):
     active = {tid: frozenset(draw(st.lists(st.integers(0, n - 1), unique=True)))
               for tid in ids}
     log = draw(st.lists(st.sampled_from(ids), max_size=30))
-    model = fit_transition_model(log, k=draw(st.integers(1, 3)), known_tasks=ids)
+    model = fit_transition_model(log, k=draw(st.integers(1, 3)))
     return draw(st.sampled_from(ids)), model, active
 
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from switchsim import block_store, prefetch, replay
 from switchsim.block_store import CacheState, ModelManifest
-from switchsim.errors import ConfigError, LogParseError, ReplayError, counted_fsum
+from switchsim.errors import (ConfigError, LogParseError, OracleError, ReplayError,
+                              counted_fsum)
 from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
                               replay_scenario, write_compare_csv)
 from switchsim.sparsity import SelectionResult, TaskSpec, jaccard
@@ -56,6 +57,11 @@ def task_indices(ids, trace):
     """A trace of task ids as a loaded scenario holds it: each step's index
     in ``ids``, in an array of the narrowest typecode for ``len(ids)``."""
     return array(index_typecode(len(ids)), map(list(ids).index, trace))
+
+
+def logged_tasks(scenario):
+    """The scenario's log as the task ids it names, which the replay fits."""
+    return [scenario.task_ids[i] for i in scenario.log]
 
 
 def run_config(config):
@@ -113,6 +119,27 @@ class TestReplayScenario:
         with pytest.raises(ReplayError) as err:
             run_config(config)
         assert err.value.position == 2
+
+    def test_an_unknown_log_id_is_refused_before_selection_even_with_a_model(
+            self, tmp_path, monkeypatch):
+        # Loading refuses the log, so neither a given model nor a selection
+        # that would fail goes first.
+        config = small_scenario(tmp_path)
+        scenario = replay.load_scenario(config)
+        selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
+        model = fit_transition_model(logged_tasks(scenario), k=config.k)
+        write_entries(config.log, ["Car", "Ghost"], False)
+
+        def failing_selection(*args, **kwargs):
+            raise OracleError("no selection")
+
+        monkeypatch.setattr(replay, "build_all_tasks", failing_selection)
+        for run in (lambda: replay_scenario(replay.load_scenario(config), DeployMode,
+                                            selections, model),
+                    lambda: compare_modes(config)):
+            with pytest.raises(LogParseError, match="unknown task id 'Ghost'") as err:
+                run()
+            assert err.value.position == 1
 
     def test_budgets_must_admit_largest_block(self, tmp_path):
         config = small_scenario(tmp_path)
@@ -220,7 +247,7 @@ class TestReplayScenario:
         for steps in (4_000, 8_000):
             scenario = replay.load_scenario(host_churn_scenario(tmp_path / str(steps), steps))
             selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
-            model = fit_transition_model(scenario.log, k=1, known_tasks=scenario.task_ids)
+            model = fit_transition_model(logged_tasks(scenario), k=1)
             replay_mode(scenario, DeployMode.FULL_METHOD, selections, model)  # warm-up
             gc.collect()
             tracemalloc.start()
@@ -265,19 +292,26 @@ class TestScenarioConfig:
 
 class TestLoadScenario:
     @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
-    def test_each_entry_is_its_task_specs_id(self, tmp_path, timestamps):
-        # Each log entry is its task spec's own id string, and each trace
-        # entry the index of its task spec.
+    def test_each_entry_is_its_task_specs_id(self, tmp_path, monkeypatch, timestamps):
+        # Each log and trace entry is the index of its task spec, and the fit
+        # takes each log entry as its task spec's own id string.
         config = small_scenario(tmp_path)
-        steps = config.trace.read_text(encoding="utf-8").split()
+        entries = {}
         for path in (config.log, config.trace):
-            write_entries(path, path.read_text(encoding="utf-8").split(), timestamps)
+            entries[path] = path.read_text(encoding="utf-8").split()
+            write_entries(path, entries[path], timestamps)
         scenario = replay.load_scenario(config)
-        specs = {t.task_id: t for t in scenario.tasks}
         assert scenario.trace and scenario.log
-        assert all(task is specs[task].task_id for task in scenario.log)
-        assert scenario.trace == task_indices(scenario.task_ids, steps)
-        assert scenario.trace.typecode == "B"
+        for held, path in ((scenario.log, config.log), (scenario.trace, config.trace)):
+            assert held == task_indices(scenario.task_ids, entries[path])
+            assert held.typecode == "B"
+        fit, fitted = replay.fit_transition_model, []
+        monkeypatch.setattr(replay, "fit_transition_model",
+                            lambda log, k: fitted.append(log) or fit(log, k))
+        replay_scenario(scenario, (DeployMode.MONOLITHIC,))
+        specs = {t.task_id: t for t in scenario.tasks}
+        assert list(fitted[0]) == entries[config.log]
+        assert all(task is specs[task].task_id for task in fitted[0])
 
     def test_a_trace_of_many_slices_maps_every_step(self, tmp_path):
         # 20,000 steps span many of the loader's slices, and every step is
@@ -317,22 +351,50 @@ class TestLoadScenario:
         with pytest.raises(ReplayError) as err:
             replay.load_scenario(config)
         assert err.value.position == 2
-        # A log id no task has is kept as read, and the fit refuses it.
+        # A log id no task has is refused at load, at its log position.
         write_entries(config.trace, ["Car", "Person"], timestamps)
         write_entries(config.log, ["Car", "Person", "Car", "Ghost", "Car"],
                       timestamps)
-        assert replay.load_scenario(config).log[3] == "Ghost"
-        with pytest.raises(LogParseError) as err:
-            run_config(config)
+        with pytest.raises(LogParseError, match="unknown task id 'Ghost'") as err:
+            replay.load_scenario(config)
         assert err.value.position == 3
 
+    @pytest.mark.parametrize("log, position", [
+        (["Car", "Spaceship"], 1),
+        (["Spaceship", "Car", "Rocket"], 0),
+        (["Car", "Car", "Rocket", "Spaceship"], 2),
+    ])
+    def test_unknown_log_ids_report_the_first_position(self, tmp_path, log, position):
+        config = small_scenario(tmp_path)
+        write_entries(config.log, log, False)
+        with pytest.raises(LogParseError) as err:
+            replay.load_scenario(config)
+        assert str(err.value) == (f"unknown task id {log[position]!r} "
+                                  f"(log position {position})")
+        assert err.value.position == position
+
+    def test_an_unknown_log_id_comes_after_the_config_and_trace_checks(self, tmp_path):
+        config = small_scenario(tmp_path, trace=["Car", "Ghost", "Car"])
+        write_entries(config.log, ["Car", "Spaceship", "Car"], False)
+        with pytest.raises(ConfigError, match="admit the largest block"):
+            replay.load_scenario(dataclasses.replace(config, cpu_budget_bytes=1))
+        with pytest.raises(ReplayError, match="'Ghost' is not a scenario task"):
+            replay.load_scenario(config)
+        write_entries(config.trace, ["Car", "Person"], False)
+        with pytest.raises(LogParseError, match="'Spaceship'"):
+            replay.load_scenario(config)
+
     def test_a_trace_step_retains_one_byte(self, tmp_path):
-        # Each step holds its task's index in one byte; a tuple slot per
-        # step would take 8 B, and a string per step 64 B or more.
+        # Each trace step and each log entry holds its task's index in one
+        # byte, two bytes a step for both; a tuple or list slot per entry
+        # would take 8 B, and a string per entry 64 B or more. CPython 3.11
+        # reads 2.0 B a step.
         replay.load_scenario(small_scenario(tmp_path / "warm-up"))
         retained = []
         for steps in (2_000, 20_000):
-            config = small_scenario(tmp_path / str(steps), trace=(ROUTE * steps)[:steps])
+            entries = (ROUTE * steps)[:steps]
+            config = small_scenario(tmp_path / str(steps), trace=entries)
+            write_entries(config.log, entries, False)
             gc.collect()
             tracemalloc.start()
             try:
@@ -340,8 +402,8 @@ class TestLoadScenario:
                 retained.append(tracemalloc.get_traced_memory()[0])
             finally:
                 tracemalloc.stop()
-            assert len(scenario.trace) == steps
-        assert (retained[1] - retained[0]) / 18_000 < 2
+            assert len(scenario.trace) == len(scenario.log) == steps
+        assert (retained[1] - retained[0]) / 18_000 < 3
 
     @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
     def test_loading_peaks_within_4_bytes_a_step_over_the_text(self, tmp_path,
@@ -429,8 +491,8 @@ def replay_inputs(draw):
     scenario = Scenario(
         config=config, manifest=ModelManifest("m", sizes),
         tasks=tuple(TaskSpec(tid, retention_ratio=0.9, max_remove=n) for tid in ids),
-        oracles={}, log=log, trace=trace, cost=cost)
-    return scenario, selections, fit_transition_model(log, k=k, known_tasks=ids)
+        oracles={}, log=task_indices(ids, log), trace=trace, cost=cost)
+    return scenario, selections, fit_transition_model(log, k=k)
 
 
 def replay_outcome(fn, *args):
@@ -469,13 +531,13 @@ class TestMemoMatchesReference:
         scenario = Scenario(
             config=config, manifest=ModelManifest("m", sizes),
             tasks=tuple(TaskSpec(tid, retention_ratio=0.9, max_remove=8) for tid in ids),
-            oracles={}, log=log, trace=task_indices(ids, log),
+            oracles={}, log=task_indices(ids, log), trace=task_indices(ids, log),
             cost=CostModel(5.0, 20.0, per_block_fixed_ms=0.5))
         # Each task skips a different run of blocks.
         selections = {tid: SelectionResult(
             skipped=frozenset((i + j) % len(sizes) for j in range(2 + i % 5)),
             final_score=1.0, oracle_calls=1, removal_order=()) for i, tid in enumerate(ids)}
-        model = fit_transition_model(log, k=2, known_tasks=ids)
+        model = fit_transition_model(log, k=2)
         reports = replay_scenario(scenario, DeployMode, selections, model)
         assert scenario.trace.typecode == "B"
         for mode, report in reports.items():
@@ -518,7 +580,7 @@ class TestMemoMatchesReference:
             spy(module, name, pick)
         scenario = replay.load_scenario(config)
         selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
-        model = fit_transition_model(scenario.log, k=1, known_tasks=scenario.task_ids)
+        model = fit_transition_model(logged_tasks(scenario), k=1)
         reports = replay_scenario(scenario, DeployMode, selections, model)
         assert orders.keys() == {name for _, name in self.LAYER_ORDERS}
         for name, seen in orders.items():
@@ -562,8 +624,7 @@ class TestMemoMatchesReference:
         ``config``, which must equal ``report``."""
         scenario = replay.load_scenario(config)
         selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
-        model = fit_transition_model(scenario.log, k=config.k,
-                                     known_tasks=scenario.task_ids)
+        model = fit_transition_model(logged_tasks(scenario), k=config.k)
         steps = []
         assert reference_replay(scenario, DeployMode.FULL_METHOD, selections, model,
                                 steps) == report
@@ -663,13 +724,13 @@ def host_free_scenario(trace, gpu_budget_bytes):
     scenario = Scenario(
         config=config, manifest=ModelManifest("m", (10, 20, 30, 40)),
         tasks=tuple(TaskSpec(tid, retention_ratio=0.9, max_remove=4) for tid in ids),
-        oracles={}, log=log, trace=task_indices(ids, trace),
+        oracles={}, log=task_indices(ids, log), trace=task_indices(ids, trace),
         cost=CostModel(1.0, 2.0, per_block_fixed_ms=0.5, monolithic_init_ms=7.0))
     skipped = {"a": (2, 3), "b": (0, 3), "c": (0,)}
     selections = {tid: SelectionResult(skipped=frozenset(order), final_score=1.0,
                                        oracle_calls=1, removal_order=order)
                   for tid, order in skipped.items()}
-    return scenario, selections, fit_transition_model(log, k=1, known_tasks=ids)
+    return scenario, selections, fit_transition_model(log, k=1)
 
 
 HOST_FREE = [m for m in DeployMode if m is not DeployMode.FULL_METHOD]
@@ -821,19 +882,16 @@ class TestMetamorphicRelations:
     def test_renaming_tasks_changes_only_the_names(self, inputs):
         # A common prefix keeps the ids' sort order, so every tie that task
         # ids break (successor ranking, priority order) breaks the same way.
-        # The trace holds task indices, so it names the renamed tasks as it
-        # is.
+        # The log and the trace hold task indices, so they name the renamed
+        # tasks as they are.
         scenario, selections, model = inputs
         name = {tid: "renamed-" + tid for tid in scenario.task_ids}
         old = {new: tid for tid, new in name.items()}
         renamed = dataclasses.replace(
-            scenario,
-            tasks=tuple(dataclasses.replace(t, task_id=name[t.task_id])
-                        for t in scenario.tasks),
-            log=tuple(map(name.__getitem__, scenario.log)))
+            scenario, tasks=tuple(dataclasses.replace(t, task_id=name[t.task_id])
+                                  for t in scenario.tasks))
         renamed_selections = {name[tid]: r for tid, r in selections.items()}
-        renamed_model = fit_transition_model(renamed.log, k=model.k,
-                                             known_tasks=renamed.task_ids)
+        renamed_model = fit_transition_model(logged_tasks(renamed), k=model.k)
         for mode in DeployMode:
             base = replay_outcome(replay_mode, scenario, mode, selections, model)
             other = replay_outcome(replay_mode, renamed, mode, renamed_selections,
@@ -881,7 +939,8 @@ def aggregate_scenario(ids=("a", "b", "c")):
     scenario = Scenario(
         config=config, manifest=ModelManifest("m", (1, 1, 1)),
         tasks=tuple(TaskSpec(tid, retention_ratio=0.9, max_remove=3) for tid in ids),
-        oracles={}, log=(), trace=task_indices(ids, ()), cost=CostModel(1.0, 1.0))
+        oracles={}, log=task_indices(ids, ()), trace=task_indices(ids, ()),
+        cost=CostModel(1.0, 1.0))
     selections = {tid: SelectionResult(skipped=frozenset({i}), final_score=1.0,
                                        oracle_calls=1, removal_order=(i,))
                   for i, tid in enumerate(ids)}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim import transitions
-from switchsim.errors import ConfigError, LogParseError
+from switchsim.errors import ConfigError
 from switchsim.synthetic import gen_markov_log
 from switchsim.transitions import (TransitionModel, assign_tiers, fit_transition_model,
                                    index_typecode, load_task_indices, load_task_log)
@@ -23,7 +23,7 @@ SLICE = transitions._SLICE_CHARS
 
 class TestFitCounts:
     def test_counts_route_pairs(self):
-        model = fit_transition_model(ROUTE, known_tasks=TASKS)
+        model = fit_transition_model(ROUTE)
         assert model.counts == {
             ("Car", "TrafficLight"): 1,
             ("TrafficLight", "Car"): 1,
@@ -32,21 +32,11 @@ class TestFitCounts:
         }
 
     def test_single_entry_log_counts_nothing(self):
-        model = fit_transition_model(["Car"], known_tasks=TASKS)
+        model = fit_transition_model(["Car"])
         assert model.counts == model.probs == model.successors == {}
 
     def test_self_transitions_are_dropped(self):
         assert fit_transition_model(["A", "A", "B"]).counts == {("A", "B"): 1}
-
-    @pytest.mark.parametrize("log, position", [
-        (["Car", "Spaceship"], 1),
-        (["Spaceship", "Car", "Rocket"], 0),
-        (["Car", "Car", "Rocket", "Spaceship"], 2),
-    ])
-    def test_unknown_task_reports_first_position(self, log, position):
-        with pytest.raises(LogParseError) as err:
-            fit_transition_model(log, known_tasks=TASKS)
-        assert err.value.position == position
 
     @given(st.lists(st.sampled_from("abc"), max_size=30))
     @settings(max_examples=60, deadline=None)
@@ -97,7 +87,7 @@ class TestFitSuccessors:
         }
 
     def test_unseen_task_has_no_successors(self):
-        model = fit_transition_model(ROUTE, known_tasks=TASKS)
+        model = fit_transition_model(ROUTE)
         assert "Bicycle" not in model.successors
         assert model.successor_probs("Bicycle") == {}
 
@@ -120,24 +110,17 @@ def model_items(model: TransitionModel):
 
 
 class TestFitMatchesReference:
-    @given(FIT_LOG, st.one_of(st.integers(1, 6), st.just(10**30)),
-           st.one_of(st.none(), st.sets(st.sampled_from(["a", "b", "c", "d", "a1"]))))
+    @given(FIT_LOG, st.one_of(st.integers(1, 6), st.just(10**30)))
     @settings(max_examples=300, deadline=None)
-    def test_generated_logs(self, entries, k, known):
-        try:
-            expected = model_items(reference_fit_transition_model(entries, k, known))
-        except LogParseError as exc:
-            with pytest.raises(LogParseError) as err:
-                fit_transition_model(entries, k, known)
-            assert (str(err.value), err.value.position) == (str(exc), exc.position)
-            return
-        assert model_items(fit_transition_model(entries, k, known)) == expected
+    def test_generated_logs(self, entries, k):
+        assert model_items(fit_transition_model(entries, k)) == \
+            model_items(reference_fit_transition_model(entries, k))
 
     def test_driving_log(self):
         log = gen_markov_log(11, 2500, list(DRIVING_TASKS), pair_bias=DRIVING_PAIR_BIAS)
         for k in (1, 2, 4):
-            assert model_items(fit_transition_model(log, k, DRIVING_TASKS)) == \
-                model_items(reference_fit_transition_model(log, k, DRIVING_TASKS))
+            assert model_items(fit_transition_model(log, k)) == \
+                model_items(reference_fit_transition_model(log, k))
 
 
 class TestAssignTiers:
@@ -166,7 +149,7 @@ class TestAssignTiers:
             "Person": {6, 7},
             "Bicycle": {8},
         }
-        model = fit_transition_model(ROUTE, k=2, known_tasks=TASKS)
+        model = fit_transition_model(ROUTE, k=2)
         tiers = assign_tiers("Car", self.actives(actives), model)
         # Independent set-algebra evaluation of the tier definition.
         level1 = set(actives["Car"])
@@ -194,7 +177,7 @@ class TestModelRoundTrip:
     def test_json_dump_holds_every_pair(self):
         # The document ``estimate`` writes keeps every count, probability
         # and successor list through a trip through JSON text.
-        model = fit_transition_model(ROUTE, k=2, known_tasks=TASKS)
+        model = fit_transition_model(ROUTE, k=2)
         doc = json.loads(json.dumps(model.to_json()))
         assert {(a, b): n for a, row in doc["counts"].items()
                 for b, n in row.items()} == dict(model.counts)
@@ -246,17 +229,6 @@ class TestLoadTaskLogMatchesReference:
         path.write_bytes(text.encode("utf-8"))
         assert load_task_log(path) == reference_load_task_log(path)
 
-    @given(st.one_of(log_texts(), st.text(alphabet="ab,. \t\r\n", max_size=60)),
-           st.sampled_from([(), TASKS, ["a", "b", "ab"]]))
-    @settings(max_examples=100, deadline=None)
-    def test_entries_naming_a_task_are_its_id(self, tmp_path_factory, text, task_ids):
-        path = tmp_path_factory.getbasetemp() / "generated-log.txt"
-        path.write_bytes(text.encode("utf-8"))
-        entries = load_task_log(path, task_ids)
-        assert entries == reference_load_task_log(path)
-        ids = {t: t for t in task_ids}
-        assert all(entry is ids.get(entry, entry) for entry in entries)
-
 
 def numbered_rows(count, sep="\n", start=0):
     """``count`` distinct ``timestamp,task`` and bare rows, each ended by
@@ -291,7 +263,6 @@ class TestLoadTaskLogAcrossSlices:
         path = tmp_path / "log.txt"
         path.write_bytes(text.encode("utf-8"))
         assert load_task_log(path) == reference_load_task_log(path)
-        assert load_task_log(path, ["T1", "T2"]) == reference_load_task_log(path)
 
     @given(st.lists(st.tuples(st.integers(0, 2 * SLICE), st.sampled_from("ab ,\t"),
                               st.sampled_from(["\n", "\r\n", "\r", "\n\n"])),
