@@ -47,6 +47,7 @@ from .errors import BudgetExceededError, ManifestError, exact_int, read_json
 __all__ = [
     "ModelManifest",
     "CacheState",
+    "check_device",
     "stage_to_cpu",
     "load_to_gpu",
     "evict",
@@ -132,19 +133,6 @@ class CacheState(NamedTuple):
         """The host-resident blocks as a set, built on each access."""
         return frozenset(self.cpu_lru)
 
-    def check_device(self, manifest: ModelManifest) -> None:
-        """Raise unless the device holds known blocks within its budget.
-
-        A pure function of ``gpu_resident`` and ``gpu_budget_bytes``, so a
-        caller may check each distinct pair once.
-        """
-        resident = self.gpu_resident
-        if not resident <= manifest.all_blocks:
-            raise ManifestError("gpu resident set references unknown blocks")
-        used = manifest.bytes_of(resident)
-        if used > self.gpu_budget_bytes:
-            raise BudgetExceededError("gpu", used - self.gpu_budget_bytes)
-
     def check_host(self, manifest: ModelManifest) -> None:
         """Raise unless ``cpu_lru`` names known blocks, none twice, within
         the host budget.
@@ -162,6 +150,15 @@ class CacheState(NamedTuple):
         used = sum([sizes[b] for b in lru])
         if used > self.cpu_budget_bytes:
             raise BudgetExceededError("cpu", used - self.cpu_budget_bytes)
+
+
+def check_device(manifest: ModelManifest, blocks: frozenset[int], budget: int) -> None:
+    """Raise unless the device set ``blocks`` is known and fits ``budget``."""
+    if not blocks <= manifest.all_blocks:
+        raise ManifestError("gpu resident set references unknown blocks")
+    used = manifest.bytes_of(blocks)
+    if used > budget:
+        raise BudgetExceededError("gpu", used - budget)
 
 
 def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,

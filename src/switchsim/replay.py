@@ -23,14 +23,15 @@ entry for up to 256 tasks. An unknown trace id, then an unknown log id,
 fails at its position. Loading also refuses block sizes and costs whose
 totals over the trace would overflow a float.
 
-Only full_method stages blocks ahead of a switch. The three other modes
-(monolithic, sparse_no_split, split_only) never touch the host cache, so
-each of their switches depends on its (from, to) task pair alone. Each
-computes and checks one switch per distinct pair of
-``Scenario.switch_pairs`` (``from != to``, in order of first occurrence).
-It starts from the state the pair fixes: the device holds
-``table.target(mode, from)``, the host order is empty, and both budgets
-are the config's. All three share the pairs' index array as their
+Only full_method stages blocks ahead of a switch, and only its replay
+keeps cache state. The three other modes (monolithic, sparse_no_split,
+split_only) never touch the host cache, so each of their switches depends
+on its (from, to) task pair alone. Each takes one report per distinct
+pair of ``Scenario.switch_pairs`` (``from != to``, in order of first
+occurrence) from ``SwitchTable.report``, and checks each task's device
+target (known blocks, the config's device budget) once: the first task's
+at position 0, and each other's at the first position of the first pair
+that switches into it. All three share the pairs' index array as their
 ``order``, of the narrowest typecode for ``n * (n - 1)`` pairs of ``n``
 tasks. A failing pair raises at its first trace position.
 
@@ -107,7 +108,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .block_store import CacheState, ModelManifest, _new_tuple, load_to_gpu
+from .block_store import CacheState, ModelManifest, _new_tuple, check_device, load_to_gpu
 from .errors import (ConfigError, LogParseError, ReplayError, SwitchSimError, as_float,
                      check_keys, counted_fsum, exact_int, write_text)
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
@@ -236,11 +237,11 @@ class Scenario:
         return tuple(t.task_id for t in self.tasks)
 
     @cached_property
-    def switch_pairs(self) -> tuple[tuple[tuple[str, str], ...], array]:
-        """The trace's distinct (from, to) id pairs with ``from != to``, in
-        order of first occurrence, and its switches as an ``array`` of
-        indices into them, of the narrowest typecode for every ordered pair
-        of distinct tasks."""
+    def switch_pairs(self) -> tuple[tuple[tuple[int, int], ...], array]:
+        """The trace's distinct (from, to) task-index pairs with ``from !=
+        to``, in order of first occurrence, and its switches as an ``array``
+        of indices into them, of the narrowest typecode for every ordered
+        pair of distinct tasks."""
         trace = self.trace
         moves = compress(zip(trace, islice(trace, 1, None)),
                          map(ne, trace, islice(trace, 1, None)))
@@ -252,8 +253,7 @@ class Scenario:
         n = len(self.tasks)
         typecode = index_typecode(n * (n - 1))
         order = array(typecode, bytes(indices) if typecode == "B" else indices)
-        ids = self.task_ids
-        return tuple([(ids[a], ids[b]) for a, b in index]), order
+        return tuple(index), order
 
     @cached_property
     def switch_counts(self) -> Counter[int]:
@@ -483,14 +483,45 @@ def _replay(scenario: Scenario, mode: DeployMode,
             selections: Mapping[str, SelectionResult], model: TransitionModel,
             matrix: tuple[tuple[float, ...], ...]) -> ReplayReport:
     """Replay the trace under ``mode``; ``matrix`` is ``selections``'
-    Jaccard matrix."""
+    Jaccard matrix. The host-free modes take each distinct pair's report
+    from the table; only full_method steps a :class:`CacheState`."""
     config = scenario.config
     manifest = scenario.manifest
-    cost = scenario.cost
     blocks = manifest.all_blocks
     active = {tid: blocks - r.skipped for tid, r in selections.items()}
-    table = SwitchTable(manifest, cost, active)
+    table = SwitchTable(manifest, scenario.cost, active)
     gpu_budget, cpu_budget = config.gpu_budget_bytes, config.cpu_budget_bytes
+    trace = scenario.trace
+    if not trace:
+        return _aggregate(mode, scenario, matrix, (), array("B"))
+    ids = scenario.task_ids
+    first = trace[0]
+
+    if mode is not DeployMode.FULL_METHOD:
+        # Nothing stages, so the host stays empty and a switch depends on its
+        # (from, to) pair alone: each distinct pair's report comes from the
+        # table, in order of first occurrence, and the trace's index array
+        # is shared. Each task's device target is checked once, where the
+        # device first holds it.
+        pairs, order = scenario.switch_pairs
+        try:
+            check_device(manifest, table.target(mode, ids[first]), gpu_budget)
+        except SwitchSimError as exc:
+            raise ReplayError(str(exc), position=0) from exc
+        checked = {first}
+        reports = []
+        for pair in pairs:
+            current, task = pair
+            try:
+                reports.append(table.report(mode, ids[current], ids[task]))
+                if task not in checked:
+                    check_device(manifest, table.target(mode, ids[task]), gpu_budget)
+                    checked.add(task)
+            except SwitchSimError as exc:
+                raise ReplayError(str(exc), _first_position(trace, pair)) from exc
+        return _aggregate(mode, scenario, matrix, tuple(reports), order,
+                          scenario.switch_counts)
+
     # Tasks whose target passed ``check_device`` under the config's device
     # budget; the check is a pure function of the two.
     devices_checked: set[str] = set()
@@ -507,16 +538,11 @@ def _replay(scenario: Scenario, mode: DeployMode,
         if state.gpu_budget_bytes != gpu_budget or state.cpu_budget_bytes != cpu_budget:
             raise SwitchSimError("cache budgets differ from the config's")
         if task not in devices_checked:
-            state.check_device(manifest)
+            check_device(manifest, device, gpu_budget)
             devices_checked.add(task)
         if not host_checked:
             state.check_host(manifest)
 
-    trace = scenario.trace
-    if not trace:
-        return _aggregate(mode, scenario, matrix, (), array("B"))
-    ids = scenario.task_ids
-    first = trace[0]
     try:
         # Initial load of the first task; not counted as a switch.
         target = table.target(mode, ids[first])
@@ -525,30 +551,6 @@ def _replay(scenario: Scenario, mode: DeployMode,
         check(state, ids[first], False)
     except SwitchSimError as exc:
         raise ReplayError(str(exc), position=0) from exc
-
-    if mode is not DeployMode.FULL_METHOD:
-        # Nothing stages, so the host stays empty and a switch depends on its
-        # (from, to) pair alone: each distinct pair is computed once, in
-        # order of first occurrence, and the trace's index array is shared.
-        pairs, order = scenario.switch_pairs
-        reports = []
-        for pair in pairs:
-            current, task = pair
-            try:
-                # The state the pair fixes: the device holds the running
-                # task's target, the host is empty, the budgets are the
-                # config's.
-                before = CacheState(gpu_budget, cpu_budget, table.target(mode, current))
-                after, report = execute_switch(before, current, task, mode, table)
-                if after.cpu_lru is not before.cpu_lru:
-                    raise SwitchSimError("switch changed the host cache")
-                check(after, task, True)
-            except SwitchSimError as exc:
-                raise ReplayError(str(exc), _first_position(
-                    trace, (ids.index(current), ids.index(task)))) from exc
-            reports.append(report)
-        return _aggregate(mode, scenario, matrix, tuple(reports), order,
-                          scenario.switch_counts)
 
     # Running task's index -> (device target, ranked pre-load tier, protected
     # set), what its computed steps read; built the first time it runs one.
@@ -603,8 +605,7 @@ def _replay(scenario: Scenario, mode: DeployMode,
                                                          manifest, protected)
                 next_lru = after.cpu_lru
                 if task != current:
-                    after, report = execute_switch(after, current_id, task_id, mode,
-                                                   table)
+                    after, report = execute_switch(after, current_id, task_id, table)
                     # A switch moves blocks through the host without
                     # changing it.
                     if after.cpu_lru is not next_lru:

@@ -9,12 +9,16 @@ active set (runtime blocks only); in monolithic mode it holds the whole
 model. Dropping a device-resident block is free.
 
 A switch starts from the outgoing task's target: the device holds
-exactly what that task runs on, and :func:`execute_switch` refuses any
-other device set. So a switch's legs depend on the mode and the (from,
-to) task pair alone. A :class:`SwitchTable` holds what a replay's
-switches share: each task's active set, per-block link costs, the legs
-of every pair seen so far, and the full method's reports per host
-credit. Only the full method's host credit is computed per switch.
+exactly what that task runs on. So in the three host-free modes
+(monolithic, sparse_no_split, split_only) a switch's cost depends on the
+mode and the (from, to) task pair alone, and :meth:`SwitchTable.report`
+gives it without any cache state. Only full_method credits the blocks the
+host cache already holds; :func:`execute_switch` runs its switches on a
+:class:`CacheState` and refuses a device that does not hold the outgoing
+task's target. A :class:`SwitchTable` holds what a replay's switches
+share: each task's active set, per-block link costs, the split legs and
+reloads of the pairs seen so far, and full_method's reports per host
+credit.
 Each link's milliseconds are the correctly rounded sum (``math.fsum``) of
 its blocks' per-block costs, so a latency depends on the block sets
 alone, not on the order a set iterates in.
@@ -140,39 +144,25 @@ class Transfer(NamedTuple):
 
 
 class SwitchLeg(NamedTuple):
-    """What a switch moves for one (mode, outgoing task, incoming task).
+    """The device leg of a split-mode switch from one task to another: the
+    incoming task's target and its bytes, the blocks the device keeps, and
+    the transfer of the blocks it lacks."""
 
-    ``source`` is the device set the switch starts from, the outgoing
-    task's target. ``disk`` is the whole checkpoint's disk leg in the
-    monolithic-style modes; it is None in the split modes, whose disk leg
-    takes the blocks the host does not already hold and is computed per
-    report.
-    """
-
-    source: frozenset[int]
     target: frozenset[int]
     target_bytes: int
     reused: int
-    init_ms: float
     gpu: Transfer
-    disk: Transfer | None
 
 
 class SwitchTable:
     """Per-replay switch constants and memos of switch legs and reports.
 
     Built once from a replay's manifest, cost model and per-task active
-    sets. A switch starts from the outgoing task's target, so its leg
-    depends on the mode and the (from, to) task pair only, and each
-    distinct pair's leg is built once per mode; that first build also
-    checks that both tasks have an active set. A full-method report also
-    depends on the prestaged blocks, so it is kept per (outgoing task,
-    incoming task, prestaged blocks); two tasks may share an active set,
-    so both tasks are part of the key. The other modes' reports are fixed
-    by their leg, and a replay computes each of them once per distinct
-    (from, to) pair, so they are not kept. A monolithic-style reload
-    depends on its target alone, so its transfers are kept per target set:
-    one in monolithic mode, one per distinct active set in sparse_no_split.
+    sets. A split leg is kept per (from, to) pair, and a monolithic-style
+    reload's transfers per target set, which is all they depend on. A
+    full_method report is kept per (outgoing task, incoming task,
+    prestaged blocks); two tasks may share an active set, so both tasks are
+    part of the key.
     """
 
     def __init__(self, manifest: ModelManifest, cost: CostModel,
@@ -182,8 +172,7 @@ class SwitchTable:
         self.active = active
         self.disk_ms = tuple(cost.disk_ms(size) for size in manifest.block_sizes)
         self.gpu_ms = tuple(cost.gpu_ms(size) for size in manifest.block_sizes)
-        self._legs: dict[DeployMode, dict[tuple[str, str], SwitchLeg]] = {
-            mode: {} for mode in DeployMode}
+        self._legs: dict[tuple[str, str], SwitchLeg] = {}
         self._full_reports: dict[tuple, SwitchReport] = {}
         # Target set -> a whole-checkpoint reload's (gpu, disk) transfers.
         # A frozenset caches its hash, so a lookup hashes each target once.
@@ -194,107 +183,100 @@ class SwitchTable:
         return Transfer(blocks, math.fsum(map(per_block_ms.__getitem__, blocks)),
                         self.manifest.bytes_of(blocks))
 
-    def _disk_leg(self, need: frozenset[int], prestaged: frozenset[int]) -> Transfer:
-        """The disk leg of ``need`` when ``prestaged`` is already host-resident."""
-        return self._transfer(need - prestaged, self.disk_ms)
-
     def target(self, mode: DeployMode, task: str) -> frozenset[int]:
         """What the device holds while ``task`` runs: the whole model in
         monolithic mode, the task's active set in every other mode."""
         return self.manifest.all_blocks if mode is _MONOLITHIC else self.active[task]
 
-    def _source(self, mode: DeployMode, from_task: str, to_task: str) -> frozenset[int]:
-        """The device set a switch from ``from_task`` to ``to_task`` starts
-        from; raises :class:`ConfigError` when either task has no active
-        set."""
-        if mode is not _MONOLITHIC:
-            for task in (from_task, to_task):
-                if task not in self.active:
-                    raise ConfigError(f"no active set for task {task!r}")
-        return self.target(mode, from_task)
+    def _check_tasks(self, from_task: str, to_task: str) -> None:
+        """Raise :class:`ConfigError` unless both tasks have an active set."""
+        for task in (from_task, to_task):
+            if task not in self.active:
+                raise ConfigError(f"no active set for task {task!r}")
 
-    def _build_leg(self, mode: DeployMode, from_task: str, to_task: str,
-                   source: frozenset[int]) -> SwitchLeg:
-        """The leg of a switch from ``from_task``, whose target is
-        ``source``, to ``to_task``, kept in the mode's memo."""
-        target = self.target(mode, to_task)
-        if mode.is_split:
-            need = target - source
-            leg = SwitchLeg(source, target, self.manifest.bytes_of(target),
-                            len(target & source), 0.0, self._transfer(need, self.gpu_ms),
-                            None)
-        else:
-            reload = self._reloads.get(target)
-            if reload is None:
-                reload = self._reloads[target] = (
-                    self._transfer(target, self.gpu_ms), self._transfer(target, self.disk_ms))
-            gpu, disk = reload
-            leg = SwitchLeg(source, target, gpu.nbytes, 0, self.cost.monolithic_init_ms,
-                            gpu, disk)
-        self._legs[mode][from_task, to_task] = leg
+    def _leg(self, from_task: str, to_task: str) -> SwitchLeg:
+        """The pair's split leg; both tasks must have an active set."""
+        leg = self._legs.get((from_task, to_task))
+        if leg is None:
+            source, target = self.active[from_task], self.active[to_task]
+            leg = self._legs[from_task, to_task] = SwitchLeg(
+                target, self.manifest.bytes_of(target), len(target & source),
+                self._transfer(target - source, self.gpu_ms))
         return leg
 
+    def _split_report(self, mode: DeployMode, from_task: str, to_task: str,
+                      leg: SwitchLeg, prestaged: frozenset[int]) -> SwitchReport:
+        """A split-mode report: the blocks the device lacks cross the disk
+        link unless ``prestaged`` holds them, and the device link always."""
+        disk = self._transfer(leg.gpu.blocks - prestaged, self.disk_ms)
+        return SwitchReport(
+            from_task=from_task, to_task=to_task, mode=mode.value,
+            latency_ms=disk.ms + leg.gpu.ms,
+            bytes_disk_to_cpu=disk.nbytes, bytes_cpu_to_gpu=leg.gpu.nbytes,
+            blocks_reused=leg.reused, blocks_fetched=len(disk.blocks),
+            blocks_prestaged=len(prestaged), gpu_resident_bytes_after=leg.target_bytes)
 
-def execute_switch(state: CacheState, from_task: str, to_task: str, mode: DeployMode,
+    def report(self, mode: DeployMode, from_task: str, to_task: str) -> SwitchReport:
+        """A host-free switch's report; outside monolithic mode, raises
+        :class:`ConfigError` when either task has no active set.
+
+        * ``monolithic``: full-model reload, reinitialization plus all
+          blocks over both links, no reuse.
+        * ``sparse_no_split``: reloads the incoming task's whole sparse
+          checkpoint (reinitialization plus its active set over both
+          links), no reuse.
+        * ``split_only``: moves only the blocks the device is missing,
+          over both links, with no reinitialization.
+        """
+        if mode is not _MONOLITHIC:
+            self._check_tasks(from_task, to_task)
+        if mode.is_split:
+            return self._split_report(mode, from_task, to_task,
+                                      self._leg(from_task, to_task), frozenset())
+        target = self.target(mode, to_task)
+        reload = self._reloads.get(target)
+        if reload is None:
+            reload = self._reloads[target] = (
+                self._transfer(target, self.gpu_ms), self._transfer(target, self.disk_ms))
+        gpu, disk = reload
+        return SwitchReport(
+            from_task=from_task, to_task=to_task, mode=mode.value,
+            latency_ms=self.cost.monolithic_init_ms + disk.ms + gpu.ms,
+            bytes_disk_to_cpu=disk.nbytes, bytes_cpu_to_gpu=gpu.nbytes,
+            blocks_reused=0, blocks_fetched=len(disk.blocks),
+            blocks_prestaged=0, gpu_resident_bytes_after=gpu.nbytes)
+
+
+def execute_switch(state: CacheState, from_task: str, to_task: str,
                    table: SwitchTable) -> tuple[CacheState, SwitchReport]:
-    """Run one task switch and account its cost.
+    """Run one full_method switch: as split_only, but the blocks already
+    host-resident skip the disk leg.
 
-    The device must hold the outgoing task's target,
-    ``table.target(mode, from_task)``; any other device set raises
-    :class:`SwitchSimError` and leaves the table's memos unchanged.
-
-    Mode semantics:
-
-    * ``monolithic``: full-model reload, reinitialization plus all blocks
-      over both links, no reuse.
-    * ``sparse_no_split``: reloads the incoming task's whole sparse
-      checkpoint (reinitialization plus its active set over both links),
-      no reuse.
-    * ``split_only``: moves only blocks the device is missing, both links,
-      no reinitialization, no prestaging credit.
-    * ``full_method``: as split_only, but blocks already host-resident
-      skip the disk leg.
+    The device must hold the outgoing task's active set, and both tasks
+    must have one; otherwise it raises and leaves the table's memos as
+    they were. The host is left as it was.
     """
-    leg = table._legs[mode].get((from_task, to_task))
+    leg = table._legs.get((from_task, to_task))
     # A pair's first switch checks both active sets, then the device, and
     # only then builds the leg, so a refused switch adds nothing to a memo.
-    source = table._source(mode, from_task, to_task) if leg is None else leg.source
+    if leg is None:
+        table._check_tasks(from_task, to_task)
+    source = table.active[from_task]
     device = state.gpu_resident
     if device is not source and device != source:
         raise SwitchSimError(f"the device does not hold task {from_task!r}'s target")
     if leg is None:
-        leg = table._build_leg(mode, from_task, to_task, source)
+        leg = table._leg(from_task, to_task)
     new_state = load_to_gpu(state, leg.target, leg.target_bytes)
-    if mode is not _FULL_METHOD:
-        disk = leg.disk or table._disk_leg(leg.gpu.blocks, frozenset())
-        return new_state, _report(from_task, to_task, mode, leg, disk, frozenset())
-
     prestaged = leg.gpu.blocks.intersection(state.cpu_lru)
     # One flat tuple, the credited ids sorted: a frozenset in the key would
     # be kept alive by the memo and take several times the memory.
     key = (from_task, to_task, *sorted(prestaged))
     report = table._full_reports.get(key)
     if report is None:
-        report = table._full_reports[key] = _report(
-            from_task, to_task, mode, leg, table._disk_leg(leg.gpu.blocks, prestaged),
-            prestaged)
+        report = table._full_reports[key] = table._split_report(
+            _FULL_METHOD, from_task, to_task, leg, prestaged)
     return new_state, report
-
-
-def _report(from_task: str, to_task: str, mode: DeployMode, leg: SwitchLeg,
-            disk: Transfer, prestaged: frozenset[int]) -> SwitchReport:
-    return SwitchReport(
-        from_task=from_task,
-        to_task=to_task,
-        mode=mode.value,
-        latency_ms=leg.init_ms + disk.ms + leg.gpu.ms,
-        bytes_disk_to_cpu=disk.nbytes,
-        bytes_cpu_to_gpu=leg.gpu.nbytes,
-        blocks_reused=leg.reused,
-        blocks_fetched=len(disk.blocks),
-        blocks_prestaged=len(prestaged),
-        gpu_resident_bytes_after=leg.target_bytes,
-    )
 
 
 def calibrate_uniform_block_bytes(target_monolithic_ms: float, num_blocks: int,

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import random
 
-from switchsim.block_store import CacheState, ModelManifest, evict, load_to_gpu, stage_to_cpu
+from switchsim.block_store import (CacheState, ModelManifest, check_device, evict, load_to_gpu,
+                                  stage_to_cpu)
 from switchsim.errors import BudgetExceededError, ManifestError
 
 
@@ -56,5 +57,5 @@ def run_random_ops(seed: int, ops: int = 12) -> None:
             if op == "load":
                 assert manifest.bytes_of(blocks) > before.gpu_budget_bytes
             assert state == before  # failing op must not disturb the state
-        state.check_device(manifest)
+        check_device(manifest, state.gpu_resident, state.gpu_budget_bytes)
         state.check_host(manifest)

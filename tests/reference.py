@@ -7,7 +7,9 @@ every candidate removal exactly, at any size, to check the estimating
 :mod:`switchsim.sparsity` selector result for result.
 :func:`reference_switch` recomputes a switch's sets and per-block link
 costs from scratch, to check the tabled
-:func:`switchsim.switching.execute_switch`.
+:meth:`switchsim.switching.SwitchTable.report` and
+:func:`switchsim.switching.execute_switch`, and to switch in
+``reference_replay``.
 :func:`reference_markov_log` and :func:`reference_load_task_log` are the
 per-step sampler and the per-line log reader that
 :func:`switchsim.synthetic.gen_markov_log` and
@@ -148,10 +150,12 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
                      ) -> tuple[CacheState, SwitchReport]:
     """One switch with every set and per-block link cost rebuilt on the spot.
 
-    Takes each task's skip set and derives the active set itself. Same
-    semantics as :func:`switchsim.switching.execute_switch`; each leg's
-    milliseconds are ``math.fsum`` of its blocks' costs, so the two agree
-    exactly.
+    Takes each task's skip set and derives the active set itself, in every
+    mode on a :class:`CacheState`. Same semantics as
+    :meth:`switchsim.switching.SwitchTable.report` in the host-free modes
+    and :func:`switchsim.switching.execute_switch` in full_method; each
+    leg's milliseconds are ``math.fsum`` of its blocks' costs, so they
+    agree exactly.
     """
     mode = DeployMode(mode)
     n = manifest.num_blocks

@@ -4,9 +4,10 @@
 the memoized replay of ``switchsim.replay.replay_scenario`` is checked
 against, on the same skip sets and transition model. It plans
 and stages with the per-call sort and the one-block-at-a-time loop of
-``reference_cache``, and every other layer is called from its own
-module, so a test that patches the names ``switchsim.replay`` looks up
-leaves this loop alone.
+``reference_cache``, and switches with ``reference.reference_switch``,
+in every mode, so it shares no switch code with the replay. Tiering and
+usefulness are called from their own modules, so a test that patches
+the names ``switchsim.replay`` looks up leaves this loop alone.
 ``reference_aggregate``, ``reference_write_compare_csv`` and
 ``reference_write_switches`` walk every switch, where
 ``switchsim.replay`` works per distinct record.
@@ -29,9 +30,10 @@ from switchsim.errors import ReplayError, SwitchSimError
 from switchsim.prefetch import block_usefulness
 from switchsim.replay import ReplayReport, Scenario, _fmt_ms
 from switchsim.sparsity import SelectionResult, jaccard
-from switchsim.switching import DeployMode, SwitchReport, SwitchTable, execute_switch
+from switchsim.switching import DeployMode, SwitchReport
 from switchsim.transitions import TierAssignment, TransitionModel, assign_tiers
 
+from reference import reference_switch
 from reference_cache import reference_execute_prefetch, reference_plan_prefetch
 
 
@@ -49,8 +51,8 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
     manifest = scenario.manifest
     cost = scenario.cost
     n = manifest.num_blocks
-    active = {tid: frozenset(range(n)) - r.skipped for tid, r in selections.items()}
-    table = SwitchTable(manifest, cost, active)
+    skipped = {tid: r.skipped for tid, r in selections.items()}
+    active = {tid: frozenset(range(n)) - s for tid, s in skipped.items()}
     tiering: dict[str, tuple[TierAssignment, dict[int, float], frozenset[int]]] = {}
     state = CacheState(gpu_budget_bytes=config.gpu_budget_bytes,
                        cpu_budget_bytes=config.cpu_budget_bytes)
@@ -60,7 +62,7 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
     if trace:
         first = trace[0]
         try:
-            target = table.target(mode, first)
+            target = manifest.all_blocks if mode is DeployMode.MONOLITHIC else active[first]
             state = load_to_gpu(state, target, manifest.bytes_of(target))
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
@@ -82,7 +84,8 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
                         protected=protected, next_task_probs=useful,
                     )
                 if task != current:
-                    state, report = execute_switch(state, current, task, mode, table)
+                    state, report = reference_switch(state, current, task, mode, skipped,
+                                                     cost, manifest)
                     switches.append(report)
                     current = task
             except SwitchSimError as exc:

@@ -119,30 +119,22 @@ def test_mode_ordering_over_random_scenarios():
                    for t in tasks}
         table = SwitchTable(manifest, cost, actives)
         total = sum(manifest.block_sizes)
-        states = {}
-        for mode in DeployMode:
-            boot = manifest.all_blocks if mode is DeployMode.MONOLITHIC \
-                else actives[tasks[0]]
-            states[mode] = CacheState(
-                gpu_budget_bytes=total, cpu_budget_bytes=total,
-                gpu_resident=boot,
-            )
+        # full_method's device, which each switch carries to the next; the
+        # host-free modes' switches depend on the task pair alone.
+        device = actives[tasks[0]]
         current = tasks[0]
         for _ in range(12):
             nxt = rng.choice([t for t in tasks if t != current])
             prestage = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
             lat = {}
             for mode in DeployMode:
-                state = states[mode]
                 if mode is DeployMode.FULL_METHOD:
-                    state = CacheState(
-                        gpu_budget_bytes=state.gpu_budget_bytes,
-                        cpu_budget_bytes=state.cpu_budget_bytes,
-                        gpu_resident=state.gpu_resident,
-                        cpu_lru=prestage,
-                    )
-                states[mode], report = execute_switch(
-                    state, current, nxt, mode, table)
+                    state = CacheState(gpu_budget_bytes=total, cpu_budget_bytes=total,
+                                       gpu_resident=device, cpu_lru=prestage)
+                    after, report = execute_switch(state, current, nxt, table)
+                    device = after.gpu_resident
+                else:
+                    report = table.report(mode, current, nxt)
                 lat[mode] = report.latency_ms
             ordered = (lat[DeployMode.MONOLITHIC] >= lat[DeployMode.SPARSE_NO_SPLIT]
                        >= lat[DeployMode.SPLIT_ONLY] >= lat[DeployMode.FULL_METHOD])
@@ -221,8 +213,8 @@ def test_zero_fetch_switch():
                      per_block_fixed_ms=1.0, monolithic_init_ms=250.0)
     assert actives["narrow"] < active_wide  # strictly drops blocks
     table = SwitchTable(manifest, cost, actives)
-    for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
-        _, report = execute_switch(state, "wide", "narrow", mode, table)
+    for report in (table.report(DeployMode.SPLIT_ONLY, "wide", "narrow"),
+                   execute_switch(state, "wide", "narrow", table)[1]):
         assert report.bytes_disk_to_cpu == 0
         assert report.bytes_cpu_to_gpu == 0
         assert report.latency_ms == 0.0

@@ -21,9 +21,9 @@ import random
 import pytest
 
 from switchsim import replay
-from switchsim.block_store import ModelManifest
+from switchsim.block_store import CacheState, ModelManifest
 from switchsim.cli import main
-from switchsim.switching import CostModel, DeployMode
+from switchsim.switching import CostModel, DeployMode, SwitchTable
 from switchsim.workloads import DRIVING_TASKS, write_driving_scenario
 
 from reference import reference_switch
@@ -127,10 +127,14 @@ def test_select_output_matches_golden_digest(name, tmp_path):
 
 
 def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
-    """Each switch a replay executes equals the per-block reference on the
-    same input state: same state and report, floats unrounded, in all four
-    modes. Every reported switch is one of those checked results, and the
-    replay executes one switch per distinct step key that switches."""
+    """Each switch a replay computes equals the per-block reference on the
+    same input state, floats unrounded, in all four modes: full_method's
+    ``execute_switch`` the reference's state and report, and a host-free
+    mode's ``SwitchTable.report`` the reference's report from the state the
+    pair fixes (the device on the outgoing target, an empty host, the
+    config's budgets). Every reported switch is one of those checked
+    results, and the replay computes one switch per distinct step key that
+    switches."""
     config = write_case("32-blocks-varied-sizes", tmp_path)
     manifest = ModelManifest.load(config.manifest)
     cost = CostModel.load(config.cost_model)
@@ -141,18 +145,31 @@ def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
         selections_by_align[align] = select(tasks, oracles, align=align)
         return selections_by_align[align]
 
-    def checked_switch(state, from_task, to_task, mode, table):
-        result = switch(state, from_task, to_task, mode, table)
+    def reference(state, from_task, to_task, mode):
         skipped = {tid: r.skipped for tid, r in
                    selections_by_align[mode is DeployMode.FULL_METHOD].items()}
-        assert result == reference_switch(state, from_task, to_task, mode, skipped,
-                                          cost, manifest)
-        checked[mode].append(result[1])
+        return reference_switch(state, from_task, to_task, mode, skipped, cost, manifest)
+
+    def checked_switch(state, from_task, to_task, table):
+        result = switch(state, from_task, to_task, table)
+        assert result == reference(state, from_task, to_task, DeployMode.FULL_METHOD)
+        checked[DeployMode.FULL_METHOD].append(result[1])
         return result
 
-    select, switch = replay.build_all_tasks, replay.execute_switch
+    def checked_report(table, mode, from_task, to_task):
+        result = report(table, mode, from_task, to_task)
+        state = CacheState(config.gpu_budget_bytes, config.cpu_budget_bytes,
+                           table.target(mode, from_task))
+        after, expected = reference(state, from_task, to_task, mode)
+        assert result == expected
+        assert after == state._replace(gpu_resident=table.target(mode, to_task))
+        checked[mode].append(result)
+        return result
+
+    select, switch, report = replay.build_all_tasks, replay.execute_switch, SwitchTable.report
     monkeypatch.setattr(replay, "build_all_tasks", recording_select)
     monkeypatch.setattr(replay, "execute_switch", checked_switch)
+    monkeypatch.setattr(SwitchTable, "report", checked_report)
     reports = replay.compare_modes(config)
     scenario = replay.load_scenario(config)
     model = replay.fit_transition_model([scenario.task_ids[i] for i in scenario.log],

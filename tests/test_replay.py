@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from switchsim import block_store, prefetch, replay
 from switchsim.block_store import CacheState, ModelManifest
-from switchsim.errors import (ConfigError, LogParseError, OracleError, ReplayError,
-                              counted_fsum)
+from switchsim.errors import (BudgetExceededError, ConfigError, LogParseError, OracleError,
+                              ReplayError, counted_fsum)
 from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
                               replay_scenario, write_compare_csv)
 from switchsim.sparsity import SelectionResult, TaskSpec, jaccard
-from switchsim.switching import CostModel, DeployMode, SwitchReport
+from switchsim.switching import CostModel, DeployMode, SwitchReport, SwitchTable
 from switchsim.transitions import fit_transition_model, index_typecode
 from switchsim.workloads import write_driving_scenario
 
@@ -649,49 +649,53 @@ class TestMemoMatchesReference:
         keys = list(dict.fromkeys(steps))
         assert len(keys) < len(steps)  # the memo hits
         assert len(inputs) == len(keys)
-        table = tables[DeployMode.FULL_METHOD]
+        [table] = tables
         for state, (current, _task, before) in zip(inputs, keys):
             target = table.target(DeployMode.FULL_METHOD, current)
             assert state == CacheState(config.gpu_budget_bytes, config.cpu_budget_bytes,
                                        target, before.cpu_lru)
             assert state.gpu_resident is target
 
-    def switch_tables(self, monkeypatch):
-        """Each mode's ``SwitchTable``, recorded from its replay's switches."""
-        tables = {}
+    @staticmethod
+    def switch_tables(monkeypatch):
+        """Each mode's ``SwitchTable``, recorded as a compare builds them,
+        one per replay in ``DeployMode`` order."""
+        tables = []
 
-        def recording(state, from_task, to_task, mode, table):
-            tables[mode] = table
-            return switch(state, from_task, to_task, mode, table)
+        def recording(*args):
+            tables.append(table(*args))
+            return tables[-1]
 
-        switch = replay.execute_switch
-        monkeypatch.setattr(replay, "execute_switch", recording)
+        table = replay.SwitchTable
+        monkeypatch.setattr(replay, "SwitchTable", recording)
         return tables
 
     def test_each_replay_builds_one_leg_per_distinct_pair(self, tmp_path, monkeypatch):
-        # Legs are keyed on the (from, to) pair, not on the device set. In
-        # full_method too every pair is built, because a pair's first
-        # occurrence is a step key not seen before.
+        # Split legs are keyed on the (from, to) pair, not on the device
+        # set. In full_method too every pair is built, because a pair's
+        # first occurrence is a step key not seen before. The
+        # monolithic-style modes reload instead, and build no leg.
         tables = self.switch_tables(monkeypatch)
         config = host_churn_scenario(tmp_path)
         compare_modes(config)
-        pairs = replay.load_scenario(config).switch_pairs[0]
-        assert len(pairs) > 1 and set(tables) == set(DeployMode)
-        for mode, table in tables.items():
-            assert {m: len(legs) for m, legs in table._legs.items()} \
-                == {m: len(pairs) if m is mode else 0 for m in DeployMode}
-            assert set(table._legs[mode]) == set(pairs)
+        scenario = replay.load_scenario(config)
+        ids = scenario.task_ids
+        pairs = {(ids[a], ids[b]) for a, b in scenario.switch_pairs[0]}
+        assert len(pairs) > 1 and len(tables) == len(DeployMode)
+        for mode, table in zip(DeployMode, tables):
+            assert set(table._legs) == (pairs if mode.is_split else set())
 
     def test_each_replay_keeps_one_reload_per_target_set(self, tmp_path, monkeypatch):
         # A whole-checkpoint reload depends on its target alone: monolithic's
         # five tasks share the whole model, and sparse_no_split keeps one
         # reload per distinct incoming active set. The split modes reload
         # nothing.
-        tables = self.switch_tables(monkeypatch)
+        built = self.switch_tables(monkeypatch)
         config = host_churn_scenario(tmp_path)
         compare_modes(config)
+        tables = dict(zip(DeployMode, built))
         scenario = replay.load_scenario(config)
-        incoming = {to for _, to in scenario.switch_pairs[0]}
+        incoming = {scenario.task_ids[to] for _, to in scenario.switch_pairs[0]}
         assert len(scenario.tasks) == len(incoming) == 5
         sparse = tables[DeployMode.SPARSE_NO_SPLIT]
         assert list(tables[DeployMode.MONOLITHIC]._reloads) == [scenario.manifest.all_blocks]
@@ -737,8 +741,9 @@ HOST_FREE = [m for m in DeployMode if m is not DeployMode.FULL_METHOD]
 
 
 class TestHostFreeModes:
-    """monolithic, sparse_no_split and split_only never stage, so they
-    compute one switch per distinct (from, to) pair."""
+    """monolithic, sparse_no_split and split_only never stage, so they take
+    one report per distinct (from, to) pair from the switch table, with no
+    cache state."""
 
     # Self-steps between the switches, and pairs that repeat.
     LOOP = ["a", "a", "b", "b", "b", "a", "a", "b", "a"]
@@ -749,6 +754,18 @@ class TestHostFreeModes:
         fast = replay_mode(scenario, mode, selections, model)
         assert fast == reference_replay(scenario, mode, selections, model)
         assert len(fast.records) == 2 and len(fast.order) == 6 * 4
+
+    @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
+    def test_builds_no_cache_state_and_executes_no_switch(self, monkeypatch, mode):
+        def refused(*args):
+            raise AssertionError("a host-free replay stepped a cache state")
+
+        monkeypatch.setattr(replay, "CacheState", refused)
+        monkeypatch.setattr(replay, "execute_switch", refused)
+        scenario, selections, model = host_free_scenario(
+            self.LOOP * 3 + ["b", "c", "a", "c", "b"], 100)
+        assert replay_mode(scenario, mode, selections, model) \
+            == reference_replay(scenario, mode, selections, model)
 
     @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
     def test_device_budget_failure_deep_in_the_trace(self, mode):
@@ -764,32 +781,43 @@ class TestHostFreeModes:
         assert "gpu budget exceeded by" in fast[1]
 
     @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda state: state._replace(gpu_resident=frozenset()), "device does not hold"),
-        (lambda state: state._replace(cpu_budget_bytes=41), "cache budgets differ"),
-        (lambda state: state._replace(cpu_lru=(0,)), "switch changed the host cache"),
-    ], ids=["device-emptied", "cpu-budget-changed", "host-changed"])
-    def test_corrupt_switch_fails_at_the_pairs_first_position(
-            self, monkeypatch, mode, corrupt, message):
-        # The pair ("b", "c") first switches at position 28.
-        def corrupting(state, from_task, to_task, *args):
-            after, report = switch(state, from_task, to_task, *args)
-            return (corrupt(after) if (from_task, to_task) == ("b", "c") else after), report
+    def test_device_budget_failure_on_the_first_task(self, mode):
+        # The first task's target is checked at position 0, before any pair.
+        scenario, selections, model = host_free_scenario(["c", "a", "b", "c"], 60)
+        fast, ref = (replay_outcome(fn, scenario, mode, selections, model)
+                     for fn in (replay_mode, reference_replay))
+        # "c" holds 90 bytes, the whole model 100.
+        shortfall = 40 if mode is DeployMode.MONOLITHIC else 30
+        assert fast == ref == (0, f"gpu budget exceeded by {shortfall} bytes "
+                                  "(trace position 0)")
 
-        switch = replay.execute_switch
-        monkeypatch.setattr(replay, "execute_switch", corrupting)
+    @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
+    def test_failing_switch_fails_at_the_pairs_first_position(self, monkeypatch, mode):
+        # The pair ("b", "c") first switches at position 28, and again at 31;
+        # the table computes each pair once, and its error takes the first.
+        calls = []
+
+        def failing(table, mode, from_task, to_task):
+            calls.append((from_task, to_task))
+            if (from_task, to_task) == ("b", "c"):
+                raise BudgetExceededError("gpu", 1)
+            return report(table, mode, from_task, to_task)
+
+        report = SwitchTable.report
+        monkeypatch.setattr(SwitchTable, "report", failing)
         scenario, selections, model = host_free_scenario(
             self.LOOP * 3 + ["b", "c", "a", "b", "c"], 100)
-        with pytest.raises(ReplayError, match=message) as err:
+        with pytest.raises(ReplayError, match="gpu budget exceeded by 1 bytes") as err:
             replay_mode(scenario, mode, selections, model)
         assert err.value.position == 28
+        assert calls == [("a", "b"), ("b", "a"), ("b", "c")]
 
     def test_modes_share_one_switch_order(self):
         scenario, selections, model = host_free_scenario(self.LOOP * 3, 100)
         orders = {id(replay_mode(scenario, mode, selections, model).order)
                   for mode in HOST_FREE}
         assert orders == {id(scenario.switch_pairs[1])}
-        assert scenario.switch_pairs[0] == (("a", "b"), ("b", "a"))
+        assert scenario.switch_pairs[0] == ((0, 1), (1, 0))
 
 
 def without_mode(outcome):
@@ -1162,11 +1190,10 @@ class TestStepInvariants:
             run_config(config)
         assert err.value.position == 3
 
-    @pytest.mark.parametrize("mode", DeployMode, ids=lambda m: m.value)
-    def test_switch_leaving_an_equal_device_copy_passes(self, monkeypatch, mode):
+    def test_switch_leaving_an_equal_device_copy_passes(self, monkeypatch):
         # The device is compared by identity first, then by value: a copy
-        # of the target passes the replay's check, and in full_method the
-        # next switch starts from it.
+        # of the target passes the replay's check, and the next switch
+        # starts from it.
         def copying(*args):
             after, report = switch(*args)
             return after._replace(gpu_resident=frozenset(sorted(after.gpu_resident))), \
@@ -1176,6 +1203,7 @@ class TestStepInvariants:
         monkeypatch.setattr(replay, "execute_switch", copying)
         scenario, selections, model = host_free_scenario(
             TestHostFreeModes.LOOP * 3 + ["b", "c", "a", "c", "b"], 100)
+        mode = DeployMode.FULL_METHOD
         assert replay_mode(scenario, mode, selections, model) \
             == reference_replay(scenario, mode, selections, model)
 

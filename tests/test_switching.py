@@ -7,7 +7,7 @@ import random
 import pytest
 
 from switchsim import replay
-from switchsim.block_store import CacheState, ModelManifest
+from switchsim.block_store import CacheState, ModelManifest, check_device
 from switchsim.errors import BudgetExceededError, ConfigError, SwitchSimError
 from switchsim.switching import (CostModel, DeployMode, SwitchReport, SwitchTable,
                                  calibrate_uniform_block_bytes, execute_switch)
@@ -15,6 +15,8 @@ from switchsim.switching import (CostModel, DeployMode, SwitchReport, SwitchTabl
 from reference import reference_switch
 
 MB = 1_000_000
+
+HOST_FREE = [m for m in DeployMode if m is not DeployMode.FULL_METHOD]
 
 COST = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0,
                  per_block_fixed_ms=1.0, monolithic_init_ms=250.0)
@@ -38,6 +40,16 @@ def on_target(table: SwitchTable, mode: DeployMode, task: str, cpu=()) -> CacheS
     return state_for(table.manifest, gpu=table.target(mode, task), cpu=cpu)
 
 
+def switch_report(state: CacheState, from_task: str, to_task: str, mode: DeployMode,
+                  table: SwitchTable) -> SwitchReport:
+    """The report of a switch from ``state``, whose device holds
+    ``from_task``'s target: full_method's from ``execute_switch``, which
+    credits the host, every other mode's from the table."""
+    if mode is DeployMode.FULL_METHOD:
+        return execute_switch(state, from_task, to_task, table)[1]
+    return table.report(mode, from_task, to_task)
+
+
 class TestDiffSet:
     """Split modes move exactly the differential set: the blocks the incoming
     task needs that the device does not hold."""
@@ -45,9 +57,7 @@ class TestDiffSet:
     def moved(self, active_from: set[int], active_to: set[int]) -> tuple[int, int]:
         manifest = ModelManifest("m", (MB,) * 8)
         actives = actives_for({"a": active_from, "b": active_to})
-        state = state_for(manifest, gpu=tuple(sorted(active_from)))
-        _, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
-                                   SwitchTable(manifest, COST, actives))
+        report = SwitchTable(manifest, COST, actives).report(DeployMode.SPLIT_ONLY, "a", "b")
         return report.blocks_fetched, report.bytes_cpu_to_gpu
 
     def test_plain_difference(self):
@@ -66,18 +76,15 @@ class TestExecuteSwitch:
         block = calibrate_uniform_block_bytes(1566.5, 32, COST)
         manifest = ModelManifest("m", (block,) * 32)
         actives = actives_for({"a": set(range(16)), "b": set(range(16, 32))})
-        state = state_for(manifest, gpu=range(32))
-        _, report = execute_switch(state, "a", "b", DeployMode.MONOLITHIC,
-                                   SwitchTable(manifest, COST, actives))
+        report = SwitchTable(manifest, COST, actives).report(DeployMode.MONOLITHIC, "a", "b")
         assert report.latency_ms == pytest.approx(1566.5, abs=1e-3)
         assert report.blocks_reused == 0
 
     def test_sparse_no_split_reloads_whole_active_set(self):
         manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {1, 2, 3}})
-        state = state_for(manifest, gpu=(0, 1, 2))
-        _, report = execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
-                                   SwitchTable(manifest, COST, actives))
+        report = SwitchTable(manifest, COST, actives).report(DeployMode.SPARSE_NO_SPLIT,
+                                                             "a", "b")
         # Whole sparse checkpoint: 3 blocks over both links plus reinit.
         expected = 250.0 + 3 * (100 * MB / (2000 * 1000) + 1) \
             + 3 * (100 * MB / (8000 * 1000) + 1)
@@ -86,16 +93,19 @@ class TestExecuteSwitch:
         assert report.bytes_disk_to_cpu == 300 * MB
 
     def test_split_only_moves_only_missing_blocks(self):
+        # split_only takes no host: block 3 pays both links, as it would
+        # in full_method from an empty host.
         manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {1, 2, 3}})
-        state = state_for(manifest, gpu=(0, 1, 2), cpu=(3,))
-        new_state, report = execute_switch(state, "a", "b", DeployMode.SPLIT_ONLY,
-                                           SwitchTable(manifest, COST, actives))
-        # No prestaging credit in split_only: block 3 pays both links.
+        table = SwitchTable(manifest, COST, actives)
+        report = table.report(DeployMode.SPLIT_ONLY, "a", "b")
         assert report.bytes_disk_to_cpu == 100 * MB
         assert report.bytes_cpu_to_gpu == 100 * MB
         assert report.blocks_prestaged == 0
         assert report.blocks_reused == 2
+        assert table.target(DeployMode.SPLIT_ONLY, "b") == {1, 2, 3}
+        new_state, full = execute_switch(state_for(manifest, gpu=(0, 1, 2)), "a", "b", table)
+        assert full == report._replace(mode="full_method")
         assert new_state.gpu_resident == {1, 2, 3}
 
     def test_full_method_prestaged_blocks_skip_the_disk_leg(self):
@@ -103,8 +113,7 @@ class TestExecuteSwitch:
         manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1}, "b": {0, 5, 6, 7}})
         state = state_for(manifest, gpu=(0, 1), cpu=(5, 6, 7))
-        _, report = execute_switch(state, "a", "b", DeployMode.FULL_METHOD,
-                                   SwitchTable(manifest, COST, actives))
+        _, report = execute_switch(state, "a", "b", SwitchTable(manifest, COST, actives))
         assert report.blocks_prestaged == 3
         assert report.bytes_disk_to_cpu == 0
         assert report.latency_ms == pytest.approx(3 * (12.5 + 1.0))
@@ -115,71 +124,105 @@ class TestExecuteSwitch:
         state = state_for(manifest, gpu=(0, 1, 2))
         table = SwitchTable(manifest, COST, actives)
         for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
-            _, report = execute_switch(state, "a", "b", mode, table)
+            report = switch_report(state, "a", "b", mode, table)
             assert report.latency_ms == 0.0
             assert report.bytes_disk_to_cpu == 0
             assert report.bytes_cpu_to_gpu == 0
 
     def test_active_set_beyond_budget_is_an_error(self):
+        # full_method's switch loads the device and refuses; a host-free
+        # replay checks the incoming target against the device budget with
+        # ``check_device`` and raises the same error.
         manifest = ModelManifest("m", (100 * MB,) * 4)
         actives = actives_for({"a": {0}, "b": {0, 1, 2, 3}})
+        table = SwitchTable(manifest, COST, actives)
         state = CacheState(gpu_budget_bytes=300 * MB,
                            cpu_budget_bytes=sum(manifest.block_sizes),
                            gpu_resident=frozenset({0}))
-        with pytest.raises(BudgetExceededError):
-            execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT,
-                           SwitchTable(manifest, COST, actives))
+        with pytest.raises(BudgetExceededError, match="gpu budget exceeded by 100000000"):
+            execute_switch(state, "a", "b", table)
+        for mode in HOST_FREE:
+            with pytest.raises(BudgetExceededError, match="gpu budget exceeded by 100000000"):
+                check_device(manifest, table.target(mode, "b"), 300 * MB)
 
     def test_device_off_the_outgoing_target_is_refused(self):
         # A refused switch builds no leg and no report, on a fresh pair and
-        # on one whose leg and full-method reports are memoized.
+        # on one whose leg and reports are memoized.
         manifest = ModelManifest("m", (MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {2, 3}})
         table = SwitchTable(manifest, COST, actives)
-        memos = lambda: ({m: dict(legs) for m, legs in table._legs.items()},
-                         dict(table._full_reports), dict(table._reloads))
+        memos = lambda: (dict(table._legs), dict(table._full_reports), dict(table._reloads))
         for warm in (False, True):
-            for mode in DeployMode:
-                if warm:
-                    execute_switch(on_target(table, mode, "a", cpu=(3,)), "a", "b", mode,
-                                   table)
-                before = memos()
-                for device in ({0, 1}, {0, 1, 2, 3}, set(), actives["b"]):
-                    if frozenset(device) == table.target(mode, "a"):
-                        continue
-                    state = state_for(manifest, gpu=device, cpu=(3,))
-                    with pytest.raises(SwitchSimError, match="does not hold task 'a'"):
-                        execute_switch(state, "a", "b", mode, table)
-                assert memos() == before
-                assert len(before[0][mode]) == warm
+            if warm:
+                execute_switch(on_target(table, DeployMode.FULL_METHOD, "a", cpu=(3,)),
+                               "a", "b", table)
+            before = memos()
+            for device in ({0, 1}, {0, 1, 2, 3}, set(), actives["b"], manifest.all_blocks):
+                state = state_for(manifest, gpu=device, cpu=(3,))
+                with pytest.raises(SwitchSimError, match="does not hold task 'a'"):
+                    execute_switch(state, "a", "b", table)
+            assert memos() == before
+            assert len(before[0]) == len(before[1]) == warm
 
     def test_missing_skip_set_is_a_config_error(self):
+        # Outside monolithic mode, whose target is the whole model, each
+        # task needs an active set; a refused switch memoizes nothing.
         manifest = ModelManifest("m", (MB,) * 4)
-        with pytest.raises(ConfigError):
-            execute_switch(state_for(manifest), "a", "b", DeployMode.SPLIT_ONLY,
-                           SwitchTable(manifest, COST, {}))
+        for known in ({}, {"a": frozenset({0})}, {"b": frozenset({0})}):
+            table = SwitchTable(manifest, COST, known)
+            with pytest.raises(ConfigError, match="no active set for task"):
+                execute_switch(state_for(manifest, gpu=known.get("a", ())), "a", "b", table)
+            for mode in (DeployMode.SPARSE_NO_SPLIT, DeployMode.SPLIT_ONLY):
+                with pytest.raises(ConfigError, match="no active set for task"):
+                    table.report(mode, "a", "b")
+            assert not (table._legs or table._full_reports or table._reloads)
 
     def test_residency_after_switch_is_the_active_set(self):
+        # full_method's switch leaves the device on the incoming active set
+        # and the host as it was; a host-free replay's device holds the
+        # incoming target, the whole model in monolithic mode.
         manifest = ModelManifest("m", (MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {2, 3}})
         table = SwitchTable(manifest, COST, actives)
-        for mode in DeployMode:
-            state = on_target(table, mode, "a", cpu=(3,))
-            new_state, _ = execute_switch(state, "a", "b", mode, table)
+        state = on_target(table, DeployMode.FULL_METHOD, "a", cpu=(3,))
+        new_state, _ = execute_switch(state, "a", "b", table)
+        assert new_state == state._replace(gpu_resident=actives["b"])
+        for mode in HOST_FREE:
             active = actives["b"] if mode is not DeployMode.MONOLITHIC \
                 else manifest.all_blocks
-            assert new_state.gpu_resident == active
+            assert table.target(mode, "b") == active
 
 
 class TestTableMatchesReference:
     """The tabled switch equals the per-block reference exactly: same report
-    floats, same state, same error."""
+    floats, same device, same error. full_method's switch also returns the
+    reference's state; a host-free switch is the table's report after the
+    device check a host-free replay runs on the incoming target."""
 
     def outcome(self, switch, *args):
         try:
             return switch(*args)
         except BudgetExceededError as exc:
             return exc.tier, exc.shortfall_bytes
+
+    @staticmethod
+    def tabled(state, a, b, mode, table):
+        if mode is DeployMode.FULL_METHOD:
+            return execute_switch(state, a, b, table)
+        report = table.report(mode, a, b)
+        target = table.target(mode, b)
+        check_device(table.manifest, target, state.gpu_budget_bytes)
+        return target, report
+
+    @staticmethod
+    def reference(state, a, b, mode, skipped, cost, manifest):
+        after, report = reference_switch(state, a, b, mode, skipped, cost, manifest)
+        if mode is DeployMode.FULL_METHOD:
+            return after, report
+        # Nothing stages in a host-free mode, so the reference's host is the
+        # input's.
+        assert after.cpu_lru == state.cpu_lru
+        return after.gpu_resident, report
 
     def test_random_switches(self):
         rng = random.Random(31)
@@ -210,12 +253,12 @@ class TestTableMatchesReference:
                     cpu = tuple(rng.sample(range(n), rng.randrange(0, n + 1)))
                     cases.append((CacheState(gpu_budget, total, device, cpu), a, b, mode))
             # The second pass runs every switch again on the warm table: it
-            # reads the pair's leg and, in full_method, the report memo for
-            # its host credit.
+            # reads the pair's leg or reload and, in full_method, the report
+            # memo for its host credit.
             for _pass in range(2):
                 for state, a, b, mode in cases:
-                    assert self.outcome(execute_switch, state, a, b, mode, table) \
-                        == self.outcome(reference_switch, state, a, b, mode, skipped,
+                    assert self.outcome(self.tabled, state, a, b, mode, table) \
+                        == self.outcome(self.reference, state, a, b, mode, skipped,
                                         cost, manifest)
 
     def test_warm_table_reports_equal_the_reference(self):
@@ -240,9 +283,9 @@ class TestTableMatchesReference:
             for a, b, cpu in cases:
                 for mode in DeployMode:
                     state = CacheState(total, total, table.target(mode, a), cpu)
-                    result = execute_switch(state, a, b, mode, table)
-                    assert result == reference_switch(state, a, b, mode, skipped, COST,
-                                                      manifest)
+                    result = self.tabled(state, a, b, mode, table)
+                    assert result == self.reference(state, a, b, mode, skipped, COST,
+                                                    manifest)
                     first.setdefault((state, a, b, mode), result[1])
                     if mode is DeployMode.FULL_METHOD:
                         assert result[1] is first[state, a, b, mode]
@@ -259,24 +302,20 @@ class TestGpuUtilization:
         manifest = ModelManifest("m", (MB,) * 4)
         actives = actives_for({"a": {0, 1}, "b": set()})
         _, report = execute_switch(state_for(manifest, gpu=(0, 1)), "a", "b",
-                                   DeployMode.FULL_METHOD,
                                    SwitchTable(manifest, COST, actives))
         assert report.gpu_resident_bytes_after == 0
 
     def test_full_residency_uniform_blocks(self):
         manifest = ModelManifest("m", (100 * MB,) * 32)
         actives = actives_for({"a": set(range(20)), "b": set(range(4, 24))})
-        _, report = execute_switch(state_for(manifest, gpu=range(32)), "a", "b",
-                                   DeployMode.MONOLITHIC,
-                                   SwitchTable(manifest, COST, actives))
+        report = SwitchTable(manifest, COST, actives).report(DeployMode.MONOLITHIC, "a", "b")
         assert report.gpu_resident_bytes_after == 3200 * MB
 
     def test_sparse_mode_occupies_less_than_monolithic(self):
         manifest = ModelManifest("m", (100 * MB,) * 32)
         actives = actives_for({"a": set(range(20)), "b": set(range(4, 24))})
         table = SwitchTable(manifest, COST, actives)
-        mono, full = (execute_switch(on_target(table, mode, "a"), "a", "b", mode,
-                                     table)[1]
+        mono, full = (switch_report(on_target(table, mode, "a"), "a", "b", mode, table)
                       for mode in (DeployMode.MONOLITHIC, DeployMode.FULL_METHOD))
         assert full.gpu_resident_bytes_after == 2000 * MB
         assert full.gpu_resident_bytes_after < mono.gpu_resident_bytes_after
@@ -308,7 +347,7 @@ class TestAccountingIdentity:
             table = SwitchTable(manifest, COST, actives)
             for mode in DeployMode:
                 state = on_target(table, mode, "a", cpu=cpu)
-                _, report = execute_switch(state, "a", "b", mode, table)
+                report = switch_report(state, "a", "b", mode, table)
                 assert report.latency_ms == pytest.approx(
                     self._recompute(report, COST))
 
@@ -325,7 +364,7 @@ class TestAccountingIdentity:
             delta = frozenset(active_b) - frozenset(active_a)
             table = SwitchTable(manifest, COST, actives)
             for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
-                _, report = execute_switch(state, "a", "b", mode, table)
+                report = switch_report(state, "a", "b", mode, table)
                 missing = delta - state.gpu_resident
                 assert report.blocks_fetched + report.blocks_prestaged \
                     == len(missing)
@@ -349,10 +388,8 @@ class TestModeOrdering:
                 for t in tasks
             })
             table = SwitchTable(manifest, cost, actives)
-            states = {mode: state_for(
-                manifest, gpu=tuple(sorted(actives[tasks[0]]))
-                if mode is not DeployMode.MONOLITHIC else tuple(range(n)))
-                for mode in DeployMode}
+            # full_method's device, which each switch carries to the next.
+            device = actives[tasks[0]]
             current = tasks[0]
             for _step in range(12):
                 nxt = rng.choice([t for t in tasks if t != current])
@@ -360,16 +397,13 @@ class TestModeOrdering:
                                                    rng.randrange(0, n + 1))))
                 latencies = {}
                 for mode in DeployMode:
-                    st_mode = states[mode]
                     if mode is DeployMode.FULL_METHOD:
-                        st_mode = CacheState(
-                            gpu_budget_bytes=st_mode.gpu_budget_bytes,
-                            cpu_budget_bytes=st_mode.cpu_budget_bytes,
-                            gpu_resident=st_mode.gpu_resident,
-                            cpu_lru=prestage,
-                        )
-                    states[mode], report = execute_switch(
-                        st_mode, current, nxt, mode, table)
+                        after, report = execute_switch(
+                            state_for(manifest, gpu=device, cpu=prestage), current, nxt,
+                            table)
+                        device = after.gpu_resident
+                    else:
+                        report = table.report(mode, current, nxt)
                     latencies[mode] = report.latency_ms
                 assert latencies[DeployMode.MONOLITHIC] \
                     >= latencies[DeployMode.SPARSE_NO_SPLIT] \
@@ -389,8 +423,7 @@ class TestSummationOrder:
         manifest = ModelManifest("m", (10 ** 16, 1, 1))
         state = CacheState(gpu_budget_bytes=10 ** 17, cpu_budget_bytes=10 ** 17,
                            gpu_resident=manifest.all_blocks)
-        table = SwitchTable(manifest, self.COST, {})
-        _, report = execute_switch(state, "a", "b", DeployMode.MONOLITHIC, table)
+        report = SwitchTable(manifest, self.COST, {}).report(DeployMode.MONOLITHIC, "a", "b")
         assert report.latency_ms == 2.0000000000000004e16
         _, ref = reference_switch(state, "a", "b", DeployMode.MONOLITHIC, {}, self.COST,
                                   manifest)
@@ -405,10 +438,7 @@ class TestSummationOrder:
         reports = []
         for b_active in (forward, backward):
             table = SwitchTable(manifest, self.COST, {"a": frozenset({1}), "b": b_active})
-            state = CacheState(gpu_budget_bytes=10 ** 17, cpu_budget_bytes=10 ** 17,
-                               gpu_resident=frozenset({1}))
-            _, report = execute_switch(state, "a", "b", DeployMode.SPARSE_NO_SPLIT, table)
-            reports.append(report)
+            reports.append(table.report(DeployMode.SPARSE_NO_SPLIT, "a", "b"))
         assert reports[0] == reports[1]
         assert reports[0].latency_ms.hex() == reports[1].latency_ms.hex()
         assert reports[0].latency_ms == 2.0000000000000004e16
