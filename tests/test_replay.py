@@ -1119,6 +1119,19 @@ class TestStepInvariants:
         execute = replay.execute_prefetch
         monkeypatch.setattr(replay, "execute_prefetch", corrupting)
 
+    @staticmethod
+    def corrupt_switch(monkeypatch, call, corrupt):
+        calls = 0
+
+        def corrupting(*args):
+            nonlocal calls
+            state, report = switch(*args)
+            calls += 1
+            return (corrupt(state) if calls == call else state), report
+
+        switch = replay.execute_switch
+        monkeypatch.setattr(replay, "execute_switch", corrupting)
+
     @pytest.mark.parametrize("call, corrupt", [
         (3, lambda state, staged: (
             state._replace(cpu_lru=state.cpu_lru + state.cpu_lru[:1]), staged)),
@@ -1152,16 +1165,7 @@ class TestStepInvariants:
                                                        corrupt):
         config = small_scenario(tmp_path, trace=self.TRACE, window=0.0,
                                 cpu_budget_blocks=4)
-        calls = 0
-
-        def corrupting(*args):
-            nonlocal calls
-            state, report = switch(*args)
-            calls += 1
-            return (corrupt(state) if calls == 2 else state), report
-
-        switch = replay.execute_switch
-        monkeypatch.setattr(replay, "execute_switch", corrupting)
+        self.corrupt_switch(monkeypatch, 2, corrupt)
         with pytest.raises(ReplayError) as err:
             run_config(config)
         assert err.value.position == 3
@@ -1170,23 +1174,30 @@ class TestStepInvariants:
         lambda state: state._replace(
             gpu_resident=state.gpu_resident - {min(state.gpu_resident)}),
         lambda state: state._replace(gpu_resident=frozenset(range(16))),
-    ], ids=["device-drops-a-block", "device-holds-the-whole-model"])
+        lambda state: state._replace(gpu_resident=frozenset()),
+    ], ids=["device-drops-a-block", "device-holds-the-whole-model", "device-emptied"])
     def test_corrupt_switch_device_fails_at_its_position(self, tmp_path, monkeypatch,
                                                          corrupt):
         # Switch call 2 runs at position 3, as in the host case above.
         config = small_scenario(tmp_path, trace=self.TRACE, window=0.0,
                                 cpu_budget_blocks=4)
-        calls = 0
-
-        def corrupting(*args):
-            nonlocal calls
-            state, report = switch(*args)
-            calls += 1
-            return (corrupt(state) if calls == 2 else state), report
-
-        switch = replay.execute_switch
-        monkeypatch.setattr(replay, "execute_switch", corrupting)
+        self.corrupt_switch(monkeypatch, 2, corrupt)
         with pytest.raises(ReplayError, match="device does not hold") as err:
+            run_config(config)
+        assert err.value.position == 3
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state._replace(cpu_budget_bytes=state.cpu_budget_bytes + 1),
+        lambda state: state._replace(gpu_budget_bytes=state.gpu_budget_bytes + 1),
+    ], ids=["cpu-budget-changed", "gpu-budget-changed"])
+    def test_corrupt_switch_budgets_fail_at_its_position(self, tmp_path, monkeypatch,
+                                                         corrupt):
+        # The next step builds its state from the config's budgets, so only
+        # the switch's own check sees a changed one.
+        config = small_scenario(tmp_path, trace=self.TRACE, window=0.0,
+                                cpu_budget_blocks=4)
+        self.corrupt_switch(monkeypatch, 2, corrupt)
+        with pytest.raises(ReplayError, match="cache budgets differ") as err:
             run_config(config)
         assert err.value.position == 3
 
