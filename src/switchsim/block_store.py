@@ -2,10 +2,12 @@
 
 A model backbone is decomposed into per-block shards on disk; at runtime
 blocks move disk -> host cache -> device under byte budgets. This module
-owns the manifest (block inventory), the cache state for both tiers, and
-the residency-changing operations: staging into the host cache, which
-evicts the least recently used unprotected blocks, and loading the
-device with exactly one task's active set.
+owns the manifest (block inventory), the residency of both tiers
+(:class:`CacheState`), one check per tier (:func:`check_device`,
+:func:`check_host`), and the host cache's operations: staging, which
+evicts the least recently used unprotected blocks, and eviction. The
+budgets are a scenario's constants, not state: what needs one takes it
+as an argument.
 
 The host cache is stored once, as its recency order ``cpu_lru``, which
 lists each host-resident block exactly once. ``CacheState.cpu_resident``
@@ -25,15 +27,15 @@ All operations are functional: they take a :class:`CacheState` and return
 a new one, never mutating the input. On a budget error the caller's state
 is therefore unchanged by construction.
 
-A full_method replay stages, evicts and loads on most of its steps, so
-these operations build as little as they can per call. Each new state is
-built by ``_new_tuple`` (``tuple.__new__``) from all four fields, which
-skips the Python frame of the named tuple's generated ``__new__``; the
-prefetch planner builds its plans the same way. Byte sums index
+A full_method replay stages and evicts on most of its steps, so these
+operations build as little as they can per call. Each new state is built
+by ``_new_tuple`` (``tuple.__new__``) from both fields, which skips the
+Python frame of the named tuple's generated ``__new__``; the prefetch
+planner and a switch build theirs the same way. Byte sums index
 ``block_sizes`` in a list comprehension, and staging sums the host order
 in its own frame, not through :meth:`ModelManifest.bytes_of`.
-:meth:`CacheState.check_host` checks distinct blocks, known ids and the
-budget in one frame.
+:func:`check_host` checks distinct blocks, known ids and the budget in
+one frame.
 """
 from __future__ import annotations
 
@@ -48,8 +50,8 @@ __all__ = [
     "ModelManifest",
     "CacheState",
     "check_device",
+    "check_host",
     "stage_to_cpu",
-    "load_to_gpu",
     "evict",
 ]
 
@@ -112,7 +114,7 @@ class ModelManifest:
 
 
 class CacheState(NamedTuple):
-    """Device residency and the host cache, under byte budgets.
+    """Device residency and the host cache's recency order.
 
     The device holds exactly the running task's active set and never
     evicts, so only the host cache keeps a recency order: ``cpu_lru`` lists
@@ -123,33 +125,14 @@ class CacheState(NamedTuple):
     dataclass, which matters because every staging and switch builds one.
     """
 
-    gpu_budget_bytes: int
-    cpu_budget_bytes: int
     gpu_resident: frozenset[int] = frozenset()
     cpu_lru: tuple[int, ...] = ()
 
     @property
     def cpu_resident(self) -> frozenset[int]:
-        """The host-resident blocks as a set, built on each access."""
+        """The host-resident blocks as a set, built on each access; kept
+        for ``perfbench/tracer.py``'s eviction counter, its only reader."""
         return frozenset(self.cpu_lru)
-
-    def check_host(self, manifest: ModelManifest) -> None:
-        """Raise unless ``cpu_lru`` names known blocks, none twice, within
-        the host budget.
-
-        A replay checks the order each computed step leaves, so the three
-        checks share one frame and the sum walks the order itself.
-        """
-        lru = self.cpu_lru
-        resident = frozenset(lru)
-        if len(resident) != len(lru):
-            raise ManifestError("cpu recency order lists a block twice")
-        if not resident <= manifest.all_blocks:
-            raise ManifestError("cpu resident set references unknown blocks")
-        sizes = manifest.block_sizes
-        used = sum([sizes[b] for b in lru])
-        if used > self.cpu_budget_bytes:
-            raise BudgetExceededError("cpu", used - self.cpu_budget_bytes)
 
 
 def check_device(manifest: ModelManifest, blocks: frozenset[int], budget: int) -> None:
@@ -159,6 +142,24 @@ def check_device(manifest: ModelManifest, blocks: frozenset[int], budget: int) -
     used = manifest.bytes_of(blocks)
     if used > budget:
         raise BudgetExceededError("gpu", used - budget)
+
+
+def check_host(manifest: ModelManifest, lru: tuple[int, ...], budget: int) -> None:
+    """Raise unless the host order ``lru`` names known blocks, none twice,
+    within ``budget``.
+
+    A replay checks the order each computed step leaves, so the three
+    checks share one frame and the sum walks the order itself.
+    """
+    resident = frozenset(lru)
+    if len(resident) != len(lru):
+        raise ManifestError("cpu recency order lists a block twice")
+    if not resident <= manifest.all_blocks:
+        raise ManifestError("cpu resident set references unknown blocks")
+    sizes = manifest.block_sizes
+    used = sum([sizes[b] for b in lru])
+    if used > budget:
+        raise BudgetExceededError("cpu", used - budget)
 
 
 def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
@@ -188,17 +189,17 @@ def evict(manifest: ModelManifest, state: CacheState, bytes_needed: int,
         raise BudgetExceededError("cpu", bytes_needed - freed)
     # Past the last victim every block stays, in order.
     kept.extend(blocks)
-    return _new_tuple(CacheState, (state.gpu_budget_bytes, state.cpu_budget_bytes,
-                                   state.gpu_resident, tuple(kept)))
+    return _new_tuple(CacheState, (state.gpu_resident, tuple(kept)))
 
 
 def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[int],
-                 protected: frozenset[int] = frozenset()) -> tuple[CacheState, int]:
+                 budget: int, protected: frozenset[int] = frozenset()
+                 ) -> tuple[CacheState, int]:
     """Pull blocks the host does not hold from disk into the host cache.
 
     ``blocks`` must be distinct, known and not host-resident; anything else
     raises :class:`ManifestError`. They become the most recently used, in
-    the order given, appended to the order eviction leaves. When the budget
+    the order given, appended to the order eviction leaves. When ``budget``
     would overflow, one :func:`evict` for the whole overflow first drops
     the least recently used resident blocks outside ``protected``; the
     given blocks are not resident, so eviction cannot reach them. An
@@ -214,24 +215,7 @@ def stage_to_cpu(manifest: ModelManifest, state: CacheState, blocks: Iterable[in
         raise ManifestError("staging takes distinct blocks the host does not hold")
     sizes = manifest.block_sizes
     bytes_moved = sum([sizes[b] for b in order])
-    overflow = sum([sizes[b] for b in lru]) + bytes_moved - state.cpu_budget_bytes
+    overflow = sum([sizes[b] for b in lru]) + bytes_moved - budget
     if overflow > 0:
         state = evict(manifest, state, overflow, protected)
-    return _new_tuple(CacheState, (state.gpu_budget_bytes, state.cpu_budget_bytes,
-                                   state.gpu_resident, state.cpu_lru + order)), bytes_moved
-
-
-def load_to_gpu(state: CacheState, target: frozenset[int],
-                target_bytes: int) -> CacheState:
-    """Make the device hold exactly ``target``, one task's active set.
-
-    ``target_bytes`` is the size of ``target``; callers that load the same
-    set again keep it rather than re-summing it. Blocks outside ``target``
-    are dropped for free. Raises :class:`BudgetExceededError` with the
-    shortfall, leaving the input state untouched, when ``target`` does not
-    fit the device budget.
-    """
-    if target_bytes > state.gpu_budget_bytes:
-        raise BudgetExceededError("gpu", target_bytes - state.gpu_budget_bytes)
-    return _new_tuple(CacheState, (state.gpu_budget_bytes, state.cpu_budget_bytes, target,
-                                   state.cpu_lru))
+    return _new_tuple(CacheState, (state.gpu_resident, state.cpu_lru + order)), bytes_moved

@@ -80,10 +80,10 @@ class ManifestError(SwitchSimError):
 
 
 class BudgetExceededError(SwitchSimError):
-    """A tier byte budget cannot be satisfied even after eviction.
+    """A tier's byte budget is exceeded, even after any eviction.
 
-    ``shortfall_bytes`` is the number of bytes that could not be freed.
-    The state passed to the failing operation is left untouched.
+    ``shortfall_bytes`` is the number of bytes over the budget. The state
+    passed to a failing operation is left untouched.
     """
 
     def __init__(self, tier: str, shortfall_bytes: int):

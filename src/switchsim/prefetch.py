@@ -67,8 +67,8 @@ def rank_preload(tiers: TierAssignment, weights: Mapping[int, float]) -> tuple[i
 
 
 def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
-                  state: CacheState, manifest: ModelManifest) -> PrefetchPlan:
-    """Greedily fill the remaining host budget with pre-load-tier blocks.
+                  state: CacheState, manifest: ModelManifest, budget: int) -> PrefetchPlan:
+    """Greedily fill the remaining host ``budget`` with pre-load-tier blocks.
 
     ``ranked`` is :func:`rank_preload` of the tiers and the usefulness
     weights (see :func:`block_usefulness`); it depends on the running task
@@ -87,7 +87,7 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
         return _NO_PLAN
     sizes = manifest.block_sizes
     # The host order is short, so capacity walks it, not the tiers.
-    room = state.cpu_budget_bytes - sum([sizes[b] for b in lru if b in protected])
+    room = budget - sum([sizes[b] for b in lru if b in protected])
     entries: list[int] = []
     for b in missing:
         size = sizes[b]
@@ -98,7 +98,7 @@ def plan_prefetch(ranked: tuple[int, ...], protected: frozenset[int],
 
 
 def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: float,
-                     disk_ms: Sequence[float], manifest: ModelManifest,
+                     disk_ms: Sequence[float], manifest: ModelManifest, budget: int,
                      protected: frozenset[int] = frozenset()
                      ) -> tuple[CacheState, tuple[int, ...], int]:
     """Stage plan blocks in order until the compute window runs out.
@@ -140,5 +140,5 @@ def execute_prefetch(plan: PrefetchPlan, state: CacheState, compute_window_ms: f
         return state, (), 0
     # A slice of the whole tuple is the tuple itself, not a copy.
     prefix = entries[:count]
-    after, moved = stage_to_cpu(manifest, state, prefix, protected)
+    after, moved = stage_to_cpu(manifest, state, prefix, budget, protected)
     return after, prefix, moved

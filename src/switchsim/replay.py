@@ -41,9 +41,10 @@ step is a pure function of (current task, next task,
 read nothing else, and everything else they read (manifest, cost model,
 active sets, transition model, window) is fixed for the replay. The
 host cache is its recency order ``cpu_lru`` alone, and (current task,
-next task, ``cpu_lru``) fixes the whole state, because every state the
-replay steps from has been checked: the device holds
-``table.target(mode, current)`` and both budgets equal the config's.
+next task, ``cpu_lru``) fixes the whole :class:`CacheState`, which is
+residency alone, because every state the replay steps from has been
+checked: the device holds ``table.target(mode, current)``. The budgets
+are the config's, passed to the layers that need one.
 The layers take and return host orders as tuples; the replay alone packs
 the orders it keeps, each memo key and each next order, into ``bytes``,
 one byte a block (which caches its hash), when the manifest has at most
@@ -60,14 +61,14 @@ raises stores nothing, so an error surfaces at the trace position where
 its state first occurs.
 
 Each computed step checks the state it leaves. The device must equal the
-running task's target, and both budgets the config's. A switch moves
-blocks through the host without changing it, so the order a switch
-returns must be the very object the prefetch left. The prefix the
-prefetch staged must be the newest part of the order it left, in plan
-order. ``check_host`` runs only when the step replaced ``cpu_lru``,
-since an order left in place is its input's, which was checked.
-``check_device`` is a pure function of the task's target and the
-config's device budget, so it runs once per task.
+running task's target. A switch moves blocks through the host without
+changing it, so the order a switch returns must be the very object the
+prefetch left. The prefix the prefetch staged must be the newest part of
+the order it left, in plan order. ``check_host`` runs only when the step
+replaced ``cpu_lru``, since an order left in place is its input's, which
+was checked. ``check_device`` is a pure function of the task's target
+and the config's device budget, so it runs once per task; no layer
+checks the device budget.
 
 full_method's eviction reads recency alone. That is exact because every
 block that next-task usefulness weights lies in the running task's
@@ -108,7 +109,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .block_store import CacheState, ModelManifest, _new_tuple, check_device, load_to_gpu
+from .block_store import CacheState, ModelManifest, _new_tuple, check_device, check_host
 from .errors import (ConfigError, LogParseError, ReplayError, SwitchSimError, as_float,
                      check_keys, counted_fsum, exact_int, write_text)
 from .prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
@@ -527,27 +528,23 @@ def _replay(scenario: Scenario, mode: DeployMode,
     devices_checked: set[str] = set()
 
     def check(state: CacheState, task: str, host_checked: bool) -> None:
-        # Together with the running task and ``cpu_lru``, these fix the
-        # state. ``check_host`` is a pure function of ``cpu_lru`` and the cpu
-        # budget, so ``host_checked`` skips it for an order that already
-        # passed it; the device and the budgets are compared on every call.
+        # The device and ``cpu_lru`` are the whole state. ``check_host`` is
+        # a pure function of ``cpu_lru`` and the cpu budget, so
+        # ``host_checked`` skips it for an order that already passed it;
+        # the device is compared on every call.
         target = table.target(mode, task)
         device = state.gpu_resident
         if device is not target and device != target:
             raise SwitchSimError("device does not hold the running task's blocks")
-        if state.gpu_budget_bytes != gpu_budget or state.cpu_budget_bytes != cpu_budget:
-            raise SwitchSimError("cache budgets differ from the config's")
         if task not in devices_checked:
             check_device(manifest, device, gpu_budget)
             devices_checked.add(task)
         if not host_checked:
-            state.check_host(manifest)
+            check_host(manifest, state.cpu_lru, cpu_budget)
 
     try:
         # Initial load of the first task; not counted as a switch.
-        target = table.target(mode, ids[first])
-        state = load_to_gpu(CacheState(gpu_budget, cpu_budget), target,
-                            manifest.bytes_of(target))
+        state = CacheState(table.target(mode, ids[first]))
         check(state, ids[first], False)
     except SwitchSimError as exc:
         raise ReplayError(str(exc), position=0) from exc
@@ -599,10 +596,10 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 target, ranked, protected = ctx
                 # The key itself when it is a tuple.
                 host = tuple(lru)
-                state = _new_tuple(CacheState, (gpu_budget, cpu_budget, target, host))
-                plan = plan_prefetch(ranked, protected, state, manifest)
+                state = _new_tuple(CacheState, (target, host))
+                plan = plan_prefetch(ranked, protected, state, manifest, cpu_budget)
                 after, staged, _moved = execute_prefetch(plan, state, window, disk_ms,
-                                                         manifest, protected)
+                                                         manifest, cpu_budget, protected)
                 next_lru = after.cpu_lru
                 if task != current:
                     after, report = execute_switch(after, current_id, task_id, table)

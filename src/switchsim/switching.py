@@ -15,10 +15,11 @@ mode and the (from, to) task pair alone, and :meth:`SwitchTable.report`
 gives it without any cache state. Only full_method credits the blocks the
 host cache already holds; :func:`execute_switch` runs its switches on a
 :class:`CacheState` and refuses a device that does not hold the outgoing
-task's target. A :class:`SwitchTable` holds what a replay's switches
-share: each task's active set, per-block link costs, the split legs and
-reloads of the pairs seen so far, and full_method's reports per host
-credit.
+task's target; it leaves the device budget to its caller, which checks
+each task's target once. A :class:`SwitchTable` holds what a replay's
+switches share: each task's active set, per-block link costs, the split
+legs and reloads of the pairs seen so far, and full_method's reports per
+host credit.
 Each link's milliseconds are the correctly rounded sum (``math.fsum``) of
 its blocks' per-block costs, so a latency depends on the block sets
 alone, not on the order a set iterates in.
@@ -31,7 +32,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .block_store import CacheState, ModelManifest, load_to_gpu
+from .block_store import CacheState, ModelManifest, _new_tuple
 from .errors import ConfigError, SwitchSimError, as_float, check_keys, read_json
 
 __all__ = [
@@ -254,7 +255,9 @@ def execute_switch(state: CacheState, from_task: str, to_task: str,
 
     The device must hold the outgoing task's active set, and both tasks
     must have one; otherwise it raises and leaves the table's memos as
-    they were. The host is left as it was.
+    they were. The device then holds the incoming task's active set, and
+    the host is left as it was; the device budget is the caller's to
+    check, with :func:`~switchsim.block_store.check_device`.
     """
     leg = table._legs.get((from_task, to_task))
     # A pair's first switch checks both active sets, then the device, and
@@ -267,7 +270,6 @@ def execute_switch(state: CacheState, from_task: str, to_task: str,
         raise SwitchSimError(f"the device does not hold task {from_task!r}'s target")
     if leg is None:
         leg = table._leg(from_task, to_task)
-    new_state = load_to_gpu(state, leg.target, leg.target_bytes)
     prestaged = leg.gpu.blocks.intersection(state.cpu_lru)
     # One flat tuple, the credited ids sorted: a frozenset in the key would
     # be kept alive by the memo and take several times the memory.
@@ -276,7 +278,7 @@ def execute_switch(state: CacheState, from_task: str, to_task: str,
     if report is None:
         report = table._full_reports[key] = table._split_report(
             _FULL_METHOD, from_task, to_task, leg, prestaged)
-    return new_state, report
+    return _new_tuple(CacheState, (leg.target, state.cpu_lru)), report
 
 
 def calibrate_uniform_block_bytes(target_monolithic_ms: float, num_blocks: int,

@@ -9,7 +9,8 @@ every candidate removal exactly, at any size, to check the estimating
 costs from scratch, to check the tabled
 :meth:`switchsim.switching.SwitchTable.report` and
 :func:`switchsim.switching.execute_switch`, and to switch in
-``reference_replay``.
+``reference_replay``; :func:`reference_device_bytes` is the device-budget
+check both make, by their own sum.
 :func:`reference_markov_log` and :func:`reference_load_task_log` are the
 per-step sampler and the per-line log reader that
 :func:`switchsim.synthetic.gen_markov_log` and
@@ -26,8 +27,8 @@ import random
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from switchsim.block_store import CacheState, ModelManifest, load_to_gpu
-from switchsim.errors import ConfigError, read_text
+from switchsim.block_store import CacheState, ModelManifest
+from switchsim.errors import BudgetExceededError, ConfigError, read_text
 from switchsim.sparsity import MetricOracle, SelectionResult, TaskSpec
 from switchsim.switching import CostModel, DeployMode, SwitchReport
 from switchsim.transitions import TransitionModel
@@ -144,18 +145,30 @@ def enumerate_table_entries(oracle: MetricOracle, num_blocks: int) -> list[dict]
     return rows
 
 
+def reference_device_bytes(manifest: ModelManifest, target: frozenset[int],
+                           gpu_budget: int) -> int:
+    """The bytes of the device set ``target``, summed block by block;
+    raises :class:`BudgetExceededError` when they exceed ``gpu_budget``."""
+    target_bytes = sum(manifest.block_sizes[b] for b in target)
+    if target_bytes > gpu_budget:
+        raise BudgetExceededError("gpu", target_bytes - gpu_budget)
+    return target_bytes
+
+
 def reference_switch(state: CacheState, from_task: str, to_task: str,
                      mode: DeployMode, skipped: Mapping[str, frozenset[int]],
-                     cost: CostModel, manifest: ModelManifest
+                     cost: CostModel, manifest: ModelManifest, gpu_budget: int
                      ) -> tuple[CacheState, SwitchReport]:
     """One switch with every set and per-block link cost rebuilt on the spot.
 
     Takes each task's skip set and derives the active set itself, in every
-    mode on a :class:`CacheState`. Same semantics as
+    mode on a :class:`CacheState`, and refuses an incoming target over
+    ``gpu_budget`` bytes with :func:`reference_device_bytes`. Same semantics as
     :meth:`switchsim.switching.SwitchTable.report` in the host-free modes
-    and :func:`switchsim.switching.execute_switch` in full_method; each
-    leg's milliseconds are ``math.fsum`` of its blocks' costs, so they
-    agree exactly.
+    and :func:`switchsim.switching.execute_switch` in full_method, whose
+    caller refuses an over-budget target with
+    :func:`switchsim.block_store.check_device`; each leg's milliseconds are
+    ``math.fsum`` of its blocks' costs, so they agree exactly.
     """
     mode = DeployMode(mode)
     n = manifest.num_blocks
@@ -166,7 +179,8 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
             if task not in skipped:
                 raise ConfigError(f"no skip set for task {task!r}")
         target = frozenset(range(n)) - skipped[to_task]
-    new_state = load_to_gpu(state, target, manifest.bytes_of(target))
+    target_bytes = reference_device_bytes(manifest, target, gpu_budget)
+    new_state = state._replace(gpu_resident=target)
 
     if mode.is_split:
         need = target - state.gpu_resident
@@ -196,7 +210,7 @@ def reference_switch(state: CacheState, from_task: str, to_task: str,
         blocks_reused=reused,
         blocks_fetched=len(disk_leg) if mode.is_split else len(gpu_leg),
         blocks_prestaged=len(prestaged),
-        gpu_resident_bytes_after=manifest.bytes_of(new_state.gpu_resident),
+        gpu_resident_bytes_after=target_bytes,
     )
     return new_state, report
 

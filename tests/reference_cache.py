@@ -8,8 +8,10 @@ of both tiers, and ``execute_prefetch`` finds the prefix the window
 covers, then stages one block per ``stage_to_cpu`` call, building
 ``protected | plan blocks`` each time; a failure there reports the whole
 prefix's shortfall. New
-states come from ``CacheState._replace``. Each function derives the host
-set from ``cpu_lru`` itself, where the fast path reads the order alone.
+states come from ``CacheState._replace``, and each function that needs
+the host budget takes it as ``cpu_budget``. Each function derives the
+host set from ``cpu_lru`` itself, where the fast path reads the order
+alone.
 The functions in ``switchsim.block_store`` and ``switchsim.prefetch`` are
 checked against these.
 
@@ -61,7 +63,7 @@ def reference_evict(manifest: ModelManifest, state: CacheState, bytes_needed: in
 
 
 def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
-                           blocks: Iterable[int],
+                           blocks: Iterable[int], cpu_budget: int,
                            protected: frozenset[int] = frozenset(),
                            next_task_probs: Mapping[int, float] | None = None
                            ) -> tuple[CacheState, int]:
@@ -74,7 +76,7 @@ def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
     resident = frozenset(state.cpu_lru)
     new_blocks = wanted - resident
     bytes_moved = manifest.bytes_of(new_blocks)
-    overflow = manifest.bytes_of(resident) + bytes_moved - state.cpu_budget_bytes
+    overflow = manifest.bytes_of(resident) + bytes_moved - cpu_budget
     if overflow > 0:
         state = reference_evict(manifest, state, overflow,
                                 protected=protected | wanted,
@@ -83,12 +85,13 @@ def reference_stage_to_cpu(manifest: ModelManifest, state: CacheState,
 
 
 def reference_plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
-                            state: CacheState, manifest: ModelManifest) -> PrefetchPlan:
+                            state: CacheState, manifest: ModelManifest,
+                            cpu_budget: int) -> PrefetchPlan:
     resident = frozenset(state.cpu_lru)
     candidates = tiers.preload - resident - state.gpu_resident
     ranked = sorted(candidates, key=lambda b: (-weights.get(b, 0.0), b))
     keep = resident & (tiers.runtime | tiers.preload)
-    capacity = state.cpu_budget_bytes - manifest.bytes_of(keep)
+    capacity = cpu_budget - manifest.bytes_of(keep)
     entries: list[int] = []
     used = 0
     for b in ranked:
@@ -102,7 +105,7 @@ def reference_plan_prefetch(tiers: TierAssignment, weights: Mapping[int, float],
 
 def reference_execute_prefetch(plan: PrefetchPlan, state: CacheState,
                                compute_window_ms: float, cost: CostModel,
-                               manifest: ModelManifest,
+                               manifest: ModelManifest, cpu_budget: int,
                                protected: frozenset[int] = frozenset(),
                                next_task_probs: Mapping[int, float] | None = None
                                ) -> tuple[CacheState, tuple[int, ...], int]:
@@ -118,7 +121,7 @@ def reference_execute_prefetch(plan: PrefetchPlan, state: CacheState,
     for i, block in enumerate(staged):
         try:
             state, moved = reference_stage_to_cpu(
-                manifest, state, {block},
+                manifest, state, {block}, cpu_budget,
                 protected=protected | frozenset(plan.entries),
                 next_task_probs=next_task_probs,
             )

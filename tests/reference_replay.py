@@ -25,7 +25,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from switchsim.block_store import CacheState, load_to_gpu
+from switchsim.block_store import CacheState
 from switchsim.errors import ReplayError, SwitchSimError
 from switchsim.prefetch import block_usefulness
 from switchsim.replay import ReplayReport, Scenario, _fmt_ms
@@ -33,7 +33,7 @@ from switchsim.sparsity import SelectionResult, jaccard
 from switchsim.switching import DeployMode, SwitchReport
 from switchsim.transitions import TierAssignment, TransitionModel, assign_tiers
 
-from reference import reference_switch
+from reference import reference_device_bytes, reference_switch
 from reference_cache import reference_execute_prefetch, reference_plan_prefetch
 
 
@@ -54,8 +54,7 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
     skipped = {tid: r.skipped for tid, r in selections.items()}
     active = {tid: frozenset(range(n)) - s for tid, s in skipped.items()}
     tiering: dict[str, tuple[TierAssignment, dict[int, float], frozenset[int]]] = {}
-    state = CacheState(gpu_budget_bytes=config.gpu_budget_bytes,
-                       cpu_budget_bytes=config.cpu_budget_bytes)
+    gpu_budget, cpu_budget = config.gpu_budget_bytes, config.cpu_budget_bytes
     switches: list[SwitchReport] = []
     # The scenario's trace holds task indices; this loop reads the ids.
     trace = [scenario.task_ids[i] for i in scenario.trace]
@@ -63,7 +62,8 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
         first = trace[0]
         try:
             target = manifest.all_blocks if mode is DeployMode.MONOLITHIC else active[first]
-            state = load_to_gpu(state, target, manifest.bytes_of(target))
+            reference_device_bytes(manifest, target, gpu_budget)
+            state = CacheState(gpu_resident=target)
         except SwitchSimError as exc:
             raise ReplayError(str(exc), position=0) from exc
         current = first
@@ -78,14 +78,15 @@ def reference_replay(scenario: Scenario, mode: DeployMode,
                         useful = block_usefulness(current, model, active)
                         tiering[current] = (tiers, useful, tiers.runtime | tiers.preload)
                     tiers, useful, protected = tiering[current]
-                    plan = reference_plan_prefetch(tiers, useful, state, manifest)
+                    plan = reference_plan_prefetch(tiers, useful, state, manifest,
+                                                   cpu_budget)
                     state, _staged, _moved = reference_execute_prefetch(
-                        plan, state, config.compute_window_ms, cost, manifest,
+                        plan, state, config.compute_window_ms, cost, manifest, cpu_budget,
                         protected=protected, next_task_probs=useful,
                     )
                 if task != current:
                     state, report = reference_switch(state, current, task, mode, skipped,
-                                                     cost, manifest)
+                                                     cost, manifest, gpu_budget)
                     switches.append(report)
                     current = task
             except SwitchSimError as exc:

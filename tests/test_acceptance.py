@@ -118,7 +118,6 @@ def test_mode_ordering_over_random_scenarios():
         actives = {t: frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
                    for t in tasks}
         table = SwitchTable(manifest, cost, actives)
-        total = sum(manifest.block_sizes)
         # full_method's device, which each switch carries to the next; the
         # host-free modes' switches depend on the task pair alone.
         device = actives[tasks[0]]
@@ -129,8 +128,7 @@ def test_mode_ordering_over_random_scenarios():
             lat = {}
             for mode in DeployMode:
                 if mode is DeployMode.FULL_METHOD:
-                    state = CacheState(gpu_budget_bytes=total, cpu_budget_bytes=total,
-                                       gpu_resident=device, cpu_lru=prestage)
+                    state = CacheState(device, prestage)
                     after, report = execute_switch(state, current, nxt, table)
                     device = after.gpu_resident
                 else:
@@ -204,11 +202,7 @@ def test_zero_fetch_switch():
     manifest = ModelManifest("m", (50_000_000,) * 8)
     actives = {"wide": frozenset(range(6)), "narrow": frozenset(range(5))}
     active_wide = actives["wide"]
-    state = CacheState(
-        gpu_budget_bytes=sum(manifest.block_sizes),
-        cpu_budget_bytes=sum(manifest.block_sizes),
-        gpu_resident=active_wide,
-    )
+    state = CacheState(active_wide)
     cost = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0,
                      per_block_fixed_ms=1.0, monolithic_init_ms=250.0)
     assert actives["narrow"] < active_wide  # strictly drops blocks

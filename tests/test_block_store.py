@@ -1,4 +1,4 @@
-"""Block manifest, host staging and eviction, and device loading semantics,
+"""Block manifest, host staging and eviction, the device and host checks,
 and the states and plans the hot path builds without their ``__new__``."""
 from __future__ import annotations
 
@@ -6,29 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsim.block_store import (CacheState, ModelManifest, evict, load_to_gpu,
+from switchsim.block_store import (CacheState, ModelManifest, check_device, check_host, evict,
                                    stage_to_cpu)
 from switchsim.errors import BudgetExceededError, ManifestError
 from switchsim.prefetch import PrefetchPlan, plan_prefetch
+from switchsim.switching import CostModel, SwitchTable, execute_switch
 
 from opharness import run_random_ops
 
 MB = 1_000_000
+COST = CostModel(disk_to_cpu_mbps=2000.0, cpu_to_gpu_mbps=8000.0)
 
 
 def uniform_manifest(n: int, size: int = 10 * MB) -> ModelManifest:
     return ModelManifest(f"m{n}", (size,) * n)
 
 
-def state_with(manifest: ModelManifest, gpu=(), cpu=(), gpu_budget=None,
-               cpu_budget=None) -> CacheState:
-    total = sum(manifest.block_sizes)
-    return CacheState(
-        gpu_budget_bytes=total if gpu_budget is None else gpu_budget,
-        cpu_budget_bytes=total if cpu_budget is None else cpu_budget,
-        gpu_resident=frozenset(gpu),
-        cpu_lru=tuple(cpu),
-    )
+def state_with(gpu=(), cpu=()) -> CacheState:
+    return CacheState(frozenset(gpu), tuple(cpu))
+
+
+def whole(manifest: ModelManifest) -> int:
+    """A budget that holds the whole model."""
+    return sum(manifest.block_sizes)
 
 
 class TestManifest:
@@ -60,36 +60,36 @@ class TestManifest:
 class TestStageToCpu:
     def test_empty_cache_fill(self):
         m = uniform_manifest(8)
-        state, moved = stage_to_cpu(m, state_with(m), {3, 4})
+        state, moved = stage_to_cpu(m, state_with(), {3, 4}, whole(m))
         assert state.cpu_resident == {3, 4}
         assert moved == 20 * MB
 
     def test_resident_block_refused(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, cpu=(3,))
+        s0 = state_with(cpu=(3,))
         with pytest.raises(ManifestError, match="does not hold"):
-            stage_to_cpu(m, s0, {3, 4})
+            stage_to_cpu(m, s0, {3, 4}, whole(m))
         assert s0.cpu_lru == (3,)  # untouched
 
     def test_budget_exceeded_reports_shortfall(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, cpu_budget=15 * MB)
+        s0 = state_with()
         with pytest.raises(BudgetExceededError) as err:
-            stage_to_cpu(m, s0, {3, 4})
+            stage_to_cpu(m, s0, {3, 4}, 15 * MB)
         assert err.value.shortfall_bytes == 5 * MB
         assert s0.cpu_resident == frozenset()  # untouched
 
     def test_repeated_block_refused(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, cpu=(1,))
+        s0 = state_with(cpu=(1,))
         with pytest.raises(ManifestError, match="distinct"):
-            stage_to_cpu(m, s0, [4, 3, 4])
+            stage_to_cpu(m, s0, [4, 3, 4], whole(m))
         assert s0.cpu_lru == (1,)  # untouched
 
     def test_unknown_block_rejected(self):
         m = uniform_manifest(4)
         with pytest.raises(ManifestError):
-            stage_to_cpu(m, state_with(m), {9})
+            stage_to_cpu(m, state_with(), {9}, whole(m))
 
     @pytest.mark.parametrize("num_blocks, blocks", [
         (16, [3, 256]), (16, (300,)), (300, [3, 256]), (300, (299,)),
@@ -99,42 +99,38 @@ class TestStageToCpu:
         # 16-block manifest is a ManifestError that leaves the state as it
         # was, and known to a 300-block one stages after the resident ids.
         m = uniform_manifest(num_blocks)
-        s0 = state_with(m, cpu=(1, 2))
+        s0 = state_with(cpu=(1, 2))
         if num_blocks < max(blocks):
             with pytest.raises(ManifestError, match="unknown"):
-                stage_to_cpu(m, s0, blocks)
+                stage_to_cpu(m, s0, blocks, whole(m))
             assert s0.cpu_lru == (1, 2)
         else:
-            state, moved = stage_to_cpu(m, s0, blocks)
+            state, moved = stage_to_cpu(m, s0, blocks, whole(m))
             assert state.cpu_lru == (1, 2, *blocks)
             assert moved == len(blocks) * 10 * MB
 
 
-class TestLoadToGpu:
-    def test_device_holds_exactly_the_target(self):
+class TestCheckDevice:
+    def test_target_that_fills_the_budget_passes(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, gpu=(0, 1, 2), cpu=(5,))
-        state = load_to_gpu(s0, frozenset({2, 3}), 20 * MB)
-        assert state.gpu_resident == {2, 3}  # 0 and 1 dropped, 3 added
-        assert state.cpu_resident == {5}
+        assert check_device(m, frozenset({2, 3}), 20 * MB) is None
 
-    def test_over_budget_target_raises_and_leaves_state(self):
+    def test_over_budget_target_reports_shortfall(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, gpu=(0,), gpu_budget=25 * MB)
         with pytest.raises(BudgetExceededError) as err:
-            load_to_gpu(s0, frozenset({1, 2, 3}), 30 * MB)
-        assert err.value.tier == "gpu"
-        assert err.value.shortfall_bytes == 5 * MB
-        assert s0.gpu_resident == {0}  # untouched
+            check_device(m, frozenset({1, 2, 3}), 25 * MB)
+        assert (err.value.tier, err.value.shortfall_bytes) == ("gpu", 5 * MB)
+
+    def test_unknown_block_rejected_before_the_budget(self):
+        m = uniform_manifest(4)
+        with pytest.raises(ManifestError, match="unknown"):
+            check_device(m, frozenset({0, 4}), 0)
 
 
 class TestEvict:
     def test_lru_tie_break_hand_trace(self):
         m = uniform_manifest(8)
-        s0 = CacheState(
-            gpu_budget_bytes=sum(m.block_sizes), cpu_budget_bytes=sum(m.block_sizes),
-            cpu_lru=(1, 2, 0),
-        )
+        s0 = CacheState(cpu_lru=(1, 2, 0))
         state = evict(m, s0, 10 * MB, protected=frozenset({0}))
         assert state.cpu_resident == {0, 2}
         assert state.cpu_lru == (2, 0)
@@ -148,26 +144,26 @@ class TestEvict:
     ], ids=["one-victim", "exact-cover", "one-past-cover", "all-unprotected"])
     def test_protected_blocks_between_victims_hand_trace(self, needed, lru):
         m = uniform_manifest(8)
-        s0 = state_with(m, gpu=(5,), cpu=(0, 1, 2, 3, 4))
+        s0 = state_with(gpu=(5,), cpu=(0, 1, 2, 3, 4))
         state = evict(m, s0, needed, protected=frozenset({1, 3}))
         assert state.cpu_lru == lru
         assert state.gpu_resident == s0.gpu_resident
 
     def test_shortfall_past_every_unprotected_block(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, cpu=(0, 1, 2, 3, 4))
+        s0 = state_with(cpu=(0, 1, 2, 3, 4))
         with pytest.raises(BudgetExceededError) as err:
             evict(m, s0, 30 * MB + 1, protected=frozenset({1, 3}))
         assert (err.value.tier, err.value.shortfall_bytes) == ("cpu", 1)
 
     def test_zero_bytes_needed_is_identity(self):
         m = uniform_manifest(4)
-        s0 = state_with(m, cpu=(0, 1))
+        s0 = state_with(cpu=(0, 1))
         assert evict(m, s0, 0) == s0
 
     def test_all_protected_raises(self):
         m = uniform_manifest(4)
-        s0 = state_with(m, cpu=(0, 1))
+        s0 = state_with(cpu=(0, 1))
         with pytest.raises(BudgetExceededError):
             evict(m, s0, 1, protected=frozenset({0, 1}))
 
@@ -190,29 +186,36 @@ def assert_like_constructed(built: tuple, cls: type) -> None:
 class TestBuiltStates:
     """The states the operations build behave as constructor-built ones."""
 
-    def test_stage_evict_and_load_build_cache_states(self):
+    def test_stage_and_evict_build_cache_states(self):
         m = uniform_manifest(8)
-        s0 = state_with(m, cpu=(0, 1, 2), cpu_budget=40 * MB)
-        staged, _ = stage_to_cpu(m, s0, (3, 4), frozenset({1}))
+        s0 = state_with(gpu=(5,), cpu=(0, 1, 2))
+        staged, _ = stage_to_cpu(m, s0, (3, 4), 40 * MB, frozenset({1}))
         assert staged.cpu_lru == (1, 2, 3, 4)
         evicted = evict(m, staged, 10 * MB)
-        loaded = load_to_gpu(staged, frozenset({5}), 10 * MB)
-        for state in (staged, evicted, loaded):
+        for state in (staged, evicted):
             assert_like_constructed(state, CacheState)
-        assert evicted == state_with(m, cpu=(2, 3, 4), cpu_budget=40 * MB)
-        assert loaded == state_with(m, gpu=(5,), cpu=(1, 2, 3, 4), cpu_budget=40 * MB)
-        assert loaded.cpu_resident == frozenset({1, 2, 3, 4})
+        assert staged == state_with(gpu=(5,), cpu=(1, 2, 3, 4))
+        assert evicted == state_with(gpu=(5,), cpu=(2, 3, 4))
+        assert evicted.cpu_resident == frozenset({2, 3, 4})
+
+    def test_switches_build_cache_states(self):
+        # A switch builds the incoming device's state the same way.
+        m = uniform_manifest(8)
+        table = SwitchTable(m, COST, {"a": frozenset({0, 1}), "b": frozenset({1, 5})})
+        switched, _ = execute_switch(state_with(gpu=(0, 1), cpu=(5,)), "a", "b", table)
+        assert_like_constructed(switched, CacheState)
+        assert switched == state_with(gpu=(1, 5), cpu=(5,))
 
     def test_built_states_key_a_dict_with_constructed_ones(self):
         m = uniform_manifest(4)
-        built = stage_to_cpu(m, state_with(m), (2, 0))[0]
-        assert {state_with(m, cpu=(2, 0)): "x"}[built] == "x"
+        built = stage_to_cpu(m, state_with(), (2, 0), whole(m))[0]
+        assert {state_with(cpu=(2, 0)): "x"}[built] == "x"
 
     def test_plans_are_built_as_prefetch_plans(self):
         # The planner builds its plans the same way.
         m = uniform_manifest(8)
         plan = plan_prefetch((5, 3, 4), frozenset({0, 3, 4, 5}),
-                             state_with(m, gpu=(0,), cpu=(4,), cpu_budget=30 * MB), m)
+                             state_with(gpu=(0,), cpu=(4,)), m, 30 * MB)
         assert_like_constructed(plan, PrefetchPlan)
         assert plan == PrefetchPlan((5, 3))
 
@@ -235,17 +238,17 @@ class TestCheckHost:
     def test_block_listed_twice_rejected(self):
         m = uniform_manifest(4)
         with pytest.raises(ManifestError, match="twice"):
-            state_with(m, cpu=(1, 2, 1)).check_host(m)
+            check_host(m, (1, 2, 1), whole(m))
 
     def test_unknown_block_rejected(self):
         m = uniform_manifest(4)
         with pytest.raises(ManifestError, match="unknown"):
-            state_with(m, cpu=(0, 4)).check_host(m)
+            check_host(m, (0, 4), whole(m))
 
     def test_over_budget_rejected(self):
         m = uniform_manifest(4)
         with pytest.raises(BudgetExceededError) as err:
-            state_with(m, cpu=(0, 1, 2), cpu_budget=25 * MB).check_host(m)
+            check_host(m, (0, 1, 2), 25 * MB)
         assert (err.value.tier, err.value.shortfall_bytes) == ("cpu", 5 * MB)
 
 
@@ -260,23 +263,28 @@ class TestProperties:
         run_random_ops(seed)
 
     def test_restage_refused_and_reload_idempotent(self):
+        # A switch loads the device and the replay checks the target; a
+        # second switch onto the same target leaves the state as it was.
         m = uniform_manifest(6)
-        target = {1, 3, 5}
-        state, _ = stage_to_cpu(m, state_with(m), target)
+        target = frozenset({1, 3, 5})
+        state, _ = stage_to_cpu(m, state_with(gpu=(0,)), target, whole(m))
         with pytest.raises(ManifestError):
-            stage_to_cpu(m, state, target)
-        target_bytes = m.bytes_of(target)
-        loaded = load_to_gpu(state, frozenset(target), target_bytes)
-        assert loaded.gpu_resident == target
-        assert load_to_gpu(loaded, frozenset(target), target_bytes) == loaded
+            stage_to_cpu(m, state, target, whole(m))
+        table = SwitchTable(m, COST, {"a": frozenset({0}), "b": target})
+        loaded, _ = execute_switch(state, "a", "b", table)
+        check_device(m, loaded.gpu_resident, m.bytes_of(target))
+        assert loaded == state._replace(gpu_resident=target)
+        assert execute_switch(loaded, "b", "b", table)[0] == loaded
 
     def test_determinism(self):
         m = uniform_manifest(8)
-        s0 = CacheState(
-            gpu_budget_bytes=35 * MB, cpu_budget_bytes=25 * MB,
-            gpu_resident=frozenset({0, 1, 2}),
-            cpu_lru=(4, 3),
-        )
-        runs = [load_to_gpu(stage_to_cpu(m, s0, {5})[0], frozenset({1, 5}), 20 * MB)
-                for _ in range(3)]
+        s0 = CacheState(frozenset({0, 1, 2}), (4, 3))
+        table = SwitchTable(m, COST, {"a": frozenset({0, 1, 2}), "b": frozenset({1, 5})})
+        runs = []
+        for _ in range(3):
+            staged, _ = stage_to_cpu(m, s0, {5}, 25 * MB)
+            loaded, report = execute_switch(staged, "a", "b", table)
+            check_device(m, loaded.gpu_resident, 35 * MB)
+            runs.append((loaded, report))
         assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == CacheState(frozenset({1, 5}), (3, 5))

@@ -131,8 +131,8 @@ def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
     same input state, floats unrounded, in all four modes: full_method's
     ``execute_switch`` the reference's state and report, and a host-free
     mode's ``SwitchTable.report`` the reference's report from the state the
-    pair fixes (the device on the outgoing target, an empty host, the
-    config's budgets). Every reported switch is one of those checked
+    pair fixes (the device on the outgoing target, an empty host), under
+    the config's device budget. Every reported switch is one of those checked
     results, and the replay computes one switch per distinct step key that
     switches."""
     config = write_case("32-blocks-varied-sizes", tmp_path)
@@ -148,7 +148,8 @@ def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
     def reference(state, from_task, to_task, mode):
         skipped = {tid: r.skipped for tid, r in
                    selections_by_align[mode is DeployMode.FULL_METHOD].items()}
-        return reference_switch(state, from_task, to_task, mode, skipped, cost, manifest)
+        return reference_switch(state, from_task, to_task, mode, skipped, cost, manifest,
+                                config.gpu_budget_bytes)
 
     def checked_switch(state, from_task, to_task, table):
         result = switch(state, from_task, to_task, table)
@@ -158,8 +159,7 @@ def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
 
     def checked_report(table, mode, from_task, to_task):
         result = report(table, mode, from_task, to_task)
-        state = CacheState(config.gpu_budget_bytes, config.cpu_budget_bytes,
-                           table.target(mode, from_task))
+        state = CacheState(table.target(mode, from_task))
         after, expected = reference(state, from_task, to_task, mode)
         assert result == expected
         assert after == state._replace(gpu_resident=table.target(mode, to_task))

@@ -43,7 +43,8 @@ def usefulness(blocks: frozenset[int]):
 
 @st.composite
 def cache_cases(draw):
-    """A manifest, a consistent state, usefulness weights and a protected set.
+    """A manifest, a consistent state, a host budget, usefulness weights and
+    a protected set.
 
     Sizes are uniform or varied. The weights name protected blocks only,
     as in a replay, where the reference's usefulness-aware eviction and
@@ -57,20 +58,16 @@ def cache_cases(draw):
     manifest = ModelManifest("m", sizes)
     blocks = st.integers(0, n - 1)
     lru = tuple(draw(st.lists(blocks, unique=True)))
-    state = CacheState(
-        gpu_budget_bytes=draw(st.integers(max(sizes), sum(sizes) + 10)),
-        cpu_budget_bytes=draw(st.integers(max(sizes), sum(sizes) + 10)),
-        gpu_resident=frozenset(draw(st.lists(blocks, unique=True))),
-        cpu_lru=lru,
-    )
+    budget = draw(st.integers(max(sizes), sum(sizes) + 10))
+    state = CacheState(frozenset(draw(st.lists(blocks, unique=True))), lru)
     protected = frozenset(draw(st.lists(blocks, unique=True)))
-    return manifest, state, draw(usefulness(protected)), protected
+    return manifest, state, budget, draw(usefulness(protected)), protected
 
 
 @settings(max_examples=300, deadline=None)
 @given(cache_cases(), st.data())
 def test_evict_matches_reference(case, data):
-    manifest, state, probs, protected = case
+    manifest, state, _budget, probs, protected = case
     needed = data.draw(st.integers(-5, sum(manifest.block_sizes) + 5))
     assert outcome(evict, manifest, state, needed, protected) \
         == outcome(reference_evict, manifest, state, needed, protected, probs)
@@ -79,17 +76,17 @@ def test_evict_matches_reference(case, data):
 @settings(max_examples=300, deadline=None)
 @given(cache_cases(), st.data())
 def test_stage_to_cpu_matches_reference(case, data):
-    manifest, state, probs, protected = case
+    manifest, state, budget, probs, protected = case
     # Ids may repeat or be host-resident, and one id past the manifest is
     # drawn too; half the draws take only ids the host does not hold.
     ids = range(manifest.num_blocks + 1)
     if data.draw(st.booleans()):
         ids = [b for b in ids if b not in state.cpu_lru]
     wanted = data.draw(st.lists(st.sampled_from(ids), unique=data.draw(st.booleans())))
-    fast = outcome(stage_to_cpu, manifest, state, wanted, protected)
+    fast = outcome(stage_to_cpu, manifest, state, wanted, budget, protected)
     if len(set(wanted)) == len(wanted) and state.cpu_resident.isdisjoint(wanted):
-        assert fast == outcome(reference_stage_to_cpu, manifest, state, wanted, protected,
-                               probs)
+        assert fast == outcome(reference_stage_to_cpu, manifest, state, wanted, budget,
+                               protected, probs)
     else:
         assert fast == (ManifestError, None)
 
@@ -97,7 +94,7 @@ def test_stage_to_cpu_matches_reference(case, data):
 @settings(max_examples=300, deadline=None)
 @given(cache_cases(), st.data())
 def test_plan_and_execute_prefetch_match_reference(case, data):
-    manifest, state, _probs, protected = case
+    manifest, state, budget, _probs, protected = case
     blocks = st.integers(0, manifest.num_blocks - 1)
     runtime = frozenset(data.draw(st.lists(blocks, unique=True)))
     preload = frozenset(data.draw(st.lists(blocks, unique=True)))
@@ -106,8 +103,8 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
     tiers = TierAssignment(runtime=runtime, preload=preload)
     weights = data.draw(usefulness(runtime | preload)) or {}
     ranked = tuple(sorted(preload, key=lambda b: (-weights.get(b, 0.0), b)))
-    plan = plan_prefetch(ranked, runtime | preload, state, manifest)
-    assert plan == reference_plan_prefetch(tiers, weights, state, manifest)
+    plan = plan_prefetch(ranked, runtime | preload, state, manifest, budget)
+    assert plan == reference_plan_prefetch(tiers, weights, state, manifest, budget)
     window = data.draw(st.floats(0.0, sum(manifest.block_sizes) + 5.0))
     absent = sorted(manifest.all_blocks - state.cpu_resident)
     shape = data.draw(st.sampled_from(["planned", "any", "full-host"]))
@@ -122,8 +119,7 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
         # carry the whole plan's shortfall.
         protected |= state.cpu_resident
         free = data.draw(st.integers(0, manifest.bytes_of(plan.entries) - 1))
-        state = state._replace(
-            cpu_budget_bytes=manifest.bytes_of(state.cpu_resident) + free)
+        budget = manifest.bytes_of(state.cpu_resident) + free
         window = sum(manifest.block_sizes) + 5.0
     elif data.draw(st.booleans()):
         protected = runtime | preload  # contains the plan, as in a replay
@@ -131,21 +127,20 @@ def test_plan_and_execute_prefetch_match_reference(case, data):
     # protected blocks.
     useful = {b: w for b, w in weights.items() if b in protected}
     assert outcome(execute_prefetch, plan, state, window, disk_ms(manifest), manifest,
-                   protected) \
+                   budget, protected) \
         == outcome(reference_execute_prefetch, plan, state, window, COST, manifest,
-                   protected, useful)
+                   budget, protected, useful)
 
 
 def test_execute_prefetch_reports_the_whole_prefixs_shortfall():
     # Staging 2 overflows the full, protected host by 10 bytes, and 3 as
     # well by 20: the window covers both, so the error carries 20.
     manifest = ModelManifest("m", (10, 10, 10, 10))
-    state = CacheState(gpu_budget_bytes=40, cpu_budget_bytes=20,
-                       cpu_lru=(0, 1))
+    state = CacheState(cpu_lru=(0, 1))
     plan, protected = PrefetchPlan((2, 3)), frozenset({0, 1})
-    assert outcome(reference_execute_prefetch, plan, state, 100.0, COST, manifest,
+    assert outcome(reference_execute_prefetch, plan, state, 100.0, COST, manifest, 20,
                    protected) == (BudgetExceededError, 20)
-    assert outcome(execute_prefetch, plan, state, 100.0, disk_ms(manifest), manifest,
+    assert outcome(execute_prefetch, plan, state, 100.0, disk_ms(manifest), manifest, 20,
                    protected) == (BudgetExceededError, 20)
 
 
@@ -162,10 +157,10 @@ SIZED = ModelManifest("m", (10, 20, 30, 40, 50, 60))
     ((0, 1, 2), [5, 3], 110, (BudgetExceededError, 10)),
 ], ids=["fresh-evicting", "fresh", "fresh-short"])
 def test_stage_to_cpu_hand_cases_match_reference(lru, blocks, budget, expected):
-    state = CacheState(gpu_budget_bytes=210, cpu_budget_bytes=budget, cpu_lru=lru)
+    state = CacheState(cpu_lru=lru)
     protected = frozenset({1})
-    fast = outcome(stage_to_cpu, SIZED, state, blocks, protected)
-    assert fast == outcome(reference_stage_to_cpu, SIZED, state, blocks, protected)
+    fast = outcome(stage_to_cpu, SIZED, state, blocks, budget, protected)
+    assert fast == outcome(reference_stage_to_cpu, SIZED, state, blocks, budget, protected)
     if isinstance(fast, tuple) and isinstance(fast[0], CacheState):
         fast = (fast[0].cpu_lru, fast[1])
     assert fast == expected
@@ -178,9 +173,9 @@ def test_stage_to_cpu_hand_cases_match_reference(lru, blocks, budget, expected):
     ((0,), [3, 4, 3]),          # repeated, none resident
 ], ids=["partly-resident", "resident-protected", "repeat-resident", "repeat-fresh"])
 def test_stage_to_cpu_refuses_resident_or_repeated_blocks(lru, blocks):
-    state = CacheState(gpu_budget_bytes=210, cpu_budget_bytes=210, cpu_lru=lru)
+    state = CacheState(cpu_lru=lru)
     with pytest.raises(ManifestError):
-        stage_to_cpu(SIZED, state, blocks, frozenset({1}))
+        stage_to_cpu(SIZED, state, blocks, 210, frozenset({1}))
     assert state.cpu_lru == lru
 
 
@@ -194,8 +189,8 @@ def test_execute_prefetch_window_boundary_with_fixed_cost(window, staged):
     # bytes take 1.5, 2.5 and 1.0 ms on a 1 MB/s link; every sum is exact.
     cost = CostModel(disk_to_cpu_mbps=1.0, cpu_to_gpu_mbps=1.0, per_block_fixed_ms=0.5)
     manifest = ModelManifest("m", (1000, 2000, 500, 700))
-    state = CacheState(gpu_budget_bytes=4200, cpu_budget_bytes=3500, cpu_lru=(3,))
+    state = CacheState(cpu_lru=(3,))
     plan = PrefetchPlan((0, 1, 2))
-    fast = execute_prefetch(plan, state, window, disk_ms(manifest, cost), manifest)
-    assert fast == reference_execute_prefetch(plan, state, window, cost, manifest)
+    fast = execute_prefetch(plan, state, window, disk_ms(manifest, cost), manifest, 3500)
+    assert fast == reference_execute_prefetch(plan, state, window, cost, manifest, 3500)
     assert fast[1] == staged

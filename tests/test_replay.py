@@ -593,6 +593,23 @@ class TestMemoMatchesReference:
         for mode, report in reports.items():
             assert report == reference_replay(scenario, mode, selections, model)
 
+    # Each layer that takes the host budget, and its argument position.
+    BUDGET_ARGS = {(replay, "plan_prefetch"): 4, (replay, "execute_prefetch"): 5,
+                   (prefetch, "stage_to_cpu"): 3}
+
+    def test_every_layer_takes_the_configs_host_budget(self, tmp_path, monkeypatch):
+        # No state carries a budget, so each call must be handed the
+        # config's; a churning replay reaches every layer that takes one.
+        config = host_churn_scenario(tmp_path)
+        budgets = {}
+        for (module, name), index in self.BUDGET_ARGS.items():
+            def spying(*args, layer=getattr(module, name), name=name, index=index):
+                budgets.setdefault(name, set()).add(args[index])
+                return layer(*args)
+            monkeypatch.setattr(module, name, spying)
+        run_config(config)
+        assert budgets == {name: {config.cpu_budget_bytes} for _, name in self.BUDGET_ARGS}
+
     def test_each_distinct_step_prefetches_and_switches_once(self, tmp_path,
                                                              monkeypatch):
         # Each distinct (current, next, host) key runs execute_prefetch
@@ -633,15 +650,14 @@ class TestMemoMatchesReference:
     def test_each_computed_step_starts_from_its_memo_key(self, tmp_path, monkeypatch):
         # The replay computes a step at its key's first occurrence, and the
         # state it plans from is built from that key alone: the running
-        # task's target, by identity, the key's ``cpu_lru`` and the
-        # config's budgets.
+        # task's target, by identity, and the key's ``cpu_lru``.
         config = host_churn_scenario(tmp_path)
         tables = self.switch_tables(monkeypatch)
         inputs = []
 
-        def recording(ranked, protected, state, manifest):
+        def recording(ranked, protected, state, manifest, budget):
             inputs.append(state)
-            return plan(ranked, protected, state, manifest)
+            return plan(ranked, protected, state, manifest, budget)
 
         plan = replay.plan_prefetch
         monkeypatch.setattr(replay, "plan_prefetch", recording)
@@ -652,8 +668,7 @@ class TestMemoMatchesReference:
         [table] = tables
         for state, (current, _task, before) in zip(inputs, keys):
             target = table.target(DeployMode.FULL_METHOD, current)
-            assert state == CacheState(config.gpu_budget_bytes, config.cpu_budget_bytes,
-                                       target, before.cpu_lru)
+            assert state == CacheState(target, before.cpu_lru)
             assert state.gpu_resident is target
 
     @staticmethod
@@ -768,30 +783,6 @@ class TestHostFreeModes:
             == reference_replay(scenario, mode, selections, model)
 
     @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
-    def test_device_budget_failure_deep_in_the_trace(self, mode):
-        # Task "c" first runs at position 56, after the trace has repeated
-        # other pairs and self-steps; its 90 bytes exceed the 60-byte device.
-        # The whole model never fits, so monolithic fails on the first load.
-        trace = self.LOOP * 6 + ["a", "a", "c", "c", "b"]
-        scenario, selections, model = host_free_scenario(trace, 60)
-        fast, ref = (replay_outcome(fn, scenario, mode, selections, model)
-                     for fn in (replay_mode, reference_replay))
-        assert fast == ref
-        assert fast[0] == (0 if mode is DeployMode.MONOLITHIC else 56)
-        assert "gpu budget exceeded by" in fast[1]
-
-    @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
-    def test_device_budget_failure_on_the_first_task(self, mode):
-        # The first task's target is checked at position 0, before any pair.
-        scenario, selections, model = host_free_scenario(["c", "a", "b", "c"], 60)
-        fast, ref = (replay_outcome(fn, scenario, mode, selections, model)
-                     for fn in (replay_mode, reference_replay))
-        # "c" holds 90 bytes, the whole model 100.
-        shortfall = 40 if mode is DeployMode.MONOLITHIC else 30
-        assert fast == ref == (0, f"gpu budget exceeded by {shortfall} bytes "
-                                  "(trace position 0)")
-
-    @pytest.mark.parametrize("mode", HOST_FREE, ids=lambda m: m.value)
     def test_failing_switch_fails_at_the_pairs_first_position(self, monkeypatch, mode):
         # The pair ("b", "c") first switches at position 28, and again at 31;
         # the table computes each pair once, and its error takes the first.
@@ -818,6 +809,37 @@ class TestHostFreeModes:
                   for mode in HOST_FREE}
         assert orders == {id(scenario.switch_pairs[1])}
         assert scenario.switch_pairs[0] == ((0, 1), (1, 0))
+
+
+class TestDeviceBudget:
+    """Every mode checks each task's device target against the device
+    budget once, with ``check_device``: the first task's at position 0,
+    and each other's at the first switch into it."""
+
+    @pytest.mark.parametrize("mode", DeployMode, ids=lambda m: m.value)
+    def test_device_budget_failure_deep_in_the_trace(self, mode):
+        # Task "c" first runs at position 56, after the trace has repeated
+        # other pairs and self-steps; its 90 bytes exceed the 60-byte device
+        # by 30. The whole model never fits, so monolithic fails on the
+        # first load, by 40.
+        trace = TestHostFreeModes.LOOP * 6 + ["a", "a", "c", "c", "b"]
+        scenario, selections, model = host_free_scenario(trace, 60)
+        fast, ref = (replay_outcome(fn, scenario, mode, selections, model)
+                     for fn in (replay_mode, reference_replay))
+        position, shortfall = (0, 40) if mode is DeployMode.MONOLITHIC else (56, 30)
+        assert fast == ref == (position, f"gpu budget exceeded by {shortfall} bytes "
+                                         f"(trace position {position})")
+
+    @pytest.mark.parametrize("mode", DeployMode, ids=lambda m: m.value)
+    def test_device_budget_failure_on_the_first_task(self, mode):
+        # The first task's target is checked at position 0, before any pair.
+        scenario, selections, model = host_free_scenario(["c", "a", "b", "c"], 60)
+        fast, ref = (replay_outcome(fn, scenario, mode, selections, model)
+                     for fn in (replay_mode, reference_replay))
+        # "c" holds 90 bytes, the whole model 100.
+        shortfall = 40 if mode is DeployMode.MONOLITHIC else 30
+        assert fast == ref == (0, f"gpu budget exceeded by {shortfall} bytes "
+                                  "(trace position 0)")
 
 
 def without_mode(outcome):
@@ -1141,11 +1163,8 @@ class TestStepInvariants:
         # A step without a switch: no device load follows the prefetch.
         (1, lambda state, staged: (
             state._replace(gpu_resident=frozenset()), staged)),
-        # A larger budget passes ``check_host``; the memo key leaves it out.
-        (3, lambda state, staged: (
-            state._replace(cpu_budget_bytes=state.cpu_budget_bytes + 1), staged)),
     ], ids=["lru-lists-a-block-twice", "staged-not-host-resident",
-            "staged-oldest-host-block", "device-emptied", "cpu-budget-changed"])
+            "staged-oldest-host-block", "device-emptied"])
     def test_corrupt_prefetch_fails_at_its_position(self, tmp_path, monkeypatch,
                                                     call, corrupt):
         config = small_scenario(tmp_path, trace=self.TRACE, window=1e9,
@@ -1183,21 +1202,6 @@ class TestStepInvariants:
                                 cpu_budget_blocks=4)
         self.corrupt_switch(monkeypatch, 2, corrupt)
         with pytest.raises(ReplayError, match="device does not hold") as err:
-            run_config(config)
-        assert err.value.position == 3
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda state: state._replace(cpu_budget_bytes=state.cpu_budget_bytes + 1),
-        lambda state: state._replace(gpu_budget_bytes=state.gpu_budget_bytes + 1),
-    ], ids=["cpu-budget-changed", "gpu-budget-changed"])
-    def test_corrupt_switch_budgets_fail_at_its_position(self, tmp_path, monkeypatch,
-                                                         corrupt):
-        # The next step builds its state from the config's budgets, so only
-        # the switch's own check sees a changed one.
-        config = small_scenario(tmp_path, trace=self.TRACE, window=0.0,
-                                cpu_budget_blocks=4)
-        self.corrupt_switch(monkeypatch, 2, corrupt)
-        with pytest.raises(ReplayError, match="cache budgets differ") as err:
             run_config(config)
         assert err.value.position == 3
 

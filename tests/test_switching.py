@@ -3,14 +3,19 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
+from pathlib import Path
 
 import pytest
 
 from switchsim import replay
 from switchsim.block_store import CacheState, ModelManifest, check_device
-from switchsim.errors import BudgetExceededError, ConfigError, SwitchSimError
+from switchsim.errors import BudgetExceededError, ConfigError, ReplayError, SwitchSimError
+from switchsim.replay import Scenario, ScenarioConfig, replay_scenario
+from switchsim.sparsity import SelectionResult, TaskSpec
 from switchsim.switching import (CostModel, DeployMode, SwitchReport, SwitchTable,
                                  calibrate_uniform_block_bytes, execute_switch)
+from switchsim.transitions import fit_transition_model
 
 from reference import reference_switch
 
@@ -26,18 +31,13 @@ def actives_for(actives: dict[str, set[int]]) -> dict[str, frozenset[int]]:
     return {t: frozenset(a) for t, a in actives.items()}
 
 
-def state_for(manifest: ModelManifest, gpu=(), cpu=()) -> CacheState:
-    return CacheState(
-        gpu_budget_bytes=sum(manifest.block_sizes),
-        cpu_budget_bytes=sum(manifest.block_sizes),
-        gpu_resident=frozenset(gpu),
-        cpu_lru=tuple(cpu),
-    )
+def state_for(gpu=(), cpu=()) -> CacheState:
+    return CacheState(frozenset(gpu), tuple(cpu))
 
 
 def on_target(table: SwitchTable, mode: DeployMode, task: str, cpu=()) -> CacheState:
-    """Roomy budgets, the device holding ``task``'s target in ``mode``."""
-    return state_for(table.manifest, gpu=table.target(mode, task), cpu=cpu)
+    """The device holding ``task``'s target in ``mode``."""
+    return state_for(gpu=table.target(mode, task), cpu=cpu)
 
 
 def switch_report(state: CacheState, from_task: str, to_task: str, mode: DeployMode,
@@ -104,7 +104,7 @@ class TestExecuteSwitch:
         assert report.blocks_prestaged == 0
         assert report.blocks_reused == 2
         assert table.target(DeployMode.SPLIT_ONLY, "b") == {1, 2, 3}
-        new_state, full = execute_switch(state_for(manifest, gpu=(0, 1, 2)), "a", "b", table)
+        new_state, full = execute_switch(state_for(gpu=(0, 1, 2)), "a", "b", table)
         assert full == report._replace(mode="full_method")
         assert new_state.gpu_resident == {1, 2, 3}
 
@@ -112,7 +112,7 @@ class TestExecuteSwitch:
         # Three 100 MB differential blocks, all host-resident.
         manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1}, "b": {0, 5, 6, 7}})
-        state = state_for(manifest, gpu=(0, 1), cpu=(5, 6, 7))
+        state = state_for(gpu=(0, 1), cpu=(5, 6, 7))
         _, report = execute_switch(state, "a", "b", SwitchTable(manifest, COST, actives))
         assert report.blocks_prestaged == 3
         assert report.bytes_disk_to_cpu == 0
@@ -121,7 +121,7 @@ class TestExecuteSwitch:
     def test_zero_differential_costs_nothing_in_split_modes(self):
         manifest = ModelManifest("m", (100 * MB,) * 8)
         actives = actives_for({"a": {0, 1, 2}, "b": {1, 2}})
-        state = state_for(manifest, gpu=(0, 1, 2))
+        state = state_for(gpu=(0, 1, 2))
         table = SwitchTable(manifest, COST, actives)
         for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
             report = switch_report(state, "a", "b", mode, table)
@@ -130,20 +130,33 @@ class TestExecuteSwitch:
             assert report.bytes_cpu_to_gpu == 0
 
     def test_active_set_beyond_budget_is_an_error(self):
-        # full_method's switch loads the device and refuses; a host-free
-        # replay checks the incoming target against the device budget with
-        # ``check_device`` and raises the same error.
+        # No switch checks the device budget: in every mode the replay checks
+        # the incoming target with ``check_device``. full_method's switch
+        # hands back the over-budget target, and its replay refuses it at
+        # the switch, position 2.
         manifest = ModelManifest("m", (100 * MB,) * 4)
         actives = actives_for({"a": {0}, "b": {0, 1, 2, 3}})
         table = SwitchTable(manifest, COST, actives)
-        state = CacheState(gpu_budget_bytes=300 * MB,
-                           cpu_budget_bytes=sum(manifest.block_sizes),
-                           gpu_resident=frozenset({0}))
-        with pytest.raises(BudgetExceededError, match="gpu budget exceeded by 100000000"):
-            execute_switch(state, "a", "b", table)
-        for mode in HOST_FREE:
+        for mode in DeployMode:
             with pytest.raises(BudgetExceededError, match="gpu budget exceeded by 100000000"):
                 check_device(manifest, table.target(mode, "b"), 300 * MB)
+        after, _ = execute_switch(state_for(gpu=(0,)), "a", "b", table)
+        assert after.gpu_resident == actives["b"]
+        config = ScenarioConfig(
+            manifest=Path("manifest.json"), tasks=Path("tasks.json"), oracle={},
+            log=Path("log.txt"), trace=Path("trace.txt"), cost_model=Path("cost.json"),
+            gpu_budget_bytes=300 * MB, cpu_budget_bytes=400 * MB)
+        scenario = Scenario(
+            config=config, manifest=manifest,
+            tasks=tuple(TaskSpec(t, retention_ratio=0.9, max_remove=4) for t in actives),
+            oracles={}, log=array("B", [0, 1, 0]), trace=array("B", [0, 0, 1]), cost=COST)
+        selections = {t: SelectionResult(skipped=manifest.all_blocks - active,
+                                         final_score=1.0, oracle_calls=1, removal_order=())
+                      for t, active in actives.items()}
+        with pytest.raises(ReplayError, match=r"gpu budget exceeded by 100000000 bytes "
+                                              r"\(trace position 2\)"):
+            replay_scenario(scenario, (DeployMode.FULL_METHOD,), selections,
+                            fit_transition_model(["a", "b", "a"], k=1))
 
     def test_device_off_the_outgoing_target_is_refused(self):
         # A refused switch builds no leg and no report, on a fresh pair and
@@ -158,7 +171,7 @@ class TestExecuteSwitch:
                                "a", "b", table)
             before = memos()
             for device in ({0, 1}, {0, 1, 2, 3}, set(), actives["b"], manifest.all_blocks):
-                state = state_for(manifest, gpu=device, cpu=(3,))
+                state = state_for(gpu=device, cpu=(3,))
                 with pytest.raises(SwitchSimError, match="does not hold task 'a'"):
                     execute_switch(state, "a", "b", table)
             assert memos() == before
@@ -171,7 +184,7 @@ class TestExecuteSwitch:
         for known in ({}, {"a": frozenset({0})}, {"b": frozenset({0})}):
             table = SwitchTable(manifest, COST, known)
             with pytest.raises(ConfigError, match="no active set for task"):
-                execute_switch(state_for(manifest, gpu=known.get("a", ())), "a", "b", table)
+                execute_switch(state_for(gpu=known.get("a", ())), "a", "b", table)
             for mode in (DeployMode.SPARSE_NO_SPLIT, DeployMode.SPLIT_ONLY):
                 with pytest.raises(ConfigError, match="no active set for task"):
                     table.report(mode, "a", "b")
@@ -196,8 +209,9 @@ class TestExecuteSwitch:
 class TestTableMatchesReference:
     """The tabled switch equals the per-block reference exactly: same report
     floats, same device, same error. full_method's switch also returns the
-    reference's state; a host-free switch is the table's report after the
-    device check a host-free replay runs on the incoming target."""
+    reference's state; a host-free switch is the table's report. Either way
+    the tabled side runs the device check a replay runs on the incoming
+    target."""
 
     def outcome(self, switch, *args):
         try:
@@ -206,17 +220,20 @@ class TestTableMatchesReference:
             return exc.tier, exc.shortfall_bytes
 
     @staticmethod
-    def tabled(state, a, b, mode, table):
+    def tabled(state, a, b, mode, table, gpu_budget):
         if mode is DeployMode.FULL_METHOD:
-            return execute_switch(state, a, b, table)
-        report = table.report(mode, a, b)
-        target = table.target(mode, b)
-        check_device(table.manifest, target, state.gpu_budget_bytes)
-        return target, report
+            result = execute_switch(state, a, b, table)
+            device = result[0].gpu_resident
+        else:
+            device = table.target(mode, b)
+            result = device, table.report(mode, a, b)
+        check_device(table.manifest, device, gpu_budget)
+        return result
 
     @staticmethod
-    def reference(state, a, b, mode, skipped, cost, manifest):
-        after, report = reference_switch(state, a, b, mode, skipped, cost, manifest)
+    def reference(state, a, b, mode, skipped, cost, manifest, gpu_budget):
+        after, report = reference_switch(state, a, b, mode, skipped, cost, manifest,
+                                         gpu_budget)
         if mode is DeployMode.FULL_METHOD:
             return after, report
         # Nothing stages in a host-free mode, so the reference's host is the
@@ -251,15 +268,15 @@ class TestTableMatchesReference:
                     # target.
                     device = frozenset(sorted(table.target(mode, a)))
                     cpu = tuple(rng.sample(range(n), rng.randrange(0, n + 1)))
-                    cases.append((CacheState(gpu_budget, total, device, cpu), a, b, mode))
+                    cases.append((CacheState(device, cpu), a, b, mode))
             # The second pass runs every switch again on the warm table: it
             # reads the pair's leg or reload and, in full_method, the report
             # memo for its host credit.
             for _pass in range(2):
                 for state, a, b, mode in cases:
-                    assert self.outcome(self.tabled, state, a, b, mode, table) \
+                    assert self.outcome(self.tabled, state, a, b, mode, table, gpu_budget) \
                         == self.outcome(self.reference, state, a, b, mode, skipped,
-                                        cost, manifest)
+                                        cost, manifest, gpu_budget)
 
     def test_warm_table_reports_equal_the_reference(self):
         # b and c share an active set: a report memo keyed without the
@@ -282,10 +299,10 @@ class TestTableMatchesReference:
         for _pass in range(2):
             for a, b, cpu in cases:
                 for mode in DeployMode:
-                    state = CacheState(total, total, table.target(mode, a), cpu)
-                    result = self.tabled(state, a, b, mode, table)
+                    state = CacheState(table.target(mode, a), cpu)
+                    result = self.tabled(state, a, b, mode, table, total)
                     assert result == self.reference(state, a, b, mode, skipped, COST,
-                                                    manifest)
+                                                    manifest, total)
                     first.setdefault((state, a, b, mode), result[1])
                     if mode is DeployMode.FULL_METHOD:
                         assert result[1] is first[state, a, b, mode]
@@ -301,7 +318,7 @@ class TestGpuUtilization:
         # A task that actives every block leaves the device empty.
         manifest = ModelManifest("m", (MB,) * 4)
         actives = actives_for({"a": {0, 1}, "b": set()})
-        _, report = execute_switch(state_for(manifest, gpu=(0, 1)), "a", "b",
+        _, report = execute_switch(state_for(gpu=(0, 1)), "a", "b",
                                    SwitchTable(manifest, COST, actives))
         assert report.gpu_resident_bytes_after == 0
 
@@ -360,7 +377,7 @@ class TestAccountingIdentity:
             active_b = set(rng.sample(range(n), rng.randrange(1, n + 1)))
             actives = actives_for({"a": active_a, "b": active_b})
             cpu = tuple(sorted(rng.sample(range(n), rng.randrange(0, n + 1))))
-            state = state_for(manifest, gpu=tuple(sorted(active_a)), cpu=cpu)
+            state = state_for(gpu=tuple(sorted(active_a)), cpu=cpu)
             delta = frozenset(active_b) - frozenset(active_a)
             table = SwitchTable(manifest, COST, actives)
             for mode in (DeployMode.SPLIT_ONLY, DeployMode.FULL_METHOD):
@@ -399,7 +416,7 @@ class TestModeOrdering:
                 for mode in DeployMode:
                     if mode is DeployMode.FULL_METHOD:
                         after, report = execute_switch(
-                            state_for(manifest, gpu=device, cpu=prestage), current, nxt,
+                            state_for(gpu=device, cpu=prestage), current, nxt,
                             table)
                         device = after.gpu_resident
                     else:
@@ -421,12 +438,11 @@ class TestSummationOrder:
         # exactly 1e16 + 2, and the two legs 2e16 + 4, which a left-to-right
         # sum would round down to 1e16 and 2e16.
         manifest = ModelManifest("m", (10 ** 16, 1, 1))
-        state = CacheState(gpu_budget_bytes=10 ** 17, cpu_budget_bytes=10 ** 17,
-                           gpu_resident=manifest.all_blocks)
+        state = CacheState(manifest.all_blocks)
         report = SwitchTable(manifest, self.COST, {}).report(DeployMode.MONOLITHIC, "a", "b")
         assert report.latency_ms == 2.0000000000000004e16
         _, ref = reference_switch(state, "a", "b", DeployMode.MONOLITHIC, {}, self.COST,
-                                  manifest)
+                                  manifest, 10 ** 17)
         assert ref.latency_ms == 2.0000000000000004e16
 
     def test_equal_active_sets_give_equal_reports_in_any_iteration_order(self):
