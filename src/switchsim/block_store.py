@@ -69,6 +69,8 @@ class ModelManifest:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.model_name, str):
+            raise ManifestError(f"model_name must be a string, got {self.model_name!r}")
         if len(self.block_sizes) < 1:
             raise ManifestError("a manifest needs at least one block")
         for size in self.block_sizes:
@@ -95,12 +97,14 @@ class ModelManifest:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ModelManifest":
-        """Build from the manifest file schema.
+        """Build from the manifest file schema, a JSON object.
 
         Expected keys: ``model_name`` and ``block_sizes_bytes`` (array of
         ints). Other keys, such as the older files' ``shard_prefix``, are
         ignored.
         """
+        if not isinstance(doc, dict):
+            raise ManifestError(f"manifest must be a JSON object, not {type(doc).__name__}")
         try:
             name = doc["model_name"]
             sizes = tuple(exact_int(s) for s in doc["block_sizes_bytes"])

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .block_store import CacheState, ModelManifest, _new_tuple, stage_to_cpu
+from .errors import ConfigError
 from .transitions import TierAssignment, TransitionModel
 
 __all__ = ["PrefetchPlan", "plan_prefetch", "execute_prefetch", "block_usefulness",
@@ -49,11 +50,12 @@ _NO_PLAN = PrefetchPlan(())
 def block_usefulness(current: str, model: TransitionModel,
                      active: Mapping[str, frozenset[int]]) -> dict[int, float]:
     """Per-block priority: the best switch probability among likely successors
-    whose active set contains the block."""
+    whose active set contains the block. A successor without an active set
+    is a :class:`ConfigError`, as in :func:`assign_tiers`."""
     weights: dict[int, float] = {}
     for succ, prob in model.successor_probs(current).items():
         if succ not in active:
-            continue
+            raise ConfigError(f"no active set for successor task {succ!r}")
         for b in active[succ]:
             if prob > weights.get(b, 0.0):
                 weights[b] = prob

@@ -28,12 +28,15 @@ keeps cache state. The three other modes (monolithic, sparse_no_split,
 split_only) never touch the host cache, so each of their switches depends
 on its (from, to) task pair alone. Each takes one report per distinct
 pair of ``Scenario.switch_pairs`` (``from != to``, in order of first
-occurrence) from ``SwitchTable.report``, and checks each task's device
-target (known blocks, the config's device budget) once: the first task's
-at position 0, and each other's at the first position of the first pair
-that switches into it. All three share the pairs' index array as their
-``order``, of the narrowest typecode for ``n * (n - 1)`` pairs of ``n``
-tasks. A failing pair raises at its first trace position.
+occurrence) from ``SwitchTable.report``. All three share the pairs' index
+array as their ``order``, of the narrowest typecode for ``n * (n - 1)``
+pairs of ``n`` tasks. A failing pair raises at its first trace position.
+
+The device budget has one rule in every mode: each task's target is
+checked once (``check_device``: known blocks, the config's device
+budget), where the device first holds it. That is position 0 for the
+first task, and the first switch into it for each other task. No layer
+checks the device budget.
 
 full_method's replay is a memoized state machine. Within one replay a
 step is a pure function of (current task, next task,
@@ -60,15 +63,14 @@ set are built once, the first time it runs a computed step. A step that
 raises stores nothing, so an error surfaces at the trace position where
 its state first occurs.
 
-Each computed step checks the state it leaves. The device must equal the
-running task's target. A switch moves blocks through the host without
+Each computed step checks the state it leaves. The device must be the
+incoming task's target. A switch moves blocks through the host without
 changing it, so the order a switch returns must be the very object the
-prefetch left. The prefix the prefetch staged must be the newest part of
-the order it left, in plan order. ``check_host`` runs only when the step
-replaced ``cpu_lru``, since an order left in place is its input's, which
-was checked. ``check_device`` is a pure function of the task's target
-and the config's device budget, so it runs once per task; no layer
-checks the device budget.
+prefetch left. ``check_host`` runs only when the step replaced
+``cpu_lru``, since an order left in place is its input's, which was
+checked. The prefix the prefetch staged must be the newest part of the
+order it left, in plan order. At a task's first arrival these checks run
+before its device budget check; both raise at the same position.
 
 full_method's eviction reads recency alone. That is exact because every
 block that next-task usefulness weights lies in the running task's
@@ -185,6 +187,8 @@ class ScenarioConfig:
             for key in PATH_KEYS:
                 if key not in doc:
                     raise ConfigError(f"config is missing {key!r}")
+                if not isinstance(doc[key], str):
+                    raise ConfigError(f"{key} must be a path string, got {doc[key]!r}")
                 values[key] = (base / doc[key]).resolve()
             # An absent key takes its field's default, and an absent key
             # without one fails the constructor, which names it.
@@ -485,7 +489,9 @@ def _replay(scenario: Scenario, mode: DeployMode,
             matrix: tuple[tuple[float, ...], ...]) -> ReplayReport:
     """Replay the trace under ``mode``; ``matrix`` is ``selections``'
     Jaccard matrix. The host-free modes take each distinct pair's report
-    from the table; only full_method steps a :class:`CacheState`."""
+    from the table; only full_method steps a :class:`CacheState`. Every
+    mode checks each task's target against the device budget once, where
+    the device first holds it."""
     config = scenario.config
     manifest = scenario.manifest
     blocks = manifest.all_blocks
@@ -498,56 +504,35 @@ def _replay(scenario: Scenario, mode: DeployMode,
     ids = scenario.task_ids
     first = trace[0]
 
+    def arrive(task: int, switch: tuple[int, int] | None = None) -> None:
+        # ``switch`` is the first switch into ``task``; None for the first task.
+        try:
+            check_device(manifest, table.target(mode, ids[task]), gpu_budget)
+        except SwitchSimError as exc:
+            pos = 0 if switch is None else _first_position(trace, switch)
+            raise ReplayError(str(exc), position=pos) from exc
+
+    # Initial load of the first task; not counted as a switch.
+    arrive(first)
     if mode is not DeployMode.FULL_METHOD:
         # Nothing stages, so the host stays empty and a switch depends on its
         # (from, to) pair alone: each distinct pair's report comes from the
         # table, in order of first occurrence, and the trace's index array
-        # is shared. Each task's device target is checked once, where the
-        # device first holds it.
+        # is shared.
         pairs, order = scenario.switch_pairs
-        try:
-            check_device(manifest, table.target(mode, ids[first]), gpu_budget)
-        except SwitchSimError as exc:
-            raise ReplayError(str(exc), position=0) from exc
         checked = {first}
         reports = []
         for pair in pairs:
             current, task = pair
             try:
                 reports.append(table.report(mode, ids[current], ids[task]))
-                if task not in checked:
-                    check_device(manifest, table.target(mode, ids[task]), gpu_budget)
-                    checked.add(task)
             except SwitchSimError as exc:
                 raise ReplayError(str(exc), _first_position(trace, pair)) from exc
+            if task not in checked:
+                arrive(task, pair)
+                checked.add(task)
         return _aggregate(mode, scenario, matrix, tuple(reports), order,
                           scenario.switch_counts)
-
-    # Tasks whose target passed ``check_device`` under the config's device
-    # budget; the check is a pure function of the two.
-    devices_checked: set[str] = set()
-
-    def check(state: CacheState, task: str, host_checked: bool) -> None:
-        # The device and ``cpu_lru`` are the whole state. ``check_host`` is
-        # a pure function of ``cpu_lru`` and the cpu budget, so
-        # ``host_checked`` skips it for an order that already passed it;
-        # the device is compared on every call.
-        target = table.target(mode, task)
-        device = state.gpu_resident
-        if device is not target and device != target:
-            raise SwitchSimError("device does not hold the running task's blocks")
-        if task not in devices_checked:
-            check_device(manifest, device, gpu_budget)
-            devices_checked.add(task)
-        if not host_checked:
-            check_host(manifest, state.cpu_lru, cpu_budget)
-
-    try:
-        # Initial load of the first task; not counted as a switch.
-        state = CacheState(table.target(mode, ids[first]))
-        check(state, ids[first], False)
-    except SwitchSimError as exc:
-        raise ReplayError(str(exc), position=0) from exc
 
     # Running task's index -> (device target, ranked pre-load tier, protected
     # set), what its computed steps read; built the first time it runs one.
@@ -610,7 +595,11 @@ def _replay(scenario: Scenario, mode: DeployMode,
                 # Invariants of every computed step; a memo hit repeats a
                 # checked one. ``host`` was checked, so it needs no second
                 # check when the step left it in place.
-                check(after, task_id, next_lru is host)
+                device, target = after.gpu_resident, table.target(mode, task_id)
+                if device is not target and device != target:
+                    raise SwitchSimError("device does not hold the running task's blocks")
+                if next_lru is not host:
+                    check_host(manifest, next_lru, cpu_budget)
                 if next_lru[len(next_lru) - len(staged):] != staged:
                     raise SwitchSimError("staged blocks are not the host's newest, "
                                          "in plan order")
@@ -632,10 +621,11 @@ def _replay(scenario: Scenario, mode: DeployMode,
             lru, step = step
         if step >= 0:
             append(step)
-            current = task
             row = steps[task]
             if row is None:
+                arrive(task, (current, task))
                 row = steps[task] = [_NO_STEPS] * len(ids)
+            current = task
     return _aggregate(mode, scenario, matrix, tuple(records), order)
 
 

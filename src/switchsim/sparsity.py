@@ -372,6 +372,8 @@ def load_task_specs(path: Path | str) -> list[TaskSpec]:
     doc = read_json(path)
     if not isinstance(doc, list):
         raise ConfigError(f"{path}: task file must be a JSON array")
+    if not doc:
+        raise ConfigError(f"{path}: task file lists no tasks")
     tasks = []
     for row in doc:
         check_keys(row, _TASK_KEYS, f"{path}: task entry")

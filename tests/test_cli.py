@@ -773,6 +773,61 @@ class TestMalformedInput:
         assert code == EXIT_CONFIG
         assert "oracle must be a JSON object, not list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, doc, message", [
+        ("tasks.json", [], "{root}/tasks.json: task file lists no tasks"),
+        ("manifest.json", {"model_name": [1], "block_sizes_bytes": [1]},
+         "model_name must be a string, got [1]"),
+        ("manifest.json", [{"model_name": "m", "block_sizes_bytes": [1]}],
+         "manifest must be a JSON object, not list"),
+        ("config.json", {"manifest": 5}, "manifest must be a path string, got 5"),
+        ("config.json", {"trace": None}, "config is missing 'trace'"),
+        ("config.json", {"oracle": {"kind": "oracle"}}, "unknown oracle kind 'oracle'"),
+    ], ids=["empty-task-file", "non-string-model-name", "manifest-array",
+            "non-string-path", "missing-path-key", "unknown-oracle-kind"])
+    def test_malformed_document_is_refused_at_its_boundary(self, driving_dir, tmp_path,
+                                                           capsys, name, doc, message):
+        # A config edit sets its keys, and None deletes one.
+        root = tmp_path / "scenario"
+        shutil.copytree(driving_dir, root)
+        path = root / name
+        if name == "config.json":
+            doc = {**json.loads(path.read_text()), **doc}
+            doc = {key: value for key, value in doc.items() if value is not None}
+        path.write_text(json.dumps(doc))
+        code = main(["compare", "--config", str(root / "config.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"config error: {message.format(root=root.resolve())}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tasks, flags, message", [
+        ({}, ["--num-blocks", "4"], "{tasks}: task file must be a JSON array"),
+        ([1], ["--num-blocks", "4"], "{tasks}: task entry must be a JSON object, not int"),
+        ([{"task_id": "a", "retention_ratio": 0, "max_remove": 1}], ["--num-blocks", "4"],
+         "a: retention_ratio must be in (0, 1]"),
+        ([{"task_id": "a", "retention_ratio": 0.9, "max_remove": -1}],
+         ["--num-blocks", "4"], "a: max_remove must be >= 0"),
+        ([{"task_id": "a", "retention_ratio": 0.9, "max_remove": 1}] * 2,
+         ["--num-blocks", "4"], "{tasks}: duplicate task ids"),
+        (None, [], "select needs --num-blocks or --manifest"),
+        (None, ["--num-blocks", "2", "--oracle-table", "{table}"],
+         "table oracle file lacks tasks: ['b']"),
+    ], ids=["not-an-array", "entry-not-an-object", "zero-retention",
+            "negative-max-remove", "duplicate-ids", "no-block-count", "table-lacks-task"])
+    def test_bad_task_file_or_select_flags_are_refused(self, tmp_path, capsys, tasks,
+                                                       flags, message):
+        path = write_tasks(tmp_path / "tasks.json")
+        if tasks is not None:
+            path.write_text(json.dumps(tasks))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"a": []}))
+        code = main(["select", "--tasks", str(path),
+                     *(f.format(table=table) for f in flags)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"config error: {message.format(tasks=path)}\n"
+
 
 def output_bytes(root):
     """Every file under ``root`` by its relative name."""

@@ -1,10 +1,12 @@
 """Prefetch planning and virtual-time execution."""
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim.block_store import CacheState, ModelManifest
+from switchsim.errors import ConfigError
 from switchsim.prefetch import block_usefulness, execute_prefetch, plan_prefetch, rank_preload
 from switchsim.switching import CostModel
 from switchsim.transitions import TransitionModel, assign_tiers, fit_transition_model
@@ -174,3 +176,16 @@ def test_usefulness_weights_only_runtime_and_preload_blocks(inputs):
     tiers = assign_tiers(current, active, model)
     assert block_usefulness(current, model, active).keys() \
         <= tiers.runtime | tiers.preload
+
+
+def test_a_successor_without_an_active_set_is_refused_by_tiering_and_usefulness():
+    # Both walk the running task's top-K successors, so both refuse one
+    # that has no active set, with the same error.
+    model = TransitionModel(counts={("A", "B"): 1}, probs={("A", "B"): 1.0},
+                            successors={"A": ("B",)}, k=1)
+    active = {"A": frozenset({0, 1})}
+    message = "^no active set for successor task 'B'$"
+    with pytest.raises(ConfigError, match=message):
+        assign_tiers("A", active, model)
+    with pytest.raises(ConfigError, match=message):
+        block_usefulness("A", model, active)

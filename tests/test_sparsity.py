@@ -111,6 +111,10 @@ class TestOracles:
         oracle = AdditiveOracle([1.0, 1.0] + [0.0] * 6 + [1e16])
         assert oracle.score(frozenset([8, 0, 1])) == oracle.score(frozenset([0, 1, 8])) == 1.0
 
+    def test_additive_needs_a_weight(self):
+        with pytest.raises(OracleError, match="^need at least one block weight$"):
+            AdditiveOracle([])
+
     def test_additive_rejects_negative_weights(self):
         with pytest.raises(OracleError):
             AdditiveOracle([1.0, -0.1])
@@ -446,6 +450,10 @@ class TestBuildAllTasks:
         results = build_all_tasks(tasks, {"zeta": inst.oracle(0),
                                          "alpha": inst.oracle(1)})
         assert list(results) == ["alpha", "zeta"]
+
+    def test_no_tasks_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^no tasks given$"):
+            build_all_tasks([], {})
 
     def test_missing_oracle_is_a_config_error(self):
         with pytest.raises(ConfigError):
