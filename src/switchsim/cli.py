@@ -21,9 +21,10 @@ from pathlib import Path
 from .errors import (ConfigError, ManifestError, OracleError, SwitchSimError, read_json,
                      write_text)
 from .block_store import ModelManifest
-from .replay import (FLOAT_KEYS, INT_KEYS, PATH_KEYS, ScenarioConfig, build_oracles,
-                     compare_modes, emit_reports, load_scenario, replay_scenario,
-                     write_compare_csv)
+from .replay import ReplayReport, compare_modes, replay_scenario
+from .reports import emit_reports, write_compare_csv
+from .scenario import (FLOAT_KEYS, INT_KEYS, PATH_KEYS, ScenarioConfig, build_oracles,
+                       load_scenario)
 from .sparsity import build_all_tasks, load_task_specs, selection_report
 from .switching import DeployMode
 from .transitions import fit_transition_model, load_task_log
@@ -52,6 +53,8 @@ def _oracle_flags(args: argparse.Namespace) -> dict:
 def _cmd_select(args: argparse.Namespace) -> int:
     tasks = load_task_specs(args.tasks)
     if args.manifest:
+        if args.num_blocks is not None:
+            raise ConfigError("select takes --num-blocks or --manifest, not both")
         num_blocks = ModelManifest.load(args.manifest).num_blocks
     elif args.num_blocks is None:
         raise ConfigError("select needs --num-blocks or --manifest")
@@ -99,15 +102,19 @@ def _load_config_with_overrides(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(doc, base_dir=path.parent)
 
 
+def _print_mode_line(report: ReplayReport) -> None:
+    mean = f"{report.mean_latency_ms:.3f} ms" if report.mean_latency_ms is not None \
+        else "n/a"
+    print(f"{report.mode}: {len(report.order)} switches, mean latency {mean}")
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     config = _load_config_with_overrides(args)
     if config.mode is None:
         raise ConfigError("replay needs a mode (set it in the config or via --mode)")
     report = replay_scenario(load_scenario(config), (config.mode,))[config.mode]
     paths = emit_reports(report, args.out_dir)
-    mean = f"{report.mean_latency_ms:.3f} ms" if report.mean_latency_ms is not None \
-        else "n/a"
-    print(f"{report.mode}: {len(report.order)} switches, mean latency {mean}")
+    _print_mode_line(report)
     print(f"wrote {len(paths)} files under {args.out_dir}")
     return EXIT_OK
 
@@ -118,9 +125,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out_root = Path(args.out_dir)
     for mode, report in reports.items():
         emit_reports(report, out_root / mode.value)
-        mean = f"{report.mean_latency_ms:.3f} ms" if report.mean_latency_ms is not None \
-            else "n/a"
-        print(f"{mode.value}: {len(report.order)} switches, mean latency {mean}")
+        _print_mode_line(report)
     write_compare_csv(reports, out_root / "compare.csv")
     print(f"wrote per-mode reports and compare.csv under {out_root}")
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .replay import ScenarioConfig
+from .scenario import ScenarioConfig
 from .switching import CostModel, calibrate_uniform_block_bytes
 from .synthetic import gen_markov_log
 

@@ -28,7 +28,9 @@ from typing import Mapping, Sequence
 from switchsim.block_store import CacheState
 from switchsim.errors import ReplayError, SwitchSimError
 from switchsim.prefetch import block_usefulness
-from switchsim.replay import ReplayReport, Scenario, _fmt_ms
+from switchsim.replay import ReplayReport
+from switchsim.reports import _fmt_ms
+from switchsim.scenario import Scenario
 from switchsim.sparsity import SelectionResult, jaccard
 from switchsim.switching import DeployMode, SwitchReport
 from switchsim.transitions import TierAssignment, TransitionModel, assign_tiers

@@ -13,7 +13,8 @@ import time
 
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.cli import main
-from switchsim.replay import compare_modes, load_scenario
+from switchsim.replay import compare_modes
+from switchsim.scenario import load_scenario
 from switchsim.sparsity import TaskSpec, build_all_tasks, jaccard, select_skip_set
 from switchsim.switching import CostModel, DeployMode, SwitchTable, execute_switch
 from switchsim.synthetic import gen_instance

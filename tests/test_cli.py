@@ -17,7 +17,7 @@ import switchsim
 from switchsim import cli
 from switchsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_REPLAY, EXIT_SELECTION, main
 from switchsim.errors import ConfigError, read_json
-from switchsim.replay import ScenarioConfig
+from switchsim.scenario import ScenarioConfig
 from switchsim.switching import DeployMode
 from switchsim.synthetic import gen_markov_log
 from switchsim.workloads import DRIVING_PAIR_BIAS, DRIVING_TASKS
@@ -48,6 +48,34 @@ class TestSelect:
         for entry in doc.values():
             assert set(entry) == {"skipped", "final_score", "oracle_calls"}
             assert entry["skipped"] == sorted(entry["skipped"])
+
+    def test_manifest_gives_the_block_count(self, tmp_path):
+        tasks = write_tasks(tmp_path / "tasks.json")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"model_name": "m", "block_sizes_bytes": [1] * 8}))
+        outs = []
+        for flags in (["--manifest", str(manifest)], ["--num-blocks", "8"]):
+            out = tmp_path / f"out{len(outs)}.json"
+            code = main(["select", "--tasks", str(tasks), *flags, "--seed", "7",
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("num_blocks", ["0", "8"])
+    def test_num_blocks_with_a_manifest_is_refused(self, tmp_path, capsys, num_blocks):
+        # The flags are alternatives: given both, the manifest's count
+        # would win and --num-blocks, even an invalid one, go unread.
+        tasks = write_tasks(tmp_path / "tasks.json")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"model_name": "m", "block_sizes_bytes": [1] * 8}))
+        out = tmp_path / "skips.json"
+        code = main(["select", "--tasks", str(tasks), "--manifest", str(manifest),
+                     "--num-blocks", num_blocks, "--seed", "7", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == "config error: select takes --num-blocks or --manifest, not both\n"
+        assert not out.exists()
 
     def test_seed_is_mandatory_for_synthetic(self, tmp_path):
         tasks = write_tasks(tmp_path / "tasks.json")

@@ -23,6 +23,7 @@ import pytest
 from switchsim import replay
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.cli import main
+from switchsim.scenario import load_scenario
 from switchsim.switching import CostModel, DeployMode, SwitchTable
 from switchsim.workloads import DRIVING_TASKS, write_driving_scenario
 
@@ -171,7 +172,7 @@ def test_every_compare_switch_matches_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(replay, "execute_switch", checked_switch)
     monkeypatch.setattr(SwitchTable, "report", checked_report)
     reports = replay.compare_modes(config)
-    scenario = replay.load_scenario(config)
+    scenario = load_scenario(config)
     model = replay.fit_transition_model([scenario.task_ids[i] for i in scenario.log],
                                         k=config.k)
     for mode in DeployMode:

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from switchsim import block_store, prefetch, replay
+from switchsim import block_store, prefetch, replay, reports
 from switchsim.block_store import CacheState, ModelManifest
 from switchsim.errors import (BudgetExceededError, ConfigError, LogParseError, OracleError,
                               ReplayError, counted_fsum)
-from switchsim.replay import (Scenario, ScenarioConfig, compare_modes, emit_reports,
-                              replay_scenario, write_compare_csv)
+from switchsim.replay import compare_modes, replay_scenario
+from switchsim.reports import emit_reports, write_compare_csv
+from switchsim.scenario import Scenario, ScenarioConfig, load_scenario
 from switchsim.sparsity import SelectionResult, TaskSpec, jaccard
 from switchsim.switching import CostModel, DeployMode, SwitchReport, SwitchTable
 from switchsim.transitions import fit_transition_model, index_typecode
@@ -66,7 +67,7 @@ def logged_tasks(scenario):
 
 def run_config(config):
     """The replay of the config's scenario under the config's mode."""
-    return replay_scenario(replay.load_scenario(config), (config.mode,))[config.mode]
+    return replay_scenario(load_scenario(config), (config.mode,))[config.mode]
 
 
 def replay_mode(scenario, mode, selections, model):
@@ -125,7 +126,7 @@ class TestReplayScenario:
         # Loading refuses the log, so neither a given model nor a selection
         # that would fail goes first.
         config = small_scenario(tmp_path)
-        scenario = replay.load_scenario(config)
+        scenario = load_scenario(config)
         selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
         model = fit_transition_model(logged_tasks(scenario), k=config.k)
         write_entries(config.log, ["Car", "Ghost"], False)
@@ -134,7 +135,7 @@ class TestReplayScenario:
             raise OracleError("no selection")
 
         monkeypatch.setattr(replay, "build_all_tasks", failing_selection)
-        for run in (lambda: replay_scenario(replay.load_scenario(config), DeployMode,
+        for run in (lambda: replay_scenario(load_scenario(config), DeployMode,
                                             selections, model),
                     lambda: compare_modes(config)):
             with pytest.raises(LogParseError, match="unknown task id 'Ghost'") as err:
@@ -182,7 +183,7 @@ class TestReplayScenario:
         def refused(*args, **kwargs):
             raise AssertionError("selected or fitted before the modes were checked")
 
-        scenario = replay.load_scenario(small_scenario(tmp_path))
+        scenario = load_scenario(small_scenario(tmp_path))
         monkeypatch.setattr(replay, "build_all_tasks", refused)
         monkeypatch.setattr(replay, "fit_transition_model", refused)
         with pytest.raises(ConfigError, match=f"DeployMode, got {message}"):
@@ -221,10 +222,10 @@ class TestReplayScenario:
         # host-free modes share theirs: no list or tuple of the switches.
         # full_method's bytearray and its array copy are both alive at its
         # end. CPython 3.11 reads 3.1 B.
-        replay_scenario(replay.load_scenario(small_scenario(tmp_path / "warm-up")))
+        replay_scenario(load_scenario(small_scenario(tmp_path / "warm-up")))
         peaks, switches = [], []
         for steps in (10_000, 20_000):
-            scenario = replay.load_scenario(
+            scenario = load_scenario(
                 write_driving_scenario(tmp_path / str(steps), trace_length=steps))
             gc.collect()
             tracemalloc.start()
@@ -245,7 +246,7 @@ class TestReplayScenario:
         # CPython 3.11 reads 68 B a step, where tuples of ints read 101 B.
         peaks = []
         for steps in (4_000, 8_000):
-            scenario = replay.load_scenario(host_churn_scenario(tmp_path / str(steps), steps))
+            scenario = load_scenario(host_churn_scenario(tmp_path / str(steps), steps))
             selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
             model = fit_transition_model(logged_tasks(scenario), k=1)
             replay_mode(scenario, DeployMode.FULL_METHOD, selections, model)  # warm-up
@@ -300,7 +301,7 @@ class TestLoadScenario:
         for path in (config.log, config.trace):
             entries[path] = path.read_text(encoding="utf-8").split()
             write_entries(path, entries[path], timestamps)
-        scenario = replay.load_scenario(config)
+        scenario = load_scenario(config)
         assert scenario.trace and scenario.log
         for held, path in ((scenario.log, config.log), (scenario.trace, config.trace)):
             assert held == task_indices(scenario.task_ids, entries[path])
@@ -318,7 +319,7 @@ class TestLoadScenario:
         # the index of the task the line names.
         steps = (ROUTE * 4_000)[:20_000]
         config = small_scenario(tmp_path, trace=steps)
-        scenario = replay.load_scenario(config)
+        scenario = load_scenario(config)
         assert scenario.trace == task_indices(scenario.task_ids, steps)
 
     @pytest.mark.parametrize("check, edit, message", [
@@ -334,7 +335,7 @@ class TestLoadScenario:
         # unknown step among the trace's switches.
         config = small_scenario(tmp_path, trace=["Car", "Ghost", "Car", "Person"])
         with pytest.raises(ReplayError, match="'Ghost' is not a scenario task") as err:
-            replay.load_scenario(config)
+            load_scenario(config)
         assert err.value.position == 1
         if check == "overflow":
             sizes = json.loads(config.manifest.read_text(encoding="utf-8"))
@@ -342,21 +343,21 @@ class TestLoadScenario:
             config.manifest.write_text(json.dumps(sizes), encoding="utf-8")
             message = "over the trace's 3 switches"
         with pytest.raises(ConfigError, match=message):
-            replay.load_scenario(dataclasses.replace(config, **edit))
+            load_scenario(dataclasses.replace(config, **edit))
 
     @pytest.mark.parametrize("timestamps", [False, True], ids=["plain", "timestamped"])
     def test_unknown_ids_keep_their_positions(self, tmp_path, timestamps):
         config = small_scenario(tmp_path)
         write_entries(config.trace, ["Car", "Person", "Ghost", "Car"], timestamps)
         with pytest.raises(ReplayError) as err:
-            replay.load_scenario(config)
+            load_scenario(config)
         assert err.value.position == 2
         # A log id no task has is refused at load, at its log position.
         write_entries(config.trace, ["Car", "Person"], timestamps)
         write_entries(config.log, ["Car", "Person", "Car", "Ghost", "Car"],
                       timestamps)
         with pytest.raises(LogParseError, match="unknown task id 'Ghost'") as err:
-            replay.load_scenario(config)
+            load_scenario(config)
         assert err.value.position == 3
 
     @pytest.mark.parametrize("log, position", [
@@ -368,7 +369,7 @@ class TestLoadScenario:
         config = small_scenario(tmp_path)
         write_entries(config.log, log, False)
         with pytest.raises(LogParseError) as err:
-            replay.load_scenario(config)
+            load_scenario(config)
         assert str(err.value) == (f"unknown task id {log[position]!r} "
                                   f"(log position {position})")
         assert err.value.position == position
@@ -377,19 +378,19 @@ class TestLoadScenario:
         config = small_scenario(tmp_path, trace=["Car", "Ghost", "Car"])
         write_entries(config.log, ["Car", "Spaceship", "Car"], False)
         with pytest.raises(ConfigError, match="admit the largest block"):
-            replay.load_scenario(dataclasses.replace(config, cpu_budget_bytes=1))
+            load_scenario(dataclasses.replace(config, cpu_budget_bytes=1))
         with pytest.raises(ReplayError, match="'Ghost' is not a scenario task"):
-            replay.load_scenario(config)
+            load_scenario(config)
         write_entries(config.trace, ["Car", "Person"], False)
         with pytest.raises(LogParseError, match="'Spaceship'"):
-            replay.load_scenario(config)
+            load_scenario(config)
 
     def test_a_trace_step_retains_one_byte(self, tmp_path):
         # Each trace step and each log entry holds its task's index in one
         # byte, two bytes a step for both; a tuple or list slot per entry
         # would take 8 B, and a string per entry 64 B or more. CPython 3.11
         # reads 2.0 B a step.
-        replay.load_scenario(small_scenario(tmp_path / "warm-up"))
+        load_scenario(small_scenario(tmp_path / "warm-up"))
         retained = []
         for steps in (2_000, 20_000):
             entries = (ROUTE * steps)[:steps]
@@ -398,7 +399,7 @@ class TestLoadScenario:
             gc.collect()
             tracemalloc.start()
             try:
-                scenario = replay.load_scenario(config)
+                scenario = load_scenario(config)
                 retained.append(tracemalloc.get_traced_memory()[0])
             finally:
                 tracemalloc.stop()
@@ -416,11 +417,11 @@ class TestLoadScenario:
         config = small_scenario(tmp_path)
         write_entries(config.trace, (ROUTE * 4_000)[:20_000], timestamps)
         chars = len(config.trace.read_text(encoding="utf-8"))
-        replay.load_scenario(config)
+        load_scenario(config)
         gc.collect()
         tracemalloc.start()
         try:
-            scenario = replay.load_scenario(config)
+            scenario = load_scenario(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -578,7 +579,7 @@ class TestMemoMatchesReference:
 
         for (module, name), pick in self.LAYER_ORDERS.items():
             spy(module, name, pick)
-        scenario = replay.load_scenario(config)
+        scenario = load_scenario(config)
         selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
         model = fit_transition_model(logged_tasks(scenario), k=1)
         reports = replay_scenario(scenario, DeployMode, selections, model)
@@ -639,7 +640,7 @@ class TestMemoMatchesReference:
         """Every step's key (current task, next task, state before the
         step) in trace order, from the reference full_method replay of
         ``config``, which must equal ``report``."""
-        scenario = replay.load_scenario(config)
+        scenario = load_scenario(config)
         selections = replay.build_all_tasks(scenario.tasks, scenario.oracles, align=True)
         model = fit_transition_model(logged_tasks(scenario), k=config.k)
         steps = []
@@ -693,7 +694,7 @@ class TestMemoMatchesReference:
         tables = self.switch_tables(monkeypatch)
         config = host_churn_scenario(tmp_path)
         compare_modes(config)
-        scenario = replay.load_scenario(config)
+        scenario = load_scenario(config)
         ids = scenario.task_ids
         pairs = {(ids[a], ids[b]) for a, b in scenario.switch_pairs[0]}
         assert len(pairs) > 1 and len(tables) == len(DeployMode)
@@ -709,7 +710,7 @@ class TestMemoMatchesReference:
         config = host_churn_scenario(tmp_path)
         compare_modes(config)
         tables = dict(zip(DeployMode, built))
-        scenario = replay.load_scenario(config)
+        scenario = load_scenario(config)
         incoming = {scenario.task_ids[to] for _, to in scenario.switch_pairs[0]}
         assert len(scenario.tasks) == len(incoming) == 5
         sparse = tables[DeployMode.SPARSE_NO_SPLIT]
@@ -1301,14 +1302,14 @@ class TestCompareModes:
         if modes is None:
             compare_modes(config)
         else:
-            replay_scenario(replay.load_scenario(config), modes)
+            replay_scenario(load_scenario(config), modes)
         trace = (tmp_path / "trace.txt").read_text().split()
         assert calls["align"] == aligns
         assert calls["fit"] == 1
         assert sorted(calls["tiers"]) == (sorted(set(trace[:-1])) if True in aligns else [])
 
     def test_one_mode_replays_as_in_all_four(self, tmp_path):
-        scenario = replay.load_scenario(host_churn_scenario(tmp_path))
+        scenario = load_scenario(host_churn_scenario(tmp_path))
         reports = replay_scenario(scenario)
         assert list(reports) == list(DeployMode)
         for mode in DeployMode:
@@ -1341,7 +1342,7 @@ BATCH_RECORDS = (SwitchReport("Car", "Ampel-\u00e4", "m", 1.0005, 1, 2, 3, 4, 5,
                  SwitchReport("Car", "Person", "m", 1e16 / 3, 7, 8, 9, 1, 2, 3))
 # switches.jsonl lines per write: as many of the longest line as the byte
 # bound holds.
-BATCH = replay._WRITE_BYTES // max(len(reference_switch_line(r).encode())
+BATCH = reports._WRITE_BYTES // max(len(reference_switch_line(r).encode())
                                    for r in BATCH_RECORDS)
 
 
@@ -1372,7 +1373,7 @@ def emit_recording_writes(monkeypatch, report, out):
         files.append(RecordingFile(path, mode))
         return files[-1]
 
-    monkeypatch.setattr(replay, "open", recording_open, raising=False)
+    monkeypatch.setattr(reports, "open", recording_open, raising=False)
     emit_reports(report, out)
     assert len(files) == 1
     return files[0].writes
@@ -1398,7 +1399,7 @@ class TestSwitchLine:
                      *[RECORD_INT] * 6))
     @settings(max_examples=300, deadline=None)
     def test_line_is_json_dumps_of_the_record(self, record):
-        assert replay._switch_line(record) == reference_switch_line(record).encode()
+        assert reports._switch_line(record) == reference_switch_line(record).encode()
 
 
 class TestEmitReports:
@@ -1445,10 +1446,10 @@ class TestEmitReports:
         assert b"".join(writes) == written
         assert [w.count(b"\n") for w in writes] == [
             min(BATCH, n - start) for start in range(0, n, BATCH)]
-        assert all(len(w) <= replay._WRITE_BYTES for w in writes)
+        assert all(len(w) <= reports._WRITE_BYTES for w in writes)
 
     def test_a_line_longer_than_the_bound_is_written_alone(self, tmp_path, monkeypatch):
-        long_id = "L" * replay._WRITE_BYTES
+        long_id = "L" * reports._WRITE_BYTES
         records = (*BATCH_RECORDS, SwitchReport("Car", long_id, "m", 1.5, 1, 1, 1, 1, 1, 1))
         order = (0, 3, 1, 2, 3, 3, 0)
         scenario, _, matrix = aggregate_scenario()
@@ -1459,7 +1460,7 @@ class TestEmitReports:
             report, tmp_path / "ref.jsonl").read_bytes()
         # One line per write; only the long record's lines exceed the bound.
         assert [w.count(b"\n") for w in writes] == [1] * len(order)
-        assert [len(w) > replay._WRITE_BYTES for w in writes] == [
+        assert [len(w) > reports._WRITE_BYTES for w in writes] == [
             i == 3 for i in order]
 
     @pytest.mark.parametrize("case", ["replay", "zero-switches", "odd-ids"])
@@ -1550,7 +1551,7 @@ class TestCsvText:
     def test_equals_csv_writer_bytes(self, rows):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
-        assert replay._csv_text(rows).encode() == buf.getvalue().encode()
+        assert reports._csv_text(rows).encode() == buf.getvalue().encode()
 
     def test_a_summary_sized_table_peaks_under_16_kib(self):
         means = ("mean_latency_ms", "median_latency_ms", "max_latency_ms",
@@ -1561,7 +1562,7 @@ class TestCsvText:
                 ["prestage_hit_rate", "0.680455"]]
         tracemalloc.start()
         try:
-            text = replay._csv_text(rows)
+            text = reports._csv_text(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -10,6 +10,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from switchsim import cli
 from switchsim.sparsity import AdditiveOracle
 from switchsim.workloads import write_driving_scenario
@@ -45,10 +47,19 @@ def test_speedup_experiment_removes_its_temp_dir(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_overlap_experiment_runs(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["run_overlap_experiment.py", "--instances", "2"])
+@pytest.mark.parametrize("flags, pinned", [
+    (["--instances", "2"], []),
+    # The default run's headline lines, which CI also greps for.
+    ([], ["aligned mean pairwise Jaccard:     0.830",
+          "independent mean pairwise Jaccard: 0.277"]),
+], ids=["two-instances", "default"])
+def test_overlap_experiment_runs(monkeypatch, capsys, flags, pinned):
+    monkeypatch.setattr(sys, "argv", ["run_overlap_experiment.py", *flags])
     load_script("run_overlap_experiment").main()
-    assert "aligned mean pairwise Jaccard" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "aligned mean pairwise Jaccard" in out
+    lines = out.splitlines()
+    assert [line for line in pinned if line not in lines] == []
 
 
 def test_demo_scenario_is_written(tmp_path, monkeypatch, capsys):

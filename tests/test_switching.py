@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from switchsim import replay
+from switchsim import reports
 from switchsim.block_store import CacheState, ModelManifest, check_device
 from switchsim.errors import BudgetExceededError, ConfigError, ReplayError, SwitchSimError
-from switchsim.replay import Scenario, ScenarioConfig, replay_scenario
+from switchsim.replay import replay_scenario
+from switchsim.scenario import Scenario, ScenarioConfig
 from switchsim.sparsity import SelectionResult, TaskSpec
 from switchsim.switching import (CostModel, DeployMode, SwitchReport, SwitchTable,
                                  calibrate_uniform_block_bytes, execute_switch)
@@ -487,7 +488,7 @@ class TestDocuments:
     def test_switch_report_lists_its_fields_with_the_latency_rounded(self):
         # The report's switches.jsonl line.
         report = SwitchReport("a", "b", "split_only", 1.23456, 1, 2, 3, 4, 5, 6)
-        line = replay._switch_line(report)
+        line = reports._switch_line(report)
         assert line.endswith(b"}\n") and line.count(b"\n") == 1
         assert json.loads(line, object_pairs_hook=list) == [
             ("from_task", "a"), ("to_task", "b"), ("mode", "split_only"),
